@@ -202,6 +202,17 @@ def cmd_report(args) -> int:
     return 1 if bad else 0
 
 
+def _count(text: str) -> int:
+    """Argument type of bounds and sample counts: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="corelate",
@@ -256,19 +267,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--A", default=None)
     p_check.add_argument("--theory", default="er")
     p_check.add_argument("--scalars", default=None, help="comma-separated scalars for frobenius")
-    p_check.add_argument("--bound", type=int, default=2)
-    p_check.add_argument("--entry-bound", dest="entry_bound", type=int, default=3)
+    p_check.add_argument("--bound", type=_count, default=2)
+    p_check.add_argument("--entry-bound", dest="entry_bound", type=_count, default=3)
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--samples", type=int, default=200)
+    p_check.add_argument("--samples", type=_count, default=200)
     p_check.add_argument("--expect", choices=("pass", "fail"), default=None)
     p_check.add_argument("--format", choices=("text", "records"), default="text")
     p_check.set_defaults(func=cmd_check)
 
     p_report = sub.add_parser("report", help="run the default check suite")
-    p_report.add_argument("--bound", type=int, default=3)
-    p_report.add_argument("--entry-bound", dest="entry_bound", type=int, default=3)
+    p_report.add_argument("--bound", type=_count, default=3)
+    p_report.add_argument("--entry-bound", dest="entry_bound", type=_count, default=3)
     p_report.add_argument("--seed", type=int, default=0)
-    p_report.add_argument("--samples", type=int, default=200)
+    p_report.add_argument("--samples", type=_count, default=200)
     p_report.add_argument("--format", choices=("text", "records"), default="text")
     p_report.set_defaults(func=cmd_report)
 

@@ -13,6 +13,20 @@ class RingMismatch(CorelateError):
     """Operands live over different coefficient rings."""
 
 
+class UnknownRing(CorelateError, ValueError):
+    """A ring tag names no ring, or GF(p) is asked for with p not prime."""
+
+
+class UnknownAmbient(CorelateError, ValueError):
+    """No ambient, or no subcategory A of it, goes by the given name."""
+
+
+class NoSuchMorphism(CorelateError):
+    """A morphism is asked for whose kind has no member of the requested
+    type, such as an injection 3 -> 2, or a split mono with entries in a
+    box that holds none."""
+
+
 class ZeroInverse(CorelateError):
     """Inversion of zero requested."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .errors import NotAUnit, ZeroDenominator, ZeroInverse
+from .errors import NotAUnit, UnknownRing, ZeroDenominator, ZeroInverse
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -55,11 +55,14 @@ class Ring:
     """Common interface of the three coefficient domains.
 
     Subclass instances are value objects: equality and hashing go by ring
-    name, so distinct ``GF(7)`` handles compare equal.
+    name, so distinct ``GF(7)`` handles compare equal.  ``zero`` and ``one``
+    are the ring's constants, stored once.
     """
 
     name: str
     is_field: bool
+    zero: object
+    one: object
 
     def __eq__(self, other):
         return isinstance(other, Ring) and self.name == other.name
@@ -89,15 +92,7 @@ class Ring:
     def is_unit(self, a) -> bool:
         raise NotImplementedError
 
-    # constants and conversions
-    @property
-    def zero(self):
-        return self.coerce(0)
-
-    @property
-    def one(self):
-        return self.coerce(1)
-
+    # conversions
     def coerce(self, x):
         raise NotImplementedError
 
@@ -111,6 +106,8 @@ class Ring:
 class IntegerRing(Ring):
     name = "z"
     is_field = False
+    zero = 0
+    one = 1
 
     def add(self, a, b):
         return a + b
@@ -145,6 +142,8 @@ class IntegerRing(Ring):
 class RationalRing(Ring):
     name = "q"
     is_field = True
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def add(self, a, b):
         return a + b
@@ -181,10 +180,12 @@ class RationalRing(Ring):
 
 class PrimeField(Ring):
     is_field = True
+    zero = 0
+    one = 1
 
     def __init__(self, p: int):
         if not is_prime(p):
-            raise ValueError(f"GF({p}): {p} is not prime")
+            raise UnknownRing(f"GF({p}): {p} is not prime")
         self.p = p
         self.name = f"gf{p}"
 
@@ -240,6 +241,6 @@ def parse_ring(tag: str) -> Ring:
         return ZZ
     if tag == "q":
         return QQ
-    if tag.startswith("gf"):
+    if tag.startswith("gf") and tag[2:].isdigit():
         return GF(int(tag[2:]))
-    raise ValueError(f"unknown ring tag {tag!r}")
+    raise UnknownRing(f"unknown ring tag {tag!r}")

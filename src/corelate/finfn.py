@@ -250,11 +250,6 @@ def par_factorize(f: ParMap) -> tuple[ParMap, ParMap]:
     return e, m
 
 
-def par_classify(f: ParMap) -> tuple[bool, bool]:
-    """(total injection?, partial surjection?) flags."""
-    return par_is_injection(f), par_is_surjection(f)
-
-
 def par_pullback(f: ParMap, g: ParMap) -> tuple[ParMap, ParMap]:
     """Pullback computed in the pointed-set encoding.
 

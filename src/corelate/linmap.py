@@ -5,16 +5,23 @@ A morphism n -> m is stored as an m-by-n matrix; diagrammatic composition
 reduced row echelon forms; integer computations run on a Smith normal form
 engine that tracks the unimodular transforms and their inverses, so
 saturations, kernels and exact solves never leave the integers.
+
+The kernels work on the stored values themselves, without calling the
+ring's scalar operations: ``int`` residues reduced mod p for GF(p),
+``Fraction`` for the rationals, ``int`` for the integers.  The Smith engine
+tracks only the transforms its caller reads (none for a rank or a
+split-mono test, v for a kernel, u for a pushout, u^-1 and v^-1 for a
+factorisation, u and v for a solve).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import RingMismatch, TypeMismatch
-from .exactnum import QQ, ZZ, Ring
+from .exactnum import ZZ, Ring
 
 
 class ExactMatrix(NamedTuple):
@@ -55,31 +62,46 @@ def mat_zero(ring: Ring, rows: int, cols: int) -> ExactMatrix:
     return ExactMatrix(ring, rows, cols, tuple((zero,) * cols for _ in range(rows)))
 
 
+def _modulus(ring: Ring) -> Optional[int]:
+    """p for GF(p); None for the rationals and the integers, whose stored
+    values need no reduction."""
+    return getattr(ring, "p", None)
+
+
+def _negate(ring: Ring):
+    """Negation of one stored value, without ring dispatch."""
+    p = _modulus(ring)
+    return operator.neg if p is None else (lambda x: -x % p)
+
+
 def _require_same_ring(a: ExactMatrix, b: ExactMatrix) -> None:
     if a.ring != b.ring:
         raise RingMismatch(f"{a.ring.name} vs {b.ring.name}")
 
 
 def mat_mul(x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
-    """Raw matrix product x*y."""
+    """Raw matrix product x*y.
+
+    Works on the stored values, skipping zero entries of both factors;
+    over GF(p) each entry is reduced once, after its sum.
+    """
     _require_same_ring(x, y)
     if x.cols != y.rows:
         raise TypeMismatch(f"cannot multiply {x.rows}x{x.cols} by {y.rows}x{y.cols}")
     ring = x.ring
-    add, mul, zero = ring.add, ring.mul, ring.zero
-    if y.rows == 0:
-        ycols = [()] * y.cols
-    else:
-        ycols = list(zip(*y.entries))
+    p = _modulus(ring)
+    zero = ring.zero
+    y_support = [[(c, b) for c, b in enumerate(row) if b] for row in y.entries]
     out = []
     for row in x.entries:
-        out_row = []
-        for col in ycols:
-            acc = zero
-            for a, b in zip(row, col):
-                acc = add(acc, mul(a, b))
-            out_row.append(acc)
-        out.append(tuple(out_row))
+        acc = [zero] * y.cols
+        for a, support in zip(row, y_support):
+            if a:
+                for c, b in support:
+                    acc[c] += a * b
+        if p is not None:
+            acc = [v % p for v in acc]
+        out.append(tuple(acc))
     return ExactMatrix(ring, x.rows, y.cols, tuple(out))
 
 
@@ -117,7 +139,7 @@ def mat_transpose(a: ExactMatrix) -> ExactMatrix:
 
 
 def mat_neg(a: ExactMatrix) -> ExactMatrix:
-    neg = a.ring.neg
+    neg = _negate(a.ring)
     return ExactMatrix(a.ring, a.rows, a.cols, tuple(tuple(neg(v) for v in row) for row in a.entries))
 
 
@@ -148,33 +170,51 @@ def _submatrix_cols(a: ExactMatrix, lo: int, hi: int) -> ExactMatrix:
 
 
 def rref(a: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns, over a field."""
+    """Reduced row echelon form and pivot columns, over a field.
+
+    Gauss-Jordan elimination on the stored values: ``int`` residues reduced
+    mod p for GF(p), ``Fraction`` for the rationals.  Zero entries of the
+    pivot row are skipped, and so are rows with a zero in the pivot column.
+    """
     ring = a.ring
     if not ring.is_field:
         raise RingMismatch("row reduction needs a field")
+    p = _modulus(ring)
+    zero = ring.zero
     rows = [list(r) for r in a.entries]
     m, n = a.rows, a.cols
     pivots = []
     r = 0
     for j in range(n):
-        pivot_row = None
-        for i in range(r, m):
-            if rows[i][j] != ring.zero:
-                pivot_row = i
-                break
+        if r == m:
+            break
+        pivot_row = next((i for i in range(r, m) if rows[i][j]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ring.inv(rows[r][j])
-        rows[r] = [ring.mul(inv, v) for v in rows[r]]
+        prow = rows[r]
+        # rows r.. are zero left of column j, so only the tail can change
+        x = prow[j]
+        if x != 1:
+            if p is None:
+                prow[j:] = [v / x if v else v for v in prow[j:]]
+            else:
+                inv = pow(x, -1, p)
+                prow[j:] = [v * inv % p for v in prow[j:]]
+        support = [(k, w) for k, w in enumerate(prow[j + 1 :], j + 1) if w]
         for i in range(m):
-            if i != r and rows[i][j] != ring.zero:
-                c = rows[i][j]
-                rows[i] = [ring.sub(v, ring.mul(c, w)) for v, w in zip(rows[i], rows[r])]
+            row = rows[i]
+            c = row[j]
+            if c and i != r:
+                row[j] = zero
+                if p is None:
+                    for k, w in support:
+                        row[k] -= c * w
+                else:
+                    for k, w in support:
+                        row[k] = (row[k] - c * w) % p
         pivots.append(j)
         r += 1
-        if r == m:
-            break
     return ExactMatrix(ring, m, n, tuple(tuple(r_) for r_ in rows)), tuple(pivots)
 
 
@@ -184,19 +224,12 @@ def rcef(a: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
     return mat_transpose(r), pivots
 
 
-def _rank_field(a: ExactMatrix) -> int:
-    return len(rref(a)[1])
-
-
-def _to_rational(a: ExactMatrix) -> ExactMatrix:
-    return ExactMatrix(QQ, a.rows, a.cols, tuple(tuple(Fraction(v) for v in row) for row in a.entries))
-
-
 def mat_rank(a: ExactMatrix) -> int:
-    """Rank; for integer matrices this is the rank over the rationals."""
+    """Rank; for integer matrices this is the rank over the rationals,
+    read off the Smith diagonal."""
     if a.ring.is_field:
-        return _rank_field(a)
-    return _rank_field(_to_rational(a))
+        return len(rref(a)[1])
+    return _snf_engine(a).rank
 
 
 # ---------------------------------------------------------------------------
@@ -220,142 +253,167 @@ class SmithDecomposition:
         return sum(1 for x in self.diagonal if x != 0)
 
 
+class _Smith(NamedTuple):
+    """One Smith elimination: u * a * v = d, with uinv and vinv the inverses
+    of u and v.  A transform the caller did not ask to track is None."""
+
+    d: ExactMatrix
+    rank: int
+    u: Optional[ExactMatrix]
+    uinv: Optional[ExactMatrix]
+    v: Optional[ExactMatrix]
+    vinv: Optional[ExactMatrix]
+
+
+def _eye(n: int) -> list[list[int]]:
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
+
+
 class _SnfState:
-    """Mutable elimination state: matrix plus the four transforms.
+    """Mutable elimination state: the matrix plus the tracked transforms.
 
     Maintains a = u * a_original * v, with uinv and vinv the exact inverses
-    of u and v.
+    of u and v; a transform that is not tracked is None and never updated.
     """
 
-    def __init__(self, a: ExactMatrix):
+    def __init__(self, a: ExactMatrix, track):
         self.m, self.n = a.rows, a.cols
         self.a = [list(row) for row in a.entries]
-        self.u = [[int(i == j) for j in range(self.m)] for i in range(self.m)]
-        self.uinv = [[int(i == j) for j in range(self.m)] for i in range(self.m)]
-        self.v = [[int(i == j) for j in range(self.n)] for i in range(self.n)]
-        self.vinv = [[int(i == j) for j in range(self.n)] for i in range(self.n)]
+        self.u = _eye(self.m) if "u" in track else None
+        self.uinv = _eye(self.m) if "uinv" in track else None
+        self.v = _eye(self.n) if "v" in track else None
+        self.vinv = _eye(self.n) if "vinv" in track else None
 
     def row_swap(self, i, k):
         if i == k:
             return
         self.a[i], self.a[k] = self.a[k], self.a[i]
-        self.u[i], self.u[k] = self.u[k], self.u[i]
-        for row in self.uinv:
-            row[i], row[k] = row[k], row[i]
+        if self.u is not None:
+            self.u[i], self.u[k] = self.u[k], self.u[i]
+        if self.uinv is not None:
+            for row in self.uinv:
+                row[i], row[k] = row[k], row[i]
 
     def row_neg(self, i):
         self.a[i] = [-x for x in self.a[i]]
-        self.u[i] = [-x for x in self.u[i]]
-        for row in self.uinv:
-            row[i] = -row[i]
+        if self.u is not None:
+            self.u[i] = [-x for x in self.u[i]]
+        if self.uinv is not None:
+            for row in self.uinv:
+                row[i] = -row[i]
 
     def row_add(self, i, k, c):
         # row i += c * row k
         self.a[i] = [x + c * y for x, y in zip(self.a[i], self.a[k])]
-        self.u[i] = [x + c * y for x, y in zip(self.u[i], self.u[k])]
-        for row in self.uinv:
-            row[k] -= c * row[i]
+        if self.u is not None:
+            self.u[i] = [x + c * y for x, y in zip(self.u[i], self.u[k])]
+        if self.uinv is not None:
+            for row in self.uinv:
+                row[k] -= c * row[i]
 
     def col_swap(self, j, l):
         if j == l:
             return
         for row in self.a:
             row[j], row[l] = row[l], row[j]
-        for row in self.v:
-            row[j], row[l] = row[l], row[j]
-        self.vinv[j], self.vinv[l] = self.vinv[l], self.vinv[j]
-
-    def col_neg(self, j):
-        for row in self.a:
-            row[j] = -row[j]
-        for row in self.v:
-            row[j] = -row[j]
-        self.vinv[j] = [-x for x in self.vinv[j]]
+        if self.v is not None:
+            for row in self.v:
+                row[j], row[l] = row[l], row[j]
+        if self.vinv is not None:
+            self.vinv[j], self.vinv[l] = self.vinv[l], self.vinv[j]
 
     def col_add(self, j, l, c):
         # col j += c * col l
         for row in self.a:
             row[j] += c * row[l]
-        for row in self.v:
-            row[j] += c * row[l]
-        self.vinv[l] = [x - c * y for x, y in zip(self.vinv[l], self.vinv[j])]
+        if self.v is not None:
+            for row in self.v:
+                row[j] += c * row[l]
+        if self.vinv is not None:
+            self.vinv[l] = [x - c * y for x, y in zip(self.vinv[l], self.vinv[j])]
 
 
-def _snf_engine(a: ExactMatrix):
-    """Run Smith elimination; returns (u, uinv, d, v, vinv, rank).
+def _least_entry(rows, t: int, m: int, n: int) -> Optional[tuple[int, int]]:
+    """Position of the first nonzero entry of least absolute value in the
+    submatrix rows[t:m][t:n], scanned row-major; None when it is zero."""
+    best = None
+    for i in range(t, m):
+        row = rows[i]
+        for j in range(t, n):
+            v = row[j]
+            if v and (best is None or abs(v) < best[0]):
+                if v == 1 or v == -1:  # nothing later can be smaller
+                    return i, j
+                best = (abs(v), i, j)
+    return None if best is None else best[1:]
+
+
+def _snf_engine(a: ExactMatrix, track: tuple[str, ...] = ()) -> _Smith:
+    """Run Smith elimination, tracking only the transforms named in
+    ``track`` (any of "u", "uinv", "v", "vinv").
 
     Pivots are chosen as the minimal-absolute-value nonzero entry of the
     remaining submatrix, scanned row-major, so the decomposition is
-    reproducible.
+    reproducible; the steps do not depend on which transforms are tracked.
     """
     if a.ring != ZZ:
         raise RingMismatch("Smith normal form needs integer entries")
-    st = _SnfState(a)
+    st = _SnfState(a, track)
     m, n = st.m, st.n
+    rows = st.a  # row operations assign into this list, so it stays current
     rank = 0
     for t in range(min(m, n)):
-        # pick global minimal |nonzero| pivot in the submatrix
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = st.a[i][j]
-                if v != 0 and (best is None or abs(v) < best[0]):
-                    best = (abs(v), i, j)
+        best = _least_entry(rows, t, m, n)
         if best is None:
             break
-        st.row_swap(t, best[1])
-        st.col_swap(t, best[2])
+        st.row_swap(t, best[0])
+        st.col_swap(t, best[1])
         while True:
-            if st.a[t][t] < 0:
+            if rows[t][t] < 0:
                 st.row_neg(t)
+            pivot = rows[t][t]
             # reduce the edging by floor division; remainders shrink strictly
             for i in range(t + 1, m):
-                if st.a[i][t]:
-                    st.row_add(i, t, -(st.a[i][t] // st.a[t][t]))
+                q = rows[i][t] // pivot
+                if q:
+                    st.row_add(i, t, -q)
             for j in range(t + 1, n):
-                if st.a[t][j]:
-                    st.col_add(j, t, -(st.a[t][j] // st.a[t][t]))
-            residue = None
-            for i in range(t + 1, m):
-                if st.a[i][t]:
-                    residue = (abs(st.a[i][t]), i, t)
-                    break
-            if residue is None:
-                for j in range(t + 1, n):
-                    if st.a[t][j]:
-                        residue = (abs(st.a[t][j]), t, j)
-                        break
+                q = rows[t][j] // pivot
+                if q:
+                    st.col_add(j, t, -q)
+            residue = next((i for i in range(t + 1, m) if rows[i][t]), None)
             if residue is not None:
-                if residue[2] == t:
-                    st.row_swap(t, residue[1])
-                else:
-                    st.col_swap(t, residue[2])
+                st.row_swap(t, residue)
+                continue
+            residue = next((j for j in range(t + 1, n) if rows[t][j]), None)
+            if residue is not None:
+                st.col_swap(t, residue)
                 continue
             # edging clear; enforce divisibility of the remaining block
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if st.a[i][j] % st.a[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            if pivot == 1:
+                break
+            offender = next(
+                (i for i in range(t + 1, m) if any(x % pivot for x in rows[i][t + 1 :])), None
+            )
             if offender is None:
                 break
             st.row_add(t, offender, 1)
         rank += 1
-    u = ExactMatrix(ZZ, m, m, tuple(tuple(r) for r in st.u))
-    uinv = ExactMatrix(ZZ, m, m, tuple(tuple(r) for r in st.uinv))
-    v = ExactMatrix(ZZ, n, n, tuple(tuple(r) for r in st.v))
-    vinv = ExactMatrix(ZZ, n, n, tuple(tuple(r) for r in st.vinv))
+
+    def square(rows, k):
+        return None if rows is None else ExactMatrix(ZZ, k, k, tuple(tuple(r) for r in rows))
+
     d = ExactMatrix(ZZ, m, n, tuple(tuple(r) for r in st.a))
-    return u, uinv, d, v, vinv, rank
+    return _Smith(d, rank, square(st.u, m), square(st.uinv, m), square(st.v, n), square(st.vinv, n))
 
 
 def snf(a: ExactMatrix) -> SmithDecomposition:
     """Smith normal form of an integer matrix."""
-    u, _, d, v, _, _ = _snf_engine(a)
-    return SmithDecomposition(u, d, v)
+    s = _snf_engine(a, ("u", "v"))
+    return SmithDecomposition(s.u, s.d, s.v)
 
 
 def det_int(a: ExactMatrix) -> int:
@@ -445,6 +503,7 @@ def kernel_basis(a: ExactMatrix) -> ExactMatrix:
     """
     if a.ring.is_field:
         ring = a.ring
+        neg = _negate(ring)
         r, pivots = rref(a)
         pivot_set = set(pivots)
         free = [j for j in range(a.cols) if j not in pivot_set]
@@ -453,12 +512,12 @@ def kernel_basis(a: ExactMatrix) -> ExactMatrix:
             vec = [ring.zero] * a.cols
             vec[j] = ring.one
             for i, pj in enumerate(pivots):
-                vec[pj] = ring.neg(r.entries[i][j])
+                vec[pj] = neg(r.entries[i][j])
             cols.append(vec)
         entries = tuple(tuple(col[i] for col in cols) for i in range(a.cols))
         return ExactMatrix(ring, a.cols, len(free), entries)
-    _, _, _, v, _, rank = _snf_engine(a)
-    return _submatrix_cols(v, rank, a.cols)
+    s = _snf_engine(a, ("v",))
+    return _submatrix_cols(s.v, s.rank, a.cols)
 
 
 def field_factorize(a: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
@@ -485,13 +544,10 @@ def pid_factorize(a: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
     m is the inclusion of the saturation (pure closure) of the column span,
     read off the Smith transform; e has full row rank over the rationals.
     """
-    _, uinv, d, _, vinv, rank = _snf_engine(a)
-    m = _submatrix_cols(uinv, 0, rank)
-    e_rows = tuple(
-        tuple(d.entries[i][i] * vinv.entries[i][j] for j in range(a.cols))
-        for i in range(rank)
-    )
-    e = ExactMatrix(ZZ, rank, a.cols, e_rows)
+    s = _snf_engine(a, ("uinv", "vinv"))
+    m = _submatrix_cols(s.uinv, 0, s.rank)
+    e_rows = tuple(tuple(s.d.entries[i][i] * x for x in s.vinv.entries[i]) for i in range(s.rank))
+    e = ExactMatrix(ZZ, s.rank, a.cols, e_rows)
     return e, m
 
 
@@ -499,8 +555,8 @@ def is_split_mono(a: ExactMatrix) -> bool:
     """True iff the Smith diagonal is all ones and the rank equals cols."""
     if a.ring != ZZ:
         raise RingMismatch("split-mono test is for integer matrices")
-    _, _, d, _, _, rank = _snf_engine(a)
-    return rank == a.cols and all(d.entries[i][i] == 1 for i in range(rank))
+    s = _snf_engine(a)
+    return s.rank == a.cols and all(s.d.entries[i][i] == 1 for i in range(s.rank))
 
 
 def mat_pullback(a: ExactMatrix, b: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
@@ -529,8 +585,8 @@ def mat_pushout(a: ExactMatrix, b: ExactMatrix) -> tuple[ExactMatrix, ExactMatri
         n = kernel_basis(mat_transpose(c))
         q = mat_transpose(n)
     else:
-        u, _, _, _, _, rank = _snf_engine(c)
-        q = _submatrix_rows(u, rank, c.rows)
+        s = _snf_engine(c, ("u",))
+        q = _submatrix_rows(s.u, s.rank, c.rows)
     q1 = _submatrix_cols(q, 0, a.rows)
     q2 = _submatrix_cols(q, a.rows, a.rows + b.rows)
     return q1, q2
@@ -556,19 +612,19 @@ def mat_solve(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
             for j in range(b.cols):
                 out[pj][j] = red.entries[i][a.cols + j]
         return ExactMatrix(ring, a.cols, b.cols, tuple(tuple(r) for r in out))
-    u, _, d, v, _, rank = _snf_engine(a)
-    y = mat_mul(u, b)
-    for i in range(rank, a.rows):
+    s = _snf_engine(a, ("u", "v"))
+    y = mat_mul(s.u, b)
+    for i in range(s.rank, a.rows):
         if any(y.entries[i][j] != 0 for j in range(b.cols)):
             return None
     w = [[0] * b.cols for _ in range(a.cols)]
-    for i in range(rank):
-        di = d.entries[i][i]
+    for i in range(s.rank):
+        di = s.d.entries[i][i]
         for j in range(b.cols):
             if y.entries[i][j] % di != 0:
                 return None
             w[i][j] = y.entries[i][j] // di
-    return mat_mul(v, ExactMatrix(ZZ, a.cols, b.cols, tuple(tuple(r) for r in w)))
+    return mat_mul(s.v, ExactMatrix(ZZ, a.cols, b.cols, tuple(tuple(r) for r in w)))
 
 
 def enumerate_matrices(ring: Ring, rows: int, cols: int, entry_bound: int):

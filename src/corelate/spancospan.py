@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .errors import TypeMismatch
+from .errors import NoSuchMorphism, TypeMismatch, UnknownAmbient
 from .exactnum import ZZ, Ring, parse_ring
 from . import finfn
 from .finfn import FinMap, ParMap
@@ -153,7 +153,7 @@ class FinFnAmbient(Ambient):
 
     def __init__(self, a_name: str = "inj"):
         if a_name not in ("inj", "all"):
-            raise ValueError(f"unknown subcategory {a_name!r} for f")
+            raise UnknownAmbient(f"unknown subcategory {a_name!r} for f")
         self.a_name = a_name
 
     def with_a(self, a_name):
@@ -261,14 +261,14 @@ class FinFnAmbient(Ambient):
 
     def random_morphism(self, rng, dom, cod, entry_bound=None):
         if cod == 0 and dom > 0:
-            raise ValueError("no maps into the empty set")
+            raise NoSuchMorphism("no maps into the empty set")
         return FinMap(dom, cod, tuple(rng.randrange(cod) for _ in range(dom)))
 
     def random_a_morphism(self, rng, dom, cod, entry_bound=None):
         if self.a_name == "all":
             return self.random_morphism(rng, dom, cod)
         if dom > cod:
-            raise ValueError(f"no injections {dom} -> {cod}")
+            raise NoSuchMorphism(f"no injections {dom} -> {cod}")
         return FinMap(dom, cod, tuple(rng.sample(range(cod), dom)))
 
 
@@ -279,7 +279,7 @@ class ParFnAmbient(Ambient):
 
     def __init__(self, a_name: str = "inj"):
         if a_name not in ("inj", "all"):
-            raise ValueError(f"unknown subcategory {a_name!r} for pf")
+            raise UnknownAmbient(f"unknown subcategory {a_name!r} for pf")
         self.a_name = a_name
 
     def with_a(self, a_name):
@@ -404,7 +404,7 @@ class ParFnAmbient(Ambient):
         if self.a_name == "all":
             return self.random_morphism(rng, dom, cod)
         if dom > cod:
-            raise ValueError(f"no injections {dom} -> {cod}")
+            raise NoSuchMorphism(f"no injections {dom} -> {cod}")
         return ParMap(dom, cod, tuple(rng.sample(range(cod), dom)))
 
 
@@ -421,9 +421,9 @@ class MatrixAmbient(Ambient):
         if a_name is None:
             a_name = "split" if ring == ZZ else "all"
         if a_name not in ("all", "split"):
-            raise ValueError(f"unknown subcategory {a_name!r} for {ring.name}")
+            raise UnknownAmbient(f"unknown subcategory {a_name!r} for {ring.name}")
         if a_name == "split" and ring != ZZ:
-            raise ValueError("split-mono subcategory is specific to the integers")
+            raise UnknownAmbient("split-mono subcategory is specific to the integers")
         self.a_name = a_name
 
     def with_a(self, a_name):
@@ -549,8 +549,12 @@ class MatrixAmbient(Ambient):
         if self.a_name == "all":
             return self.random_morphism(rng, dom, cod, entry_bound)
         if dom > cod:
-            raise ValueError(f"no split monos {dom} -> {cod}")
-        while True:  # rejection sampling; dense enough at desk scale
+            raise NoSuchMorphism(f"no split monos {dom} -> {cod}")
+        if dom and entry_bound is not None and entry_bound < 1:
+            raise NoSuchMorphism(f"no split mono {dom} -> {cod} has entries bounded by {entry_bound}")
+        # rejection sampling; dense enough at desk scale, and the box holds
+        # the inclusion of the first dom coordinates, so the loop ends
+        while True:
             f = self.random_morphism(rng, dom, cod, entry_bound)
             if linmap.is_split_mono(f):
                 return f
@@ -577,27 +581,11 @@ def get_ambient(name: str, a_name: Optional[str] = None) -> Ambient:
     if name in ("q", "z") or name.startswith("gf"):
         ring = parse_ring(name)
         return MatrixAmbient(ring, a_name)
-    raise ValueError(f"unknown ambient {name!r}")
+    raise UnknownAmbient(f"unknown ambient {name!r}")
 
 
 # ---------------------------------------------------------------------------
 # span/cospan operations
-
-
-def cospan_feet(c: Cospan, amb: Ambient) -> tuple[int, int]:
-    return amb.dom(c.left), amb.dom(c.right)
-
-
-def cospan_apex(c: Cospan, amb: Ambient) -> int:
-    return amb.cod(c.left)
-
-
-def span_feet(s: Span, amb: Ambient) -> tuple[int, int]:
-    return amb.cod(s.left), amb.cod(s.right)
-
-
-def span_apex(s: Span, amb: Ambient) -> int:
-    return amb.dom(s.left)
 
 
 def make_cospan(left, right, amb: Ambient) -> Cospan:

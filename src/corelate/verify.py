@@ -200,12 +200,6 @@ def _pairs(amb, bound, entry_bound, seed, into_apex, a_only):
             yield rng.choice(pool), rng.choice(pool)
 
 
-def random_morphism_sizes(rng, bound: int, a_like: bool) -> tuple[int, int]:
-    a = rng.randint(0, bound)
-    b = rng.randint(a if a_like else 0, bound)
-    return a, b
-
-
 def random_span(amb: Ambient, rng, x: int, y: int, apex_bound: int, entry_bound=None) -> Span:
     if amb.name == "f" and (x == 0 or y == 0):
         apex = 0

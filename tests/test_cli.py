@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import corelate
 from corelate.cli import main
 
 
@@ -156,6 +160,49 @@ def test_check_unexpected_verdict_exit_1(capsys):
 def test_check_unknown_name_exit_2(capsys):
     with pytest.raises(SystemExit):
         run(capsys, "check", "bogus")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--theory", "gf4-subspace", "id(1)"),
+        ("check", "laws", "--C", "gf4", "--A", "all"),
+        ("check", "laws", "--C", "gfx"),
+        ("check", "laws", "--C", "foo"),
+        ("check", "laws", "--C", "q", "--A", "split"),
+        ("check", "assumption31", "--C", "f", "--A", "split"),
+        ("compose", "--ambient", "gf6", "cospan {}", "cospan {}"),
+    ],
+)
+def test_bad_ring_or_ambient_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--bound", "--entry-bound", "--samples"])
+@pytest.mark.parametrize("command", ["check", "report"])
+def test_negative_bound_rejected_exit_2(capsys, command, flag):
+    argv = [command, flag, "-1"]
+    if command == "check":
+        argv[1:1] = ["assumption31", "--C", "f", "--A", "inj"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
+def test_split_mono_sampling_with_empty_entry_box_exit_2():
+    # used to loop forever rejecting zero matrices; run apart so a hang fails
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(corelate.__file__)))
+    argv = ["check", "pi-functorial", "--C", "z", "--A", "split", "--bound", "2", "--entry-bound", "0"]
+    done = subprocess.run(
+        [sys.executable, "-m", "corelate.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: no split mono ") and done.stderr.count("\n") == 1
 
 
 def test_check_frobenius_records_deterministic(capsys):

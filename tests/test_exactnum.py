@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from corelate.errors import NotAUnit, ZeroDenominator, ZeroInverse
+from corelate.errors import NotAUnit, UnknownRing, ZeroDenominator, ZeroInverse
 from corelate.exactnum import (
     GF,
     QQ,
@@ -110,6 +110,21 @@ def test_gf_requires_prime():
         GF(1)
     assert GF(2).p == 2
     assert GF(101).p == 101
+
+
+def test_bad_ring_tags_raise_unknown_ring():
+    for tag in ("gf4", "gf1", "gf", "gfx", "r", ""):
+        with pytest.raises(UnknownRing):
+            parse_ring(tag)
+    with pytest.raises(UnknownRing):
+        GF(9)
+
+
+def test_ring_constants_are_stored_values():
+    assert (ZZ.zero, ZZ.one) == (0, 1)
+    assert type(QQ.zero) is Fraction and type(QQ.one) is Fraction
+    assert (GF(7).zero, GF(7).one) == (0, 1)
+    assert QQ.zero is QQ.zero  # stored once, not rebuilt on each read
 
 
 def test_is_prime_small():

@@ -7,6 +7,7 @@ import pytest
 from corelate.errors import RingMismatch, TypeMismatch
 from corelate.exactnum import GF, QQ, ZZ
 from corelate.linmap import (
+    _snf_engine,
     det_int,
     enumerate_matrices,
     field_factorize,
@@ -31,6 +32,7 @@ from corelate.linmap import (
     rref,
     snf,
 )
+from oracle_utils import reference_mat_mul, reference_rref
 
 
 def rand_mat(rng, ring, rows, cols, bound=4):
@@ -165,6 +167,124 @@ def test_snf_deterministic():
 def test_snf_requires_integers():
     with pytest.raises(RingMismatch):
         snf(mat_identity(QQ, 2))
+
+
+# --- the raw-value kernels against the Ring-dispatch reference ---------------
+
+FIELDS = (GF(2), GF(3), GF(5), QQ)
+
+
+def typed(a):
+    """Entries paired with their Python types, so that an int 1 and
+    Fraction(1) compare unequal."""
+    return tuple(tuple((type(v), v) for v in row) for row in a.entries)
+
+
+def kernel_inputs(ring, rng):
+    """Every matrix up to 2x2 (over Q, entries in [-1, 1]), then seeded
+    random ones of mixed density, 0-row and 0-column shapes included."""
+    for rows in range(3):
+        for cols in range(3):
+            yield from enumerate_matrices(ring, rows, cols, 1)
+    for _ in range(150):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        density = rng.random()
+        yield mat(ring, rows, cols, [
+            [rng.randint(-4, 4) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(rows)
+        ])
+
+
+def test_rref_matches_reference():
+    rng = random.Random(31)
+    for ring in FIELDS:
+        for a in kernel_inputs(ring, rng):
+            r, pivots = rref(a)
+            ref, ref_pivots = reference_rref(a)
+            assert pivots == ref_pivots
+            assert typed(r) == typed(ref), a
+
+
+def test_mat_mul_matches_reference():
+    rng = random.Random(32)
+    for ring in FIELDS + (ZZ,):
+        inputs = list(kernel_inputs(ring, rng))
+        for a in inputs:
+            for _ in range(3):
+                b = rng.choice(inputs)
+                if b.rows != a.cols:
+                    b = rand_mat(rng, ring, a.cols, rng.randint(0, 4))
+                assert typed(mat_mul(a, b)) == typed(reference_mat_mul(a, b)), (a, b)
+
+
+# --- Smith engine: partial tracking ------------------------------------------
+
+TRANSFORMS = ("u", "uinv", "v", "vinv")
+
+
+def test_snf_partial_tracking_matches_full():
+    """Every subset of transforms gives the full run's d, rank and those
+    transforms, and leaves the rest untracked."""
+    rng = random.Random(33)
+    subsets = [tuple(t for k, t in enumerate(TRANSFORMS) if mask >> k & 1) for mask in range(16)]
+    for _ in range(120):
+        a = rand_mat(rng, ZZ, rng.randint(0, 5), rng.randint(0, 5), rng.choice((1, 3, 9)))
+        full = _snf_engine(a, TRANSFORMS)
+        assert mat_mul(mat_mul(full.u, a), full.v) == full.d
+        assert mat_mul(full.u, full.uinv) == mat_identity(ZZ, a.rows)
+        assert mat_mul(full.v, full.vinv) == mat_identity(ZZ, a.cols)
+        for track in subsets:
+            part = _snf_engine(a, track)
+            assert (part.d, part.rank) == (full.d, full.rank)
+            for name in TRANSFORMS:
+                assert getattr(part, name) == (getattr(full, name) if name in track else None)
+
+
+@pytest.mark.parametrize(
+    "entries, expected",
+    [
+        (
+            [[4, 2, 3, 0], [2, -1, 6, 2], [5, 1, 2, -3]],
+            {
+                "u": [[0, -1, 0], [0, -1, -1], [1, 6, 4]],
+                "uinv": [[2, 4, 1], [-1, 0, 0], [1, -1, 0]],
+                "v": [[0, 0, 17, -47], [1, 2, -14, 40], [0, 0, -13, 36], [0, 1, 15, -41]],
+                "vinv": [[-2, 1, -6, -2], [-7, 0, -8, 1], [36, 0, 47, 0], [13, 0, 17, 0]],
+            },
+        ),
+        (
+            # the divisibility step runs: 2 does not divide 3
+            [[2, 0, 4], [0, 3, -3]],
+            {
+                "u": [[1, 1], [3, 2]],
+                "uinv": [[-2, 1], [3, -1]],
+                "v": [[-1, 3, -2], [1, -2, 1], [0, 0, 1]],
+                "vinv": [[2, 3, 1], [1, 1, 1], [0, 0, 1]],
+            },
+        ),
+    ],
+)
+def test_snf_transforms_pinned(entries, expected):
+    """The pivot order fixes the (non-canonical) transforms, and check
+    records print mediators built from them, so they must not drift."""
+    a = mat(ZZ, len(entries), len(entries[0]), entries)
+    s = _snf_engine(a, TRANSFORMS)
+    for name, rows in expected.items():
+        assert [list(r) for r in getattr(s, name).entries] == rows
+
+
+def test_snf_diagonal_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    rng = random.Random(34)
+    for _ in range(80):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+        a = rand_mat(rng, ZZ, rows, cols, rng.choice((2, 6, 30)))
+        expected = smith_normal_form(sympy.Matrix(rows, cols, [v for row in a.entries for v in row]), domain=sympy.ZZ)
+        diagonal = tuple(abs(int(expected[i, i])) for i in range(min(rows, cols)))
+        assert snf(a).diagonal == diagonal
+        assert mat_rank(a) == sum(1 for d in diagonal if d)
 
 
 # --- echelon forms ------------------------------------------------------------

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from corelate.errors import TypeMismatch
+from corelate.errors import CorelateError, NoSuchMorphism, TypeMismatch, UnknownAmbient
 from corelate.exactnum import GF, ZZ
 from corelate.finfn import fn, fn_compose
 from corelate.linmap import mat
@@ -185,3 +185,23 @@ def test_pullbacks_of_a_spans_stay_in_a():
             g = amb.random_a_morphism(rng, rng.randint(0, b), b, 2)
             p1, p2 = amb.pullback(f, g)
             assert amb.in_a(p1) and amb.in_a(p2)
+
+
+def test_random_a_morphism_refuses_empty_boxes():
+    rng = random.Random(6)
+    for amb in (F, PF, Z):
+        with pytest.raises(NoSuchMorphism):
+            amb.random_a_morphism(rng, 3, 2, 2)
+    # no 0/0 matrix is split mono, but the empty matrix 0 -> 2 is
+    with pytest.raises(NoSuchMorphism):
+        Z.random_a_morphism(rng, 1, 2, 0)
+    assert Z.random_a_morphism(rng, 0, 2, 0) == mat(ZZ, 2, 0, [[], []])
+    assert Z.in_a(Z.random_a_morphism(rng, 2, 2, 1))
+
+
+def test_unknown_ambients_are_corelate_errors():
+    for name, a_name in (("foo", None), ("gf4", None), ("f", "split"), ("q", "split"), ("z", "inj")):
+        with pytest.raises(CorelateError):
+            get_ambient(name, a_name)
+    with pytest.raises(UnknownAmbient):
+        get_ambient("foo")
