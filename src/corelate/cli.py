@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from .errors import CorelateError
 from .corelrel import gamma, rel_canonical
@@ -132,9 +133,10 @@ def _run_check(args) -> verify.CheckReport:
     if name == "frobenius":
         scalars = None
         if args.scalars:
-            from fractions import Fraction
-
-            scalars = tuple(Fraction(s) for s in args.scalars.split(","))
+            try:
+                scalars = tuple(Fraction(s) for s in args.scalars.split(","))
+            except (ValueError, ZeroDivisionError):
+                raise CorelateError(f"--scalars takes comma-separated rationals, got {args.scalars!r}") from None
         return verify.check_frobenius(args.theory, scalars)
     amb = get_ambient(args.C, args.A)
     if name == "assumption31":

@@ -6,6 +6,11 @@ copairing and renaming the apex.  Dually a relation is represented by the
 jointly-mono span whose pairing is in canonical echelon form.  Equality is
 decided on canonical forms, not by searching the witness closure; the
 closure is kept as an independent test oracle in the verification module.
+
+Composition asks the ambient for the canonical composite: a pushout and an
+image factorisation in general, one union-find pass over finite and partial
+functions.  Tensors need no factorisation, since E (dually M) is closed
+under tensor, and identities and symmetries are built canonical.
 """
 
 from __future__ import annotations
@@ -19,13 +24,10 @@ from .spancospan import (
     Cospan,
     MatrixAmbient,
     Span,
-    cospan_compose,
     cospan_identity,
-    cospan_tensor,
     embed_fwd_cospan,
     span_compose,
     span_identity,
-    span_tensor,
 )
 
 
@@ -79,10 +81,7 @@ def gamma(c: Cospan, amb: Ambient) -> Corelation:
     Factorises the copairing, keeps the epi part, and canonicalises the apex.
     Every corelation arises this way.
     """
-    n, m = amb.dom(c.left), amb.dom(c.right)
-    e, _ = amb.factorize(amb.copair(c.left, c.right))
-    left, right = amb.split_copair(e, n, m)
-    return Corelation(amb, amb.canonical_cospan(Cospan(left, right)))
+    return Corelation(amb, amb.corelation_cospan(c))
 
 
 def pi(s: Span, amb: Ambient) -> Corelation:
@@ -95,11 +94,14 @@ def pi(s: Span, amb: Ambient) -> Corelation:
 
 
 def corel_identity(n: int, amb: Ambient) -> Corelation:
-    return gamma(cospan_identity(n, amb), amb)
+    """(id, id), already canonical: [I | I] is reduced and in Hermite form,
+    and first-occurrence renaming fixes an identity table."""
+    return Corelation(amb, cospan_identity(n, amb))
 
 
 def corel_symmetry(n: int, m: int, amb: Ambient) -> Corelation:
-    return gamma(embed_fwd_cospan(amb.symmetry(n, m), amb), amb)
+    """The canonical form of (sym(n, m), id), which is (id, sym(m, n))."""
+    return Corelation(amb, Cospan(amb.identity(n + m), amb.symmetry(m, n)))
 
 
 def _require_same_ambient(a, b) -> None:
@@ -111,12 +113,21 @@ def corel_compose(a: Corelation, b: Corelation) -> Corelation:
     _require_same_ambient(a, b)
     if a.cod != b.dom:
         raise TypeMismatch(f"feet disagree: {a.cod} vs {b.dom}")
-    return gamma(cospan_compose(a.cospan, b.cospan, a.ambient), a.ambient)
+    return Corelation(a.ambient, a.ambient.compose_corelations(a.cospan, b.cospan))
 
 
-def corel_tensor(a: Corelation, b: Corelation) -> Corelation:
-    _require_same_ambient(a, b)
-    return gamma(cospan_tensor(a.cospan, b.cospan, a.ambient), a.ambient)
+def corel_tensor(first: Corelation, *rest: Corelation) -> Corelation:
+    """Tensor of one or more corelations, left to right.
+
+    E is closed under tensor, so the tensor of jointly-epi cospans is
+    jointly epi: it needs a canonical apex, not a factorisation.
+    """
+    for c in rest:
+        _require_same_ambient(first, c)
+    amb = first.ambient
+    cs = (first,) + rest
+    tensor = Cospan(amb.tensor(*(c.cospan.left for c in cs)), amb.tensor(*(c.cospan.right for c in cs)))
+    return Corelation(amb, amb.canonical_cospan(tensor))
 
 
 def corel_equal(a: Corelation, b: Corelation) -> bool:
@@ -151,11 +162,14 @@ def rel_canonical(s: Span, amb: Ambient) -> Relation:
 
 
 def rel_identity(n: int, amb: Ambient) -> Relation:
-    return rel_canonical(span_identity(n, amb), amb)
+    """(id, id), already canonical: [I ; I] is in column echelon form."""
+    return Relation(_require_products(amb), span_identity(n, amb))
 
 
 def rel_symmetry(n: int, m: int, amb: Ambient) -> Relation:
-    return rel_canonical(Span(amb.identity(n + m), amb.symmetry(n, m)), amb)
+    """(id, sym(n, m)), already canonical: [I ; P] is in column echelon form."""
+    amb = _require_products(amb)
+    return Relation(amb, Span(amb.identity(n + m), amb.symmetry(n, m)))
 
 
 def rel_compose(a: Relation, b: Relation) -> Relation:
@@ -165,9 +179,18 @@ def rel_compose(a: Relation, b: Relation) -> Relation:
     return rel_canonical(span_compose(a.span, b.span, a.ambient), a.ambient)
 
 
-def rel_tensor(a: Relation, b: Relation) -> Relation:
-    _require_same_ambient(a, b)
-    return rel_canonical(span_tensor(a.span, b.span, a.ambient), a.ambient)
+def rel_tensor(first: Relation, *rest: Relation) -> Relation:
+    """Tensor of one or more relations, left to right.
+
+    M is closed under tensor, so the tensor of jointly-mono spans is
+    jointly mono: it needs a canonical apex basis, not a factorisation.
+    """
+    for r in rest:
+        _require_same_ambient(first, r)
+    amb = first.ambient
+    rs = (first,) + rest
+    tensor = Span(amb.tensor(*(r.span.left for r in rs)), amb.tensor(*(r.span.right for r in rs)))
+    return Relation(amb, amb.canonical_span(tensor))
 
 
 def rel_equal(a: Relation, b: Relation) -> bool:

@@ -83,23 +83,17 @@ for _color in ("w", "b"):
         GENERATOR_ARITIES[f"{_color}.{_g}"] = GENERATOR_ARITIES[_g]
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<sym>[();@,./-]))")
+# Whitespace separates tokens; any other character that starts no token is "bad".
+_TOKEN = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<sym>[();@,./-])|(?P<bad>\S)")
 
 
 def _tokenize(src: str):
     tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if m is None or m.end() == m.start():
-            while pos < len(src) and src[pos].isspace():
-                pos += 1
-            if pos == len(src):
-                break
-            raise TermSyntaxError(f"unexpected character {src[pos]!r}", pos)
+    for m in _TOKEN.finditer(src):
         kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
+        if kind == "bad":
+            raise TermSyntaxError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((kind, m.group(), m.start()))
     tokens.append(("end", "", len(src)))
     return tokens
 
@@ -124,27 +118,39 @@ class _Parser:
             raise TermSyntaxError(f"expected {text!r}, found {value!r}", pos)
 
     def parse(self) -> Term:
-        t = self.term()
-        kind, value, pos = self.peek()
-        if kind != "end":
-            raise TermSyntaxError(f"trailing input {value!r}", pos)
-        return t
+        """term := row (';' row)*,  row := atom ('@' atom)*,
+        atom := '(' term ')' | leaf.
 
-    def term(self) -> Term:
-        t = self.tens()
-        while self.peek()[1] == ";":
-            self.next()
-            u = self.tens()
-            t = _seq(t, u)
-        return t
-
-    def tens(self) -> Term:
-        t = self.atom()
-        while self.peek()[1] == "@":
-            self.next()
-            u = self.atom()
-            t = TensorTerm(t.dom + u.dom, t.cod + u.cod, t, u)
-        return t
+        Iterative: each open parenthesis pushes a frame holding the ``;``
+        chain so far and the ``@`` row so far, so nesting depth costs no
+        recursion.  Rows fold left, as do chains.
+        """
+        frames: list[list] = [[None, None]]
+        while True:
+            if self.peek()[1] == "(":
+                self.next()
+                frames.append([None, None])
+                continue
+            t = self.leaf()
+            while True:  # t is a finished atom of the innermost frame
+                frame = frames[-1]
+                row = frame[1]
+                frame[1] = t if row is None else TensorTerm(row.dom + t.dom, row.cod + t.cod, row, t)
+                kind, value, pos = self.next()
+                if value == "@":
+                    break
+                chain, row = frame
+                frame[:] = (row if chain is None else _seq(chain, row)), None
+                if value == ";":
+                    break
+                if len(frames) == 1:
+                    if kind != "end":
+                        raise TermSyntaxError(f"trailing input {value!r}", pos)
+                    return frame[0]
+                if value != ")":
+                    raise TermSyntaxError(f"expected ')', found {value!r}", pos)
+                frames.pop()
+                t = frame[0]
 
     def nat(self) -> int:
         kind, value, pos = self.next()
@@ -164,13 +170,9 @@ class _Parser:
             return Fraction(sign * num, den)
         return Fraction(sign * num)
 
-    def atom(self) -> Term:
+    def leaf(self) -> Term:
+        """id(n), sym(n,m) or a generator."""
         kind, value, pos = self.peek()
-        if value == "(":
-            self.next()
-            t = self.term()
-            self.expect(")")
-            return t
         if kind != "name":
             raise TermSyntaxError(f"expected an atom, found {value!r}", pos)
         self.next()
@@ -290,10 +292,10 @@ class Theory:
             return corelrel.corel_compose(a, b)
         return corelrel.rel_compose(a, b)
 
-    def tensor(self, a, b):
+    def tensor(self, *parts):
         if self.kind == "corel":
-            return corelrel.corel_tensor(a, b)
-        return corelrel.rel_tensor(a, b)
+            return corelrel.corel_tensor(*parts)
+        return corelrel.rel_tensor(*parts)
 
     def equal(self, a, b) -> bool:
         if self.kind == "corel":
@@ -423,19 +425,54 @@ def get_theory(name: str) -> Theory:
     raise UnknownTheory(f"no theory named {name!r}")
 
 
+def _tensor_row(t: TensorTerm) -> list[Term]:
+    """The operands of the maximal ``@`` chain rooted at t, left to right."""
+    row, todo = [], [t]
+    while todo:
+        u = todo.pop()
+        if isinstance(u, TensorTerm):
+            todo += (u.second, u.first)
+        else:
+            row.append(u)
+    return row
+
+
+_COMPOSE = object()  # marker on the evaluation stack: compose the top two values
+
+
 def eval_term(t: Term, th: Theory):
-    """Structural evaluation into the theory's semantic prop."""
-    if isinstance(t, IdTerm):
-        return th.identity(t.n)
-    if isinstance(t, SymTerm):
-        return th.symmetry(t.n, t.m)
-    if isinstance(t, GenTerm):
-        return th.generator(t.name, t.args)
-    if isinstance(t, SeqTerm):
-        return th.compose(eval_term(t.first, th), eval_term(t.second, th))
-    if isinstance(t, TensorTerm):
-        return th.tensor(eval_term(t.first, th), eval_term(t.second, th))
-    raise TypeError(f"not a term: {t!r}")
+    """Structural evaluation into the theory's semantic prop.
+
+    Walks the term with an explicit stack, so depth costs no recursion.
+    Each ``@`` row is one n-ary tensor, canonicalised once; ``;`` nodes
+    compose in the order the term nests them.
+    """
+    values: list = []
+    todo: list = [t]
+    while todo:
+        item = todo.pop()
+        if item is _COMPOSE:
+            second = values.pop()
+            values[-1] = th.compose(values[-1], second)
+        elif isinstance(item, int):  # a row of that many tensor operands
+            row = values[-item:]
+            del values[-item:]
+            values.append(th.tensor(*row))
+        elif isinstance(item, SeqTerm):
+            todo += (_COMPOSE, item.second, item.first)
+        elif isinstance(item, TensorTerm):
+            row = _tensor_row(item)
+            todo.append(len(row))
+            todo += reversed(row)
+        elif isinstance(item, IdTerm):
+            values.append(th.identity(item.n))
+        elif isinstance(item, SymTerm):
+            values.append(th.symmetry(item.n, item.m))
+        elif isinstance(item, GenTerm):
+            values.append(th.generator(item.name, item.args))
+        else:
+            raise TypeError(f"not a term: {item!r}")
+    return values[0]
 
 
 def term_equal(t1: Term, t2: Term, th: Theory) -> bool:

@@ -9,7 +9,6 @@ operation can overflow.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 
 from .errors import NotAUnit, UnknownRing, ZeroDenominator, ZeroInverse
 
@@ -29,18 +28,37 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_u, old_v
 
 
-def is_prime(p: int) -> bool:
-    """Trial division up to the integer square root."""
-    if p < 2:
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin with the witnesses above is exact for every n below this
+# bound (Sorenson and Webster, Math. Comp. 86, 2017).
+PRIME_LIMIT = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < PRIME_LIMIT.
+
+    Larger n raise :class:`UnknownRing`: no witness set is proven for them.
+    """
+    if n >= PRIME_LIMIT:
+        raise UnknownRing(f"{n} is too large to test for primality (the limit is {PRIME_LIMIT})")
+    if n < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    limit = isqrt(p)
-    while d <= limit:
-        if p % d == 0:
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -4,7 +4,8 @@ Objects are the ordinals {0, ..., n-1}; 0 is the empty set and the tensor
 unit.  ``FinMap`` carries the arrows of the props of all / injective /
 surjective functions, ``ParMap`` those of partial functions.  Partial maps
 are stored with ``None`` entries; the pointed-set encoding (adjoin a
-basepoint) is internal to pullbacks and pushouts.
+basepoint) is internal to pullbacks, pushouts and ``glue_compose``, the
+one-pass composite of corelations that serves both kinds of map.
 """
 
 from __future__ import annotations
@@ -94,11 +95,14 @@ def fn_compose(f: FinMap, g: FinMap) -> FinMap:
     return FinMap(f.dom, g.cod, tuple(gt[v] for v in f.table))
 
 
-def fn_tensor(f: FinMap, g: FinMap) -> FinMap:
-    shift = f.cod
-    return FinMap(
-        f.dom + g.dom, f.cod + g.cod, f.table + tuple(v + shift for v in g.table)
-    )
+def fn_tensor(*fs: FinMap) -> FinMap:
+    """Side-by-side sum of any number of maps, left to right."""
+    table: list[int] = []
+    shift = 0
+    for f in fs:
+        table.extend(v + shift for v in f.table)
+        shift += f.cod
+    return FinMap(len(table), shift, tuple(table))
 
 
 def fn_symmetry(n: int, m: int) -> FinMap:
@@ -168,6 +172,54 @@ def fn_pushout(f: FinMap, g: FinMap) -> tuple[FinMap, FinMap]:
     return FinMap(n1, apex, tuple(q[:n1])), FinMap(n2, apex, tuple(q[n1:]))
 
 
+def glue_compose(left1, right1, left2, right2):
+    """Canonical jointly-epi composite of the cospans (left1, right1) and
+    (left2, right2) of total or partial maps, in one union-find pass.
+
+    The pushout glues right1[j] to left2[j] on apex1 + apex2; the classes
+    reached from left1 or right2 are the image of the composite legs, and
+    numbering them by first occurrence, scanning left1 then right2, is the
+    canonical apex order.  Partial maps use the pointed encoding: ``None``
+    is one more point, the basepoint, and a class glued to it decodes to
+    ``None``.  Returns the two legs, of the type of ``left1``.
+    """
+    if right1.dom != left2.dom:
+        raise TypeMismatch(f"feet disagree: {right1.dom} vs {left2.dom}")
+    shift = left1.cod
+    bot = shift + left2.cod
+    parent = list(range(bot + 1))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for a, b in zip(right1.table, left2.table):
+        ra = find(bot if a is None else a)
+        rb = find(bot if b is None else shift + b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    label: list = [-1] * (bot + 1)
+    label[find(bot)] = None
+    apex = 0
+
+    def leg(table, offset: int) -> tuple:
+        nonlocal apex
+        out = []
+        for v in table:
+            r = find(bot if v is None else offset + v)
+            x = label[r]
+            if x == -1:
+                x = label[r] = apex
+                apex += 1
+            out.append(x)
+        return tuple(out)
+
+    lt, rt = leg(left1.table, 0), leg(right2.table, shift)
+    make = type(left1)
+    return make(len(lt), apex, lt), make(len(rt), apex, rt)
+
+
 def enumerate_finmaps(dom: int, cod: int):
     """All maps dom -> cod in lexicographic table order."""
     if dom == 0:
@@ -212,13 +264,14 @@ def par_compose(f: ParMap, g: ParMap) -> ParMap:
     return ParMap(f.dom, g.cod, tuple(_BOT if v is None else gt[v] for v in f.table))
 
 
-def par_tensor(f: ParMap, g: ParMap) -> ParMap:
-    shift = f.cod
-    return ParMap(
-        f.dom + g.dom,
-        f.cod + g.cod,
-        f.table + tuple(_BOT if v is None else v + shift for v in g.table),
-    )
+def par_tensor(*fs: ParMap) -> ParMap:
+    """Side-by-side sum of any number of partial maps, left to right."""
+    table: list[Optional[int]] = []
+    shift = 0
+    for f in fs:
+        table.extend(_BOT if v is None else v + shift for v in f.table)
+        shift += f.cod
+    return ParMap(len(table), shift, tuple(table))
 
 
 def par_symmetry(n: int, m: int) -> ParMap:

@@ -113,14 +113,20 @@ def mat_compose(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return mat_mul(b, a)
 
 
-def mat_tensor(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Direct sum diag(a, b)."""
-    _require_same_ring(a, b)
-    ring = a.ring
-    zero = ring.zero
-    top = tuple(row + (zero,) * b.cols for row in a.entries)
-    bottom = tuple((zero,) * a.cols + row for row in b.entries)
-    return ExactMatrix(ring, a.rows + b.rows, a.cols + b.cols, top + bottom)
+def mat_tensor(first: ExactMatrix, *rest: ExactMatrix) -> ExactMatrix:
+    """Direct sum diag(first, *rest) of one or more matrices."""
+    for b in rest:
+        _require_same_ring(first, b)
+    blocks = (first,) + rest
+    ring, zero = first.ring, first.ring.zero
+    cols = sum(b.cols for b in blocks)
+    out = []
+    before = 0
+    for b in blocks:
+        pad_left, pad_right = (zero,) * before, (zero,) * (cols - before - b.cols)
+        out.extend(pad_left + row + pad_right for row in b.entries)
+        before += b.cols
+    return ExactMatrix(ring, len(out), cols, tuple(out))
 
 
 def mat_symmetry(ring: Ring, n: int, m: int) -> ExactMatrix:

@@ -79,7 +79,8 @@ class Ambient:
         """Diagrammatic order: first f, then g."""
         raise NotImplementedError
 
-    def tensor(self, f, g):
+    def tensor(self, *fs):
+        """Side-by-side sum of one or more morphisms, left to right."""
         raise NotImplementedError
 
     def symmetry(self, n: int, m: int):
@@ -130,6 +131,20 @@ class Ambient:
     def canonical_span(self, s: Span) -> Span:
         raise NotImplementedError
 
+    # corelations: canonical jointly-epi cospans
+    def corelation_cospan(self, c: Cospan) -> Cospan:
+        """The canonical cospan of the corelation c represents: factorise
+        the copairing, keep the epi part, and canonicalise the apex."""
+        n, m = self.dom(c.left), self.dom(c.right)
+        e, _ = self.factorize(self.copair(c.left, c.right))
+        left, right = self.split_copair(e, n, m)
+        return self.canonical_cospan(Cospan(left, right))
+
+    def compose_corelations(self, c1: Cospan, c2: Cospan) -> Cospan:
+        """The canonical cospan of the corelation composite c1 ; c2: the
+        pushout, then the image factorisation of the composite legs."""
+        return self.corelation_cospan(cospan_compose(c1, c2, self))
+
     # enumeration / sampling (verification harness)
     def enumerate_morphisms(self, dom: int, cod: int, entry_bound: Optional[int] = None):
         raise NotImplementedError
@@ -171,8 +186,8 @@ class FinFnAmbient(Ambient):
     def compose(self, f, g):
         return finfn.fn_compose(f, g)
 
-    def tensor(self, f, g):
-        return finfn.fn_tensor(f, g)
+    def tensor(self, *fs):
+        return finfn.fn_tensor(*fs)
 
     def symmetry(self, n, m):
         return finfn.fn_symmetry(n, m)
@@ -256,6 +271,9 @@ class FinFnAmbient(Ambient):
             FinMap(len(pairs), s.right.cod, tuple(y for _, y in pairs)),
         )
 
+    def compose_corelations(self, c1, c2):
+        return Cospan(*finfn.glue_compose(c1.left, c1.right, c2.left, c2.right))
+
     def enumerate_morphisms(self, dom, cod, entry_bound=None):
         return finfn.enumerate_finmaps(dom, cod)
 
@@ -297,8 +315,8 @@ class ParFnAmbient(Ambient):
     def compose(self, f, g):
         return finfn.par_compose(f, g)
 
-    def tensor(self, f, g):
-        return finfn.par_tensor(f, g)
+    def tensor(self, *fs):
+        return finfn.par_tensor(*fs)
 
     def symmetry(self, n, m):
         return finfn.par_symmetry(n, m)
@@ -393,6 +411,9 @@ class ParFnAmbient(Ambient):
             ParMap(len(pairs), s.right.cod, tuple(y for _, y in pairs)),
         )
 
+    def compose_corelations(self, c1, c2):
+        return Cospan(*finfn.glue_compose(c1.left, c1.right, c2.left, c2.right))
+
     def enumerate_morphisms(self, dom, cod, entry_bound=None):
         return finfn.enumerate_parmaps(dom, cod)
 
@@ -441,8 +462,8 @@ class MatrixAmbient(Ambient):
     def compose(self, f, g):
         return linmap.mat_compose(f, g)
 
-    def tensor(self, f, g):
-        return linmap.mat_tensor(f, g)
+    def tensor(self, *fs):
+        return linmap.mat_tensor(*fs)
 
     def symmetry(self, n, m):
         return linmap.mat_symmetry(self.ring, n, m)

@@ -193,16 +193,56 @@ def test_negative_bound_rejected_exit_2(capsys, command, flag):
     assert "non-negative" in capsys.readouterr().err
 
 
+def _cli(*argv, timeout=60):
+    """Run the CLI in a fresh interpreter, so a hang or a crash fails the test."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(corelate.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "corelate.cli", *argv], env=env, capture_output=True, text=True, timeout=timeout
+    )
+
+
 def test_split_mono_sampling_with_empty_entry_box_exit_2():
     # used to loop forever rejecting zero matrices; run apart so a hang fails
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(corelate.__file__)))
-    argv = ["check", "pi-functorial", "--C", "z", "--A", "split", "--bound", "2", "--entry-bound", "0"]
-    done = subprocess.run(
-        [sys.executable, "-m", "corelate.cli", *argv], env=env, capture_output=True, text=True, timeout=60
-    )
+    done = _cli("check", "pi-functorial", "--C", "z", "--A", "split", "--bound", "2", "--entry-bound", "0")
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.startswith("error: no split mono ") and done.stderr.count("\n") == 1
+
+
+def test_eval_long_chain_exit_0():
+    layers = " ; ".join(["(comult ; mult)"] * 2000)
+    done = _cli("eval", "--theory", "er", layers)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "corel f 1 -> 1 : {{x0,y0}}\n"
+    assert done.stderr == ""
+
+
+@pytest.mark.parametrize("closing", [500, 499])
+def test_eval_deep_parentheses_no_traceback(closing):
+    done = _cli("eval", "--theory", "er", "(" * 500 + "id(1)" + ")" * closing)
+    if closing == 500:
+        assert done.returncode == 0
+        assert done.stdout == "corel f 1 -> 1 : {{x0,y0}}\n"
+    else:
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: expected ')'") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
+
+
+def test_huge_field_characteristic_exit_2_quickly():
+    # 10^30 + 57 is beyond the deterministic primality test; trial division hung
+    done = _cli("eval", "--theory", "gf1000000000000000000000000000057-subspace", "id(1)", timeout=20)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("scalars", ["x", "1/0", "1,,2"])
+def test_bad_scalars_exit_2(capsys, scalars):
+    code, out, err = run(capsys, "check", "frobenius", "--theory", "q-subspace", "--scalars", scalars)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --scalars ") and err.count("\n") == 1
 
 
 def test_check_frobenius_records_deterministic(capsys):

@@ -5,13 +5,14 @@ import pytest
 
 from corelate.errors import NotAbelian, NotInA, TypeMismatch
 from corelate.exactnum import GF, QQ, ZZ
-from corelate.finfn import Partition, enumerate_finmaps, fn, par
+from corelate.finfn import Partition, enumerate_finmaps, enumerate_parmaps, fn, par
 from corelate.linmap import mat, mat_identity
 from corelate.corelrel import (
     PartialPartition,
     corel_compose,
     corel_equal,
     corel_identity,
+    corel_symmetry,
     corel_tensor,
     corelation_from_er,
     corelation_from_per,
@@ -29,10 +30,22 @@ from corelate.corelrel import (
     rel_from_subspace_rows,
     rel_identity,
     rel_subspace_rows,
+    rel_symmetry,
+    rel_tensor,
     rel_to_corel,
     rel_corel_iso,
 )
-from corelate.spancospan import Cospan, Span, get_ambient
+from corelate.spancospan import (
+    Cospan,
+    Span,
+    cospan_compose,
+    cospan_identity,
+    cospan_tensor,
+    embed_fwd_cospan,
+    get_ambient,
+    span_identity,
+    span_tensor,
+)
 
 F = get_ambient("f")
 PF = get_ambient("pf")
@@ -295,3 +308,118 @@ def test_corel_from_morphism_graph_name():
     f = fn(2, 1, [0, 0])
     c = corel_from_morphism(f, F)
     assert er_from_corelation(c) == Partition(3, ((0, 1, 2),))
+
+
+# --- fast paths against the generic path -------------------------------------------
+#
+# Composition over f and pf is one union-find pass, tensors skip the image
+# factorisation, and identities and symmetries are built canonical.  Each is
+# checked against gamma / rel_canonical of the plain (co)span operation, by
+# repr as well, so that stored value types agree too.
+
+GF3 = get_ambient("gf3")
+ALL_AMBIENTS = (F, PF, G2, GF3, Q, Z)
+FIELD_AMBIENTS = (G2, GF3, Q)
+
+
+def _same(x, y) -> bool:
+    return x == y and repr(x) == repr(y)
+
+
+def _generic_compose(c1, c2, amb):
+    return gamma(cospan_compose(c1, c2, amb), amb).cospan
+
+
+@pytest.mark.parametrize("amb", [F, PF], ids=["f", "pf"])
+def test_fused_compose_exhaustive_small(amb):
+    maps = {}
+
+    def all_maps(dom, cod):
+        if (dom, cod) not in maps:
+            source = enumerate_finmaps if amb is F else enumerate_parmaps
+            maps[dom, cod] = list(source(dom, cod))
+        return maps[dom, cod]
+
+    cases = 0
+    for n, m, k, a1, a2 in product(range(3), repeat=5):
+        for l1, r1 in product(all_maps(n, a1), all_maps(m, a1)):
+            for l2, r2 in product(all_maps(m, a2), all_maps(k, a2)):
+                c1, c2 = Cospan(l1, r1), Cospan(l2, r2)
+                assert _same(amb.compose_corelations(c1, c2), _generic_compose(c1, c2, amb))
+                cases += 1
+    values = lambda cod: cod + (amb is PF)  # pf maps may also be undefined
+    assert cases == sum(
+        values(a1) ** (n + m) * values(a2) ** (m + k) for n, m, k, a1, a2 in product(range(3), repeat=5)
+    )
+
+
+@pytest.mark.parametrize("amb", [F, PF], ids=["f", "pf"])
+def test_fused_compose_random_wide(amb):
+    rng = random.Random(2024)
+    for _ in range(2000):
+        n, m, k = (rng.randint(0, 16) for _ in range(3))
+        a1, a2 = rng.randint(1, 16), rng.randint(1, 16)
+        c1 = Cospan(amb.random_morphism(rng, n, a1), amb.random_morphism(rng, m, a1))
+        c2 = Cospan(amb.random_morphism(rng, m, a2), amb.random_morphism(rng, k, a2))
+        assert _same(amb.compose_corelations(c1, c2), _generic_compose(c1, c2, amb))
+        # and on canonical corelations, through corel_compose
+        g1, g2 = gamma(c1, amb), gamma(c2, amb)
+        assert _same(corel_compose(g1, g2).cospan, _generic_compose(g1.cospan, g2.cospan, amb))
+
+
+def test_fused_compose_rejects_mismatched_feet():
+    with pytest.raises(TypeMismatch):
+        F.compose_corelations(Cospan(fn(1, 1, [0]), fn(1, 1, [0])), Cospan(fn(2, 1, [0, 0]), fn(0, 1, [])))
+
+
+def _random_corelation(rng, amb):
+    n, m, apex = rng.randint(0, 3), rng.randint(0, 3), rng.randint(1, 3)
+    bound = 2 if amb is Z else None
+    c = Cospan(amb.random_morphism(rng, n, apex, bound), amb.random_morphism(rng, m, apex, bound))
+    return gamma(c, amb)
+
+
+@pytest.mark.parametrize("amb", ALL_AMBIENTS, ids=lambda a: a.name)
+def test_variadic_corel_tensor_equals_binary_gamma_fold(amb):
+    rng = random.Random(11)
+    for _ in range(150):
+        parts = [_random_corelation(rng, amb) for _ in range(rng.randint(1, 4))]
+        fold = parts[0]
+        for c in parts[1:]:
+            fold = gamma(cospan_tensor(fold.cospan, c.cospan, amb), amb)
+        assert _same(corel_tensor(*parts), fold)
+        if len(parts) == 2:
+            assert _same(corel_tensor(parts[0], parts[1]), fold)
+
+
+@pytest.mark.parametrize("amb", FIELD_AMBIENTS, ids=lambda a: a.name)
+def test_variadic_rel_tensor_equals_binary_rel_canonical_fold(amb):
+    rng = random.Random(12)
+    for _ in range(150):
+        parts = []
+        for _ in range(rng.randint(1, 4)):
+            n, m, apex = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)
+            s = Span(amb.random_morphism(rng, apex, n), amb.random_morphism(rng, apex, m))
+            parts.append(rel_canonical(s, amb))
+        fold = parts[0]
+        for r in parts[1:]:
+            fold = rel_canonical(span_tensor(fold.span, r.span, amb), amb)
+        assert _same(rel_tensor(*parts), fold)
+
+
+@pytest.mark.parametrize("amb", ALL_AMBIENTS, ids=lambda a: a.name)
+def test_direct_identity_and_symmetry_are_canonical(amb):
+    for n in range(5):
+        assert _same(corel_identity(n, amb), gamma(cospan_identity(n, amb), amb))
+        for m in range(5):
+            via_gamma = gamma(embed_fwd_cospan(amb.symmetry(n, m), amb), amb)
+            assert _same(corel_symmetry(n, m, amb), via_gamma)
+
+
+@pytest.mark.parametrize("amb", FIELD_AMBIENTS, ids=lambda a: a.name)
+def test_direct_rel_identity_and_symmetry_are_canonical(amb):
+    for n in range(5):
+        assert _same(rel_identity(n, amb), rel_canonical(span_identity(n, amb), amb))
+        for m in range(5):
+            via_canonical = rel_canonical(Span(amb.identity(n + m), amb.symmetry(n, m)), amb)
+            assert _same(rel_symmetry(n, m, amb), via_canonical)

@@ -21,7 +21,8 @@ from corelate.diagrams import (
     print_term,
     term_equal,
 )
-from corelate.corelrel import corel_identity, rel_identity
+from corelate.corelrel import corel_identity, gamma, rel_canonical, rel_identity
+from corelate.spancospan import cospan_tensor, span_tensor
 
 
 # --- parsing -------------------------------------------------------------------
@@ -68,6 +69,34 @@ def test_parse_colors():
     assert isinstance(t, SeqTerm)
     assert t.first.name == "w.mult"
     assert t.second.name == "b.comult"
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("(id(1)", "expected ')', found '' (at position 6)"),
+        ("id(1))", "trailing input ')' (at position 5)"),
+        ("(id(1) id(1))", "expected ')', found 'id' (at position 7)"),
+        ("()", "expected an atom, found ')' (at position 1)"),
+        ("id(1) @", "expected an atom, found '' (at position 7)"),
+        ("((mult ; comult)", "expected ')', found '' (at position 16)"),
+        ("(mult ; comult))", "trailing input ')' (at position 15)"),
+    ],
+)
+def test_parse_syntax_error_messages(src, message):
+    with pytest.raises(TermSyntaxError) as err:
+        parse_term(src)
+    assert str(err.value) == message
+
+
+def test_parse_deep_nesting_without_recursion():
+    depth = 5000  # far beyond the interpreter's recursion limit
+    t = parse_term("(" * depth + "id(1)" + ")" * depth)
+    assert t == IdTerm(1, 1, 1)
+    t = parse_term(" ; ".join(["(comult ; mult)"] * depth))
+    assert (t.dom, t.cod) == (1, 1)
+    with pytest.raises(TermSyntaxError):
+        parse_term("(" * depth + "id(1)" + ")" * (depth - 1))
 
 
 def test_tensor_binds_tighter_than_seq():
@@ -209,3 +238,44 @@ def test_gf_subspace_theories_parametric():
     g5 = get_theory("gf5-subspace")
     assert term_equal(parse_term("scalar(2) ; coscalar(2)"), parse_term("id(1)"), g5)
     assert term_equal(parse_term("scalar(3) ; scalar(2)"), parse_term("id(1)"), g5)
+
+
+# --- evaluation strategy ---------------------------------------------------------
+
+
+def test_eval_deep_terms_without_recursion():
+    er = get_theory("er")
+    layers = " ; ".join(["(comult ; mult)"] * 3000)
+    assert eval_term(parse_term(layers), er) == corel_identity(1, er.ambient)
+    nested_row = "id(1) @ (" * 3000 + "id(1)" + ")" * 3000
+    assert eval_term(parse_term(nested_row), er) == corel_identity(3001, er.ambient)
+
+
+ROW_ATOMS = {
+    "er": ["id(1)", "id(2)", "sym(1,2)", "unit", "counit", "mult", "comult", "(comult ; mult)"],
+    "per": ["id(1)", "sym(2,1)", "unit", "counit", "mult", "comult", "undef", "(mult ; undef)"],
+    "gf2-subspace": ["id(1)", "sym(1,1)", "w.mult", "b.comult", "w.unit", "b.counit", "scalar(1)"],
+    "q-subspace": ["id(2)", "sym(1,2)", "w.comult", "b.mult", "scalar(1/2)", "coscalar(-3)"],
+    "z-corel": ["id(1)", "sym(2,1)", "w.mult", "b.comult", "w.counit", "scalar(2)", "coscalar(3)"],
+}
+
+
+@pytest.mark.parametrize("theory", sorted(ROW_ATOMS))
+def test_flattened_row_equals_nested_binary_fold(theory):
+    # one n-ary tensor per @ row, against the binary gamma / rel_canonical fold
+    th = get_theory(theory)
+    amb = th.ambient
+    rng = random.Random(theory)
+    for _ in range(40):
+        atoms = [rng.choice(ROW_ATOMS[theory]) for _ in range(rng.randint(1, 7))]
+        values = [eval_term(parse_term(a), th) for a in atoms]
+        fold = values[0]
+        for v in values[1:]:
+            if th.kind == "corel":
+                fold = gamma(cospan_tensor(fold.cospan, v.cospan, amb), amb)
+            else:
+                fold = rel_canonical(span_tensor(fold.span, v.span, amb), amb)
+        flat = eval_term(parse_term(" @ ".join(atoms)), th)
+        right_nested = eval_term(parse_term(" @ (".join(atoms) + ")" * (len(atoms) - 1)), th)
+        assert flat == right_nested == fold
+        assert repr(flat) == repr(fold)

@@ -10,6 +10,7 @@ from corelate.exactnum import (
     QQ,
     ZZ,
     ext_gcd,
+    PRIME_LIMIT,
     is_prime,
     parse_ring,
     rational_normalize,
@@ -131,6 +132,27 @@ def test_is_prime_small():
     primes = [2, 3, 5, 7, 11, 13, 97]
     assert all(is_prime(p) for p in primes)
     assert not any(is_prime(n) for n in (0, 1, 4, 9, 15, 49, 91))
+
+
+def test_is_prime_agrees_with_trial_division_below_1e5():
+    sieve = [False, False] + [True] * (10**5 - 2)
+    for d in range(2, 317):
+        if sieve[d]:
+            sieve[d * d :: d] = [False] * len(range(d * d, 10**5, d))
+    assert [is_prime(n) for n in range(10**5)] == sieve
+
+
+def test_is_prime_large_and_strong_pseudoprimes():
+    assert is_prime(2**61 - 1) and is_prime(10**18 + 9)
+    assert not is_prime((10**9 + 7) * (10**9 + 9)) and not is_prime(3 * (2**61 - 1))
+    # the least strong pseudoprimes to the prime bases up to 23, and up to 37
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+    assert PRIME_LIMIT == 3317044064679887385961981  # itself a strong pseudoprime to bases 2..41
+    with pytest.raises(UnknownRing):
+        is_prime(PRIME_LIMIT)
+    with pytest.raises(UnknownRing):
+        GF(10**30 + 57)
 
 
 def test_ring_parsing_and_formatting():
