@@ -7,10 +7,13 @@ jointly-mono span whose pairing is in canonical echelon form.  Equality is
 decided on canonical forms, not by searching the witness closure; the
 closure is kept as an independent test oracle in the verification module.
 
-Composition asks the ambient for the canonical composite: a pushout and an
-image factorisation in general, one union-find pass over finite and partial
-functions.  Tensors need no factorisation, since E (dually M) is closed
-under tensor, and identities and symmetries are built canonical.
+Composition asks the ambient for the canonical composite: one union-find
+pass over finite and partial functions, one echelon pass over matrices
+(which is also how matrix ambients quotient a cospan and canonicalise a
+relation).  ``pi`` is a composite too: the pushout of a span is the
+composite of its two leg cospans.  Tensors need no factorisation, since E
+(dually M) is closed under tensor, and identities and symmetries are built
+canonical.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .spancospan import (
     Span,
     cospan_identity,
     embed_fwd_cospan,
-    span_compose,
     span_identity,
 )
 
@@ -78,19 +80,25 @@ class Relation:
 def gamma(c: Cospan, amb: Ambient) -> Corelation:
     """Quotient a cospan to the corelation it represents.
 
-    Factorises the copairing, keeps the epi part, and canonicalises the apex.
-    Every corelation arises this way.
+    Keeps the epi part of the copairing, with a canonical apex; over
+    matrices that is the canonical basis of the rows of [L | R].  Every
+    corelation arises this way.
     """
     return Corelation(amb, amb.corelation_cospan(c))
 
 
 def pi(s: Span, amb: Ambient) -> Corelation:
-    """Pushout a span with legs in the distinguished subcategory, then quotient."""
+    """Pushout a span with legs in the distinguished subcategory, then quotient.
+
+    The pushout of the span (f, g) is the composite of the cospans (id, f)
+    and (g, id), so this is one canonical corelation composite.
+    """
     for leg in (s.left, s.right):
         if not amb.in_a(leg):
             raise NotInA(f"span leg fails the {amb.a_name} membership test")
-    q1, q2 = amb.pushout(s.left, s.right)
-    return gamma(Cospan(q1, q2), amb)
+    first = Cospan(amb.identity(amb.cod(s.left)), s.left)
+    second = Cospan(s.right, amb.identity(amb.cod(s.right)))
+    return Corelation(amb, amb.compose_corelations(first, second))
 
 
 def corel_identity(n: int, amb: Ambient) -> Corelation:
@@ -153,12 +161,9 @@ def _require_products(amb: Ambient) -> MatrixAmbient:
 
 
 def rel_canonical(s: Span, amb: Ambient) -> Relation:
-    """Keep the mono part of the pairing; canonicalise the apex basis."""
+    """Keep the mono part of the pairing, in its canonical apex basis."""
     amb = _require_products(amb)
-    n, m = amb.cod(s.left), amb.cod(s.right)
-    _, mono = amb.factorize(amb.pair(s.left, s.right))
-    left, right = amb.split_pair(mono, n, m)
-    return Relation(amb, amb.canonical_span(Span(left, right)))
+    return Relation(amb, amb.relation_span(s))
 
 
 def rel_identity(n: int, amb: Ambient) -> Relation:
@@ -176,7 +181,7 @@ def rel_compose(a: Relation, b: Relation) -> Relation:
     _require_same_ambient(a, b)
     if a.cod != b.dom:
         raise TypeMismatch(f"feet disagree: {a.cod} vs {b.dom}")
-    return rel_canonical(span_compose(a.span, b.span, a.ambient), a.ambient)
+    return Relation(a.ambient, a.ambient.compose_relations(a.span, b.span))
 
 
 def rel_tensor(first: Relation, *rest: Relation) -> Relation:

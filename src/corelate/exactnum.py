@@ -107,9 +107,6 @@ class Ring:
     def inv(self, a):
         raise NotImplementedError
 
-    def is_unit(self, a) -> bool:
-        raise NotImplementedError
-
     # conversions
     def coerce(self, x):
         raise NotImplementedError
@@ -143,9 +140,6 @@ class IntegerRing(Ring):
             return a
         raise NotAUnit(f"{a} is not a unit in the integers")
 
-    def is_unit(self, a):
-        return a in (1, -1)
-
     def coerce(self, x):
         if isinstance(x, Fraction):
             if x.denominator != 1:
@@ -176,9 +170,6 @@ class RationalRing(Ring):
         if a == 0:
             raise ZeroInverse("0 has no inverse")
         return 1 / Fraction(a)
-
-    def is_unit(self, a):
-        return a != 0
 
     def coerce(self, x):
         return Fraction(x)
@@ -220,9 +211,6 @@ class PrimeField(Ring):
         if a % self.p == 0:
             raise ZeroInverse(f"0 has no inverse in GF({self.p})")
         return pow(a, -1, self.p)
-
-    def is_unit(self, a):
-        return a % self.p != 0
 
     def coerce(self, x):
         if isinstance(x, Fraction):

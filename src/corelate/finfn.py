@@ -400,12 +400,6 @@ class Partition:
         if [b[0] for b in self.blocks] != sorted(b[0] for b in self.blocks):
             raise ValueError("blocks not ordered by minimum")
 
-    def block_of(self, i: int) -> int:
-        for k, block in enumerate(self.blocks):
-            if i in block:
-                return k
-        raise KeyError(i)
-
 
 def partition_from_pairs(ground: int, pairs) -> Partition:
     """Finest partition of the ground set identifying each given pair."""

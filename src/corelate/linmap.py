@@ -2,9 +2,13 @@
 
 A morphism n -> m is stored as an m-by-n matrix; diagrammatic composition
 "first A, then B" is the matrix product B*A.  Field computations run on
-reduced row echelon forms; integer computations run on a Smith normal form
-engine that tracks the unimodular transforms and their inverses, so
-saturations, kernels and exact solves never leave the integers.
+reduced row echelon forms.  Over the integers, canonical forms and the
+split-mono test run on row Hermite normal forms, and pushouts, kernels,
+exact solves and factorisations on a Smith normal form engine that tracks
+the unimodular transforms and their inverses, so saturations never leave
+the integers.  A canonical (co)relation is one echelon pass: the canonical
+basis of a row space (lattice), or of its rows that vanish on a block of
+columns (:func:`row_basis`, :func:`row_basis_meet`).
 
 The kernels work on the stored values themselves, without calling the
 ring's scalar operations: ``int`` residues reduced mod p for GF(p),
@@ -75,7 +79,7 @@ def _negate(ring: Ring):
 
 
 def _require_same_ring(a: ExactMatrix, b: ExactMatrix) -> None:
-    if a.ring != b.ring:
+    if a.ring is not b.ring and a.ring != b.ring:
         raise RingMismatch(f"{a.ring.name} vs {b.ring.name}")
 
 
@@ -455,45 +459,87 @@ def hnf_row(a: ExactMatrix) -> ExactMatrix:
     """Canonical row-style Hermite normal form (left unimodular action).
 
     Pivots are positive, entries above a pivot are reduced into [0, pivot),
-    zero rows sink to the bottom.
+    zero rows sink to the bottom.  Each column is cleared below its pivot by
+    repeated floor division by the least nonzero entry; rows r.. are zero
+    left of column j, so only their tails change.
     """
-    if a.ring != ZZ:
+    if a.ring is not ZZ and a.ring != ZZ:
         raise RingMismatch("Hermite normal form needs integer entries")
-    rows = [list(r) for r in a.entries]
     m, n = a.rows, a.cols
+    rows = [list(row) for row in a.entries]
     r = 0
     for j in range(n):
         while True:
-            nz = [i for i in range(r, m) if rows[i][j] != 0]
-            if not nz:
+            best = -1
+            for i in range(r, m):
+                v = rows[i][j]
+                if v:
+                    if v == 1 or v == -1:  # nothing can be smaller
+                        best, least = i, 1
+                        break
+                    v = abs(v)
+                    if best < 0 or v < least:
+                        best, least = i, v
+            if best < 0:
                 break
-            i0 = min(nz, key=lambda i: (abs(rows[i][j]), i))
-            rows[r], rows[i0] = rows[i0], rows[r]
-            if rows[r][j] < 0:
-                rows[r] = [-x for x in rows[r]]
-            done = True
+            prow = rows[best]
+            rows[r], rows[best] = prow, rows[r]
+            if prow[j] < 0:
+                for k in range(j, n):
+                    prow[k] = -prow[k]
+            residue = False
             for i in range(r + 1, m):
-                if rows[i][j]:
-                    q = rows[i][j] // rows[r][j]
-                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-                    if rows[i][j]:
-                        done = False
-            if done:
-                break
-        if r < m and rows[r][j] != 0:
-            for i in range(r):
-                q = rows[i][j] // rows[r][j]
+                row = rows[i]
+                q = row[j] // least
                 if q:
-                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-            r += 1
-            if r == m:
+                    for k in range(j, n):
+                        if prow[k]:
+                            row[k] -= q * prow[k]
+                if row[j]:
+                    residue = True
+            if not residue:
                 break
-    return ExactMatrix(ZZ, m, n, tuple(tuple(r_) for r_ in rows))
+        if best < 0:
+            continue
+        for i in range(r):
+            row = rows[i]
+            q = row[j] // least
+            if q:
+                for k in range(j, n):
+                    if prow[k]:
+                        row[k] -= q * prow[k]
+        r += 1
+        if r == m:
+            break
+    return ExactMatrix(ZZ, m, n, tuple(map(tuple, rows)))
 
 
 def hnf_col(a: ExactMatrix) -> ExactMatrix:
     """Canonical column-style Hermite normal form (right unimodular action)."""
     return mat_transpose(hnf_row(mat_transpose(a)))
+
+
+def row_basis(a: ExactMatrix) -> ExactMatrix:
+    """Canonical basis of the row space (over a field) or the row lattice
+    (over the integers): the nonzero rows of the reduced row echelon form,
+    or of the row Hermite normal form, top to bottom."""
+    if a.ring.is_field:
+        reduced, pivots = rref(a)
+        rows = reduced.entries[: len(pivots)]
+    else:
+        rows = tuple(row for row in hnf_row(a).entries if any(row))
+    return ExactMatrix(a.ring, len(rows), a.cols, rows)
+
+
+def row_basis_meet(a: ExactMatrix, k: int) -> ExactMatrix:
+    """Canonical basis of the vectors of the row space (lattice) of a that
+    vanish on the first k columns, with those k columns dropped.
+
+    An echelon basis spans such vectors by its rows that vanish there, and
+    those rows, cut down, are again in canonical form.
+    """
+    rows = tuple(row[k:] for row in row_basis(a).entries if not any(row[:k]))
+    return ExactMatrix(a.ring, len(rows), a.cols - k, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -558,11 +604,14 @@ def pid_factorize(a: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
 
 
 def is_split_mono(a: ExactMatrix) -> bool:
-    """True iff the Smith diagonal is all ones and the rank equals cols."""
-    if a.ring != ZZ:
+    """True iff a has a left inverse, i.e. its rows span Z^cols: the row
+    Hermite form is the identity on top of zero rows."""
+    if a.ring is not ZZ and a.ring != ZZ:
         raise RingMismatch("split-mono test is for integer matrices")
-    s = _snf_engine(a)
-    return s.rank == a.cols and all(s.d.entries[i][i] == 1 for i in range(s.rank))
+    if a.rows < a.cols:
+        return False
+    h = hnf_row(a).entries
+    return all(h[i][i] == 1 for i in range(a.cols))
 
 
 def mat_pullback(a: ExactMatrix, b: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:

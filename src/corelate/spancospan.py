@@ -62,9 +62,6 @@ class Ambient:
     def __repr__(self):
         return f"Ambient({self.name}, A={self.a_name})"
 
-    def with_a(self, a_name: str) -> "Ambient":
-        raise NotImplementedError
-
     # morphism protocol
     def dom(self, f) -> int:
         raise NotImplementedError
@@ -143,7 +140,7 @@ class Ambient:
     def compose_corelations(self, c1: Cospan, c2: Cospan) -> Cospan:
         """The canonical cospan of the corelation composite c1 ; c2: the
         pushout, then the image factorisation of the composite legs."""
-        return self.corelation_cospan(cospan_compose(c1, c2, self))
+        raise NotImplementedError
 
     # enumeration / sampling (verification harness)
     def enumerate_morphisms(self, dom: int, cod: int, entry_bound: Optional[int] = None):
@@ -170,9 +167,6 @@ class FinFnAmbient(Ambient):
         if a_name not in ("inj", "all"):
             raise UnknownAmbient(f"unknown subcategory {a_name!r} for f")
         self.a_name = a_name
-
-    def with_a(self, a_name):
-        return FinFnAmbient(a_name)
 
     def dom(self, f):
         return f.dom
@@ -299,9 +293,6 @@ class ParFnAmbient(Ambient):
         if a_name not in ("inj", "all"):
             raise UnknownAmbient(f"unknown subcategory {a_name!r} for pf")
         self.a_name = a_name
-
-    def with_a(self, a_name):
-        return ParFnAmbient(a_name)
 
     def dom(self, f):
         return f.dom
@@ -447,9 +438,6 @@ class MatrixAmbient(Ambient):
             raise UnknownAmbient("split-mono subcategory is specific to the integers")
         self.a_name = a_name
 
-    def with_a(self, a_name):
-        return MatrixAmbient(self.ring, a_name)
-
     def dom(self, f):
         return f.cols
 
@@ -528,6 +516,36 @@ class MatrixAmbient(Ambient):
     def solve_postcompose(self, m, f):
         return linmap.mat_solve(m, f)
 
+    def corelation_cospan(self, c):
+        """The corelation is the row space (lattice) of [L | R]: its
+        canonical cospan is the canonical basis of it, split back."""
+        basis = linmap.row_basis(linmap.mat_hcat(c.left, c.right))
+        return Cospan(*self.split_copair(basis, c.left.cols, c.right.cols))
+
+    def compose_corelations(self, c1, c2):
+        """One echelon pass over [C | diag(L1, R2)] with C = [R1; -L2]: the
+        composite is the rows whose C-part vanishes, i.e. the left kernel of
+        C (the pushout) applied to the outer legs (the image)."""
+        if c1.right.cols != c2.left.cols:
+            raise TypeMismatch(f"feet disagree: {c1.right.cols} vs {c2.left.cols}")
+        meet = linmap.mat_vcat(c1.right, linmap.mat_neg(c2.left))
+        stacked = linmap.mat_hcat(meet, linmap.mat_tensor(c1.left, c2.right))
+        basis = linmap.row_basis_meet(stacked, meet.cols)
+        return Cospan(*self.split_copair(basis, c1.left.cols, c2.right.cols))
+
+    # relations over a field are the corelations of the transposed legs
+    def relation_span(self, s):
+        """Canonical jointly-mono span: the canonical basis of the column
+        space of [L; R], as columns."""
+        return _transpose_legs(self.corelation_cospan(_transpose_legs(s, Cospan)), Span)
+
+    def compose_relations(self, s1, s2):
+        """One echelon pass over [C^T | diag(L1, R2)^T] with C = [R1 | -L2]:
+        the pullback and the image in one step, dual to
+        :meth:`compose_corelations`."""
+        composite = self.compose_corelations(_transpose_legs(s1, Cospan), _transpose_legs(s2, Cospan))
+        return _transpose_legs(composite, Span)
+
     def canonical_cospan(self, c):
         stacked = linmap.mat_hcat(c.left, c.right)
         if self.ring.is_field:
@@ -579,6 +597,10 @@ class MatrixAmbient(Ambient):
             f = self.random_morphism(rng, dom, cod, entry_bound)
             if linmap.is_split_mono(f):
                 return f
+
+
+def _transpose_legs(pair, kind):
+    return kind(linmap.mat_transpose(pair.left), linmap.mat_transpose(pair.right))
 
 
 _DEFAULT_A = {"f": "inj", "pf": "inj", "z": "split"}

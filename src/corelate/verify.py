@@ -29,7 +29,7 @@ from .corelrel import (
     pi,
 )
 from .diagrams import get_theory, parse_term, term_equal
-from .literals import format_cospan, format_morphism, format_span, parse_morphism, parse_span
+from .literals import format_cospan, format_morphism, format_span, parse_cospan, parse_morphism, parse_span
 from .spancospan import (
     Ambient,
     Cospan,
@@ -480,6 +480,40 @@ def check_tensor_functorial(
     )
 
 
+_LAW_FLAGS = ("span_assoc", "span_id", "cospan_assoc", "cospan_id", "corel_assoc")
+
+
+def laws_case(amb: Ambient, s1: Span, s2: Span, s3: Span, c1: Cospan, c2: Cospan, c3: Cospan):
+    """Associativity and identity on one tuple of composable spans and
+    cospans; returns whether each law in ``_LAW_FLAGS`` holds."""
+    x, y = amb.cod(s1.left), amb.cod(s1.right)
+    assoc_span = span_canonical(
+        span_compose(span_compose(s1, s2, amb), s3, amb), amb
+    ) == span_canonical(span_compose(s1, span_compose(s2, s3, amb), amb), amb)
+    ident_span = span_canonical(
+        span_compose(span_identity(x, amb), s1, amb), amb
+    ) == span_canonical(s1, amb) and span_canonical(
+        span_compose(s1, span_identity(y, amb), amb), amb
+    ) == span_canonical(s1, amb)
+
+    x, y = amb.dom(c1.left), amb.dom(c1.right)
+    assoc_cospan = cospan_canonical(
+        cospan_compose(cospan_compose(c1, c2, amb), c3, amb), amb
+    ) == cospan_canonical(cospan_compose(c1, cospan_compose(c2, c3, amb), amb), amb)
+    ident_cospan = cospan_canonical(
+        cospan_compose(cospan_identity(x, amb), c1, amb), amb
+    ) == cospan_canonical(c1, amb) and cospan_canonical(
+        cospan_compose(c1, cospan_identity(y, amb), amb), amb
+    ) == cospan_canonical(c1, amb)
+
+    a1, a2, a3 = gamma(c1, amb), gamma(c2, amb), gamma(c3, amb)
+    assoc_corel = corel_equal(
+        corel_compose(corel_compose(a1, a2), a3),
+        corel_compose(a1, corel_compose(a2, a3)),
+    )
+    return assoc_span, ident_span, assoc_cospan, ident_cospan, assoc_corel
+
+
 def check_category_laws(
     amb: Ambient, bound: int, entry_bound: int = 2, seed: int = 0, samples: int = 500
 ) -> CheckReport:
@@ -491,33 +525,11 @@ def check_category_laws(
         s1 = random_span(amb, rng, x, y, bound, entry_bound)
         s2 = random_span(amb, rng, y, z, bound, entry_bound)
         s3 = random_span(amb, rng, z, u, bound, entry_bound)
-        assoc_span = span_canonical(
-            span_compose(span_compose(s1, s2, amb), s3, amb), amb
-        ) == span_canonical(span_compose(s1, span_compose(s2, s3, amb), amb), amb)
-        ident_span = span_canonical(
-            span_compose(span_identity(x, amb), s1, amb), amb
-        ) == span_canonical(s1, amb) and span_canonical(
-            span_compose(s1, span_identity(y, amb), amb), amb
-        ) == span_canonical(s1, amb)
-
         c1 = random_cospan(amb, rng, x, y, bound, entry_bound)
         c2 = random_cospan(amb, rng, y, z, bound, entry_bound)
         c3 = random_cospan(amb, rng, z, u, bound, entry_bound)
-        assoc_cospan = cospan_canonical(
-            cospan_compose(cospan_compose(c1, c2, amb), c3, amb), amb
-        ) == cospan_canonical(cospan_compose(c1, cospan_compose(c2, c3, amb), amb), amb)
-        ident_cospan = cospan_canonical(
-            cospan_compose(cospan_identity(x, amb), c1, amb), amb
-        ) == cospan_canonical(c1, amb) and cospan_canonical(
-            cospan_compose(c1, cospan_identity(y, amb), amb), amb
-        ) == cospan_canonical(c1, amb)
-
-        a1, a2, a3 = gamma(c1, amb), gamma(c2, amb), gamma(c3, amb)
-        assoc_corel = corel_equal(
-            corel_compose(corel_compose(a1, a2), a3),
-            corel_compose(a1, corel_compose(a2, a3)),
-        )
-        if not (assoc_span and ident_span and assoc_cospan and ident_cospan and assoc_corel):
+        holds = laws_case(amb, s1, s2, s3, c1, c2, c3)
+        if not all(holds):
             counterexamples.append(
                 (
                     ("span1", format_span(s1)),
@@ -526,12 +538,7 @@ def check_category_laws(
                     ("cospan1", format_cospan(c1)),
                     ("cospan2", format_cospan(c2)),
                     ("cospan3", format_cospan(c3)),
-                    (
-                        "failing",
-                        f"span_assoc={assoc_span} span_id={ident_span} "
-                        f"cospan_assoc={assoc_cospan} cospan_id={ident_cospan} "
-                        f"corel_assoc={assoc_corel}",
-                    ),
+                    ("failing", " ".join(f"{flag}={h}" for flag, h in zip(_LAW_FLAGS, holds))),
                 )
             )
     return CheckReport(
@@ -904,6 +911,11 @@ def replay(report: CheckReport) -> bool:
             s1, s2 = parse_span(data["span1"], amb), parse_span(data["span2"], amb)
             if pi_functorial_case(amb, s1, s2):
                 return False
+        elif report.name == "laws":
+            spans = [parse_span(data[f"span{i}"], amb) for i in (1, 2, 3)]
+            cospans = [parse_cospan(data[f"cospan{i}"], amb) for i in (1, 2, 3)]
+            if all(laws_case(amb, *spans, *cospans)):
+                return False
         else:
-            return False  # sampled checks replay only through their seeds
+            return False  # tensor-functorial records lack the second tuple of legs
     return True

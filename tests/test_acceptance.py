@@ -10,14 +10,17 @@ report must replay.
 """
 
 import random
+import sys
 import time
 from itertools import product
+from pathlib import Path
 
 from corelate.exactnum import GF, ZZ
 from corelate.finfn import enumerate_finmaps, enumerate_partitions
 from corelate.linmap import det_int, mat, mat_mul, snf
 from corelate.literals import parse_morphism, parse_span
 from corelate.corelrel import (
+    Corelation,
     corel_compose,
     corel_equal,
     corelation_from_er,
@@ -27,12 +30,13 @@ from corelate.corelrel import (
     er_from_corelation,
     gamma,
     per_from_corelation,
+    pi,
     rel_compose,
     rel_from_subspace_rows,
     rel_subspace_rows,
     rel_to_corel,
 )
-from corelate.spancospan import Cospan, cospan_canonical, get_ambient
+from corelate.spancospan import Cospan, Span, cospan_canonical, get_ambient
 from corelate.verify import (
     assumption31_case,
     check_assumption31,
@@ -49,6 +53,12 @@ from corelate.verify import (
     witness_reachable,
 )
 from oracle_utils import invariant_factors_via_minors, random_subspace_rows
+
+# the benchmark's integer lattice oracle, which shares no code with corelate
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.insert(0, str(PERFBENCH))
+from oracles import hnf, left_kernel, z_compose  # noqa: E402
 
 F = get_ambient("f")
 F_ALL = get_ambient("f", "all")
@@ -342,3 +352,69 @@ def test_criterion_11_category_and_tensor_laws():
         if tens.verdict != "pass":
             bad.append((name, "tensor"))
     assert verdict(11, "category and tensor laws", not bad), bad
+
+
+def _lattice_rows(c: Corelation):
+    """Rows of [L | R]: the lattice in Z^(dom + cod) an integer corelation is."""
+    return tuple(a + b for a, b in zip(c.cospan.left.entries, c.cospan.right.entries))
+
+
+def _z_corelations(apex_bound: int):
+    """Every integer corelation reached from a cospan with feet <= 2, apex
+    <= apex_bound and entries in {-1, 0, 1}, keyed by its feet, in a fixed
+    order."""
+    found: dict = {}
+    for n, m, apex in product(range(3), range(3), range(apex_bound + 1)):
+        for f in Z_SPLIT.enumerate_morphisms(n, apex, 1):
+            for g in Z_SPLIT.enumerate_morphisms(m, apex, 1):
+                found.setdefault((n, m), {})[gamma(Cospan(f, g), Z_SPLIT)] = None
+    return {feet: list(cs) for feet, cs in found.items()}
+
+
+def test_criterion_12_z_composition_oracle():
+    """Integer corelation composition and pi against an independent oracle.
+
+    An integer corelation n -> m is the lattice spanned by the rows of
+    [L | R].  The oracle (``perfbench/oracles.py``) composes two lattices
+    through an integer left kernel, takes the pushout of a span as the left
+    kernel of [f; -g], and returns the Hermite basis.  The program's rows
+    must equal that basis exactly: the same lattice, in canonical form.
+    Cases: every composable pair of corelations reached from cospans with
+    feet <= 2, apex <= 1 and entries in {-1, 0, 1}; 4,000 seeded pairs at
+    apex <= 2; every span of split monos with feet and apex <= 2 and entries
+    in [-2, 2].
+    """
+    start = time.monotonic()
+    mismatches = []
+
+    def expect(rows, oracle_rows, ncols, case):
+        if rows != hnf(rows, ncols) or rows != tuple(map(tuple, oracle_rows)):
+            mismatches.append(case)
+
+    def compose_case(a, b):
+        got = _lattice_rows(corel_compose(a, b))
+        oracle = z_compose((a.dom, a.cod, _lattice_rows(a)), (b.dom, b.cod, _lattice_rows(b)))
+        expect(got, oracle[2], a.dom + b.cod, (a, b))
+
+    small = _z_corelations(1)
+    cases = 0
+    for n, k, m in product(range(3), repeat=3):
+        for a in small[(n, k)]:
+            for b in small[(k, m)]:
+                compose_case(a, b)
+                cases += 1
+    wide = _z_corelations(2)
+    rng = random.Random(12)
+    for _ in range(4000):
+        n, k, m = (rng.randrange(3) for _ in range(3))
+        compose_case(rng.choice(wide[(n, k)]), rng.choice(wide[(k, m)]))
+    for n, m, apex in product(range(3), repeat=3):
+        lefts = list(Z_SPLIT.enumerate_a_morphisms(apex, n, 2))
+        rights = list(Z_SPLIT.enumerate_a_morphisms(apex, m, 2))
+        for f, g in product(lefts, rights):
+            stacked = f.entries + tuple(tuple(-v for v in row) for row in g.entries)
+            oracle = hnf(left_kernel(stacked, apex), n + m)
+            expect(_lattice_rows(pi(Span(f, g), Z_SPLIT)), oracle, n + m, (f, g))
+    elapsed = time.monotonic() - start
+    ok = cases == 4105 and not mismatches and elapsed < 30
+    assert verdict(12, "integer composition matches the lattice oracle", ok), (cases, mismatches[:3], elapsed)

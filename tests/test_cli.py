@@ -157,6 +157,28 @@ def test_check_unexpected_verdict_exit_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, verdict",
+    [
+        # below the least bound or entry bound of a known failure: pass, exit 0
+        (("assumption31", "--C", "z", "--A", "split", "--bound", "1"), "pass"),
+        (("assumption31", "--C", "z", "--A", "split", "--bound", "2", "--entry-bound", "0"), "pass"),
+        (("assumption31", "--C", "f", "--A", "all", "--bound", "1"), "pass"),
+        (("assumption33", "--C", "f", "--A", "all", "--bound", "1"), "pass"),
+        (("assumption33", "--C", "f", "--A", "all", "--bound", "2"), "pass"),
+        (("pi-functorial", "--C", "z", "--A", "split", "--bound", "1"), "pass"),
+        # at the least bounds: fail, exit 0
+        (("assumption31", "--C", "z", "--A", "split", "--bound", "2", "--entry-bound", "1"), "fail"),
+        (("assumption33", "--C", "f", "--A", "all", "--bound", "3"), "fail"),
+        (("pi-functorial", "--C", "z", "--A", "split", "--bound", "2", "--samples", "0"), "fail"),
+    ],
+)
+def test_known_failures_respect_the_bounds(capsys, argv, verdict):
+    code, out, _ = run(capsys, "check", *argv)
+    assert f"verdict={verdict}" in out
+    assert code == 0
+
+
 def test_check_unknown_name_exit_2(capsys):
     with pytest.raises(SystemExit):
         run(capsys, "check", "bogus")

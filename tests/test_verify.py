@@ -4,14 +4,18 @@ import pytest
 
 from corelate.exactnum import GF, ZZ
 from corelate.finfn import Partition, enumerate_finmaps, fn
-from corelate.linmap import mat
+from corelate import verify
+from corelate.linmap import ExactMatrix, mat
 from corelate.corelrel import (
+    Corelation,
     PartialPartition,
+    corel_compose,
     corel_equal,
     gamma,
 )
 from corelate.spancospan import Cospan, Span, get_ambient
 from corelate.verify import (
+    CheckReport,
     Zigzag,
     assumption31_case,
     assumption33_case,
@@ -150,6 +154,32 @@ def test_tensor_functorial_all_ambients():
 def test_category_laws_all_ambients():
     for amb in (F_INJ, PF_INJ, G2, Q, Z_SPLIT):
         assert check_category_laws(amb, 2, entry_bound=2, seed=1, samples=60).verdict == "pass"
+
+
+def _compose_dropping_a_row(a, b):
+    """A planted fault: drop the last apex row of composites of apex >= 2."""
+    c = corel_compose(a, b)
+    if c.apex < 2:
+        return c
+    left, right = c.cospan
+    cut = lambda x: ExactMatrix(x.ring, x.rows - 1, x.cols, x.entries[:-1])
+    return Corelation(c.ambient, Cospan(cut(left), cut(right)))
+
+
+@pytest.mark.parametrize("amb", [G2, Z_SPLIT], ids=["gf2", "z"])
+def test_laws_counterexamples_replay(monkeypatch, amb):
+    monkeypatch.setattr(verify, "corel_compose", _compose_dropping_a_row)
+    report = check_category_laws(amb, 2, entry_bound=2, seed=1, samples=60)
+    assert report.verdict == "fail"
+    for ce in report.counterexamples:
+        assert dict(ce)["failing"] == (
+            "span_assoc=True span_id=True cospan_assoc=True cospan_id=True corel_assoc=False"
+        )
+    assert replay(report)
+    monkeypatch.undo()  # with the fault gone, no recorded tuple fails
+    assert not replay(report)
+    one = CheckReport(**{**vars(report), "counterexamples": report.counterexamples[:1]})
+    assert not replay(one)
 
 
 # --- frobenius suites -----------------------------------------------------------------
