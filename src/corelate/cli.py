@@ -35,19 +35,22 @@ from . import verify
 # subcategory) needs two points, its dual three.  Integer split monos fail
 # on 2 -> 2 cospans such as columns (1,1) and (1,-1), whose mediator has
 # determinant -2; pi-functorial finds them in its sweep, whose entries are
-# capped at 1 whatever the entry bound.  Frobenius z-corel fails on the
-# scalar 2, which does not cancel.
+# capped at min(entry bound, 1).
 KNOWN_FAILURES = {
     ("assumption31", "f", "all"): (2, 0),
     ("assumption31", "z", "split"): (2, 1),
     ("assumption33", "f", "all"): (3, 0),
-    ("pi-functorial", "z", "split"): (2, 0),
-    ("frobenius", "z-corel", "-"): (0, 0),
+    ("pi-functorial", "z", "split"): (2, 1),
 }
+# Over the integers a scalar cancels exactly when it is a unit.
+Z_UNIT_CANCELS = {"scalar_cancel(1)", "scalar_cancel(-1)"}
 
 
 def expected_verdict(report: verify.CheckReport) -> str:
     """The verdict a correct run of the report's check computes."""
+    if (report.name, report.c_name) == ("frobenius", "z-corel"):
+        scalar_laws = {label for label, _ in report.details if label.startswith("scalar_cancel(")}
+        return "fail" if scalar_laws - Z_UNIT_CANCELS else "pass"
     least = KNOWN_FAILURES.get((report.name, report.c_name, report.a_name))
     if least is None:
         return "pass"

@@ -21,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotAbelian, NotInA, TypeMismatch
-from .finfn import Partition
+from .finfn import ParMap, Partition
 from .spancospan import (
     Ambient,
     Cospan,
+    FinFnAmbient,
     MatrixAmbient,
     Span,
     cospan_identity,
@@ -239,113 +240,50 @@ def rel_corel_iso(x):
 
 
 # ---------------------------------------------------------------------------
-# partitions and partial partitions as instance semantics
-
-
-@dataclass(frozen=True)
-class PartialPartition:
-    """Disjoint nonempty sorted blocks covering a subset of the ground set."""
-
-    ground: int
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        for block in self.blocks:
-            if not block or list(block) != sorted(block):
-                raise ValueError(f"block {block} not sorted and nonempty")
-            if seen & set(block):
-                raise ValueError("blocks overlap")
-            seen |= set(block)
-        if seen - set(range(self.ground)):
-            raise ValueError("block elements outside the ground set")
-        if [b[0] for b in self.blocks] != sorted(b[0] for b in self.blocks):
-            raise ValueError("blocks not ordered by minimum")
-
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(e for b in self.blocks for e in b)
+# partitions as instance semantics
 
 
 def er_from_corelation(c: Corelation) -> Partition:
-    """Read off the apex fibers of a total-function corelation."""
-    if c.ambient.name != "f":
-        raise TypeMismatch(f"expected the total-function ambient, got {c.ambient}")
-    n, m = c.dom, c.cod
-    fibers: dict[int, list[int]] = {}
-    for i, v in enumerate(c.cospan.left.table):
+    """Read off the apex fibers of a (partial-)function corelation n -> m,
+    feet x0..x(n-1) then y0..y(m-1).
+
+    Over partial functions the partition has one more point, the basepoint
+    n + m, whose block lists the undefined points: a partial equivalence
+    relation is a pointed partition.
+    """
+    amb = c.ambient
+    if not isinstance(amb, FinFnAmbient):
+        raise TypeMismatch(f"expected a function ambient, got {amb}")
+    fibers: dict = {}
+    for i, v in enumerate(c.cospan.left.table + c.cospan.right.table):
         fibers.setdefault(v, []).append(i)
-    for j, v in enumerate(c.cospan.right.table):
-        fibers.setdefault(v, []).append(n + j)
+    ground = c.dom + c.cod
+    if amb.map_type is ParMap:
+        fibers.setdefault(None, []).append(ground)
+        ground += 1
     blocks = sorted((tuple(b) for b in fibers.values()), key=lambda b: b[0])
-    return Partition(n + m, tuple(blocks))
+    return Partition(ground, tuple(blocks))
 
 
 def corelation_from_er(p: Partition, n: int, m: int, amb: Ambient) -> Corelation:
-    """Cospan with one apex point per block; inverse of er_from_corelation."""
-    if p.ground != n + m:
-        raise TypeMismatch(f"partition ground {p.ground} != {n}+{m}")
-    index: dict[int, int] = {}
-    for k, block in enumerate(p.blocks):
+    """Cospan with one apex point per block, undefined on the basepoint's;
+    inverse of er_from_corelation."""
+    basepoint = n + m if amb.map_type is ParMap else None
+    if p.ground != n + m + (basepoint is not None):
+        raise TypeMismatch(f"partition ground {p.ground} does not fit feet {n}, {m} over {amb.name}")
+    index: dict = {}
+    apex = 0
+    for block in p.blocks:
+        if block[-1] == basepoint:
+            label = None
+        else:
+            label, apex = apex, apex + 1
         for e in block:
-            index[e] = k
-    apex = len(p.blocks)
-    from .finfn import FinMap
-
-    left = FinMap(n, apex, tuple(index[i] for i in range(n)))
-    right = FinMap(m, apex, tuple(index[n + j] for j in range(m)))
+            index[e] = label
+    make = amb.map_type
+    left = make(n, apex, tuple(index[i] for i in range(n)))
+    right = make(m, apex, tuple(index[n + j] for j in range(m)))
     return gamma(Cospan(left, right), amb)
-
-
-def per_from_corelation(c: Corelation) -> PartialPartition:
-    """Defined apex fibers of a partial-function corelation; undefined points
-    are simply missing from the blocks."""
-    if c.ambient.name != "pf":
-        raise TypeMismatch(f"expected the partial-function ambient, got {c.ambient}")
-    n, m = c.dom, c.cod
-    fibers: dict[int, list[int]] = {}
-    for i, v in enumerate(c.cospan.left.table):
-        if v is not None:
-            fibers.setdefault(v, []).append(i)
-    for j, v in enumerate(c.cospan.right.table):
-        if v is not None:
-            fibers.setdefault(v, []).append(n + j)
-    blocks = sorted((tuple(b) for b in fibers.values()), key=lambda b: b[0])
-    return PartialPartition(n + m, tuple(blocks))
-
-
-def corelation_from_per(p: PartialPartition, n: int, m: int, amb: Ambient) -> Corelation:
-    if p.ground != n + m:
-        raise TypeMismatch(f"ground {p.ground} != {n}+{m}")
-    index: dict[int, int] = {}
-    for k, block in enumerate(p.blocks):
-        for e in block:
-            index[e] = k
-    apex = len(p.blocks)
-    from .finfn import ParMap
-
-    left = ParMap(n, apex, tuple(index.get(i) for i in range(n)))
-    right = ParMap(m, apex, tuple(index.get(n + j) for j in range(m)))
-    return gamma(Cospan(left, right), amb)
-
-
-def enumerate_partial_partitions(ground: int):
-    """All partial partitions of {0, ..., ground-1}."""
-
-    def rec(i: int, blocks: list[list[int]]):
-        if i == ground:
-            yield PartialPartition(ground, tuple(tuple(b) for b in blocks))
-            return
-        yield from rec(i + 1, blocks)  # i left out
-        for b in blocks:
-            b.append(i)
-            yield from rec(i + 1, blocks)
-            b.pop()
-        blocks.append([i])
-        yield from rec(i + 1, blocks)
-        blocks.pop()
-
-    yield from rec(0, [])
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 Objects are the ordinals {0, ..., n-1}; 0 is the empty set and the tensor
 unit.  ``FinMap`` carries the arrows of the props of all / injective /
-surjective functions, ``ParMap`` those of partial functions.  Partial maps
-are stored with ``None`` entries; the pointed-set encoding (adjoin a
-basepoint) is internal to pullbacks, pushouts and ``glue_compose``, the
-one-pass composite of corelations that serves both kinds of map.
+surjective functions, ``ParMap`` those of partial functions.  A partial map
+is a pointed total map: each ordinal gains a basepoint, and a ``ParMap``
+stores the entries that hit it as ``None``.  One set of kernels (composite,
+tensor, pullback, pushout, factorisation, the E and M tests, and
+``glue_compose``, the one-pass composite of corelations) serves both kinds
+of map and returns maps of the type it was given.
 """
 
 from __future__ import annotations
@@ -80,29 +82,32 @@ class UnionFind:
 
 
 # ---------------------------------------------------------------------------
-# total maps
+# kernels: ``None`` is the basepoint, which total maps never hit
 
 
 def fn_identity(n: int) -> FinMap:
     return FinMap(n, n, tuple(range(n)))
 
 
-def fn_compose(f: FinMap, g: FinMap) -> FinMap:
-    """Diagrammatic composite: first f, then g."""
+def fn_compose(f, g):
+    """Diagrammatic composite: first f, then g; undefined propagates."""
     if f.cod != g.dom:
         raise TypeMismatch(f"cod {f.cod} != dom {g.dom}")
     gt = g.table
-    return FinMap(f.dom, g.cod, tuple(gt[v] for v in f.table))
+    return type(f)(f.dom, g.cod, tuple(None if v is None else gt[v] for v in f.table))
 
 
-def fn_tensor(*fs: FinMap) -> FinMap:
-    """Side-by-side sum of any number of maps, left to right."""
-    table: list[int] = []
+def fn_tensor(*fs):
+    """Side-by-side sum of one or more maps, left to right."""
+    table: list = []
     shift = 0
     for f in fs:
-        table.extend(v + shift for v in f.table)
+        try:
+            table.extend([v + shift for v in f.table])
+        except TypeError:  # a None entry: the piece is partial
+            table.extend([None if v is None else v + shift for v in f.table])
         shift += f.cod
-    return FinMap(len(table), shift, tuple(table))
+    return type(fs[0])(len(table), shift, tuple(table))
 
 
 def fn_symmetry(n: int, m: int) -> FinMap:
@@ -110,78 +115,95 @@ def fn_symmetry(n: int, m: int) -> FinMap:
     return FinMap(n + m, m + n, tuple(range(m, m + n)) + tuple(range(m)))
 
 
-def fn_classify(f: FinMap) -> tuple[bool, bool]:
+def fn_classify(f) -> tuple[bool, bool]:
     """(injective?, surjective?) flags of the table."""
+    return fn_is_injective(f), fn_is_surjective(f)
+
+
+def fn_is_injective(f) -> bool:
+    """Total and injective: the M class of both props."""
+    return None not in f.table and len(set(f.table)) == f.dom
+
+
+def fn_is_surjective(f) -> bool:
+    """The defined image covers the codomain: the E class of both props."""
     hit = set(f.table)
-    return len(hit) == f.dom, len(hit) == f.cod
+    hit.discard(None)
+    return len(hit) == f.cod
 
 
-def fn_is_injective(f: FinMap) -> bool:
-    return len(set(f.table)) == f.dom
-
-
-def fn_is_surjective(f: FinMap) -> bool:
-    return len(set(f.table)) == f.cod
-
-
-def fn_factorize(f: FinMap) -> tuple[FinMap, FinMap]:
-    """Surjection-injection factorisation e;m = f.
+def fn_factorize(f):
+    """(Partial) surjection-injection factorisation e;m = f.
 
     m is the sorted inclusion of the image, the canonical representative of
-    the factorisation.
+    the factorisation, and is total; e is undefined where f is.
     """
-    image = sorted(set(f.table))
+    image = set(f.table)
+    image.discard(None)
+    image = sorted(image)
     index = {v: i for i, v in enumerate(image)}
-    e = FinMap(f.dom, len(image), tuple(index[v] for v in f.table))
-    m = FinMap(len(image), f.cod, tuple(image))
+    index[None] = None
+    make = type(f)
+    e = make(f.dom, len(image), tuple(map(index.__getitem__, f.table)))
+    m = make(len(image), f.cod, tuple(image))
     return e, m
 
 
-def fn_pullback(f: FinMap, g: FinMap) -> tuple[FinMap, FinMap]:
-    """Pullback of the cospan (f, g): apex of matching pairs, lex ordered."""
+def fn_pullback(f, g):
+    """Pullback of the cospan (f, g): apex of matching pairs, lex ordered.
+
+    In the pointed encoding each domain gains a basepoint over the
+    codomain's; the pair of basepoints is dropped from the apex, and a
+    basepoint coordinate decodes to an undefined leg entry.
+    """
     if f.cod != g.cod:
         raise TypeMismatch(f"cospan feet disagree: {f.cod} vs {g.cod}")
-    pairs = [(x, y) for x in range(f.dom) for y in range(g.dom) if f.table[x] == g.table[y]]
-    p1 = FinMap(len(pairs), f.dom, tuple(x for x, _ in pairs))
-    p2 = FinMap(len(pairs), g.dom, tuple(y for _, y in pairs))
+    fdom, gdom = f.dom, g.dom
+    gt = g.table + (None,)
+    pairs = [(x, y) for x, a in enumerate(f.table + (None,)) for y, b in enumerate(gt) if a == b]
+    pairs.pop()  # (fdom, gdom), last in lex order
+    make = type(f)
+    p1 = make(len(pairs), fdom, tuple(None if x == fdom else x for x, _ in pairs))
+    p2 = make(len(pairs), gdom, tuple(None if y == gdom else y for _, y in pairs))
     return p1, p2
 
 
-def fn_pushout(f: FinMap, g: FinMap) -> tuple[FinMap, FinMap]:
-    """Pushout of the span (f, g) by union-find on cod(f) + cod(g).
+def fn_pushout(f, g):
+    """Pushout of the span (f, g) by union-find on cod(f) + cod(g) + the
+    basepoint.
 
-    Apex classes are numbered by first occurrence scanning cod(f) then
-    cod(g), which makes the output deterministic for downstream canonical
-    forms.
+    Classes glued onto the basepoint decode to undefined; the others are
+    numbered by first occurrence scanning cod(f) then cod(g), which makes
+    the output deterministic for downstream canonical forms.
     """
     if f.dom != g.dom:
         raise TypeMismatch(f"span apexes disagree: {f.dom} vs {g.dom}")
     n1, n2 = f.cod, g.cod
-    uf = UnionFind(n1 + n2)
-    ft, gt = f.table, g.table
-    for x in range(f.dom):
-        uf.union(ft[x], n1 + gt[x])
-    index: dict[int, int] = {}
+    bot = n1 + n2
+    uf = UnionFind(bot + 1)
+    for a, b in zip(f.table, g.table):
+        uf.union(bot if a is None else a, bot if b is None else n1 + b)
+    index: dict = {uf.find(bot): None}
     q = []
-    for e in range(n1 + n2):
+    for e in range(bot):
         root = uf.find(e)
         if root not in index:
-            index[root] = len(index)
+            index[root] = len(index) - 1
         q.append(index[root])
-    apex = len(index)
-    return FinMap(n1, apex, tuple(q[:n1])), FinMap(n2, apex, tuple(q[n1:]))
+    apex = len(index) - 1
+    make = type(f)
+    return make(n1, apex, tuple(q[:n1])), make(n2, apex, tuple(q[n1:]))
 
 
 def glue_compose(left1, right1, left2, right2):
     """Canonical jointly-epi composite of the cospans (left1, right1) and
     (left2, right2) of total or partial maps, in one union-find pass.
 
-    The pushout glues right1[j] to left2[j] on apex1 + apex2; the classes
-    reached from left1 or right2 are the image of the composite legs, and
-    numbering them by first occurrence, scanning left1 then right2, is the
-    canonical apex order.  Partial maps use the pointed encoding: ``None``
-    is one more point, the basepoint, and a class glued to it decodes to
-    ``None``.  Returns the two legs, of the type of ``left1``.
+    The pushout glues right1[j] to left2[j] on apex1 + apex2 + basepoint;
+    the classes reached from left1 or right2 are the image of the composite
+    legs, and numbering them by first occurrence, scanning left1 then
+    right2, is the canonical apex order.  A class glued to the basepoint
+    decodes to ``None``.  Returns the two legs, of the type of ``left1``.
     """
     if right1.dom != left2.dom:
         raise TypeMismatch(f"feet disagree: {right1.dom} vs {left2.dom}")
@@ -237,121 +259,6 @@ def enumerate_finmaps(dom: int, cod: int):
         if i < 0:
             return
         table[i] += 1
-
-
-# ---------------------------------------------------------------------------
-# partial maps
-
-_BOT = None  # alias for readability in the pointed encoding helpers
-
-
-def _to_pointed(f: ParMap) -> FinMap:
-    # basepoint is the last element on each side
-    bot = f.cod
-    table = tuple(bot if v is None else v for v in f.table) + (bot,)
-    return FinMap(f.dom + 1, f.cod + 1, table)
-
-
-def par_identity(n: int) -> ParMap:
-    return ParMap(n, n, tuple(range(n)))
-
-
-def par_compose(f: ParMap, g: ParMap) -> ParMap:
-    """Kleene composition: undefined propagates."""
-    if f.cod != g.dom:
-        raise TypeMismatch(f"cod {f.cod} != dom {g.dom}")
-    gt = g.table
-    return ParMap(f.dom, g.cod, tuple(_BOT if v is None else gt[v] for v in f.table))
-
-
-def par_tensor(*fs: ParMap) -> ParMap:
-    """Side-by-side sum of any number of partial maps, left to right."""
-    table: list[Optional[int]] = []
-    shift = 0
-    for f in fs:
-        table.extend(_BOT if v is None else v + shift for v in f.table)
-        shift += f.cod
-    return ParMap(len(table), shift, tuple(table))
-
-
-def par_symmetry(n: int, m: int) -> ParMap:
-    return ParMap(n + m, m + n, tuple(range(m, m + n)) + tuple(range(m)))
-
-
-def par_is_total(f: ParMap) -> bool:
-    return all(v is not None for v in f.table)
-
-
-def par_is_injection(f: ParMap) -> bool:
-    """Total and injective: the M class of the partial-function prop."""
-    return par_is_total(f) and len(set(f.table)) == f.dom
-
-
-def par_is_surjection(f: ParMap) -> bool:
-    """Defined image covers the codomain: the E class."""
-    return len({v for v in f.table if v is not None}) == f.cod
-
-
-def par_factorize(f: ParMap) -> tuple[ParMap, ParMap]:
-    """(partial surjection onto the image, total injection)."""
-    image = sorted({v for v in f.table if v is not None})
-    index = {v: i for i, v in enumerate(image)}
-    e = ParMap(
-        f.dom, len(image), tuple(_BOT if v is None else index[v] for v in f.table)
-    )
-    m = ParMap(len(image), f.cod, tuple(image))
-    return e, m
-
-
-def par_pullback(f: ParMap, g: ParMap) -> tuple[ParMap, ParMap]:
-    """Pullback computed in the pointed-set encoding.
-
-    The basepoint pair is dropped from the apex; pairs whose coordinate is
-    the basepoint decode to undefined leg entries.
-    """
-    if f.cod != g.cod:
-        raise TypeMismatch(f"cospan feet disagree: {f.cod} vs {g.cod}")
-    pf, pg = _to_pointed(f), _to_pointed(g)
-    botf, botg = f.dom, g.dom
-    pairs = [
-        (x, y)
-        for x in range(pf.dom)
-        for y in range(pg.dom)
-        if pf.table[x] == pg.table[y] and not (x == botf and y == botg)
-    ]
-    p1 = ParMap(len(pairs), f.dom, tuple(_BOT if x == botf else x for x, _ in pairs))
-    p2 = ParMap(len(pairs), g.dom, tuple(_BOT if y == botg else y for _, y in pairs))
-    return p1, p2
-
-
-def par_pushout(f: ParMap, g: ParMap) -> tuple[ParMap, ParMap]:
-    """Pushout via the pointed encoding: classes glued onto the basepoint
-    class become undefined; remaining classes keep first-occurrence order."""
-    if f.dom != g.dom:
-        raise TypeMismatch(f"span apexes disagree: {f.dom} vs {g.dom}")
-    n1, n2 = f.cod, g.cod
-    # pointed union-find over cod(f) + cod(g) + basepoint
-    bot = n1 + n2
-    uf = UnionFind(n1 + n2 + 1)
-    for x in range(f.dom):
-        a = f.table[x]
-        b = g.table[x]
-        ia = bot if a is None else a
-        ib = bot if b is None else n1 + b
-        uf.union(ia, ib)
-    bot_root = uf.find(bot)
-    index: dict[int, int] = {}
-    q: list[Optional[int]] = []
-    for e in range(n1 + n2):
-        root = uf.find(e)
-        if root == bot_root:
-            q.append(_BOT)
-            continue
-        if root not in index:
-            index[root] = len(index)
-        q.append(index[root])
-    apex = len(index)
-    return ParMap(n1, apex, tuple(q[:n1])), ParMap(n2, apex, tuple(q[n1:]))
 
 
 def enumerate_parmaps(dom: int, cod: int):

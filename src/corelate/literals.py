@@ -138,15 +138,14 @@ def format_partition_blocks(blocks, n: int) -> str:
 
 
 def format_corelation(c) -> str:
-    from .corelrel import er_from_corelation, per_from_corelation
+    from .corelrel import er_from_corelation
 
     name = c.ambient.name
-    if name == "f":
-        p = er_from_corelation(c)
-        return f"corel f {c.dom} -> {c.cod} : {format_partition_blocks(p.blocks, c.dom)}"
-    if name == "pf":
-        p = per_from_corelation(c)
-        return f"corel pf {c.dom} -> {c.cod} : {format_partition_blocks(p.blocks, c.dom)}"
+    if name in ("f", "pf"):
+        # the block of the partial-function basepoint is not printed
+        feet = c.dom + c.cod
+        blocks = [b for b in er_from_corelation(c).blocks if b[-1] < feet]
+        return f"corel {name} {c.dom} -> {c.cod} : {format_partition_blocks(blocks, c.dom)}"
     return f"corel {name} {c.dom} -> {c.cod} : {format_cospan(c.cospan)}"
 
 

@@ -159,13 +159,18 @@ class Ambient:
 
 
 class FinFnAmbient(Ambient):
-    """Total functions on finite ordinals; (surjections, injections)."""
+    """Total functions on finite ordinals; (surjections, injections).
+
+    Every operation also serves partial maps, read as pointed total maps
+    (see :mod:`finfn`), and builds its results with ``map_type``.
+    """
 
     name = "f"
+    map_type = FinMap
 
     def __init__(self, a_name: str = "inj"):
         if a_name not in ("inj", "all"):
-            raise UnknownAmbient(f"unknown subcategory {a_name!r} for f")
+            raise UnknownAmbient(f"unknown subcategory {a_name!r} for {self.name}")
         self.a_name = a_name
 
     def dom(self, f):
@@ -175,7 +180,7 @@ class FinFnAmbient(Ambient):
         return f.cod
 
     def identity(self, n):
-        return finfn.fn_identity(n)
+        return self.map_type(*finfn.fn_identity(n))
 
     def compose(self, f, g):
         return finfn.fn_compose(f, g)
@@ -184,7 +189,7 @@ class FinFnAmbient(Ambient):
         return finfn.fn_tensor(*fs)
 
     def symmetry(self, n, m):
-        return finfn.fn_symmetry(n, m)
+        return self.map_type(*finfn.fn_symmetry(n, m))
 
     def pullback(self, f, g):
         return finfn.fn_pullback(f, g)
@@ -207,62 +212,61 @@ class FinFnAmbient(Ambient):
     def copair(self, f, g):
         if f.cod != g.cod:
             raise TypeMismatch("copairing needs a common codomain")
-        return FinMap(f.dom + g.dom, f.cod, f.table + g.table)
+        return self.map_type(f.dom + g.dom, f.cod, f.table + g.table)
 
     def split_copair(self, h, n, m):
-        return FinMap(n, h.cod, h.table[:n]), FinMap(m, h.cod, h.table[n:])
+        make = self.map_type
+        return make(n, h.cod, h.table[:n]), make(m, h.cod, h.table[n:])
 
     def pushout_mediator(self, q1, q2, f, g):
-        apex = q1.cod
-        table: list[Optional[int]] = [None] * apex
-        for x in range(q1.dom):
-            table[q1.table[x]] = f.table[x]
-        for y in range(q2.dom):
-            v = g.table[y]
-            prev = table[q2.table[y]]
-            if prev is not None and prev != v:
-                raise TypeMismatch("not a cocone")
-            table[q2.table[y]] = v
-        if any(v is None for v in table):
+        table: list = [()] * q1.cod  # () marks an apex point not yet reached
+        for a, v in zip(q1.table, f.table):
+            if a is not None:
+                table[a] = v
+        for a, v in zip(q2.table, g.table):
+            if a is not None:
+                if table[a] != () and table[a] != v:
+                    raise TypeMismatch("not a cocone")
+                table[a] = v
+        if () in table:
             raise TypeMismatch("pushout legs not jointly surjective")
-        return FinMap(apex, f.cod, tuple(table))
+        return self.map_type(q1.cod, f.cod, tuple(table))
 
     def pullback_mediator(self, p1, p2, f, g):
         index = {(p1.table[i], p2.table[i]): i for i in range(p1.dom)}
-        table = tuple(index[(f.table[z], g.table[z])] for z in range(f.dom))
-        return FinMap(f.dom, p1.dom, table)
+        index[(None, None)] = None
+        table = tuple(index[pair] for pair in zip(f.table, g.table))
+        return self.map_type(f.dom, p1.dom, table)
 
     def solve_postcompose(self, m, f):
         if m.cod != f.cod:
             raise TypeMismatch("codomains differ")
         inverse = {v: i for i, v in enumerate(m.table)}
-        table = []
-        for v in f.table:
-            if v not in inverse:
-                return None
-            table.append(inverse[v])
-        return FinMap(f.dom, m.dom, tuple(table))
+        inverse[None] = None
+        if any(v not in inverse for v in f.table):
+            return None
+        return self.map_type(f.dom, m.dom, tuple(inverse[v] for v in f.table))
 
     def canonical_cospan(self, c):
         lt, rt = c.left.table, c.right.table
         apex = c.left.cod
-        relabel: dict[int, int] = {}
+        relabel: dict = {None: None}
         for v in lt + rt:
             if v not in relabel:
-                relabel[v] = len(relabel)
+                relabel[v] = len(relabel) - 1
         for v in range(apex):
             if v not in relabel:
-                relabel[v] = len(relabel)
-        return Cospan(
-            FinMap(len(lt), apex, tuple(relabel[v] for v in lt)),
-            FinMap(len(rt), apex, tuple(relabel[v] for v in rt)),
-        )
+                relabel[v] = len(relabel) - 1
+        make, get = self.map_type, relabel.__getitem__
+        return Cospan(make(len(lt), apex, tuple(map(get, lt))), make(len(rt), apex, tuple(map(get, rt))))
 
     def canonical_span(self, s):
-        pairs = sorted(zip(s.left.table, s.right.table))
+        key = lambda p: tuple(-1 if v is None else v for v in p)
+        pairs = sorted(zip(s.left.table, s.right.table), key=key)
+        make = self.map_type
         return Span(
-            FinMap(len(pairs), s.left.cod, tuple(x for x, _ in pairs)),
-            FinMap(len(pairs), s.right.cod, tuple(y for _, y in pairs)),
+            make(len(pairs), s.left.cod, tuple(x for x, _ in pairs)),
+            make(len(pairs), s.right.cod, tuple(y for _, y in pairs)),
         )
 
     def compose_corelations(self, c1, c2):
@@ -281,129 +285,14 @@ class FinFnAmbient(Ambient):
             return self.random_morphism(rng, dom, cod)
         if dom > cod:
             raise NoSuchMorphism(f"no injections {dom} -> {cod}")
-        return FinMap(dom, cod, tuple(rng.sample(range(cod), dom)))
+        return self.map_type(dom, cod, tuple(rng.sample(range(cod), dom)))
 
 
-class ParFnAmbient(Ambient):
+class ParFnAmbient(FinFnAmbient):
     """Partial functions; (partial surjections, total injections)."""
 
     name = "pf"
-
-    def __init__(self, a_name: str = "inj"):
-        if a_name not in ("inj", "all"):
-            raise UnknownAmbient(f"unknown subcategory {a_name!r} for pf")
-        self.a_name = a_name
-
-    def dom(self, f):
-        return f.dom
-
-    def cod(self, f):
-        return f.cod
-
-    def identity(self, n):
-        return finfn.par_identity(n)
-
-    def compose(self, f, g):
-        return finfn.par_compose(f, g)
-
-    def tensor(self, *fs):
-        return finfn.par_tensor(*fs)
-
-    def symmetry(self, n, m):
-        return finfn.par_symmetry(n, m)
-
-    def pullback(self, f, g):
-        return finfn.par_pullback(f, g)
-
-    def pushout(self, f, g):
-        return finfn.par_pushout(f, g)
-
-    def factorize(self, f):
-        return finfn.par_factorize(f)
-
-    def in_e(self, f):
-        return finfn.par_is_surjection(f)
-
-    def in_m(self, f):
-        return finfn.par_is_injection(f)
-
-    def in_a(self, f):
-        return True if self.a_name == "all" else finfn.par_is_injection(f)
-
-    def copair(self, f, g):
-        if f.cod != g.cod:
-            raise TypeMismatch("copairing needs a common codomain")
-        return ParMap(f.dom + g.dom, f.cod, f.table + g.table)
-
-    def split_copair(self, h, n, m):
-        return ParMap(n, h.cod, h.table[:n]), ParMap(m, h.cod, h.table[n:])
-
-    def pushout_mediator(self, q1, q2, f, g):
-        apex = q1.cod
-        table: list = [()] * apex  # sentinel: () means "not yet set"
-        for x in range(q1.dom):
-            a = q1.table[x]
-            if a is not None:
-                table[a] = f.table[x]
-        for y in range(q2.dom):
-            a = q2.table[y]
-            if a is not None:
-                v = g.table[y]
-                if table[a] != () and table[a] != v:
-                    raise TypeMismatch("not a cocone")
-                table[a] = v
-        if any(v == () for v in table):
-            raise TypeMismatch("pushout legs not jointly surjective")
-        return ParMap(apex, f.cod, tuple(table))
-
-    def pullback_mediator(self, p1, p2, f, g):
-        index = {(p1.table[i], p2.table[i]): i for i in range(p1.dom)}
-        table = []
-        for z in range(f.dom):
-            key = (f.table[z], g.table[z])
-            table.append(None if key == (None, None) else index[key])
-        return ParMap(f.dom, p1.dom, tuple(table))
-
-    def solve_postcompose(self, m, f):
-        if m.cod != f.cod:
-            raise TypeMismatch("codomains differ")
-        inverse = {v: i for i, v in enumerate(m.table) if v is not None}
-        table = []
-        for v in f.table:
-            if v is None:
-                table.append(None)
-            elif v in inverse:
-                table.append(inverse[v])
-            else:
-                return None
-        return ParMap(f.dom, m.dom, tuple(table))
-
-    def canonical_cospan(self, c):
-        lt, rt = c.left.table, c.right.table
-        apex = c.left.cod
-        relabel: dict[int, int] = {}
-        for v in lt + rt:
-            if v is not None and v not in relabel:
-                relabel[v] = len(relabel)
-        for v in range(apex):
-            if v not in relabel:
-                relabel[v] = len(relabel)
-        remap = lambda v: None if v is None else relabel[v]
-        return Cospan(
-            ParMap(len(lt), apex, tuple(remap(v) for v in lt)),
-            ParMap(len(rt), apex, tuple(remap(v) for v in rt)),
-        )
-
-    def canonical_span(self, s):
-        key = lambda p: tuple(-1 if v is None else v for v in p)
-        pairs = sorted(zip(s.left.table, s.right.table), key=key)
-        return Span(
-            ParMap(len(pairs), s.left.cod, tuple(x for x, _ in pairs)),
-            ParMap(len(pairs), s.right.cod, tuple(y for _, y in pairs)),
-        )
-
-    def compose_corelations(self, c1, c2):
-        return Cospan(*finfn.glue_compose(c1.left, c1.right, c2.left, c2.right))
+    map_type = ParMap
 
     def enumerate_morphisms(self, dom, cod, entry_bound=None):
         return finfn.enumerate_parmaps(dom, cod)
@@ -411,13 +300,6 @@ class ParFnAmbient(Ambient):
     def random_morphism(self, rng, dom, cod, entry_bound=None):
         values = [None] + list(range(cod))
         return ParMap(dom, cod, tuple(rng.choice(values) for _ in range(dom)))
-
-    def random_a_morphism(self, rng, dom, cod, entry_bound=None):
-        if self.a_name == "all":
-            return self.random_morphism(rng, dom, cod)
-        if dom > cod:
-            raise NoSuchMorphism(f"no injections {dom} -> {cod}")
-        return ParMap(dom, cod, tuple(rng.sample(range(cod), dom)))
 
 
 class MatrixAmbient(Ambient):

@@ -4,7 +4,7 @@ Each check enumerates (or, above a case budget, samples with a fixed seed)
 configurations at desk scale, recompiles the categorical construction from
 scratch, and reports failures as replayable literals.  The oracles here are
 deliberately independent of the canonical-form code paths they validate:
-partition gluing runs on union-find, subspace composition on exhaustive
+partition gluing runs on class relabelling, subspace composition on exhaustive
 vector enumeration, and corelation equality on a bounded witness-closure
 search.
 """
@@ -21,7 +21,6 @@ from .errors import TypeMismatch
 from .exactnum import Ring
 from .finfn import Partition
 from .corelrel import (
-    PartialPartition,
     corel_compose,
     corel_equal,
     corel_tensor,
@@ -86,41 +85,6 @@ class CheckReport:
         return record
 
 
-@dataclass(frozen=True)
-class Zigzag:
-    """Alternating forward/backward morphisms with matching endpoints.
-
-    Steps are ("fwd", f) or ("bwd", f); a forward step runs dom(f) -> cod(f),
-    a backward step runs cod(f) -> dom(f).
-    """
-
-    steps: tuple
-
-    def validate(self, amb: Ambient) -> None:
-        at = None
-        for direction, f in self.steps:
-            src, dst = (amb.dom(f), amb.cod(f)) if direction == "fwd" else (amb.cod(f), amb.dom(f))
-            if at is not None and at != src:
-                raise TypeMismatch(f"zigzag endpoints disagree: {at} vs {src}")
-            at = dst
-
-    def to_span(self, amb: Ambient) -> Span:
-        self.validate(amb)
-        out = None
-        for direction, f in self.steps:
-            s = embed_fwd_span(f, amb) if direction == "fwd" else embed_bwd_span(f, amb)
-            out = s if out is None else span_compose(out, s, amb)
-        return out
-
-    def to_cospan(self, amb: Ambient) -> Cospan:
-        self.validate(amb)
-        out = None
-        for direction, f in self.steps:
-            c = embed_fwd_cospan(f, amb) if direction == "fwd" else embed_bwd_cospan(f, amb)
-            out = c if out is None else cospan_compose(out, c, amb)
-        return out
-
-
 # ---------------------------------------------------------------------------
 # single-case checkers (shared by sweeps and replay)
 
@@ -145,11 +109,10 @@ def assumption33_case(amb: Ambient, f, g):
 
 def square_case(amb: Ambient, f) -> bool:
     """Both orientations of the square on a single morphism of A."""
-    fwd = Zigzag((("fwd", f),))
-    bwd = Zigzag((("bwd", f),))
-    return pi(fwd.to_span(amb), amb) == gamma(fwd.to_cospan(amb), amb) and pi(
-        bwd.to_span(amb), amb
-    ) == gamma(bwd.to_cospan(amb), amb)
+    return (
+        pi(embed_fwd_span(f, amb), amb) == gamma(embed_fwd_cospan(f, amb), amb)
+        and pi(embed_bwd_span(f, amb), amb) == gamma(embed_bwd_cospan(f, amb), amb)
+    )
 
 
 def pi_functorial_case(amb: Ambient, s1: Span, s2: Span) -> bool:
@@ -401,7 +364,7 @@ def check_pi_functorial(
         )
 
     for shape in _SHAPES:
-        for s1, s2 in _enumerate_shape_pairs(amb, min(bound, 2), 1, shape, budget=3000):
+        for s1, s2 in _enumerate_shape_pairs(amb, min(bound, 2), min(entry_bound, 1), shape, budget=3000):
             if not pi_functorial_case(amb, s1, s2):
                 record(shape, s1, s2)
     for k in range(samples):
@@ -745,60 +708,47 @@ def oracle_er_compose(p1: Partition, p2: Partition, n: int, z: int, m: int) -> P
     """Glue equivalence classes along shared middle witnesses, then restrict."""
     if p1.ground != n + z or p2.ground != z + m:
         raise TypeMismatch("partition grounds do not match the feet")
-    from .finfn import UnionFind
+    return Partition(n + m, _glue(p1.blocks, p2.blocks, n, z, m))
 
-    uf = UnionFind(n + z + m)
-    for block in p1.blocks:
-        for e in block[1:]:
-            uf.union(block[0], e)
-    for block in p2.blocks:
-        shifted = [e + n for e in block]
-        for e in shifted[1:]:
-            uf.union(shifted[0], e)
-    keep = list(range(n)) + list(range(n + z, n + z + m))
+
+def oracle_per_compose(p1: Partition, p2: Partition, n: int, z: int, m: int) -> Partition:
+    """Pointed gluing of partitions with basepoints n + z and z + m.
+
+    The basepoint of p1 is read as one more middle point, and the basepoint
+    block of p2 joins it on its way to the composite's basepoint n + m, so
+    the total gluing does the rest.
+    """
+    if p1.ground != n + z + 1 or p2.ground != z + m + 1:
+        raise TypeMismatch("partition grounds do not match the feet")
+    lifted = [
+        tuple(e for e in block if e < z)
+        + ((z,) if block[-1] == z + m else ())
+        + tuple(e + 1 for e in block if e >= z)
+        for block in p2.blocks
+    ]
+    return Partition(n + m + 1, _glue(p1.blocks, lifted, n, z + 1, m + 1))
+
+
+def _glue(blocks1, blocks2, n: int, z: int, m: int) -> tuple:
+    """Blocks of n + m from blocks of n + z and of z + m, by relabelling:
+    each point of n + z + m carries the label of its class, and every block
+    of the second side relabels all the classes it meets to one."""
+    label = list(range(n + z + m))
+    for block in blocks1:
+        for e in block:
+            label[e] = block[0]
+    for block in blocks2:
+        met = {label[n + e] for e in block}
+        if len(met) > 1:
+            to = min(met)
+            label = [to if x in met else x for x in label]
+    # first occurrence in increasing order lists the blocks by their minimum
     groups: dict[int, list[int]] = {}
-    for e in keep:
-        groups.setdefault(uf.find(e), []).append(e)
-    renum = lambda e: e if e < n else e - z
-    blocks = sorted((tuple(renum(e) for e in g) for g in groups.values()), key=lambda b: b[0])
-    return Partition(n + m, tuple(blocks))
-
-
-def oracle_per_compose(
-    p1: PartialPartition, p2: PartialPartition, n: int, z: int, m: int
-) -> PartialPartition:
-    """Pointed-set gluing: undefined elements join a basepoint class, and
-    everything glued onto the basepoint is dropped from the result."""
-    if p1.ground != n + z or p2.ground != z + m:
-        raise TypeMismatch("grounds do not match the feet")
-    from .finfn import UnionFind
-
-    bot = n + z + m
-    uf = UnionFind(n + z + m + 1)
-    sup1, sup2 = p1.support, p2.support
-    for block in p1.blocks:
-        for e in block[1:]:
-            uf.union(block[0], e)
-    for e in range(n + z):
-        if e not in sup1:
-            uf.union(e, bot)
-    for block in p2.blocks:
-        shifted = [e + n for e in block]
-        for e in shifted[1:]:
-            uf.union(shifted[0], e)
-    for e in range(z + m):
-        if e not in sup2:
-            uf.union(e + n, bot)
-    bot_root = uf.find(bot)
-    keep = list(range(n)) + list(range(n + z, n + z + m))
-    groups: dict[int, list[int]] = {}
-    for e in keep:
-        root = uf.find(e)
-        if root != bot_root:
-            groups.setdefault(root, []).append(e)
-    renum = lambda e: e if e < n else e - z
-    blocks = sorted((tuple(renum(e) for e in g) for g in groups.values()), key=lambda b: b[0])
-    return PartialPartition(n + m, tuple(blocks))
+    for e in range(n):
+        groups.setdefault(label[e], []).append(e)
+    for e in range(n + z, n + z + m):
+        groups.setdefault(label[e], []).append(e - z)
+    return tuple(tuple(g) for g in groups.values())
 
 
 def _reduce_against(rows, vec, ring: Ring):

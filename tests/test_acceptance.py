@@ -16,7 +16,7 @@ from itertools import product
 from pathlib import Path
 
 from corelate.exactnum import GF, ZZ
-from corelate.finfn import enumerate_finmaps, enumerate_partitions
+from corelate.finfn import enumerate_partitions
 from corelate.linmap import det_int, mat, mat_mul, snf
 from corelate.literals import parse_morphism, parse_span
 from corelate.corelrel import (
@@ -24,12 +24,9 @@ from corelate.corelrel import (
     corel_compose,
     corel_equal,
     corelation_from_er,
-    corelation_from_per,
     corel_to_rel,
-    enumerate_partial_partitions,
     er_from_corelation,
     gamma,
-    per_from_corelation,
     pi,
     rel_compose,
     rel_from_subspace_rows,
@@ -98,21 +95,20 @@ def test_criterion_01_er_oracle_equivalence():
 
 
 def test_criterion_02_per_oracle_equivalence():
+    # a PER is a partition with one more point, the basepoint
     mismatches = 0
     for z in BOUND3:
         for n in BOUND3:
             left = [
-                (p, corelation_from_per(p, n, z, PF))
-                for p in enumerate_partial_partitions(n + z)
+                (p, corelation_from_er(p, n, z, PF)) for p in enumerate_partitions(n + z + 1)
             ]
             for m in BOUND3:
                 right = [
-                    (p, corelation_from_per(p, z, m, PF))
-                    for p in enumerate_partial_partitions(z + m)
+                    (p, corelation_from_er(p, z, m, PF)) for p in enumerate_partitions(z + m + 1)
                 ]
                 for p1, a in left:
                     for p2, b in right:
-                        got = per_from_corelation(corel_compose(a, b))
+                        got = er_from_corelation(corel_compose(a, b))
                         if got != oracle_per_compose(p1, p2, n, z, m):
                             mismatches += 1
     assert verdict(2, "PER oracle equivalence", mismatches == 0), mismatches
@@ -241,29 +237,30 @@ def test_criterion_06_pi_functoriality():
 
 
 def test_criterion_07_canonical_form_soundness():
-    cache: dict = {}
     mismatches = 0
-    for n in range(3):
-        for m in range(3):
-            cospans = [
-                Cospan(f, g)
-                for apex in range(4)
-                for f in enumerate_finmaps(n, apex)
-                for g in enumerate_finmaps(m, apex)
-            ]
-            reach = {
-                c: witness_reachable(
-                    c, F, depth=3, apex_bound=3, witness_cache=cache
-                )
-                for c in cospans
-            }
-            quotients = {c: gamma(c, F) for c in cospans}
-            for c1 in cospans:
-                for c2 in cospans:
-                    canonical_eq = corel_equal(quotients[c1], quotients[c2])
-                    oracle_eq = c2 in reach[c1]
-                    if canonical_eq != oracle_eq:
-                        mismatches += 1
+    for amb in (F, PF):
+        cache: dict = {}
+        for n in range(3):
+            for m in range(3):
+                cospans = [
+                    Cospan(f, g)
+                    for apex in range(4)
+                    for f in amb.enumerate_morphisms(n, apex)
+                    for g in amb.enumerate_morphisms(m, apex)
+                ]
+                reach = {
+                    c: witness_reachable(
+                        c, amb, depth=3, apex_bound=3, witness_cache=cache
+                    )
+                    for c in cospans
+                }
+                quotients = {c: gamma(c, amb) for c in cospans}
+                for c1 in cospans:
+                    for c2 in cospans:
+                        canonical_eq = corel_equal(quotients[c1], quotients[c2])
+                        oracle_eq = c2 in reach[c1]
+                        if canonical_eq != oracle_eq:
+                            mismatches += 1
     assert verdict(7, "canonical forms match the witness closure", mismatches == 0), mismatches
 
 

@@ -179,6 +179,34 @@ def test_known_failures_respect_the_bounds(capsys, argv, verdict):
     assert code == 0
 
 
+@pytest.mark.parametrize("entry_bound, verdict", [(0, "pass"), (1, "fail")])
+def test_pi_functorial_sweep_respects_the_entry_bound(capsys, entry_bound, verdict):
+    from corelate.literals import parse_span
+    from corelate.spancospan import get_ambient
+
+    code, out, _ = run(
+        capsys, "check", "pi-functorial", "--C", "z", "--A", "split", "--bound", "2",
+        "--entry-bound", str(entry_bound), "--samples", "0", "--format", "records",
+    )
+    assert code == 0
+    record = json.loads(out)
+    assert (record["entry_bound"], record["verdict"]) == (entry_bound, verdict)
+    z = get_ambient("z", "split")
+    for ce in record["counterexamples"]:
+        for text in (ce["span1"], ce["span2"]):
+            s = parse_span(text, z)
+            entries = [v for leg in s for row in leg.entries for v in row]
+            assert max(map(abs, entries), default=0) <= entry_bound
+
+
+@pytest.mark.parametrize("scalars, verdict", [("1,-1", "pass"), ("2", "fail"), (None, "fail")])
+def test_z_corel_frobenius_expects_failure_only_on_non_units(capsys, scalars, verdict):
+    argv = ["check", "frobenius", "--theory", "z-corel"] + (["--scalars", scalars] if scalars else [])
+    code, out, _ = run(capsys, *argv)
+    assert f"verdict={verdict}" in out
+    assert code == 0
+
+
 def test_check_unknown_name_exit_2(capsys):
     with pytest.raises(SystemExit):
         run(capsys, "check", "bogus")

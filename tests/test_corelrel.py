@@ -9,7 +9,6 @@ from corelate.finfn import Partition, enumerate_finmaps, enumerate_parmaps, fn, 
 from corelate.linmap import mat, mat_identity
 from corelate.corelrel import (
     Corelation,
-    PartialPartition,
     Relation,
     corel_compose,
     corel_equal,
@@ -17,13 +16,10 @@ from corelate.corelrel import (
     corel_symmetry,
     corel_tensor,
     corelation_from_er,
-    corelation_from_per,
     corel_from_morphism,
     corel_to_rel,
-    enumerate_partial_partitions,
     er_from_corelation,
     gamma,
-    per_from_corelation,
     pi,
     rel_canonical,
     rel_compose,
@@ -276,22 +272,31 @@ def test_er_single_fiber():
 
 
 def test_per_round_trip_exhaustive():
+    # a PER on the feet is a partition with one more point, the basepoint
+    from corelate.finfn import enumerate_partitions
+
     for n, m in product(range(3), range(3)):
-        for p in enumerate_partial_partitions(n + m):
-            c = corelation_from_per(p, n, m, PF)
-            assert per_from_corelation(c) == p
+        for p in enumerate_partitions(n + m + 1):
+            c = corelation_from_er(p, n, m, PF)
+            assert er_from_corelation(c) == p
 
 
 def test_per_undefined_point():
     c = gamma(Cospan(par(1, 1, [None]), par(1, 1, [0])), PF)
-    assert per_from_corelation(c) == PartialPartition(2, ((1,),))
+    assert er_from_corelation(c) == Partition(3, ((0, 2), (1,)))
 
 
 def test_partial_partition_counts():
-    # ground k yields Bell(k+1) partial partitions
+    # the PERs on k points, the partial-function corelations k -> 0, are
+    # counted by Bell(k+1)
     bells = [1, 2, 5, 15, 52, 203]
     for k, b in enumerate(bells):
-        assert sum(1 for _ in enumerate_partial_partitions(k)) == b
+        corelations = {
+            gamma(Cospan(f, par(0, apex, [])), PF)
+            for apex in range(k + 1)
+            for f in enumerate_parmaps(k, apex)
+        }
+        assert len(corelations) == b
 
 
 def test_corel_tensor_well_defined_on_representatives():

@@ -19,16 +19,18 @@ from corelate.finfn import (
     fn_pushout,
     fn_symmetry,
     fn_tensor,
+    enumerate_parmaps,
     par,
-    par_compose,
-    par_factorize,
-    par_identity,
-    par_is_injection,
-    par_is_surjection,
-    par_pullback,
-    par_pushout,
-    par_tensor,
     partition_from_pairs,
+)
+from oracle_utils import (
+    reference_par_compose,
+    reference_par_factorize,
+    reference_par_is_injection,
+    reference_par_is_surjection,
+    reference_par_pullback,
+    reference_par_pushout,
+    reference_par_tensor,
 )
 
 
@@ -257,25 +259,33 @@ def test_tensor_preserves_pullbacks():
 
 
 # --- partial maps ------------------------------------------------------------
+#
+# The kernels above serve partial maps too, as pointed total maps.
 
 
 def test_par_compose_strictness():
     bot = par(2, 2, [None, None])
     g = par(2, 2, [0, 1])
-    assert par_compose(bot, g) == bot
-    assert par_compose(par(1, 2, [0]), par(2, 1, [None, 0])) == par(1, 1, [None])
+    assert fn_compose(bot, g) == bot
+    assert fn_compose(par(1, 2, [0]), par(2, 1, [None, 0])) == par(1, 1, [None])
 
 
 def test_par_factorize_example():
-    e, m = par_factorize(par(2, 2, [None, 0]))
+    e, m = fn_factorize(par(2, 2, [None, 0]))
     assert e == par(2, 1, [None, 0])
     assert m == par(1, 2, [0])
-    assert par_compose(e, m) == par(2, 2, [None, 0])
-    assert par_is_surjection(e) and par_is_injection(m)
+    assert fn_compose(e, m) == par(2, 2, [None, 0])
+    assert fn_is_surjective(e) and fn_is_injective(m)
+
+
+def test_par_injective_means_total():
+    assert not fn_is_injective(par(1, 1, [None]))
+    assert not fn_is_injective(par(2, 2, [None, 0]))
+    assert fn_is_surjective(par(2, 1, [None, 0]))
 
 
 def test_par_pushout_example():
-    q1, q2 = par_pushout(par(1, 1, [None]), par_identity(1))
+    q1, q2 = fn_pushout(par(1, 1, [None]), par(1, 1, [0]))
     assert q1 == par(1, 1, [0])
     assert q2 == par(1, 1, [None])
 
@@ -283,13 +293,37 @@ def test_par_pushout_example():
 def test_par_pullback_restricts_to_total():
     f = par(2, 2, [0, 1])
     g = par(2, 2, [0, 0])
-    p1, p2 = par_pullback(f, g)
+    p1, p2 = fn_pullback(f, g)
     fp1, fp2 = fn_pullback(fn(2, 2, [0, 1]), fn(2, 2, [0, 0]))
     assert p1.table == fp1.table and p2.table == fp2.table
 
 
 def test_par_tensor_shifts():
-    assert par_tensor(par(1, 1, [None]), par(1, 2, [1])) == par(2, 3, [None, 2])
+    assert fn_tensor(par(1, 1, [None]), par(1, 2, [1])) == par(2, 3, [None, 2])
+
+
+def all_parmaps(max_size):
+    for dom in range(max_size + 1):
+        for cod in range(max_size + 1):
+            yield from enumerate_parmaps(dom, cod)
+
+
+def test_kernels_match_the_case_by_case_partial_references():
+    # equal by repr, so a ParMap stays a ParMap
+    same = lambda x, y: repr(x) == repr(y)
+    maps = list(all_parmaps(3))
+    for f in maps:
+        assert same(fn_factorize(f), reference_par_factorize(f))
+        assert fn_is_injective(f) == reference_par_is_injection(f)
+        assert fn_is_surjective(f) == reference_par_is_surjection(f)
+        for g in maps:
+            assert same(fn_tensor(f, g), reference_par_tensor(f, g))
+            if f.cod == g.dom:
+                assert same(fn_compose(f, g), reference_par_compose(f, g))
+            if f.dom == g.dom:
+                assert same(fn_pushout(f, g), reference_par_pushout(f, g))
+            if f.cod == g.cod:
+                assert same(fn_pullback(f, g), reference_par_pullback(f, g))
 
 
 # --- partitions ---------------------------------------------------------------

@@ -1,10 +1,11 @@
 import random
+from itertools import product
 
 import pytest
 
 from corelate.errors import CorelateError, NoSuchMorphism, TypeMismatch, UnknownAmbient
 from corelate.exactnum import GF, ZZ
-from corelate.finfn import fn, fn_compose
+from corelate.finfn import ParMap, enumerate_parmaps, fn, fn_compose
 from corelate.linmap import mat
 from corelate.spancospan import (
     Cospan,
@@ -22,6 +23,13 @@ from corelate.spancospan import (
     span_compose,
     span_identity,
     span_tensor,
+)
+from oracle_utils import (
+    reference_par_canonical_cospan,
+    reference_par_canonical_span,
+    reference_par_pullback_mediator,
+    reference_par_pushout_mediator,
+    reference_par_solve_postcompose,
 )
 
 F = get_ambient("f")
@@ -205,3 +213,35 @@ def test_unknown_ambients_are_corelate_errors():
             get_ambient(name, a_name)
     with pytest.raises(UnknownAmbient):
         get_ambient("foo")
+
+
+def test_partial_ambient_matches_the_case_by_case_references():
+    # every partial span and cospan with feet and apex <= 3; equal by repr,
+    # so the partial ambient's results stay ParMaps
+    same = lambda x, y: repr(x) == repr(y)
+    maps = {(d, c): list(enumerate_parmaps(d, c)) for d in range(4) for c in range(4)}
+    for apex, x, y in product(range(4), repeat=3):
+        for f, g in product(maps[(apex, x)], maps[(apex, y)]):
+            s = Span(f, g)
+            assert same(PF.canonical_span(s), reference_par_canonical_span(s))
+            q1, q2 = PF.pushout(f, g)
+            r1, r2 = PF.pullback(q1, q2)
+            assert same(PF.pullback_mediator(r1, r2, f, g), reference_par_pullback_mediator(r1, r2, f, g))
+        for u, v in product(maps[(x, apex)], maps[(y, apex)]):
+            c = Cospan(u, v)
+            assert same(PF.canonical_cospan(c), reference_par_canonical_cospan(c))
+            assert same(PF.solve_postcompose(u, v), reference_par_solve_postcompose(u, v))
+            p1, p2 = PF.pullback(u, v)
+            q1, q2 = PF.pushout(p1, p2)
+            for cocone in ((u, v), (q1, q2)):
+                try:
+                    got = PF.pushout_mediator(q1, q2, *cocone)
+                except TypeMismatch as err:
+                    got = str(err)
+                assert same(got, reference_par_pushout_mediator(q1, q2, *cocone))
+    for n, m in product(range(4), repeat=2):
+        assert same(PF.identity(n), ParMap(n, n, tuple(range(n))))
+        assert same(PF.symmetry(n, m), ParMap(n + m, m + n, tuple(range(m, m + n)) + tuple(range(m))))
+        h = ParMap(n + m, 2, tuple((None, 0, 1)[i % 3] for i in range(n + m)))
+        assert same(PF.split_copair(h, n, m), (ParMap(n, 2, h.table[:n]), ParMap(m, 2, h.table[n:])))
+        assert same(PF.copair(*PF.split_copair(h, n, m)), h)

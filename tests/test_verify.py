@@ -8,7 +8,6 @@ from corelate import verify
 from corelate.linmap import ExactMatrix, mat
 from corelate.corelrel import (
     Corelation,
-    PartialPartition,
     corel_compose,
     corel_equal,
     gamma,
@@ -16,7 +15,6 @@ from corelate.corelrel import (
 from corelate.spancospan import Cospan, Span, get_ambient
 from corelate.verify import (
     CheckReport,
-    Zigzag,
     assumption31_case,
     assumption33_case,
     check_assumption31,
@@ -118,20 +116,6 @@ def test_square_commutes():
     assert check_square_commutes(F_INJ, 3).verdict == "pass"
     assert check_square_commutes(PF_INJ, 2).verdict == "pass"
     assert check_square_commutes(Z_SPLIT, 2, entry_bound=3).verdict == "pass"
-
-
-def test_zigzag_validation_and_embedding():
-    f = fn(1, 2, [0])
-    z = Zigzag((("fwd", f), ("bwd", f)))
-    z.validate(F_INJ)
-    s = z.to_span(F_INJ)
-    assert (s.left.cod, s.right.cod) == (1, 1)
-    c = z.to_cospan(F_INJ)
-    assert (c.left.dom, c.right.dom) == (1, 1)
-    from corelate.errors import TypeMismatch
-
-    with pytest.raises(TypeMismatch):
-        Zigzag((("fwd", f), ("fwd", f))).validate(F_INJ)
 
 
 def test_pi_functorial_injections():
@@ -282,11 +266,12 @@ def test_oracle_er_identity():
 
 
 def test_oracle_per_drops_undefined_links():
-    # x0 glued to an undefined middle point becomes undefined
-    p1 = PartialPartition(2, ((0, 1),))  # x0 ~ w0
-    p2 = PartialPartition(2, ((1,),))  # w0 undefined, y0 defined alone
+    # x0 glued to an undefined middle point becomes undefined; the last
+    # point of each partition is its basepoint
+    p1 = Partition(3, ((0, 1), (2,)))  # x0 ~ w0
+    p2 = Partition(3, ((0, 2), (1,)))  # w0 undefined, y0 defined alone
     out = oracle_per_compose(p1, p2, 1, 1, 1)
-    assert out == PartialPartition(2, ((1,),))
+    assert out == Partition(3, ((0, 2), (1,)))
 
 
 def test_oracle_subspace_example():
