@@ -102,10 +102,7 @@ def fn_tensor(*fs):
     table: list = []
     shift = 0
     for f in fs:
-        try:
-            table.extend([v + shift for v in f.table])
-        except TypeError:  # a None entry: the piece is partial
-            table.extend([None if v is None else v + shift for v in f.table])
+        table.extend(None if v is None else v + shift for v in f.table)
         shift += f.cod
     return type(fs[0])(len(table), shift, tuple(table))
 

@@ -574,6 +574,16 @@ def _default_scalars(theory_name: str, th) -> tuple:
     return (1, 2, 3, Fraction(1, 2))
 
 
+# Over the integers a scalar cancels exactly when it is a unit.
+_Z_UNIT_CANCELS = {"scalar_cancel(1)", "scalar_cancel(-1)"}
+
+
+def checks_non_unit_scalar(report: CheckReport) -> bool:
+    """Whether a frobenius report checked a scalar other than 1 and -1."""
+    scalar_laws = {label for label, _ in report.details if label.startswith("scalar_cancel(")}
+    return bool(scalar_laws - _Z_UNIT_CANCELS)
+
+
 def check_frobenius(theory_name: str, scalars=None) -> CheckReport:
     """Evaluate the Frobenius-monoid law suite in the named semantics.
 
