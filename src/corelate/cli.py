@@ -29,32 +29,6 @@ from .spancospan import (
 )
 from . import verify
 
-# Checks known to fail, used when --expect is omitted, with the least bound
-# and entry bound at which each reaches a counterexample; below either, the
-# check passes.  The collapse counterexample (total functions as their own
-# subcategory) needs two points, its dual three.  Integer split monos fail
-# on 2 -> 2 cospans such as columns (1,1) and (1,-1), whose mediator has
-# determinant -2; pi-functorial finds them in its sweep, whose entries are
-# capped at min(entry bound, 1).
-KNOWN_FAILURES = {
-    ("assumption31", "f", "all"): (2, 0),
-    ("assumption31", "z", "split"): (2, 1),
-    ("assumption33", "f", "all"): (3, 0),
-    ("pi-functorial", "z", "split"): (2, 1),
-}
-
-
-def expected_verdict(report: verify.CheckReport) -> str:
-    """The verdict a correct run of the report's check computes."""
-    if (report.name, report.c_name) == ("frobenius", "z-corel"):
-        return "fail" if verify.checks_non_unit_scalar(report) else "pass"
-    least = KNOWN_FAILURES.get((report.name, report.c_name, report.a_name))
-    if least is None:
-        return "pass"
-    bound, entry_bound = least
-    reached = report.bound >= bound and (report.entry_bound is None or report.entry_bound >= entry_bound)
-    return "fail" if reached else "pass"
-
 
 def _emit(report: verify.CheckReport, output: str) -> None:
     if output == "records":
@@ -173,7 +147,7 @@ def cmd_check(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     _emit(report, args.format)
-    expected = args.expect or expected_verdict(report)
+    expected = args.expect or verify.expected_verdict(report)
     return 0 if report.verdict == expected else 1
 
 
@@ -204,7 +178,7 @@ def cmd_report(args) -> int:
     bad = 0
     for report in _default_suite(args.bound, args.entry_bound, args.seed, args.samples):
         _emit(report, args.format)
-        if report.verdict != expected_verdict(report):
+        if report.verdict != verify.expected_verdict(report):
             bad += 1
     if bad:
         print(f"{bad} checks returned unexpected verdicts", file=sys.stderr)

@@ -226,29 +226,31 @@ def _format_scalar(x) -> str:
 
 def print_term(t: Term) -> str:
     """Textual form that reparses to an identical tree."""
-
-    def go(t: Term, min_level: int) -> str:
-        if isinstance(t, SeqTerm):
-            level = 0
-            s = f"{go(t.first, 0)} ; {go(t.second, 1)}"
-        elif isinstance(t, TensorTerm):
-            level = 1
-            s = f"{go(t.first, 1)} @ {go(t.second, 2)}"
+    out = []
+    # to print: literal text, or (term, least operator level it may show
+    # without parentheses); ``;`` has level 0 and binds looser than ``@``
+    todo: list = [(t, 0)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        t, min_level = item
+        if isinstance(t, (SeqTerm, TensorTerm)):
+            level, op = (0, " ; ") if isinstance(t, SeqTerm) else (1, " @ ")
+            parts = [(t.first, level), op, (t.second, level + 1)]
+            if level < min_level:
+                parts = ["(", *parts, ")"]
+            todo.extend(reversed(parts))
         elif isinstance(t, IdTerm):
-            return f"id({t.n})"
+            out.append(f"id({t.n})")
         elif isinstance(t, SymTerm):
-            return f"sym({t.n},{t.m})"
+            out.append(f"sym({t.n},{t.m})")
         elif isinstance(t, GenTerm):
-            if t.args:
-                return f"{t.name}({_format_scalar(t.args[0])})"
-            return t.name
+            out.append(f"{t.name}({_format_scalar(t.args[0])})" if t.args else t.name)
         else:
             raise TypeError(f"not a term: {t!r}")
-        if level < min_level:
-            return f"({s})"
-        return s
-
-    return go(t, 0)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from typing import Optional
 
 from .errors import TypeMismatch
@@ -42,6 +42,7 @@ from .spancospan import (
     embed_bwd_span,
     embed_fwd_cospan,
     embed_fwd_span,
+    get_ambient,
     span_canonical,
     span_compose,
     span_identity,
@@ -121,6 +122,95 @@ def pi_functorial_case(amb: Ambient, s1: Span, s2: Span) -> bool:
     return corel_equal(lhs, rhs)
 
 
+def tensor_functorial_case(
+    amb: Ambient, s1: Span, s2: Span, s1p: Span, s2p: Span, c1: Cospan, c2: Cospan, c1p: Cospan, c2p: Cospan
+):
+    """Interchange of the monoidal product with span, cospan and corelation
+    composition on one tuple; returns whether each of the three holds."""
+    lhs = span_compose(span_tensor(s1, s1p, amb), span_tensor(s2, s2p, amb), amb)
+    rhs = span_tensor(span_compose(s1, s2, amb), span_compose(s1p, s2p, amb), amb)
+    ok_span = span_canonical(lhs, amb) == span_canonical(rhs, amb)
+
+    clhs = cospan_compose(cospan_tensor(c1, c1p, amb), cospan_tensor(c2, c2p, amb), amb)
+    crhs = cospan_tensor(cospan_compose(c1, c2, amb), cospan_compose(c1p, c2p, amb), amb)
+    ok_cospan = cospan_canonical(clhs, amb) == cospan_canonical(crhs, amb)
+
+    a1, a2 = gamma(c1, amb), gamma(c2, amb)
+    b1, b2 = gamma(c1p, amb), gamma(c2p, amb)
+    ok_corel = corel_equal(
+        corel_compose(corel_tensor(a1, b1), corel_tensor(a2, b2)),
+        corel_tensor(corel_compose(a1, a2), corel_compose(b1, b2)),
+    )
+    return ok_span, ok_cospan, ok_corel
+
+
+_LAW_FLAGS = ("span_assoc", "span_id", "cospan_assoc", "cospan_id", "corel_assoc")
+
+
+def laws_case(amb: Ambient, s1: Span, s2: Span, s3: Span, c1: Cospan, c2: Cospan, c3: Cospan):
+    """Associativity and identity on one tuple of composable spans and
+    cospans; returns whether each law in ``_LAW_FLAGS`` holds."""
+    x, y = amb.cod(s1.left), amb.cod(s1.right)
+    assoc_span = span_canonical(
+        span_compose(span_compose(s1, s2, amb), s3, amb), amb
+    ) == span_canonical(span_compose(s1, span_compose(s2, s3, amb), amb), amb)
+    ident_span = span_canonical(
+        span_compose(span_identity(x, amb), s1, amb), amb
+    ) == span_canonical(s1, amb) and span_canonical(
+        span_compose(s1, span_identity(y, amb), amb), amb
+    ) == span_canonical(s1, amb)
+
+    x, y = amb.dom(c1.left), amb.dom(c1.right)
+    assoc_cospan = cospan_canonical(
+        cospan_compose(cospan_compose(c1, c2, amb), c3, amb), amb
+    ) == cospan_canonical(cospan_compose(c1, cospan_compose(c2, c3, amb), amb), amb)
+    ident_cospan = cospan_canonical(
+        cospan_compose(cospan_identity(x, amb), c1, amb), amb
+    ) == cospan_canonical(c1, amb) and cospan_canonical(
+        cospan_compose(c1, cospan_identity(y, amb), amb), amb
+    ) == cospan_canonical(c1, amb)
+
+    a1, a2, a3 = gamma(c1, amb), gamma(c2, amb), gamma(c3, amb)
+    assoc_corel = corel_equal(
+        corel_compose(corel_compose(a1, a2), a3),
+        corel_compose(a1, corel_compose(a2, a3)),
+    )
+    return assoc_span, ident_span, assoc_cospan, ident_cospan, assoc_corel
+
+
+# ---------------------------------------------------------------------------
+# record fields: a key names what its value is, so one rule formats and
+# parses every span, cospan and morphism field
+
+
+_TENSOR_FIELDS = ("span1", "span2", "span1p", "span2p", "cospan1", "cospan2", "cospan1p", "cospan2p")
+_LAWS_FIELDS = ("span1", "span2", "span3", "cospan1", "cospan2", "cospan3")
+
+
+def _format_fields(keys, values) -> tuple:
+    fields = []
+    for key, value in zip(keys, values):
+        if key.startswith("cospan"):
+            fields.append((key, format_cospan(value)))
+        elif key.startswith("span"):
+            fields.append((key, format_span(value)))
+        else:
+            fields.append((key, format_morphism(value)))
+    return tuple(fields)
+
+
+def _parse_fields(ce: dict, amb: Ambient, keys) -> list:
+    values = []
+    for key in keys:
+        if key.startswith("cospan"):
+            values.append(parse_cospan(ce[key], amb))
+        elif key.startswith("span"):
+            values.append(parse_span(ce[key], amb))
+        else:
+            values.append(parse_morphism(ce[key]))
+    return values
+
+
 # ---------------------------------------------------------------------------
 # enumeration and sampling helpers
 
@@ -198,7 +288,43 @@ def random_a_span(amb: Ambient, rng, x: int, y: int, apex_bound: int, entry_boun
 
 
 # ---------------------------------------------------------------------------
-# assumption checks
+# checks: each check_* runs its failing cases, as record fields, through
+# the one report constructor
+
+
+def _report(name, c_name, a_name, bound, entry_bound, seed, failures, details=()) -> CheckReport:
+    """The check report of the failing cases ``failures`` yields; the
+    verdict is whether there was any."""
+    counterexamples = tuple(failures)
+    return CheckReport(
+        name=name,
+        c_name=c_name,
+        a_name=a_name,
+        bound=bound,
+        entry_bound=entry_bound,
+        seed=seed,
+        verdict="fail" if counterexamples else "pass",
+        counterexamples=counterexamples,
+        details=tuple(details),
+    )
+
+
+def _mediator_failures(amb: Ambient, bound: int, entry_bound, seed, into_apex: bool):
+    """A-cospans (``into_apex``) or A-spans, deduped by apex isomorphism,
+    whose assumption 3.1 (dually 3.3) mediator is not in M (dually E)."""
+    if into_apex:
+        pair, canonical, case = Cospan, cospan_canonical, assumption31_case
+    else:
+        pair, canonical, case = Span, span_canonical, assumption33_case
+    seen = set()
+    for f, g in _pairs(amb, bound, entry_bound, seed, into_apex, a_only=True):
+        key = canonical(pair(f, g), amb)
+        if key in seen:
+            continue
+        seen.add(key)
+        holds, mediator = case(amb, f, g)
+        if not holds:
+            yield _format_fields(("left", "right", "mediator"), (f, g, mediator))
 
 
 def check_assumption31(amb: Ambient, bound: int, entry_bound: int = 3, seed: int = 0) -> CheckReport:
@@ -208,138 +334,74 @@ def check_assumption31(amb: Ambient, bound: int, entry_bound: int = 3, seed: int
     ``bound`` (matrix ambients additionally bound entry magnitude), deduped
     by apex isomorphism.
     """
-    counterexamples = []
-    seen = set()
-    for f, g in _pairs(amb, bound, entry_bound, seed, into_apex=True, a_only=True):
-        key = cospan_canonical(Cospan(f, g), amb)
-        if key in seen:
-            continue
-        seen.add(key)
-        holds, mediator = assumption31_case(amb, f, g)
-        if not holds:
-            counterexamples.append(
-                (
-                    ("left", format_morphism(f)),
-                    ("right", format_morphism(g)),
-                    ("mediator", format_morphism(mediator)),
-                )
-            )
-    return CheckReport(
-        name="assumption31",
-        c_name=amb.name,
-        a_name=amb.a_name,
-        bound=bound,
-        entry_bound=entry_bound,
-        seed=seed,
-        verdict="pass" if not counterexamples else "fail",
-        counterexamples=tuple(counterexamples),
-    )
+    failures = _mediator_failures(amb, bound, entry_bound, seed, into_apex=True)
+    return _report("assumption31", amb.name, amb.a_name, bound, entry_bound, seed, failures)
 
 
 def check_assumption33(amb: Ambient, bound: int, entry_bound: int = 3, seed: int = 0) -> CheckReport:
     """Dual check: pullback-of-pushout mediators of A-spans must lie in E."""
-    counterexamples = []
-    seen = set()
-    for f, g in _pairs(amb, bound, entry_bound, seed, into_apex=False, a_only=True):
-        key = span_canonical(Span(f, g), amb)
-        if key in seen:
-            continue
-        seen.add(key)
-        holds, mediator = assumption33_case(amb, f, g)
-        if not holds:
-            counterexamples.append(
-                (
-                    ("left", format_morphism(f)),
-                    ("right", format_morphism(g)),
-                    ("mediator", format_morphism(mediator)),
-                )
-            )
-    return CheckReport(
-        name="assumption33",
-        c_name=amb.name,
-        a_name=amb.a_name,
-        bound=bound,
-        entry_bound=entry_bound,
-        seed=seed,
-        verdict="pass" if not counterexamples else "fail",
-        counterexamples=tuple(counterexamples),
-    )
+    failures = _mediator_failures(amb, bound, entry_bound, seed, into_apex=False)
+    return _report("assumption33", amb.name, amb.a_name, bound, entry_bound, seed, failures)
 
 
 def check_square_commutes(amb: Ambient, bound: int, entry_bound: int = 3) -> CheckReport:
     """Mapping a morphism of A through spans or through cospans agrees."""
-    counterexamples = []
-    for a in range(bound + 1):
-        for b in range(bound + 1):
-            for f in amb.enumerate_a_morphisms(a, b, entry_bound):
-                if not square_case(amb, f):
-                    counterexamples.append((("morphism", format_morphism(f)),))
-    return CheckReport(
-        name="square",
-        c_name=amb.name,
-        a_name=amb.a_name,
-        bound=bound,
-        entry_bound=entry_bound,
-        verdict="pass" if not counterexamples else "fail",
-        counterexamples=tuple(counterexamples),
+    failures = (
+        (("morphism", format_morphism(f)),)
+        for a, b in product(range(bound + 1), repeat=2)
+        for f in amb.enumerate_a_morphisms(a, b, entry_bound)
+        if not square_case(amb, f)
     )
+    return _report("square", amb.name, amb.a_name, bound, entry_bound, None, failures)
 
 
-_SHAPES = ("i", "ii", "iii", "iv")
+# The generator shapes of pi-functoriality: a composable pair of spans
+# embedded from A.  Per shape: the objects of f and of g, as letters over a
+# triple (a, b, c); the embeddings of f and g, (f)orward or (b)ackward; and
+# the letters that a sampled sorted triple is assigned to, in order.
+_SHAPES = {
+    "i": ("ab", "bc", "ff", "abc"),
+    "ii": ("ab", "ca", "bb", "cab"),
+    "iii": ("ab", "ac", "bf", "abc"),
+    "iv": ("ab", "cb", "fb", "acb"),
+}
 
 
-def _random_shape_pair(amb: Ambient, rng, bound: int, entry_bound, shape: str):
-    a_like = amb.a_name != "all"
-    rand = lambda d, c: amb.random_a_morphism(rng, d, c, entry_bound)
-    lo, mid, hi = sorted(rng.randint(0, bound) for _ in range(3))
-    if shape == "i":
-        f, g = rand(lo, mid), rand(mid, hi)
-        return embed_fwd_span(f, amb), embed_fwd_span(g, amb)
-    if shape == "ii":
-        f, g = rand(mid, hi), rand(lo, mid)
-        return embed_bwd_span(f, amb), embed_bwd_span(g, amb)
-    if shape == "iii":
-        f, g = rand(lo, mid), rand(lo, hi)
-        return embed_bwd_span(f, amb), embed_fwd_span(g, amb)
-    if shape == "iv":
-        f, g = rand(lo, hi), rand(mid, hi)
-        return embed_fwd_span(f, amb), embed_bwd_span(g, amb)
-    raise ValueError(shape)
+def _objects(legs: str, letters: str, triple) -> tuple:
+    """The (dom, cod) that ``legs`` names when ``letters`` name ``triple``."""
+    at = dict(zip(letters, triple))
+    return at[legs[0]], at[legs[1]]
 
 
-def _enumerate_shape_pairs(amb: Ambient, cap: int, entry_cap: int, shape: str, budget: int):
-    """Exhaustive tiny instances of one generator shape."""
-    emitted = 0
-    for a, b, c in product(range(cap + 1), repeat=3):
-        if shape == "i":
-            pairs = product(
-                amb.enumerate_a_morphisms(a, b, entry_cap),
-                amb.enumerate_a_morphisms(b, c, entry_cap),
+def _shape_pairs(amb: Ambient, bound: int, entry_bound, seed, samples: int):
+    """(shape, span pair) cases: a sweep of tiny instances, at most 3,000
+    per shape, then ``samples`` seeded draws cycling through the shapes."""
+
+    # looked up per call, so a wrapper installed on the module (as the
+    # benchmark's tracer installs) sees the embeddings
+    def embed(way: str, f):
+        return embed_fwd_span(f, amb) if way == "f" else embed_bwd_span(f, amb)
+
+    cap, entry_cap = min(bound, 2), min(entry_bound, 1)
+    for shape, (f_legs, g_legs, ways, _) in _SHAPES.items():
+        swept = (
+            pair
+            for triple in product(range(cap + 1), repeat=3)
+            for pair in product(
+                amb.enumerate_a_morphisms(*_objects(f_legs, "abc", triple), entry_cap),
+                amb.enumerate_a_morphisms(*_objects(g_legs, "abc", triple), entry_cap),
             )
-            mk = lambda f, g: (embed_fwd_span(f, amb), embed_fwd_span(g, amb))
-        elif shape == "ii":
-            pairs = product(
-                amb.enumerate_a_morphisms(a, b, entry_cap),
-                amb.enumerate_a_morphisms(c, a, entry_cap),
-            )
-            mk = lambda f, g: (embed_bwd_span(f, amb), embed_bwd_span(g, amb))
-        elif shape == "iii":
-            pairs = product(
-                amb.enumerate_a_morphisms(a, b, entry_cap),
-                amb.enumerate_a_morphisms(a, c, entry_cap),
-            )
-            mk = lambda f, g: (embed_bwd_span(f, amb), embed_fwd_span(g, amb))
-        else:
-            pairs = product(
-                amb.enumerate_a_morphisms(a, b, entry_cap),
-                amb.enumerate_a_morphisms(c, b, entry_cap),
-            )
-            mk = lambda f, g: (embed_fwd_span(f, amb), embed_bwd_span(g, amb))
-        for f, g in pairs:
-            yield mk(f, g)
-            emitted += 1
-            if emitted >= budget:
-                return
+        )
+        for f, g in islice(swept, 3000):
+            yield shape, (embed(ways[0], f), embed(ways[1], g))
+    rng = random.Random(seed)
+    shapes = tuple(_SHAPES.items())
+    for k in range(samples):
+        shape, (f_legs, g_legs, ways, order) = shapes[k % 4]
+        triple = sorted(rng.randint(0, bound) for _ in range(3))
+        f = amb.random_a_morphism(rng, *_objects(f_legs, order, triple), entry_bound)
+        g = amb.random_a_morphism(rng, *_objects(g_legs, order, triple), entry_bound)
+        yield shape, (embed(ways[0], f), embed(ways[1], g))
 
 
 def check_pi_functorial(
@@ -351,37 +413,12 @@ def check_pi_functorial(
     Runs a deterministic exhaustive sweep at tiny sizes first (so the verdict
     cannot depend on sampling luck) and then the seeded random samples.
     """
-    rng = random.Random(seed)
-    counterexamples = []
-
-    def record(shape, s1, s2):
-        counterexamples.append(
-            (
-                ("shape", shape),
-                ("span1", format_span(s1)),
-                ("span2", format_span(s2)),
-            )
-        )
-
-    for shape in _SHAPES:
-        for s1, s2 in _enumerate_shape_pairs(amb, min(bound, 2), min(entry_bound, 1), shape, budget=3000):
-            if not pi_functorial_case(amb, s1, s2):
-                record(shape, s1, s2)
-    for k in range(samples):
-        shape = _SHAPES[k % 4]
-        s1, s2 = _random_shape_pair(amb, rng, bound, entry_bound, shape)
-        if not pi_functorial_case(amb, s1, s2):
-            record(shape, s1, s2)
-    return CheckReport(
-        name="pi-functorial",
-        c_name=amb.name,
-        a_name=amb.a_name,
-        bound=bound,
-        entry_bound=entry_bound,
-        seed=seed,
-        verdict="pass" if not counterexamples else "fail",
-        counterexamples=tuple(counterexamples),
+    failures = (
+        (("shape", shape),) + _format_fields(("span1", "span2"), pair)
+        for shape, pair in _shape_pairs(amb, bound, entry_bound, seed, samples)
+        if not pi_functorial_case(amb, *pair)
     )
+    return _report("pi-functorial", amb.name, amb.a_name, bound, entry_bound, seed, failures)
 
 
 def check_tensor_functorial(
@@ -394,126 +431,41 @@ def check_tensor_functorial(
     product is only required to preserve pullbacks there, and indeed the
     pointed tensor of partial functions fails interchange on arbitrary legs.
     """
-    rng = random.Random(seed)
-    counterexamples = []
-    for _ in range(samples):
-        x, y, z = (rng.randint(0, bound) for _ in range(3))
-        x2, y2, z2 = (rng.randint(0, bound) for _ in range(3))
-        s1 = random_a_span(amb, rng, x, y, bound, entry_bound)
-        s2 = random_a_span(amb, rng, y, z, bound, entry_bound)
-        s1p = random_a_span(amb, rng, x2, y2, bound, entry_bound)
-        s2p = random_a_span(amb, rng, y2, z2, bound, entry_bound)
-        lhs = span_compose(span_tensor(s1, s1p, amb), span_tensor(s2, s2p, amb), amb)
-        rhs = span_tensor(span_compose(s1, s2, amb), span_compose(s1p, s2p, amb), amb)
-        ok_span = span_canonical(lhs, amb) == span_canonical(rhs, amb)
 
-        c1 = random_cospan(amb, rng, x, y, bound, entry_bound)
-        c2 = random_cospan(amb, rng, y, z, bound, entry_bound)
-        c1p = random_cospan(amb, rng, x2, y2, bound, entry_bound)
-        c2p = random_cospan(amb, rng, y2, z2, bound, entry_bound)
-        clhs = cospan_compose(cospan_tensor(c1, c1p, amb), cospan_tensor(c2, c2p, amb), amb)
-        crhs = cospan_tensor(cospan_compose(c1, c2, amb), cospan_compose(c1p, c2p, amb), amb)
-        ok_cospan = cospan_canonical(clhs, amb) == cospan_canonical(crhs, amb)
+    def failures():
+        rng = random.Random(seed)
+        for _ in range(samples):
+            x, y, z = (rng.randint(0, bound) for _ in range(3))
+            x2, y2, z2 = (rng.randint(0, bound) for _ in range(3))
+            feet = ((x, y), (y, z), (x2, y2), (y2, z2))
+            spans = [random_a_span(amb, rng, *xy, bound, entry_bound) for xy in feet]
+            cospans = [random_cospan(amb, rng, *xy, bound, entry_bound) for xy in feet]
+            ok_span, ok_cospan, ok_corel = tensor_functorial_case(amb, *spans, *cospans)
+            if not (ok_span and ok_cospan and ok_corel):
+                failing = f"span={ok_span} cospan={ok_cospan} corel={ok_corel}"
+                yield _format_fields(_TENSOR_FIELDS, spans + cospans) + (("failing", failing),)
 
-        a1, a2 = gamma(c1, amb), gamma(c2, amb)
-        b1, b2 = gamma(c1p, amb), gamma(c2p, amb)
-        ok_corel = corel_equal(
-            corel_compose(corel_tensor(a1, b1), corel_tensor(a2, b2)),
-            corel_tensor(corel_compose(a1, a2), corel_compose(b1, b2)),
-        )
-        if not (ok_span and ok_cospan and ok_corel):
-            counterexamples.append(
-                (
-                    ("span1", format_span(s1)),
-                    ("span2", format_span(s2)),
-                    ("cospan1", format_cospan(c1)),
-                    ("cospan2", format_cospan(c2)),
-                    ("failing", f"span={ok_span} cospan={ok_cospan} corel={ok_corel}"),
-                )
-            )
-    return CheckReport(
-        name="tensor-functorial",
-        c_name=amb.name,
-        a_name=amb.a_name,
-        bound=bound,
-        entry_bound=entry_bound,
-        seed=seed,
-        verdict="pass" if not counterexamples else "fail",
-        counterexamples=tuple(counterexamples),
-    )
-
-
-_LAW_FLAGS = ("span_assoc", "span_id", "cospan_assoc", "cospan_id", "corel_assoc")
-
-
-def laws_case(amb: Ambient, s1: Span, s2: Span, s3: Span, c1: Cospan, c2: Cospan, c3: Cospan):
-    """Associativity and identity on one tuple of composable spans and
-    cospans; returns whether each law in ``_LAW_FLAGS`` holds."""
-    x, y = amb.cod(s1.left), amb.cod(s1.right)
-    assoc_span = span_canonical(
-        span_compose(span_compose(s1, s2, amb), s3, amb), amb
-    ) == span_canonical(span_compose(s1, span_compose(s2, s3, amb), amb), amb)
-    ident_span = span_canonical(
-        span_compose(span_identity(x, amb), s1, amb), amb
-    ) == span_canonical(s1, amb) and span_canonical(
-        span_compose(s1, span_identity(y, amb), amb), amb
-    ) == span_canonical(s1, amb)
-
-    x, y = amb.dom(c1.left), amb.dom(c1.right)
-    assoc_cospan = cospan_canonical(
-        cospan_compose(cospan_compose(c1, c2, amb), c3, amb), amb
-    ) == cospan_canonical(cospan_compose(c1, cospan_compose(c2, c3, amb), amb), amb)
-    ident_cospan = cospan_canonical(
-        cospan_compose(cospan_identity(x, amb), c1, amb), amb
-    ) == cospan_canonical(c1, amb) and cospan_canonical(
-        cospan_compose(c1, cospan_identity(y, amb), amb), amb
-    ) == cospan_canonical(c1, amb)
-
-    a1, a2, a3 = gamma(c1, amb), gamma(c2, amb), gamma(c3, amb)
-    assoc_corel = corel_equal(
-        corel_compose(corel_compose(a1, a2), a3),
-        corel_compose(a1, corel_compose(a2, a3)),
-    )
-    return assoc_span, ident_span, assoc_cospan, ident_cospan, assoc_corel
+    return _report("tensor-functorial", amb.name, amb.a_name, bound, entry_bound, seed, failures())
 
 
 def check_category_laws(
     amb: Ambient, bound: int, entry_bound: int = 2, seed: int = 0, samples: int = 500
 ) -> CheckReport:
     """Associativity and identity in the span, cospan, and corelation props."""
-    rng = random.Random(seed)
-    counterexamples = []
-    for _ in range(samples):
-        x, y, z, u = (rng.randint(0, bound) for _ in range(4))
-        s1 = random_span(amb, rng, x, y, bound, entry_bound)
-        s2 = random_span(amb, rng, y, z, bound, entry_bound)
-        s3 = random_span(amb, rng, z, u, bound, entry_bound)
-        c1 = random_cospan(amb, rng, x, y, bound, entry_bound)
-        c2 = random_cospan(amb, rng, y, z, bound, entry_bound)
-        c3 = random_cospan(amb, rng, z, u, bound, entry_bound)
-        holds = laws_case(amb, s1, s2, s3, c1, c2, c3)
-        if not all(holds):
-            counterexamples.append(
-                (
-                    ("span1", format_span(s1)),
-                    ("span2", format_span(s2)),
-                    ("span3", format_span(s3)),
-                    ("cospan1", format_cospan(c1)),
-                    ("cospan2", format_cospan(c2)),
-                    ("cospan3", format_cospan(c3)),
-                    ("failing", " ".join(f"{flag}={h}" for flag, h in zip(_LAW_FLAGS, holds))),
-                )
-            )
-    return CheckReport(
-        name="laws",
-        c_name=amb.name,
-        a_name=amb.a_name,
-        bound=bound,
-        entry_bound=entry_bound,
-        seed=seed,
-        verdict="pass" if not counterexamples else "fail",
-        counterexamples=tuple(counterexamples),
-    )
+
+    def failures():
+        rng = random.Random(seed)
+        for _ in range(samples):
+            x, y, z, u = (rng.randint(0, bound) for _ in range(4))
+            feet = ((x, y), (y, z), (z, u))
+            spans = [random_span(amb, rng, *xy, bound, entry_bound) for xy in feet]
+            cospans = [random_cospan(amb, rng, *xy, bound, entry_bound) for xy in feet]
+            holds = laws_case(amb, *spans, *cospans)
+            if not all(holds):
+                failing = " ".join(f"{flag}={h}" for flag, h in zip(_LAW_FLAGS, holds))
+                yield _format_fields(_LAWS_FIELDS, spans + cospans) + (("failing", failing),)
+
+    return _report("laws", amb.name, amb.a_name, bound, entry_bound, seed, failures())
 
 
 # ---------------------------------------------------------------------------
@@ -574,16 +526,6 @@ def _default_scalars(theory_name: str, th) -> tuple:
     return (1, 2, 3, Fraction(1, 2))
 
 
-# Over the integers a scalar cancels exactly when it is a unit.
-_Z_UNIT_CANCELS = {"scalar_cancel(1)", "scalar_cancel(-1)"}
-
-
-def checks_non_unit_scalar(report: CheckReport) -> bool:
-    """Whether a frobenius report checked a scalar other than 1 and -1."""
-    scalar_laws = {label for label, _ in report.details if label.startswith("scalar_cancel(")}
-    return bool(scalar_laws - _Z_UNIT_CANCELS)
-
-
 def check_frobenius(theory_name: str, scalars=None) -> CheckReport:
     """Evaluate the Frobenius-monoid law suite in the named semantics.
 
@@ -594,22 +536,45 @@ def check_frobenius(theory_name: str, scalars=None) -> CheckReport:
     th = get_theory(theory_name)
     if scalars is None:
         scalars = _default_scalars(theory_name, th)
-    details = []
-    counterexamples = []
-    for label, lhs, rhs in _law_suite(theory_name, scalars):
-        holds = term_equal(parse_term(lhs), parse_term(rhs), th)
-        details.append((label, holds))
-        if not holds:
-            counterexamples.append((("law", label), ("lhs", lhs), ("rhs", rhs)))
-    return CheckReport(
-        name="frobenius",
-        c_name=theory_name,
-        a_name="-",
-        bound=0,
-        verdict="pass" if not counterexamples else "fail",
-        counterexamples=tuple(counterexamples),
-        details=tuple(details),
-    )
+    laws = [
+        (label, lhs, rhs, term_equal(parse_term(lhs), parse_term(rhs), th))
+        for label, lhs, rhs in _law_suite(theory_name, scalars)
+    ]
+    failures = ((("law", label), ("lhs", lhs), ("rhs", rhs)) for label, lhs, rhs, holds in laws if not holds)
+    details = [(label, holds) for label, _, _, holds in laws]
+    return _report("frobenius", theory_name, "-", 0, None, None, failures, details)
+
+
+# ---------------------------------------------------------------------------
+# expected verdicts
+
+# Checks known to fail, with the least bound and entry bound at which each
+# reaches a counterexample; below either, the check passes.  The collapse
+# counterexample (total functions as their own subcategory) needs two
+# points, its dual three.  Integer split monos fail on 2 -> 2 cospans such
+# as columns (1,1) and (1,-1), whose mediator has determinant -2;
+# pi-functorial finds them in its sweep, whose entries are capped at
+# min(entry bound, 1).
+KNOWN_FAILURES = {
+    ("assumption31", "f", "all"): (2, 0),
+    ("assumption31", "z", "split"): (2, 1),
+    ("assumption33", "f", "all"): (3, 0),
+    ("pi-functorial", "z", "split"): (2, 1),
+}
+
+
+def expected_verdict(report: CheckReport) -> str:
+    """The verdict a correct run of the report's check computes."""
+    if (report.name, report.c_name) == ("frobenius", "z-corel"):
+        # over the integers a scalar cancels exactly when it is a unit
+        scalar_laws = {label for label, _ in report.details if label.startswith("scalar_cancel(")}
+        return "fail" if scalar_laws - {"scalar_cancel(1)", "scalar_cancel(-1)"} else "pass"
+    least = KNOWN_FAILURES.get((report.name, report.c_name, report.a_name))
+    if least is None:
+        return "pass"
+    bound, entry_bound = least
+    reached = report.bound >= bound and (report.entry_bound is None or report.entry_bound >= entry_bound)
+    return "fail" if reached else "pass"
 
 
 # ---------------------------------------------------------------------------
@@ -836,46 +801,27 @@ def enumerate_subspaces(dim: int, ring: Ring):
 # ---------------------------------------------------------------------------
 # replay
 
+# check name -> whether the case a recorded counterexample names holds when
+# re-run in the report's ambient (its theory, for frobenius)
+_HOLDS = {
+    "assumption31": lambda amb, ce: assumption31_case(amb, *_parse_fields(ce, amb, ("left", "right")))[0],
+    "assumption33": lambda amb, ce: assumption33_case(amb, *_parse_fields(ce, amb, ("left", "right")))[0],
+    "square": lambda amb, ce: square_case(amb, *_parse_fields(ce, amb, ("morphism",))),
+    "pi-functorial": lambda amb, ce: pi_functorial_case(amb, *_parse_fields(ce, amb, ("span1", "span2"))),
+    "tensor-functorial": lambda amb, ce: all(
+        tensor_functorial_case(amb, *_parse_fields(ce, amb, _TENSOR_FIELDS))
+    ),
+    "laws": lambda amb, ce: all(laws_case(amb, *_parse_fields(ce, amb, _LAWS_FIELDS))),
+    "frobenius": lambda th, ce: term_equal(parse_term(ce["lhs"]), parse_term(ce["rhs"]), th),
+}
+
 
 def replay(report: CheckReport) -> bool:
     """Re-run every recorded counterexample; True iff each still fails."""
     if not report.counterexamples:
         return True
-    from .spancospan import get_ambient
-
     if report.name == "frobenius":
-        th_name = report.c_name
-        th = get_theory(th_name)
-        for ce in report.counterexamples:
-            data = dict(ce)
-            if term_equal(parse_term(data["lhs"]), parse_term(data["rhs"]), th):
-                return False
-        return True
-    amb = get_ambient(report.c_name, report.a_name)
-    for ce in report.counterexamples:
-        data = dict(ce)
-        if report.name == "assumption31":
-            f, g = parse_morphism(data["left"]), parse_morphism(data["right"])
-            holds, _ = assumption31_case(amb, f, g)
-            if holds:
-                return False
-        elif report.name == "assumption33":
-            f, g = parse_morphism(data["left"]), parse_morphism(data["right"])
-            holds, _ = assumption33_case(amb, f, g)
-            if holds:
-                return False
-        elif report.name == "square":
-            if square_case(amb, parse_morphism(data["morphism"])):
-                return False
-        elif report.name == "pi-functorial":
-            s1, s2 = parse_span(data["span1"], amb), parse_span(data["span2"], amb)
-            if pi_functorial_case(amb, s1, s2):
-                return False
-        elif report.name == "laws":
-            spans = [parse_span(data[f"span{i}"], amb) for i in (1, 2, 3)]
-            cospans = [parse_cospan(data[f"cospan{i}"], amb) for i in (1, 2, 3)]
-            if all(laws_case(amb, *spans, *cospans)):
-                return False
-        else:
-            return False  # tensor-functorial records lack the second tuple of legs
-    return True
+        where = get_theory(report.c_name)
+    else:
+        where = get_ambient(report.c_name, report.a_name)
+    return not any(_HOLDS[report.name](where, dict(ce)) for ce in report.counterexamples)

@@ -1,13 +1,18 @@
 """Shared brute-force helpers for the test suite."""
 
-from itertools import combinations
-from math import gcd
+import sys
+from pathlib import Path
 
-from corelate.exactnum import ZZ
 from corelate.finfn import FinMap, ParMap
-from corelate.linmap import ExactMatrix, det_int, mat
+from corelate.linmap import ExactMatrix
 from corelate.spancospan import Cospan, Span
 from corelate.verify import span_rows
+
+# the benchmark's oracles, which share no code with corelate
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.insert(0, str(PERFBENCH))
+import oracles  # noqa: E402
 
 
 def reference_mat_mul(x, y):
@@ -63,26 +68,10 @@ def reference_rref(a):
     return ExactMatrix(ring, m, n, tuple(tuple(r_) for r_ in rows)), tuple(pivots)
 
 
-def minors_gcd(a, k):
-    g = 0
-    for ri in combinations(range(a.rows), k):
-        for ci in combinations(range(a.cols), k):
-            sub = mat(ZZ, k, k, [[a.entries[i][j] for j in ci] for i in ri])
-            g = gcd(g, det_int(sub))
-    return g
-
-
-def invariant_factors_via_minors(a):
-    """d_k = gcd of k-minors divided by gcd of (k-1)-minors."""
-    out = []
-    prev = 1
-    for k in range(1, min(a.rows, a.cols) + 1):
-        g = minors_gcd(a, k)
-        if g == 0:
-            break
-        out.append(g // prev)
-        prev = g
-    return tuple(out)
+def invariant_factors(a) -> tuple:
+    """The nonzero invariant factors of an integer matrix, from the
+    benchmark's gcd-of-minors oracle (its own Fraction determinants)."""
+    return tuple(d for d in oracles.invariant_factors(a.entries, a.cols) if d)
 
 
 def random_subspace_rows(rng, dim, ring):

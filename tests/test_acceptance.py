@@ -49,7 +49,7 @@ from corelate.verify import (
     replay,
     witness_reachable,
 )
-from oracle_utils import invariant_factors_via_minors, random_subspace_rows
+from oracle_utils import invariant_factors, random_subspace_rows
 
 # the benchmark's integer lattice oracle, which shares no code with corelate
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -142,12 +142,12 @@ def test_criterion_03_subspace_oracle_equivalence():
 
 def _split_mono(a):
     """Split mono over the integers: full column rank, all invariant factors 1."""
-    factors = invariant_factors_via_minors(a)
+    factors = invariant_factors(a)
     return len(factors) == a.cols and all(d == 1 for d in factors)
 
 
 def _injective_not_split(a):
-    factors = invariant_factors_via_minors(a)
+    factors = invariant_factors(a)
     return len(factors) == a.cols and any(d != 1 for d in factors)
 
 
@@ -331,7 +331,7 @@ def test_criterion_10_normal_form_algebra():
         if any(nonzero[i + 1] % nonzero[i] for i in range(len(nonzero) - 1)):
             bad += 1
             continue
-        if nonzero != invariant_factors_via_minors(a):
+        if nonzero != invariant_factors(a):
             bad += 1
     elapsed = time.monotonic() - start
     ok = bad == 0 and elapsed < 60

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -330,6 +331,11 @@ def test_check_laws_cli(capsys):
 def test_report_suite_expected_verdicts(capsys):
     code, out, _ = run(capsys, "report", "--samples", "40", "--format", "records")
     assert code == 0
+    # the records are byte-identical across refactors; a deliberate change
+    # of record updates this pin
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "96fd1e83ec4248c71a9924e555b430c1a57d3755f39687c13b7a6da6dc47e0f0"
+    )
     lines = [json.loads(line) for line in out.strip().splitlines()]
     verdicts = {(r["check"], r["C"], r["A"]): r["verdict"] for r in lines}
     assert verdicts[("assumption31", "f", "inj")] == "pass"

@@ -146,6 +146,12 @@ def random_term(rng, depth=3):
     return SeqTerm(a.dom, b.cod, a, b)
 
 
+def test_print_term_deep_chain_without_recursion():
+    layers = " ; ".join(["(comult ; mult)"] * 2000)
+    printed = print_term(parse_term(layers))
+    assert print_term(parse_term(printed)) == printed
+
+
 def test_round_trip_random_terms():
     rng = random.Random(0)
     for _ in range(200):

@@ -1,6 +1,4 @@
 import random
-from itertools import combinations
-from math import gcd
 
 import pytest
 
@@ -32,7 +30,7 @@ from corelate.linmap import (
     rref,
     snf,
 )
-from oracle_utils import reference_mat_mul, reference_rref
+from oracle_utils import invariant_factors, reference_mat_mul, reference_rref
 
 
 def rand_mat(rng, ring, rows, cols, bound=4):
@@ -123,30 +121,6 @@ def test_snf_example():
     assert abs(det_int(dec.v)) == 1
 
 
-def minors_gcd(a, k):
-    g = 0
-    rows = range(a.rows)
-    cols = range(a.cols)
-    for ri in combinations(rows, k):
-        for ci in combinations(cols, k):
-            sub = mat(ZZ, k, k, [[a.entries[i][j] for j in ci] for i in ri])
-            g = gcd(g, det_int(sub))
-    return g
-
-
-def invariant_factors_via_minors(a):
-    # d_k = gcd(k-minors) / gcd((k-1)-minors): classical characterisation
-    out = []
-    prev = 1
-    for k in range(1, min(a.rows, a.cols) + 1):
-        g = minors_gcd(a, k)
-        if g == 0:
-            break
-        out.append(g // prev)
-        prev = g
-    return tuple(out)
-
-
 def test_snf_invariant_factors_match_minors():
     rng = random.Random(11)
     for _ in range(60):
@@ -154,7 +128,7 @@ def test_snf_invariant_factors_match_minors():
         a = rand_mat(rng, ZZ, rows, cols, 6)
         dec = snf(a)
         nonzero = tuple(d for d in dec.diagonal if d)
-        assert nonzero == invariant_factors_via_minors(a)
+        assert nonzero == invariant_factors(a)
         for i in range(len(nonzero) - 1):
             assert nonzero[i + 1] % nonzero[i] == 0
 

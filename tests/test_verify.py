@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -12,7 +13,8 @@ from corelate.corelrel import (
     corel_equal,
     gamma,
 )
-from corelate.spancospan import Cospan, Span, get_ambient
+from corelate.literals import format_cospan, format_span
+from corelate.spancospan import Cospan, Span, cospan_identity, get_ambient, span_identity
 from corelate.verify import (
     CheckReport,
     assumption31_case,
@@ -34,6 +36,7 @@ from corelate.verify import (
     witness_equal_oracle,
     witness_reachable,
 )
+from oracle_utils import PERFBENCH
 
 F_ALL = get_ambient("f", "all")
 F_INJ = get_ambient("f", "inj")
@@ -138,6 +141,37 @@ def test_tensor_functorial_all_ambients():
 def test_category_laws_all_ambients():
     for amb in (F_INJ, PF_INJ, G2, Q, Z_SPLIT):
         assert check_category_laws(amb, 2, entry_bound=2, seed=1, samples=60).verdict == "pass"
+
+
+def test_tensor_functorial_counterexamples_replay(monkeypatch):
+    # spans with arbitrary partial legs break interchange (see the check's
+    # docstring), so drawing them in place of A-spans plants failures
+    monkeypatch.setattr(verify, "random_a_span", verify.random_span)
+    report = check_tensor_functorial(PF_INJ, 2, 2, 0, 200)
+    assert report.verdict == "fail"
+    assert len(report.counterexamples) == 75
+    assert replay(report)
+    # the same report with one counterexample swapped for a passing tuple
+    ident_span = format_span(span_identity(1, PF_INJ))
+    ident_cospan = format_cospan(cospan_identity(1, PF_INJ))
+    passing = dict(report.counterexamples[0])
+    for key in passing:
+        if key.startswith("span"):
+            passing[key] = ident_span
+        elif key.startswith("cospan"):
+            passing[key] = ident_cospan
+    swapped = (tuple(passing.items()),) + report.counterexamples[1:]
+    assert not replay(CheckReport(**{**vars(report), "counterexamples": swapped}))
+
+
+def test_traced_names_are_verify_functions(monkeypatch):
+    # perfbench/tracing.py wraps these by name: a renamed one would
+    # silently zero its per-check metrics
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    names = set(tracing.CHECKS) | set(tracing.CASE_CHECKERS) | {"_pairs"}
+    assert {name for name in names if not inspect.isfunction(getattr(verify, name, None))} == set()
 
 
 def _compose_dropping_a_row(a, b):
