@@ -97,9 +97,7 @@ def pi(s: Span, amb: Ambient) -> Corelation:
     for leg in (s.left, s.right):
         if not amb.in_a(leg):
             raise NotInA(f"span leg fails the {amb.a_name} membership test")
-    first = Cospan(amb.identity(amb.cod(s.left)), s.left)
-    second = Cospan(s.right, amb.identity(amb.cod(s.right)))
-    return Corelation(amb, amb.compose_corelations(first, second))
+    return Corelation(amb, amb.span_corelation(s))
 
 
 def corel_identity(n: int, amb: Ambient) -> Corelation:

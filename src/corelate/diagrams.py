@@ -33,36 +33,92 @@ from . import corelrel
 from .corelrel import gamma, rel_canonical
 
 
-@dataclass(frozen=True)
+class _Hashed:
+    """Stands for a subterm inside a tuple, hashing to the subterm's hash."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+
+@dataclass(frozen=True, eq=False)
 class Term:
+    """A typed term.  Equality and hashing are structural, as a frozen
+    dataclass's would be, but walk the tree with an explicit stack, so a
+    deep term costs no recursion."""
+
     dom: int
     cod: int
 
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__dataclass_fields__)
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__:
+                return False
+            if isinstance(a, (SeqTerm, TensorTerm)):
+                if a.dom != b.dom or a.cod != b.cod:
+                    return False
+                todo += ((a.second, b.second), (a.first, b.first))
+            elif a._fields() != b._fields():
+                return False
+        return True
+
+    def __hash__(self):
+        # the hash of the tuple of the fields, subterms before the terms
+        # that hold them
+        hashes: dict = {}
+        todo = [self]
+        while todo:
+            t = todo[-1]
+            if isinstance(t, (SeqTerm, TensorTerm)):
+                pending = [u for u in (t.second, t.first) if id(u) not in hashes]
+                if pending:
+                    todo += pending
+                    continue
+                fields = (t.dom, t.cod, _Hashed(hashes[id(t.first)]), _Hashed(hashes[id(t.second)]))
+            else:
+                fields = t._fields()
+            todo.pop()
+            hashes[id(t)] = hash(fields)
+        return hashes[id(self)]
+
+
+@dataclass(frozen=True, eq=False)
 class IdTerm(Term):
     n: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymTerm(Term):
     n: int
     m: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GenTerm(Term):
     name: str
     args: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeqTerm(Term):
     first: Term
     second: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TensorTerm(Term):
     first: Term
     second: Term
@@ -166,7 +222,10 @@ class _Parser:
         num = self.nat()
         if self.peek()[1] == "/":
             self.next()
+            pos = self.peek()[2]
             den = self.nat()
+            if den == 0:
+                raise TermSyntaxError(f"scalar {sign * num}/0 has a zero denominator", pos)
             return Fraction(sign * num, den)
         return Fraction(sign * num)
 

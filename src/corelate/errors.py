@@ -39,6 +39,11 @@ class ZeroDenominator(CorelateError):
     """Rational with denominator zero requested."""
 
 
+class BadScalar(CorelateError, ValueError):
+    """A scalar literal names no element of its ring, such as ``1/2`` for
+    the integers or ``x`` for any ring."""
+
+
 class NotInA(CorelateError):
     """A morphism fails the ambient's distinguished-subcategory test."""
 

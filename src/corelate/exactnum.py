@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NotAUnit, UnknownRing, ZeroDenominator, ZeroInverse
+from .errors import BadScalar, NotAUnit, UnknownRing, ZeroDenominator, ZeroInverse
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -60,6 +60,15 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _parse_int(text: str, what: str) -> int:
+    """The integer a literal names; anything else is a :class:`BadScalar`
+    saying the literal is not ``what``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise BadScalar(f"{text.strip()!r} is not {what}") from None
 
 
 def rational_normalize(n: int, d: int) -> Fraction:
@@ -148,7 +157,7 @@ class IntegerRing(Ring):
         return int(x)
 
     def parse(self, text):
-        return int(text)
+        return _parse_int(text, "an integer")
 
 
 class RationalRing(Ring):
@@ -175,10 +184,12 @@ class RationalRing(Ring):
         return Fraction(x)
 
     def parse(self, text):
-        if "/" in text:
-            n, d = text.split("/", 1)
-            return rational_normalize(int(n), int(d))
-        return Fraction(int(text))
+        n, slash, d = text.partition("/")
+        try:
+            num, den = int(n), int(d) if slash else 1
+        except ValueError:
+            raise BadScalar(f"{text.strip()!r} is not a rational") from None
+        return rational_normalize(num, den)
 
     def format(self, x):
         x = Fraction(x)
@@ -220,7 +231,7 @@ class PrimeField(Ring):
         return int(x) % self.p
 
     def parse(self, text):
-        return self.coerce(int(text))
+        return self.coerce(_parse_int(text, f"an integer residue mod {self.p}"))
 
 
 ZZ = IntegerRing()

@@ -1,21 +1,18 @@
 """Exact dense linear algebra over GF(p), the rationals, and the integers.
 
 A morphism n -> m is stored as an m-by-n matrix; diagrammatic composition
-"first A, then B" is the matrix product B*A.  Field computations run on
-reduced row echelon forms.  Over the integers, canonical forms and the
-split-mono test run on row Hermite normal forms, and pushouts, kernels,
-exact solves and factorisations on a Smith normal form engine that tracks
-the unimodular transforms and their inverses, so saturations never leave
-the integers.  A canonical (co)relation is one echelon pass: the canonical
-basis of a row space (lattice), or of its rows that vanish on a block of
-columns (:func:`row_basis`, :func:`row_basis_meet`).
+"first A, then B" is the matrix product B*A.  Every canonical form, rank,
+kernel, pullback, pushout, exact solve and factorisation is one pass of an
+echelon core on a list of rows: reduced row echelon form over a field, row
+Hermite normal form over the integers.  A limit is the canonical basis of
+the rows of one stacked matrix that vanish on a block of columns
+(:func:`row_basis_meet`); the left kernels it reads are saturated, so
+over the integers nothing leaves the integers and no Smith form is needed.
+The Smith normal form engine serves only :func:`snf`.
 
-The kernels work on the stored values themselves, without calling the
+The cores work on the stored values themselves, without calling the
 ring's scalar operations: ``int`` residues reduced mod p for GF(p),
-``Fraction`` for the rationals, ``int`` for the integers.  The Smith engine
-tracks only the transforms its caller reads (none for a rank or a
-split-mono test, v for a kernel, u for a pushout, u^-1 and v^-1 for a
-factorisation, u and v for a solve).
+``Fraction`` for the rationals, ``int`` for the integers.
 """
 
 from __future__ import annotations
@@ -148,11 +145,6 @@ def mat_transpose(a: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(a.ring, a.cols, a.rows, tuple(zip(*a.entries)) if a.entries else tuple(() for _ in range(a.cols)))
 
 
-def mat_neg(a: ExactMatrix) -> ExactMatrix:
-    neg = _negate(a.ring)
-    return ExactMatrix(a.ring, a.rows, a.cols, tuple(tuple(neg(v) for v in row) for row in a.entries))
-
-
 def mat_hcat(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     _require_same_ring(a, b)
     if a.rows != b.rows:
@@ -167,37 +159,36 @@ def mat_vcat(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(a.ring, a.rows + b.rows, a.cols, a.entries + b.entries)
 
 
-def _submatrix_rows(a: ExactMatrix, lo: int, hi: int) -> ExactMatrix:
-    return ExactMatrix(a.ring, hi - lo, a.cols, a.entries[lo:hi])
-
-
-def _submatrix_cols(a: ExactMatrix, lo: int, hi: int) -> ExactMatrix:
-    return ExactMatrix(a.ring, a.rows, hi - lo, tuple(row[lo:hi] for row in a.entries))
-
 
 # ---------------------------------------------------------------------------
-# echelon forms over fields
+# the echelon cores: in place on a list of row lists
+#
+# Both cores take a column k and skip the reduction of a row that has its
+# pivot before column k against any later pivot row: such rows leave the
+# meet with the first k columns (see ``_meet``), and their reduction never
+# feeds back into the rows that stay.  With k = 0 the result is the full
+# canonical form; with k = ncols it is forward elimination only, enough for
+# a rank or for the pivots themselves.
 
 
-def rref(a: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns, over a field.
+def _rref(rows: list, ncols: int, ring: Ring, k: int = 0) -> list:
+    """Gauss-Jordan elimination over a field, in place; returns the pivot
+    columns.
 
-    Gauss-Jordan elimination on the stored values: ``int`` residues reduced
-    mod p for GF(p), ``Fraction`` for the rationals.  Zero entries of the
-    pivot row are skipped, and so are rows with a zero in the pivot column.
+    Works on the stored values: ``int`` residues reduced mod p for GF(p),
+    ``Fraction`` for the rationals.  Zero entries of the pivot row are
+    skipped, and so are rows with a zero in the pivot column.
     """
-    ring = a.ring
-    if not ring.is_field:
-        raise RingMismatch("row reduction needs a field")
     p = _modulus(ring)
     zero = ring.zero
-    rows = [list(r) for r in a.entries]
-    m, n = a.rows, a.cols
+    m = len(rows)
     pivots = []
-    r = 0
-    for j in range(n):
+    r = lo = 0
+    for j in range(ncols):
         if r == m:
             break
+        if j <= k:
+            lo = r
         pivot_row = next((i for i in range(r, m) if rows[i][j]), None)
         if pivot_row is None:
             continue
@@ -211,21 +202,125 @@ def rref(a: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
             else:
                 inv = pow(x, -1, p)
                 prow[j:] = [v * inv % p for v in prow[j:]]
-        support = [(k, w) for k, w in enumerate(prow[j + 1 :], j + 1) if w]
-        for i in range(m):
+        support = [(c, w) for c, w in enumerate(prow[j + 1 :], j + 1) if w]
+        for i in range(lo, m):
             row = rows[i]
             c = row[j]
             if c and i != r:
                 row[j] = zero
                 if p is None:
-                    for k, w in support:
-                        row[k] -= c * w
+                    for col, w in support:
+                        row[col] -= c * w
                 else:
-                    for k, w in support:
-                        row[k] = (row[k] - c * w) % p
+                    for col, w in support:
+                        row[col] = (row[col] - c * w) % p
         pivots.append(j)
         r += 1
-    return ExactMatrix(ring, m, n, tuple(tuple(r_) for r_ in rows)), tuple(pivots)
+    return pivots
+
+
+def _hnf(rows: list, ncols: int, k: int = 0) -> list:
+    """Row Hermite form over the integers, in place; returns the pivot
+    columns.
+
+    Pivots are positive, entries above a pivot are reduced into [0, pivot),
+    zero rows sink to the bottom.  Each column is cleared below its pivot by
+    repeated floor division by the least nonzero entry; rows r.. are zero
+    left of column j, so only the nonzero tail of the pivot row is read.
+    """
+    m = len(rows)
+    pivots = []
+    r = lo = 0
+    for j in range(ncols):
+        if r == m:
+            break
+        if j <= k:
+            lo = r
+        while True:
+            best = -1
+            for i in range(r, m):
+                v = rows[i][j]
+                if v:
+                    if v == 1 or v == -1:  # nothing can be smaller
+                        best, least = i, 1
+                        break
+                    v = abs(v)
+                    if best < 0 or v < least:
+                        best, least = i, v
+            if best < 0:
+                break
+            prow = rows[best]
+            rows[r], rows[best] = prow, rows[r]
+            if prow[j] < 0:
+                for c in range(j, ncols):
+                    prow[c] = -prow[c]
+            support = [(c, w) for c, w in enumerate(prow[j:], j) if w]
+            residue = False
+            for i in range(r + 1, m):
+                row = rows[i]
+                q = row[j] // least
+                if q:
+                    for c, w in support:
+                        row[c] -= q * w
+                if row[j]:
+                    residue = True
+            if not residue:
+                break
+        if best < 0:
+            continue
+        for i in range(lo, r):
+            row = rows[i]
+            q = row[j] // least
+            if q:
+                for c, w in support:
+                    row[c] -= q * w
+        pivots.append(j)
+        r += 1
+    return pivots
+
+
+def _echelon(ring: Ring, rows: list, ncols: int, k: int = 0) -> list:
+    """The ring's echelon core: rref over a field, row Hermite form over
+    the integers.  Returns the pivot columns."""
+    if ring.is_field:
+        return _rref(rows, ncols, ring, k)
+    return _hnf(rows, ncols, k)
+
+
+def _meet(ring: Ring, rows: list, ncols: int, k: int = 0) -> list:
+    """Canonical basis of the vectors of the row space (lattice) of the row
+    lists that vanish on the first k columns, with those columns dropped.
+
+    An echelon basis spans such vectors by its rows that vanish there (the
+    rows with a pivot at column k or later), and those rows, cut down, are
+    again in canonical form.
+    """
+    pivots = _echelon(ring, rows, ncols, k)
+    lo = sum(1 for j in pivots if j < k)
+    return [row[k:] for row in rows[lo : len(pivots)]]
+
+
+def _cut(ring: Ring, basis: list, lo: int, hi: int) -> ExactMatrix:
+    """Columns lo..hi of the basis rows, as a matrix."""
+    return ExactMatrix(ring, len(basis), hi - lo, tuple([tuple(row[lo:hi]) for row in basis]))
+
+
+def _require_integers(a: ExactMatrix, what: str) -> None:
+    if a.ring is not ZZ and a.ring != ZZ:
+        raise RingMismatch(f"{what} needs integer entries")
+
+
+# ---------------------------------------------------------------------------
+# canonical forms, rank and the split-mono test: wrappers of the cores
+
+
+def rref(a: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
+    """Reduced row echelon form and pivot columns, over a field."""
+    if not a.ring.is_field:
+        raise RingMismatch("row reduction needs a field")
+    rows = [list(row) for row in a.entries]
+    pivots = _rref(rows, a.cols, a.ring)
+    return ExactMatrix(a.ring, a.rows, a.cols, tuple(map(tuple, rows))), tuple(pivots)
 
 
 def rcef(a: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
@@ -234,12 +329,212 @@ def rcef(a: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
     return mat_transpose(r), pivots
 
 
+def hnf_row(a: ExactMatrix) -> ExactMatrix:
+    """Canonical row-style Hermite normal form (left unimodular action)."""
+    _require_integers(a, "Hermite normal form")
+    rows = [list(row) for row in a.entries]
+    _hnf(rows, a.cols)
+    return ExactMatrix(ZZ, a.rows, a.cols, tuple(map(tuple, rows)))
+
+
+def hnf_col(a: ExactMatrix) -> ExactMatrix:
+    """Canonical column-style Hermite normal form (right unimodular action)."""
+    return mat_transpose(hnf_row(mat_transpose(a)))
+
+
+def row_basis(a: ExactMatrix) -> ExactMatrix:
+    """Canonical basis of the row space (over a field) or the row lattice
+    (over the integers): the nonzero rows of the reduced row echelon form,
+    or of the row Hermite normal form, top to bottom."""
+    return row_basis_meet(a, 0)
+
+
+def row_basis_meet(a: ExactMatrix, k: int) -> ExactMatrix:
+    """Canonical basis of the vectors of the row space (lattice) of a that
+    vanish on the first k columns, with those k columns dropped."""
+    basis = _meet(a.ring, [list(row) for row in a.entries], a.cols, k)
+    return _cut(a.ring, basis, 0, a.cols - k)
+
+
+def echelon_legs(left: ExactMatrix, right: ExactMatrix, basis: bool = True) -> tuple[ExactMatrix, ExactMatrix]:
+    """The canonical echelon form of [left | right], cut back into two legs:
+    its nonzero rows, the canonical basis of the row space (lattice), or
+    with ``basis`` false all its rows."""
+    _require_same_ring(left, right)
+    if left.rows != right.rows:
+        raise TypeMismatch("row counts differ")
+    ring, n = left.ring, left.cols
+    rows = [[*l, *r] for l, r in zip(left.entries, right.entries)]
+    if basis:
+        rows = _meet(ring, rows, n + right.cols)
+    else:
+        _echelon(ring, rows, n + right.cols)
+    return _cut(ring, rows, 0, n), _cut(ring, rows, n, n + right.cols)
+
+
 def mat_rank(a: ExactMatrix) -> int:
     """Rank; for integer matrices this is the rank over the rationals,
-    read off the Smith diagonal."""
-    if a.ring.is_field:
-        return len(rref(a)[1])
-    return _snf_engine(a).rank
+    the number of Hermite pivots."""
+    return len(_echelon(a.ring, [list(row) for row in a.entries], a.cols, a.cols))
+
+
+def is_split_mono(a: ExactMatrix) -> bool:
+    """True iff a has a left inverse, i.e. its rows span Z^cols: the row
+    Hermite form is the identity on top of zero rows.  Forward elimination
+    decides it, since it already fixes the pivots."""
+    _require_integers(a, "split-mono test")
+    if a.rows < a.cols:
+        return False
+    rows = [list(row) for row in a.entries]
+    pivots = _hnf(rows, a.cols, a.cols)
+    return len(pivots) == a.cols and all(rows[i][i] == 1 for i in range(a.cols))
+
+
+# ---------------------------------------------------------------------------
+# limits, solves and factorisations: one echelon pass each
+#
+# Every one is the meet of one stacked matrix with its first k columns,
+# over every ring: the left kernel of [T; -B] carried through the outer
+# legs, read off the rows of [T | L 0; -B | 0 R] that vanish on [T; -B]
+# (Cohen, A Course in Computational Algebraic Number Theory, 2.4).  A left
+# kernel is saturated, so over the integers no Smith form or free
+# reflection is needed.
+
+
+def _glued_basis(ring: Ring, top, bottom, k: int, left: Optional[ExactMatrix] = None, right: Optional[ExactMatrix] = None) -> list:
+    """Canonical basis of {(w1 * left, w2 * right) : w1 * top = w2 * bottom},
+    from one echelon pass over [top | left 0; -bottom | 0 right].
+
+    ``top`` and ``bottom`` are sequences of rows of width k; an outer leg
+    that is omitted is the identity, stacked as unit rows.
+    """
+    zero, one = ring.zero, ring.one
+    neg = _negate(ring)
+    x = len(top) if left is None else left.cols
+    y = len(bottom) if right is None else right.cols
+    rows = []
+    for i, row in enumerate(top):
+        if left is None:
+            tail = [zero] * (x + y)
+            tail[i] = one
+            rows.append([*row, *tail])
+        else:
+            rows.append([*row, *left.entries[i], *(zero,) * y])
+    for i, row in enumerate(bottom):
+        if right is None:
+            tail = [zero] * (x + y)
+            tail[x + i] = one
+            rows.append([*map(neg, row), *tail])
+        else:
+            rows.append([*map(neg, row), *(zero,) * x, *right.entries[i]])
+    return _meet(ring, rows, k + x + y, k)
+
+
+def kernel_basis(a: ExactMatrix) -> ExactMatrix:
+    """Matrix whose columns form the canonical basis of ker a: the rows of
+    [a^T | I] that vanish on the a^T block.  Over the integers the basis
+    spans a saturated (pure) submodule."""
+    basis = _glued_basis(a.ring, mat_transpose(a).entries, (), a.rows)
+    return mat_transpose(_cut(a.ring, basis, 0, a.cols))
+
+
+def mat_pullback(a: ExactMatrix, b: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
+    """Pullback of the cospan (a, b): the kernel of the joint map [a | -b]."""
+    _require_same_ring(a, b)
+    if a.rows != b.rows:
+        raise TypeMismatch(f"cospan feet disagree: {a.rows} vs {b.rows}")
+    n = a.cols
+    basis = _glued_basis(a.ring, mat_transpose(a).entries, mat_transpose(b).entries, a.rows)
+    return mat_transpose(_cut(a.ring, basis, 0, n)), mat_transpose(_cut(a.ring, basis, n, n + b.cols))
+
+
+def mat_pushout(a: ExactMatrix, b: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
+    """Pushout of the span (a, b): the left kernel of [a; -b], whose
+    canonical basis is also the canonical cospan of the pushout.
+
+    Over the integers this is the quotient by the saturation of the image
+    of [a; -b] (the free reflection), so the apex is again free and torsion
+    cannot appear.
+    """
+    _require_same_ring(a, b)
+    if a.cols != b.cols:
+        raise TypeMismatch(f"span apexes disagree: {a.cols} vs {b.cols}")
+    x = a.rows
+    basis = _glued_basis(a.ring, a.entries, b.entries, a.cols)
+    return _cut(a.ring, basis, 0, x), _cut(a.ring, basis, x, x + b.rows)
+
+
+def corelation_composite(l1: ExactMatrix, r1: ExactMatrix, l2: ExactMatrix, r2: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
+    """Canonical legs of the composite of the corelations (l1, r1) and
+    (l2, r2): the left kernel of [r1; -l2] (their pushout) carried through
+    diag(l1, r2), which is the image of the composite legs."""
+    for leg in (r1, l2, r2):
+        _require_same_ring(l1, leg)
+    if r1.cols != l2.cols:
+        raise TypeMismatch(f"feet disagree: {r1.cols} vs {l2.cols}")
+    x = l1.cols
+    basis = _glued_basis(l1.ring, r1.entries, l2.entries, r1.cols, l1, r2)
+    return _cut(l1.ring, basis, 0, x), _cut(l1.ring, basis, x, x + r2.cols)
+
+
+def mat_solve(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
+    """Exact solution x of a*x = b, or None when none exists.
+
+    Over the integers the solution must itself be integral.  The solution
+    is the canonical one, reduced against the kernel of a.
+    """
+    _require_same_ring(a, b)
+    if a.rows != b.rows:
+        raise TypeMismatch("row counts differ")
+    x = mat_solve_left(mat_transpose(a), mat_transpose(b))
+    return None if x is None else mat_transpose(x)
+
+
+def mat_solve_left(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
+    """Exact solution x of x*a = b, or None when none exists.
+
+    One pass over [b | I 0; -a | 0 I]: its meet is {(z, x) : z*b = x*a},
+    and a solution exists iff the meet's z block has a pivot of 1 in every
+    column; its first rows are then (e_l, x_l).
+    """
+    _require_same_ring(a, b)
+    if a.cols != b.cols:
+        raise TypeMismatch("column counts differ")
+    k = b.rows
+    basis = _glued_basis(a.ring, b.entries, a.entries, a.cols)
+    if len(basis) < k or any(basis[l][l] != 1 for l in range(k)):
+        return None
+    return _cut(a.ring, basis[:k], k, k + a.rows)
+
+
+def field_factorize(a: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
+    """Factor a = m * e with e surjective and m injective, over a field.
+
+    m is the reduced column echelon basis of the column space, so the
+    factorisation is canonical.
+    """
+    if not a.ring.is_field:
+        raise RingMismatch("epi-mono factorisation needs a field")
+    c, pivot_rows = rcef(a)
+    r = len(pivot_rows)
+    m = ExactMatrix(a.ring, a.rows, r, tuple(row[:r] for row in c.entries))
+    # solve m * e = a; rref([m | a]) = [I_r, e; 0, 0] since m has full column rank
+    red, _ = rref(mat_hcat(m, a))
+    e = ExactMatrix(a.ring, r, a.cols, tuple(row[r:] for row in red.entries[:r]))
+    return e, m
+
+
+def pid_factorize(a: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
+    """Factor an integer matrix a = m * e with m a split mono.
+
+    m is the inclusion of the saturation (pure closure) of the column span,
+    which is the kernel of the left kernel of a; e has full row rank over
+    the rationals.
+    """
+    _require_integers(a, "split-mono factorisation")
+    left_kernel = _cut(ZZ, _glued_basis(ZZ, a.entries, (), a.cols), 0, a.rows)
+    m = kernel_basis(left_kernel)
+    return mat_solve(m, a), m
 
 
 # ---------------------------------------------------------------------------
@@ -450,236 +745,6 @@ def det_int(a: ExactMatrix) -> int:
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
 
-
-# ---------------------------------------------------------------------------
-# Hermite normal forms (canonical representatives of GL_Z orbits)
-
-
-def hnf_row(a: ExactMatrix) -> ExactMatrix:
-    """Canonical row-style Hermite normal form (left unimodular action).
-
-    Pivots are positive, entries above a pivot are reduced into [0, pivot),
-    zero rows sink to the bottom.  Each column is cleared below its pivot by
-    repeated floor division by the least nonzero entry; rows r.. are zero
-    left of column j, so only their tails change.
-    """
-    if a.ring is not ZZ and a.ring != ZZ:
-        raise RingMismatch("Hermite normal form needs integer entries")
-    m, n = a.rows, a.cols
-    rows = [list(row) for row in a.entries]
-    r = 0
-    for j in range(n):
-        while True:
-            best = -1
-            for i in range(r, m):
-                v = rows[i][j]
-                if v:
-                    if v == 1 or v == -1:  # nothing can be smaller
-                        best, least = i, 1
-                        break
-                    v = abs(v)
-                    if best < 0 or v < least:
-                        best, least = i, v
-            if best < 0:
-                break
-            prow = rows[best]
-            rows[r], rows[best] = prow, rows[r]
-            if prow[j] < 0:
-                for k in range(j, n):
-                    prow[k] = -prow[k]
-            residue = False
-            for i in range(r + 1, m):
-                row = rows[i]
-                q = row[j] // least
-                if q:
-                    for k in range(j, n):
-                        if prow[k]:
-                            row[k] -= q * prow[k]
-                if row[j]:
-                    residue = True
-            if not residue:
-                break
-        if best < 0:
-            continue
-        for i in range(r):
-            row = rows[i]
-            q = row[j] // least
-            if q:
-                for k in range(j, n):
-                    if prow[k]:
-                        row[k] -= q * prow[k]
-        r += 1
-        if r == m:
-            break
-    return ExactMatrix(ZZ, m, n, tuple(map(tuple, rows)))
-
-
-def hnf_col(a: ExactMatrix) -> ExactMatrix:
-    """Canonical column-style Hermite normal form (right unimodular action)."""
-    return mat_transpose(hnf_row(mat_transpose(a)))
-
-
-def row_basis(a: ExactMatrix) -> ExactMatrix:
-    """Canonical basis of the row space (over a field) or the row lattice
-    (over the integers): the nonzero rows of the reduced row echelon form,
-    or of the row Hermite normal form, top to bottom."""
-    if a.ring.is_field:
-        reduced, pivots = rref(a)
-        rows = reduced.entries[: len(pivots)]
-    else:
-        rows = tuple(row for row in hnf_row(a).entries if any(row))
-    return ExactMatrix(a.ring, len(rows), a.cols, rows)
-
-
-def row_basis_meet(a: ExactMatrix, k: int) -> ExactMatrix:
-    """Canonical basis of the vectors of the row space (lattice) of a that
-    vanish on the first k columns, with those k columns dropped.
-
-    An echelon basis spans such vectors by its rows that vanish there, and
-    those rows, cut down, are again in canonical form.
-    """
-    rows = tuple(row[k:] for row in row_basis(a).entries if not any(row[:k]))
-    return ExactMatrix(a.ring, len(rows), a.cols - k, rows)
-
-
-# ---------------------------------------------------------------------------
-# kernels, factorisations, (co)limits
-
-
-def kernel_basis(a: ExactMatrix) -> ExactMatrix:
-    """Matrix whose columns form a basis of ker a.
-
-    Over a field the basis comes from the reduced row echelon form; over the
-    integers from Smith normal form, so the basis spans a saturated (pure)
-    submodule and is a genuine Z-basis.
-    """
-    if a.ring.is_field:
-        ring = a.ring
-        neg = _negate(ring)
-        r, pivots = rref(a)
-        pivot_set = set(pivots)
-        free = [j for j in range(a.cols) if j not in pivot_set]
-        cols = []
-        for j in free:
-            vec = [ring.zero] * a.cols
-            vec[j] = ring.one
-            for i, pj in enumerate(pivots):
-                vec[pj] = neg(r.entries[i][j])
-            cols.append(vec)
-        entries = tuple(tuple(col[i] for col in cols) for i in range(a.cols))
-        return ExactMatrix(ring, a.cols, len(free), entries)
-    s = _snf_engine(a, ("v",))
-    return _submatrix_cols(s.v, s.rank, a.cols)
-
-
-def field_factorize(a: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
-    """Factor a = m * e with e surjective and m injective, over a field.
-
-    m is the reduced column echelon basis of the column space, so the
-    factorisation is canonical.
-    """
-    if not a.ring.is_field:
-        raise RingMismatch("epi-mono factorisation needs a field")
-    ring = a.ring
-    c, pivot_rows = rcef(a)
-    r = len(pivot_rows)
-    m = _submatrix_cols(c, 0, r)
-    # solve m * e = a; rref([m | a]) = [I_r, e; 0, 0] since m has full column rank
-    red, _ = rref(mat_hcat(m, a))
-    e = _submatrix_cols(_submatrix_rows(red, 0, r), m.cols, m.cols + a.cols)
-    return e, m
-
-
-def pid_factorize(a: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
-    """Factor an integer matrix a = m * e with m a split mono.
-
-    m is the inclusion of the saturation (pure closure) of the column span,
-    read off the Smith transform; e has full row rank over the rationals.
-    """
-    s = _snf_engine(a, ("uinv", "vinv"))
-    m = _submatrix_cols(s.uinv, 0, s.rank)
-    e_rows = tuple(tuple(s.d.entries[i][i] * x for x in s.vinv.entries[i]) for i in range(s.rank))
-    e = ExactMatrix(ZZ, s.rank, a.cols, e_rows)
-    return e, m
-
-
-def is_split_mono(a: ExactMatrix) -> bool:
-    """True iff a has a left inverse, i.e. its rows span Z^cols: the row
-    Hermite form is the identity on top of zero rows."""
-    if a.ring is not ZZ and a.ring != ZZ:
-        raise RingMismatch("split-mono test is for integer matrices")
-    if a.rows < a.cols:
-        return False
-    h = hnf_row(a).entries
-    return all(h[i][i] == 1 for i in range(a.cols))
-
-
-def mat_pullback(a: ExactMatrix, b: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
-    """Pullback of the cospan (a, b): kernel of the joint map [a | -b]."""
-    _require_same_ring(a, b)
-    if a.rows != b.rows:
-        raise TypeMismatch(f"cospan feet disagree: {a.rows} vs {b.rows}")
-    k = kernel_basis(mat_hcat(a, mat_neg(b)))
-    p1 = _submatrix_rows(k, 0, a.cols)
-    p2 = _submatrix_rows(k, a.cols, a.cols + b.cols)
-    return p1, p2
-
-
-def mat_pushout(a: ExactMatrix, b: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
-    """Pushout of the span (a, b).
-
-    Over a field: the cokernel of the stacked map [a; -b].  Over the
-    integers: the quotient by the saturation of its image (free reflection),
-    so the apex is again free and torsion cannot appear.
-    """
-    _require_same_ring(a, b)
-    if a.cols != b.cols:
-        raise TypeMismatch(f"span apexes disagree: {a.cols} vs {b.cols}")
-    c = mat_vcat(a, mat_neg(b))
-    if a.ring.is_field:
-        n = kernel_basis(mat_transpose(c))
-        q = mat_transpose(n)
-    else:
-        s = _snf_engine(c, ("u",))
-        q = _submatrix_rows(s.u, s.rank, c.rows)
-    q1 = _submatrix_cols(q, 0, a.rows)
-    q2 = _submatrix_cols(q, a.rows, a.rows + b.rows)
-    return q1, q2
-
-
-def mat_solve(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
-    """Exact solution x of a*x = b, or None when none exists.
-
-    Over the integers the solution must itself be integral.  Free variables
-    are set to zero, so the solution is deterministic.
-    """
-    _require_same_ring(a, b)
-    if a.rows != b.rows:
-        raise TypeMismatch("row counts differ")
-    ring = a.ring
-    if ring.is_field:
-        red, pivots = rref(mat_hcat(a, b))
-        rank = len([p for p in pivots if p < a.cols])
-        if any(p >= a.cols for p in pivots):
-            return None
-        out = [[ring.zero] * b.cols for _ in range(a.cols)]
-        for i, pj in enumerate(pivots):
-            for j in range(b.cols):
-                out[pj][j] = red.entries[i][a.cols + j]
-        return ExactMatrix(ring, a.cols, b.cols, tuple(tuple(r) for r in out))
-    s = _snf_engine(a, ("u", "v"))
-    y = mat_mul(s.u, b)
-    for i in range(s.rank, a.rows):
-        if any(y.entries[i][j] != 0 for j in range(b.cols)):
-            return None
-    w = [[0] * b.cols for _ in range(a.cols)]
-    for i in range(s.rank):
-        di = s.d.entries[i][i]
-        for j in range(b.cols):
-            if y.entries[i][j] % di != 0:
-                return None
-            w[i][j] = y.entries[i][j] // di
-    return mat_mul(s.v, ExactMatrix(ZZ, a.cols, b.cols, tuple(tuple(r) for r in w)))
 
 
 def enumerate_matrices(ring: Ring, rows: int, cols: int, entry_bound: int):

@@ -142,6 +142,14 @@ class Ambient:
         pushout, then the image factorisation of the composite legs."""
         raise NotImplementedError
 
+    def span_corelation(self, s: Span) -> Cospan:
+        """The canonical cospan of the corelation of the span s = (f, g):
+        its pushout, which is the composite of the cospans (id, f) and
+        (g, id)."""
+        first = Cospan(self.identity(self.cod(s.left)), s.left)
+        second = Cospan(s.right, self.identity(self.cod(s.right)))
+        return self.compose_corelations(first, second)
+
     # enumeration / sampling (verification harness)
     def enumerate_morphisms(self, dom: int, cod: int, entry_bound: Optional[int] = None):
         raise NotImplementedError
@@ -382,12 +390,10 @@ class MatrixAmbient(Ambient):
         )
 
     def pushout_mediator(self, q1, q2, f, g):
-        lhs = linmap.mat_transpose(linmap.mat_hcat(q1, q2))
-        rhs = linmap.mat_transpose(linmap.mat_hcat(f, g))
-        sol = linmap.mat_solve(lhs, rhs)
+        sol = linmap.mat_solve_left(linmap.mat_hcat(q1, q2), linmap.mat_hcat(f, g))
         if sol is None:
             raise TypeMismatch("not a cocone of the pushout")
-        return linmap.mat_transpose(sol)
+        return sol
 
     def pullback_mediator(self, p1, p2, f, g):
         sol = linmap.mat_solve(linmap.mat_vcat(p1, p2), linmap.mat_vcat(f, g))
@@ -401,19 +407,18 @@ class MatrixAmbient(Ambient):
     def corelation_cospan(self, c):
         """The corelation is the row space (lattice) of [L | R]: its
         canonical cospan is the canonical basis of it, split back."""
-        basis = linmap.row_basis(linmap.mat_hcat(c.left, c.right))
-        return Cospan(*self.split_copair(basis, c.left.cols, c.right.cols))
+        return Cospan(*linmap.echelon_legs(c.left, c.right))
 
     def compose_corelations(self, c1, c2):
         """One echelon pass over [C | diag(L1, R2)] with C = [R1; -L2]: the
         composite is the rows whose C-part vanishes, i.e. the left kernel of
         C (the pushout) applied to the outer legs (the image)."""
-        if c1.right.cols != c2.left.cols:
-            raise TypeMismatch(f"feet disagree: {c1.right.cols} vs {c2.left.cols}")
-        meet = linmap.mat_vcat(c1.right, linmap.mat_neg(c2.left))
-        stacked = linmap.mat_hcat(meet, linmap.mat_tensor(c1.left, c2.right))
-        basis = linmap.row_basis_meet(stacked, meet.cols)
-        return Cospan(*self.split_copair(basis, c1.left.cols, c2.right.cols))
+        return Cospan(*linmap.corelation_composite(c1.left, c1.right, c2.left, c2.right))
+
+    def span_corelation(self, s):
+        """The stack of (id, f) ; (g, id) is [f | I 0; -g | 0 I]: its meet
+        is the canonical pushout of the span."""
+        return Cospan(*linmap.mat_pushout(s.left, s.right))
 
     # relations over a field are the corelations of the transposed legs
     def relation_span(self, s):
@@ -429,13 +434,7 @@ class MatrixAmbient(Ambient):
         return _transpose_legs(composite, Span)
 
     def canonical_cospan(self, c):
-        stacked = linmap.mat_hcat(c.left, c.right)
-        if self.ring.is_field:
-            reduced, _ = linmap.rref(stacked)
-        else:
-            reduced = linmap.hnf_row(stacked)
-        left, right = self.split_copair(reduced, c.left.cols, c.right.cols)
-        return Cospan(left, right)
+        return Cospan(*linmap.echelon_legs(c.left, c.right, basis=False))
 
     def canonical_span(self, s):
         stacked = linmap.mat_vcat(s.left, s.right)

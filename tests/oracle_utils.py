@@ -4,7 +4,7 @@ import sys
 from pathlib import Path
 
 from corelate.finfn import FinMap, ParMap
-from corelate.linmap import ExactMatrix
+from corelate.linmap import ExactMatrix, _snf_engine
 from corelate.spancospan import Cospan, Span
 from corelate.verify import span_rows
 
@@ -66,6 +66,92 @@ def reference_rref(a):
         if r == m:
             break
     return ExactMatrix(ring, m, n, tuple(tuple(r_) for r_ in rows)), tuple(pivots)
+
+
+# The limits as they were computed before they became echelon meets: from
+# the free columns of a reduced row echelon form over a field, and from the
+# transforms of a Smith normal form over the integers.  They reach the
+# program only through ``_snf_engine``, which serves ``snf``.
+
+
+def _reference_neg(a):
+    ring = a.ring
+    return ExactMatrix(ring, a.rows, a.cols, tuple(tuple(ring.neg(v) for v in row) for row in a.entries))
+
+
+def _reference_transpose(a):
+    return ExactMatrix(a.ring, a.cols, a.rows, tuple(zip(*a.entries)) if a.rows else ((),) * a.cols)
+
+
+def _reference_cols(a, lo, hi):
+    return ExactMatrix(a.ring, a.rows, hi - lo, tuple(row[lo:hi] for row in a.entries))
+
+
+def reference_kernel_basis(a):
+    """Columns spanning ker a: one per free column of the reference rref,
+    or the last columns of the Smith transform v."""
+    ring = a.ring
+    if ring.is_field:
+        red, pivots = reference_rref(a)
+        cols = []
+        for j in (j for j in range(a.cols) if j not in pivots):
+            vec = [ring.zero] * a.cols
+            vec[j] = ring.one
+            for i, pj in enumerate(pivots):
+                vec[pj] = ring.neg(red.entries[i][j])
+            cols.append(vec)
+        return ExactMatrix(ring, a.cols, len(cols), tuple(tuple(col[i] for col in cols) for i in range(a.cols)))
+    s = _snf_engine(a, ("v",))
+    return _reference_cols(s.v, s.rank, a.cols)
+
+
+def reference_mat_pullback(a, b):
+    """The kernel of [a | -b], cut into its two blocks of rows."""
+    joint = ExactMatrix(a.ring, a.rows, a.cols + b.cols, tuple(x + y for x, y in zip(a.entries, _reference_neg(b).entries)))
+    k = reference_kernel_basis(joint)
+    return (
+        ExactMatrix(a.ring, a.cols, k.cols, k.entries[: a.cols]),
+        ExactMatrix(a.ring, b.cols, k.cols, k.entries[a.cols :]),
+    )
+
+
+def reference_mat_pushout(a, b):
+    """The cokernel of [a; -b] over a field; over the integers the last
+    rows of the Smith transform u, the quotient by the saturation."""
+    c = ExactMatrix(a.ring, a.rows + b.rows, a.cols, a.entries + _reference_neg(b).entries)
+    if a.ring.is_field:
+        q = _reference_transpose(reference_kernel_basis(_reference_transpose(c)))
+    else:
+        s = _snf_engine(c, ("u",))
+        q = ExactMatrix(a.ring, c.rows - s.rank, c.rows, s.u.entries[s.rank :])
+    return _reference_cols(q, 0, a.rows), _reference_cols(q, a.rows, c.rows)
+
+
+def reference_mat_solve(a, b):
+    """x with a*x = b, or None: free variables zero over a field, the
+    Smith diagonal over the integers."""
+    ring = a.ring
+    if ring.is_field:
+        joint = ExactMatrix(ring, a.rows, a.cols + b.cols, tuple(x + y for x, y in zip(a.entries, b.entries)))
+        red, pivots = reference_rref(joint)
+        if any(p >= a.cols for p in pivots):
+            return None
+        out = [[ring.zero] * b.cols for _ in range(a.cols)]
+        for i, pj in enumerate(pivots):
+            out[pj] = list(red.entries[i][a.cols :])
+        return ExactMatrix(ring, a.cols, b.cols, tuple(map(tuple, out)))
+    s = _snf_engine(a, ("u", "v"))
+    y = reference_mat_mul(s.u, b)
+    if any(any(row) for row in y.entries[s.rank :]):
+        return None
+    w = [[0] * b.cols for _ in range(a.cols)]
+    for i in range(s.rank):
+        di = s.d.entries[i][i]
+        for j in range(b.cols):
+            if y.entries[i][j] % di:
+                return None
+            w[i][j] = y.entries[i][j] // di
+    return reference_mat_mul(s.v, ExactMatrix(ring, a.cols, b.cols, tuple(map(tuple, w))))
 
 
 def invariant_factors(a) -> tuple:

@@ -236,31 +236,43 @@ def test_criterion_06_pi_functoriality():
     assert z_ok, (zsplit.verdict, only_iv, mediator_fails, replays)
 
 
+# Criterion 07's bounds per ambient: the largest foot and apex of the
+# cospans compared, and the witness search around each.  Over z/split the
+# cospans and the witnesses have entries in {-1, 0, 1}, and a backward move
+# (an exact solve through a split mono) then a forward one connect every
+# pair with the same corelation at these sizes.
+WITNESS_BOUNDS = (
+    (F, 2, 3, dict(depth=3, apex_bound=3)),
+    (PF, 2, 3, dict(depth=3, apex_bound=3)),
+    (Z_SPLIT, 1, 2, dict(depth=2, apex_bound=2, entry_bound=1)),
+)
+
+
 def test_criterion_07_canonical_form_soundness():
     mismatches = 0
-    for amb in (F, PF):
+    cases = dict.fromkeys(("f", "pf", "z"), 0)
+    equal_pairs = dict.fromkeys(("f", "pf", "z"), 0)
+    for amb, feet, apexes, search in WITNESS_BOUNDS:
         cache: dict = {}
-        for n in range(3):
-            for m in range(3):
+        for n in range(feet + 1):
+            for m in range(feet + 1):
                 cospans = [
                     Cospan(f, g)
-                    for apex in range(4)
+                    for apex in range(apexes + 1)
                     for f in amb.enumerate_morphisms(n, apex)
                     for g in amb.enumerate_morphisms(m, apex)
                 ]
-                reach = {
-                    c: witness_reachable(
-                        c, amb, depth=3, apex_bound=3, witness_cache=cache
-                    )
-                    for c in cospans
-                }
+                reach = {c: witness_reachable(c, amb, witness_cache=cache, **search) for c in cospans}
                 quotients = {c: gamma(c, amb) for c in cospans}
                 for c1 in cospans:
                     for c2 in cospans:
                         canonical_eq = corel_equal(quotients[c1], quotients[c2])
                         oracle_eq = c2 in reach[c1]
+                        cases[amb.name] += 1
+                        equal_pairs[amb.name] += canonical_eq and c1 != c2
                         if canonical_eq != oracle_eq:
                             mismatches += 1
+    assert cases == {"f": 12872, "pf": 148232, "z": 8628} and equal_pairs["z"] == 2180, (cases, equal_pairs)
     assert verdict(7, "canonical forms match the witness closure", mismatches == 0), mismatches
 
 

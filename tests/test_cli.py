@@ -296,6 +296,32 @@ def test_bad_scalars_exit_2(capsys, scalars):
     assert err.startswith("error: --scalars ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "ring, entry, message",
+    [
+        ("z", "1/2", "'1/2' is not an integer"),
+        ("q", "x", "'x' is not a rational"),
+        ("q", "x/2", "'x/2' is not a rational"),
+        ("gf3", "x", "'x' is not an integer residue mod 3"),
+        ("gf3", "1/3", "'1/3' is not an integer residue mod 3"),
+    ],
+)
+def test_bad_matrix_literal_entry_exit_2(capsys, ring, entry, message):
+    literal = f"cospan {{ left = mat {ring} 1x1 : [[{entry}]], right = mat {ring} 1x1 : [[1]] }}"
+    code, out, err = run(capsys, "normalize", "--ambient", ring, literal)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("theory", ["q-subspace", "z-corel"])
+def test_eval_zero_denominator_scalar_exit_2(capsys, theory):
+    code, out, err = run(capsys, "eval", "--theory", theory, "scalar(1/0)")
+    assert code == 2
+    assert out == ""
+    assert err == "error: scalar 1/0 has a zero denominator (at position 9)\n"
+
+
 def test_check_frobenius_records_deterministic(capsys):
     code1, out1, _ = run(capsys, "check", "frobenius", "--theory", "z-corel", "--format", "records")
     code2, out2, _ = run(capsys, "check", "frobenius", "--theory", "z-corel", "--format", "records")

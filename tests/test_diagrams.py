@@ -64,6 +64,15 @@ def test_parse_scalars():
     assert t.args == (Fraction(-3),)
 
 
+@pytest.mark.parametrize("src, position", [("scalar(1/0)", 9), ("w.mult ; scalar(-12/0)", 20)])
+def test_parse_zero_denominator(src, position):
+    with pytest.raises(TermSyntaxError) as err:
+        parse_term(src)
+    assert err.value.position == position
+    numerator = src[src.index("(") + 1 : src.index("/")]
+    assert str(err.value) == f"scalar {numerator}/0 has a zero denominator (at position {position})"
+
+
 def test_parse_colors():
     t = parse_term("w.mult ; b.comult")
     assert isinstance(t, SeqTerm)
@@ -150,6 +159,33 @@ def test_print_term_deep_chain_without_recursion():
     layers = " ; ".join(["(comult ; mult)"] * 2000)
     printed = print_term(parse_term(layers))
     assert print_term(parse_term(printed)) == printed
+
+
+def test_term_equality_and_hash_are_structural():
+    """On shallow terms, == agrees with the printed form (which reparses to
+    an identical tree) and the hash is that of the tuple of the fields, as
+    a frozen dataclass's would be."""
+    rng = random.Random(7)
+    terms = [random_term(rng) for _ in range(150)] + [parse_term(src) for src in ROUND_TRIP_SOURCES]
+    for t in terms:
+        fields = tuple(getattr(t, name) for name in t.__dataclass_fields__)
+        assert hash(t) == hash(fields)
+        for u in terms[:40]:
+            same = type(t) is type(u) and (t.dom, t.cod) == (u.dom, u.cod) and print_term(t) == print_term(u)
+            assert (t == u) == same
+            if same:
+                assert hash(t) == hash(u)
+    assert IdTerm(1, 1, 1) != GenTerm(1, 1, "scalar", (Fraction(1),))
+    assert GenTerm(1, 1, "scalar", (Fraction(1, 2),)) != GenTerm(1, 1, "scalar", (Fraction(2),))
+
+
+def test_term_equality_and_hash_of_deep_chain_without_recursion():
+    layers = ["(comult ; mult)"] * 2000
+    t = parse_term(" ; ".join(layers))
+    assert t == parse_term(" ; ".join(layers))
+    assert hash(t) == hash(parse_term(" ; ".join(layers)))
+    layers[1000] = "(comult ; sym(1,1) ; mult)"
+    assert t != parse_term(" ; ".join(layers))
 
 
 def test_round_trip_random_terms():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from corelate.errors import NotAUnit, UnknownRing, ZeroDenominator, ZeroInverse
+from corelate.errors import BadScalar, CorelateError, NotAUnit, UnknownRing, ZeroDenominator, ZeroInverse
 from corelate.exactnum import (
     GF,
     QQ,
@@ -170,3 +170,22 @@ def test_gf_coerce_fraction():
     assert GF(7).coerce(Fraction(1, 2)) == 4  # 2 * 4 = 1 mod 7
     with pytest.raises(ZeroInverse):
         GF(2).coerce(Fraction(1, 2))
+
+
+@pytest.mark.parametrize(
+    "ring, text",
+    [(ZZ, "1/2"), (ZZ, "x"), (QQ, "x"), (QQ, "1/"), (QQ, "1/2/3"), (GF(3), "x"), (GF(3), "1/3")],
+)
+def test_parse_rejects_non_scalars(ring, text):
+    with pytest.raises(BadScalar) as err:
+        ring.parse(text)
+    assert isinstance(err.value, CorelateError) and isinstance(err.value, ValueError)
+    assert "\n" not in str(err.value) and repr(text) in str(err.value)
+
+
+def test_parse_accepts_scalars():
+    assert ZZ.parse("-7") == -7
+    assert QQ.parse("-3/6") == Fraction(-1, 2) and QQ.parse("4") == Fraction(4)
+    assert GF(3).parse("-1") == 2
+    with pytest.raises(ZeroDenominator):
+        QQ.parse("1/0")

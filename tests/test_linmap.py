@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -30,7 +31,16 @@ from corelate.linmap import (
     rref,
     snf,
 )
-from oracle_utils import invariant_factors, reference_mat_mul, reference_rref
+from oracle_utils import (
+    invariant_factors,
+    oracles,
+    reference_kernel_basis,
+    reference_mat_mul,
+    reference_mat_pullback,
+    reference_mat_pushout,
+    reference_mat_solve,
+    reference_rref,
+)
 
 
 def rand_mat(rng, ring, rows, cols, bound=4):
@@ -598,6 +608,94 @@ def test_mat_solve_random_roundtrip():
             x = mat_solve(a, b)
             assert x is not None
             assert mat_mul(a, x) == b
+
+
+# --- the echelon limits against independent oracles ---------------------------
+
+
+def limit_inputs(ring, seed, count):
+    """Pairs (a, b) with a common row count: every one with all three sides
+    at most 2 and entries in {-1, 0, 1} (all residues over GF(p)), then
+    ``count`` seeded ones with sides up to 4, of mixed density."""
+    for d, x, y in product(range(3), repeat=3):
+        for a in enumerate_matrices(ring, d, x, 1):
+            for b in enumerate_matrices(ring, d, y, 1):
+                yield a, b
+    rng = random.Random(seed)
+    for _ in range(count):
+        d, x, y = (rng.randint(0, 4) for _ in range(3))
+        density = rng.random()
+        a, b = (
+            mat(ring, d, w, [[rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(w)] for _ in range(d)])
+            for w in (x, y)
+        )
+        if rng.random() < 0.5:  # a solvable a*x = b
+            b = mat_mul(a, rand_mat(rng, ring, x, y, 2))
+        yield a, b
+
+
+def canonical_rows(ring, rows, ncols):
+    """Canonical basis of the row space (lattice) of the rows, computed
+    apart from linmap: the benchmark's Hermite form over the integers, the
+    reference rref over a field."""
+    if ring == ZZ:
+        return oracles.hnf(rows, ncols)
+    red, pivots = reference_rref(mat(ring, len(rows), ncols, rows))
+    return red.entries[: len(pivots)]
+
+
+def columns(a):
+    return list(zip(*a.entries)) if a.rows else [()] * a.cols
+
+
+def negated(ring, rows):
+    return [tuple(ring.neg(v) for v in row) for row in rows]
+
+
+def in_column_span(a, b):
+    """Whether every column of b lies in the column lattice (space) of a."""
+    span = canonical_rows(a.ring, columns(a), a.rows)
+    return all(canonical_rows(a.ring, columns(a) + [col], a.rows) == span for col in columns(b))
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(2), GF(3), QQ], ids=lambda r: r.name)
+def test_limits_match_oracles(ring):
+    """Kernels, pullbacks and pushouts are the canonical bases of the
+    kernels of the reference bodies (and, over the integers, of the
+    benchmark's lattice oracle); exact solves solve, and exist exactly when
+    every column of b lies in the column span of a.  2,000 seeded cases
+    over the integers, 500 over each field."""
+    seed = {"z": 40, "gf2": 41, "gf3": 42, "q": 43}[ring.name]
+    nonzero_solutions = 0
+    for a, b in limit_inputs(ring, seed, 2000 if ring == ZZ else 500):
+        d, x, y = a.rows, a.cols, b.cols
+        # kernel of a, and pullback of the cospan (a, b): rows of [a^T | I]
+        k = kernel_basis(a)
+        expected = canonical_rows(ring, mat_transpose(reference_kernel_basis(a)).entries, x)
+        assert mat_transpose(k).entries == expected, a
+        p1, p2 = mat_pullback(a, b)
+        pulled = mat_transpose(mat_vcat(p1, p2)).entries
+        r1, r2 = reference_mat_pullback(a, b)
+        assert pulled == canonical_rows(ring, mat_transpose(mat_vcat(r1, r2)).entries, x + y), (a, b)
+        # pushout of the span (a^T, b^T): the left kernel of [a^T; -b^T]
+        at, bt = mat_transpose(a), mat_transpose(b)
+        q1, q2 = mat_pushout(at, bt)
+        pushed = mat_hcat(q1, q2).entries
+        s1, s2 = reference_mat_pushout(at, bt)
+        assert pushed == canonical_rows(ring, mat_hcat(s1, s2).entries, x + y), (a, b)
+        if ring == ZZ:
+            assert mat_transpose(k).entries == oracles.hnf(oracles.left_kernel(columns(a), d), x)
+            joint = columns(a) + negated(ring, columns(b))
+            assert pulled == oracles.hnf(oracles.left_kernel(joint, d), x + y)
+            assert pushed == oracles.hnf(oracles.left_kernel(at.entries + tuple(negated(ring, bt.entries)), d), x + y)
+        # a*x = b
+        sol = mat_solve(a, b)
+        solvable = in_column_span(a, b)
+        assert (sol is not None) == solvable == (reference_mat_solve(a, b) is not None), (a, b)
+        if sol is not None:
+            assert mat_mul(a, sol) == b, (a, b)
+            nonzero_solutions += any(map(any, sol.entries))
+    assert nonzero_solutions > 100
 
 
 def test_shape_errors():
