@@ -9,9 +9,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from .errors import CorelateError
+from .errors import BadScalar, CorelateError, ZeroDenominator
+from .exactnum import QQ, ZZ
 from .corelrel import gamma, rel_canonical
 from .diagrams import eval_term, get_theory, parse_term, term_equal
 from .literals import (
@@ -120,8 +120,8 @@ def _run_check(args) -> verify.CheckReport:
         scalars = None
         if args.scalars:
             try:
-                scalars = tuple(Fraction(s) for s in args.scalars.split(","))
-            except (ValueError, ZeroDivisionError):
+                scalars = tuple(QQ.parse(s) for s in args.scalars.split(","))
+            except (BadScalar, ZeroDenominator):
                 raise CorelateError(f"--scalars takes comma-separated rationals, got {args.scalars!r}") from None
         return verify.check_frobenius(args.theory, scalars)
     amb = get_ambient(args.C, args.A)
@@ -188,8 +188,8 @@ def cmd_report(args) -> int:
 def _count(text: str) -> int:
     """Argument type of bounds and sample counts: a non-negative integer."""
     try:
-        value = int(text)
-    except ValueError:
+        value = ZZ.parse(text)
+    except BadScalar:
         value = None
     if value is None or value < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")

@@ -2,18 +2,23 @@
 
 A corelation n -> m is an equivalence class of cospans; its canonical
 representative is the jointly-epi cospan obtained by factorising the
-copairing and renaming the apex.  Dually a relation is represented by the
-jointly-mono span whose pairing is in canonical echelon form.  Equality is
-decided on canonical forms, not by searching the witness closure; the
-closure is kept as an independent test oracle in the verification module.
+copairing and renaming the apex.  Equality is decided on canonical forms,
+not by searching the witness closure; the closure is kept as an
+independent test oracle in the verification module.
 
 Composition asks the ambient for the canonical composite: one union-find
 pass over finite and partial functions, one echelon pass over matrices
-(which is also how matrix ambients quotient a cospan and canonicalise a
-relation).  ``pi`` is a composite too: the pushout of a span is the
-composite of its two leg cospans.  Tensors need no factorisation, since E
-(dually M) is closed under tensor, and identities and symmetries are built
-canonical.
+(which is also how matrix ambients quotient a cospan).  ``pi`` is a
+composite too: the pushout of a span is the composite of its two leg
+cospans.  Tensors need no factorisation, since E is closed under tensor,
+and identities and symmetries are built canonical.
+
+A relation over a field is stored as the corelation of its transposed
+legs.  Transposing both legs of a span gives a cospan with the same feet,
+turns jointly-mono spans into jointly-epi cospans and pullbacks into
+pushouts (the self-duality of finite-dimensional vector spaces), so one
+set of corelation operations serves both types, and the canonical
+cospan's rows are the relation's subspace in reduced echelon form.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .spancospan import (
     Span,
     cospan_identity,
     embed_fwd_cospan,
-    span_identity,
+    transpose_legs,
 )
 
 
@@ -55,23 +60,13 @@ class Corelation:
 
 
 @dataclass(frozen=True)
-class Relation:
-    """Canonical jointly-mono span; build via :func:`rel_canonical`."""
-
-    ambient: Ambient
-    span: Span
+class Relation(Corelation):
+    """Canonical jointly-mono span over a field, stored as the canonical
+    corelation of its transposed legs; build via :func:`rel_canonical`."""
 
     @property
-    def dom(self) -> int:
-        return self.ambient.cod(self.span.left)
-
-    @property
-    def cod(self) -> int:
-        return self.ambient.cod(self.span.right)
-
-    @property
-    def apex(self) -> int:
-        return self.ambient.dom(self.span.left)
+    def span(self) -> Span:
+        return transpose_legs(self.cospan, Span)
 
 
 # ---------------------------------------------------------------------------
@@ -111,34 +106,38 @@ def corel_symmetry(n: int, m: int, amb: Ambient) -> Corelation:
     return Corelation(amb, Cospan(amb.identity(n + m), amb.symmetry(m, n)))
 
 
-def _require_same_ambient(a, b) -> None:
-    if a.ambient != b.ambient:
+def _require_alike(a: Corelation, b: Corelation) -> None:
+    if type(a) is not type(b):
+        raise TypeMismatch(f"cannot combine a {type(a).__name__} with a {type(b).__name__}")
+    if a.ambient is not b.ambient and a.ambient != b.ambient:
         raise TypeMismatch(f"ambients differ: {a.ambient} vs {b.ambient}")
 
 
 def corel_compose(a: Corelation, b: Corelation) -> Corelation:
-    _require_same_ambient(a, b)
+    """Composite of two corelations, or of two relations: the value type
+    of ``a``."""
+    _require_alike(a, b)
     if a.cod != b.dom:
         raise TypeMismatch(f"feet disagree: {a.cod} vs {b.dom}")
-    return Corelation(a.ambient, a.ambient.compose_corelations(a.cospan, b.cospan))
+    return type(a)(a.ambient, a.ambient.compose_corelations(a.cospan, b.cospan))
 
 
 def corel_tensor(first: Corelation, *rest: Corelation) -> Corelation:
-    """Tensor of one or more corelations, left to right.
+    """Tensor of one or more corelations (or relations), left to right.
 
     E is closed under tensor, so the tensor of jointly-epi cospans is
     jointly epi: it needs a canonical apex, not a factorisation.
     """
     for c in rest:
-        _require_same_ambient(first, c)
+        _require_alike(first, c)
     amb = first.ambient
     cs = (first,) + rest
     tensor = Cospan(amb.tensor(*(c.cospan.left for c in cs)), amb.tensor(*(c.cospan.right for c in cs)))
-    return Corelation(amb, amb.canonical_cospan(tensor))
+    return type(first)(amb, amb.canonical_cospan(tensor))
 
 
 def corel_equal(a: Corelation, b: Corelation) -> bool:
-    _require_same_ambient(a, b)
+    _require_alike(a, b)
     if (a.dom, a.cod) != (b.dom, b.cod):
         raise TypeMismatch("feet differ")
     return a.cospan == b.cospan
@@ -150,7 +149,7 @@ def corel_from_morphism(f, amb: Ambient) -> Corelation:
 
 
 # ---------------------------------------------------------------------------
-# relations (matrix ambients over a field)
+# relations (matrix ambients over a field): corelations of the transposed legs
 
 
 def _require_products(amb: Ambient) -> MatrixAmbient:
@@ -160,48 +159,21 @@ def _require_products(amb: Ambient) -> MatrixAmbient:
 
 
 def rel_canonical(s: Span, amb: Ambient) -> Relation:
-    """Keep the mono part of the pairing, in its canonical apex basis."""
+    """Keep the mono part of the pairing, in its canonical apex basis: the
+    canonical corelation of the transposed legs."""
     amb = _require_products(amb)
-    return Relation(amb, amb.relation_span(s))
+    return Relation(amb, amb.corelation_cospan(transpose_legs(s, Cospan)))
 
 
 def rel_identity(n: int, amb: Ambient) -> Relation:
-    """(id, id), already canonical: [I ; I] is in column echelon form."""
-    return Relation(_require_products(amb), span_identity(n, amb))
+    """(id, id), whose transposed legs are the identity corelation's."""
+    return Relation(_require_products(amb), corel_identity(n, amb).cospan)
 
 
 def rel_symmetry(n: int, m: int, amb: Ambient) -> Relation:
-    """(id, sym(n, m)), already canonical: [I ; P] is in column echelon form."""
-    amb = _require_products(amb)
-    return Relation(amb, Span(amb.identity(n + m), amb.symmetry(n, m)))
-
-
-def rel_compose(a: Relation, b: Relation) -> Relation:
-    _require_same_ambient(a, b)
-    if a.cod != b.dom:
-        raise TypeMismatch(f"feet disagree: {a.cod} vs {b.dom}")
-    return Relation(a.ambient, a.ambient.compose_relations(a.span, b.span))
-
-
-def rel_tensor(first: Relation, *rest: Relation) -> Relation:
-    """Tensor of one or more relations, left to right.
-
-    M is closed under tensor, so the tensor of jointly-mono spans is
-    jointly mono: it needs a canonical apex basis, not a factorisation.
-    """
-    for r in rest:
-        _require_same_ambient(first, r)
-    amb = first.ambient
-    rs = (first,) + rest
-    tensor = Span(amb.tensor(*(r.span.left for r in rs)), amb.tensor(*(r.span.right for r in rs)))
-    return Relation(amb, amb.canonical_span(tensor))
-
-
-def rel_equal(a: Relation, b: Relation) -> bool:
-    _require_same_ambient(a, b)
-    if (a.dom, a.cod) != (b.dom, b.cod):
-        raise TypeMismatch("feet differ")
-    return a.span == b.span
+    """(id, sym(n, m)), whose transposed legs (id, sym(m, n)) are the
+    symmetry corelation's."""
+    return Relation(_require_products(amb), corel_symmetry(n, m, amb).cospan)
 
 
 def rel_from_morphism(f, amb: Ambient) -> Relation:
@@ -290,24 +262,19 @@ def corelation_from_er(p: Partition, n: int, m: int, amb: Ambient) -> Corelation
 
 def rel_subspace_rows(r: Relation) -> tuple[tuple, ...]:
     """The subspace of k^(dom+cod) underlying a relation, as canonical
-    reduced-echelon basis rows."""
-    amb = _require_products(r.ambient)
-    from .linmap import mat_transpose, mat_vcat, rref
-
-    stacked = mat_vcat(r.span.left, r.span.right)
-    reduced, pivots = rref(mat_transpose(stacked))
-    return reduced.entries[: len(pivots)]
+    reduced-echelon basis rows: the rows of [L | R] of its stored cospan."""
+    _require_products(r.ambient)
+    return tuple(left + right for left, right in zip(r.cospan.left.entries, r.cospan.right.entries))
 
 
 def rel_from_subspace_rows(rows, n: int, m: int, amb: Ambient) -> Relation:
-    """Relation n -> m spanned by the given vectors of k^(n+m)."""
+    """Relation n -> m spanned by the given vectors of k^(n+m): the
+    corelation whose copairing [L | R] has those rows."""
     amb = _require_products(amb)
-    from .linmap import ExactMatrix, mat_transpose
+    from .linmap import ExactMatrix
 
     rows = tuple(tuple(amb.ring.coerce(v) for v in row) for row in rows)
     if any(len(row) != n + m for row in rows):
         raise TypeMismatch(f"vectors must live in dimension {n + m}")
-    basis = mat_transpose(ExactMatrix(amb.ring, len(rows), n + m, rows))
-    left = ExactMatrix(amb.ring, n, basis.cols, basis.entries[:n])
-    right = ExactMatrix(amb.ring, m, basis.cols, basis.entries[n:])
-    return rel_canonical(Span(left, right), amb)
+    legs = amb.split_copair(ExactMatrix(amb.ring, len(rows), n + m, rows), n, m)
+    return Relation(amb, amb.corelation_cospan(Cospan(*legs)))

@@ -30,7 +30,7 @@ from .spancospan import (
     get_ambient,
 )
 from . import corelrel
-from .corelrel import gamma, rel_canonical
+from .corelrel import Corelation, Relation, gamma, rel_canonical
 
 
 class _Hashed:
@@ -45,14 +45,17 @@ class _Hashed:
         return self.value
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Term:
     """A typed term.  Equality and hashing are structural, as a frozen
-    dataclass's would be, but walk the tree with an explicit stack, so a
-    deep term costs no recursion."""
+    dataclass's would be, but walk the tree with an explicit stack, and
+    the repr is the printed term, so a deep term costs no recursion."""
 
     dom: int
     cod: int
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.dom} -> {self.cod}: {print_term(self)})"
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__dataclass_fields__)
@@ -95,30 +98,30 @@ class Term:
         return hashes[id(self)]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class IdTerm(Term):
     n: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class SymTerm(Term):
     n: int
     m: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class GenTerm(Term):
     name: str
     args: tuple
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class SeqTerm(Term):
     first: Term
     second: Term
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class TensorTerm(Term):
     first: Term
     second: Term
@@ -140,7 +143,7 @@ for _color in ("w", "b"):
 
 
 # Whitespace separates tokens; any other character that starts no token is "bad".
-_TOKEN = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<sym>[();@,./-])|(?P<bad>\S)")
+_TOKEN = re.compile(r"(?P<num>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<sym>[();@,./-])|(?P<bad>\S)")
 
 
 def _tokenize(src: str):
@@ -319,11 +322,14 @@ def print_term(t: Term) -> str:
 class Theory:
     """A semantic prop plus a generator table.
 
-    ``kind`` is "corel" for corelation-valued theories and "rel" for
-    relation-valued ones; all structural operations are dispatched on it.
+    ``kind`` is the value class, :class:`~corelate.corelrel.Corelation` or
+    :class:`~corelate.corelrel.Relation`: identities and symmetries are
+    built as that class, and one set of corelation operations composes,
+    tensors and compares both.  Those operations are looked up in
+    ``corelrel`` at call time, so wrappers installed there are seen.
     """
 
-    def __init__(self, name: str, kind: str, ambient, generators: dict):
+    def __init__(self, name: str, kind: type, ambient, generators: dict):
         self.name = name
         self.kind = kind
         self.ambient = ambient
@@ -339,29 +345,19 @@ class Theory:
         return binder(args)
 
     def identity(self, n: int):
-        if self.kind == "corel":
-            return corelrel.corel_identity(n, self.ambient)
-        return corelrel.rel_identity(n, self.ambient)
+        return self.kind(self.ambient, corelrel.corel_identity(n, self.ambient).cospan)
 
     def symmetry(self, n: int, m: int):
-        if self.kind == "corel":
-            return corelrel.corel_symmetry(n, m, self.ambient)
-        return corelrel.rel_symmetry(n, m, self.ambient)
+        return self.kind(self.ambient, corelrel.corel_symmetry(n, m, self.ambient).cospan)
 
     def compose(self, a, b):
-        if self.kind == "corel":
-            return corelrel.corel_compose(a, b)
-        return corelrel.rel_compose(a, b)
+        return corelrel.corel_compose(a, b)
 
     def tensor(self, *parts):
-        if self.kind == "corel":
-            return corelrel.corel_tensor(*parts)
-        return corelrel.rel_tensor(*parts)
+        return corelrel.corel_tensor(*parts)
 
     def equal(self, a, b) -> bool:
-        if self.kind == "corel":
-            return corelrel.corel_equal(a, b)
-        return corelrel.rel_equal(a, b)
+        return corelrel.corel_equal(a, b)
 
 
 def _no_args(value):
@@ -386,7 +382,7 @@ def _er_like_theory(name: str, ambient_name: str) -> Theory:
     }
     if not total:
         gens["undef"] = _no_args(cs(par(1, 0, [None]), par(0, 0, [])))
-    return Theory(name, "corel", amb, gens)
+    return Theory(name, Corelation, amb, gens)
 
 
 def _z_corel_theory() -> Theory:
@@ -419,7 +415,7 @@ def _z_corel_theory() -> Theory:
         "scalar": scalar,
         "coscalar": coscalar,
     }
-    return Theory("z-corel", "corel", amb, gens)
+    return Theory("z-corel", Corelation, amb, gens)
 
 
 def _int_scalar(args) -> int:
@@ -465,10 +461,10 @@ def _subspace_theory(name: str, ring_tag: str) -> Theory:
         "scalar": scalar,
         "coscalar": coscalar,
     }
-    return Theory(name, "rel", amb, gens)
+    return Theory(name, Relation, amb, gens)
 
 
-_SUBSPACE = re.compile(r"^(gf\d+|q)-subspace$")
+_SUBSPACE = re.compile(r"^(gf[0-9]+|q)-subspace$")
 
 
 def get_theory(name: str) -> Theory:

@@ -8,6 +8,7 @@ operation can overflow.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import BadScalar, NotAUnit, UnknownRing, ZeroDenominator, ZeroInverse
@@ -62,13 +63,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# an integer literal: an optional sign and ASCII digits, nothing else (no
+# underscores, no other scripts' digits, both of which int() accepts)
+_NUMERAL = re.compile(r"[+-]?[0-9]+")
+
+
 def _parse_int(text: str, what: str) -> int:
     """The integer a literal names; anything else is a :class:`BadScalar`
     saying the literal is not ``what``."""
-    try:
-        return int(text)
-    except ValueError:
-        raise BadScalar(f"{text.strip()!r} is not {what}") from None
+    text = text.strip()
+    if not _NUMERAL.fullmatch(text):
+        raise BadScalar(f"{text!r} is not {what}")
+    return int(text)
 
 
 def rational_normalize(n: int, d: int) -> Fraction:
@@ -184,12 +190,10 @@ class RationalRing(Ring):
         return Fraction(x)
 
     def parse(self, text):
-        n, slash, d = text.partition("/")
-        try:
-            num, den = int(n), int(d) if slash else 1
-        except ValueError:
-            raise BadScalar(f"{text.strip()!r} is not a rational") from None
-        return rational_normalize(num, den)
+        n, slash, d = (part.strip() for part in text.partition("/"))
+        if not _NUMERAL.fullmatch(n) or (slash and not _NUMERAL.fullmatch(d)):
+            raise BadScalar(f"{text.strip()!r} is not a rational")
+        return rational_normalize(int(n), int(d) if slash else 1)
 
     def format(self, x):
         x = Fraction(x)
@@ -258,6 +262,6 @@ def parse_ring(tag: str) -> Ring:
         return ZZ
     if tag == "q":
         return QQ
-    if tag.startswith("gf") and tag[2:].isdigit():
+    if tag.startswith("gf") and re.fullmatch("[0-9]+", tag[2:]):
         return GF(int(tag[2:]))
     raise UnknownRing(f"unknown ring tag {tag!r}")

@@ -6,9 +6,9 @@ kernel, pullback, pushout, exact solve and factorisation is one pass of an
 echelon core on a list of rows: reduced row echelon form over a field, row
 Hermite normal form over the integers.  A limit is the canonical basis of
 the rows of one stacked matrix that vanish on a block of columns
-(:func:`row_basis_meet`); the left kernels it reads are saturated, so
-over the integers nothing leaves the integers and no Smith form is needed.
-The Smith normal form engine serves only :func:`snf`.
+(``_meet``); the left kernels it reads are saturated, so over the integers
+nothing leaves the integers and no Smith form is needed.  The Smith normal
+form is computed only for :func:`snf` itself.
 
 The cores work on the stored values themselves, without calling the
 ring's scalar operations: ``int`` residues reduced mod p for GF(p),
@@ -342,20 +342,6 @@ def hnf_col(a: ExactMatrix) -> ExactMatrix:
     return mat_transpose(hnf_row(mat_transpose(a)))
 
 
-def row_basis(a: ExactMatrix) -> ExactMatrix:
-    """Canonical basis of the row space (over a field) or the row lattice
-    (over the integers): the nonzero rows of the reduced row echelon form,
-    or of the row Hermite normal form, top to bottom."""
-    return row_basis_meet(a, 0)
-
-
-def row_basis_meet(a: ExactMatrix, k: int) -> ExactMatrix:
-    """Canonical basis of the vectors of the row space (lattice) of a that
-    vanish on the first k columns, with those k columns dropped."""
-    basis = _meet(a.ring, [list(row) for row in a.entries], a.cols, k)
-    return _cut(a.ring, basis, 0, a.cols - k)
-
-
 def echelon_legs(left: ExactMatrix, right: ExactMatrix, basis: bool = True) -> tuple[ExactMatrix, ExactMatrix]:
     """The canonical echelon form of [left | right], cut back into two legs:
     its nonzero rows, the canonical basis of the row space (lattice), or
@@ -558,87 +544,11 @@ class SmithDecomposition:
         return sum(1 for x in self.diagonal if x != 0)
 
 
-class _Smith(NamedTuple):
-    """One Smith elimination: u * a * v = d, with uinv and vinv the inverses
-    of u and v.  A transform the caller did not ask to track is None."""
-
-    d: ExactMatrix
-    rank: int
-    u: Optional[ExactMatrix]
-    uinv: Optional[ExactMatrix]
-    v: Optional[ExactMatrix]
-    vinv: Optional[ExactMatrix]
-
-
 def _eye(n: int) -> list[list[int]]:
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = 1
     return rows
-
-
-class _SnfState:
-    """Mutable elimination state: the matrix plus the tracked transforms.
-
-    Maintains a = u * a_original * v, with uinv and vinv the exact inverses
-    of u and v; a transform that is not tracked is None and never updated.
-    """
-
-    def __init__(self, a: ExactMatrix, track):
-        self.m, self.n = a.rows, a.cols
-        self.a = [list(row) for row in a.entries]
-        self.u = _eye(self.m) if "u" in track else None
-        self.uinv = _eye(self.m) if "uinv" in track else None
-        self.v = _eye(self.n) if "v" in track else None
-        self.vinv = _eye(self.n) if "vinv" in track else None
-
-    def row_swap(self, i, k):
-        if i == k:
-            return
-        self.a[i], self.a[k] = self.a[k], self.a[i]
-        if self.u is not None:
-            self.u[i], self.u[k] = self.u[k], self.u[i]
-        if self.uinv is not None:
-            for row in self.uinv:
-                row[i], row[k] = row[k], row[i]
-
-    def row_neg(self, i):
-        self.a[i] = [-x for x in self.a[i]]
-        if self.u is not None:
-            self.u[i] = [-x for x in self.u[i]]
-        if self.uinv is not None:
-            for row in self.uinv:
-                row[i] = -row[i]
-
-    def row_add(self, i, k, c):
-        # row i += c * row k
-        self.a[i] = [x + c * y for x, y in zip(self.a[i], self.a[k])]
-        if self.u is not None:
-            self.u[i] = [x + c * y for x, y in zip(self.u[i], self.u[k])]
-        if self.uinv is not None:
-            for row in self.uinv:
-                row[k] -= c * row[i]
-
-    def col_swap(self, j, l):
-        if j == l:
-            return
-        for row in self.a:
-            row[j], row[l] = row[l], row[j]
-        if self.v is not None:
-            for row in self.v:
-                row[j], row[l] = row[l], row[j]
-        if self.vinv is not None:
-            self.vinv[j], self.vinv[l] = self.vinv[l], self.vinv[j]
-
-    def col_add(self, j, l, c):
-        # col j += c * col l
-        for row in self.a:
-            row[j] += c * row[l]
-        if self.v is not None:
-            for row in self.v:
-                row[j] += c * row[l]
-        if self.vinv is not None:
-            self.vinv[l] = [x - c * y for x, y in zip(self.vinv[l], self.vinv[j])]
 
 
 def _least_entry(rows, t: int, m: int, n: int) -> Optional[tuple[int, int]]:
@@ -656,46 +566,63 @@ def _least_entry(rows, t: int, m: int, n: int) -> Optional[tuple[int, int]]:
     return None if best is None else best[1:]
 
 
-def _snf_engine(a: ExactMatrix, track: tuple[str, ...] = ()) -> _Smith:
-    """Run Smith elimination, tracking only the transforms named in
-    ``track`` (any of "u", "uinv", "v", "vinv").
+def snf(a: ExactMatrix) -> SmithDecomposition:
+    """Smith normal form of an integer matrix.
 
     Pivots are chosen as the minimal-absolute-value nonzero entry of the
     remaining submatrix, scanned row-major, so the decomposition is
-    reproducible; the steps do not depend on which transforms are tracked.
+    reproducible.  Every row operation on the matrix is applied to u, and
+    every column operation to v, so u * a * v stays the current matrix.
     """
     if a.ring != ZZ:
         raise RingMismatch("Smith normal form needs integer entries")
-    st = _SnfState(a, track)
-    m, n = st.m, st.n
-    rows = st.a  # row operations assign into this list, so it stays current
-    rank = 0
+    m, n = a.rows, a.cols
+    rows = [list(row) for row in a.entries]
+    u, v = _eye(m), _eye(n)
+
+    def row_swap(i, k):
+        rows[i], rows[k] = rows[k], rows[i]
+        u[i], u[k] = u[k], u[i]
+
+    def row_add(i, k, c):  # row i += c * row k
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[k])]
+        u[i] = [x + c * y for x, y in zip(u[i], u[k])]
+
+    def col_swap(j, l):
+        for row in rows + v:
+            row[j], row[l] = row[l], row[j]
+
+    def col_add(j, l, c):  # col j += c * col l
+        for row in rows + v:
+            row[j] += c * row[l]
+
     for t in range(min(m, n)):
         best = _least_entry(rows, t, m, n)
         if best is None:
             break
-        st.row_swap(t, best[0])
-        st.col_swap(t, best[1])
+        row_swap(t, best[0])
+        col_swap(t, best[1])
         while True:
             if rows[t][t] < 0:
-                st.row_neg(t)
+                rows[t] = [-x for x in rows[t]]
+                u[t] = [-x for x in u[t]]
             pivot = rows[t][t]
             # reduce the edging by floor division; remainders shrink strictly
             for i in range(t + 1, m):
                 q = rows[i][t] // pivot
                 if q:
-                    st.row_add(i, t, -q)
+                    row_add(i, t, -q)
             for j in range(t + 1, n):
                 q = rows[t][j] // pivot
                 if q:
-                    st.col_add(j, t, -q)
+                    col_add(j, t, -q)
             residue = next((i for i in range(t + 1, m) if rows[i][t]), None)
             if residue is not None:
-                st.row_swap(t, residue)
+                row_swap(t, residue)
                 continue
             residue = next((j for j in range(t + 1, n) if rows[t][j]), None)
             if residue is not None:
-                st.col_swap(t, residue)
+                col_swap(t, residue)
                 continue
             # edging clear; enforce divisibility of the remaining block
             if pivot == 1:
@@ -705,20 +632,10 @@ def _snf_engine(a: ExactMatrix, track: tuple[str, ...] = ()) -> _Smith:
             )
             if offender is None:
                 break
-            st.row_add(t, offender, 1)
-        rank += 1
+            row_add(t, offender, 1)
 
-    def square(rows, k):
-        return None if rows is None else ExactMatrix(ZZ, k, k, tuple(tuple(r) for r in rows))
-
-    d = ExactMatrix(ZZ, m, n, tuple(tuple(r) for r in st.a))
-    return _Smith(d, rank, square(st.u, m), square(st.uinv, m), square(st.v, n), square(st.vinv, n))
-
-
-def snf(a: ExactMatrix) -> SmithDecomposition:
-    """Smith normal form of an integer matrix."""
-    s = _snf_engine(a, ("u", "v"))
-    return SmithDecomposition(s.u, s.d, s.v)
+    square = lambda k, rs: ExactMatrix(ZZ, k, k, tuple(map(tuple, rs)))
+    return SmithDecomposition(square(m, u), ExactMatrix(ZZ, m, n, tuple(map(tuple, rows))), square(n, v))
 
 
 def det_int(a: ExactMatrix) -> int:

@@ -8,7 +8,8 @@ Grammar:
   span      ::=  "span"   "{" "left" "=" morphism "," "right" "=" morphism "}"
 
 Scalars follow the ring: optional-sign decimals, rationals as n/d, GF(p)
-residues as decimals.
+residues as decimals.  Every number is ASCII digits 0-9, with no
+underscores.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import re
 
 from .errors import TypeMismatch
-from .exactnum import parse_ring
+from .exactnum import ZZ, parse_ring
 from .finfn import FinMap, ParMap, fn, par
 from .linmap import ExactMatrix, mat
 from .spancospan import Cospan, Span, make_cospan, make_span
@@ -36,9 +37,9 @@ def format_morphism(f) -> str:
     raise TypeError(f"not a morphism: {f!r}")
 
 
-_FN = re.compile(r"^fn\s+(\d+)\s*->\s*(\d+)\s*:\s*\[(.*)\]$")
-_PAR = re.compile(r"^par\s+(\d+)\s*->\s*(\d+)\s*:\s*\[(.*)\]$")
-_MAT = re.compile(r"^mat\s+([A-Za-z0-9]+)\s+(\d+)x(\d+)\s*:\s*\[(.*)\]$")
+_FN = re.compile(r"^fn\s+([0-9]+)\s*->\s*([0-9]+)\s*:\s*\[(.*)\]$")
+_PAR = re.compile(r"^par\s+([0-9]+)\s*->\s*([0-9]+)\s*:\s*\[(.*)\]$")
+_MAT = re.compile(r"^mat\s+([A-Za-z0-9]+)\s+([0-9]+)x([0-9]+)\s*:\s*\[(.*)\]$")
 
 
 def _split_commas(body: str) -> list[str]:
@@ -50,11 +51,11 @@ def parse_morphism(text: str):
     m = _FN.match(text)
     if m:
         dom, cod, body = int(m.group(1)), int(m.group(2)), m.group(3)
-        return fn(dom, cod, [int(v) for v in _split_commas(body)])
+        return fn(dom, cod, [ZZ.parse(v) for v in _split_commas(body)])
     m = _PAR.match(text)
     if m:
         dom, cod, body = int(m.group(1)), int(m.group(2)), m.group(3)
-        return par(dom, cod, [None if v == "_" else int(v) for v in _split_commas(body)])
+        return par(dom, cod, [None if v == "_" else ZZ.parse(v) for v in _split_commas(body)])
     m = _MAT.match(text)
     if m:
         ring = parse_ring(m.group(1))
@@ -161,8 +162,8 @@ def format_relation(r) -> str:
 def format_canonical(x) -> str:
     from .corelrel import Corelation, Relation
 
+    if isinstance(x, Relation):  # before Corelation, its base class
+        return format_relation(x)
     if isinstance(x, Corelation):
         return format_corelation(x)
-    if isinstance(x, Relation):
-        return format_relation(x)
     return format_morphism(x)

@@ -10,6 +10,10 @@ interface.
 Iso-class representatives: a cospan is canonicalised by renaming its apex
 only, which is exactly the isomorphism-class quotient.  Pullbacks for spans
 over a subcategory are always computed in the full ambient prop.
+
+Matrix ambients need no relation operations of their own: over a field a
+relation is the corelation of its transposed legs (:func:`transpose_legs`),
+so the corelation operations serve relations too.
 """
 
 from __future__ import annotations
@@ -420,19 +424,6 @@ class MatrixAmbient(Ambient):
         is the canonical pushout of the span."""
         return Cospan(*linmap.mat_pushout(s.left, s.right))
 
-    # relations over a field are the corelations of the transposed legs
-    def relation_span(self, s):
-        """Canonical jointly-mono span: the canonical basis of the column
-        space of [L; R], as columns."""
-        return _transpose_legs(self.corelation_cospan(_transpose_legs(s, Cospan)), Span)
-
-    def compose_relations(self, s1, s2):
-        """One echelon pass over [C^T | diag(L1, R2)^T] with C = [R1 | -L2]:
-        the pullback and the image in one step, dual to
-        :meth:`compose_corelations`."""
-        composite = self.compose_corelations(_transpose_legs(s1, Cospan), _transpose_legs(s2, Cospan))
-        return _transpose_legs(composite, Span)
-
     def canonical_cospan(self, c):
         return Cospan(*linmap.echelon_legs(c.left, c.right, basis=False))
 
@@ -480,7 +471,9 @@ class MatrixAmbient(Ambient):
                 return f
 
 
-def _transpose_legs(pair, kind):
+def transpose_legs(pair, kind):
+    """The pair of transposed legs as a ``kind`` (Span or Cospan): a span
+    of matrices becomes a cospan with the same feet, and back."""
     return kind(linmap.mat_transpose(pair.left), linmap.mat_transpose(pair.right))
 
 

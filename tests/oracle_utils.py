@@ -4,7 +4,7 @@ import sys
 from pathlib import Path
 
 from corelate.finfn import FinMap, ParMap
-from corelate.linmap import ExactMatrix, _snf_engine
+from corelate.linmap import ExactMatrix, snf
 from corelate.spancospan import Cospan, Span
 from corelate.verify import span_rows
 
@@ -71,7 +71,7 @@ def reference_rref(a):
 # The limits as they were computed before they became echelon meets: from
 # the free columns of a reduced row echelon form over a field, and from the
 # transforms of a Smith normal form over the integers.  They reach the
-# program only through ``_snf_engine``, which serves ``snf``.
+# program only through ``snf``.
 
 
 def _reference_neg(a):
@@ -101,7 +101,7 @@ def reference_kernel_basis(a):
                 vec[pj] = ring.neg(red.entries[i][j])
             cols.append(vec)
         return ExactMatrix(ring, a.cols, len(cols), tuple(tuple(col[i] for col in cols) for i in range(a.cols)))
-    s = _snf_engine(a, ("v",))
+    s = snf(a)
     return _reference_cols(s.v, s.rank, a.cols)
 
 
@@ -122,7 +122,7 @@ def reference_mat_pushout(a, b):
     if a.ring.is_field:
         q = _reference_transpose(reference_kernel_basis(_reference_transpose(c)))
     else:
-        s = _snf_engine(c, ("u",))
+        s = snf(c)
         q = ExactMatrix(a.ring, c.rows - s.rank, c.rows, s.u.entries[s.rank :])
     return _reference_cols(q, 0, a.rows), _reference_cols(q, a.rows, c.rows)
 
@@ -140,7 +140,7 @@ def reference_mat_solve(a, b):
         for i, pj in enumerate(pivots):
             out[pj] = list(red.entries[i][a.cols :])
         return ExactMatrix(ring, a.cols, b.cols, tuple(map(tuple, out)))
-    s = _snf_engine(a, ("u", "v"))
+    s = snf(a)
     y = reference_mat_mul(s.u, b)
     if any(any(row) for row in y.entries[s.rank :]):
         return None

@@ -314,6 +314,59 @@ def test_bad_matrix_literal_entry_exit_2(capsys, ring, entry, message):
     assert err == f"error: {message}\n"
 
 
+def _cospan_literal(ring, entry):
+    return f"cospan {{ left = mat {ring} 1x1 : [[{entry}]], right = mat {ring} 1x1 : [[1]] }}"
+
+
+# numerals are an optional sign and ASCII digits: int() and Fraction() also
+# read underscores and other scripts' digits, which named the wrong value
+def _fn_literal(kind, entry):
+    return f"cospan {{ left = {kind} 1 -> 1 : [{entry}], right = {kind} 1 -> 1 : [0] }}"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(("normalize", "--ambient", "z", _cospan_literal("z", "1_0")), "'1_0' is not an integer", id="z-underscore"),
+        pytest.param(("normalize", "--ambient", "z", _cospan_literal("z", "١")), "'١' is not an integer", id="z-arabic-indic"),
+        pytest.param(("normalize", "--ambient", "q", _cospan_literal("q", "1_0/3")), "'1_0/3' is not a rational", id="q-underscore"),
+        pytest.param(("normalize", "--ambient", "q", _cospan_literal("q", "1/٣")), "'1/٣' is not a rational", id="q-arabic-indic"),
+        pytest.param(
+            ("normalize", "--ambient", "gf3", _cospan_literal("gf3", "1_1")), "'1_1' is not an integer residue mod 3", id="gf3-underscore"
+        ),
+        pytest.param(("normalize", "--ambient", "f", _fn_literal("fn", "0_0")), "'0_0' is not an integer", id="fn-underscore"),
+        pytest.param(("normalize", "--ambient", "f", _fn_literal("fn", "x")), "'x' is not an integer", id="fn-letter"),
+        pytest.param(("normalize", "--ambient", "pf", _fn_literal("par", "٠")), "'٠' is not an integer", id="par-arabic-indic"),
+        pytest.param(
+            ("normalize", "--ambient", "z", "cospan { left = mat z ١x1 : [[1]], right = mat z 1x1 : [[1]] }"),
+            "unparseable morphism literal: 'mat z ١x1 : [[1]]'",
+            id="mat-shape-arabic-indic",
+        ),
+        pytest.param(("eval", "--theory", "er", "id(١)"), "unexpected character '١' (at position 3)", id="term-arabic-indic"),
+        pytest.param(("eval", "--theory", "gf٣-subspace", "id(1)"), "no theory named 'gf٣-subspace'", id="theory-arabic-indic"),
+        pytest.param(("check", "laws", "--C", "gf²"), "unknown ring tag 'gf²'", id="ring-superscript"),
+        pytest.param(
+            ("check", "frobenius", "--theory", "q-subspace", "--scalars", "1_0"),
+            "--scalars takes comma-separated rationals, got '1_0'",
+            id="scalars-underscore",
+        ),
+    ],
+)
+def test_non_ascii_or_underscored_numerals_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0661"])
+def test_count_flags_take_ascii_numerals_only(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "laws", "--C", "gf2", "--bound", value])
+    assert exc.value.code == 2
+    assert f"expected a non-negative integer, got {value!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("theory", ["q-subspace", "z-corel"])
 def test_eval_zero_denominator_scalar_exit_2(capsys, theory):
     code, out, err = run(capsys, "eval", "--theory", theory, "scalar(1/0)")

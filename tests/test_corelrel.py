@@ -22,14 +22,11 @@ from corelate.corelrel import (
     gamma,
     pi,
     rel_canonical,
-    rel_compose,
-    rel_equal,
     rel_from_morphism,
     rel_from_subspace_rows,
     rel_identity,
     rel_subspace_rows,
     rel_symmetry,
-    rel_tensor,
     rel_to_corel,
     rel_corel_iso,
 )
@@ -164,20 +161,46 @@ def test_rel_identity_and_graph():
     r = rel_from_morphism(mat(QQ, 1, 1, [[2]]), Q)
     rows = rel_subspace_rows(r)
     assert rows == ((1, 2),)
-    assert rel_equal(rel_identity(1, Q), rel_from_morphism(mat_identity(QQ, 1), Q))
+    assert corel_equal(rel_identity(1, Q), rel_from_morphism(mat_identity(QQ, 1), Q))
 
 
 def test_rel_compose_subspace_example():
     v = rel_from_subspace_rows([(1, 0)], 1, 1, G2)
     w = rel_from_subspace_rows([(1, 1)], 1, 1, G2)
-    assert rel_subspace_rows(rel_compose(v, w)) == ((1, 0),)
+    assert rel_subspace_rows(corel_compose(v, w)) == ((1, 0),)
 
 
 def test_rel_compose_graph_converse_is_identity():
     two = mat(QQ, 1, 1, [[2]])
     graph = rel_canonical(Span(mat_identity(QQ, 1), two), Q)
     conv = rel_canonical(Span(two, mat_identity(QQ, 1)), Q)
-    assert rel_compose(graph, conv) == rel_identity(1, Q)
+    assert corel_compose(graph, conv) == rel_identity(1, Q)
+
+
+def test_relations_are_corelations_of_transposed_legs():
+    # one value type and one set of operations; the two types never mix
+    import corelate.corelrel as corelrel
+    import corelate.spancospan as spancospan
+
+    two = mat(QQ, 1, 1, [[2]])
+    r = rel_canonical(Span(mat_identity(QQ, 1), two), Q)
+    assert isinstance(r, Corelation)
+    assert r.cospan == Cospan(mat(QQ, 1, 1, [[1]]), mat(QQ, 1, 1, [[2]]))
+    assert r.span == Span(mat(QQ, 1, 1, [[1]]), two)
+    assert (r.dom, r.cod, r.apex) == (1, 1, 1)
+    assert type(corel_compose(r, r)) is Relation and type(corel_tensor(r, r)) is Relation
+    c = corel_identity(1, Q)
+    assert rel_identity(1, Q).cospan == c.cospan and rel_identity(1, Q) != c
+    assert rel_symmetry(1, 2, Q).cospan == corel_symmetry(1, 2, Q).cospan
+    for op in (corel_compose, corel_tensor, corel_equal):
+        with pytest.raises(TypeMismatch):
+            op(rel_identity(1, Q), c)
+        with pytest.raises(TypeMismatch):
+            op(c, rel_identity(1, Q))
+    for name in ("rel_compose", "rel_tensor", "rel_equal"):
+        assert not hasattr(corelrel, name)
+    for name in ("relation_span", "compose_relations"):
+        assert not hasattr(spancospan.MatrixAmbient, name)
 
 
 def test_rel_requires_field_ambient():
@@ -246,7 +269,7 @@ def test_rel_corel_iso_zero_subspace():
 def test_rel_corel_iso_requires_field():
     with pytest.raises(NotAbelian):
         rel_to_corel(
-            rel_identity(1, G2).__class__(ambient=Z, span=Span(mat_identity(ZZ, 1), mat_identity(ZZ, 1)))
+            Relation(ambient=Z, cospan=Cospan(mat_identity(ZZ, 1), mat_identity(ZZ, 1)))
         )
 
 
@@ -422,7 +445,7 @@ def test_variadic_rel_tensor_equals_binary_rel_canonical_fold(amb):
         fold = parts[0]
         for r in parts[1:]:
             fold = rel_canonical(span_tensor(fold.span, r.span, amb), amb)
-        assert _same(rel_tensor(*parts), fold)
+        assert _same(corel_tensor(*parts), fold)
 
 
 @pytest.mark.parametrize("amb", ALL_AMBIENTS, ids=lambda a: a.name)
@@ -523,11 +546,11 @@ def test_echelon_relations_match_slow_path_exhaustive(amb):
         for s in spans:
             r = rel_canonical(s, amb)
             assert _same(r.span, _reference_relation_span(s, amb))
-            forms.add(r.span)
+            forms.add(r.cospan)
     canonical = {feet: sorted(forms, key=repr) for feet, forms in canonical.items()}
-    for s1, s2 in _composable(canonical, amb):
-        out = rel_compose(Relation(amb, s1), Relation(amb, s2)).span
-        assert _same(out, _reference_rel_compose(s1, s2, amb))
+    for c1, c2 in _composable(canonical, amb):
+        r1, r2 = Relation(amb, c1), Relation(amb, c2)
+        assert _same(corel_compose(r1, r2).span, _reference_rel_compose(r1.span, r2.span, amb))
 
 
 # seeded pairs per ring, 2,000 in all; fewer over Q, whose slow path is slowest
@@ -552,7 +575,7 @@ def test_echelon_paths_match_slow_path_random_wide(amb):
             t = Span(rand(a2, k), rand(a2, m))
             r1, r2 = rel_canonical(s, amb), rel_canonical(t, amb)
             assert _same(r1.span, _reference_relation_span(s, amb))
-            assert _same(rel_compose(r1, r2).span, _reference_rel_compose(r1.span, r2.span, amb))
+            assert _same(corel_compose(r1, r2).span, _reference_rel_compose(r1.span, r2.span, amb))
 
 
 def test_echelon_compose_rejects_mismatched_feet():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from corelate.diagrams import (
     print_term,
     term_equal,
 )
-from corelate.corelrel import corel_identity, gamma, rel_canonical, rel_identity
+from corelate.corelrel import Relation, corel_identity, gamma, rel_canonical, rel_identity
 from corelate.spancospan import cospan_tensor, span_tensor
 
 
@@ -293,6 +294,16 @@ def test_eval_deep_terms_without_recursion():
     assert eval_term(parse_term(nested_row), er) == corel_identity(3001, er.ambient)
 
 
+def test_repr_deep_terms_without_recursion():
+    chain = parse_term(" ; ".join(["(comult ; mult)"] * 2000))
+    text = repr(chain)
+    assert text.startswith("SeqTerm(1 -> 1: comult ; mult ; (comult ; mult) ; ")
+    assert parse_term(text[len("SeqTerm(1 -> 1: ") : -1]) == chain
+    nested = parse_term("id(1) @ (" * 3000 + "id(1)" + ")" * 3000)
+    assert repr(nested).startswith("TensorTerm(3001 -> 3001: id(1) @ (id(1) @ (")
+    assert repr(parse_term("scalar(-1/2)")) == "GenTerm(1 -> 1: scalar(-1/2))"
+
+
 ROW_ATOMS = {
     "er": ["id(1)", "id(2)", "sym(1,2)", "unit", "counit", "mult", "comult", "(comult ; mult)"],
     "per": ["id(1)", "sym(2,1)", "unit", "counit", "mult", "comult", "undef", "(mult ; undef)"],
@@ -313,11 +324,46 @@ def test_flattened_row_equals_nested_binary_fold(theory):
         values = [eval_term(parse_term(a), th) for a in atoms]
         fold = values[0]
         for v in values[1:]:
-            if th.kind == "corel":
-                fold = gamma(cospan_tensor(fold.cospan, v.cospan, amb), amb)
-            else:
+            if th.kind is Relation:
                 fold = rel_canonical(span_tensor(fold.span, v.span, amb), amb)
+            else:
+                fold = gamma(cospan_tensor(fold.cospan, v.cospan, amb), amb)
         flat = eval_term(parse_term(" @ ".join(atoms)), th)
         right_nested = eval_term(parse_term(" @ (".join(atoms) + ")" * (len(atoms) - 1)), th)
         assert flat == right_nested == fold
         assert repr(flat) == repr(fold)
+
+
+# --- pinned evaluation outputs ------------------------------------------------------
+#
+# A seeded corpus of string diagrams from the benchmark's circuit generator,
+# in all five theories.  The hash covers each term's printed canonical form
+# and, for relations, the repr of the span and the subspace rows, so a
+# refactor of the semantic layers must leave every evaluated value
+# byte-identical; a deliberate change of output updates the pin.
+
+
+def _eval_pin_corpus():
+    import oracle_utils  # noqa: F401  (puts perfbench/ on the path)
+    import circuits
+
+    blocks = {"er": circuits.ER_BLOCKS, "per": circuits.PER_BLOCKS, **circuits.LINEAR_BLOCKS}
+    for theory in ("er", "per", "gf2-subspace", "q-subspace", "z-corel"):
+        rng = random.Random(f"eval-pin:{theory}")
+        for k in range(120):
+            layers = circuits.random_circuit(rng, blocks[theory], 1 + k % 6, 1 + k % 4)
+            yield theory, circuits.circuit_text(layers)
+
+
+def test_eval_outputs_pinned():
+    from corelate.corelrel import rel_subspace_rows
+    from corelate.literals import format_canonical
+
+    digest = hashlib.sha256()
+    for theory, text in _eval_pin_corpus():
+        value = eval_term(parse_term(text), get_theory(theory))
+        lines = [theory, text, format_canonical(value)]
+        if isinstance(value, Relation):
+            lines += [repr(value.span), repr(rel_subspace_rows(value))]
+        digest.update(("\n".join(lines) + "\n").encode())
+    assert digest.hexdigest() == "39706e9b51f56ed4d75ecd1e285c83e2261fcee0d10065a3406559b76d6eea94"

@@ -6,7 +6,6 @@ import pytest
 from corelate.errors import RingMismatch, TypeMismatch
 from corelate.exactnum import GF, QQ, ZZ
 from corelate.linmap import (
-    _snf_engine,
     det_int,
     enumerate_matrices,
     field_factorize,
@@ -201,27 +200,25 @@ def test_mat_mul_matches_reference():
                 assert typed(mat_mul(a, b)) == typed(reference_mat_mul(a, b)), (a, b)
 
 
-# --- Smith engine: partial tracking ------------------------------------------
-
-TRANSFORMS = ("u", "uinv", "v", "vinv")
+# --- Smith transforms -----------------------------------------------------------
 
 
-def test_snf_partial_tracking_matches_full():
-    """Every subset of transforms gives the full run's d, rank and those
-    transforms, and leaves the rest untracked."""
+def test_snf_transforms_are_unimodular():
+    """u * a * v = d, with u and v of determinant +-1."""
     rng = random.Random(33)
-    subsets = [tuple(t for k, t in enumerate(TRANSFORMS) if mask >> k & 1) for mask in range(16)]
     for _ in range(120):
         a = rand_mat(rng, ZZ, rng.randint(0, 5), rng.randint(0, 5), rng.choice((1, 3, 9)))
-        full = _snf_engine(a, TRANSFORMS)
-        assert mat_mul(mat_mul(full.u, a), full.v) == full.d
-        assert mat_mul(full.u, full.uinv) == mat_identity(ZZ, a.rows)
-        assert mat_mul(full.v, full.vinv) == mat_identity(ZZ, a.cols)
-        for track in subsets:
-            part = _snf_engine(a, track)
-            assert (part.d, part.rank) == (full.d, full.rank)
-            for name in TRANSFORMS:
-                assert getattr(part, name) == (getattr(full, name) if name in track else None)
+        s = snf(a)
+        assert mat_mul(mat_mul(s.u, a), s.v) == s.d
+        assert abs(det_int(s.u)) == abs(det_int(s.v)) == 1
+
+
+def test_snf_is_the_only_smith_body():
+    # one elimination computes u, d and v; nothing tracks a subset of them
+    import corelate.linmap as linmap
+
+    for name in ("_snf_engine", "_Smith", "_SnfState", "row_basis", "row_basis_meet"):
+        assert not hasattr(linmap, name), name
 
 
 @pytest.mark.parametrize(
@@ -231,9 +228,7 @@ def test_snf_partial_tracking_matches_full():
             [[4, 2, 3, 0], [2, -1, 6, 2], [5, 1, 2, -3]],
             {
                 "u": [[0, -1, 0], [0, -1, -1], [1, 6, 4]],
-                "uinv": [[2, 4, 1], [-1, 0, 0], [1, -1, 0]],
                 "v": [[0, 0, 17, -47], [1, 2, -14, 40], [0, 0, -13, 36], [0, 1, 15, -41]],
-                "vinv": [[-2, 1, -6, -2], [-7, 0, -8, 1], [36, 0, 47, 0], [13, 0, 17, 0]],
             },
         ),
         (
@@ -241,18 +236,16 @@ def test_snf_partial_tracking_matches_full():
             [[2, 0, 4], [0, 3, -3]],
             {
                 "u": [[1, 1], [3, 2]],
-                "uinv": [[-2, 1], [3, -1]],
                 "v": [[-1, 3, -2], [1, -2, 1], [0, 0, 1]],
-                "vinv": [[2, 3, 1], [1, 1, 1], [0, 0, 1]],
             },
         ),
     ],
 )
 def test_snf_transforms_pinned(entries, expected):
-    """The pivot order fixes the (non-canonical) transforms, and check
-    records print mediators built from them, so they must not drift."""
+    """The pivot order fixes the (non-canonical) transforms, so they must
+    not drift."""
     a = mat(ZZ, len(entries), len(entries[0]), entries)
-    s = _snf_engine(a, TRANSFORMS)
+    s = snf(a)
     for name, rows in expected.items():
         assert [list(r) for r in getattr(s, name).entries] == rows
 
@@ -434,7 +427,7 @@ def test_is_split_mono():
 
 def _smith_split(a):
     """Split mono by the Smith diagonal: rank cols, every invariant factor 1."""
-    s = _snf_engine(a)
+    s = snf(a)
     return s.rank == a.cols and all(s.d.entries[i][i] == 1 for i in range(s.rank))
 
 
