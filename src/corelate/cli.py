@@ -196,8 +196,16 @@ def _count(text: str) -> int:
     return value
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line on stderr, with exit 2,
+    like every other user error; ``-h`` still prints the usage."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="corelate",
         description="exact spans, cospans, relations and corelations with a verification harness",
     )

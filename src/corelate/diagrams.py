@@ -3,8 +3,13 @@
 Terms are built from ``id(n)``, ``sym(n,m)``, named generators (optionally
 colored ``w.``/``b.`` and optionally carrying one exact scalar argument),
 sequential composition ``;`` (diagrammatic order, left to right) and
-parallel composition ``@``.  Equality of terms is decided semantically: both
-sides are evaluated to canonical (co)relations and compared.
+parallel composition ``@``.  As in a prop, both are strictly associative: a
+chain ``a ; b ; c`` is one :class:`SeqTerm` and a row ``a @ b @ c`` one
+:class:`TensorTerm`, each with n-ary ``parts``, and brackets around the same
+operator only regroup, so ``(a ; b) ; c`` and ``a ; (b ; c)`` parse to the
+same tree.  Term ``==`` is structural up to that regrouping; semantic
+equality (:func:`term_equal`) evaluates both sides to canonical
+(co)relations and compares them.
 """
 
 from __future__ import annotations
@@ -71,26 +76,26 @@ class Term:
             if a.__class__ is not b.__class__:
                 return False
             if isinstance(a, (SeqTerm, TensorTerm)):
-                if a.dom != b.dom or a.cod != b.cod:
+                if a.dom != b.dom or a.cod != b.cod or len(a.parts) != len(b.parts):
                     return False
-                todo += ((a.second, b.second), (a.first, b.first))
+                todo += zip(a.parts, b.parts)
             elif a._fields() != b._fields():
                 return False
         return True
 
     def __hash__(self):
-        # the hash of the tuple of the fields, subterms before the terms
-        # that hold them
+        # the hash of the tuple of the fields, parts before the terms that
+        # hold them
         hashes: dict = {}
         todo = [self]
         while todo:
             t = todo[-1]
             if isinstance(t, (SeqTerm, TensorTerm)):
-                pending = [u for u in (t.second, t.first) if id(u) not in hashes]
+                pending = [u for u in t.parts if id(u) not in hashes]
                 if pending:
                     todo += pending
                     continue
-                fields = (t.dom, t.cod, _Hashed(hashes[id(t.first)]), _Hashed(hashes[id(t.second)]))
+                fields = (t.dom, t.cod, tuple(_Hashed(hashes[id(u)]) for u in t.parts))
             else:
                 fields = t._fields()
             todo.pop()
@@ -117,14 +122,16 @@ class GenTerm(Term):
 
 @dataclass(frozen=True, eq=False, repr=False)
 class SeqTerm(Term):
-    first: Term
-    second: Term
+    """``parts[0] ; parts[1] ; ...``: two or more parts, none a SeqTerm when parsed."""
+
+    parts: tuple
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class TensorTerm(Term):
-    first: Term
-    second: Term
+    """``parts[0] @ parts[1] @ ...``: two or more parts, none a TensorTerm when parsed."""
+
+    parts: tuple
 
 
 # Arities are fixed across theories; which names are *bound* varies.
@@ -142,141 +149,133 @@ for _color in ("w", "b"):
         GENERATOR_ARITIES[f"{_color}.{_g}"] = GENERATOR_ARITIES[_g]
 
 
-# Whitespace separates tokens; any other character that starts no token is "bad".
-_TOKEN = re.compile(r"(?P<num>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<sym>[();@,./-])|(?P<bad>\S)")
+# Whitespace separates tokens.  A character that starts no token is refused
+# before tokenizing, so every token is a number, a name or one symbol.
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z_0-9]*|[();@,./-]")
+_BAD = re.compile(r"[^\sA-Za-z_0-9();@,./-]")
+_NOT_NAME = frozenset("0123456789();@,./-")  # first characters of the other tokens
 
 
-def _tokenize(src: str):
-    tokens = []
-    for m in _TOKEN.finditer(src):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise TermSyntaxError(f"unexpected character {m.group()!r}", m.start())
-        tokens.append((kind, m.group(), m.start()))
-    tokens.append(("end", "", len(src)))
-    return tokens
+def _fail(src: str, k: int, message: str):
+    """Raise a syntax error at the k-th token of src, or at its end."""
+    starts = [m.start() for m in _TOKEN.finditer(src)] + [len(src)]
+    raise TermSyntaxError(message, starts[k])
 
 
-class _Parser:
-    def __init__(self, src: str):
-        self.src = src
-        self.tokens = _tokenize(src)
-        self.i = 0
+def _expect(src: str, tokens: list, k: int, text: str) -> None:
+    if tokens[k] != text:
+        _fail(src, k, f"expected {text!r}, found {tokens[k]!r}")
 
-    def peek(self):
-        return self.tokens[self.i]
 
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+def _nat(src: str, tokens: list, k: int) -> int:
+    if not tokens[k].isdigit():
+        _fail(src, k, f"expected a number, found {tokens[k]!r}")
+    return int(tokens[k])
 
-    def expect(self, text: str):
-        kind, value, pos = self.next()
-        if value != text:
-            raise TermSyntaxError(f"expected {text!r}, found {value!r}", pos)
 
-    def parse(self) -> Term:
-        """term := row (';' row)*,  row := atom ('@' atom)*,
-        atom := '(' term ')' | leaf.
-
-        Iterative: each open parenthesis pushes a frame holding the ``;``
-        chain so far and the ``@`` row so far, so nesting depth costs no
-        recursion.  Rows fold left, as do chains.
-        """
-        frames: list[list] = [[None, None]]
-        while True:
-            if self.peek()[1] == "(":
-                self.next()
-                frames.append([None, None])
-                continue
-            t = self.leaf()
-            while True:  # t is a finished atom of the innermost frame
-                frame = frames[-1]
-                row = frame[1]
-                frame[1] = t if row is None else TensorTerm(row.dom + t.dom, row.cod + t.cod, row, t)
-                kind, value, pos = self.next()
-                if value == "@":
-                    break
-                chain, row = frame
-                frame[:] = (row if chain is None else _seq(chain, row)), None
-                if value == ";":
-                    break
-                if len(frames) == 1:
-                    if kind != "end":
-                        raise TermSyntaxError(f"trailing input {value!r}", pos)
-                    return frame[0]
-                if value != ")":
-                    raise TermSyntaxError(f"expected ')', found {value!r}", pos)
-                frames.pop()
-                t = frame[0]
-
-    def nat(self) -> int:
-        kind, value, pos = self.next()
-        if kind != "num":
-            raise TermSyntaxError(f"expected a number, found {value!r}", pos)
-        return int(value)
-
-    def scalar(self) -> Fraction:
+def _leaf(src: str, tokens: list, i: int):
+    """The leaf at token i, ``id(n)``, ``sym(n,m)`` or a generator, and the
+    index of the token after it."""
+    name = tokens[i]
+    if not name or name[0] in _NOT_NAME:
+        _fail(src, i, f"expected an atom, found {name!r}")
+    if name == "id":
+        _expect(src, tokens, i + 1, "(")
+        n = _nat(src, tokens, i + 2)
+        _expect(src, tokens, i + 3, ")")
+        return IdTerm(n, n, n), i + 4
+    if name == "sym":
+        _expect(src, tokens, i + 1, "(")
+        n = _nat(src, tokens, i + 2)
+        _expect(src, tokens, i + 3, ",")
+        m = _nat(src, tokens, i + 4)
+        _expect(src, tokens, i + 5, ")")
+        return SymTerm(n + m, m + n, n, m), i + 6
+    i += 1
+    if tokens[i] == ".":
+        color = tokens[i + 1]
+        if not color or color[0] in _NOT_NAME:
+            _fail(src, i + 1, f"expected a generator name after color, found {color!r}")
+        name = f"{name}.{color}"
+        i += 2
+    args: tuple = ()
+    if tokens[i] == "(":
         sign = 1
-        if self.peek()[1] == "-":
-            self.next()
+        if tokens[i + 1] == "-":
             sign = -1
-        num = self.nat()
-        if self.peek()[1] == "/":
-            self.next()
-            pos = self.peek()[2]
-            den = self.nat()
+            i += 1
+        num = sign * _nat(src, tokens, i + 1)
+        i += 2
+        if tokens[i] == "/":
+            den = _nat(src, tokens, i + 1)
             if den == 0:
-                raise TermSyntaxError(f"scalar {sign * num}/0 has a zero denominator", pos)
-            return Fraction(sign * num, den)
-        return Fraction(sign * num)
-
-    def leaf(self) -> Term:
-        """id(n), sym(n,m) or a generator."""
-        kind, value, pos = self.peek()
-        if kind != "name":
-            raise TermSyntaxError(f"expected an atom, found {value!r}", pos)
-        self.next()
-        if value == "id":
-            self.expect("(")
-            n = self.nat()
-            self.expect(")")
-            return IdTerm(n, n, n)
-        if value == "sym":
-            self.expect("(")
-            n = self.nat()
-            self.expect(",")
-            m = self.nat()
-            self.expect(")")
-            return SymTerm(n + m, m + n, n, m)
-        name = value
-        if self.peek()[1] == ".":
-            self.next()
-            kind2, value2, pos2 = self.next()
-            if kind2 != "name":
-                raise TermSyntaxError(f"expected a generator name after color, found {value2!r}", pos2)
-            name = f"{name}.{value2}"
-        args: tuple = ()
-        if self.peek()[1] == "(":
-            self.next()
-            args = (self.scalar(),)
-            self.expect(")")
-        if name not in GENERATOR_ARITIES:
-            raise UnknownGenerator(f"unknown generator {name!r}")
-        dom, cod = GENERATOR_ARITIES[name]
-        return GenTerm(dom, cod, name, args)
-
-
-def _seq(t: Term, u: Term) -> Term:
-    if t.cod != u.dom:
-        raise TermTypeError("cannot compose", t.cod, u.dom)
-    return SeqTerm(t.dom, u.cod, t, u)
+                _fail(src, i + 1, f"scalar {num}/0 has a zero denominator")
+            num = Fraction(num, den)
+            i += 2
+        _expect(src, tokens, i, ")")
+        args = (Fraction(num),)
+        i += 1
+    if name not in GENERATOR_ARITIES:
+        raise UnknownGenerator(f"unknown generator {name!r}")
+    dom, cod = GENERATOR_ARITIES[name]
+    return GenTerm(dom, cod, name, args), i
 
 
 def parse_term(src: str) -> Term:
-    """Parse and type a diagram term; totals on grammatical, well-typed input."""
-    return _Parser(src).parse()
+    """Parse and type a diagram term; totals on grammatical, well-typed input.
+
+    term := row (';' row)*,  row := atom ('@' atom)*,  atom := '(' term ')' | leaf.
+
+    One pass over the tokens.  Each open parenthesis saves the ``;`` parts
+    and the ``@`` parts read so far, so nesting depth costs no recursion.  A
+    bracketed group is spliced into a parent of its own operator, so no
+    SeqTerm has a SeqTerm part and no TensorTerm a TensorTerm part.
+    """
+    bad = _BAD.search(src)
+    if bad:
+        raise TermSyntaxError(f"unexpected character {bad.group()!r}", bad.start())
+    tokens = _TOKEN.findall(src) + [""]  # "" ends the input
+    frames = []  # the (seq, row) parts of each enclosing group
+    seq: list = []  # the ';' parts of the innermost group so far
+    row: list = []  # the '@' parts of its current row so far
+    i = 0
+    while True:
+        if tokens[i] == "(":
+            frames.append((seq, row))
+            seq, row = [], []
+            i += 1
+            continue
+        t, i = _leaf(src, tokens, i)
+        while True:  # t is a finished atom of the innermost group
+            if t.__class__ is TensorTerm:
+                row += t.parts
+            else:
+                row.append(t)
+            op = tokens[i]
+            i += 1
+            if op == "@":
+                break
+            if len(row) == 1:
+                t = row[0]
+            else:
+                t = TensorTerm(sum(u.dom for u in row), sum(u.cod for u in row), tuple(row))
+            row = []
+            if seq and seq[-1].cod != t.dom:
+                raise TermTypeError("cannot compose", seq[-1].cod, t.dom)
+            if t.__class__ is SeqTerm:
+                seq += t.parts
+            else:
+                seq.append(t)
+            if op == ";":
+                break
+            t = seq[0] if len(seq) == 1 else SeqTerm(seq[0].dom, seq[-1].cod, tuple(seq))
+            if not frames:
+                if op:
+                    _fail(src, i - 1, f"trailing input {op!r}")
+                return t
+            if op != ")":
+                _fail(src, i - 1, f"expected ')', found {op!r}")
+            seq, row = frames.pop()
 
 
 def _format_scalar(x) -> str:
@@ -287,23 +286,26 @@ def _format_scalar(x) -> str:
 
 
 def print_term(t: Term) -> str:
-    """Textual form that reparses to an identical tree."""
+    """Textual form; every tree the parser builds reparses to an identical tree."""
     out = []
-    # to print: literal text, or (term, least operator level it may show
-    # without parentheses); ``;`` has level 0 and binds looser than ``@``
-    todo: list = [(t, 0)]
+    # to print: literal text, or (term, level of its parent's operator); a
+    # part is bracketed unless it binds tighter than its parent, and ``;``
+    # (level 0) binds looser than ``@`` (level 1)
+    todo: list = [(t, -1)]
     while todo:
         item = todo.pop()
         if isinstance(item, str):
             out.append(item)
             continue
-        t, min_level = item
+        t, parent = item
         if isinstance(t, (SeqTerm, TensorTerm)):
             level, op = (0, " ; ") if isinstance(t, SeqTerm) else (1, " @ ")
-            parts = [(t.first, level), op, (t.second, level + 1)]
-            if level < min_level:
-                parts = ["(", *parts, ")"]
-            todo.extend(reversed(parts))
+            items: list = [(t.parts[0], level)]
+            for u in t.parts[1:]:
+                items += (op, (u, level))
+            if level <= parent:
+                items = ["(", *items, ")"]
+            todo += reversed(items)
         elif isinstance(t, IdTerm):
             out.append(f"id({t.n})")
         elif isinstance(t, SymTerm):
@@ -482,18 +484,6 @@ def get_theory(name: str) -> Theory:
     raise UnknownTheory(f"no theory named {name!r}")
 
 
-def _tensor_row(t: TensorTerm) -> list[Term]:
-    """The operands of the maximal ``@`` chain rooted at t, left to right."""
-    row, todo = [], [t]
-    while todo:
-        u = todo.pop()
-        if isinstance(u, TensorTerm):
-            todo += (u.second, u.first)
-        else:
-            row.append(u)
-    return row
-
-
 _COMPOSE = object()  # marker on the evaluation stack: compose the top two values
 
 
@@ -501,8 +491,8 @@ def eval_term(t: Term, th: Theory):
     """Structural evaluation into the theory's semantic prop.
 
     Walks the term with an explicit stack, so depth costs no recursion.
-    Each ``@`` row is one n-ary tensor, canonicalised once; ``;`` nodes
-    compose in the order the term nests them.
+    A ``;`` chain composes its parts left to right, and an ``@`` row is
+    one n-ary tensor, canonicalised once.
     """
     values: list = []
     todo: list = [t]
@@ -516,11 +506,12 @@ def eval_term(t: Term, th: Theory):
             del values[-item:]
             values.append(th.tensor(*row))
         elif isinstance(item, SeqTerm):
-            todo += (_COMPOSE, item.second, item.first)
+            for u in item.parts[:0:-1]:
+                todo += (_COMPOSE, u)
+            todo.append(item.parts[0])
         elif isinstance(item, TensorTerm):
-            row = _tensor_row(item)
-            todo.append(len(row))
-            todo += reversed(row)
+            todo.append(len(item.parts))
+            todo += reversed(item.parts)
         elif isinstance(item, IdTerm):
             values.append(th.identity(item.n))
         elif isinstance(item, SymTerm):

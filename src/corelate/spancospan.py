@@ -52,6 +52,7 @@ class Ambient:
 
     name: str
     a_name: str
+    leg_types: tuple  # the morphism classes of the prop
 
     def __eq__(self, other):
         return (
@@ -179,6 +180,7 @@ class FinFnAmbient(Ambient):
 
     name = "f"
     map_type = FinMap
+    leg_types = (FinMap,)
 
     def __init__(self, a_name: str = "inj"):
         if a_name not in ("inj", "all"):
@@ -305,6 +307,7 @@ class ParFnAmbient(FinFnAmbient):
 
     name = "pf"
     map_type = ParMap
+    leg_types = (FinMap, ParMap)  # a total map is a partial one
 
     def enumerate_morphisms(self, dom, cod, entry_bound=None):
         return finfn.enumerate_parmaps(dom, cod)
@@ -320,6 +323,8 @@ class MatrixAmbient(Ambient):
     Fields carry the (epi, mono) system; the integers carry (rank-dense
     epis, split monos), with pushouts taken through the free reflection.
     """
+
+    leg_types = (ExactMatrix,)
 
     def __init__(self, ring: Ring, a_name: Optional[str] = None):
         self.ring = ring
@@ -505,13 +510,23 @@ def get_ambient(name: str, a_name: Optional[str] = None) -> Ambient:
 # span/cospan operations
 
 
+def _require_legs(amb: Ambient, *legs) -> None:
+    """Refuse a leg that is not a morphism of the ambient, named as literals name it."""
+    for f in legs:
+        if type(f) not in amb.leg_types or getattr(f, "ring", None) != getattr(amb, "ring", None):
+            kind = {FinMap: "fn", ParMap: "par"}.get(type(f)) or f"mat {f.ring.name}"
+            raise TypeMismatch(f"a {kind} leg is not a morphism of ambient {amb.name}")
+
+
 def make_cospan(left, right, amb: Ambient) -> Cospan:
+    _require_legs(amb, left, right)
     if amb.cod(left) != amb.cod(right):
         raise TypeMismatch("cospan legs need a common apex")
     return Cospan(left, right)
 
 
 def make_span(left, right, amb: Ambient) -> Span:
+    _require_legs(amb, left, right)
     if amb.dom(left) != amb.dom(right):
         raise TypeMismatch("span legs need a common apex")
     return Span(left, right)

@@ -214,6 +214,57 @@ def test_check_unknown_name_exit_2(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("check", "laws", "--C", "gf2", "--bound", "x"), "argument --bound: expected a non-negative integer, got 'x'"),
+        (("check", "laws", "--bogus"), "unrecognized arguments: --bogus"),
+        (("check", "bogus"), "argument check: invalid choice: 'bogus' (choose from "),
+        ((), "the following arguments are required: command"),
+    ],
+)
+def test_usage_errors_are_one_line_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_help_keeps_its_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: corelate check [-h]")
+
+
+def _leg_pair(kind, left, right):
+    return f"{kind} {{ left = {left}, right = {right} }}"
+
+
+@pytest.mark.parametrize(
+    "ambient, literal, message",
+    [
+        ("f", _leg_pair("cospan", "par 1 -> 1 : [_]", "par 1 -> 1 : [0]"), "a par leg is not a morphism of ambient f"),
+        ("f", _leg_pair("span", "mat q 1x1 : [[1]]", "mat q 1x1 : [[1]]"), "a mat q leg is not a morphism of ambient f"),
+        ("gf2", _leg_pair("cospan", "fn 1 -> 1 : [0]", "fn 1 -> 1 : [0]"), "a fn leg is not a morphism of ambient gf2"),
+        ("gf2", _leg_pair("cospan", "mat gf3 1x1 : [[2]]", "mat gf3 1x1 : [[1]]"), "a mat gf3 leg is not a morphism of ambient gf2"),
+        ("q", _leg_pair("cospan", "mat z 1x1 : [[2]]", "mat z 1x1 : [[1]]"), "a mat z leg is not a morphism of ambient q"),
+        ("q", _leg_pair("span", "mat q 1x1 : [[2]]", "mat z 1x1 : [[1]]"), "a mat z leg is not a morphism of ambient q"),
+    ],
+)
+def test_literal_leg_the_ambient_cannot_hold_exit_2(capsys, ambient, literal, message):
+    for argv in (("normalize", "--ambient", ambient, literal), ("compose", "--ambient", ambient, literal, literal)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_total_leg_in_partial_ambient(capsys):
+    code, out, err = run(capsys, "normalize", "--ambient", "pf", _leg_pair("cospan", "fn 1 -> 1 : [0]", "par 1 -> 1 : [_]"))
+    assert (code, out, err) == (0, "cospan { left = par 1 -> 1 : [0], right = par 1 -> 1 : [_] }\n", "")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("eval", "--theory", "gf4-subspace", "id(1)"),

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -77,8 +78,7 @@ def test_parse_zero_denominator(src, position):
 def test_parse_colors():
     t = parse_term("w.mult ; b.comult")
     assert isinstance(t, SeqTerm)
-    assert t.first.name == "w.mult"
-    assert t.second.name == "b.comult"
+    assert [u.name for u in t.parts] == ["w.mult", "b.comult"]
 
 
 @pytest.mark.parametrize(
@@ -105,14 +105,136 @@ def test_parse_deep_nesting_without_recursion():
     assert t == IdTerm(1, 1, 1)
     t = parse_term(" ; ".join(["(comult ; mult)"] * depth))
     assert (t.dom, t.cod) == (1, 1)
+    assert isinstance(t, SeqTerm) and len(t.parts) == 2 * depth
     with pytest.raises(TermSyntaxError):
         parse_term("(" * depth + "id(1)" + ")" * (depth - 1))
+
+
+# --- pinned parser outcomes ---------------------------------------------------------
+#
+# One outcome per source string: the error's class, message and position, or
+# the parsed term's type.  The sources are the fixed ones of this file and
+# seeded random strings over the token alphabet, some of them token soup and
+# the rest typed terms with a few tokens mutated, so a rewrite of the parser must
+# keep every message, position and arity.
+
+PIN_SOURCES = [
+    "unit ; counit", "mult ; comult", "unit ; mult", "mult ; %", "(mult ; comult", "id(1) id(1)",
+    "frobnicate", "scalar(1/2)", "scalar(-3)", "scalar(1/0)", "w.mult ; scalar(-12/0)",
+    "w.mult ; b.comult", "(id(1)", "id(1))", "(id(1) id(1))", "()", "id(1) @", "((mult ; comult)",
+    "(mult ; comult))", "unit @ unit ; mult", "(mult @ id(1)) ; mult", "w.mult ; scalar(2)",
+    "sym(1,2) ; (id(2) @ id(1))", "comult ; (counit @ id(1))",
+    "(unit @ unit) ; mult ; comult ; (counit @ counit)", "scalar(2) ; coscalar(2)",
+    "(comult @ id(1)) ; (id(1) @ mult)", "(id(1) @ comult) ; (mult @ id(1))", "scalar(2);coscalar(2)",
+    "comult ; (undef @ undef)", "scalar(3) ; scalar(2)", "", " ", "w.", "w.(", "id", "id(", "id(1",
+    "sym(1)", "sym(1,)", "scalar", "scalar(", "scalar(-)", "scalar(1/)", "scalar(x)", "b.1", "x.mult",
+]
+PIN_TOKENS = [
+    "(", ")", ";", "@", ",", ".", "/", "-", "id", "sym", "unit", "counit", "mult", "comult", "undef",
+    "scalar", "coscalar", "w", "b", "x", "0", "1", "2", "3", "12",
+]
+PIN_LEAVES = {
+    0: ["unit", "w.unit", "b.unit", "id(0)"],
+    1: ["id(1)", "scalar(1/2)", "scalar(-3)", "coscalar(2)", "counit", "comult", "undef", "w.counit"],
+    2: ["id(2)", "sym(1,1)", "mult", "b.mult", "w.mult"],
+    3: ["id(3)", "sym(1,2)", "sym(2,1)"],
+}
+
+
+def _pin_term(rng, dom, depth):
+    """Text, dom and cod of a random term from ``dom`` wires, mostly well-typed."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        text = rng.choice(PIN_LEAVES.get(dom, [f"id({dom})"]))
+        leaf = parse_term(text)
+        return text, leaf.dom, leaf.cod
+    if roll < 0.65:  # a ; chain, each part typed against the last unless it slips
+        parts, d = [], dom
+        for _ in range(rng.randint(2, 4)):
+            start = d if rng.random() < 0.95 else rng.randint(0, 3)
+            text, _, d = _pin_term(rng, start, depth - 1)
+            parts.append(text)
+        text = " ; ".join(f"({p})" if rng.random() < 0.4 else p for p in parts)
+        return text, dom, d
+    parts, cod, left = [], 0, dom  # an @ row that splits the wires
+    while True:
+        take = left if left <= 1 or rng.random() < 0.3 else rng.randint(0, left)
+        text, _, c = _pin_term(rng, take, depth - 1)
+        parts.append(text if rng.random() < 0.5 else f"({text})")
+        cod, left = cod + c, left - take
+        if left == 0 and len(parts) >= 2:
+            break
+    return "(" + " @ ".join(parts) + ")", dom, cod
+
+
+def _pin_source(rng):
+    if rng.random() < 0.4:
+        tokens = [rng.choice(PIN_TOKENS) + rng.choice(["", " ", " ", "  "]) for _ in range(rng.randint(0, 12))]
+        if rng.random() < 0.1:  # a character that starts no token
+            tokens.insert(rng.randint(0, len(tokens)), rng.choice("%#\u00e9\u0663"))
+        return "".join(tokens)
+    text = _pin_term(rng, rng.randint(0, 3), rng.randint(1, 4))[0]
+    tokens = re.findall(r"[0-9]+|[A-Za-z_][A-Za-z_0-9]*|\S", text)
+    for _ in range(rng.choice([0, 0, 1, 1, 2])):
+        k = rng.randrange(len(tokens) + 1)
+        edit = rng.random()
+        if edit < 0.3:
+            tokens[k:k] = [rng.choice(PIN_TOKENS)]
+        elif tokens and edit < 0.6:
+            del tokens[min(k, len(tokens) - 1)]
+        elif tokens:
+            tokens[min(k, len(tokens) - 1)] = rng.choice(PIN_TOKENS)
+    return " ".join(tokens)
+
+
+def test_parser_outcomes_pinned():
+    rng = random.Random("parser-pin")
+    digest = hashlib.sha256()
+    parsed = 0
+    for src in PIN_SOURCES + [_pin_source(rng) for _ in range(20000)]:
+        try:
+            t = parse_term(src)
+        except (TermSyntaxError, TermTypeError, UnknownGenerator) as err:
+            outcome = (type(err).__name__, str(err), getattr(err, "position", None))
+        else:
+            outcome = (t.dom, t.cod)
+            assert parse_term(print_term(t)) == t
+            parsed += 1
+        digest.update(f"{src!r} {outcome!r}\n".encode())
+    assert parsed > 4000
+    assert digest.hexdigest() == "b1c6709e28d460329407543cb289ea2a9c5e8933492c69b5ab23990199bf424f"
 
 
 def test_tensor_binds_tighter_than_seq():
     t = parse_term("unit @ unit ; mult")
     assert isinstance(t, SeqTerm)
-    assert isinstance(t.first, TensorTerm)
+    assert isinstance(t.parts[0], TensorTerm)
+
+
+@pytest.mark.parametrize(
+    "srcs",
+    [
+        ["(unit ; counit) ; id(0)", "unit ; (counit ; id(0))", "unit ; counit ; id(0)", "((unit ; counit) ; (id(0)))"],
+        ["(id(1) @ mult) @ unit", "id(1) @ (mult @ unit)", "id(1) @ mult @ unit"],
+    ],
+)
+def test_brackets_around_the_same_operator_only_regroup(srcs):
+    terms = [parse_term(src) for src in srcs]
+    assert len(terms[0].parts) == 3
+    assert all(t == terms[0] and hash(t) == hash(terms[0]) for t in terms)
+    assert print_term(terms[0]) == srcs[2]
+
+
+def test_parsed_terms_have_no_part_of_their_own_class():
+    t = parse_term("(comult ; (id(1) @ (comult ; mult)) ; mult) ; ((comult @ id(0)) @ unit) ; (mult @ id(1)) ; mult")
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        if isinstance(u, (SeqTerm, TensorTerm)):
+            assert len(u.parts) >= 2
+            assert not any(type(p) is type(u) for p in u.parts)
+            todo += u.parts
+    assert print_term(t) == "comult ; id(1) @ (comult ; mult) ; mult ; comult @ id(0) @ unit ; mult @ id(1) ; mult"
 
 
 # --- printing round trip ----------------------------------------------------------
@@ -147,18 +269,22 @@ def random_term(rng, depth=3):
     ]
     if depth == 0 or rng.random() < 0.4:
         return rng.choice(atoms)
-    a = random_term(rng, depth - 1)
     if rng.random() < 0.5:
-        b = random_term(rng, depth - 1)
-        return TensorTerm(a.dom + b.dom, a.cod + b.cod, a, b)
+        parts = []
+        for _ in range(rng.randint(2, 3)):
+            u = random_term(rng, depth - 1)
+            parts += u.parts if isinstance(u, TensorTerm) else [u]
+        return TensorTerm(sum(u.dom for u in parts), sum(u.cod for u in parts), tuple(parts))
+    a = random_term(rng, depth - 1)
     # force a composable right factor
     b = IdTerm(a.cod, a.cod, a.cod)
-    return SeqTerm(a.dom, b.cod, a, b)
+    return SeqTerm(a.dom, b.cod, (*(a.parts if isinstance(a, SeqTerm) else [a]), b))
 
 
 def test_print_term_deep_chain_without_recursion():
     layers = " ; ".join(["(comult ; mult)"] * 2000)
     printed = print_term(parse_term(layers))
+    assert printed == " ; ".join(["comult ; mult"] * 2000)
     assert print_term(parse_term(printed)) == printed
 
 
@@ -257,8 +383,8 @@ def test_eval_is_monoidal_on_terms():
     er = get_theory("er")
     t1, t2 = parse_term("comult"), parse_term("mult")
     t3, t4 = parse_term("mult"), parse_term("comult")
-    lhs = SeqTerm(3, 3, TensorTerm(3, 4, t1, t2), TensorTerm(4, 3, t3, t4))
-    rhs = TensorTerm(3, 3, SeqTerm(1, 1, t1, t3), SeqTerm(2, 2, t2, t4))
+    lhs = SeqTerm(3, 3, (TensorTerm(3, 4, (t1, t2)), TensorTerm(4, 3, (t3, t4))))
+    rhs = TensorTerm(3, 3, (SeqTerm(1, 1, (t1, t3)), SeqTerm(2, 2, (t2, t4))))
     assert term_equal(lhs, rhs, er)
 
 
@@ -290,17 +416,43 @@ def test_eval_deep_terms_without_recursion():
     er = get_theory("er")
     layers = " ; ".join(["(comult ; mult)"] * 3000)
     assert eval_term(parse_term(layers), er) == corel_identity(1, er.ambient)
-    nested_row = "id(1) @ (" * 3000 + "id(1)" + ")" * 3000
-    assert eval_term(parse_term(nested_row), er) == corel_identity(3001, er.ambient)
+    nested_row = parse_term("id(1) @ (" * 3000 + "id(1)" + ")" * 3000)
+    assert isinstance(nested_row, TensorTerm) and len(nested_row.parts) == 3001
+    assert eval_term(nested_row, er) == corel_identity(3001, er.ambient)
+
+
+def _alternating_nest(levels, core="id(1)"):
+    """``comult ; (id(1) @ (...)) ; mult`` around ``core``: a bracket nest
+    2 * levels deep whose groups alternate ``;`` and ``@``."""
+    return "comult ; (id(1) @ (" * levels + core + ")) ; mult" * levels
+
+
+def test_deep_alternating_nest_without_recursion():
+    levels = 2000  # 4000 nested groups, none spliced into its parent
+    t = parse_term(_alternating_nest(levels))
+    depth, u = 0, t
+    while isinstance(u, (SeqTerm, TensorTerm)):
+        depth, u = depth + 1, u.parts[1]
+    assert depth == 2 * levels
+    assert t == parse_term(_alternating_nest(levels))
+    assert hash(t) == hash(parse_term(_alternating_nest(levels)))
+    other = parse_term(_alternating_nest(levels, "comult ; mult"))
+    assert t != other
+    printed = print_term(t)
+    assert printed.startswith("comult ; id(1) @ (comult ; id(1) @ (")
+    assert parse_term(printed) == t
+    assert repr(t) == f"SeqTerm(1 -> 1: {printed})"
+    er = get_theory("er")
+    assert eval_term(t, er) == eval_term(other, er) == corel_identity(1, er.ambient)
 
 
 def test_repr_deep_terms_without_recursion():
     chain = parse_term(" ; ".join(["(comult ; mult)"] * 2000))
     text = repr(chain)
-    assert text.startswith("SeqTerm(1 -> 1: comult ; mult ; (comult ; mult) ; ")
+    assert text == "SeqTerm(1 -> 1: " + " ; ".join(["comult ; mult"] * 2000) + ")"
     assert parse_term(text[len("SeqTerm(1 -> 1: ") : -1]) == chain
     nested = parse_term("id(1) @ (" * 3000 + "id(1)" + ")" * 3000)
-    assert repr(nested).startswith("TensorTerm(3001 -> 3001: id(1) @ (id(1) @ (")
+    assert repr(nested) == "TensorTerm(3001 -> 3001: " + " @ ".join(["id(1)"] * 3001) + ")"
     assert repr(parse_term("scalar(-1/2)")) == "GenTerm(1 -> 1: scalar(-1/2))"
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from corelate.errors import CorelateError, NoSuchMorphism, TypeMismatch, UnknownAmbient
 from corelate.exactnum import GF, ZZ
-from corelate.finfn import ParMap, enumerate_parmaps, fn, fn_compose
+from corelate.finfn import ParMap, enumerate_parmaps, fn, fn_compose, par
 from corelate.linmap import mat
 from corelate.spancospan import (
     Cospan,
@@ -60,6 +60,12 @@ def test_ambient_equality_by_name():
 def test_make_cospan_validates_apex():
     with pytest.raises(TypeMismatch):
         make_cospan(fn(1, 2, [0]), fn(1, 3, [0]), F)
+
+
+def test_make_cospan_refuses_legs_of_another_ambient():
+    with pytest.raises(TypeMismatch, match="a par leg is not a morphism of ambient f"):
+        make_cospan(par(1, 1, [None]), fn(1, 1, [0]), F)
+    assert make_cospan(fn(1, 1, [0]), par(1, 1, [None]), get_ambient("pf")) == (fn(1, 1, [0]), par(1, 1, [None]))
 
 
 def test_cospan_compose_identity():
