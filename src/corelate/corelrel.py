@@ -7,11 +7,12 @@ not by searching the witness closure; the closure is kept as an
 independent test oracle in the verification module.
 
 Composition asks the ambient for the canonical composite: one union-find
-pass over finite and partial functions, one echelon pass over matrices
-(which is also how matrix ambients quotient a cospan).  ``pi`` is a
-composite too: the pushout of a span is the composite of its two leg
-cospans.  Tensors need no factorisation, since E is closed under tensor,
-and identities and symmetries are built canonical.
+pass over finite and partial functions, one echelon pass over matrices.
+The quotient of a cospan is the same pass: over functions, its composite
+with the identity corelation.  ``pi`` is the ambient's pushout, which is
+the composite of the two leg cospans and so already canonical.  Tensors
+need no factorisation, since E is closed under tensor, and identities and
+symmetries are built canonical.
 
 A relation over a field is stored as the corelation of its transposed
 legs.  Transposing both legs of a span gives a cospan with the same feet,
@@ -87,12 +88,12 @@ def pi(s: Span, amb: Ambient) -> Corelation:
     """Pushout a span with legs in the distinguished subcategory, then quotient.
 
     The pushout of the span (f, g) is the composite of the cospans (id, f)
-    and (g, id), so this is one canonical corelation composite.
+    and (g, id), so it is already jointly epi, with a canonical apex.
     """
     for leg in (s.left, s.right):
         if not amb.in_a(leg):
             raise NotInA(f"span leg fails the {amb.a_name} membership test")
-    return Corelation(amb, amb.span_corelation(s))
+    return Corelation(amb, Cospan(*amb.pushout(s.left, s.right)))
 
 
 def corel_identity(n: int, amb: Ambient) -> Corelation:

@@ -24,18 +24,11 @@ from .errors import (
     UnknownGenerator,
     UnknownTheory,
 )
-from .exactnum import ZZ
 from .linmap import mat
 from .finfn import fn, par
-from .spancospan import (
-    Cospan,
-    Span,
-    embed_bwd_cospan,
-    embed_fwd_cospan,
-    get_ambient,
-)
+from .spancospan import Cospan, embed_bwd_cospan, embed_fwd_cospan, get_ambient
 from . import corelrel
-from .corelrel import Corelation, Relation, gamma, rel_canonical
+from .corelrel import Corelation, Relation, gamma
 
 
 class _Hashed:
@@ -387,83 +380,48 @@ def _er_like_theory(name: str, ambient_name: str) -> Theory:
     return Theory(name, Corelation, amb, gens)
 
 
-def _z_corel_theory() -> Theory:
-    amb = get_ambient("z")
-    add = mat(ZZ, 1, 2, [[1, 1]])
-    copy = mat(ZZ, 2, 1, [[1], [1]])
-    into = mat(ZZ, 1, 0, [[]])  # 0 -> 1
-    onto = mat(ZZ, 0, 1, [])  # 1 -> 0
+def _linear_theory(name: str, ring_tag: str) -> Theory:
+    """Signal-flow generators over a ring: corelations over the integers
+    (``z-corel``), relations over a field (``<ring>-subspace``).
 
-    fwd = lambda f: gamma(embed_fwd_cospan(f, amb), amb)
-    bwd = lambda f: gamma(embed_bwd_cospan(f, amb), amb)
-
-    def scalar(args):
-        r = _int_scalar(args)
-        return fwd(mat(ZZ, 1, 1, [[r]]))
-
-    def coscalar(args):
-        r = _int_scalar(args)
-        return bwd(mat(ZZ, 1, 1, [[r]]))
-
-    gens = {
-        "w.mult": _no_args(fwd(add)),
-        "w.unit": _no_args(fwd(into)),
-        "w.comult": _no_args(bwd(add)),
-        "w.counit": _no_args(bwd(into)),
-        "b.comult": _no_args(fwd(copy)),
-        "b.counit": _no_args(fwd(onto)),
-        "b.mult": _no_args(bwd(copy)),
-        "b.unit": _no_args(bwd(onto)),
-        "scalar": scalar,
-        "coscalar": coscalar,
-    }
-    return Theory("z-corel", Corelation, amb, gens)
-
-
-def _int_scalar(args) -> int:
-    if len(args) != 1:
-        raise UnknownGenerator("scalar generators take exactly one argument")
-    r = Fraction(args[0])
-    if r.denominator != 1:
-        raise UnknownGenerator(f"integer theory cannot interpret scalar {r}")
-    return r.numerator
-
-
-def _subspace_theory(name: str, ring_tag: str) -> Theory:
+    A relation is stored as the corelation of its transposed legs, and
+    transposing turns add into copy and a map into its converse: so each
+    relation generator is the corelation generator of the other colour,
+    with scalar and coscalar swapped.
+    """
     amb = get_ambient(ring_tag)
     ring = amb.ring
+    kind = Relation if ring.is_field else Corelation
     add = mat(ring, 1, 2, [[1, 1]])
     copy = mat(ring, 2, 1, [[1], [1]])
-    into = mat(ring, 1, 0, [[]])
-    onto = mat(ring, 0, 1, [])
-    ident = lambda n: amb.identity(n)
+    into = mat(ring, 1, 0, [[]])  # 0 -> 1
+    onto = mat(ring, 0, 1, [])  # 1 -> 0
 
-    graph = lambda f: rel_canonical(Span(ident(f.cols), f), amb)
-    cograph = lambda f: rel_canonical(Span(f, ident(f.cols)), amb)
+    fwd = lambda f: kind(amb, amb.corelation_cospan(embed_fwd_cospan(f, amb)))
+    bwd = lambda f: kind(amb, amb.corelation_cospan(embed_bwd_cospan(f, amb)))
 
-    def scalar(args):
+    def scalar_matrix(args):
         if len(args) != 1:
             raise UnknownGenerator("scalar generators take exactly one argument")
-        return graph(mat(ring, 1, 1, [[ring.coerce(args[0])]]))
+        r = Fraction(args[0])
+        if not ring.is_field and r.denominator != 1:
+            raise UnknownGenerator(f"integer theory cannot interpret scalar {r}")
+        return mat(ring, 1, 1, [[ring.coerce(r)]])
 
-    def coscalar(args):
-        if len(args) != 1:
-            raise UnknownGenerator("scalar generators take exactly one argument")
-        return cograph(mat(ring, 1, 1, [[ring.coerce(args[0])]]))
-
+    w, b, scalar, coscalar = ("w", "b", "scalar", "coscalar") if kind is Corelation else ("b", "w", "coscalar", "scalar")
     gens = {
-        "w.mult": _no_args(graph(add)),
-        "w.unit": _no_args(graph(into)),
-        "w.comult": _no_args(cograph(add)),
-        "w.counit": _no_args(cograph(into)),
-        "b.comult": _no_args(graph(copy)),
-        "b.counit": _no_args(graph(onto)),
-        "b.mult": _no_args(cograph(copy)),
-        "b.unit": _no_args(cograph(onto)),
-        "scalar": scalar,
-        "coscalar": coscalar,
+        f"{w}.mult": _no_args(fwd(add)),
+        f"{w}.unit": _no_args(fwd(into)),
+        f"{w}.comult": _no_args(bwd(add)),
+        f"{w}.counit": _no_args(bwd(into)),
+        f"{b}.comult": _no_args(fwd(copy)),
+        f"{b}.counit": _no_args(fwd(onto)),
+        f"{b}.mult": _no_args(bwd(copy)),
+        f"{b}.unit": _no_args(bwd(onto)),
+        scalar: lambda args: fwd(scalar_matrix(args)),
+        coscalar: lambda args: bwd(scalar_matrix(args)),
     }
-    return Theory(name, Relation, amb, gens)
+    return Theory(name, kind, amb, gens)
 
 
 _SUBSPACE = re.compile(r"^(gf[0-9]+|q)-subspace$")
@@ -477,10 +435,10 @@ def get_theory(name: str) -> Theory:
     if name == "per":
         return _er_like_theory("per", "pf")
     if name == "z-corel":
-        return _z_corel_theory()
+        return _linear_theory(name, "z")
     m = _SUBSPACE.match(name)
     if m:
-        return _subspace_theory(name, m.group(1))
+        return _linear_theory(name, m.group(1))
     raise UnknownTheory(f"no theory named {name!r}")
 
 

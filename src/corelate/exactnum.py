@@ -13,22 +13,6 @@ from fractions import Fraction
 
 from .errors import BadScalar, NotAUnit, UnknownRing, ZeroDenominator, ZeroInverse
 
-
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: return (g, u, v) with g = gcd(|a|, |b|) = u*a + v*b."""
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
-
-
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Miller-Rabin with the witnesses above is exact for every n below this
 # bound (Sorenson and Webster, Math. Comp. 86, 2017).
@@ -248,11 +232,6 @@ def GF(p: int) -> PrimeField:
     if p not in _gf_cache:
         _gf_cache[p] = PrimeField(p)
     return _gf_cache[p]
-
-
-def scalar_inv(x, ring: Ring):
-    """Multiplicative inverse of x in the given ring (errors on non-units)."""
-    return ring.inv(ring.coerce(x))
 
 
 def parse_ring(tag: str) -> Ring:

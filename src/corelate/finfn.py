@@ -12,7 +12,7 @@ of map and returns maps of the type it was given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import product
 from typing import NamedTuple, Optional
 
 from .errors import TypeMismatch
@@ -58,29 +58,6 @@ def par(dom: int, cod: int, table) -> ParMap:
     return ParMap(dom, cod, table)
 
 
-class UnionFind:
-    """Array-based disjoint sets with path compression."""
-
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        parent = self.parent
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
 # ---------------------------------------------------------------------------
 # kernels: ``None`` is the basepoint, which total maps never hit
 
@@ -110,11 +87,6 @@ def fn_tensor(*fs):
 def fn_symmetry(n: int, m: int) -> FinMap:
     """The block swap n + m -> m + n."""
     return FinMap(n + m, m + n, tuple(range(m, m + n)) + tuple(range(m)))
-
-
-def fn_classify(f) -> tuple[bool, bool]:
-    """(injective?, surjective?) flags of the table."""
-    return fn_is_injective(f), fn_is_surjective(f)
 
 
 def fn_is_injective(f) -> bool:
@@ -166,30 +138,15 @@ def fn_pullback(f, g):
 
 
 def fn_pushout(f, g):
-    """Pushout of the span (f, g) by union-find on cod(f) + cod(g) + the
-    basepoint.
-
-    Classes glued onto the basepoint decode to undefined; the others are
-    numbered by first occurrence scanning cod(f) then cod(g), which makes
-    the output deterministic for downstream canonical forms.
+    """Pushout of the span (f, g): the composite of the cospans (id, f) and
+    (g, id), so classes are numbered by first occurrence scanning cod(f)
+    then cod(g), and a class glued onto the basepoint decodes to undefined.
     """
     if f.dom != g.dom:
         raise TypeMismatch(f"span apexes disagree: {f.dom} vs {g.dom}")
-    n1, n2 = f.cod, g.cod
-    bot = n1 + n2
-    uf = UnionFind(bot + 1)
-    for a, b in zip(f.table, g.table):
-        uf.union(bot if a is None else a, bot if b is None else n1 + b)
-    index: dict = {uf.find(bot): None}
-    q = []
-    for e in range(bot):
-        root = uf.find(e)
-        if root not in index:
-            index[root] = len(index) - 1
-        q.append(index[root])
-    apex = len(index) - 1
     make = type(f)
-    return make(n1, apex, tuple(q[:n1])), make(n2, apex, tuple(q[n1:]))
+    ident = lambda n: make(n, n, tuple(range(n)))
+    return glue_compose(ident(f.cod), f, g, ident(g.cod))
 
 
 def glue_compose(left1, right1, left2, right2):
@@ -241,48 +198,22 @@ def glue_compose(left1, right1, left2, right2):
 
 def enumerate_finmaps(dom: int, cod: int):
     """All maps dom -> cod in lexicographic table order."""
-    if dom == 0:
-        yield FinMap(0, cod, ())
-        return
-    if cod == 0:
-        return
-    table = [0] * dom
-    while True:
-        yield FinMap(dom, cod, tuple(table))
-        i = dom - 1
-        while i >= 0 and table[i] == cod - 1:
-            table[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        table[i] += 1
+    for table in product(range(cod), repeat=dom):
+        yield FinMap(dom, cod, table)
 
 
 def enumerate_parmaps(dom: int, cod: int):
-    """All partial maps dom -> cod (entry None counts as one more value)."""
-    values: list[Optional[int]] = [None] + list(range(cod))
-    if dom == 0:
-        yield ParMap(0, cod, ())
-        return
-    idx = [0] * dom
-    k = len(values)
-    while True:
-        yield ParMap(dom, cod, tuple(values[i] for i in idx))
-        i = dom - 1
-        while i >= 0 and idx[i] == k - 1:
-            idx[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        idx[i] += 1
+    """All partial maps dom -> cod (entry None counts as one more value,
+    before the others)."""
+    for table in product((None, *range(cod)), repeat=dom):
+        yield ParMap(dom, cod, table)
 
 
 # ---------------------------------------------------------------------------
 # partitions
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     """Partition of the ordinal {0, ..., ground-1} into nonempty blocks.
 
     Blocks are sorted internally and ordered by their minimum element.
@@ -291,30 +222,22 @@ class Partition:
     ground: int
     blocks: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        seen: set[int] = set()
-        for block in self.blocks:
-            if not block or list(block) != sorted(block):
-                raise ValueError(f"block {block} not sorted and nonempty")
-            if seen & set(block):
-                raise ValueError("blocks overlap")
-            seen |= set(block)
-        if seen != set(range(self.ground)):
-            raise ValueError("blocks do not cover the ground set")
-        if [b[0] for b in self.blocks] != sorted(b[0] for b in self.blocks):
-            raise ValueError("blocks not ordered by minimum")
 
-
-def partition_from_pairs(ground: int, pairs) -> Partition:
-    """Finest partition of the ground set identifying each given pair."""
-    uf = UnionFind(ground)
-    for a, b in pairs:
-        uf.union(a, b)
-    groups: dict[int, list[int]] = {}
-    for e in range(ground):
-        groups.setdefault(uf.find(e), []).append(e)
-    blocks = sorted((tuple(g) for g in groups.values()), key=lambda b: b[0])
-    return Partition(ground, tuple(blocks))
+def partition(ground: int, blocks) -> Partition:
+    """Validated Partition constructor."""
+    blocks = tuple(tuple(block) for block in blocks)
+    seen: set[int] = set()
+    for block in blocks:
+        if not block or list(block) != sorted(block):
+            raise ValueError(f"block {block} not sorted and nonempty")
+        if seen & set(block):
+            raise ValueError("blocks overlap")
+        seen |= set(block)
+    if seen != set(range(ground)):
+        raise ValueError("blocks do not cover the ground set")
+    if [b[0] for b in blocks] != sorted(b[0] for b in blocks):
+        raise ValueError("blocks not ordered by minimum")
+    return Partition(ground, blocks)
 
 
 def enumerate_partitions(ground: int):

@@ -2,13 +2,13 @@
 
 A morphism n -> m is stored as an m-by-n matrix; diagrammatic composition
 "first A, then B" is the matrix product B*A.  Every canonical form, rank,
-kernel, pullback, pushout, exact solve and factorisation is one pass of an
-echelon core on a list of rows: reduced row echelon form over a field, row
-Hermite normal form over the integers.  A limit is the canonical basis of
-the rows of one stacked matrix that vanish on a block of columns
-(``_meet``); the left kernels it reads are saturated, so over the integers
-nothing leaves the integers and no Smith form is needed.  The Smith normal
-form is computed only for :func:`snf` itself.
+split-mono test, kernel, pullback, pushout and exact solve is one pass of an
+echelon core on a list of rows, and a factorisation is three: reduced row
+echelon form over a field, row Hermite normal form over the integers.  A
+limit is the canonical basis of the rows of one stacked matrix that vanish
+on a block of columns (``_meet``); the left kernels it reads are saturated,
+so over the integers nothing leaves the integers and no Smith form is
+needed.  The Smith normal form is computed only for :func:`snf` itself.
 
 The cores work on the stored values themselves, without calling the
 ring's scalar operations: ``int`` residues reduced mod p for GF(p),
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import product
 from typing import NamedTuple, Optional
 
 from .errors import RingMismatch, TypeMismatch
@@ -323,23 +324,12 @@ def rref(a: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
     return ExactMatrix(a.ring, a.rows, a.cols, tuple(map(tuple, rows))), tuple(pivots)
 
 
-def rcef(a: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
-    """Reduced column echelon form and pivot rows, over a field."""
-    r, pivots = rref(mat_transpose(a))
-    return mat_transpose(r), pivots
-
-
 def hnf_row(a: ExactMatrix) -> ExactMatrix:
     """Canonical row-style Hermite normal form (left unimodular action)."""
     _require_integers(a, "Hermite normal form")
     rows = [list(row) for row in a.entries]
     _hnf(rows, a.cols)
     return ExactMatrix(ZZ, a.rows, a.cols, tuple(map(tuple, rows)))
-
-
-def hnf_col(a: ExactMatrix) -> ExactMatrix:
-    """Canonical column-style Hermite normal form (right unimodular action)."""
-    return mat_transpose(hnf_row(mat_transpose(a)))
 
 
 def echelon_legs(left: ExactMatrix, right: ExactMatrix, basis: bool = True) -> tuple[ExactMatrix, ExactMatrix]:
@@ -358,6 +348,20 @@ def echelon_legs(left: ExactMatrix, right: ExactMatrix, basis: bool = True) -> t
     return _cut(ring, rows, 0, n), _cut(ring, rows, n, n + right.cols)
 
 
+def column_echelon_legs(top: ExactMatrix, bottom: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
+    """The column echelon form of [top; bottom], cut back into two legs:
+    reduced over a field, Hermite over the integers.  One echelon pass over
+    the columns, read straight off the legs as rows."""
+    _require_same_ring(top, bottom)
+    if top.cols != bottom.cols:
+        raise TypeMismatch("column counts differ")
+    ring, x, height = top.ring, top.rows, top.rows + bottom.rows
+    rows = [list(col) for col in zip(*top.entries, *bottom.entries)] if height else [[] for _ in range(top.cols)]
+    _echelon(ring, rows, height)
+    cols = tuple(zip(*rows)) if rows else ((),) * height
+    return ExactMatrix(ring, x, top.cols, cols[:x]), ExactMatrix(ring, bottom.rows, top.cols, cols[x:])
+
+
 def mat_rank(a: ExactMatrix) -> int:
     """Rank; for integer matrices this is the rank over the rationals,
     the number of Hermite pivots."""
@@ -365,14 +369,14 @@ def mat_rank(a: ExactMatrix) -> int:
 
 
 def is_split_mono(a: ExactMatrix) -> bool:
-    """True iff a has a left inverse, i.e. its rows span Z^cols: the row
-    Hermite form is the identity on top of zero rows.  Forward elimination
-    decides it, since it already fixes the pivots."""
-    _require_integers(a, "split-mono test")
+    """True iff a has a left inverse, i.e. its rows span the whole row
+    space (Z^cols over the integers): the echelon form is the identity on
+    top of zero rows.  Forward elimination decides it, since it already
+    fixes the pivots; over a field they are 1, so this is full column rank."""
     if a.rows < a.cols:
         return False
     rows = [list(row) for row in a.entries]
-    pivots = _hnf(rows, a.cols, a.cols)
+    pivots = _echelon(a.ring, rows, a.cols, a.cols)
     return len(pivots) == a.cols and all(rows[i][i] == 1 for i in range(a.cols))
 
 
@@ -493,32 +497,14 @@ def mat_solve_left(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
     return _cut(a.ring, basis[:k], k, k + a.rows)
 
 
-def field_factorize(a: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
-    """Factor a = m * e with e surjective and m injective, over a field.
+def factorize(a: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
+    """Factor a = m * e with m a split mono and e of full row rank.
 
-    m is the reduced column echelon basis of the column space, so the
-    factorisation is canonical.
+    m is the canonical basis of the kernel of the left kernel of a: over a
+    field the column space, over the integers its saturation (pure
+    closure); e is the solution of m * e = a.
     """
-    if not a.ring.is_field:
-        raise RingMismatch("epi-mono factorisation needs a field")
-    c, pivot_rows = rcef(a)
-    r = len(pivot_rows)
-    m = ExactMatrix(a.ring, a.rows, r, tuple(row[:r] for row in c.entries))
-    # solve m * e = a; rref([m | a]) = [I_r, e; 0, 0] since m has full column rank
-    red, _ = rref(mat_hcat(m, a))
-    e = ExactMatrix(a.ring, r, a.cols, tuple(row[r:] for row in red.entries[:r]))
-    return e, m
-
-
-def pid_factorize(a: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
-    """Factor an integer matrix a = m * e with m a split mono.
-
-    m is the inclusion of the saturation (pure closure) of the column span,
-    which is the kernel of the left kernel of a; e has full row rank over
-    the rationals.
-    """
-    _require_integers(a, "split-mono factorisation")
-    left_kernel = _cut(ZZ, _glued_basis(ZZ, a.entries, (), a.cols), 0, a.rows)
+    left_kernel = _cut(a.ring, _glued_basis(a.ring, a.entries, (), a.cols), 0, a.rows)
     m = kernel_basis(left_kernel)
     return mat_solve(m, a), m
 
@@ -674,21 +660,5 @@ def enumerate_matrices(ring: Ring, rows: int, cols: int, entry_bound: int):
         values = [ring.coerce(v) for v in range(ring.p)]
     else:
         values = [ring.coerce(v) for v in range(-entry_bound, entry_bound + 1)]
-    total = rows * cols
-    if total == 0:
-        yield ExactMatrix(ring, rows, cols, tuple(() for _ in range(rows)))
-        return
-    idx = [0] * total
-    k = len(values)
-    while True:
-        flat = [values[i] for i in idx]
-        yield ExactMatrix(
-            ring, rows, cols, tuple(tuple(flat[r * cols : (r + 1) * cols]) for r in range(rows))
-        )
-        i = total - 1
-        while i >= 0 and idx[i] == k - 1:
-            idx[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        idx[i] += 1
+    for flat in product(values, repeat=rows * cols):
+        yield ExactMatrix(ring, rows, cols, tuple(flat[r * cols : (r + 1) * cols] for r in range(rows)))

@@ -135,25 +135,14 @@ class Ambient:
 
     # corelations: canonical jointly-epi cospans
     def corelation_cospan(self, c: Cospan) -> Cospan:
-        """The canonical cospan of the corelation c represents: factorise
-        the copairing, keep the epi part, and canonicalise the apex."""
-        n, m = self.dom(c.left), self.dom(c.right)
-        e, _ = self.factorize(self.copair(c.left, c.right))
-        left, right = self.split_copair(e, n, m)
-        return self.canonical_cospan(Cospan(left, right))
+        """The canonical cospan of the corelation c represents: the epi
+        part of the copairing, with a canonical apex."""
+        raise NotImplementedError
 
     def compose_corelations(self, c1: Cospan, c2: Cospan) -> Cospan:
         """The canonical cospan of the corelation composite c1 ; c2: the
         pushout, then the image factorisation of the composite legs."""
         raise NotImplementedError
-
-    def span_corelation(self, s: Span) -> Cospan:
-        """The canonical cospan of the corelation of the span s = (f, g):
-        its pushout, which is the composite of the cospans (id, f) and
-        (g, id)."""
-        first = Cospan(self.identity(self.cod(s.left)), s.left)
-        second = Cospan(s.right, self.identity(self.cod(s.right)))
-        return self.compose_corelations(first, second)
 
     # enumeration / sampling (verification harness)
     def enumerate_morphisms(self, dom: int, cod: int, entry_bound: Optional[int] = None):
@@ -283,6 +272,12 @@ class FinFnAmbient(Ambient):
             make(len(pairs), s.right.cod, tuple(y for _, y in pairs)),
         )
 
+    def corelation_cospan(self, c):
+        """The composite of the identity corelation with c: every apex
+        point that a leg reaches, numbered by first occurrence."""
+        ident = self.identity(c.left.dom)
+        return Cospan(*finfn.glue_compose(ident, ident, c.left, c.right))
+
     def compose_corelations(self, c1, c2):
         return Cospan(*finfn.glue_compose(c1.left, c1.right, c2.left, c2.right))
 
@@ -362,16 +357,12 @@ class MatrixAmbient(Ambient):
         return linmap.mat_pushout(f, g)
 
     def factorize(self, f):
-        if self.ring.is_field:
-            return linmap.field_factorize(f)
-        return linmap.pid_factorize(f)
+        return linmap.factorize(f)
 
     def in_e(self, f):
         return linmap.mat_rank(f) == f.rows
 
     def in_m(self, f):
-        if self.ring.is_field:
-            return linmap.mat_rank(f) == f.cols
         return linmap.is_split_mono(f)
 
     def in_a(self, f):
@@ -424,22 +415,11 @@ class MatrixAmbient(Ambient):
         C (the pushout) applied to the outer legs (the image)."""
         return Cospan(*linmap.corelation_composite(c1.left, c1.right, c2.left, c2.right))
 
-    def span_corelation(self, s):
-        """The stack of (id, f) ; (g, id) is [f | I 0; -g | 0 I]: its meet
-        is the canonical pushout of the span."""
-        return Cospan(*linmap.mat_pushout(s.left, s.right))
-
     def canonical_cospan(self, c):
         return Cospan(*linmap.echelon_legs(c.left, c.right, basis=False))
 
     def canonical_span(self, s):
-        stacked = linmap.mat_vcat(s.left, s.right)
-        if self.ring.is_field:
-            reduced, _ = linmap.rcef(stacked)
-        else:
-            reduced = linmap.hnf_col(stacked)
-        left, right = self.split_pair(reduced, s.left.rows, s.right.rows)
-        return Span(left, right)
+        return Span(*linmap.column_echelon_legs(s.left, s.right))
 
     def enumerate_morphisms(self, dom, cod, entry_bound=None):
         if entry_bound is None:

@@ -753,21 +753,8 @@ def span_rows(vectors, dim: int, ring: Ring) -> tuple[tuple, ...]:
 
 
 def enumerate_vectors(dim: int, ring: Ring):
-    """All vectors of GF(p)^dim."""
-    p = ring.p  # only sensible for prime fields
-    idx = [0] * dim
-    if dim == 0:
-        yield ()
-        return
-    while True:
-        yield tuple(idx)
-        i = dim - 1
-        while i >= 0 and idx[i] == p - 1:
-            idx[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        idx[i] += 1
+    """All vectors of GF(p)^dim, last coordinate fastest."""
+    return product(range(ring.p), repeat=dim)  # only sensible for prime fields
 
 
 def oracle_subspace_compose(v_rows, w_rows, n: int, z: int, m: int, ring: Ring):

@@ -468,18 +468,23 @@ def test_direct_rel_identity_and_symmetry_are_canonical(amb):
 
 # Matrix (co)relations are one echelon pass: gamma keeps the canonical basis
 # of the rows of [L | R], composition the rows of [C | diag(L1, R2)] whose
-# C-part vanishes, and pi is the composite of the leg cospans; relations are
-# the same over the transposed legs.  Each is checked by value and repr
-# against the slow path: pushout or pullback, factorisation, canonical form.
+# C-part vanishes, and pi is the pushout; relations are the same over the
+# transposed legs.  Over functions gamma is one gluing pass, the composite
+# with the identity corelation, and pi is the pushout.  Each is checked by
+# value and repr against the slow path: pushout or pullback, factorisation,
+# canonical form.
 #
 # Exhaustive: every cospan and span with feet and apex <= 2 and entries in
 # the probe set ({0, 1} over GF(2), {0, 1, 2} over GF(3), {-1, 0, 1} over Q
-# and Z); every pair of the corelations and relations they reach, over
-# GF(2); over GF(3), Q and Z the pairs whose shared foot is at most 1 (the
-# pairs through a foot of 2 number 43,000 to 270,000 there and are left to
-# the seeded sweep).  Seeded: 2,000 pairs up to width 8.
+# and Z, every map over f and pf); every pair of the corelations and
+# relations they reach, over f, pf and GF(2); over GF(3), Q and Z the pairs
+# whose shared foot is at most 1 (the pairs through a foot of 2 number
+# 43,000 to 270,000 there and are left to the seeded sweep).  Seeded: 2,000
+# matrix pairs up to width 8, and 700 each over f and pf.
 
 MATRIX_AMBIENTS = (G2, GF3, Q, get_ambient("z", "all"))
+FUNCTION_AMBIENTS = (get_ambient("f", "all"), get_ambient("pf", "all"))
+SLOW_PATH_AMBIENTS = FUNCTION_AMBIENTS + MATRIX_AMBIENTS
 
 
 def _reference_pi(s, amb):
@@ -512,15 +517,15 @@ def _small_pairs(amb, kind):
 
 def _composable(canonical, amb):
     """Pairs (x, y) of canonical forms with x: n -> k and y: k -> m, all
-    feet <= 2; over GF(2) every k <= 2, elsewhere k <= 1."""
-    middle = range(3) if amb is G2 else range(2)
+    feet <= 2; over f, pf and GF(2) every k <= 2, elsewhere k <= 1."""
+    middle = range(3) if amb is G2 or amb in FUNCTION_AMBIENTS else range(2)
     for n, k, m in product(range(3), middle, range(3)):
         for x in canonical[(n, k)]:
             for y in canonical[(k, m)]:
                 yield x, y
 
 
-@pytest.mark.parametrize("amb", MATRIX_AMBIENTS, ids=lambda a: a.name)
+@pytest.mark.parametrize("amb", SLOW_PATH_AMBIENTS, ids=lambda a: a.name)
 def test_echelon_corelations_match_slow_path_exhaustive(amb):
     canonical = {}
     for feet, cospans in _small_pairs(amb, Cospan).items():
@@ -553,17 +558,19 @@ def test_echelon_relations_match_slow_path_exhaustive(amb):
         assert _same(corel_compose(r1, r2).span, _reference_rel_compose(r1.span, r2.span, amb))
 
 
-# seeded pairs per ring, 2,000 in all; fewer over Q, whose slow path is slowest
-WIDE_PAIRS = {"gf2": 700, "gf3": 600, "z": 450, "q": 250}
+# seeded pairs per ambient: 2,000 over the rings, fewer over Q, whose slow
+# path is slowest; 700 each over f and pf
+WIDE_PAIRS = {"gf2": 700, "gf3": 600, "z": 450, "q": 250, "f": 700, "pf": 700}
 
 
-@pytest.mark.parametrize("amb", MATRIX_AMBIENTS, ids=lambda a: a.name)
+@pytest.mark.parametrize("amb", SLOW_PATH_AMBIENTS, ids=lambda a: a.name)
 def test_echelon_paths_match_slow_path_random_wide(amb):
     rng = random.Random(f"echelon:{amb.name}")
     rand = lambda dom, cod: amb.random_morphism(rng, dom, cod, 2)
+    low = 1 if amb.name == "f" else 0  # no total map from a point to nothing
     for _ in range(WIDE_PAIRS[amb.name]):
-        n, k, m = (rng.randint(0, 8) for _ in range(3))
-        a1, a2 = rng.randint(0, 8), rng.randint(0, 8)
+        n, k, m = (rng.randint(low, 8) for _ in range(3))
+        a1, a2 = rng.randint(low, 8), rng.randint(low, 8)
         c1, c2 = Cospan(rand(n, a1), rand(k, a1)), Cospan(rand(k, a2), rand(m, a2))
         assert _same(amb.corelation_cospan(c1), _reference_corelation_cospan(c1, amb))
         assert _same(amb.compose_corelations(c1, c2), _generic_compose(c1, c2, amb))
@@ -571,7 +578,7 @@ def test_echelon_paths_match_slow_path_random_wide(amb):
         assert _same(corel_compose(g1, g2).cospan, _generic_compose(g1.cospan, g2.cospan, amb))
         s = Span(rand(a1, n), rand(a1, k))
         assert _same(pi(s, amb).cospan, _reference_pi(s, amb))
-        if amb.ring.is_field:
+        if amb in FIELD_AMBIENTS:
             t = Span(rand(a2, k), rand(a2, m))
             r1, r2 = rel_canonical(s, amb), rel_canonical(t, amb)
             assert _same(r1.span, _reference_relation_span(s, amb))

@@ -9,7 +9,6 @@ from corelate.finfn import (
     enumerate_finmaps,
     enumerate_partitions,
     fn,
-    fn_classify,
     fn_compose,
     fn_factorize,
     fn_identity,
@@ -21,7 +20,7 @@ from corelate.finfn import (
     fn_tensor,
     enumerate_parmaps,
     par,
-    partition_from_pairs,
+    partition,
 )
 from oracle_utils import (
     reference_par_compose,
@@ -67,9 +66,10 @@ def test_tensor():
 
 
 def test_classify():
-    assert fn_classify(fn_identity(2)) == (True, True)
-    assert fn_classify(fn(2, 1, [0, 0])) == (False, True)
-    assert fn_classify(fn(1, 2, [1])) == (True, False)
+    classify = lambda f: (fn_is_injective(f), fn_is_surjective(f))
+    assert classify(fn_identity(2)) == (True, True)
+    assert classify(fn(2, 1, [0, 0])) == (False, True)
+    assert classify(fn(1, 2, [1])) == (True, False)
 
 
 def test_symmetry_involution():
@@ -330,18 +330,15 @@ def test_kernels_match_the_case_by_case_partial_references():
 
 
 def test_partition_validation():
-    Partition(3, ((0, 2), (1,)))
-    with pytest.raises(ValueError):
-        Partition(3, ((0,), (0, 1), (2,)))
-    with pytest.raises(ValueError):
-        Partition(3, ((0,),))
-    with pytest.raises(ValueError):
-        Partition(2, ((1,), (0,)))
-
-
-def test_partition_from_pairs():
-    p = partition_from_pairs(4, [(0, 2), (2, 3)])
-    assert p == Partition(4, ((0, 2, 3), (1,)))
+    assert partition(3, [[0, 2], [1]]) == Partition(3, ((0, 2), (1,)))
+    with pytest.raises(ValueError, match="overlap"):
+        partition(3, ((0,), (0, 1), (2,)))
+    with pytest.raises(ValueError, match="cover"):
+        partition(3, ((0,),))
+    with pytest.raises(ValueError, match="ordered by minimum"):
+        partition(2, ((1,), (0,)))
+    with pytest.raises(ValueError, match="not sorted and nonempty"):
+        partition(2, ((1, 0),))
 
 
 def test_enumerate_partitions_bell_numbers():

@@ -8,8 +8,8 @@ from corelate.exactnum import GF, QQ, ZZ
 from corelate.linmap import (
     det_int,
     enumerate_matrices,
-    field_factorize,
-    hnf_col,
+    column_echelon_legs,
+    factorize,
     hnf_row,
     is_split_mono,
     kernel_basis,
@@ -26,7 +26,6 @@ from corelate.linmap import (
     mat_transpose,
     mat_vcat,
     mat_zero,
-    pid_factorize,
     rref,
     snf,
 )
@@ -339,82 +338,106 @@ def test_hnf_row_matches_reference():
 
 
 def test_hnf_col_transpose_consistency():
+    # the column form of a span's stacked legs is the row form of their
+    # transpose, transposed back: Hermite over Z, reduced over a field
     a = mat(ZZ, 2, 2, [[2, 4], [6, 8]])
-    assert hnf_col(a) == mat_transpose(hnf_row(mat_transpose(a)))
+    top, bottom = column_echelon_legs(mat(ZZ, 1, 2, [[2, 4]]), mat(ZZ, 1, 2, [[6, 8]]))
+    assert mat_vcat(top, bottom) == mat_transpose(hnf_row(mat_transpose(a)))
+    rng = random.Random(17)
+    for ring in (GF(2), GF(3), QQ, ZZ):
+        for _ in range(300):
+            x, y, apex = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
+            top, bottom = rand_mat(rng, ring, x, apex, 2), rand_mat(rng, ring, y, apex, 2)
+            rows = mat_transpose(mat_vcat(top, bottom))
+            reduced = mat_transpose(rref(rows)[0] if ring.is_field else hnf_row(rows))
+            out = mat_vcat(*column_echelon_legs(top, bottom))
+            assert out == reduced and repr(out) == repr(reduced)
 
 
 # --- factorisations -----------------------------------------------------------
+#
+# One factorisation serves every ring: m is the kernel of the left kernel
+# (the column space over a field, its saturation over the integers).  The
+# tests run over GF(2), GF(5), Q and Z, except the integer examples of
+# saturation.
+
+FACTORIZE_RINGS = (GF(2), GF(5), QQ, ZZ)
 
 
 def test_field_factorize_invertible():
-    a = mat(QQ, 2, 2, [[1, 1], [0, 1]])
-    e, m = field_factorize(a)
-    assert m == mat_identity(QQ, 2)
-    assert e == a
+    for ring in FACTORIZE_RINGS:
+        a = mat(ring, 2, 2, [[1, 1], [0, 1]])
+        e, m = factorize(a)
+        assert m == mat_identity(ring, 2)
+        assert e == a
 
 
 def test_field_factorize_zero():
-    e, m = field_factorize(mat_zero(QQ, 3, 2))
-    assert e.rows == 0 and e.cols == 2
-    assert m.rows == 3 and m.cols == 0
+    for ring in FACTORIZE_RINGS:
+        e, m = factorize(mat_zero(ring, 3, 2))
+        assert e.rows == 0 and e.cols == 2
+        assert m.rows == 3 and m.cols == 0
 
 
 def test_field_factorize_mono():
-    a = mat(GF(2), 2, 1, [[1], [1]])
-    e, m = field_factorize(a)
-    assert e == mat(GF(2), 1, 1, [[1]])
-    assert m == a
+    for ring in FACTORIZE_RINGS:
+        a = mat(ring, 2, 1, [[1], [1]])
+        e, m = factorize(a)
+        assert e == mat(ring, 1, 1, [[1]])
+        assert m == a
 
 
 def test_field_factorize_invariants():
     rng = random.Random(13)
-    for ring in (GF(2), GF(5), QQ):
+    for ring in FACTORIZE_RINGS:
         for _ in range(40):
             a = rand_mat(rng, ring, rng.randint(0, 4), rng.randint(0, 4))
-            e, m = field_factorize(a)
+            e, m = factorize(a)
             assert mat_mul(m, e) == a
             r = mat_rank(a)
             assert mat_rank(e) == e.rows == r
             assert mat_rank(m) == m.cols == r
+            if ring.is_field and r:  # m is the reduced column echelon basis of the image
+                assert m.entries == tuple(zip(*rref(mat_transpose(a))[0].entries[:r]))
 
 
 def test_field_factorize_mono_part_invariant():
-    # the column space representative ignores invertible precomposition
+    # the mono part ignores precomposition with a matrix invertible over
+    # the fraction field: over Z, the saturation of the column span
     rng = random.Random(14)
-    invertibles = [
-        mat(QQ, 2, 2, [[1, 2], [0, 1]]),
-        mat(QQ, 2, 2, [[0, 1], [1, 0]]),
-        mat(QQ, 2, 2, [[2, 0], [0, 1]]),
-    ]
-    for _ in range(20):
-        a = rand_mat(rng, QQ, rng.randint(1, 4), 2)
-        _, m = field_factorize(a)
-        for g in invertibles:
-            _, m2 = field_factorize(mat_mul(a, g))
-            assert m2 == m
+    for ring in FACTORIZE_RINGS:
+        invertibles = [[[1, 2], [0, 1]], [[0, 1], [1, 0]]] + ([[[2, 0], [0, 1]]] if ring != GF(2) else [])
+        for _ in range(20):
+            a = rand_mat(rng, ring, rng.randint(1, 4), 2)
+            _, m = factorize(a)
+            for g in invertibles:
+                _, m2 = factorize(mat_mul(a, mat(ring, 2, 2, g)))
+                assert m2 == m
 
 
 def test_pid_factorize_examples():
-    e, m = pid_factorize(mat(ZZ, 1, 1, [[2]]))
+    # over Z, m is the saturation of the column span, not the span itself
+    e, m = factorize(mat(ZZ, 1, 1, [[2]]))
     assert m == mat_identity(ZZ, 1)
     assert e == mat(ZZ, 1, 1, [[2]])
-    e, m = pid_factorize(mat(ZZ, 2, 1, [[2], [0]]))
+    e, m = factorize(mat(ZZ, 2, 1, [[2], [0]]))
     assert mat_mul(m, e) == mat(ZZ, 2, 1, [[2], [0]])
     assert is_split_mono(m)
     assert m.cols == 1
-    e, m = pid_factorize(mat_zero(ZZ, 1, 1))
+    e, m = factorize(mat_zero(ZZ, 1, 1))
     assert e.rows == 0 and m.cols == 0
 
 
 def test_pid_factorize_invariants():
     rng = random.Random(15)
-    for _ in range(60):
-        a = rand_mat(rng, ZZ, rng.randint(0, 4), rng.randint(0, 4))
-        e, m = pid_factorize(a)
-        assert mat_mul(m, e) == a
-        assert is_split_mono(m)
-        assert e.rows == m.cols == mat_rank(a)
-        assert mat_rank(e) == e.rows
+    for ring in FACTORIZE_RINGS:
+        for _ in range(60):
+            a = rand_mat(rng, ring, rng.randint(0, 4), rng.randint(0, 4))
+            e, m = factorize(a)
+            assert mat_mul(m, e) == a
+            assert is_split_mono(m)
+            assert e.rows == m.cols == mat_rank(a)
+            assert mat_rank(e) == e.rows
 
 
 def test_is_split_mono():
@@ -447,6 +470,13 @@ def test_is_split_mono_matches_smith_diagonal():
     for _ in range(10_000):
         a = rand_mat(rng, ZZ, 3, 3, bound=2)
         assert is_split_mono(a) == _smith_split(a), a
+
+
+def test_is_split_mono_is_full_column_rank_over_fields():
+    for ring in (GF(2), GF(3), QQ):
+        for rows, cols in product(range(4), repeat=2):
+            for a in enumerate_matrices(ring, rows, cols, 1):
+                assert is_split_mono(a) == (mat_rank(a) == a.cols), a
 
 
 def test_is_split_mono_reads_the_row_hermite_form_of_the_matrix():

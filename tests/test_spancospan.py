@@ -251,3 +251,20 @@ def test_partial_ambient_matches_the_case_by_case_references():
         h = ParMap(n + m, 2, tuple((None, 0, 1)[i % 3] for i in range(n + m)))
         assert same(PF.split_copair(h, n, m), (ParMap(n, 2, h.table[:n]), ParMap(m, 2, h.table[n:])))
         assert same(PF.copair(*PF.split_copair(h, n, m)), h)
+
+
+def test_one_kernel_per_ambient():
+    # matrix methods leave the ring to the echelon core, pi is the pushout,
+    # and the function ambients glue with one union-find
+    import inspect
+
+    import corelate.finfn as finfn
+    import corelate.linmap as linmap
+    import corelate.spancospan as spancospan
+
+    assert "is_field" not in inspect.getsource(spancospan.MatrixAmbient)
+    for cls in (spancospan.Ambient, spancospan.FinFnAmbient, spancospan.ParFnAmbient, spancospan.MatrixAmbient):
+        assert "span_corelation" not in vars(cls), cls
+    for name in ("rcef", "hnf_col", "field_factorize", "pid_factorize"):
+        assert not hasattr(linmap, name), name
+    assert not hasattr(finfn, "UnionFind")
