@@ -2,6 +2,8 @@
 
 Exit codes: 0 success (or expected verdict), 1 check failure / unexpected
 verdict, 2 user error (parse or type), 3 "not equal" for the equal command.
+Every command raises a user error as a ``CorelateError``; ``main`` alone
+turns it into one ``error:`` line on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -10,17 +12,14 @@ import argparse
 import json
 import sys
 
-from .errors import BadScalar, CorelateError, ZeroDenominator
+from .errors import BadScalar, CorelateError, TypeMismatch, ZeroDenominator
 from .exactnum import QQ, ZZ
 from .corelrel import gamma, rel_canonical
 from .diagrams import eval_term, get_theory, parse_term, term_equal
-from .literals import (
-    format_canonical,
-    format_cospan,
-    format_span,
-    parse_pair_literal,
-)
+from .literals import format_canonical, format_pair, parse_pair
 from .spancospan import (
+    Cospan,
+    Span,
     cospan_canonical,
     cospan_compose,
     get_ambient,
@@ -48,14 +47,9 @@ def _emit(report: verify.CheckReport, output: str) -> None:
 
 
 def cmd_eval(args) -> int:
-    try:
-        th = get_theory(args.theory)
-        term = parse_term(args.term)
-        result = eval_term(term, th)
-    except CorelateError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    text = format_canonical(result)
+    th = get_theory(args.theory)
+    term = parse_term(args.term)
+    text = format_canonical(eval_term(term, th))
     if args.format == "records":
         print(json.dumps({"term": args.term, "type": [term.dom, term.cod], "canonical": text}))
     else:
@@ -64,88 +58,63 @@ def cmd_eval(args) -> int:
 
 
 def cmd_equal(args) -> int:
-    try:
-        th = get_theory(args.theory)
-        t1, t2 = parse_term(args.term1), parse_term(args.term2)
-        equal = term_equal(t1, t2, th)
-    except CorelateError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    th = get_theory(args.theory)
+    equal = term_equal(parse_term(args.term1), parse_term(args.term2), th)
     print("equal" if equal else "not equal")
     return 0 if equal else 3
 
 
+# pair type -> (composite, canonical form, quotient to a (co)relation)
+_PAIR_OPS = {
+    Cospan: (cospan_compose, cospan_canonical, gamma),
+    Span: (span_compose, span_canonical, rel_canonical),
+}
+
+
 def cmd_compose(args) -> int:
-    try:
-        amb = get_ambient(args.ambient, args.a)
-        kind1, x1 = parse_pair_literal(args.first, amb)
-        kind2, x2 = parse_pair_literal(args.second, amb)
-        if kind1 != kind2:
-            print("error: cannot compose a span with a cospan", file=sys.stderr)
-            return 2
-        if kind1 == "cospan":
-            out = cospan_canonical(cospan_compose(x1, x2, amb), amb)
-            print(format_cospan(out))
-        else:
-            out = span_canonical(span_compose(x1, x2, amb), amb)
-            print(format_span(out))
-    except CorelateError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    amb = get_ambient(args.ambient, args.a)
+    x1, x2 = parse_pair(args.first, amb), parse_pair(args.second, amb)
+    if type(x1) is not type(x2):
+        raise TypeMismatch("cannot compose a span with a cospan")
+    compose, canonical, _ = _PAIR_OPS[type(x1)]
+    print(format_pair(canonical(compose(x1, x2, amb), amb)))
     return 0
 
 
 def cmd_normalize(args) -> int:
-    try:
-        amb = get_ambient(args.ambient, args.a)
-        kind, x = parse_pair_literal(args.literal, amb)
-        if args.quotient:
-            if kind == "cospan":
-                print(format_canonical(gamma(x, amb)))
-            else:
-                print(format_canonical(rel_canonical(x, amb)))
-        elif kind == "cospan":
-            print(format_cospan(cospan_canonical(x, amb)))
-        else:
-            print(format_span(span_canonical(x, amb)))
-    except CorelateError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    amb = get_ambient(args.ambient, args.a)
+    x = parse_pair(args.literal, amb)
+    _, canonical, quotient = _PAIR_OPS[type(x)]
+    print(format_canonical(quotient(x, amb)) if args.quotient else format_pair(canonical(x, amb)))
     return 0
 
 
-def _run_check(args) -> verify.CheckReport:
-    name = args.check
-    if name == "frobenius":
-        scalars = None
-        if args.scalars:
-            try:
-                scalars = tuple(QQ.parse(s) for s in args.scalars.split(","))
-            except (BadScalar, ZeroDenominator):
-                raise CorelateError(f"--scalars takes comma-separated rationals, got {args.scalars!r}") from None
-        return verify.check_frobenius(args.theory, scalars)
-    amb = get_ambient(args.C, args.A)
-    if name == "assumption31":
-        return verify.check_assumption31(amb, args.bound, args.entry_bound, args.seed)
-    if name == "assumption33":
-        return verify.check_assumption33(amb, args.bound, args.entry_bound, args.seed)
-    if name == "square":
-        return verify.check_square_commutes(amb, args.bound, args.entry_bound)
-    if name == "pi-functorial":
-        return verify.check_pi_functorial(amb, args.bound, args.entry_bound, args.seed, args.samples)
-    if name == "tensor-functorial":
-        return verify.check_tensor_functorial(amb, args.bound, args.entry_bound, args.seed, args.samples)
-    if name == "laws":
-        return verify.check_category_laws(amb, args.bound, args.entry_bound, args.seed, args.samples)
-    raise CorelateError(f"unknown check {name!r}")
+# check name -> (its verify function, looked up per call so that a wrapper
+# installed on the module sees the call; the flags it takes after the ambient)
+_CHECKS = {
+    "assumption31": ("check_assumption31", ("bound", "entry_bound", "seed")),
+    "assumption33": ("check_assumption33", ("bound", "entry_bound", "seed")),
+    "square": ("check_square_commutes", ("bound", "entry_bound")),
+    "pi-functorial": ("check_pi_functorial", ("bound", "entry_bound", "seed", "samples")),
+    "tensor-functorial": ("check_tensor_functorial", ("bound", "entry_bound", "seed", "samples")),
+    "laws": ("check_category_laws", ("bound", "entry_bound", "seed", "samples")),
+}
+
+
+def _scalars(text):
+    try:
+        return tuple(QQ.parse(s) for s in text.split(",")) if text else None
+    except (BadScalar, ZeroDenominator):
+        raise CorelateError(f"--scalars takes comma-separated rationals, got {text!r}") from None
 
 
 def cmd_check(args) -> int:
-    try:
-        report = _run_check(args)
-    except CorelateError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    if args.check == "frobenius":
+        report = verify.check_frobenius(args.theory, _scalars(args.scalars))
+    else:
+        name, flags = _CHECKS[args.check]
+        amb = get_ambient(args.C, args.A)
+        report = getattr(verify, name)(amb, *(getattr(args, flag) for flag in flags))
     _emit(report, args.format)
     expected = args.expect or verify.expected_verdict(report)
     return 0 if report.verdict == expected else 1
@@ -242,18 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm.set_defaults(func=cmd_normalize)
 
     p_check = sub.add_parser("check", help="run one verification check")
-    p_check.add_argument(
-        "check",
-        choices=(
-            "assumption31",
-            "assumption33",
-            "square",
-            "pi-functorial",
-            "tensor-functorial",
-            "laws",
-            "frobenius",
-        ),
-    )
+    p_check.add_argument("check", choices=(*_CHECKS, "frobenius"))
     p_check.add_argument("--C", default="f")
     p_check.add_argument("--A", default=None)
     p_check.add_argument("--theory", default="er")
@@ -279,7 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CorelateError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

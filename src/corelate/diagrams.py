@@ -24,6 +24,7 @@ from .errors import (
     UnknownGenerator,
     UnknownTheory,
 )
+from .exactnum import QQ
 from .linmap import mat
 from .finfn import fn, par
 from .spancospan import Cospan, embed_bwd_cospan, embed_fwd_cospan, get_ambient
@@ -271,13 +272,6 @@ def parse_term(src: str) -> Term:
             seq, row = frames.pop()
 
 
-def _format_scalar(x) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def print_term(t: Term) -> str:
     """Textual form; every tree the parser builds reparses to an identical tree."""
     out = []
@@ -304,7 +298,7 @@ def print_term(t: Term) -> str:
         elif isinstance(t, SymTerm):
             out.append(f"sym({t.n},{t.m})")
         elif isinstance(t, GenTerm):
-            out.append(f"{t.name}({_format_scalar(t.args[0])})" if t.args else t.name)
+            out.append(f"{t.name}({QQ.format(t.args[0])})" if t.args else t.name)
         else:
             raise TypeError(f"not a term: {t!r}")
     return "".join(out)

@@ -20,7 +20,7 @@ from .errors import TypeMismatch
 from .exactnum import ZZ, parse_ring
 from .finfn import FinMap, ParMap, fn, par
 from .linmap import ExactMatrix, mat
-from .spancospan import Cospan, Span, make_cospan, make_span
+from .spancospan import make_cospan, make_span
 
 
 def format_morphism(f) -> str:
@@ -75,7 +75,9 @@ def _parse_rows(body: str, rows: int, cols: int, ring):
             break
         if not rest.startswith("["):
             raise TypeMismatch(f"expected a row, found {rest!r}")
-        end = rest.index("]")
+        end = rest.find("]")
+        if end < 0:
+            raise TypeMismatch(f"unclosed row {rest!r}")
         inner = rest[1:end]
         out.append([ring.parse(v) for v in _split_commas(inner)])
         rest = rest[end + 1 :]
@@ -84,44 +86,24 @@ def _parse_rows(body: str, rows: int, cols: int, ring):
     return out
 
 
-def format_cospan(c: Cospan) -> str:
-    return f"cospan {{ left = {format_morphism(c.left)}, right = {format_morphism(c.right)} }}"
-
-
-def format_span(s: Span) -> str:
-    return f"span {{ left = {format_morphism(s.left)}, right = {format_morphism(s.right)} }}"
+def format_pair(x) -> str:
+    """A span or cospan literal, introduced by the keyword of its type."""
+    return f"{type(x).__name__.lower()} {{ left = {format_morphism(x.left)}, right = {format_morphism(x.right)} }}"
 
 
 _PAIR = re.compile(r"^(cospan|span)\s*\{\s*left\s*=\s*(.*?)\s*,\s*right\s*=\s*(.*?)\s*\}$")
 
 
-def parse_cospan(text: str, amb) -> Cospan:
-    kind, left, right = _parse_pair(text)
-    if kind != "cospan":
-        raise TypeMismatch("expected a cospan literal")
-    return make_cospan(left, right, amb)
-
-
-def parse_span(text: str, amb) -> Span:
-    kind, left, right = _parse_pair(text)
-    if kind != "span":
-        raise TypeMismatch("expected a span literal")
-    return make_span(left, right, amb)
-
-
-def parse_pair_literal(text: str, amb):
-    """Either a span or a cospan literal; returns (kind, pair)."""
-    kind, left, right = _parse_pair(text)
-    if kind == "cospan":
-        return kind, make_cospan(left, right, amb)
-    return kind, make_span(left, right, amb)
-
-
-def _parse_pair(text: str):
+def parse_pair(text: str, amb, kind=None):
+    """A span or cospan literal as a ``Span`` or ``Cospan``; given ``kind``,
+    one of those two types, a literal of the other type is refused."""
     m = _PAIR.match(text.strip())
     if not m:
         raise TypeMismatch(f"unparseable span/cospan literal: {text!r}")
-    return m.group(1), parse_morphism(m.group(2)), parse_morphism(m.group(3))
+    keyword, left, right = m.group(1), parse_morphism(m.group(2)), parse_morphism(m.group(3))
+    if kind is not None and keyword != kind.__name__.lower():
+        raise TypeMismatch(f"expected a {kind.__name__.lower()} literal")
+    return (make_cospan if keyword == "cospan" else make_span)(left, right, amb)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +129,7 @@ def format_corelation(c) -> str:
         feet = c.dom + c.cod
         blocks = [b for b in er_from_corelation(c).blocks if b[-1] < feet]
         return f"corel {name} {c.dom} -> {c.cod} : {format_partition_blocks(blocks, c.dom)}"
-    return f"corel {name} {c.dom} -> {c.cod} : {format_cospan(c.cospan)}"
+    return f"corel {name} {c.dom} -> {c.cod} : {format_pair(c.cospan)}"
 
 
 def format_relation(r) -> str:

@@ -18,7 +18,7 @@ from itertools import islice, product
 from typing import Optional
 
 from .errors import TypeMismatch
-from .exactnum import Ring
+from .exactnum import QQ, Ring
 from .finfn import Partition
 from .corelrel import (
     corel_compose,
@@ -28,7 +28,7 @@ from .corelrel import (
     pi,
 )
 from .diagrams import get_theory, parse_term, term_equal
-from .literals import format_cospan, format_morphism, format_span, parse_cospan, parse_morphism, parse_span
+from .literals import format_morphism, format_pair, parse_morphism, parse_pair
 from .spancospan import (
     Ambient,
     Cospan,
@@ -179,76 +179,51 @@ def laws_case(amb: Ambient, s1: Span, s2: Span, s3: Span, c1: Cospan, c2: Cospan
 
 
 # ---------------------------------------------------------------------------
-# record fields: a key names what its value is, so one rule formats and
-# parses every span, cospan and morphism field
+# record fields: a span, cospan or morphism is recorded as its literal;
+# replay parses a span or cospan field as the type that its key names
 
 
-_TENSOR_FIELDS = ("span1", "span2", "span1p", "span2p", "cospan1", "cospan2", "cospan1p", "cospan2p")
-_LAWS_FIELDS = ("span1", "span2", "span3", "cospan1", "cospan2", "cospan3")
+_TENSOR_SPANS = ("span1", "span2", "span1p", "span2p")
+_TENSOR_COSPANS = ("cospan1", "cospan2", "cospan1p", "cospan2p")
+_LAWS_SPANS, _LAWS_COSPANS = ("span1", "span2", "span3"), ("cospan1", "cospan2", "cospan3")
 
 
 def _format_fields(keys, values) -> tuple:
-    fields = []
-    for key, value in zip(keys, values):
-        if key.startswith("cospan"):
-            fields.append((key, format_cospan(value)))
-        elif key.startswith("span"):
-            fields.append((key, format_span(value)))
-        else:
-            fields.append((key, format_morphism(value)))
-    return tuple(fields)
+    return tuple(
+        (key, format_pair(value) if isinstance(value, (Span, Cospan)) else format_morphism(value))
+        for key, value in zip(keys, values)
+    )
 
 
-def _parse_fields(ce: dict, amb: Ambient, keys) -> list:
-    values = []
-    for key in keys:
-        if key.startswith("cospan"):
-            values.append(parse_cospan(ce[key], amb))
-        elif key.startswith("span"):
-            values.append(parse_span(ce[key], amb))
-        else:
-            values.append(parse_morphism(ce[key]))
-    return values
+def _parse_fields(ce: dict, amb: Ambient, keys, kind=None) -> list:
+    """The morphisms the fields ``keys`` hold, or with ``kind`` the spans or
+    cospans."""
+    return [parse_morphism(ce[key]) if kind is None else parse_pair(ce[key], amb, kind) for key in keys]
 
 
 # ---------------------------------------------------------------------------
 # enumeration and sampling helpers
 
 
-def _leg_lists(amb: Ambient, bound: int, entry_bound, into_apex: bool, a_only: bool):
-    """Lists of candidate legs indexed by (foot, apex)."""
-    out = {}
-    for size in range(bound + 1):
-        for apex in range(bound + 1):
-            dom, cod = (size, apex) if into_apex else (apex, size)
-            legs = (
-                amb.enumerate_a_morphisms(dom, cod, entry_bound)
-                if a_only
-                else amb.enumerate_morphisms(dom, cod, entry_bound)
-            )
-            out[(size, apex)] = list(legs)
-    return out
-
-
-def _pairs(amb, bound, entry_bound, seed, into_apex, a_only):
-    """All (or seeded-sampled) leg pairs sharing an apex."""
-    legs = _leg_lists(amb, bound, entry_bound, into_apex, a_only)
-    total = 0
-    for apex in range(bound + 1):
-        lefts = sum(len(legs[(n, apex)]) for n in range(bound + 1))
-        total += lefts * lefts
-    if total <= CASE_BUDGET:
-        for apex in range(bound + 1):
-            for n in range(bound + 1):
-                for m in range(bound + 1):
-                    for f in legs[(n, apex)]:
-                        for g in legs[(m, apex)]:
-                            yield f, g
+def _pairs(amb: Ambient, bound: int, entry_bound, seed, into_apex: bool):
+    """All (or seeded-sampled) pairs of A-legs sharing an apex: into the
+    apex (``into_apex``) or out of it."""
+    sizes = range(bound + 1)
+    legs = {}
+    for size, apex in product(sizes, repeat=2):
+        dom, cod = (size, apex) if into_apex else (apex, size)
+        legs[(size, apex)] = list(amb.enumerate_a_morphisms(dom, cod, entry_bound))
+    if sum(sum(len(legs[(n, apex)]) for n in sizes) ** 2 for apex in sizes) <= CASE_BUDGET:
+        for apex, n, m in product(sizes, repeat=3):
+            for f in legs[(n, apex)]:
+                for g in legs[(m, apex)]:
+                    yield f, g
         return
+    # above the budget: one pool of legs per apex, built once
+    pools = [[f for n in sizes for f in legs[(n, apex)]] for apex in sizes]
     rng = random.Random(seed)
     for _ in range(20_000):
-        apex = rng.randint(0, bound)
-        pool = [f for n in range(bound + 1) for f in legs[(n, apex)]]
+        pool = pools[rng.randint(0, bound)]
         if pool:
             yield rng.choice(pool), rng.choice(pool)
 
@@ -317,7 +292,7 @@ def _mediator_failures(amb: Ambient, bound: int, entry_bound, seed, into_apex: b
     else:
         pair, canonical, case = Span, span_canonical, assumption33_case
     seen = set()
-    for f, g in _pairs(amb, bound, entry_bound, seed, into_apex, a_only=True):
+    for f, g in _pairs(amb, bound, entry_bound, seed, into_apex):
         key = canonical(pair(f, g), amb)
         if key in seen:
             continue
@@ -443,7 +418,7 @@ def check_tensor_functorial(
             ok_span, ok_cospan, ok_corel = tensor_functorial_case(amb, *spans, *cospans)
             if not (ok_span and ok_cospan and ok_corel):
                 failing = f"span={ok_span} cospan={ok_cospan} corel={ok_corel}"
-                yield _format_fields(_TENSOR_FIELDS, spans + cospans) + (("failing", failing),)
+                yield _format_fields(_TENSOR_SPANS + _TENSOR_COSPANS, spans + cospans) + (("failing", failing),)
 
     return _report("tensor-functorial", amb.name, amb.a_name, bound, entry_bound, seed, failures())
 
@@ -463,7 +438,7 @@ def check_category_laws(
             holds = laws_case(amb, *spans, *cospans)
             if not all(holds):
                 failing = " ".join(f"{flag}={h}" for flag, h in zip(_LAW_FLAGS, holds))
-                yield _format_fields(_LAWS_FIELDS, spans + cospans) + (("failing", failing),)
+                yield _format_fields(_LAWS_SPANS + _LAWS_COSPANS, spans + cospans) + (("failing", failing),)
 
     return _report("laws", amb.name, amb.a_name, bound, entry_bound, seed, failures())
 
@@ -504,7 +479,7 @@ def _law_suite(theory_name: str, scalars) -> list[tuple[str, str, str]]:
             full = f"{tag}_{label}" if tag else label
             laws.append((full, lhs.format(**names), rhs.format(**names)))
     for r in scalars:
-        r_text = str(Fraction(r)) if Fraction(r).denominator > 1 else str(Fraction(r).numerator)
+        r_text = QQ.format(r)
         laws.append(
             (
                 f"scalar_cancel({r_text})",
@@ -794,11 +769,15 @@ _HOLDS = {
     "assumption31": lambda amb, ce: assumption31_case(amb, *_parse_fields(ce, amb, ("left", "right")))[0],
     "assumption33": lambda amb, ce: assumption33_case(amb, *_parse_fields(ce, amb, ("left", "right")))[0],
     "square": lambda amb, ce: square_case(amb, *_parse_fields(ce, amb, ("morphism",))),
-    "pi-functorial": lambda amb, ce: pi_functorial_case(amb, *_parse_fields(ce, amb, ("span1", "span2"))),
+    "pi-functorial": lambda amb, ce: pi_functorial_case(amb, *_parse_fields(ce, amb, ("span1", "span2"), Span)),
     "tensor-functorial": lambda amb, ce: all(
-        tensor_functorial_case(amb, *_parse_fields(ce, amb, _TENSOR_FIELDS))
+        tensor_functorial_case(
+            amb, *_parse_fields(ce, amb, _TENSOR_SPANS, Span), *_parse_fields(ce, amb, _TENSOR_COSPANS, Cospan)
+        )
     ),
-    "laws": lambda amb, ce: all(laws_case(amb, *_parse_fields(ce, amb, _LAWS_FIELDS))),
+    "laws": lambda amb, ce: all(
+        laws_case(amb, *_parse_fields(ce, amb, _LAWS_SPANS, Span), *_parse_fields(ce, amb, _LAWS_COSPANS, Cospan))
+    ),
     "frobenius": lambda th, ce: term_equal(parse_term(ce["lhs"]), parse_term(ce["rhs"]), th),
 }
 

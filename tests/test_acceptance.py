@@ -18,7 +18,7 @@ from pathlib import Path
 from corelate.exactnum import GF, ZZ
 from corelate.finfn import enumerate_partitions
 from corelate.linmap import det_int, mat, mat_mul, snf
-from corelate.literals import parse_morphism, parse_span
+from corelate.literals import parse_morphism, parse_pair
 from corelate.corelrel import (
     Corelation,
     corel_compose,
@@ -220,7 +220,7 @@ def test_criterion_06_pi_functoriality():
     inj = check_pi_functorial(get_ambient("f", "inj"), 3, seed=0, samples=1000)
     zsplit = check_pi_functorial(Z_SPLIT, 2, entry_bound=3, seed=0, samples=1000)
     z_cases = [
-        (data["shape"], parse_span(data["span1"], Z_SPLIT), parse_span(data["span2"], Z_SPLIT))
+        (data["shape"], parse_pair(data["span1"], Z_SPLIT, Span), parse_pair(data["span2"], Z_SPLIT, Span))
         for data in map(dict, zsplit.counterexamples)
     ]
     only_iv = all(shape == "iv" for shape, _, _ in z_cases)

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -182,8 +183,8 @@ def test_known_failures_respect_the_bounds(capsys, argv, verdict):
 
 @pytest.mark.parametrize("entry_bound, verdict", [(0, "pass"), (1, "fail")])
 def test_pi_functorial_sweep_respects_the_entry_bound(capsys, entry_bound, verdict):
-    from corelate.literals import parse_span
-    from corelate.spancospan import get_ambient
+    from corelate.literals import parse_pair
+    from corelate.spancospan import Span, get_ambient
 
     code, out, _ = run(
         capsys, "check", "pi-functorial", "--C", "z", "--A", "split", "--bound", "2",
@@ -195,7 +196,7 @@ def test_pi_functorial_sweep_respects_the_entry_bound(capsys, entry_bound, verdi
     z = get_ambient("z", "split")
     for ce in record["counterexamples"]:
         for text in (ce["span1"], ce["span2"]):
-            s = parse_span(text, z)
+            s = parse_pair(text, z, Span)
             entries = [v for leg in s for row in leg.entries for v in row]
             assert max(map(abs, entries), default=0) <= entry_bound
 
@@ -410,6 +411,25 @@ def test_non_ascii_or_underscored_numerals_exit_2(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+def _mat_cospan(left):
+    return f"cospan {{ left = {left}, right = mat q 1x1 : [[1]] }}"
+
+
+@pytest.mark.parametrize(
+    "left, message",
+    [
+        ("mat q 1x1 : [[1]", "unclosed row '[1'"),
+        ("mat q 2x1 : [[1],[1]", "unclosed row '[1'"),
+        ("mat q 1x1 : [[1", "unparseable morphism literal: 'mat q 1x1 : [[1'"),
+        ("mat q 1x1 : [1]", "expected a row, found '1'"),
+        ("mat q 2x1 : [[1]]", "rows do not form a 2x1 matrix"),
+    ],
+)
+def test_malformed_matrix_rows_exit_2(capsys, left, message):
+    code, out, err = run(capsys, "normalize", "--ambient", "q", _mat_cospan(left))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("value", ["1_0", "\u0661"])
 def test_count_flags_take_ascii_numerals_only(capsys, value):
     with pytest.raises(SystemExit) as exc:
@@ -476,3 +496,29 @@ def test_report_suite_expected_verdicts(capsys):
     assert verdicts[("frobenius", "z-corel", "-")] == "fail"
     assert verdicts[("square", "z", "split")] == "pass"
     assert verdicts[("frobenius", "er", "-")] == "pass"
+
+
+def test_report_user_error_exit_2(capsys):
+    # pi-functorial on z/split samples split monos and finds none with
+    # entries bounded by 0; the records of the twelve checks before it stay
+    code, out, err = run(capsys, "report", "--entry-bound", "0", "--format", "records")
+    assert code == 2
+    assert err == "error: no split mono 1 -> 1 has entries bounded by 0\n"
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == 12
+    assert (records[-1]["check"], records[-1]["C"], records[-1]["A"]) == ("pi-functorial", "f", "inj")
+
+
+def test_the_front_end_decides_each_thing_once():
+    from corelate import cli, diagrams, literals, verify
+
+    assert inspect.getsource(cli).count("except CorelateError") == 1
+    assert set(cli._CHECKS) | {"frobenius"} == set(verify._HOLDS)
+    gone = {
+        cli: ("_run_check",),
+        literals: ("format_cospan", "format_span", "parse_cospan", "parse_span", "parse_pair_literal", "_parse_pair"),
+        verify: ("_leg_lists",),
+        diagrams: ("_format_scalar",),
+    }
+    assert [(m.__name__, name) for m, names in gone.items() for name in names if hasattr(m, name)] == []
+    assert "a_only" not in inspect.signature(verify._pairs).parameters

@@ -10,14 +10,12 @@ from corelate.corelrel import corel_identity, gamma, rel_from_subspace_rows
 from corelate.literals import (
     format_canonical,
     format_corelation,
-    format_cospan,
     format_morphism,
+    format_pair,
     format_partition_blocks,
     format_relation,
-    format_span,
-    parse_cospan,
     parse_morphism,
-    parse_span,
+    parse_pair,
 )
 from corelate.spancospan import Cospan, Span, get_ambient
 
@@ -83,12 +81,14 @@ def test_random_round_trips():
 
 def test_cospan_span_literals():
     c = Cospan(fn(1, 2, [0]), fn(1, 2, [1]))
-    text = format_cospan(c)
-    assert parse_cospan(text, F) == c
+    text = format_pair(c)
+    assert parse_pair(text, F, Cospan) == c
     s = Span(fn(2, 1, [0, 0]), fn(2, 2, [0, 1]))
-    assert parse_span(format_span(s), F) == s
-    with pytest.raises(TypeMismatch):
-        parse_cospan(format_span(s), F)
+    assert parse_pair(format_pair(s), F, Span) == s
+    # a NamedTuple span equals the cospan of the same legs: compare types too
+    assert [type(parse_pair(format_pair(x), F)) for x in (c, s)] == [Cospan, Span]
+    with pytest.raises(TypeMismatch, match="^expected a cospan literal$"):
+        parse_pair(format_pair(s), F, Cospan)
     with pytest.raises(TypeMismatch):
         parse_morphism("fn oops")
 

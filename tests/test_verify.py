@@ -13,8 +13,16 @@ from corelate.corelrel import (
     corel_equal,
     gamma,
 )
-from corelate.literals import format_cospan, format_span
-from corelate.spancospan import Cospan, Span, cospan_identity, get_ambient, span_identity
+from corelate.literals import format_pair, parse_morphism
+from corelate.spancospan import (
+    Cospan,
+    Span,
+    cospan_canonical,
+    cospan_identity,
+    get_ambient,
+    span_canonical,
+    span_identity,
+)
 from corelate.verify import (
     CheckReport,
     assumption31_case,
@@ -112,6 +120,29 @@ def test_assumption33_abelian_pass():
     assert check_assumption33(Q, 2, entry_bound=1).verdict == "pass"
 
 
+@pytest.mark.parametrize(
+    "check, bound, pair, canonical, in_class",
+    [
+        # a mediator in M is injective, one in E surjective
+        (check_assumption31, 2, Cospan, cospan_canonical, lambda u: len(set(u.table)) == u.dom),
+        (check_assumption33, 3, Span, span_canonical, lambda u: set(u.table) == set(range(u.cod))),
+    ],
+)
+def test_mediator_checks_sampled_above_the_case_budget(monkeypatch, check, bound, pair, canonical, in_class):
+    def keys(report):
+        legs = ((parse_morphism(dict(ce)[k]) for k in ("left", "right")) for ce in report.counterexamples)
+        return {canonical(pair(*lr), F_ALL) for lr in legs}
+
+    exhaustive = check(F_ALL, bound)
+    monkeypatch.setattr(verify, "CASE_BUDGET", 10)
+    sampled = check(F_ALL, bound, seed=5)
+    assert sampled.verdict == "fail"
+    assert not any(in_class(parse_morphism(dict(ce)["mediator"])) for ce in sampled.counterexamples)
+    assert replay(sampled)
+    assert check(F_ALL, bound, seed=5).to_record() == sampled.to_record()
+    assert keys(sampled) <= keys(exhaustive)
+
+
 # --- square and functoriality -------------------------------------------------------
 
 
@@ -152,8 +183,8 @@ def test_tensor_functorial_counterexamples_replay(monkeypatch):
     assert len(report.counterexamples) == 75
     assert replay(report)
     # the same report with one counterexample swapped for a passing tuple
-    ident_span = format_span(span_identity(1, PF_INJ))
-    ident_cospan = format_cospan(cospan_identity(1, PF_INJ))
+    ident_span = format_pair(span_identity(1, PF_INJ))
+    ident_cospan = format_pair(cospan_identity(1, PF_INJ))
     passing = dict(report.counterexamples[0])
     for key in passing:
         if key.startswith("span"):
