@@ -9,6 +9,7 @@ turns it into one ``error:`` line on stderr and exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -90,14 +91,28 @@ def cmd_normalize(args) -> int:
 
 
 # check name -> (its verify function, looked up per call so that a wrapper
-# installed on the module sees the call; the flags it takes after the ambient)
+# installed on the module sees the call; the flags it takes, in the order of
+# the function's arguments, where C and A name the ambient)
 _CHECKS = {
-    "assumption31": ("check_assumption31", ("bound", "entry_bound", "seed")),
-    "assumption33": ("check_assumption33", ("bound", "entry_bound", "seed")),
-    "square": ("check_square_commutes", ("bound", "entry_bound")),
-    "pi-functorial": ("check_pi_functorial", ("bound", "entry_bound", "seed", "samples")),
-    "tensor-functorial": ("check_tensor_functorial", ("bound", "entry_bound", "seed", "samples")),
-    "laws": ("check_category_laws", ("bound", "entry_bound", "seed", "samples")),
+    "assumption31": ("check_assumption31", ("C", "A", "bound", "entry_bound", "seed")),
+    "assumption33": ("check_assumption33", ("C", "A", "bound", "entry_bound", "seed")),
+    "square": ("check_square_commutes", ("C", "A", "bound", "entry_bound")),
+    "pi-functorial": ("check_pi_functorial", ("C", "A", "bound", "entry_bound", "seed", "samples")),
+    "tensor-functorial": ("check_tensor_functorial", ("C", "A", "bound", "entry_bound", "seed", "samples")),
+    "laws": ("check_category_laws", ("C", "A", "bound", "entry_bound", "seed", "samples")),
+    "frobenius": ("check_frobenius", ("theory", "scalars")),
+}
+
+# each flag of `check` that some checks take -> its value when not given
+_CHECK_DEFAULTS = {
+    "C": "f",
+    "A": None,
+    "theory": "er",
+    "scalars": None,
+    "bound": 2,
+    "entry_bound": 3,
+    "seed": 0,
+    "samples": 200,
 }
 
 
@@ -109,12 +124,18 @@ def _scalars(text):
 
 
 def cmd_check(args) -> int:
+    name, flags = _CHECKS[args.check]
+    given = {flag: getattr(args, flag) for flag in _CHECK_DEFAULTS if getattr(args, flag) is not None}
+    refused = [f"--{flag.replace('_', '-')}" for flag in given if flag not in flags]
+    if refused:
+        raise CorelateError(f"check {args.check} does not take {', '.join(refused)}")
+    values = [given.get(flag, _CHECK_DEFAULTS[flag]) for flag in flags]
     if args.check == "frobenius":
-        report = verify.check_frobenius(args.theory, _scalars(args.scalars))
+        theory, scalars = values
+        values = [theory, _scalars(scalars)]
     else:
-        name, flags = _CHECKS[args.check]
-        amb = get_ambient(args.C, args.A)
-        report = getattr(verify, name)(amb, *(getattr(args, flag) for flag in flags))
+        values = [get_ambient(*values[:2]), *values[2:]]
+    report = getattr(verify, name)(*values)
     _emit(report, args.format)
     expected = args.expect or verify.expected_verdict(report)
     return 0 if report.verdict == expected else 1
@@ -154,6 +175,14 @@ def cmd_report(args) -> int:
     return 1 if bad else 0
 
 
+def _integer(text: str) -> int:
+    """Argument type of seeds: an integer in ASCII numerals."""
+    try:
+        return ZZ.parse(text)
+    except BadScalar:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
 def _count(text: str) -> int:
     """Argument type of bounds and sample counts: a non-negative integer."""
     try:
@@ -173,7 +202,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parsing leaves it unchanged."""
     parser = _ArgumentParser(
         prog="corelate",
         description="exact spans, cospans, relations and corelations with a verification harness",
@@ -184,20 +215,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--theory", required=True)
     p_eval.add_argument("--format", choices=("text", "records"), default="text")
     p_eval.add_argument("term")
-    p_eval.set_defaults(func=cmd_eval)
 
     p_equal = sub.add_parser("equal", help="decide semantic equality of two terms")
     p_equal.add_argument("--theory", required=True)
     p_equal.add_argument("term1")
     p_equal.add_argument("term2")
-    p_equal.set_defaults(func=cmd_equal)
 
     p_compose = sub.add_parser("compose", help="compose two span/cospan literals")
     p_compose.add_argument("--ambient", required=True)
     p_compose.add_argument("--A", dest="a", default=None)
     p_compose.add_argument("first")
     p_compose.add_argument("second")
-    p_compose.set_defaults(func=cmd_compose)
 
     p_norm = sub.add_parser("normalize", help="canonical form of a span/cospan literal")
     p_norm.add_argument("--ambient", required=True)
@@ -208,37 +236,38 @@ def build_parser() -> argparse.ArgumentParser:
         help="quotient to a corelation (cospans) or relation (spans) instead of the iso-class form",
     )
     p_norm.add_argument("literal")
-    p_norm.set_defaults(func=cmd_normalize)
 
     p_check = sub.add_parser("check", help="run one verification check")
-    p_check.add_argument("check", choices=(*_CHECKS, "frobenius"))
-    p_check.add_argument("--C", default="f")
-    p_check.add_argument("--A", default=None)
-    p_check.add_argument("--theory", default="er")
-    p_check.add_argument("--scalars", default=None, help="comma-separated scalars for frobenius")
-    p_check.add_argument("--bound", type=_count, default=2)
-    p_check.add_argument("--entry-bound", dest="entry_bound", type=_count, default=3)
-    p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--samples", type=_count, default=200)
+    # defaults are in _CHECK_DEFAULTS, so that a flag the check does not take
+    # reads None when it was not given
+    p_check.add_argument("check", choices=_CHECKS)
+    p_check.add_argument("--C")
+    p_check.add_argument("--A")
+    p_check.add_argument("--theory")
+    p_check.add_argument("--scalars", help="comma-separated scalars for frobenius")
+    p_check.add_argument("--bound", type=_count)
+    p_check.add_argument("--entry-bound", dest="entry_bound", type=_count)
+    p_check.add_argument("--seed", type=_integer)
+    p_check.add_argument("--samples", type=_count)
     p_check.add_argument("--expect", choices=("pass", "fail"), default=None)
     p_check.add_argument("--format", choices=("text", "records"), default="text")
-    p_check.set_defaults(func=cmd_check)
 
     p_report = sub.add_parser("report", help="run the default check suite")
     p_report.add_argument("--bound", type=_count, default=3)
     p_report.add_argument("--entry-bound", dest="entry_bound", type=_count, default=3)
-    p_report.add_argument("--seed", type=int, default=0)
+    p_report.add_argument("--seed", type=_integer, default=0)
     p_report.add_argument("--samples", type=_count, default=200)
     p_report.add_argument("--format", choices=("text", "records"), default="text")
-    p_report.set_defaults(func=cmd_report)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up per call, so that a wrapper installed on the module sees it
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except CorelateError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

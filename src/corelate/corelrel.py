@@ -155,7 +155,7 @@ def corel_from_morphism(f, amb: Ambient) -> Corelation:
 
 def _require_products(amb: Ambient) -> MatrixAmbient:
     if not isinstance(amb, MatrixAmbient) or not amb.ring.is_field:
-        raise NotAbelian(f"relations need a matrix ambient over a field, got {amb}")
+        raise NotAbelian(f"relations need a matrix ambient over a field, got {amb.name}")
     return amb
 
 
@@ -224,7 +224,7 @@ def er_from_corelation(c: Corelation) -> Partition:
     """
     amb = c.ambient
     if not isinstance(amb, FinFnAmbient):
-        raise TypeMismatch(f"expected a function ambient, got {amb}")
+        raise TypeMismatch(f"expected a function ambient, got {amb.name}")
     fibers: dict = {}
     for i, v in enumerate(c.cospan.left.table + c.cospan.right.table):
         fibers.setdefault(v, []).append(i)

@@ -128,6 +128,12 @@ def test_normalize_quotient_to_corelation(capsys):
     assert "corel z 1 -> 1" in out
 
 
+def test_span_quotient_over_a_ring_names_the_ambient(capsys):
+    span = "span { left = mat z 1x1 : [[2]], right = mat z 1x1 : [[2]] }"
+    code, out, err = run(capsys, "normalize", "--ambient", "z", "--quotient", span)
+    assert (code, out, err) == (2, "", "error: relations need a matrix ambient over a field, got z\n")
+
+
 # --- check ----------------------------------------------------------------------
 
 
@@ -438,6 +444,46 @@ def test_count_flags_take_ascii_numerals_only(capsys, value):
     assert f"expected a non-negative integer, got {value!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["1_0", "\u0663", "-\u0661", "\uff11"])
+@pytest.mark.parametrize("command", [["check", "laws", "--C", "gf2"], ["report"]], ids=["check", "report"])
+def test_seed_takes_ascii_numerals_only(capsys, command, value):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--seed", value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: argument --seed: expected an integer, got {value!r}\n"
+
+
+def test_seed_keeps_its_sign(capsys):
+    argv = ("check", "laws", "--C", "gf2", "--bound", "1", "--samples", "2", "--seed", "-4", "--format", "records")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["seed"] == -4
+
+
+@pytest.mark.parametrize(
+    "argv, refused",
+    [
+        (("frobenius", "--theory", "er", "--C", "bogus", "--bound", "1"), "frobenius does not take --C, --bound"),
+        (("frobenius", "--A", "inj"), "frobenius does not take --A"),
+        (("square", "--samples", "5", "--seed", "9", "--scalars", "x"), "square does not take --scalars, --seed, --samples"),
+        (("laws", "--C", "gf2", "--theory", "er"), "laws does not take --theory"),
+        (("assumption31", "--samples", "0"), "assumption31 does not take --samples"),
+    ],
+)
+def test_check_refuses_a_flag_the_check_does_not_take(capsys, argv, refused):
+    assert run(capsys, "check", *argv) == (2, "", f"error: check {refused}\n")
+
+
+def test_main_builds_its_parser_once_and_finds_each_command_per_call(capsys, monkeypatch):
+    from corelate import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "cmd_eval", lambda args: 7)
+    assert main(["eval", "--theory", "er", "id(1)"]) == 7
+    monkeypatch.undo()
+    assert run(capsys, "eval", "--theory", "er", "id(1)")[0] == 0
+
+
 @pytest.mark.parametrize("theory", ["q-subspace", "z-corel"])
 def test_eval_zero_denominator_scalar_exit_2(capsys, theory):
     code, out, err = run(capsys, "eval", "--theory", theory, "scalar(1/0)")
@@ -513,7 +559,7 @@ def test_the_front_end_decides_each_thing_once():
     from corelate import cli, diagrams, literals, verify
 
     assert inspect.getsource(cli).count("except CorelateError") == 1
-    assert set(cli._CHECKS) | {"frobenius"} == set(verify._HOLDS)
+    assert set(cli._CHECKS) == set(verify._HOLDS)
     gone = {
         cli: ("_run_check",),
         literals: ("format_cospan", "format_span", "parse_cospan", "parse_span", "parse_pair_literal", "_parse_pair"),

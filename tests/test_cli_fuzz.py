@@ -2,11 +2,12 @@
 
 Draws argv for ``eval``, ``equal``, ``compose``, ``normalize`` and ``check``
 from a small grammar of names, flags, terms and literals, with up to two
-characters of each term or literal mutated, and asserts the exit-code
-contract: 0 with an empty stderr, 1 only from ``check``, 3 only from
-``equal``, and 2 with exactly one ``error:`` line on stderr, also when
-argparse refuses the argv.  ``report`` is left out: its fixed checks take
-seconds.
+characters of each term or literal mutated; ``check`` draws now and then
+get a flag their check does not take, or a seed numeral that is not ASCII
+digits.  Asserts the exit-code contract: 0 with an empty stderr, 1 only
+from ``check``, 3 only from ``equal``, and 2 with exactly one ``error:``
+line on stderr, also when argparse refuses the argv.  ``report`` is left
+out: its fixed checks take seconds.
 """
 
 import contextlib
@@ -23,7 +24,30 @@ GRAMMAR = "[](){}=,;:@_/->x.0123456789 "
 THEORIES = ("er", "per", "z-corel", "q-subspace", "gf2-subspace", "gf3-subspace", "gf4-subspace", "bogus")
 AMBIENTS = ("f", "pf", "gf2", "gf3", "q", "z", "gf4", "foo")
 SUBCATEGORIES = ("inj", "all", "split", "f", "gf2", "bogus")
-CHECKS = ("assumption31", "assumption33", "square", "pi-functorial", "tensor-functorial", "laws", "frobenius")
+# the flags each check takes, besides --expect and --format
+CHECK_FLAGS = {
+    "assumption31": ("--C", "--A", "--bound", "--entry-bound", "--seed"),
+    "assumption33": ("--C", "--A", "--bound", "--entry-bound", "--seed"),
+    "square": ("--C", "--A", "--bound", "--entry-bound"),
+    "pi-functorial": ("--C", "--A", "--bound", "--entry-bound", "--seed", "--samples"),
+    "tensor-functorial": ("--C", "--A", "--bound", "--entry-bound", "--seed", "--samples"),
+    "laws": ("--C", "--A", "--bound", "--entry-bound", "--seed", "--samples"),
+    "frobenius": ("--theory", "--scalars"),
+}
+# the values drawn for each flag of check; the seeds include numerals that
+# int() reads but the CLI refuses (underscored, Arabic-Indic, fullwidth)
+CHECK_VALUES = {
+    "--C": AMBIENTS,
+    "--A": SUBCATEGORIES,
+    "--theory": THEORIES,
+    "--scalars": ("2", "1,-1", "1/2", "x", "1/0"),
+    "--bound": (0, 1),
+    "--entry-bound": (0, 1),
+    "--samples": (0, 1, 2),
+    "--seed": (0, 1, -1, "1_0", "\u0663", "-\u0661", "\uff11"),
+    "--expect": ("pass", "fail"),
+    "--format": ("text", "records"),
+}
 
 
 @st.composite
@@ -124,18 +148,14 @@ def argvs(draw):
     if command == "normalize":
         quotient = draw(st.sampled_from(([], ["--quotient"])))
         return ["normalize", *ambient, *quotient, draw(pair_literals(name, pair, x, y))]
-    argv = ["check", draw(st.sampled_from(CHECKS)), *theory, "--C", draw(st.sampled_from(AMBIENTS))]
-    for flag, values in (
-        ("--A", SUBCATEGORIES),
-        ("--bound", (0, 1)),
-        ("--entry-bound", (0, 1)),
-        ("--samples", (0, 1, 2)),
-        ("--seed", (0, 1)),
-        ("--expect", ("pass", "fail")),
-        ("--format", ("text", "records")),
-        ("--scalars", ("2", "1,-1", "1/2", "x", "1/0")),
-    ):
-        argv += draw(_option(flag, values))
+    check = draw(st.sampled_from(tuple(CHECK_FLAGS)))
+    flags = (*CHECK_FLAGS[check], "--expect", "--format")
+    argv = ["check", check]
+    for flag in flags:
+        argv += draw(_option(flag, CHECK_VALUES[flag]))
+    if draw(st.integers(0, 5)) == 0:  # a flag the check does not take
+        flag = draw(st.sampled_from([f for f in CHECK_VALUES if f not in flags]))
+        argv += [flag, str(draw(st.sampled_from(CHECK_VALUES[flag])))]
     return argv
 
 

@@ -12,6 +12,7 @@ from corelate.corelrel import (
     corel_compose,
     corel_equal,
     gamma,
+    pi,
 )
 from corelate.literals import format_pair, parse_morphism
 from corelate.spancospan import (
@@ -162,6 +163,41 @@ def test_pi_functorial_integer_split_monos_fails_on_shape_iv():
     shapes = {dict(ce)["shape"] for ce in report.counterexamples}
     assert shapes == {"iv"}
     assert replay(report)
+
+
+def _reference_pi_functorial(amb, bound, entry_bound, seed, samples):
+    """The pi-functorial record of a loop that decides every case by itself."""
+    failures = (
+        (("shape", shape),) + verify._format_fields(("span1", "span2"), pair)
+        for shape, pair in verify._shape_pairs(amb, bound, entry_bound, seed, samples)
+        if not verify.pi_functorial_case(amb, *pair)
+    )
+    return verify._report("pi-functorial", amb.name, amb.a_name, bound, entry_bound, seed, failures).to_record()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "amb, bound, entry_bound",
+    [(Z_SPLIT, 2, 3), (F_INJ, 3, 3), (PF_INJ, 2, 3), (G2, 2, 3), (Q, 1, 1)],
+    ids=["z", "f", "pf", "gf2", "q"],
+)
+def test_pi_functorial_records_match_a_case_by_case_reference(amb, bound, entry_bound, seed):
+    report = check_pi_functorial(amb, bound, entry_bound, seed, samples=40)
+    assert report.to_record() == _reference_pi_functorial(amb, bound, entry_bound, seed, 40)
+
+
+@pytest.mark.parametrize("amb, bound", [(F_INJ, 3), (Z_SPLIT, 1), (G2, 1)], ids=["f", "z", "gf2"])
+def test_pi_functorial_computes_pi_once_per_distinct_span_and_once_per_case(monkeypatch, amb, bound):
+    pairs = [pair for _, pair in verify._shape_pairs(amb, bound, 3, 0, 40)]
+    calls = []
+
+    def counted(s, a):
+        calls.append(s)
+        return pi(s, a)
+
+    monkeypatch.setattr(verify, "pi", counted)
+    check_pi_functorial(amb, bound, 3, 0, 40)
+    assert len(calls) == len({s for pair in pairs for s in pair}) + len(pairs)
 
 
 def test_tensor_functorial_all_ambients():
