@@ -1,12 +1,13 @@
 """Shared brute-force helpers for the test suite."""
 
 import sys
+from itertools import product
 from pathlib import Path
 
-from corelate.finfn import FinMap, ParMap
+from corelate.errors import TypeMismatch
+from corelate.finfn import FinMap, ParMap, Partition
 from corelate.linmap import ExactMatrix, snf
 from corelate.spancospan import Cospan, Span
-from corelate.verify import span_rows
 
 # the benchmark's oracles, which share no code with corelate
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -160,11 +161,147 @@ def invariant_factors(a) -> tuple:
     return tuple(d for d in oracles.invariant_factors(a.entries, a.cols) if d)
 
 
+# ---------------------------------------------------------------------------
+# subspaces of GF(p)^n, through the benchmark's elimination
+
+
+def span_rows(vectors, dim, ring):
+    """Canonical reduced-echelon rows spanning the given vectors of GF(p)^dim."""
+    rows, _ = oracles.field_rref(vectors, dim, ring.p)
+    return tuple(map(tuple, rows))
+
+
+def subspace_contains(rows, vec, ring) -> bool:
+    """Whether the subspace with canonical echelon rows ``rows`` holds vec."""
+    return span_rows(rows + (vec,), len(vec), ring) == rows
+
+
 def random_subspace_rows(rng, dim, ring):
     """Canonical echelon rows of a random subspace of ring^dim."""
     k = rng.randint(0, dim)
     vectors = [[rng.randrange(ring.p) for _ in range(dim)] for _ in range(k)]
     return span_rows(vectors, dim, ring)
+
+
+def enumerate_subspaces(dim, ring):
+    """All subspaces of GF(p)^dim as canonical echelon row tuples."""
+    seen = set()
+    vectors = [v for v in product(range(ring.p), repeat=dim) if any(v)]
+    yield ()
+
+    def rec(basis, start):
+        for i in range(start, len(vectors)):
+            cand = basis + [vectors[i]]
+            rows = span_rows(cand, dim, ring)
+            if len(rows) == len(cand) and rows not in seen:
+                seen.add(rows)
+                yield rows
+                yield from rec(cand, i + 1)
+
+    yield from rec([], 0)
+
+
+def oracle_subspace_compose(v_rows, w_rows, n, z, m, ring):
+    """Relational composition by exhaustive vector enumeration over GF(p):
+    (v, w) for every (v, u) in V and (u, w) in W."""
+    vs = [x for x in product(range(ring.p), repeat=n + z) if subspace_contains(v_rows, x, ring)]
+    ws = [y for y in product(range(ring.p), repeat=z + m) if subspace_contains(w_rows, y, ring)]
+    return span_rows({x[:n] + y[z:] for x in vs for y in ws if x[n:] == y[:z]}, n + m, ring)
+
+
+# ---------------------------------------------------------------------------
+# gluing oracles for equivalence relations and partial ones
+
+
+def oracle_er_compose(p1, p2, n, z, m):
+    """Glue equivalence classes along shared middle witnesses, then restrict."""
+    if p1.ground != n + z or p2.ground != z + m:
+        raise TypeMismatch("partition grounds do not match the feet")
+    return Partition(n + m, _glue(p1.blocks, p2.blocks, n, z, m))
+
+
+def oracle_per_compose(p1, p2, n, z, m):
+    """Pointed gluing of partitions with basepoints n + z and z + m.
+
+    The basepoint of p1 is read as one more middle point, and the basepoint
+    block of p2 joins it on its way to the composite's basepoint n + m, so
+    the total gluing does the rest.
+    """
+    if p1.ground != n + z + 1 or p2.ground != z + m + 1:
+        raise TypeMismatch("partition grounds do not match the feet")
+    lifted = [
+        tuple(e for e in block if e < z)
+        + ((z,) if block[-1] == z + m else ())
+        + tuple(e + 1 for e in block if e >= z)
+        for block in p2.blocks
+    ]
+    return Partition(n + m + 1, _glue(p1.blocks, lifted, n, z + 1, m + 1))
+
+
+def _glue(blocks1, blocks2, n, z, m):
+    """Blocks of n + m from blocks of n + z and of z + m, by relabelling:
+    each point of n + z + m carries the label of its class, and every block
+    of the second side relabels all the classes it meets to one."""
+    label = list(range(n + z + m))
+    for block in blocks1:
+        for e in block:
+            label[e] = block[0]
+    for block in blocks2:
+        met = {label[n + e] for e in block}
+        if len(met) > 1:
+            to = min(met)
+            label = [to if x in met else x for x in label]
+    # first occurrence in increasing order lists the blocks by their minimum
+    groups = {}
+    for e in range(n):
+        groups.setdefault(label[e], []).append(e)
+    for e in range(n + z, n + z + m):
+        groups.setdefault(label[e], []).append(e - z)
+    return tuple(tuple(g) for g in groups.values())
+
+
+# ---------------------------------------------------------------------------
+# witness closure: corelation equality by search over M-witness moves
+
+
+def witness_reachable(c, amb, depth=3, apex_bound=3, entry_bound=2, witness_cache=None):
+    """Cospans reachable from c by at most ``depth`` M-witness moves.
+
+    A forward move postcomposes both legs with a mono witness, a backward
+    move strips one off when both legs factor through it exactly.  States
+    are whole cospans compared verbatim, and apex isomorphisms count as
+    witnesses like any other mono.  The apex size and the depth are capped,
+    matrix states' entries at 4 * entry_bound; witnesses have entries
+    bounded by ``entry_bound``.  ``witness_cache`` keeps the witnesses of
+    each (dom, cod) across calls on one ambient.
+    """
+    witnesses = witness_cache if witness_cache is not None else {}
+    cap = 4 * entry_bound
+
+    def monos(dom, cod):
+        if (dom, cod) not in witnesses:
+            witnesses[(dom, cod)] = [m for m in amb.enumerate_morphisms(dom, cod, entry_bound) if amb.in_m(m)]
+        return witnesses[(dom, cod)]
+
+    def moves(state):
+        apex = amb.cod(state.left)
+        for new_apex in range(apex_bound + 1):
+            for m in monos(apex, new_apex):
+                yield Cospan(amb.compose(state.left, m), amb.compose(state.right, m))
+            for m in monos(new_apex, apex):
+                left = amb.solve_postcompose(m, state.left)
+                right = None if left is None else amb.solve_postcompose(m, state.right)
+                if right is not None:
+                    yield Cospan(left, right)
+
+    def within_cap(cand):
+        return all(abs(v) <= cap for leg in cand for row in getattr(leg, "entries", ()) for v in row)
+
+    frontier, visited = {c}, {c}
+    for _ in range(depth):
+        frontier = {cand for state in frontier for cand in moves(state) if cand not in visited and within_cap(cand)}
+        visited |= frontier
+    return frozenset(visited)
 
 
 # ---------------------------------------------------------------------------

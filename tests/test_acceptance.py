@@ -10,10 +10,8 @@ report must replay.
 """
 
 import random
-import sys
 import time
 from itertools import product
-from pathlib import Path
 
 from corelate.exactnum import GF, ZZ
 from corelate.finfn import enumerate_partitions
@@ -41,19 +39,20 @@ from corelate.verify import (
     check_pi_functorial,
     check_square_commutes,
     check_tensor_functorial,
+    replay,
+)
+from oracle_utils import (
     enumerate_subspaces,
+    invariant_factors,
     oracle_er_compose,
     oracle_per_compose,
     oracle_subspace_compose,
-    replay,
+    random_subspace_rows,
     witness_reachable,
 )
-from oracle_utils import invariant_factors, random_subspace_rows
 
 # the benchmark's integer lattice oracle, which shares no code with corelate
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-if str(PERFBENCH) not in sys.path:
-    sys.path.insert(0, str(PERFBENCH))
+# (oracle_utils puts perfbench/ on the path)
 from oracles import hnf, left_kernel, z_compose  # noqa: E402
 
 F = get_ambient("f")

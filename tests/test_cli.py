@@ -207,9 +207,20 @@ def test_pi_functorial_sweep_respects_the_entry_bound(capsys, entry_bound, verdi
             assert max(map(abs, entries), default=0) <= entry_bound
 
 
-@pytest.mark.parametrize("scalars, verdict", [("1,-1", "pass"), ("2", "fail"), (None, "fail")])
-def test_z_corel_frobenius_expects_failure_only_on_non_units(capsys, scalars, verdict):
-    argv = ["check", "frobenius", "--theory", "z-corel"] + (["--scalars", scalars] if scalars else [])
+@pytest.mark.parametrize(
+    "theory, scalars, verdict",
+    [
+        ("z-corel", "1,-1", "pass"),
+        ("z-corel", "2", "fail"),
+        ("z-corel", None, "fail"),
+        ("q-subspace", "0", "fail"),
+        ("q-subspace", "1/2", "pass"),
+        ("gf2-subspace", "2", "fail"),
+        ("gf3-subspace", "3", "fail"),
+    ],
+)
+def test_frobenius_expects_failure_only_on_non_units(capsys, theory, scalars, verdict):
+    argv = ["check", "frobenius", "--theory", theory] + (["--scalars", scalars] if scalars else [])
     code, out, _ = run(capsys, *argv)
     assert f"verdict={verdict}" in out
     assert code == 0
@@ -563,7 +574,22 @@ def test_the_front_end_decides_each_thing_once():
     gone = {
         cli: ("_run_check",),
         literals: ("format_cospan", "format_span", "parse_cospan", "parse_span", "parse_pair_literal", "_parse_pair"),
-        verify: ("_leg_lists",),
+        verify: (
+            "_leg_lists",
+            "witness_reachable",
+            "witness_equal_oracle",
+            "_witness_monos",
+            "_max_abs_entry",
+            "oracle_er_compose",
+            "oracle_per_compose",
+            "_glue",
+            "span_rows",
+            "subspace_contains",
+            "_reduce_against",
+            "enumerate_vectors",
+            "oracle_subspace_compose",
+            "enumerate_subspaces",
+        ),
         diagrams: ("_format_scalar",),
     }
     assert [(m.__name__, name) for m, names in gone.items() for name in names if hasattr(m, name)] == []

@@ -214,7 +214,7 @@ def test_same_relation_iff_mono_parts_agree_gf2():
     # two spans name the same relation exactly when their pairings span the
     # same subspace (exhaustive at dimension <= 2, apex <= 2)
     from corelate.linmap import enumerate_matrices
-    from corelate.verify import span_rows
+    from oracle_utils import span_rows
 
     n = m = 1
     for apex1 in range(3):

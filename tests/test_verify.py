@@ -35,17 +35,18 @@ from corelate.verify import (
     check_pi_functorial,
     check_square_commutes,
     check_tensor_functorial,
+    replay,
+)
+from oracle_utils import (
+    PERFBENCH,
     enumerate_subspaces,
     oracle_er_compose,
     oracle_per_compose,
     oracle_subspace_compose,
-    replay,
     span_rows,
     subspace_contains,
-    witness_equal_oracle,
     witness_reachable,
 )
-from oracle_utils import PERFBENCH
 
 F_ALL = get_ambient("f", "all")
 F_INJ = get_ambient("f", "inj")
@@ -307,13 +308,13 @@ def test_witness_direct_move():
     c = Cospan(fn(1, 1, [0]), fn(1, 1, [0]))
     m = fn(1, 2, [0])
     moved = Cospan(fn(1, 2, [0]), fn(1, 2, [0]))
-    assert witness_equal_oracle(c, moved, F_INJ, depth=1)
+    assert moved in witness_reachable(c, F_INJ, depth=1)
 
 
 def test_witness_z_scalars_unequal():
     one = Cospan(mat(ZZ, 1, 1, [[1]]), mat(ZZ, 1, 1, [[1]]))
     two = Cospan(mat(ZZ, 1, 1, [[2]]), mat(ZZ, 1, 1, [[2]]))
-    assert not witness_equal_oracle(two, one, Z_SPLIT, depth=3, apex_bound=2, entry_bound=2)
+    assert one not in witness_reachable(two, Z_SPLIT, depth=3, apex_bound=2, entry_bound=2)
 
 
 def test_witness_agrees_with_canonical_equality_f():
@@ -345,9 +346,7 @@ def test_witness_agrees_on_sampled_integer_cospans():
     for _ in range(40):
         c1, c2 = rng.choice(pool), rng.choice(pool)
         expected = corel_equal(gamma(c1, Z_SPLIT), gamma(c2, Z_SPLIT))
-        got = witness_equal_oracle(
-            c1, c2, Z_SPLIT, depth=3, apex_bound=1, entry_bound=4, witness_cache=cache
-        )
+        got = c2 in witness_reachable(c1, Z_SPLIT, depth=3, apex_bound=1, entry_bound=4, witness_cache=cache)
         assert got == expected, (c1, c2)
 
 
@@ -391,6 +390,19 @@ def test_enumerate_subspaces_galois_counts():
     # number of subspaces of GF(2)^n: 1, 2, 5, 16, 67
     for dim, count in enumerate((1, 2, 5, 16, 67)):
         assert sum(1 for _ in enumerate_subspaces(dim, GF(2))) == count
+
+
+def test_subspace_oracles_share_no_elimination_with_linmap(monkeypatch):
+    from corelate import linmap
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the subspace oracles reached linmap's elimination")
+
+    for name in ("_rref", "rref", "_echelon"):
+        monkeypatch.setattr(linmap, name, refuse)
+    assert sum(1 for _ in enumerate_subspaces(3, GF(2))) == 16
+    v, w = span_rows([(1, 0)], 2, GF(2)), span_rows([(1, 1)], 2, GF(2))
+    assert oracle_subspace_compose(v, w, 1, 1, 1, GF(2)) == ((1, 0),)
 
 
 def test_collapse_spot_derivation():
