@@ -419,11 +419,18 @@ def _linear_theory(name: str, ring_tag: str) -> Theory:
 
 
 _SUBSPACE = re.compile(r"^(gf[0-9]+|q)-subspace$")
+_THEORIES: dict = {}  # normalised name -> its theory, built on first use
 
 
 def get_theory(name: str) -> Theory:
     """Theory registry: er, per, z-corel, q-subspace, gf<p>-subspace."""
     name = name.strip().lower()
+    if name not in _THEORIES:
+        _THEORIES[name] = _build_theory(name)
+    return _THEORIES[name]
+
+
+def _build_theory(name: str) -> Theory:
     if name == "er":
         return _er_like_theory("er", "f")
     if name == "per":

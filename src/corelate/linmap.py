@@ -255,12 +255,13 @@ def _hnf(rows: list, ncols: int, k: int = 0) -> list:
             if prow[j] < 0:
                 for c in range(j, ncols):
                     prow[c] = -prow[c]
-            support = [(c, w) for c, w in enumerate(prow[j:], j) if w]
+            support = None  # built on first use, for this pivot row
             residue = False
             for i in range(r + 1, m):
                 row = rows[i]
                 q = row[j] // least
                 if q:
+                    support = support or [(c, w) for c, w in enumerate(prow[j:], j) if w]
                     for c, w in support:
                         row[c] -= q * w
                 if row[j]:
@@ -273,6 +274,7 @@ def _hnf(rows: list, ncols: int, k: int = 0) -> list:
             row = rows[i]
             q = row[j] // least
             if q:
+                support = support or [(c, w) for c, w in enumerate(prow[j:], j) if w]
                 for c, w in support:
                     row[c] -= q * w
         pivots.append(j)
@@ -332,34 +334,40 @@ def hnf_row(a: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(ZZ, a.rows, a.cols, tuple(map(tuple, rows)))
 
 
-def echelon_legs(left: ExactMatrix, right: ExactMatrix, basis: bool = True) -> tuple[ExactMatrix, ExactMatrix]:
-    """The canonical echelon form of [left | right], cut back into two legs:
-    its nonzero rows, the canonical basis of the row space (lattice), or
-    with ``basis`` false all its rows."""
+def echelon_rows(left: ExactMatrix, right: ExactMatrix) -> tuple:
+    """The rows of the canonical echelon form of [left | right], as tuples:
+    a canonical basis of the row space (lattice), then the zero rows."""
     _require_same_ring(left, right)
     if left.rows != right.rows:
         raise TypeMismatch("row counts differ")
-    ring, n = left.ring, left.cols
     rows = [[*l, *r] for l, r in zip(left.entries, right.entries)]
-    if basis:
-        rows = _meet(ring, rows, n + right.cols)
-    else:
-        _echelon(ring, rows, n + right.cols)
-    return _cut(ring, rows, 0, n), _cut(ring, rows, n, n + right.cols)
+    _echelon(left.ring, rows, left.cols + right.cols)
+    return tuple(map(tuple, rows))
+
+
+def column_echelon_rows(top: ExactMatrix, bottom: ExactMatrix) -> tuple:
+    """The columns of the column echelon form of [top; bottom], as tuples."""
+    _require_same_ring(top, bottom)
+    if top.cols != bottom.cols:
+        raise TypeMismatch("column counts differ")
+    height = top.rows + bottom.rows
+    rows = [list(col) for col in zip(*top.entries, *bottom.entries)] if height else [[] for _ in range(top.cols)]
+    _echelon(top.ring, rows, height)
+    return tuple(map(tuple, rows))
+
+
+def split_rows(ring: Ring, n: int, m: int, rows) -> tuple[ExactMatrix, ExactMatrix]:
+    """The matrices of the first n and the last m columns of the rows."""
+    return _cut(ring, rows, 0, n), _cut(ring, rows, n, n + m)
 
 
 def column_echelon_legs(top: ExactMatrix, bottom: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
     """The column echelon form of [top; bottom], cut back into two legs:
     reduced over a field, Hermite over the integers.  One echelon pass over
     the columns, read straight off the legs as rows."""
-    _require_same_ring(top, bottom)
-    if top.cols != bottom.cols:
-        raise TypeMismatch("column counts differ")
-    ring, x, height = top.ring, top.rows, top.rows + bottom.rows
-    rows = [list(col) for col in zip(*top.entries, *bottom.entries)] if height else [[] for _ in range(top.cols)]
-    _echelon(ring, rows, height)
-    cols = tuple(zip(*rows)) if rows else ((),) * height
-    return ExactMatrix(ring, x, top.cols, cols[:x]), ExactMatrix(ring, bottom.rows, top.cols, cols[x:])
+    x, y = top.rows, bottom.rows
+    cols = tuple(zip(*column_echelon_rows(top, bottom))) or ((),) * (x + y)
+    return ExactMatrix(top.ring, x, top.cols, cols[:x]), ExactMatrix(top.ring, y, top.cols, cols[x:])
 
 
 def mat_rank(a: ExactMatrix) -> int:

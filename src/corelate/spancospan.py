@@ -133,6 +133,16 @@ class Ambient:
     def canonical_span(self, s: Span) -> Span:
         raise NotImplementedError
 
+    def cospan_key(self, f, g):
+        """Hashable; equal for two cospans exactly when they are isomorphic
+        over the apex.  A matrix ambient gives both feet and the echelon rows
+        that the canonical form is cut from: with apex 0 there are none."""
+        return self.canonical_cospan(Cospan(f, g))
+
+    def span_key(self, f, g):
+        """Hashable; equal for two spans exactly when they are isomorphic over the apex."""
+        return self.canonical_span(Span(f, g))
+
     # corelations: canonical jointly-epi cospans
     def corelation_cospan(self, c: Cospan) -> Cospan:
         """The canonical cospan of the corelation c represents: the epi
@@ -407,7 +417,8 @@ class MatrixAmbient(Ambient):
     def corelation_cospan(self, c):
         """The corelation is the row space (lattice) of [L | R]: its
         canonical cospan is the canonical basis of it, split back."""
-        return Cospan(*linmap.echelon_legs(c.left, c.right))
+        basis = [row for row in linmap.echelon_rows(c.left, c.right) if any(row)]
+        return Cospan(*linmap.split_rows(c.left.ring, c.left.cols, c.right.cols, basis))
 
     def compose_corelations(self, c1, c2):
         """One echelon pass over [C | diag(L1, R2)] with C = [R1; -L2]: the
@@ -416,10 +427,17 @@ class MatrixAmbient(Ambient):
         return Cospan(*linmap.corelation_composite(c1.left, c1.right, c2.left, c2.right))
 
     def canonical_cospan(self, c):
-        return Cospan(*linmap.echelon_legs(c.left, c.right, basis=False))
+        rows = linmap.echelon_rows(c.left, c.right)
+        return Cospan(*linmap.split_rows(c.left.ring, c.left.cols, c.right.cols, rows))
 
     def canonical_span(self, s):
         return Span(*linmap.column_echelon_legs(s.left, s.right))
+
+    def cospan_key(self, f, g):
+        return f.cols, g.cols, linmap.echelon_rows(f, g)
+
+    def span_key(self, f, g):
+        return f.rows, g.rows, linmap.column_echelon_rows(f, g)
 
     def enumerate_morphisms(self, dom, cod, entry_bound=None):
         if entry_bound is None:

@@ -288,13 +288,10 @@ def _report(name, c_name, a_name, bound, entry_bound, seed, failures, details=()
 def _mediator_failures(amb: Ambient, bound: int, entry_bound, seed, into_apex: bool):
     """A-cospans (``into_apex``) or A-spans, deduped by apex isomorphism,
     whose assumption 3.1 (dually 3.3) mediator is not in M (dually E)."""
-    if into_apex:
-        pair, canonical, case = Cospan, cospan_canonical, assumption31_case
-    else:
-        pair, canonical, case = Span, span_canonical, assumption33_case
+    key_of, case = (amb.cospan_key, assumption31_case) if into_apex else (amb.span_key, assumption33_case)
     seen = set()
     for f, g in _pairs(amb, bound, entry_bound, seed, into_apex):
-        key = canonical(pair(f, g), amb)
+        key = key_of(f, g)
         if key in seen:
             continue
         seen.add(key)

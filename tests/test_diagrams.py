@@ -11,6 +11,8 @@ from corelate.errors import (
     UnknownGenerator,
     UnknownTheory,
 )
+from corelate import diagrams
+from corelate.cli import main
 from corelate.diagrams import (
     GenTerm,
     IdTerm,
@@ -365,6 +367,15 @@ def test_term_equal_type_mismatch():
     er = get_theory("er")
     with pytest.raises(TermTypeError):
         term_equal(parse_term("unit"), parse_term("counit"), er)
+
+
+def test_get_theory_builds_each_theory_once(capsys):
+    assert get_theory(" ER ") is get_theory("er")
+    assert get_theory("GF3-Subspace") is get_theory("gf3-subspace")
+    # an unknown name is still a user error, and nothing is kept for it
+    assert main(["eval", "--theory", " Nope ", "id(1)"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert "nope" not in diagrams._THEORIES
 
 
 def test_unknown_theory_and_generator():

@@ -17,6 +17,7 @@ from corelate.corelrel import (
 from corelate.literals import format_pair, parse_morphism
 from corelate.spancospan import (
     Cospan,
+    MatrixAmbient,
     Span,
     cospan_canonical,
     cospan_identity,
@@ -143,6 +144,87 @@ def test_mediator_checks_sampled_above_the_case_budget(monkeypatch, check, bound
     assert replay(sampled)
     assert check(F_ALL, bound, seed=5).to_record() == sampled.to_record()
     assert keys(sampled) <= keys(exhaustive)
+
+
+# The mediator sweeps of the default report suite: (C, A, bound, entry bound,
+# into the apex), then the pairs `_pairs` enumerates and the cases run, one
+# per apex-isomorphism class.  A dedup key that merged too much could leave
+# the records unchanged; these counts would move.
+_SUITE_SWEEPS = {
+    "a31-f-inj": (("f", "inj", 3, 3, True), 286, 63),
+    "a31-f-all": (("f", "all", 2, 3, True), 59, 35),
+    "a31-pf-inj": (("pf", "inj", 2, 3, True), 30, 18),
+    "a31-gf2": (("gf2", None, 2, 3, True), 499, 159),
+    "a31-z-split": (("z", "split", 2, 3, True), 70235, 2581),
+    "a33-gf2": (("gf2", None, 2, 3, False), 499, 159),
+    "a33-q": (("q", None, 2, 1, False), 8459, 602),
+    "a33-f-all": (("f", "all", 3, 3, False), 1544, 494),
+}
+
+
+@pytest.mark.parametrize("sweep", list(_SUITE_SWEEPS))
+def test_mediator_sweeps_pin_pairs_and_cases(monkeypatch, sweep):
+    (c_name, a_name, bound, entry_bound, into_apex), pairs, cases = _SUITE_SWEEPS[sweep]
+    case_name = "assumption31_case" if into_apex else "assumption33_case"
+    enumerate_pairs, case = verify._pairs, getattr(verify, case_name)
+    counts = {"pairs": 0, "cases": 0}
+
+    def counted_pairs(*args):
+        for pair in enumerate_pairs(*args):
+            counts["pairs"] += 1
+            yield pair
+
+    def counted_case(*args):
+        counts["cases"] += 1
+        return case(*args)
+
+    def refuse(self, pair):
+        raise AssertionError("the dedup built a canonical form")
+
+    # the matrix canonical forms raise: the dedup keys build none
+    monkeypatch.setattr(MatrixAmbient, "canonical_cospan", refuse)
+    monkeypatch.setattr(MatrixAmbient, "canonical_span", refuse)
+    monkeypatch.setattr(verify, "_pairs", counted_pairs)
+    monkeypatch.setattr(verify, case_name, counted_case)
+    check = check_assumption31 if into_apex else check_assumption33
+    report = check(get_ambient(c_name, a_name), bound, entry_bound)
+    assert counts == {"pairs": pairs, "cases": cases}
+    assert report.verdict == verify.expected_verdict(report)
+
+
+def _first_occurrences(pairs, key) -> list:
+    """The pairs whose key no pair before them has."""
+    firsts = {}
+    for pair in pairs:
+        firsts.setdefault(key(*pair), pair)
+    return list(firsts.values())
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [spec for spec, _, _ in _SUITE_SWEEPS.values()] + [("gf3", None, 2, 3, False), ("z", "split", 2, 3, False)],
+    ids=list(_SUITE_SWEEPS) + ["a33-gf3", "a33-z-split"],
+)
+def test_dedup_keys_agree_with_canonical_forms(sweep):
+    # key equality holds exactly when canonical-form equality does, so the
+    # keyed dedup keeps the first occurrences the canonical dedup keeps;
+    # the two Z sweeps check a seeded sample of 10,000 pairs and every
+    # first occurrence, in the order of enumeration
+    c_name, a_name, bound, entry_bound, into_apex = sweep
+    amb = get_ambient(c_name, a_name)
+    pairs = list(verify._pairs(amb, bound, entry_bound, 0, into_apex))
+    if into_apex:
+        key, canonical = amb.cospan_key, lambda f, g: amb.canonical_cospan(Cospan(f, g))
+    else:
+        key, canonical = amb.span_key, lambda f, g: amb.canonical_span(Span(f, g))
+    if len(pairs) > 20_000:
+        firsts = {id(pair) for pair in _first_occurrences(pairs, key)}
+        sample = set(random.Random(16).sample(range(len(pairs)), 10_000))
+        pairs = [pair for i, pair in enumerate(pairs) if i in sample or id(pair) in firsts]
+    keys = [key(f, g) for f, g in pairs]
+    forms = [canonical(f, g) for f, g in pairs]
+    assert len(set(keys)) == len(set(forms)) == len(set(zip(keys, forms)))
+    assert _first_occurrences(pairs, key) == _first_occurrences(pairs, canonical)
 
 
 # --- square and functoriality -------------------------------------------------------
