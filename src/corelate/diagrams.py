@@ -164,7 +164,20 @@ def _expect(src: str, tokens: list, k: int, text: str) -> None:
 def _nat(src: str, tokens: list, k: int) -> int:
     if not tokens[k].isdigit():
         _fail(src, k, f"expected a number, found {tokens[k]!r}")
-    return int(tokens[k])
+    try:
+        return int(tokens[k])
+    except ValueError:  # more digits than the interpreter converts
+        _fail(src, k, f"a number of {len(tokens[k])} digits is too long")
+
+
+# A leaf of n wires is an n-by-n matrix in the linear theories, so id(n) and
+# sym(n,m) are refused above this many wires: a million entries at most.
+MAX_LEAF_WIRES = 1024
+
+
+def _too_wide(src: str, k: int, leaf: str, n: int):
+    """Refuse the leaf at token k, which has n > MAX_LEAF_WIRES wires."""
+    _fail(src, k, f"{leaf} has {n} wires, more than the {MAX_LEAF_WIRES} a leaf may have")
 
 
 def _leaf(src: str, tokens: list, i: int):
@@ -177,6 +190,8 @@ def _leaf(src: str, tokens: list, i: int):
         _expect(src, tokens, i + 1, "(")
         n = _nat(src, tokens, i + 2)
         _expect(src, tokens, i + 3, ")")
+        if n > MAX_LEAF_WIRES:
+            _too_wide(src, i, f"id({n})", n)
         return IdTerm(n, n, n), i + 4
     if name == "sym":
         _expect(src, tokens, i + 1, "(")
@@ -184,6 +199,8 @@ def _leaf(src: str, tokens: list, i: int):
         _expect(src, tokens, i + 3, ",")
         m = _nat(src, tokens, i + 4)
         _expect(src, tokens, i + 5, ")")
+        if n + m > MAX_LEAF_WIRES:
+            _too_wide(src, i, f"sym({n},{m})", n + m)
         return SymTerm(n + m, m + n, n, m), i + 6
     i += 1
     if tokens[i] == ".":

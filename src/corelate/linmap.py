@@ -142,8 +142,13 @@ def mat_symmetry(ring: Ring, n: int, m: int) -> ExactMatrix:
     return ExactMatrix(ring, m + n, n + m, tuple(out))
 
 
+def _columns(a: ExactMatrix) -> tuple:
+    """The columns of a, as tuples."""
+    return tuple(zip(*a.entries)) if a.entries else ((),) * a.cols
+
+
 def mat_transpose(a: ExactMatrix) -> ExactMatrix:
-    return ExactMatrix(a.ring, a.cols, a.rows, tuple(zip(*a.entries)) if a.entries else tuple(() for _ in range(a.cols)))
+    return ExactMatrix(a.ring, a.cols, a.rows, _columns(a))
 
 
 def mat_hcat(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -343,6 +348,82 @@ def echelon_rows(left: ExactMatrix, right: ExactMatrix) -> tuple:
     rows = [[*l, *r] for l, r in zip(left.entries, right.entries)]
     _echelon(left.ring, rows, left.cols + right.cols)
     return tuple(map(tuple, rows))
+
+
+def echelon_rows_each(left: ExactMatrix, rights) -> list:
+    """``[echelon_rows(left, right) for right in rights]``, from one echelon
+    pass over [left | I] instead of one pass per right.
+
+    The pass gives the canonical form H of left and an invertible U
+    (unimodular over the integers) with U * left = H, so [left | right]
+    and [H | U * right] have the same row space (lattice).  When H has no
+    zero row, [H | U * right] is canonical already: every pivot lies in the
+    H block, which is reduced.  Otherwise a pass over it finishes the rows.
+    The U * right are one product, with the rights side by side.
+
+    Which left legs gain depends on the ring's arithmetic, so the others
+    get one pass per right: over the integers every left leg gains, as H
+    saves the Euclid steps on its columns; over the rationals only one of
+    full row rank, whose rights then need no Fraction elimination at all;
+    over GF(p) none, as a pass over small residues costs less than the
+    product's bookkeeping.
+    """
+
+    def rows(right):
+        _require_same_ring(left, right)
+        if right.rows != left.rows:
+            raise TypeMismatch("row counts differ")
+        return right.entries
+
+    out = _rows_each(left.ring, left.cols, left.entries, map(rows, rights))
+    return [echelon_rows(left, right) for right in rights] if out is None else out
+
+
+def column_echelon_rows_each(top: ExactMatrix, bottoms) -> list:
+    """``[column_echelon_rows(top, bottom) for bottom in bottoms]``: the
+    rows of :func:`echelon_rows_each` on the columns."""
+
+    def rows(bottom):
+        _require_same_ring(top, bottom)
+        if bottom.cols != top.cols:
+            raise TypeMismatch("column counts differ")
+        return _columns(bottom)
+
+    out = _rows_each(top.ring, top.rows, _columns(top), map(rows, bottoms))
+    return [column_echelon_rows(top, bottom) for bottom in bottoms] if out is None else out
+
+
+def _rows_each(ring: Ring, n: int, left, rights) -> Optional[list]:
+    """The body of :func:`echelon_rows_each`, on sequences of rows: ``left``
+    of width n, and an iterable of the rights' rows, each with as many
+    rows as ``left``.  None when the left leg gains nothing from H, and
+    then ``rights`` is not read."""
+    apex = len(left)
+    if ring.is_field and (_modulus(ring) is not None or n < apex):
+        return None
+    one, zero = ring.one, ring.zero
+    rows = [[*row, *(one if j == i else zero for j in range(apex))] for i, row in enumerate(left)]
+    rank = sum(1 for j in _echelon(ring, rows, n + apex) if j < n)
+    if ring.is_field and rank < apex:
+        return None
+    rights = list(rights)
+    h = [tuple(row[:n]) for row in rows]
+    u = ExactMatrix(ring, apex, apex, tuple([tuple(row[n:]) for row in rows]))
+    side_by_side = tuple([tuple([v for right in rights for v in right[i]]) for i in range(apex)])
+    width = len(side_by_side[0]) if apex else 0
+    products = mat_mul(u, ExactMatrix(ring, apex, width, side_by_side)).entries
+    out = []
+    lo = 0
+    for right in rights:
+        hi = lo + (len(right[0]) if apex else 0)
+        if rank == apex:
+            out.append(tuple([hrow + prow[lo:hi] for hrow, prow in zip(h, products)]))
+        else:
+            finished = [[*hrow, *prow[lo:hi]] for hrow, prow in zip(h, products)]
+            _echelon(ring, finished, n + hi - lo)
+            out.append(tuple(map(tuple, finished)))
+        lo = hi
+    return out
 
 
 def column_echelon_rows(top: ExactMatrix, bottom: ExactMatrix) -> tuple:

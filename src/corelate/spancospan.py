@@ -133,15 +133,18 @@ class Ambient:
     def canonical_span(self, s: Span) -> Span:
         raise NotImplementedError
 
-    def cospan_key(self, f, g):
-        """Hashable; equal for two cospans exactly when they are isomorphic
-        over the apex.  A matrix ambient gives both feet and the echelon rows
-        that the canonical form is cut from: with apex 0 there are none."""
-        return self.canonical_cospan(Cospan(f, g))
+    def cospan_keys(self, f, gs) -> list:
+        """One hashable key per cospan (f, g), g in gs; two keys are equal
+        exactly when the cospans are isomorphic over the apex.  A matrix
+        ambient gives both feet and the echelon rows that the canonical form
+        is cut from (with apex 0 there are none), all of them from one
+        :func:`linmap.echelon_rows_each` call."""
+        return [self.canonical_cospan(Cospan(f, g)) for g in gs]
 
-    def span_key(self, f, g):
-        """Hashable; equal for two spans exactly when they are isomorphic over the apex."""
-        return self.canonical_span(Span(f, g))
+    def span_keys(self, f, gs) -> list:
+        """One hashable key per span (f, g), g in gs; two keys are equal
+        exactly when the spans are isomorphic over the apex."""
+        return [self.canonical_span(Span(f, g)) for g in gs]
 
     # corelations: canonical jointly-epi cospans
     def corelation_cospan(self, c: Cospan) -> Cospan:
@@ -433,11 +436,11 @@ class MatrixAmbient(Ambient):
     def canonical_span(self, s):
         return Span(*linmap.column_echelon_legs(s.left, s.right))
 
-    def cospan_key(self, f, g):
-        return f.cols, g.cols, linmap.echelon_rows(f, g)
+    def cospan_keys(self, f, gs):
+        return [(f.cols, g.cols, rows) for g, rows in zip(gs, linmap.echelon_rows_each(f, gs))]
 
-    def span_key(self, f, g):
-        return f.rows, g.rows, linmap.column_echelon_rows(f, g)
+    def span_keys(self, f, gs):
+        return [(f.rows, g.rows, rows) for g, rows in zip(gs, linmap.column_echelon_rows_each(f, gs))]
 
     def enumerate_morphisms(self, dom, cod, entry_bound=None):
         if entry_bound is None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
+from itertools import islice, product, repeat
 from typing import Optional
 
 from .exactnum import QQ
@@ -110,17 +110,28 @@ def square_case(amb: Ambient, f) -> bool:
 
 
 def pi_functorial_case(amb: Ambient, s1: Span, s2: Span, pis: Optional[dict] = None) -> bool:
-    """Whether pi(s1 ; s2) equals pi(s1) ; pi(s2).  ``pis``, a dict span ->
-    pi(span) kept across the cases of one run, holds the pi of each factor
-    once it is computed.  The composite's pi runs on every case: its
-    membership test checks that A is stable under pullback."""
+    """Whether pi(s1 ; s2) equals pi(s1) ; pi(s2).
+
+    ``pis``, a dict kept across the cases of one run, holds the right side
+    once it is computed: it maps each factor span to its pi, and each pair
+    of pis to their composite, keyed by one int made of the pair's two ids.
+    Every corelation it holds is interned (the dict maps each distinct one
+    to its one copy), so equal pis make one key and the dict stays small.
+    The composite span's pi runs on every case: its membership test checks
+    that A is stable under pullback."""
     lhs = pi(span_compose(s1, s2, amb), amb)
     if pis is None:
-        pis = {}
+        return corel_equal(lhs, corel_compose(pi(s1, amb), pi(s2, amb)))
     for s in (s1, s2):
         if s not in pis:
-            pis[s] = pi(s, amb)
-    return corel_equal(lhs, corel_compose(pis[s1], pis[s2]))
+            c = pi(s, amb)
+            pis[s] = pis.setdefault(c, c)
+    a, b = pis[s1], pis[s2]
+    pair = id(a) << 64 | id(b)
+    if pair not in pis:
+        c = corel_compose(a, b)
+        pis[pair] = pis.setdefault(c, c)
+    return corel_equal(lhs, pis[pair])
 
 
 def tensor_functorial_case(
@@ -155,21 +166,19 @@ def laws_case(amb: Ambient, s1: Span, s2: Span, s3: Span, c1: Cospan, c2: Cospan
     assoc_span = span_canonical(
         span_compose(span_compose(s1, s2, amb), s3, amb), amb
     ) == span_canonical(span_compose(s1, span_compose(s2, s3, amb), amb), amb)
-    ident_span = span_canonical(
-        span_compose(span_identity(x, amb), s1, amb), amb
-    ) == span_canonical(s1, amb) and span_canonical(
-        span_compose(s1, span_identity(y, amb), amb), amb
-    ) == span_canonical(s1, amb)
+    form = span_canonical(s1, amb)
+    ident_span = span_canonical(span_compose(span_identity(x, amb), s1, amb), amb) == form and (
+        span_canonical(span_compose(s1, span_identity(y, amb), amb), amb) == form
+    )
 
     x, y = amb.dom(c1.left), amb.dom(c1.right)
     assoc_cospan = cospan_canonical(
         cospan_compose(cospan_compose(c1, c2, amb), c3, amb), amb
     ) == cospan_canonical(cospan_compose(c1, cospan_compose(c2, c3, amb), amb), amb)
-    ident_cospan = cospan_canonical(
-        cospan_compose(cospan_identity(x, amb), c1, amb), amb
-    ) == cospan_canonical(c1, amb) and cospan_canonical(
-        cospan_compose(c1, cospan_identity(y, amb), amb), amb
-    ) == cospan_canonical(c1, amb)
+    form = cospan_canonical(c1, amb)
+    ident_cospan = cospan_canonical(cospan_compose(cospan_identity(x, amb), c1, amb), amb) == form and (
+        cospan_canonical(cospan_compose(c1, cospan_identity(y, amb), amb), amb) == form
+    )
 
     a1, a2, a3 = gamma(c1, amb), gamma(c2, amb), gamma(c3, amb)
     assoc_corel = corel_equal(
@@ -208,7 +217,11 @@ def _parse_fields(ce: dict, amb: Ambient, keys, kind=None) -> list:
 
 def _pairs(amb: Ambient, bound: int, entry_bound, seed, into_apex: bool):
     """All (or seeded-sampled) pairs of A-legs sharing an apex: into the
-    apex (``into_apex``) or out of it."""
+    apex (``into_apex``) or out of it.  Yields (f, g, key), where the keys
+    of two pairs are equal exactly when the pairs are isomorphic over the
+    apex; the keys of one left leg and one block of right legs come from
+    one call."""
+    keys_of = amb.cospan_keys if into_apex else amb.span_keys
     sizes = range(bound + 1)
     legs = {}
     for size, apex in product(sizes, repeat=2):
@@ -216,9 +229,10 @@ def _pairs(amb: Ambient, bound: int, entry_bound, seed, into_apex: bool):
         legs[(size, apex)] = list(amb.enumerate_a_morphisms(dom, cod, entry_bound))
     if sum(sum(len(legs[(n, apex)]) for n in sizes) ** 2 for apex in sizes) <= CASE_BUDGET:
         for apex, n, m in product(sizes, repeat=3):
-            for f in legs[(n, apex)]:
-                for g in legs[(m, apex)]:
-                    yield f, g
+            block = legs[(m, apex)]
+            if block:
+                for f in legs[(n, apex)]:
+                    yield from zip(repeat(f), block, keys_of(f, block))
         return
     # above the budget: one pool of legs per apex, built once
     pools = [[f for n in sizes for f in legs[(n, apex)]] for apex in sizes]
@@ -226,7 +240,8 @@ def _pairs(amb: Ambient, bound: int, entry_bound, seed, into_apex: bool):
     for _ in range(20_000):
         pool = pools[rng.randint(0, bound)]
         if pool:
-            yield rng.choice(pool), rng.choice(pool)
+            f, g = rng.choice(pool), rng.choice(pool)
+            yield f, g, keys_of(f, [g])[0]
 
 
 def random_span(amb: Ambient, rng, x: int, y: int, apex_bound: int, entry_bound=None) -> Span:
@@ -288,10 +303,9 @@ def _report(name, c_name, a_name, bound, entry_bound, seed, failures, details=()
 def _mediator_failures(amb: Ambient, bound: int, entry_bound, seed, into_apex: bool):
     """A-cospans (``into_apex``) or A-spans, deduped by apex isomorphism,
     whose assumption 3.1 (dually 3.3) mediator is not in M (dually E)."""
-    key_of, case = (amb.cospan_key, assumption31_case) if into_apex else (amb.span_key, assumption33_case)
+    case = assumption31_case if into_apex else assumption33_case
     seen = set()
-    for f, g in _pairs(amb, bound, entry_bound, seed, into_apex):
-        key = key_of(f, g)
+    for f, g, key in _pairs(amb, bound, entry_bound, seed, into_apex):
         if key in seen:
             continue
         seen.add(key)

@@ -1,6 +1,8 @@
 """Shared brute-force helpers for the test suite."""
 
+import signal
 import sys
+from contextlib import contextmanager
 from itertools import product
 from pathlib import Path
 
@@ -14,6 +16,24 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 if str(PERFBENCH) not in sys.path:
     sys.path.insert(0, str(PERFBENCH))
 import oracles  # noqa: E402
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the main thread once ``seconds`` have passed,
+    so a loop that never ends fails its test instead of hanging the suite.
+    Also a decorator; it needs no plugin."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def reference_mat_mul(x, y):

@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -313,11 +314,21 @@ def test_negative_bound_rejected_exit_2(capsys, command, flag):
     assert "non-negative" in capsys.readouterr().err
 
 
-def _cli(*argv, timeout=60):
-    """Run the CLI in a fresh interpreter, so a hang or a crash fails the test."""
+def _cli(*argv, timeout=60, address_space=None):
+    """Run the CLI in a fresh interpreter, so a hang or a crash fails the
+    test; ``address_space`` caps the child's memory, in bytes."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(corelate.__file__)))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     return subprocess.run(
-        [sys.executable, "-m", "corelate.cli", *argv], env=env, capture_output=True, text=True, timeout=timeout
+        [sys.executable, "-m", "corelate.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        preexec_fn=None if address_space is None else cap,
     )
 
 
@@ -347,6 +358,28 @@ def test_eval_deep_parentheses_no_traceback(closing):
         assert done.returncode == 2
         assert done.stderr.startswith("error: expected ')'") and done.stderr.count("\n") == 1
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "theory, term",
+    [
+        ("er", "id(100000000)"),
+        ("q-subspace", "id(100000000)"),
+        ("per", "sym(1,100000000)"),
+        ("z-corel", "id(1025)"),
+        ("gf2-subspace", "sym(512,513) ; sym(513,512)"),
+        ("er", "id(" + "9" * 5000 + ")"),
+        ("q-subspace", "scalar(" + "9" * 5000 + ")"),
+    ],
+    ids=["er-id", "q-id", "per-sym", "z-id-1025", "gf2-sym-1025", "id-5000-digits", "scalar-5000-digits"],
+)
+def test_eval_refuses_oversized_leaves_exit_2(theory, term):
+    # under a 1.5 GB cap, in a child process: a leaf the parser builds in
+    # full would fail the child with a MemoryError, not this process
+    done = _cli("eval", "--theory", theory, term, address_space=3 << 29)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 def test_huge_field_characteristic_exit_2_quickly():

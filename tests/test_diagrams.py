@@ -14,6 +14,7 @@ from corelate.errors import (
 from corelate import diagrams
 from corelate.cli import main
 from corelate.diagrams import (
+    MAX_LEAF_WIRES,
     GenTerm,
     IdTerm,
     SeqTerm,
@@ -530,3 +531,13 @@ def test_eval_outputs_pinned():
             lines += [repr(value.span), repr(rel_subspace_rows(value))]
         digest.update(("\n".join(lines) + "\n").encode())
     assert digest.hexdigest() == "39706e9b51f56ed4d75ecd1e285c83e2261fcee0d10065a3406559b76d6eea94"
+
+
+def test_leaves_up_to_the_wire_limit_parse():
+    n = MAX_LEAF_WIRES
+    assert parse_term(f"id({n})") == IdTerm(n, n, n)
+    assert parse_term(f"sym(1,{n - 1})") == SymTerm(n, n, 1, n - 1)
+    assert eval_term(parse_term(f"id({n})"), get_theory("er")) == corel_identity(n, get_theory("er").ambient)
+    for text in (f"id({n + 1})", f"sym({n},1)", f"id(1) @ sym(0,{n + 1})"):
+        with pytest.raises(TermSyntaxError, match=f"more than the {n} a leaf may have"):
+            parse_term(text)

@@ -9,6 +9,10 @@ from corelate.linmap import (
     det_int,
     enumerate_matrices,
     column_echelon_legs,
+    column_echelon_rows,
+    column_echelon_rows_each,
+    echelon_rows,
+    echelon_rows_each,
     factorize,
     hnf_row,
     is_split_mono,
@@ -38,7 +42,12 @@ from oracle_utils import (
     reference_mat_pushout,
     reference_mat_solve,
     reference_rref,
+    time_limit,
 )
+
+# the random-reference tests of the echelon cores run under a time limit: a
+# core whose Euclid loop never ends fails them instead of hanging the suite
+CORE_LIMIT_S = 60
 
 
 def rand_mat(rng, ring, rows, cols, bound=4):
@@ -177,6 +186,7 @@ def kernel_inputs(ring, rng):
         ])
 
 
+@time_limit(CORE_LIMIT_S)
 def test_rref_matches_reference():
     rng = random.Random(31)
     for ring in FIELDS:
@@ -266,6 +276,7 @@ def test_snf_diagonal_matches_sympy():
 # --- echelon forms ------------------------------------------------------------
 
 
+@time_limit(CORE_LIMIT_S)
 def test_rref_canonical_idempotent():
     rng = random.Random(5)
     for ring in (QQ, GF(2), GF(5)):
@@ -276,6 +287,7 @@ def test_rref_canonical_idempotent():
             assert r == r2 and pivots == pivots2
 
 
+@time_limit(CORE_LIMIT_S)
 def test_hnf_row_canonical_under_left_unimodular():
     rng = random.Random(6)
     unimods = [
@@ -328,6 +340,7 @@ def _reference_hnf_row(a):
     return mat(ZZ, m, n, rows)
 
 
+@time_limit(CORE_LIMIT_S)
 def test_hnf_row_matches_reference():
     rng = random.Random(16)
     for _ in range(5000):
@@ -335,6 +348,36 @@ def test_hnf_row_matches_reference():
         a = mat(ZZ, rows, cols, [[rng.randint(-bound, bound) * (rng.random() < 0.7) for _ in range(cols)] for _ in range(rows)])
         h = hnf_row(a)
         assert h == _reference_hnf_row(a) and repr(h) == repr(_reference_hnf_row(a)), a
+
+
+@time_limit(CORE_LIMIT_S)
+def test_echelon_rows_each_equals_one_pass_per_right():
+    # left legs of full row rank and below it (zero and repeated rows
+    # included), apex 0, empty and one-element batches, rights of width 0
+    rng = random.Random(17)
+    seen = {"apex 0": 0, "full rank": 0, "rank below apex": 0, "one right": 0}
+    for ring in (ZZ, QQ, GF(2), GF(3)):
+        for _ in range(300):
+            apex, n = rng.randint(0, 4), rng.randint(0, 4)
+            left = rand_mat(rng, ring, apex, n, rng.choice((1, 3)))
+            if apex > 1 and rng.random() < 0.3:
+                left = mat(ring, apex, n, left.entries[:-1] + left.entries[:1])
+            rights = [rand_mat(rng, ring, apex, rng.randint(0, 3), rng.choice((1, 3))) for _ in range(rng.randint(0, 4))]
+            each = echelon_rows_each(left, rights)
+            # the repr tells an int from a Fraction
+            assert repr(each) == repr([echelon_rows(left, r) for r in rights]), (left, rights)
+            top, bottoms = mat_transpose(left), [mat_transpose(r) for r in rights]
+            by_columns = column_echelon_rows_each(top, bottoms)
+            assert repr(by_columns) == repr([column_echelon_rows(top, b) for b in bottoms]) == repr(each)
+            seen["apex 0"] += apex == 0
+            seen["full rank" if mat_rank(left) == apex else "rank below apex"] += apex > 0
+            seen["one right"] += len(rights) == 1
+    assert min(seen.values()) >= 50, seen
+    for batch in (echelon_rows_each, column_echelon_rows_each):
+        with pytest.raises(RingMismatch):
+            batch(mat_identity(QQ, 2), [mat_identity(ZZ, 2)])
+        with pytest.raises(TypeMismatch):
+            batch(mat_identity(ZZ, 2), [mat_identity(ZZ, 1)])
 
 
 def test_hnf_col_transpose_consistency():
@@ -682,6 +725,7 @@ def in_column_span(a, b):
 
 
 @pytest.mark.parametrize("ring", [ZZ, GF(2), GF(3), QQ], ids=lambda r: r.name)
+@time_limit(CORE_LIMIT_S)
 def test_limits_match_oracles(ring):
     """Kernels, pullbacks and pushouts are the canonical bases of the
     kernels of the reference bodies (and, over the integers, of the

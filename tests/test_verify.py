@@ -5,7 +5,7 @@ import pytest
 
 from corelate.exactnum import GF, ZZ
 from corelate.finfn import Partition, enumerate_finmaps, fn
-from corelate import verify
+from corelate import linmap, verify
 from corelate.linmap import ExactMatrix, mat
 from corelate.corelrel import (
     Corelation,
@@ -192,19 +192,19 @@ def test_mediator_sweeps_pin_pairs_and_cases(monkeypatch, sweep):
     assert report.verdict == verify.expected_verdict(report)
 
 
-def _first_occurrences(pairs, key) -> list:
-    """The pairs whose key no pair before them has."""
+def _first_occurrences(items, key) -> list:
+    """The items whose key no item before them has."""
     firsts = {}
-    for pair in pairs:
-        firsts.setdefault(key(*pair), pair)
+    for item in items:
+        firsts.setdefault(key(*item), item)
     return list(firsts.values())
 
 
-@pytest.mark.parametrize(
-    "sweep",
-    [spec for spec, _, _ in _SUITE_SWEEPS.values()] + [("gf3", None, 2, 3, False), ("z", "split", 2, 3, False)],
-    ids=list(_SUITE_SWEEPS) + ["a33-gf3", "a33-z-split"],
-)
+_KEY_SWEEPS = [spec for spec, _, _ in _SUITE_SWEEPS.values()] + [("gf3", None, 2, 3, False), ("z", "split", 2, 3, False)]
+_KEY_SWEEP_IDS = list(_SUITE_SWEEPS) + ["a33-gf3", "a33-z-split"]
+
+
+@pytest.mark.parametrize("sweep", _KEY_SWEEPS, ids=_KEY_SWEEP_IDS)
 def test_dedup_keys_agree_with_canonical_forms(sweep):
     # key equality holds exactly when canonical-form equality does, so the
     # keyed dedup keeps the first occurrences the canonical dedup keeps;
@@ -212,19 +212,45 @@ def test_dedup_keys_agree_with_canonical_forms(sweep):
     # first occurrence, in the order of enumeration
     c_name, a_name, bound, entry_bound, into_apex = sweep
     amb = get_ambient(c_name, a_name)
-    pairs = list(verify._pairs(amb, bound, entry_bound, 0, into_apex))
+    triples = list(verify._pairs(amb, bound, entry_bound, 0, into_apex))
     if into_apex:
-        key, canonical = amb.cospan_key, lambda f, g: amb.canonical_cospan(Cospan(f, g))
+        canonical = lambda f, g, key: amb.canonical_cospan(Cospan(f, g))
     else:
-        key, canonical = amb.span_key, lambda f, g: amb.canonical_span(Span(f, g))
-    if len(pairs) > 20_000:
-        firsts = {id(pair) for pair in _first_occurrences(pairs, key)}
-        sample = set(random.Random(16).sample(range(len(pairs)), 10_000))
-        pairs = [pair for i, pair in enumerate(pairs) if i in sample or id(pair) in firsts]
-    keys = [key(f, g) for f, g in pairs]
-    forms = [canonical(f, g) for f, g in pairs]
+        canonical = lambda f, g, key: amb.canonical_span(Span(f, g))
+    by_key = lambda f, g, key: key
+    if len(triples) > 20_000:
+        firsts = {id(triple) for triple in _first_occurrences(triples, by_key)}
+        sample = set(random.Random(16).sample(range(len(triples)), 10_000))
+        triples = [triple for i, triple in enumerate(triples) if i in sample or id(triple) in firsts]
+    keys = [key for _, _, key in triples]
+    forms = [canonical(*triple) for triple in triples]
     assert len(set(keys)) == len(set(forms)) == len(set(zip(keys, forms)))
-    assert _first_occurrences(pairs, key) == _first_occurrences(pairs, canonical)
+    assert _first_occurrences(triples, by_key) == _first_occurrences(triples, canonical)
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    _KEY_SWEEPS + [("q", None, 2, 1, True), ("gf3", None, 2, 3, True)],
+    ids=_KEY_SWEEP_IDS + ["a31-q", "a31-gf3"],
+)
+def test_batch_keys_equal_one_echelon_pass_per_pair(sweep):
+    # each key of a left leg's batch is, value for value and type for type
+    # (the repr tells an int from a Fraction), the echelon rows of its own
+    # pair (for f and pf, its canonical form), on every pair the sweep
+    # enumerates
+    c_name, a_name, bound, entry_bound, into_apex = sweep
+    amb = get_ambient(c_name, a_name)
+    if c_name in ("f", "pf"):
+        pair = Cospan if into_apex else Span
+        canonical = amb.canonical_cospan if into_apex else amb.canonical_span
+        alone = lambda f, g: canonical(pair(f, g))
+    elif into_apex:
+        alone = lambda f, g: (f.cols, g.cols, linmap.echelon_rows(f, g))
+    else:
+        alone = lambda f, g: (f.rows, g.rows, linmap.column_echelon_rows(f, g))
+    for f, g, key in verify._pairs(amb, bound, entry_bound, 0, into_apex):
+        expected = alone(f, g)
+        assert key == expected and repr(key) == repr(expected), (f, g)
 
 
 # --- square and functoriality -------------------------------------------------------
@@ -281,6 +307,22 @@ def test_pi_functorial_computes_pi_once_per_distinct_span_and_once_per_case(monk
     monkeypatch.setattr(verify, "pi", counted)
     check_pi_functorial(amb, bound, 3, 0, 40)
     assert len(calls) == len({s for pair in pairs for s in pair}) + len(pairs)
+
+
+@pytest.mark.parametrize("amb, bound", [(F_INJ, 3), (Z_SPLIT, 2), (G2, 1)], ids=["f", "z", "gf2"])
+def test_pi_functorial_composes_each_distinct_pair_of_pis_once(monkeypatch, amb, bound):
+    pairs = [pair for _, pair in verify._shape_pairs(amb, bound, 3, 0, 40)]
+    distinct = {(pi(s1, amb), pi(s2, amb)) for s1, s2 in pairs}
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return corel_compose(a, b)
+
+    monkeypatch.setattr(verify, "corel_compose", counted)
+    report = check_pi_functorial(amb, bound, 3, 0, 40)
+    assert len(calls) == len(set(calls)) == len(distinct) < len(pairs)
+    assert report.verdict == verify.expected_verdict(report)
 
 
 def test_tensor_functorial_all_ambients():
