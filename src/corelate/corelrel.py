@@ -11,8 +11,11 @@ pass over finite and partial functions, one echelon pass over matrices.
 The quotient of a cospan is the same pass: over functions, its composite
 with the identity corelation.  ``pi`` is the ambient's pushout, which is
 the composite of the two leg cospans and so already canonical.  Tensors
-need no factorisation, since E is closed under tensor, and identities and
-symmetries are built canonical.
+need neither a factorisation nor a canonical pass: E is closed under
+tensor, and the ambient assembles the canonical tensor from the parts'
+canonical forms, one relabel pass over functions and a merge of the rows
+by pivot column over matrices.  Identities and symmetries are built
+canonical.
 
 A relation over a field is stored as the corelation of its transposed
 legs.  Transposing both legs of a span gives a cospan with the same feet,
@@ -127,14 +130,14 @@ def corel_tensor(first: Corelation, *rest: Corelation) -> Corelation:
     """Tensor of one or more corelations (or relations), left to right.
 
     E is closed under tensor, so the tensor of jointly-epi cospans is
-    jointly epi: it needs a canonical apex, not a factorisation.
+    jointly epi, and the parts' canonical forms give its canonical form
+    block by block: the ambient assembles it, with no factorisation and
+    no canonical pass.
     """
     for c in rest:
         _require_alike(first, c)
     amb = first.ambient
-    cs = (first,) + rest
-    tensor = Cospan(amb.tensor(*(c.cospan.left for c in cs)), amb.tensor(*(c.cospan.right for c in cs)))
-    return type(first)(amb, amb.canonical_cospan(tensor))
+    return type(first)(amb, amb.tensor_corelations([c.cospan for c in (first, *rest)]))
 
 
 def corel_equal(a: Corelation, b: Corelation) -> bool:

@@ -19,12 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    BadScalar,
     TermSyntaxError,
     TermTypeError,
     UnknownGenerator,
     UnknownTheory,
 )
-from .exactnum import QQ
+from .exactnum import QQ, numeral_int
 from .linmap import mat
 from .finfn import fn, par
 from .spancospan import Cospan, embed_bwd_cospan, embed_fwd_cospan, get_ambient
@@ -165,9 +166,9 @@ def _nat(src: str, tokens: list, k: int) -> int:
     if not tokens[k].isdigit():
         _fail(src, k, f"expected a number, found {tokens[k]!r}")
     try:
-        return int(tokens[k])
-    except ValueError:  # more digits than the interpreter converts
-        _fail(src, k, f"a number of {len(tokens[k])} digits is too long")
+        return numeral_int(tokens[k])
+    except BadScalar as err:
+        _fail(src, k, str(err))
 
 
 # A leaf of n wires is an n-by-n matrix in the linear theories, so id(n) and

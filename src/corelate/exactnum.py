@@ -52,13 +52,26 @@ def is_prime(n: int) -> bool:
 _NUMERAL = re.compile(r"[+-]?[0-9]+")
 
 
+def numeral_int(text: str, error: type = BadScalar) -> int:
+    """The integer a numeral names, for text that ``_NUMERAL`` matches.
+
+    The interpreter converts at most 4,300 digits by default and raises
+    ``ValueError`` beyond; a longer numeral is raised as ``error``, a
+    :class:`CorelateError` subclass, so that it is refused as input.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        raise error(f"a number of {len(text.lstrip('+-'))} digits is too long") from None
+
+
 def _parse_int(text: str, what: str) -> int:
     """The integer a literal names; anything else is a :class:`BadScalar`
     saying the literal is not ``what``."""
     text = text.strip()
     if not _NUMERAL.fullmatch(text):
         raise BadScalar(f"{text!r} is not {what}")
-    return int(text)
+    return numeral_int(text)
 
 
 def rational_normalize(n: int, d: int) -> Fraction:
@@ -177,7 +190,7 @@ class RationalRing(Ring):
         n, slash, d = (part.strip() for part in text.partition("/"))
         if not _NUMERAL.fullmatch(n) or (slash and not _NUMERAL.fullmatch(d)):
             raise BadScalar(f"{text.strip()!r} is not a rational")
-        return rational_normalize(int(n), int(d) if slash else 1)
+        return rational_normalize(numeral_int(n), numeral_int(d) if slash else 1)
 
     def format(self, x):
         x = Fraction(x)
@@ -242,5 +255,5 @@ def parse_ring(tag: str) -> Ring:
     if tag == "q":
         return QQ
     if tag.startswith("gf") and re.fullmatch("[0-9]+", tag[2:]):
-        return GF(int(tag[2:]))
+        return GF(numeral_int(tag[2:], UnknownRing))
     raise UnknownRing(f"unknown ring tag {tag!r}")

@@ -5,9 +5,10 @@ unit.  ``FinMap`` carries the arrows of the props of all / injective /
 surjective functions, ``ParMap`` those of partial functions.  A partial map
 is a pointed total map: each ordinal gains a basepoint, and a ``ParMap``
 stores the entries that hit it as ``None``.  One set of kernels (composite,
-tensor, pullback, pushout, factorisation, the E and M tests, and
-``glue_compose``, the one-pass composite of corelations) serves both kinds
-of map and returns maps of the type it was given.
+tensor, pullback, pushout, factorisation, the E and M tests, and the
+one-pass composite and tensor of corelations, ``glue_compose`` and
+``corelation_tensor``) serves both kinds of map, and returns maps of the
+type it was given, or, for ``corelation_tensor``, of the type asked for.
 """
 
 from __future__ import annotations
@@ -194,6 +195,40 @@ def glue_compose(left1, right1, left2, right2):
     lt, rt = leg(left1.table, 0), leg(right2.table, shift)
     make = type(left1)
     return make(len(lt), apex, lt), make(len(rt), apex, rt)
+
+
+def corelation_tensor(cospans, make):
+    """Canonical legs of the tensor of canonical corelations, given as
+    cospans (left, right) of total or partial maps; the legs are built
+    with ``make``.
+
+    Side by side, each cospan's apex points are shifted by the apexes
+    before it, and numbered by first occurrence, scanning every left leg
+    and then every right leg: the canonical apex order.  A point that only
+    a right leg reaches is numbered after the points of every left leg,
+    those of later cospans included.  Every apex point of a corelation is
+    reached, so the apex is the sum of the cospans' apexes.  ``None``
+    stays undefined.
+    """
+    label: dict = {}
+    get = label.get
+    legs = []
+    for side in (0, 1):  # every left leg, then every right leg
+        out = []
+        shift = 0
+        for c in cospans:
+            for v in c[side].table:
+                if v is not None:
+                    v += shift
+                    x = get(v)
+                    if x is None:
+                        x = label[v] = len(label)
+                    v = x
+                out.append(v)
+            shift += c.left.cod
+        legs.append(tuple(out))
+    lt, rt = legs
+    return make(len(lt), shift, lt), make(len(rt), shift, rt)
 
 
 def enumerate_finmaps(dom: int, cod: int):

@@ -556,6 +556,47 @@ def corelation_composite(l1: ExactMatrix, r1: ExactMatrix, l2: ExactMatrix, r2: 
     return _cut(l1.ring, basis, 0, x), _cut(l1.ring, basis, x, x + r2.cols)
 
 
+def corelation_tensor(pairs) -> tuple[ExactMatrix, ExactMatrix]:
+    """Canonical legs of the tensor of canonical corelations, given as
+    (left, right) pairs: the rows of [diag(left_i) | diag(right_i)] in
+    order of their pivot columns, with no elimination.
+
+    Each pair's rows are a canonical basis (reduced over a field, row
+    Hermite over the integers) with no zero row, so its rows with a pivot
+    in the left feet come first.  Padded into the direct sum, a row keeps
+    its pivot, and a pivot column is zero outside its own pair.  So the
+    rows in pivot order, which are every pair's rows with a pivot in the
+    left feet, pair by pair, then every pair's other rows, are again
+    reduced over a field, and over the integers keep positive pivots with
+    the entries above them in [0, pivot).
+    """
+    ring = pairs[0][0].ring
+    zero = ring.zero
+    n = sum(left.cols for left, _ in pairs)
+    m = sum(right.cols for _, right in pairs)
+    # per leg, the rows with a pivot in the left feet, then the others
+    lhead, ltail, rhead, rtail = [], [], [], []
+    x = y = 0
+    for left, right in pairs:
+        k = 0
+        for row in left.entries:
+            if not any(row):
+                break
+            k += 1
+        a, b = (zero,) * x, (zero,) * (n - x - left.cols)
+        rows = [a + row + b for row in left.entries]
+        lhead += rows[:k]
+        ltail += rows[k:]
+        a, b = (zero,) * y, (zero,) * (m - y - right.cols)
+        rows = [a + row + b for row in right.entries]
+        rhead += rows[:k]
+        rtail += rows[k:]
+        x += left.cols
+        y += right.cols
+    lrows, rrows = lhead + ltail, rhead + rtail
+    return ExactMatrix(ring, len(lrows), n, tuple(lrows)), ExactMatrix(ring, len(rrows), m, tuple(rrows))
+
+
 def mat_solve(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
     """Exact solution x of a*x = b, or None when none exists.
 

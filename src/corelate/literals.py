@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 
 from .errors import TypeMismatch
-from .exactnum import ZZ, parse_ring
+from .exactnum import ZZ, numeral_int, parse_ring
 from .finfn import FinMap, ParMap, fn, par
 from .linmap import ExactMatrix, mat
 from .spancospan import make_cospan, make_span
@@ -46,20 +46,25 @@ def _split_commas(body: str) -> list[str]:
     return [piece.strip() for piece in body.split(",")] if body.strip() else []
 
 
+def _shape(m: re.Match, group: int) -> int:
+    """A dom, cod, row or column count of a literal, as an int."""
+    return numeral_int(m.group(group), TypeMismatch)
+
+
 def parse_morphism(text: str):
     text = text.strip()
     m = _FN.match(text)
     if m:
-        dom, cod, body = int(m.group(1)), int(m.group(2)), m.group(3)
+        dom, cod, body = _shape(m, 1), _shape(m, 2), m.group(3)
         return fn(dom, cod, [ZZ.parse(v) for v in _split_commas(body)])
     m = _PAR.match(text)
     if m:
-        dom, cod, body = int(m.group(1)), int(m.group(2)), m.group(3)
+        dom, cod, body = _shape(m, 1), _shape(m, 2), m.group(3)
         return par(dom, cod, [None if v == "_" else ZZ.parse(v) for v in _split_commas(body)])
     m = _MAT.match(text)
     if m:
         ring = parse_ring(m.group(1))
-        rows, cols = int(m.group(2)), int(m.group(3))
+        rows, cols = _shape(m, 2), _shape(m, 3)
         body = m.group(4).strip()
         entries = _parse_rows(body, rows, cols, ring)
         return mat(ring, rows, cols, entries)

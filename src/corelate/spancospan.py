@@ -157,6 +157,13 @@ class Ambient:
         pushout, then the image factorisation of the composite legs."""
         raise NotImplementedError
 
+    def tensor_corelations(self, cospans) -> Cospan:
+        """The canonical cospan of the tensor of the canonical cospans of
+        one or more corelations, left to right.  E is closed under tensor,
+        so the tensor is jointly epi already, and its canonical form is
+        read off the parts' canonical forms, with no canonical pass."""
+        raise NotImplementedError
+
     # enumeration / sampling (verification harness)
     def enumerate_morphisms(self, dom: int, cod: int, entry_bound: Optional[int] = None):
         raise NotImplementedError
@@ -294,6 +301,9 @@ class FinFnAmbient(Ambient):
     def compose_corelations(self, c1, c2):
         return Cospan(*finfn.glue_compose(c1.left, c1.right, c2.left, c2.right))
 
+    def tensor_corelations(self, cospans):
+        return Cospan(*finfn.corelation_tensor(cospans, self.map_type))
+
     def enumerate_morphisms(self, dom, cod, entry_bound=None):
         return finfn.enumerate_finmaps(dom, cod)
 
@@ -428,6 +438,9 @@ class MatrixAmbient(Ambient):
         composite is the rows whose C-part vanishes, i.e. the left kernel of
         C (the pushout) applied to the outer legs (the image)."""
         return Cospan(*linmap.corelation_composite(c1.left, c1.right, c2.left, c2.right))
+
+    def tensor_corelations(self, cospans):
+        return Cospan(*linmap.corelation_tensor(cospans))
 
     def canonical_cospan(self, c):
         rows = linmap.echelon_rows(c.left, c.right)

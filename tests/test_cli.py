@@ -461,6 +461,52 @@ def test_non_ascii_or_underscored_numerals_exit_2(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+# the interpreter converts at most 4,300 digits to an int; a longer
+# numeral is a bad literal, not a crash
+LONG = "9" * 5000
+TOO_LONG = "a number of 5000 digits is too long"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(("normalize", "--ambient", "z", _cospan_literal("z", LONG)), TOO_LONG, id="z-entry"),
+        pytest.param(("normalize", "--ambient", "z", _cospan_literal("z", "-" + LONG)), TOO_LONG, id="z-negative-entry"),
+        pytest.param(("normalize", "--ambient", "gf3", _cospan_literal("gf3", LONG)), TOO_LONG, id="gf3-entry"),
+        pytest.param(("normalize", "--ambient", "q", _cospan_literal("q", LONG + "/3")), TOO_LONG, id="q-numerator"),
+        pytest.param(("normalize", "--ambient", "q", _cospan_literal("q", "1/" + LONG)), TOO_LONG, id="q-denominator"),
+        pytest.param(
+            ("normalize", "--ambient", "z", f"cospan {{ left = mat z 1x{LONG} : [[1]], right = mat z 1x1 : [[1]] }}"),
+            TOO_LONG,
+            id="mat-shape",
+        ),
+        pytest.param(
+            ("normalize", "--ambient", "f", f"cospan {{ left = fn {LONG} -> 1 : [0], right = fn 1 -> 1 : [0] }}"),
+            TOO_LONG,
+            id="fn-dom",
+        ),
+        pytest.param(
+            ("normalize", "--ambient", "pf", f"cospan {{ left = par 1 -> {LONG} : [0], right = par 1 -> 1 : [0] }}"),
+            TOO_LONG,
+            id="par-cod",
+        ),
+        pytest.param(("normalize", "--ambient", "f", _fn_literal("fn", LONG)), TOO_LONG, id="fn-entry"),
+        pytest.param(("check", "laws", "--C", f"gf{LONG}"), TOO_LONG, id="ring-tag"),
+        pytest.param(("eval", "--theory", f"gf{LONG}-subspace", "id(1)"), TOO_LONG, id="theory-ring-tag"),
+        pytest.param(
+            ("check", "frobenius", "--theory", "q-subspace", "--scalars", f"1,{LONG}"),
+            f"--scalars takes comma-separated rationals, got '1,{LONG}'",
+            id="scalars",
+        ),
+    ],
+)
+def test_numbers_too_long_to_convert_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def _mat_cospan(left):
     return f"cospan {{ left = {left}, right = mat q 1x1 : [[1]] }}"
 
