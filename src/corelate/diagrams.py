@@ -173,6 +173,7 @@ def _nat(src: str, tokens: list, k: int) -> int:
 
 # A leaf of n wires is an n-by-n matrix in the linear theories, so id(n) and
 # sym(n,m) are refused above this many wires: a million entries at most.
+# The literals refuse a dom, cod, row or column count above it too.
 MAX_LEAF_WIRES = 1024
 
 

@@ -142,13 +142,8 @@ def mat_symmetry(ring: Ring, n: int, m: int) -> ExactMatrix:
     return ExactMatrix(ring, m + n, n + m, tuple(out))
 
 
-def _columns(a: ExactMatrix) -> tuple:
-    """The columns of a, as tuples."""
-    return tuple(zip(*a.entries)) if a.entries else ((),) * a.cols
-
-
 def mat_transpose(a: ExactMatrix) -> ExactMatrix:
-    return ExactMatrix(a.ring, a.cols, a.rows, _columns(a))
+    return ExactMatrix(a.ring, a.cols, a.rows, tuple(zip(*a.entries)) if a.entries else ((),) * a.cols)
 
 
 def mat_hcat(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -360,62 +355,23 @@ def echelon_rows_each(left: ExactMatrix, rights) -> list:
     zero row, [H | U * right] is canonical already: every pivot lies in the
     H block, which is reduced.  Otherwise a pass over it finishes the rows.
     The U * right are one product, with the rights side by side.
-
-    Which left legs gain depends on the ring's arithmetic, so the others
-    get one pass per right: over the integers every left leg gains, as H
-    saves the Euclid steps on its columns; over the rationals only one of
-    full row rank, whose rights then need no Fraction elimination at all;
-    over GF(p) none, as a pass over small residues costs less than the
-    product's bookkeeping.
     """
-
-    def rows(right):
+    for right in rights:
         _require_same_ring(left, right)
         if right.rows != left.rows:
             raise TypeMismatch("row counts differ")
-        return right.entries
-
-    out = _rows_each(left.ring, left.cols, left.entries, map(rows, rights))
-    return [echelon_rows(left, right) for right in rights] if out is None else out
-
-
-def column_echelon_rows_each(top: ExactMatrix, bottoms) -> list:
-    """``[column_echelon_rows(top, bottom) for bottom in bottoms]``: the
-    rows of :func:`echelon_rows_each` on the columns."""
-
-    def rows(bottom):
-        _require_same_ring(top, bottom)
-        if bottom.cols != top.cols:
-            raise TypeMismatch("column counts differ")
-        return _columns(bottom)
-
-    out = _rows_each(top.ring, top.rows, _columns(top), map(rows, bottoms))
-    return [column_echelon_rows(top, bottom) for bottom in bottoms] if out is None else out
-
-
-def _rows_each(ring: Ring, n: int, left, rights) -> Optional[list]:
-    """The body of :func:`echelon_rows_each`, on sequences of rows: ``left``
-    of width n, and an iterable of the rights' rows, each with as many
-    rows as ``left``.  None when the left leg gains nothing from H, and
-    then ``rights`` is not read."""
-    apex = len(left)
-    if ring.is_field and (_modulus(ring) is not None or n < apex):
-        return None
+    ring, n, apex = left.ring, left.cols, left.rows
     one, zero = ring.one, ring.zero
-    rows = [[*row, *(one if j == i else zero for j in range(apex))] for i, row in enumerate(left)]
+    rows = [[*row, *(one if j == i else zero for j in range(apex))] for i, row in enumerate(left.entries)]
     rank = sum(1 for j in _echelon(ring, rows, n + apex) if j < n)
-    if ring.is_field and rank < apex:
-        return None
-    rights = list(rights)
     h = [tuple(row[:n]) for row in rows]
     u = ExactMatrix(ring, apex, apex, tuple([tuple(row[n:]) for row in rows]))
-    side_by_side = tuple([tuple([v for right in rights for v in right[i]]) for i in range(apex)])
-    width = len(side_by_side[0]) if apex else 0
-    products = mat_mul(u, ExactMatrix(ring, apex, width, side_by_side)).entries
+    side_by_side = tuple([tuple([v for right in rights for v in right.entries[i]]) for i in range(apex)])
+    products = mat_mul(u, ExactMatrix(ring, apex, sum(right.cols for right in rights), side_by_side)).entries
     out = []
     lo = 0
     for right in rights:
-        hi = lo + (len(right[0]) if apex else 0)
+        hi = lo + right.cols
         if rank == apex:
             out.append(tuple([hrow + prow[lo:hi] for hrow, prow in zip(h, products)]))
         else:
@@ -426,29 +382,9 @@ def _rows_each(ring: Ring, n: int, left, rights) -> Optional[list]:
     return out
 
 
-def column_echelon_rows(top: ExactMatrix, bottom: ExactMatrix) -> tuple:
-    """The columns of the column echelon form of [top; bottom], as tuples."""
-    _require_same_ring(top, bottom)
-    if top.cols != bottom.cols:
-        raise TypeMismatch("column counts differ")
-    height = top.rows + bottom.rows
-    rows = [list(col) for col in zip(*top.entries, *bottom.entries)] if height else [[] for _ in range(top.cols)]
-    _echelon(top.ring, rows, height)
-    return tuple(map(tuple, rows))
-
-
 def split_rows(ring: Ring, n: int, m: int, rows) -> tuple[ExactMatrix, ExactMatrix]:
     """The matrices of the first n and the last m columns of the rows."""
     return _cut(ring, rows, 0, n), _cut(ring, rows, n, n + m)
-
-
-def column_echelon_legs(top: ExactMatrix, bottom: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
-    """The column echelon form of [top; bottom], cut back into two legs:
-    reduced over a field, Hermite over the integers.  One echelon pass over
-    the columns, read straight off the legs as rows."""
-    x, y = top.rows, bottom.rows
-    cols = tuple(zip(*column_echelon_rows(top, bottom))) or ((),) * (x + y)
-    return ExactMatrix(top.ring, x, top.cols, cols[:x]), ExactMatrix(top.ring, y, top.cols, cols[x:])
 
 
 def mat_rank(a: ExactMatrix) -> int:
@@ -518,13 +454,13 @@ def kernel_basis(a: ExactMatrix) -> ExactMatrix:
 
 
 def mat_pullback(a: ExactMatrix, b: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
-    """Pullback of the cospan (a, b): the kernel of the joint map [a | -b]."""
+    """Pullback of the cospan (a, b): the transposed pushout of the
+    transposed legs, i.e. the kernel of the joint map [a | -b]."""
     _require_same_ring(a, b)
     if a.rows != b.rows:
         raise TypeMismatch(f"cospan feet disagree: {a.rows} vs {b.rows}")
-    n = a.cols
-    basis = _glued_basis(a.ring, mat_transpose(a).entries, mat_transpose(b).entries, a.rows)
-    return mat_transpose(_cut(a.ring, basis, 0, n)), mat_transpose(_cut(a.ring, basis, n, n + b.cols))
+    p1, p2 = mat_pushout(mat_transpose(a), mat_transpose(b))
+    return mat_transpose(p1), mat_transpose(p2)
 
 
 def mat_pushout(a: ExactMatrix, b: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:

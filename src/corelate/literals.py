@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 
+from .diagrams import MAX_LEAF_WIRES
 from .errors import TypeMismatch
 from .exactnum import ZZ, numeral_int, parse_ring
 from .finfn import FinMap, ParMap, fn, par
@@ -47,8 +48,12 @@ def _split_commas(body: str) -> list[str]:
 
 
 def _shape(m: re.Match, group: int) -> int:
-    """A dom, cod, row or column count of a literal, as an int."""
-    return numeral_int(m.group(group), TypeMismatch)
+    """A dom, cod, row or column count of a literal, as an int of at most
+    ``MAX_LEAF_WIRES``, as for the leaves of a term."""
+    n = numeral_int(m.group(group), TypeMismatch)
+    if n > MAX_LEAF_WIRES:
+        raise TypeMismatch(f"a shape of {n} wires is more than the {MAX_LEAF_WIRES} a literal may have")
+    return n
 
 
 def parse_morphism(text: str):

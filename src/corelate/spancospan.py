@@ -340,6 +340,9 @@ class MatrixAmbient(Ambient):
 
     Fields carry the (epi, mono) system; the integers carry (rank-dense
     epis, split monos), with pushouts taken through the free reflection.
+    The span half is the cospan half of the transposed legs: a canonical
+    span, its key, a pullback and its mediator are the transposed
+    canonical cospan, key, pushout and mediator.
     """
 
     leg_types = (ExactMatrix,)
@@ -402,27 +405,16 @@ class MatrixAmbient(Ambient):
             ExactMatrix(h.ring, h.rows, m, tuple(row[n:] for row in h.entries)),
         )
 
-    # pairing into the biproduct (relations need products)
-    def pair(self, f, g):
-        return linmap.mat_vcat(f, g)
-
-    def split_pair(self, h, n, m):
-        return (
-            ExactMatrix(h.ring, n, h.cols, h.entries[:n]),
-            ExactMatrix(h.ring, m, h.cols, h.entries[n:]),
-        )
-
     def pushout_mediator(self, q1, q2, f, g):
         sol = linmap.mat_solve_left(linmap.mat_hcat(q1, q2), linmap.mat_hcat(f, g))
         if sol is None:
-            raise TypeMismatch("not a cocone of the pushout")
+            raise TypeMismatch("no mediator: the legs are not a (co)cone")
         return sol
 
     def pullback_mediator(self, p1, p2, f, g):
-        sol = linmap.mat_solve(linmap.mat_vcat(p1, p2), linmap.mat_vcat(f, g))
-        if sol is None:
-            raise TypeMismatch("not a cone of the pullback")
-        return sol
+        """The transposed pushout mediator of the transposed cone."""
+        t = linmap.mat_transpose
+        return t(self.pushout_mediator(t(p1), t(p2), t(f), t(g)))
 
     def solve_postcompose(self, m, f):
         return linmap.mat_solve(m, f)
@@ -447,13 +439,16 @@ class MatrixAmbient(Ambient):
         return Cospan(*linmap.split_rows(c.left.ring, c.left.cols, c.right.cols, rows))
 
     def canonical_span(self, s):
-        return Span(*linmap.column_echelon_legs(s.left, s.right))
+        """The transposed canonical cospan of the transposed legs."""
+        return transpose_legs(self.canonical_cospan(transpose_legs(s, Cospan)), Span)
 
     def cospan_keys(self, f, gs):
         return [(f.cols, g.cols, rows) for g, rows in zip(gs, linmap.echelon_rows_each(f, gs))]
 
     def span_keys(self, f, gs):
-        return [(f.rows, g.rows, rows) for g, rows in zip(gs, linmap.column_echelon_rows_each(f, gs))]
+        """The cospan keys of the transposed legs, which hold both feet."""
+        t = linmap.mat_transpose
+        return self.cospan_keys(t(f), [t(g) for g in gs])
 
     def enumerate_morphisms(self, dom, cod, entry_bound=None):
         if entry_bound is None:

@@ -180,6 +180,13 @@ def test_check_unexpected_verdict_exit_1(capsys):
         (("assumption31", "--C", "z", "--A", "split", "--bound", "2", "--entry-bound", "1"), "fail"),
         (("assumption33", "--C", "f", "--A", "all", "--bound", "3"), "fail"),
         (("pi-functorial", "--C", "z", "--A", "split", "--bound", "2", "--samples", "0"), "fail"),
+        # A the whole category: below and at the least bounds
+        (("assumption31", "--C", "z", "--A", "all", "--bound", "1", "--entry-bound", "1"), "pass"),
+        (("assumption31", "--C", "z", "--A", "all", "--bound", "2", "--entry-bound", "0"), "pass"),
+        (("assumption33", "--C", "pf", "--A", "all", "--bound", "1"), "pass"),
+        (("assumption31", "--C", "z", "--A", "all", "--bound", "1", "--entry-bound", "2"), "fail"),
+        (("assumption31", "--C", "pf", "--A", "all", "--bound", "2"), "fail"),
+        (("pi-functorial", "--C", "f", "--A", "f", "--bound", "2", "--samples", "0"), "fail"),
     ],
 )
 def test_known_failures_respect_the_bounds(capsys, argv, verdict):
@@ -225,6 +232,16 @@ def test_frobenius_expects_failure_only_on_non_units(capsys, theory, scalars, ve
     code, out, _ = run(capsys, *argv)
     assert f"verdict={verdict}" in out
     assert code == 0
+
+
+@pytest.mark.parametrize("theory", ["ER", " per ", "Z-COREL", "GF2-Subspace"])
+@pytest.mark.parametrize("output", ["text", "records"])
+def test_frobenius_normalises_the_theory_name(capsys, theory, output):
+    # the scalars, the law suite and the record follow the normalised name
+    code, out, err = run(capsys, "check", "frobenius", "--theory", theory, "--format", output)
+    expected = run(capsys, "check", "frobenius", "--theory", theory.strip().lower(), "--format", output)
+    assert (code, out, err) == expected
+    assert out and err == ""
 
 
 def test_check_unknown_name_exit_2(capsys):
@@ -380,6 +397,37 @@ def test_eval_refuses_oversized_leaves_exit_2(theory, term):
     assert done.returncode == 2, done.stderr
     assert done.stdout == ""
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+HUGE = 100_000_000
+
+
+@pytest.mark.parametrize("quotient", [(), ("--quotient",)], ids=["iso-class", "quotient"])
+@pytest.mark.parametrize(
+    "ambient, literal",
+    [
+        ("f", f"cospan {{ left = fn 0 -> {HUGE} : [], right = fn 0 -> {HUGE} : [] }}"),
+        ("f", f"span {{ left = fn 0 -> {HUGE} : [], right = fn 0 -> 1 : [] }}"),
+        ("pf", f"cospan {{ left = par {HUGE} -> 1 : [], right = par 0 -> 1 : [] }}"),
+        ("z", f"cospan {{ left = mat z {HUGE}x0 : [], right = mat z {HUGE}x0 : [] }}"),
+        ("gf2", f"cospan {{ left = mat gf2 0x{HUGE} : [], right = mat gf2 0x1 : [] }}"),
+        ("q", "cospan { left = mat q 1025x0 : [], right = mat q 1025x0 : [] }"),
+    ],
+    ids=["fn-cod", "fn-span", "par-dom", "mat-rows", "mat-cols", "mat-1025-rows"],
+)
+def test_normalize_refuses_oversized_literal_shapes_exit_2(ambient, literal, quotient):
+    # under a 1.5 GB cap, in a child process: a dom, cod, row or column
+    # count above MAX_LEAF_WIRES is refused before anything is built
+    done = _cli("normalize", "--ambient", ambient, *quotient, literal, address_space=3 << 29)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: a shape of ") and done.stderr.count("\n") == 1
+    assert "more than the 1024 a literal may have" in done.stderr
+
+
+def test_normalize_takes_literal_shapes_up_to_the_leaf_limit(capsys):
+    literal = "cospan { left = fn 0 -> 1024 : [], right = fn 0 -> 1024 : [] }"
+    assert run(capsys, "normalize", "--ambient", "f", literal) == (0, literal + "\n", "")
 
 
 def test_huge_field_characteristic_exit_2_quickly():
@@ -614,14 +662,19 @@ def test_check_laws_cli(capsys):
     assert "verdict=pass" in out
 
 
+# the records of `report` are byte-identical across refactors; a deliberate
+# change of record updates these pins
+REPORT_PINS = {
+    (): "932363926958d1d4d1d1d00e2d0131a49362de81cde58047f61e828c98a2cf7a",
+    ("--samples", "40"): "96fd1e83ec4248c71a9924e555b430c1a57d3755f39687c13b7a6da6dc47e0f0",
+    ("--seed", "3", "--samples", "80"): "d1d3389155743e4c5f3f10eb8bb73a74f37c92b17934ab5604fd8788f974c309",
+}
+
+
 def test_report_suite_expected_verdicts(capsys):
     code, out, _ = run(capsys, "report", "--samples", "40", "--format", "records")
     assert code == 0
-    # the records are byte-identical across refactors; a deliberate change
-    # of record updates this pin
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "96fd1e83ec4248c71a9924e555b430c1a57d3755f39687c13b7a6da6dc47e0f0"
-    )
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_PINS[("--samples", "40")]
     lines = [json.loads(line) for line in out.strip().splitlines()]
     verdicts = {(r["check"], r["C"], r["A"]): r["verdict"] for r in lines}
     assert verdicts[("assumption31", "f", "inj")] == "pass"
@@ -632,6 +685,13 @@ def test_report_suite_expected_verdicts(capsys):
     assert verdicts[("frobenius", "z-corel", "-")] == "fail"
     assert verdicts[("square", "z", "split")] == "pass"
     assert verdicts[("frobenius", "er", "-")] == "pass"
+
+
+@pytest.mark.parametrize("argv", [(), ("--seed", "3", "--samples", "80")], ids=["default", "seed-3-samples-80"])
+def test_report_records_match_their_pin(capsys, argv):
+    code, out, _ = run(capsys, "report", *argv, "--format", "records")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_PINS[argv]
 
 
 def test_report_user_error_exit_2(capsys):

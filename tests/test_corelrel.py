@@ -6,7 +6,7 @@ import pytest
 from corelate.errors import NotAbelian, NotInA, TypeMismatch
 from corelate.exactnum import GF, QQ, ZZ
 from corelate.finfn import Partition, enumerate_finmaps, enumerate_parmaps, fn, par
-from corelate.linmap import mat, mat_identity
+from corelate.linmap import mat, mat_identity, mat_vcat
 from corelate.corelrel import (
     Corelation,
     Relation,
@@ -605,9 +605,9 @@ def _reference_pi(s, amb):
 
 def _reference_relation_span(s, amb):
     n, m = amb.cod(s.left), amb.cod(s.right)
-    _, mono = amb.factorize(amb.pair(s.left, s.right))
-    left, right = amb.split_pair(mono, n, m)
-    return amb.canonical_span(Span(left, right))
+    _, mono = amb.factorize(mat_vcat(s.left, s.right))
+    left, right = mono.entries[:n], mono.entries[n:]
+    return amb.canonical_span(Span(mat(amb.ring, n, mono.cols, left), mat(amb.ring, m, mono.cols, right)))
 
 
 def _reference_rel_compose(s1, s2, amb):

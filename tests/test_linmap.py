@@ -8,9 +8,6 @@ from corelate.exactnum import GF, QQ, ZZ
 from corelate.linmap import (
     det_int,
     enumerate_matrices,
-    column_echelon_legs,
-    column_echelon_rows,
-    column_echelon_rows_each,
     echelon_rows,
     echelon_rows_each,
     factorize,
@@ -33,6 +30,7 @@ from corelate.linmap import (
     rref,
     snf,
 )
+from corelate.spancospan import Span, get_ambient
 from oracle_utils import (
     invariant_factors,
     oracles,
@@ -352,11 +350,12 @@ def test_hnf_row_matches_reference():
 
 @time_limit(CORE_LIMIT_S)
 def test_echelon_rows_each_equals_one_pass_per_right():
-    # left legs of full row rank and below it (zero and repeated rows
-    # included), apex 0, empty and one-element batches, rights of width 0
+    # one path on every ring: left legs of full row rank and below it (zero
+    # and repeated rows included), apex 0, empty and one-element batches,
+    # rights of width 0
     rng = random.Random(17)
     seen = {"apex 0": 0, "full rank": 0, "rank below apex": 0, "one right": 0}
-    for ring in (ZZ, QQ, GF(2), GF(3)):
+    for ring in (ZZ, QQ, GF(2), GF(3), GF(5)):
         for _ in range(300):
             apex, n = rng.randint(0, 4), rng.randint(0, 4)
             left = rand_mat(rng, ring, apex, n, rng.choice((1, 3)))
@@ -366,34 +365,32 @@ def test_echelon_rows_each_equals_one_pass_per_right():
             each = echelon_rows_each(left, rights)
             # the repr tells an int from a Fraction
             assert repr(each) == repr([echelon_rows(left, r) for r in rights]), (left, rights)
-            top, bottoms = mat_transpose(left), [mat_transpose(r) for r in rights]
-            by_columns = column_echelon_rows_each(top, bottoms)
-            assert repr(by_columns) == repr([column_echelon_rows(top, b) for b in bottoms]) == repr(each)
             seen["apex 0"] += apex == 0
             seen["full rank" if mat_rank(left) == apex else "rank below apex"] += apex > 0
             seen["one right"] += len(rights) == 1
     assert min(seen.values()) >= 50, seen
-    for batch in (echelon_rows_each, column_echelon_rows_each):
-        with pytest.raises(RingMismatch):
-            batch(mat_identity(QQ, 2), [mat_identity(ZZ, 2)])
-        with pytest.raises(TypeMismatch):
-            batch(mat_identity(ZZ, 2), [mat_identity(ZZ, 1)])
+    with pytest.raises(RingMismatch):
+        echelon_rows_each(mat_identity(QQ, 2), [mat_identity(ZZ, 2)])
+    with pytest.raises(TypeMismatch):
+        echelon_rows_each(mat_identity(ZZ, 2), [mat_identity(ZZ, 1)])
 
 
 def test_hnf_col_transpose_consistency():
-    # the column form of a span's stacked legs is the row form of their
-    # transpose, transposed back: Hermite over Z, reduced over a field
+    # a canonical span's stacked legs are the column form of [top; bottom]:
+    # the row form of their transpose, transposed back; Hermite over Z,
+    # reduced over a field
     a = mat(ZZ, 2, 2, [[2, 4], [6, 8]])
-    top, bottom = column_echelon_legs(mat(ZZ, 1, 2, [[2, 4]]), mat(ZZ, 1, 2, [[6, 8]]))
-    assert mat_vcat(top, bottom) == mat_transpose(hnf_row(mat_transpose(a)))
+    span = get_ambient("z", "all").canonical_span(Span(mat(ZZ, 1, 2, [[2, 4]]), mat(ZZ, 1, 2, [[6, 8]])))
+    assert mat_vcat(*span) == mat_transpose(hnf_row(mat_transpose(a)))
     rng = random.Random(17)
     for ring in (GF(2), GF(3), QQ, ZZ):
+        amb = get_ambient(ring.name, "all")
         for _ in range(300):
             x, y, apex = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
             top, bottom = rand_mat(rng, ring, x, apex, 2), rand_mat(rng, ring, y, apex, 2)
             rows = mat_transpose(mat_vcat(top, bottom))
             reduced = mat_transpose(rref(rows)[0] if ring.is_field else hnf_row(rows))
-            out = mat_vcat(*column_echelon_legs(top, bottom))
+            out = mat_vcat(*amb.canonical_span(Span(top, bottom)))
             assert out == reduced and repr(out) == repr(reduced)
 
 

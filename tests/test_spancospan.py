@@ -265,6 +265,65 @@ def test_one_kernel_per_ambient():
     assert "is_field" not in inspect.getsource(spancospan.MatrixAmbient)
     for cls in (spancospan.Ambient, spancospan.FinFnAmbient, spancospan.ParFnAmbient, spancospan.MatrixAmbient):
         assert "span_corelation" not in vars(cls), cls
-    for name in ("rcef", "hnf_col", "field_factorize", "pid_factorize"):
+    for name in ("rcef", "hnf_col", "field_factorize", "pid_factorize", "_rows_each"):
         assert not hasattr(linmap, name), name
+    # spans are cospans of transposed legs: no column family, and one key
+    # path on every ring
+    assert not [name for name in vars(linmap) if name.startswith("column_echelon")]
+    assert not any(hasattr(spancospan.MatrixAmbient, name) for name in ("pair", "split_pair"))
+    source = inspect.getsource(linmap.echelon_rows_each)
+    assert "is_field" not in source and "_modulus" not in source
     assert not hasattr(finfn, "UnionFind")
+
+
+def _mediator_cases(amb, rng, into_apex: bool):
+    """Small seeded cocones of pushouts (``into_apex``) or cones of
+    pullbacks, each with the unique mediator found by enumeration, and
+    the pairs of legs that are no cocone (cone)."""
+    box = 2 if amb.ring == ZZ else 1  # every GF(p) residue, or [-2, 2]
+    a, b = (rng.randint(0, 1) for _ in range(2))
+    w = rng.randint(0, 2)
+    if into_apex:  # the span (f, g) : w -> a, w -> b and its pushout
+        f, g = amb.random_morphism(rng, w, a, 1), amb.random_morphism(rng, w, b, 1)
+        legs = amb.pushout(f, g)
+    else:  # the cospan (f, g) : a -> w, b -> w and its pullback
+        f, g = amb.random_morphism(rng, a, w, 1), amb.random_morphism(rng, b, w, 1)
+        legs = amb.pullback(f, g)
+    apex = amb.cod(legs[0]) if into_apex else amb.dom(legs[0])
+    for z in range(3):
+        if into_apex:
+            through = lambda h: (amb.compose(legs[0], h), amb.compose(legs[1], h))
+            hs = amb.enumerate_morphisms(apex, z, box)
+            pairs = product(amb.enumerate_morphisms(a, z, 1), amb.enumerate_morphisms(b, z, 1))
+            commutes = lambda u, v: amb.compose(f, u) == amb.compose(g, v)
+        else:
+            through = lambda h: (amb.compose(h, legs[0]), amb.compose(h, legs[1]))
+            hs = amb.enumerate_morphisms(z, apex, box)
+            pairs = product(amb.enumerate_morphisms(z, a, 1), amb.enumerate_morphisms(z, b, 1))
+            commutes = lambda u, v: amb.compose(u, f) == amb.compose(v, g)
+        found = {}
+        for h in hs:
+            found.setdefault(through(h), []).append(h)
+        for u, v in pairs:
+            yield legs, u, v, found.get((u, v)) if commutes(u, v) else None
+
+
+@pytest.mark.parametrize("into_apex", [True, False], ids=["pushout", "pullback"])
+@pytest.mark.parametrize("name", ["gf2", "gf3", "z"])
+def test_matrix_mediators_are_the_unique_enumerated_ones(name, into_apex):
+    # each (co)cone with entries at most 1 has exactly one mediator in the
+    # box, and it is the ambient's; a pair that is no (co)cone is refused
+    amb = get_ambient(name, "all")
+    mediator = amb.pushout_mediator if into_apex else amb.pullback_mediator
+    rng = random.Random(20)
+    seen = {"cone": 0, "not a cone": 0}
+    for _ in range(60):
+        for legs, u, v, expected in _mediator_cases(amb, rng, into_apex):
+            if expected is None:
+                with pytest.raises(TypeMismatch):
+                    mediator(*legs, u, v)
+                seen["not a cone"] += 1
+            else:
+                assert [mediator(*legs, u, v)] == expected, (legs, u, v)
+                seen["cone"] += 1
+    assert min(seen.values()) >= 50, seen

@@ -41,6 +41,7 @@ from corelate.verify import (
 from oracle_utils import (
     PERFBENCH,
     enumerate_subspaces,
+    invariant_factors,
     oracle_er_compose,
     oracle_per_compose,
     oracle_subspace_compose,
@@ -247,7 +248,8 @@ def test_batch_keys_equal_one_echelon_pass_per_pair(sweep):
     elif into_apex:
         alone = lambda f, g: (f.cols, g.cols, linmap.echelon_rows(f, g))
     else:
-        alone = lambda f, g: (f.rows, g.rows, linmap.column_echelon_rows(f, g))
+        t = linmap.mat_transpose
+        alone = lambda f, g: (f.rows, g.rows, linmap.echelon_rows(t(f), t(g)))
     for f, g, key in verify._pairs(amb, bound, entry_bound, 0, into_apex):
         expected = alone(f, g)
         assert key == expected and repr(key) == repr(expected), (f, g)
@@ -323,6 +325,63 @@ def test_pi_functorial_composes_each_distinct_pair_of_pis_once(monkeypatch, amb,
     report = check_pi_functorial(amb, bound, 3, 0, 40)
     assert len(calls) == len(set(calls)) == len(distinct) < len(pairs)
     assert report.verdict == verify.expected_verdict(report)
+
+
+_CHECK_FNS = {
+    "assumption31": check_assumption31,
+    "assumption33": check_assumption33,
+    "pi-functorial": lambda amb, bound, entry_bound: check_pi_functorial(amb, bound, entry_bound, samples=0),
+}
+
+
+def _just_below(least) -> list:
+    """The (bound, entry bound) pairs one step below a set of least failing
+    pairs (entry bounds up to 3) that reach none of them."""
+    below = {(b - 1, 3) for b, _ in least} | {(b, e - 1) for b, e in least if e}
+    reaches = lambda b, e: any(b >= lb and e >= le for lb, le in least)
+    return sorted((b, e) for b, e in below if b >= 0 and not reaches(b, e))
+
+
+@pytest.mark.parametrize("key", list(verify.KNOWN_FAILURES), ids="/".join)
+def test_known_failures_are_the_least_failing_bounds(key):
+    # each check fails at each of its least pairs and passes just below
+    # them; pi-functorial runs its sweep alone (no samples)
+    name, c_name, a_name = key
+    least = verify.KNOWN_FAILURES[key]
+    amb = get_ambient(c_name, a_name)
+    points = [(point, "fail") for point in least] + [(point, "pass") for point in _just_below(least)]
+    for (bound, entry_bound), verdict in points:
+        report = _CHECK_FNS[name](amb, bound, entry_bound)
+        assert report.verdict == verify.expected_verdict(report) == verdict, (bound, entry_bound)
+        assert replay(report)
+
+
+_ALL_FAILURES = [key for key in verify.KNOWN_FAILURES if key[2] == "all"]
+
+
+@pytest.mark.parametrize("key", _ALL_FAILURES, ids="/".join)
+def test_whole_category_counterexamples_are_genuine(key):
+    # at the least pairs: a function mediator fails totality or injectivity
+    # (3.1) or surjectivity (3.3) by its table, an integer one is not split
+    # by its invariant factors, and a pi counterexample has the pullback
+    # shape iv
+    name, c_name, a_name = key
+    amb = get_ambient(c_name, a_name)
+    for bound, entry_bound in verify.KNOWN_FAILURES[key]:
+        report = _CHECK_FNS[name](amb, bound, entry_bound)
+        assert report.counterexamples
+        for ce in map(dict, report.counterexamples):
+            if name == "pi-functorial":
+                assert ce["shape"] == "iv", ce
+                continue
+            u = parse_morphism(ce["mediator"])
+            if c_name == "z":
+                factors = invariant_factors(u)
+                assert len(factors) < u.cols or any(d != 1 for d in factors), ce
+            elif name == "assumption31":
+                assert None in u.table or len(set(u.table)) < u.dom, ce
+            else:
+                assert set(u.table) - {None} != set(range(u.cod)), ce
 
 
 def test_tensor_functorial_all_ambients():
