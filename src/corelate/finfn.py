@@ -5,10 +5,10 @@ unit.  ``FinMap`` carries the arrows of the props of all / injective /
 surjective functions, ``ParMap`` those of partial functions.  A partial map
 is a pointed total map: each ordinal gains a basepoint, and a ``ParMap``
 stores the entries that hit it as ``None``.  One set of kernels (composite,
-tensor, pullback, pushout, factorisation, the E and M tests, and the
-one-pass composite and tensor of corelations, ``glue_compose`` and
-``corelation_tensor``) serves both kinds of map, and returns maps of the
-type it was given, or, for ``corelation_tensor``, of the type asked for.
+tensor, pullback, pushout, the E and M tests, and the one-pass composite
+and tensor of corelations, ``glue_compose`` and ``corelation_tensor``)
+serves both kinds of map, and returns maps of the type it was given, or,
+for ``corelation_tensor``, of the type asked for.
 """
 
 from __future__ import annotations
@@ -100,23 +100,6 @@ def fn_is_surjective(f) -> bool:
     hit = set(f.table)
     hit.discard(None)
     return len(hit) == f.cod
-
-
-def fn_factorize(f):
-    """(Partial) surjection-injection factorisation e;m = f.
-
-    m is the sorted inclusion of the image, the canonical representative of
-    the factorisation, and is total; e is undefined where f is.
-    """
-    image = set(f.table)
-    image.discard(None)
-    image = sorted(image)
-    index = {v: i for i, v in enumerate(image)}
-    index[None] = None
-    make = type(f)
-    e = make(f.dom, len(image), tuple(map(index.__getitem__, f.table)))
-    m = make(len(image), f.cod, tuple(image))
-    return e, m
 
 
 def fn_pullback(f, g):

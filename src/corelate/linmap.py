@@ -2,13 +2,12 @@
 
 A morphism n -> m is stored as an m-by-n matrix; diagrammatic composition
 "first A, then B" is the matrix product B*A.  Every canonical form, rank,
-split-mono test, kernel, pullback, pushout and exact solve is one pass of an
-echelon core on a list of rows, and a factorisation is three: reduced row
-echelon form over a field, row Hermite normal form over the integers.  A
-limit is the canonical basis of the rows of one stacked matrix that vanish
-on a block of columns (``_meet``); the left kernels it reads are saturated,
-so over the integers nothing leaves the integers and no Smith form is
-needed.  The Smith normal form is computed only for :func:`snf` itself.
+split-mono test, pullback, pushout and exact solve is one pass of an echelon
+core on a list of rows: reduced row echelon form over a field, row Hermite
+normal form over the integers.  A limit is the canonical basis of the rows
+of one stacked matrix that vanish on a block of columns (``_meet``); the
+left kernels it reads are saturated, so over the integers nothing leaves
+the integers and no Smith form is needed.
 
 The cores work on the stored values themselves, without calling the
 ring's scalar operations: ``int`` residues reduced mod p for GF(p),
@@ -18,7 +17,6 @@ ring's scalar operations: ``int`` residues reduced mod p for GF(p),
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple, Optional
 
@@ -39,9 +37,6 @@ class ExactMatrix(NamedTuple):
     @property
     def cod(self) -> int:
         return self.rows
-
-    def at(self, i: int, j: int):
-        return self.entries[i][j]
 
 
 def mat(ring: Ring, rows: int, cols: int, entries) -> ExactMatrix:
@@ -406,7 +401,7 @@ def is_split_mono(a: ExactMatrix) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# limits, solves and factorisations: one echelon pass each
+# limits and solves: one echelon pass each
 #
 # Every one is the meet of one stacked matrix with its first k columns,
 # over every ring: the left kernel of [T; -B] carried through the outer
@@ -443,14 +438,6 @@ def _glued_basis(ring: Ring, top, bottom, k: int, left: Optional[ExactMatrix] = 
         else:
             rows.append([*map(neg, row), *(zero,) * x, *right.entries[i]])
     return _meet(ring, rows, k + x + y, k)
-
-
-def kernel_basis(a: ExactMatrix) -> ExactMatrix:
-    """Matrix whose columns form the canonical basis of ker a: the rows of
-    [a^T | I] that vanish on the a^T block.  Over the integers the basis
-    spans a saturated (pure) submodule."""
-    basis = _glued_basis(a.ring, mat_transpose(a).entries, (), a.rows)
-    return mat_transpose(_cut(a.ring, basis, 0, a.cols))
 
 
 def mat_pullback(a: ExactMatrix, b: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
@@ -533,19 +520,6 @@ def corelation_tensor(pairs) -> tuple[ExactMatrix, ExactMatrix]:
     return ExactMatrix(ring, len(lrows), n, tuple(lrows)), ExactMatrix(ring, len(rrows), m, tuple(rrows))
 
 
-def mat_solve(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
-    """Exact solution x of a*x = b, or None when none exists.
-
-    Over the integers the solution must itself be integral.  The solution
-    is the canonical one, reduced against the kernel of a.
-    """
-    _require_same_ring(a, b)
-    if a.rows != b.rows:
-        raise TypeMismatch("row counts differ")
-    x = mat_solve_left(mat_transpose(a), mat_transpose(b))
-    return None if x is None else mat_transpose(x)
-
-
 def mat_solve_left(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
     """Exact solution x of x*a = b, or None when none exists.
 
@@ -561,159 +535,6 @@ def mat_solve_left(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
     if len(basis) < k or any(basis[l][l] != 1 for l in range(k)):
         return None
     return _cut(a.ring, basis[:k], k, k + a.rows)
-
-
-def factorize(a: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
-    """Factor a = m * e with m a split mono and e of full row rank.
-
-    m is the canonical basis of the kernel of the left kernel of a: over a
-    field the column space, over the integers its saturation (pure
-    closure); e is the solution of m * e = a.
-    """
-    left_kernel = _cut(a.ring, _glued_basis(a.ring, a.entries, (), a.cols), 0, a.rows)
-    m = kernel_basis(left_kernel)
-    return mat_solve(m, a), m
-
-
-# ---------------------------------------------------------------------------
-# Smith normal form
-
-
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """U*A*V = D with U, V unimodular and D diagonal, d_i >= 0, d_i | d_(i+1)."""
-
-    u: ExactMatrix
-    d: ExactMatrix
-    v: ExactMatrix
-
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.d.entries[i][i] for i in range(min(self.d.rows, self.d.cols)))
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for x in self.diagonal if x != 0)
-
-
-def _eye(n: int) -> list[list[int]]:
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 1
-    return rows
-
-
-def _least_entry(rows, t: int, m: int, n: int) -> Optional[tuple[int, int]]:
-    """Position of the first nonzero entry of least absolute value in the
-    submatrix rows[t:m][t:n], scanned row-major; None when it is zero."""
-    best = None
-    for i in range(t, m):
-        row = rows[i]
-        for j in range(t, n):
-            v = row[j]
-            if v and (best is None or abs(v) < best[0]):
-                if v == 1 or v == -1:  # nothing later can be smaller
-                    return i, j
-                best = (abs(v), i, j)
-    return None if best is None else best[1:]
-
-
-def snf(a: ExactMatrix) -> SmithDecomposition:
-    """Smith normal form of an integer matrix.
-
-    Pivots are chosen as the minimal-absolute-value nonzero entry of the
-    remaining submatrix, scanned row-major, so the decomposition is
-    reproducible.  Every row operation on the matrix is applied to u, and
-    every column operation to v, so u * a * v stays the current matrix.
-    """
-    if a.ring != ZZ:
-        raise RingMismatch("Smith normal form needs integer entries")
-    m, n = a.rows, a.cols
-    rows = [list(row) for row in a.entries]
-    u, v = _eye(m), _eye(n)
-
-    def row_swap(i, k):
-        rows[i], rows[k] = rows[k], rows[i]
-        u[i], u[k] = u[k], u[i]
-
-    def row_add(i, k, c):  # row i += c * row k
-        rows[i] = [x + c * y for x, y in zip(rows[i], rows[k])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[k])]
-
-    def col_swap(j, l):
-        for row in rows + v:
-            row[j], row[l] = row[l], row[j]
-
-    def col_add(j, l, c):  # col j += c * col l
-        for row in rows + v:
-            row[j] += c * row[l]
-
-    for t in range(min(m, n)):
-        best = _least_entry(rows, t, m, n)
-        if best is None:
-            break
-        row_swap(t, best[0])
-        col_swap(t, best[1])
-        while True:
-            if rows[t][t] < 0:
-                rows[t] = [-x for x in rows[t]]
-                u[t] = [-x for x in u[t]]
-            pivot = rows[t][t]
-            # reduce the edging by floor division; remainders shrink strictly
-            for i in range(t + 1, m):
-                q = rows[i][t] // pivot
-                if q:
-                    row_add(i, t, -q)
-            for j in range(t + 1, n):
-                q = rows[t][j] // pivot
-                if q:
-                    col_add(j, t, -q)
-            residue = next((i for i in range(t + 1, m) if rows[i][t]), None)
-            if residue is not None:
-                row_swap(t, residue)
-                continue
-            residue = next((j for j in range(t + 1, n) if rows[t][j]), None)
-            if residue is not None:
-                col_swap(t, residue)
-                continue
-            # edging clear; enforce divisibility of the remaining block
-            if pivot == 1:
-                break
-            offender = next(
-                (i for i in range(t + 1, m) if any(x % pivot for x in rows[i][t + 1 :])), None
-            )
-            if offender is None:
-                break
-            row_add(t, offender, 1)
-
-    square = lambda k, rs: ExactMatrix(ZZ, k, k, tuple(map(tuple, rs)))
-    return SmithDecomposition(square(m, u), ExactMatrix(ZZ, m, n, tuple(map(tuple, rows))), square(n, v))
-
-
-def det_int(a: ExactMatrix) -> int:
-    """Exact determinant of a square integer matrix (Bareiss)."""
-    if a.rows != a.cols:
-        raise TypeMismatch("determinant of a non-square matrix")
-    n = a.rows
-    if n == 0:
-        return 1
-    m = [list(row) for row in a.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
 
 
 def enumerate_matrices(ring: Ring, rows: int, cols: int, entry_bound: int):

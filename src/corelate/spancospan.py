@@ -18,6 +18,7 @@ so the corelation operations serve relations too.
 
 from __future__ import annotations
 
+from itertools import permutations
 from typing import NamedTuple, Optional
 
 from .errors import NoSuchMorphism, TypeMismatch, UnknownAmbient
@@ -94,9 +95,6 @@ class Ambient:
     def pushout(self, f, g):
         raise NotImplementedError
 
-    def factorize(self, f):
-        raise NotImplementedError
-
     def in_e(self, f) -> bool:
         raise NotImplementedError
 
@@ -106,10 +104,7 @@ class Ambient:
     def in_a(self, f) -> bool:
         raise NotImplementedError
 
-    # copairing with the coproduct (tensor) as source
-    def copair(self, f, g):
-        raise NotImplementedError
-
+    # a map out of the tensor (the coproduct), split into its two halves
     def split_copair(self, h, n: int, m: int):
         raise NotImplementedError
 
@@ -120,10 +115,6 @@ class Ambient:
 
     def pullback_mediator(self, p1, p2, f, g):
         """Unique u with u;p1 = f and u;p2 = g, for a cone (f, g)."""
-        raise NotImplementedError
-
-    def solve_postcompose(self, m, f):
-        """Some x with x;m = f, or None; m is assumed mono."""
         raise NotImplementedError
 
     # canonical forms
@@ -220,9 +211,6 @@ class FinFnAmbient(Ambient):
     def pushout(self, f, g):
         return finfn.fn_pushout(f, g)
 
-    def factorize(self, f):
-        return finfn.fn_factorize(f)
-
     def in_e(self, f):
         return finfn.fn_is_surjective(f)
 
@@ -231,11 +219,6 @@ class FinFnAmbient(Ambient):
 
     def in_a(self, f):
         return True if self.a_name == "all" else finfn.fn_is_injective(f)
-
-    def copair(self, f, g):
-        if f.cod != g.cod:
-            raise TypeMismatch("copairing needs a common codomain")
-        return self.map_type(f.dom + g.dom, f.cod, f.table + g.table)
 
     def split_copair(self, h, n, m):
         make = self.map_type
@@ -260,15 +243,6 @@ class FinFnAmbient(Ambient):
         index[(None, None)] = None
         table = tuple(index[pair] for pair in zip(f.table, g.table))
         return self.map_type(f.dom, p1.dom, table)
-
-    def solve_postcompose(self, m, f):
-        if m.cod != f.cod:
-            raise TypeMismatch("codomains differ")
-        inverse = {v: i for i, v in enumerate(m.table)}
-        inverse[None] = None
-        if any(v not in inverse for v in f.table):
-            return None
-        return self.map_type(f.dom, m.dom, tuple(inverse[v] for v in f.table))
 
     def canonical_cospan(self, c):
         lt, rt = c.left.table, c.right.table
@@ -306,6 +280,12 @@ class FinFnAmbient(Ambient):
 
     def enumerate_morphisms(self, dom, cod, entry_bound=None):
         return finfn.enumerate_finmaps(dom, cod)
+
+    def enumerate_a_morphisms(self, dom, cod, entry_bound=None):
+        """For A = inj the injections alone, in the table order of the filtered maps."""
+        if self.a_name == "all":
+            return self.enumerate_morphisms(dom, cod)
+        return (self.map_type(dom, cod, table) for table in permutations(range(cod), dom))
 
     def random_morphism(self, rng, dom, cod, entry_bound=None):
         if cod == 0 and dom > 0:
@@ -382,9 +362,6 @@ class MatrixAmbient(Ambient):
     def pushout(self, f, g):
         return linmap.mat_pushout(f, g)
 
-    def factorize(self, f):
-        return linmap.factorize(f)
-
     def in_e(self, f):
         return linmap.mat_rank(f) == f.rows
 
@@ -395,9 +372,6 @@ class MatrixAmbient(Ambient):
         if self.a_name == "all":
             return True
         return linmap.is_split_mono(f)
-
-    def copair(self, f, g):
-        return linmap.mat_hcat(f, g)
 
     def split_copair(self, h, n, m):
         return (
@@ -415,9 +389,6 @@ class MatrixAmbient(Ambient):
         """The transposed pushout mediator of the transposed cone."""
         t = linmap.mat_transpose
         return t(self.pushout_mediator(t(p1), t(p2), t(f), t(g)))
-
-    def solve_postcompose(self, m, f):
-        return linmap.mat_solve(m, f)
 
     def corelation_cospan(self, c):
         """The corelation is the row space (lattice) of [L | R]: its
@@ -489,9 +460,6 @@ def transpose_legs(pair, kind):
     """The pair of transposed legs as a ``kind`` (Span or Cospan): a span
     of matrices becomes a cospan with the same feet, and back."""
     return kind(linmap.mat_transpose(pair.left), linmap.mat_transpose(pair.right))
-
-
-_DEFAULT_A = {"f": "inj", "pf": "inj", "z": "split"}
 
 
 def get_ambient(name: str, a_name: Optional[str] = None) -> Ambient:

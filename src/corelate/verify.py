@@ -11,8 +11,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product, repeat
+from math import perm
 from typing import Optional
 
+from .errors import CorelateError
 from .exactnum import QQ
 from .corelrel import (
     corel_compose,
@@ -58,10 +60,6 @@ class CheckReport:
     seed: Optional[int] = None
     counterexamples: tuple = ()
     details: tuple = ()  # ((label, holds), ...) for per-law checks
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
 
     def to_record(self) -> dict:
         record = {
@@ -215,12 +213,36 @@ def _parse_fields(ce: dict, amb: Ambient, keys, kind=None) -> list:
 # enumeration and sampling helpers
 
 
+def _require_sweepable(amb: Ambient, bound: int, entry_bound) -> None:
+    """Refuse a sweep of the A-morphisms dom -> cod, dom, cod <= bound, if
+    ``enumerate_a_morphisms`` would look at more than ``CASE_BUDGET``, counted
+    by formula first: cod!/(cod - dom)! injections (A = inj), cod^dom maps,
+    (cod + 1)^dom partial maps, v^(dom * cod) matrices (v = p or 2e + 1).
+    ``top`` factors of 2 or more pass the budget, so no product is longer."""
+    where = f"{amb.name} with A = {amb.a_name} at bound {bound}"
+    values = getattr(getattr(amb, "ring", None), "p", None)
+    if values is None and amb.name not in ("f", "pf"):
+        entry_bound = 1 if entry_bound is None else entry_bound
+        values, where = 2 * entry_bound + 1, f"{where} and entry bound {entry_bound}"
+    top, total = CASE_BUDGET.bit_length() + 1, 0
+    for dom, cod in product(range(bound, -1, -1), repeat=2):
+        if amb.a_name == "inj":
+            total += perm(cod, min(dom, top)) if dom <= cod else 0
+        elif values is None:
+            total += (cod + (amb.name == "pf")) ** min(dom, top)
+        else:
+            total += values ** min(dom * cod, top)
+        if total > CASE_BUDGET:
+            raise CorelateError(f"a sweep of {where} would enumerate more than {CASE_BUDGET:,} morphisms; lower the bounds")
+
+
 def _pairs(amb: Ambient, bound: int, entry_bound, seed, into_apex: bool):
     """All (or seeded-sampled) pairs of A-legs sharing an apex: into the
     apex (``into_apex``) or out of it.  Yields (f, g, key), where the keys
     of two pairs are equal exactly when the pairs are isomorphic over the
     apex; the keys of one left leg and one block of right legs come from
     one call."""
+    _require_sweepable(amb, bound, entry_bound)
     keys_of = amb.cospan_keys if into_apex else amb.span_keys
     sizes = range(bound + 1)
     legs = {}
@@ -333,6 +355,7 @@ def check_assumption33(amb: Ambient, bound: int, entry_bound: int = 3, seed: int
 
 def check_square_commutes(amb: Ambient, bound: int, entry_bound: int = 3) -> CheckReport:
     """Mapping a morphism of A through spans or through cospans agrees."""
+    _require_sweepable(amb, bound, entry_bound)
     failures = (
         (("morphism", format_morphism(f)),)
         for a, b in product(range(bound + 1), repeat=2)

@@ -3,12 +3,15 @@
 import signal
 import sys
 from contextlib import contextmanager
+from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
+from typing import Optional
 
-from corelate.errors import TypeMismatch
+from corelate.errors import RingMismatch, TypeMismatch
+from corelate.exactnum import ZZ
 from corelate.finfn import FinMap, ParMap, Partition
-from corelate.linmap import ExactMatrix, snf
+from corelate.linmap import ExactMatrix, mat_solve_left, mat_transpose
 from corelate.spancospan import Cospan, Span
 
 # the benchmark's oracles, which share no code with corelate
@@ -89,10 +92,150 @@ def reference_rref(a):
     return ExactMatrix(ring, m, n, tuple(tuple(r_) for r_ in rows)), tuple(pivots)
 
 
+# ---------------------------------------------------------------------------
+# Smith normal form: the integer reference of the kernels and solves below
+
+
+@dataclass(frozen=True)
+class SmithDecomposition:
+    """U*A*V = D with U, V unimodular and D diagonal, d_i >= 0, d_i | d_(i+1)."""
+
+    u: ExactMatrix
+    d: ExactMatrix
+    v: ExactMatrix
+
+    @property
+    def diagonal(self) -> tuple[int, ...]:
+        return tuple(self.d.entries[i][i] for i in range(min(self.d.rows, self.d.cols)))
+
+    @property
+    def rank(self) -> int:
+        return sum(1 for x in self.diagonal if x != 0)
+
+
+def _eye(n: int) -> list[list[int]]:
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
+
+
+def _least_entry(rows, t: int, m: int, n: int) -> Optional[tuple[int, int]]:
+    """Position of the first nonzero entry of least absolute value in the
+    submatrix rows[t:m][t:n], scanned row-major; None when it is zero."""
+    best = None
+    for i in range(t, m):
+        row = rows[i]
+        for j in range(t, n):
+            v = row[j]
+            if v and (best is None or abs(v) < best[0]):
+                if v == 1 or v == -1:  # nothing later can be smaller
+                    return i, j
+                best = (abs(v), i, j)
+    return None if best is None else best[1:]
+
+
+def snf(a: ExactMatrix) -> SmithDecomposition:
+    """Smith normal form of an integer matrix.
+
+    Pivots are chosen as the minimal-absolute-value nonzero entry of the
+    remaining submatrix, scanned row-major, so the decomposition is
+    reproducible.  Every row operation on the matrix is applied to u, and
+    every column operation to v, so u * a * v stays the current matrix.
+    """
+    if a.ring != ZZ:
+        raise RingMismatch("Smith normal form needs integer entries")
+    m, n = a.rows, a.cols
+    rows = [list(row) for row in a.entries]
+    u, v = _eye(m), _eye(n)
+
+    def row_swap(i, k):
+        rows[i], rows[k] = rows[k], rows[i]
+        u[i], u[k] = u[k], u[i]
+
+    def row_add(i, k, c):  # row i += c * row k
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[k])]
+        u[i] = [x + c * y for x, y in zip(u[i], u[k])]
+
+    def col_swap(j, l):
+        for row in rows + v:
+            row[j], row[l] = row[l], row[j]
+
+    def col_add(j, l, c):  # col j += c * col l
+        for row in rows + v:
+            row[j] += c * row[l]
+
+    for t in range(min(m, n)):
+        best = _least_entry(rows, t, m, n)
+        if best is None:
+            break
+        row_swap(t, best[0])
+        col_swap(t, best[1])
+        while True:
+            if rows[t][t] < 0:
+                rows[t] = [-x for x in rows[t]]
+                u[t] = [-x for x in u[t]]
+            pivot = rows[t][t]
+            # reduce the edging by floor division; remainders shrink strictly
+            for i in range(t + 1, m):
+                q = rows[i][t] // pivot
+                if q:
+                    row_add(i, t, -q)
+            for j in range(t + 1, n):
+                q = rows[t][j] // pivot
+                if q:
+                    col_add(j, t, -q)
+            residue = next((i for i in range(t + 1, m) if rows[i][t]), None)
+            if residue is not None:
+                row_swap(t, residue)
+                continue
+            residue = next((j for j in range(t + 1, n) if rows[t][j]), None)
+            if residue is not None:
+                col_swap(t, residue)
+                continue
+            # edging clear; enforce divisibility of the remaining block
+            if pivot == 1:
+                break
+            offender = next(
+                (i for i in range(t + 1, m) if any(x % pivot for x in rows[i][t + 1 :])), None
+            )
+            if offender is None:
+                break
+            row_add(t, offender, 1)
+
+    square = lambda k, rs: ExactMatrix(ZZ, k, k, tuple(map(tuple, rs)))
+    return SmithDecomposition(square(m, u), ExactMatrix(ZZ, m, n, tuple(map(tuple, rows))), square(n, v))
+
+
+def det_int(a: ExactMatrix) -> int:
+    """Exact determinant of a square integer matrix (Bareiss)."""
+    if a.rows != a.cols:
+        raise TypeMismatch("determinant of a non-square matrix")
+    n = a.rows
+    if n == 0:
+        return 1
+    m = [list(row) for row in a.entries]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
 # The limits as they were computed before they became echelon meets: from
 # the free columns of a reduced row echelon form over a field, and from the
-# transforms of a Smith normal form over the integers.  They reach the
-# program only through ``snf``.
+# transforms of a Smith normal form over the integers.  They share no code
+# with the program's echelon core.
 
 
 def _reference_neg(a):
@@ -309,8 +452,8 @@ def witness_reachable(c, amb, depth=3, apex_bound=3, entry_bound=2, witness_cach
             for m in monos(apex, new_apex):
                 yield Cospan(amb.compose(state.left, m), amb.compose(state.right, m))
             for m in monos(new_apex, apex):
-                left = amb.solve_postcompose(m, state.left)
-                right = None if left is None else amb.solve_postcompose(m, state.right)
+                left = reference_solve_postcompose(amb, m, state.left)
+                right = None if left is None else reference_solve_postcompose(amb, m, state.right)
                 if right is not None:
                     yield Cospan(left, right)
 
@@ -477,3 +620,41 @@ def reference_par_canonical_span(s):
         ParMap(len(pairs), s.left.cod, tuple(x for x, _ in pairs)),
         ParMap(len(pairs), s.right.cod, tuple(y for _, y in pairs)),
     )
+
+
+# ---------------------------------------------------------------------------
+# an ambient's slow path, from the references above
+
+
+def reference_factorize(amb, f):
+    """(e, m) with e;m = f, e in E and m in M.  Over a field m is the image's
+    reduced column echelon basis, from one rref of f^T, and e the pivot rows
+    of f; over Z m is the kernel of the left kernel, and e solves m * e = f."""
+    if not isinstance(f, ExactMatrix):
+        e, m = reference_par_factorize(f)
+        return amb.map_type(*e), amb.map_type(*m)
+    ring = f.ring
+    if ring.is_field:
+        red, pivots = reference_rref(_reference_transpose(f))
+        m = _reference_transpose(ExactMatrix(ring, len(pivots), f.rows, red.entries[: len(pivots)]))
+        return ExactMatrix(ring, len(pivots), f.cols, tuple(f.entries[j] for j in pivots)), m
+    m = reference_kernel_basis(_reference_transpose(reference_kernel_basis(_reference_transpose(f))))
+    return reference_mat_solve(m, f), m
+
+
+def reference_copair(amb, f, g):
+    """The map out of the tensor that is f on the left and g on the right."""
+    if not isinstance(f, ExactMatrix):
+        return amb.map_type(f.dom + g.dom, f.cod, f.table + g.table)
+    return ExactMatrix(f.ring, f.rows, f.cols + g.cols, tuple(x + y for x, y in zip(f.entries, g.entries)))
+
+
+def reference_solve_postcompose(amb, m, f):
+    """Some x with x;m = f, or None, for a mono m.  On matrices the witness
+    search is too slow through Smith, so this is ``mat_solve_left`` on the
+    transposes, which ``test_limits_match_oracles`` checks."""
+    if not isinstance(m, ExactMatrix):
+        x = reference_par_solve_postcompose(m, f)
+        return None if x is None else amb.map_type(*x)
+    x = mat_solve_left(mat_transpose(m), mat_transpose(f))
+    return None if x is None else mat_transpose(x)

@@ -15,7 +15,7 @@ from itertools import product
 
 from corelate.exactnum import GF, ZZ
 from corelate.finfn import enumerate_partitions
-from corelate.linmap import det_int, mat, mat_mul, snf
+from corelate.linmap import mat, mat_mul
 from corelate.literals import parse_morphism, parse_pair
 from corelate.corelrel import (
     Corelation,
@@ -42,12 +42,14 @@ from corelate.verify import (
     replay,
 )
 from oracle_utils import (
+    det_int,
     enumerate_subspaces,
     invariant_factors,
     oracle_er_compose,
     oracle_per_compose,
     oracle_subspace_compose,
     random_subspace_rows,
+    snf,
     witness_reachable,
 )
 

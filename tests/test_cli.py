@@ -357,6 +357,27 @@ def test_split_mono_sampling_with_empty_entry_box_exit_2():
     assert done.stderr.startswith("error: no split mono ") and done.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "assumption31", "--C", "f", "--A", "inj", "--bound", "99"),
+        ("check", "assumption31", "--C", "z", "--A", "split", "--bound", "2", "--entry-bound", "40"),
+        ("check", "square", "--C", "f", "--A", "inj", "--bound", "12"),
+        ("check", "assumption33", "--C", "gf2", "--bound", "1000000"),
+        ("check", "square", "--C", "q", "--bound", "1000000", "--entry-bound", "0"),
+        ("report", "--bound", "99"),
+    ],
+    ids=["a31-f-inj-99", "a31-z-split-entries-40", "square-f-inj-12", "a33-gf2-1000000", "square-q-1000000", "report-99"],
+)
+def test_sweeps_above_the_case_budget_refused_exit_2(argv):
+    # the first three printed nothing until a timeout killed them; under a
+    # 1.5 GB cap, in a child process, a sweep that built its legs would fail
+    done = _cli(*argv, timeout=30, address_space=3 << 29)
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert done.stderr.startswith("error: a sweep of ") and done.stderr.count("\n") == 1
+    assert "would enumerate more than 1,000,000 morphisms; lower the bounds" in done.stderr
+
+
 def test_eval_long_chain_exit_0():
     layers = " ; ".join(["(comult ; mult)"] * 2000)
     done = _cli("eval", "--theory", "er", layers)

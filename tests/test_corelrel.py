@@ -42,6 +42,7 @@ from corelate.spancospan import (
     span_identity,
     span_tensor,
 )
+from oracle_utils import reference_copair, reference_factorize
 
 F = get_ambient("f")
 PF = get_ambient("pf")
@@ -359,9 +360,10 @@ def _same(x, y) -> bool:
 
 def _reference_corelation_cospan(c, amb):
     """Factorise the copairing, keep the epi part, canonicalise the apex:
-    the slow path that matrix ambients replace with one echelon pass."""
+    the slow path that the ambients replace with one echelon or gluing
+    pass, with the reference factorisation, which shares no code with it."""
     n, m = amb.dom(c.left), amb.dom(c.right)
-    e, _ = amb.factorize(amb.copair(c.left, c.right))
+    e, _ = reference_factorize(amb, reference_copair(amb, c.left, c.right))
     left, right = amb.split_copair(e, n, m)
     return amb.canonical_cospan(Cospan(left, right))
 
@@ -605,7 +607,7 @@ def _reference_pi(s, amb):
 
 def _reference_relation_span(s, amb):
     n, m = amb.cod(s.left), amb.cod(s.right)
-    _, mono = amb.factorize(mat_vcat(s.left, s.right))
+    _, mono = reference_factorize(amb, mat_vcat(s.left, s.right))
     left, right = mono.entries[:n], mono.entries[n:]
     return amb.canonical_span(Span(mat(amb.ring, n, mono.cols, left), mat(amb.ring, m, mono.cols, right)))
 

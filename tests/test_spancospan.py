@@ -29,7 +29,6 @@ from oracle_utils import (
     reference_par_canonical_span,
     reference_par_pullback_mediator,
     reference_par_pushout_mediator,
-    reference_par_solve_postcompose,
 )
 
 F = get_ambient("f")
@@ -236,7 +235,6 @@ def test_partial_ambient_matches_the_case_by_case_references():
         for u, v in product(maps[(x, apex)], maps[(y, apex)]):
             c = Cospan(u, v)
             assert same(PF.canonical_cospan(c), reference_par_canonical_cospan(c))
-            assert same(PF.solve_postcompose(u, v), reference_par_solve_postcompose(u, v))
             p1, p2 = PF.pullback(u, v)
             q1, q2 = PF.pushout(p1, p2)
             for cocone in ((u, v), (q1, q2)):
@@ -250,7 +248,6 @@ def test_partial_ambient_matches_the_case_by_case_references():
         assert same(PF.symmetry(n, m), ParMap(n + m, m + n, tuple(range(m, m + n)) + tuple(range(m))))
         h = ParMap(n + m, 2, tuple((None, 0, 1)[i % 3] for i in range(n + m)))
         assert same(PF.split_copair(h, n, m), (ParMap(n, 2, h.table[:n]), ParMap(m, 2, h.table[n:])))
-        assert same(PF.copair(*PF.split_copair(h, n, m)), h)
 
 
 def test_one_kernel_per_ambient():
@@ -263,10 +260,19 @@ def test_one_kernel_per_ambient():
     import corelate.spancospan as spancospan
 
     assert "is_field" not in inspect.getsource(spancospan.MatrixAmbient)
-    for cls in (spancospan.Ambient, spancospan.FinFnAmbient, spancospan.ParFnAmbient, spancospan.MatrixAmbient):
+    ambients = (spancospan.Ambient, spancospan.FinFnAmbient, spancospan.ParFnAmbient, spancospan.MatrixAmbient)
+    for cls in ambients:
         assert "span_corelation" not in vars(cls), cls
-    for name in ("rcef", "hnf_col", "field_factorize", "pid_factorize", "_rows_each"):
-        assert not hasattr(linmap, name), name
+    # the factorise-and-solve slow path and the Smith form, with every
+    # helper it ever had, live with the test references, not in the package
+    gone = {
+        linmap: ("rcef", "hnf_col", "field_factorize", "pid_factorize", "_rows_each", "factorize", "kernel_basis")
+        + ("mat_solve", "snf", "SmithDecomposition", "_eye", "_least_entry", "det_int", "_snf_engine", "_Smith")
+        + ("_SnfState", "row_basis", "row_basis_meet"),
+        finfn: ("fn_factorize",),
+    }
+    gone.update((cls, ("factorize", "copair", "solve_postcompose")) for cls in ambients)
+    assert [(where.__name__, name) for where, names in gone.items() for name in names if hasattr(where, name)] == []
     # spans are cospans of transposed legs: no column family, and one key
     # path on every ring
     assert not [name for name in vars(linmap) if name.startswith("column_echelon")]

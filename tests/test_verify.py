@@ -1,8 +1,10 @@
 import inspect
 import random
+from itertools import product
 
 import pytest
 
+from corelate.errors import CorelateError
 from corelate.exactnum import GF, ZZ
 from corelate.finfn import Partition, enumerate_finmaps, fn
 from corelate import linmap, verify
@@ -138,13 +140,32 @@ def test_mediator_checks_sampled_above_the_case_budget(monkeypatch, check, bound
         return {canonical(pair(*lr), F_ALL) for lr in legs}
 
     exhaustive = check(F_ALL, bound)
-    monkeypatch.setattr(verify, "CASE_BUDGET", 10)
+    # a budget that holds the legs of the sweep (11 at bound 2, 60 at bound
+    # 3), which a sweep must, but not its pairs (59 and 1,544)
+    monkeypatch.setattr(verify, "CASE_BUDGET", {2: 20, 3: 100}[bound])
     sampled = check(F_ALL, bound, seed=5)
     assert sampled.verdict == "fail"
     assert not any(in_class(parse_morphism(dict(ce)["mediator"])) for ce in sampled.counterexamples)
     assert replay(sampled)
     assert check(F_ALL, bound, seed=5).to_record() == sampled.to_record()
     assert keys(sampled) <= keys(exhaustive)
+
+
+@pytest.mark.parametrize(
+    "c_name, a_name, bound, entry_bound",
+    [("f", "inj", 4, None), ("f", "all", 3, None), ("pf", "inj", 4, None), ("pf", "all", 3, None)]
+    + [("gf3", None, 2, None), ("z", "split", 2, 1), ("q", None, 2, 0)],
+)
+def test_sweep_budget_counts_what_the_enumeration_looks_at(monkeypatch, c_name, a_name, bound, entry_bound):
+    # exact: a budget of the enumerated count runs the sweep, one less refuses it
+    amb = get_ambient(c_name, a_name)
+    looked_at = amb.enumerate_a_morphisms if amb.a_name == "inj" else amb.enumerate_morphisms
+    total = sum(1 for dom, cod in product(range(bound + 1), repeat=2) for _ in looked_at(dom, cod, entry_bound))
+    monkeypatch.setattr(verify, "CASE_BUDGET", total)
+    verify._require_sweepable(amb, bound, entry_bound)
+    monkeypatch.setattr(verify, "CASE_BUDGET", total - 1)
+    with pytest.raises(CorelateError, match=f"more than {total - 1:,} morphisms"):
+        verify._require_sweepable(amb, bound, entry_bound)
 
 
 # The mediator sweeps of the default report suite: (C, A, bound, entry bound,
