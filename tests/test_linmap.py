@@ -157,6 +157,18 @@ def test_snf_requires_integers():
         snf(mat_identity(QQ, 2))
 
 
+def test_snf_is_the_only_smith_body():
+    # one elimination computes u, d and v; nothing tracks a subset of them,
+    # and the package carries no Smith form of its own
+    import corelate.linmap as linmap
+    import oracle_utils
+
+    for name in ("_snf_engine", "_Smith", "_SnfState", "row_basis", "row_basis_meet"):
+        assert not hasattr(linmap, name), name
+        assert not hasattr(oracle_utils, name), name
+    assert not hasattr(linmap, "snf")
+
+
 # --- the raw-value kernels against the Ring-dispatch reference ---------------
 
 FIELDS = (GF(2), GF(3), GF(5), QQ)
