@@ -9,7 +9,8 @@ chain ``a ; b ; c`` is one :class:`SeqTerm` and a row ``a @ b @ c`` one
 operator only regroup, so ``(a ; b) ; c`` and ``a ; (b ; c)`` parse to the
 same tree.  Term ``==`` is structural up to that regrouping; semantic
 equality (:func:`term_equal`) evaluates both sides to canonical
-(co)relations and compares them.
+(co)relations and compares them.  A parsed term is a DAG: equal subterms of
+one term are one object, which :func:`eval_term` evaluates once.
 """
 
 from __future__ import annotations
@@ -149,6 +150,7 @@ for _color in ("w", "b"):
 _TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z_0-9]*|[();@,./-]")
 _BAD = re.compile(r"[^\sA-Za-z_0-9();@,./-]")
 _NOT_NAME = frozenset("0123456789();@,./-")  # first characters of the other tokens
+_LEAF_GOES_ON = frozenset(".(")  # tokens that continue a leaf after its name
 
 
 def _fail(src: str, k: int, message: str):
@@ -182,9 +184,19 @@ def _too_wide(src: str, k: int, leaf: str, n: int):
     _fail(src, k, f"{leaf} has {n} wires, more than the {MAX_LEAF_WIRES} a leaf may have")
 
 
-def _leaf(src: str, tokens: list, i: int):
+def _shared(shared: dict, key: str, cls, *fields) -> Term:
+    """The term ``shared`` holds under ``key``, made from ``cls`` and
+    ``fields`` and stored there the first time."""
+    t = shared.get(key)
+    if t is None:
+        t = shared[key] = cls(*fields)
+    return t
+
+
+def _leaf(src: str, tokens: list, i: int, shared: dict):
     """The leaf at token i, ``id(n)``, ``sym(n,m)`` or a generator, and the
-    index of the token after it."""
+    index of the token after it.  Leaves with the same token text are the
+    one term that ``shared`` holds under that text."""
     name = tokens[i]
     if not name or name[0] in _NOT_NAME:
         _fail(src, i, f"expected an atom, found {name!r}")
@@ -194,7 +206,7 @@ def _leaf(src: str, tokens: list, i: int):
         _expect(src, tokens, i + 3, ")")
         if n > MAX_LEAF_WIRES:
             _too_wide(src, i, f"id({n})", n)
-        return IdTerm(n, n, n), i + 4
+        return _shared(shared, "".join(tokens[i : i + 4]), IdTerm, n, n, n), i + 4
     if name == "sym":
         _expect(src, tokens, i + 1, "(")
         n = _nat(src, tokens, i + 2)
@@ -203,7 +215,8 @@ def _leaf(src: str, tokens: list, i: int):
         _expect(src, tokens, i + 5, ")")
         if n + m > MAX_LEAF_WIRES:
             _too_wide(src, i, f"sym({n},{m})", n + m)
-        return SymTerm(n + m, m + n, n, m), i + 6
+        return _shared(shared, "".join(tokens[i : i + 6]), SymTerm, n + m, m + n, n, m), i + 6
+    start = i
     i += 1
     if tokens[i] == ".":
         color = tokens[i + 1]
@@ -231,7 +244,7 @@ def _leaf(src: str, tokens: list, i: int):
     if name not in GENERATOR_ARITIES:
         raise UnknownGenerator(f"unknown generator {name!r}")
     dom, cod = GENERATOR_ARITIES[name]
-    return GenTerm(dom, cod, name, args), i
+    return _shared(shared, "".join(tokens[start:i]), GenTerm, dom, cod, name, args), i
 
 
 def parse_term(src: str) -> Term:
@@ -243,11 +256,19 @@ def parse_term(src: str) -> Term:
     and the ``@`` parts read so far, so nesting depth costs no recursion.  A
     bracketed group is spliced into a parent of its own operator, so no
     SeqTerm has a SeqTerm part and no TensorTerm a TensorTerm part.
+
+    Equal subterms of one term are one object: the parse keeps a dict from
+    each finished subterm to that object, a leaf keyed by its token text and
+    a ``;`` chain or ``@`` row by the identities of its parts, and builds no
+    duplicate.  The dict lives for one call, so two parses share no node.
     """
     bad = _BAD.search(src)
     if bad:
         raise TermSyntaxError(f"unexpected character {bad.group()!r}", bad.start())
     tokens = _TOKEN.findall(src) + [""]  # "" ends the input
+    # string keys: tuple keys, all freed at the end of a parse, would stay
+    # on the interpreter's tuple free lists
+    shared: dict = {}
     frames = []  # the (seq, row) parts of each enclosing group
     seq: list = []  # the ';' parts of the innermost group so far
     row: list = []  # the '@' parts of its current row so far
@@ -258,7 +279,11 @@ def parse_term(src: str) -> Term:
             seq, row = [], []
             i += 1
             continue
-        t, i = _leaf(src, tokens, i)
+        t = shared.get(tokens[i])  # a generator named by one token, seen before
+        if t is not None and tokens[i + 1] not in _LEAF_GOES_ON:
+            i += 1
+        else:
+            t, i = _leaf(src, tokens, i, shared)
         while True:  # t is a finished atom of the innermost group
             if t.__class__ is TensorTerm:
                 row += t.parts
@@ -271,7 +296,10 @@ def parse_term(src: str) -> Term:
             if len(row) == 1:
                 t = row[0]
             else:
-                t = TensorTerm(sum(u.dom for u in row), sum(u.cod for u in row), tuple(row))
+                key = "@".join(map(hex, map(id, row)))
+                t = shared.get(key)
+                if t is None:
+                    t = shared[key] = TensorTerm(sum(u.dom for u in row), sum(u.cod for u in row), tuple(row))
             row = []
             if seq and seq[-1].cod != t.dom:
                 raise TermTypeError("cannot compose", seq[-1].cod, t.dom)
@@ -281,7 +309,13 @@ def parse_term(src: str) -> Term:
                 seq.append(t)
             if op == ";":
                 break
-            t = seq[0] if len(seq) == 1 else SeqTerm(seq[0].dom, seq[-1].cod, tuple(seq))
+            if len(seq) == 1:
+                t = seq[0]
+            else:
+                key = ";".join(map(hex, map(id, seq)))
+                t = shared.get(key)
+                if t is None:
+                    t = shared[key] = SeqTerm(seq[0].dom, seq[-1].cod, tuple(seq))
             if not frames:
                 if op:
                     _fail(src, i - 1, f"trailing input {op!r}")
@@ -462,43 +496,46 @@ def _build_theory(name: str) -> Theory:
     raise UnknownTheory(f"no theory named {name!r}")
 
 
-_COMPOSE = object()  # marker on the evaluation stack: compose the top two values
-
-
 def eval_term(t: Term, th: Theory):
     """Structural evaluation into the theory's semantic prop.
 
-    Walks the term with an explicit stack, so depth costs no recursion.
-    A ``;`` chain composes its parts left to right, and an ``@`` row is
-    one n-ary tensor, canonicalised once.
+    Walks the term with an explicit stack, so depth costs no recursion, and
+    keeps, for the call only, the value of each node it has evaluated, keyed
+    by the node's identity: a subterm that occurs more than once as one
+    object, as equal subterms of a parsed term do, is evaluated once.  A
+    ``;`` chain composes its parts left to right, and an ``@`` row is one
+    n-ary tensor, canonicalised once.
     """
-    values: list = []
+    values: dict = {}  # id of each evaluated node -> its value
     todo: list = [t]
     while todo:
-        item = todo.pop()
-        if item is _COMPOSE:
-            second = values.pop()
-            values[-1] = th.compose(values[-1], second)
-        elif isinstance(item, int):  # a row of that many tensor operands
-            row = values[-item:]
-            del values[-item:]
-            values.append(th.tensor(*row))
-        elif isinstance(item, SeqTerm):
-            for u in item.parts[:0:-1]:
-                todo += (_COMPOSE, u)
-            todo.append(item.parts[0])
-        elif isinstance(item, TensorTerm):
-            todo.append(len(item.parts))
-            todo += reversed(item.parts)
+        item = todo[-1]
+        if id(item) in values:
+            todo.pop()
+            continue
+        if isinstance(item, (SeqTerm, TensorTerm)):
+            pending = [u for u in item.parts if id(u) not in values]
+            if pending:  # evaluated left to right, so the first bad leaf raises
+                todo += reversed(pending)
+                continue
+            parts = [values[id(u)] for u in item.parts]
+            if isinstance(item, SeqTerm):
+                value = parts[0]
+                for second in parts[1:]:
+                    value = th.compose(value, second)
+            else:
+                value = th.tensor(*parts)
         elif isinstance(item, IdTerm):
-            values.append(th.identity(item.n))
+            value = th.identity(item.n)
         elif isinstance(item, SymTerm):
-            values.append(th.symmetry(item.n, item.m))
+            value = th.symmetry(item.n, item.m)
         elif isinstance(item, GenTerm):
-            values.append(th.generator(item.name, item.args))
+            value = th.generator(item.name, item.args)
         else:
             raise TypeError(f"not a term: {item!r}")
-    return values[0]
+        todo.pop()
+        values[id(item)] = value
+    return values[id(t)]
 
 
 def term_equal(t1: Term, t2: Term, th: Theory) -> bool:

@@ -239,38 +239,3 @@ class Partition(NamedTuple):
 
     ground: int
     blocks: tuple[tuple[int, ...], ...]
-
-
-def partition(ground: int, blocks) -> Partition:
-    """Validated Partition constructor."""
-    blocks = tuple(tuple(block) for block in blocks)
-    seen: set[int] = set()
-    for block in blocks:
-        if not block or list(block) != sorted(block):
-            raise ValueError(f"block {block} not sorted and nonempty")
-        if seen & set(block):
-            raise ValueError("blocks overlap")
-        seen |= set(block)
-    if seen != set(range(ground)):
-        raise ValueError("blocks do not cover the ground set")
-    if [b[0] for b in blocks] != sorted(b[0] for b in blocks):
-        raise ValueError("blocks not ordered by minimum")
-    return Partition(ground, blocks)
-
-
-def enumerate_partitions(ground: int):
-    """All partitions of {0, ..., ground-1} (restricted-growth strings)."""
-
-    def rec(i: int, blocks: list[list[int]]):
-        if i == ground:
-            yield Partition(ground, tuple(tuple(b) for b in blocks))
-            return
-        for b in blocks:
-            b.append(i)
-            yield from rec(i + 1, blocks)
-            b.pop()
-        blocks.append([i])
-        yield from rec(i + 1, blocks)
-        blocks.pop()
-
-    yield from rec(0, [])

@@ -54,11 +54,6 @@ def mat_identity(ring: Ring, n: int) -> ExactMatrix:
     )
 
 
-def mat_zero(ring: Ring, rows: int, cols: int) -> ExactMatrix:
-    zero = ring.zero
-    return ExactMatrix(ring, rows, cols, tuple((zero,) * cols for _ in range(rows)))
-
-
 def _modulus(ring: Ring) -> Optional[int]:
     """p for GF(p); None for the rationals and the integers, whose stored
     values need no reduction."""
@@ -146,13 +141,6 @@ def mat_hcat(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     if a.rows != b.rows:
         raise TypeMismatch("row counts differ")
     return ExactMatrix(a.ring, a.rows, a.cols + b.cols, tuple(ra + rb for ra, rb in zip(a.entries, b.entries)))
-
-
-def mat_vcat(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    _require_same_ring(a, b)
-    if a.cols != b.cols:
-        raise TypeMismatch("column counts differ")
-    return ExactMatrix(a.ring, a.rows + b.rows, a.cols, a.entries + b.entries)
 
 
 

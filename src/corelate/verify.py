@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product, repeat
-from math import perm
+from math import ceil, perm, sqrt
 from typing import Optional
 
 from .errors import CorelateError
@@ -45,6 +45,7 @@ from .spancospan import (
 )
 
 CASE_BUDGET = 10**6  # exhaustive below this many cases, seeded sampling above
+SAMPLE_BUDGET = 10**7  # units of work a sampled check may take (see _require_samplable)
 
 
 @dataclass
@@ -234,6 +235,41 @@ def _require_sweepable(amb: Ambient, bound: int, entry_bound) -> None:
             total += values ** min(dom * cod, top)
         if total > CASE_BUDGET:
             raise CorelateError(f"a sweep of {where} would enumerate more than {CASE_BUDGET:,} morphisms; lower the bounds")
+
+
+def _require_samplable(amb: Ambient, bound: int, entry_bound, samples: int, pairs: int, a_legs: bool) -> None:
+    """Refuse a sampled check whose work, counted by formula before any
+    draw, passes ``SAMPLE_BUDGET``.  Each of the ``samples`` draws ``pairs``
+    pairs of legs on objects of at most ``bound`` points or wires; with
+    n = bound + 1, a pair costs 50 units, plus the table of values one leg
+    is drawn from (2 * entry bound + 1 entries, p over GF(p)), plus n^2 over
+    functions (a pullback of n-point maps has up to n^2 points) or n^4 over
+    matrices (an elimination on about n rows and columns whose entries
+    grow).  With legs in A = split over the integers (``a_legs``) that last
+    term is paid once per rejected draw too: a square draw is split with
+    probability about one over its root-mean-square determinant,
+    sqrt(bound!) * s^bound, where s^2 = e(e + 1)/3 is the variance of an
+    entry in [-e, e].  A unit took 0.005 to 1 us on a 2-CPU Xeon host with
+    Python 3.11, so an accepted check takes seconds, not hours."""
+    where = f"{amb.name} with A = {amb.a_name} at bound {bound}"
+    functions = amb.name in ("f", "pf")
+    values = getattr(getattr(amb, "ring", None), "p", 0)
+    if not (values or functions):
+        entry_bound = 2 if entry_bound is None else entry_bound
+        values, where = 2 * entry_bound + 1, f"{where} and entry bound {entry_bound}"
+    size = (bound + 1) ** (2 if functions else 4)
+    draws = 1.0
+    if a_legs and amb.a_name == "split":
+        variance = entry_bound * (entry_bound + 1) / 3
+        for k in range(1, bound + 1):
+            draws *= sqrt(k * variance)
+            if not draws or draws > SAMPLE_BUDGET:
+                break
+    if samples * pairs * (50 + values + size * ceil(draws)) > SAMPLE_BUDGET:
+        raise CorelateError(
+            f"{samples:,} sample{'s' * (samples != 1)} of {where} would take more than "
+            f"{SAMPLE_BUDGET:,} units of work; lower the bounds or the samples"
+        )
 
 
 def _pairs(amb: Ambient, bound: int, entry_bound, seed, into_apex: bool):
@@ -428,6 +464,7 @@ def check_pi_functorial(
     cannot depend on sampling luck) and then the seeded random samples.
     Each distinct span's pi is computed once per run.
     """
+    _require_samplable(amb, bound, entry_bound, samples, 1, a_legs=True)
     pis = {}
     failures = (
         (("shape", shape),) + _format_fields(("span1", "span2"), pair)
@@ -447,6 +484,7 @@ def check_tensor_functorial(
     product is only required to preserve pullbacks there, and indeed the
     pointed tensor of partial functions fails interchange on arbitrary legs.
     """
+    _require_samplable(amb, bound, entry_bound, samples, 8, a_legs=True)
 
     def failures():
         rng = random.Random(seed)
@@ -468,6 +506,7 @@ def check_category_laws(
     amb: Ambient, bound: int, entry_bound: int = 2, seed: int = 0, samples: int = 500
 ) -> CheckReport:
     """Associativity and identity in the span, cospan, and corelation props."""
+    _require_samplable(amb, bound, entry_bound, samples, 6, a_legs=False)
 
     def failures():
         rng = random.Random(seed)

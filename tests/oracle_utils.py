@@ -9,9 +9,9 @@ from pathlib import Path
 from typing import Optional
 
 from corelate.errors import RingMismatch, TypeMismatch
-from corelate.exactnum import ZZ
+from corelate.exactnum import ZZ, Ring
 from corelate.finfn import FinMap, ParMap, Partition
-from corelate.linmap import ExactMatrix, mat_solve_left, mat_transpose
+from corelate.linmap import ExactMatrix, _require_same_ring, mat_solve_left, mat_transpose
 from corelate.spancospan import Cospan, Span
 
 # the benchmark's oracles, which share no code with corelate
@@ -90,6 +90,57 @@ def reference_rref(a):
         if r == m:
             break
     return ExactMatrix(ring, m, n, tuple(tuple(r_) for r_ in rows)), tuple(pivots)
+
+
+# ---------------------------------------------------------------------------
+# constructors that only the tests build with
+
+
+def mat_zero(ring: Ring, rows: int, cols: int) -> ExactMatrix:
+    zero = ring.zero
+    return ExactMatrix(ring, rows, cols, tuple((zero,) * cols for _ in range(rows)))
+
+
+def mat_vcat(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    _require_same_ring(a, b)
+    if a.cols != b.cols:
+        raise TypeMismatch("column counts differ")
+    return ExactMatrix(a.ring, a.rows + b.rows, a.cols, a.entries + b.entries)
+
+
+def partition(ground: int, blocks) -> Partition:
+    """Validated Partition constructor."""
+    blocks = tuple(tuple(block) for block in blocks)
+    seen: set[int] = set()
+    for block in blocks:
+        if not block or list(block) != sorted(block):
+            raise ValueError(f"block {block} not sorted and nonempty")
+        if seen & set(block):
+            raise ValueError("blocks overlap")
+        seen |= set(block)
+    if seen != set(range(ground)):
+        raise ValueError("blocks do not cover the ground set")
+    if [b[0] for b in blocks] != sorted(b[0] for b in blocks):
+        raise ValueError("blocks not ordered by minimum")
+    return Partition(ground, blocks)
+
+
+def enumerate_partitions(ground: int):
+    """All partitions of {0, ..., ground-1} (restricted-growth strings)."""
+
+    def rec(i: int, blocks: list[list[int]]):
+        if i == ground:
+            yield Partition(ground, tuple(tuple(b) for b in blocks))
+            return
+        for b in blocks:
+            b.append(i)
+            yield from rec(i + 1, blocks)
+            b.pop()
+        blocks.append([i])
+        yield from rec(i + 1, blocks)
+        blocks.pop()
+
+    yield from rec(0, [])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import time
 from itertools import product
 
 from corelate.exactnum import GF, ZZ
-from corelate.finfn import enumerate_partitions
 from corelate.linmap import mat, mat_mul
 from corelate.literals import parse_morphism, parse_pair
 from corelate.corelrel import (
@@ -43,6 +42,7 @@ from corelate.verify import (
 )
 from oracle_utils import (
     det_int,
+    enumerate_partitions,
     enumerate_subspaces,
     invariant_factors,
     oracle_er_compose,

@@ -6,7 +6,7 @@ import pytest
 from corelate.errors import NotAbelian, NotInA, TypeMismatch
 from corelate.exactnum import GF, QQ, ZZ
 from corelate.finfn import Partition, enumerate_finmaps, enumerate_parmaps, fn, par
-from corelate.linmap import mat, mat_identity, mat_vcat
+from corelate.linmap import mat, mat_identity
 from corelate.corelrel import (
     Corelation,
     Relation,
@@ -42,7 +42,7 @@ from corelate.spancospan import (
     span_identity,
     span_tensor,
 )
-from oracle_utils import reference_copair, reference_factorize
+from oracle_utils import enumerate_partitions, mat_vcat, reference_copair, reference_factorize
 
 F = get_ambient("f")
 PF = get_ambient("pf")
@@ -278,8 +278,6 @@ def test_rel_corel_iso_requires_field():
 
 
 def test_er_round_trip_exhaustive():
-    from corelate.finfn import enumerate_partitions
-
     for n, m in product(range(3), range(3)):
         for p in enumerate_partitions(n + m):
             c = corelation_from_er(p, n, m, F)
@@ -297,8 +295,6 @@ def test_er_single_fiber():
 
 def test_per_round_trip_exhaustive():
     # a PER on the feet is a partition with one more point, the basepoint
-    from corelate.finfn import enumerate_partitions
-
     for n, m in product(range(3), range(3)):
         for p in enumerate_partitions(n + m + 1):
             c = corelation_from_er(p, n, m, PF)

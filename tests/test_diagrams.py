@@ -11,7 +11,7 @@ from corelate.errors import (
     UnknownGenerator,
     UnknownTheory,
 )
-from corelate import diagrams
+from corelate import corelrel, diagrams
 from corelate.cli import main
 from corelate.diagrams import (
     MAX_LEAF_WIRES,
@@ -388,6 +388,10 @@ def test_unknown_theory_and_generator():
     zc = get_theory("z-corel")
     with pytest.raises(UnknownGenerator):
         eval_term(parse_term("scalar(1/2)"), zc)
+    # leaves are evaluated left to right: the first that fails is reported
+    for src in ("w.mult @ scalar(2)", "comult ; w.mult ; scalar(2)", "(comult ; w.mult) @ (b.mult ; scalar(2))"):
+        with pytest.raises(UnknownGenerator, match="'w.mult'"):
+            eval_term(parse_term(src), er)
 
 
 def test_eval_is_monoidal_on_terms():
@@ -431,6 +435,78 @@ def test_eval_deep_terms_without_recursion():
     nested_row = parse_term("id(1) @ (" * 3000 + "id(1)" + ")" * 3000)
     assert isinstance(nested_row, TensorTerm) and len(nested_row.parts) == 3001
     assert eval_term(nested_row, er) == corel_identity(3001, er.ambient)
+
+
+def _nodes(t) -> list:
+    """Every occurrence of every node of t."""
+    out, todo = [], [t]
+    while todo:
+        u = todo.pop()
+        out.append(u)
+        if isinstance(u, (SeqTerm, TensorTerm)):
+            todo += u.parts
+    return out
+
+
+def _unshared(t):
+    """A copy of t built node by node, with a new object for every occurrence."""
+    built: list = []
+    todo = [(t, False)]
+    while todo:
+        u, parts_built = todo.pop()
+        if not isinstance(u, (SeqTerm, TensorTerm)):
+            built.append(type(u)(*u._fields()))
+        elif parts_built:
+            parts = tuple(built[-len(u.parts) :])
+            del built[-len(u.parts) :]
+            built.append(type(u)(u.dom, u.cod, parts))
+        else:
+            todo.append((u, True))
+            todo += ((p, False) for p in reversed(u.parts))
+    return built[0]
+
+
+def test_shared_and_unshared_terms_agree():
+    # the parser shares equal subterms; a copy that shares nothing evaluates,
+    # compares, hashes and prints the same, in every theory
+    shared_nodes = occurrences = 0
+    for theory, text in _eval_pin_corpus():
+        t = parse_term(text)
+        u = _unshared(t)
+        nodes, copy_nodes = _nodes(t), _nodes(u)
+        assert len({id(v) for v in copy_nodes}) == len(copy_nodes) == len(nodes)
+        shared_nodes, occurrences = shared_nodes + len({id(v) for v in nodes}), occurrences + len(nodes)
+        assert t == u and u == t and hash(t) == hash(u) and print_term(t) == print_term(u) == print_term(parse_term(text))
+        th = get_theory(theory)
+        value, copy_value = eval_term(t, th), eval_term(u, th)
+        assert value == copy_value and repr(value) == repr(copy_value)
+    assert shared_nodes < occurrences  # 8,240 of 13,325
+
+
+def test_parse_shares_equal_subterms_within_one_parse_only():
+    text = "(comult ; mult) @ id(1) @ (comult ; mult) ; (id(1) @ (comult ; mult) @ id(1))"
+    t = parse_term(text)
+    first, second = t.parts
+    assert first.parts[0] is first.parts[2] is second.parts[1]
+    assert first.parts[1] is second.parts[0] is second.parts[2]
+    assert not {id(u) for u in _nodes(t)} & {id(u) for u in _nodes(parse_term(text))}
+
+
+def test_a_repeated_block_is_evaluated_once_per_call(monkeypatch):
+    calls = []
+    compose = corelrel.corel_compose
+    monkeypatch.setattr(corelrel, "corel_compose", lambda a, b: calls.append(1) or compose(a, b))
+    k, er = 12, get_theory("er")
+    t = parse_term(" @ ".join(["(comult ; mult)"] * k))
+    assert isinstance(t, TensorTerm) and len(t.parts) == k
+    assert eval_term(t, er) == corel_identity(k, er.ambient)
+    assert len(calls) == 1
+    # no value outlives its call: a second evaluation composes again
+    assert eval_term(t, er) == corel_identity(k, er.ambient)
+    assert len(calls) == 2
+    # a copy that shares nothing composes each occurrence
+    assert eval_term(_unshared(t), er) == corel_identity(k, er.ambient)
+    assert len(calls) == 2 + k
 
 
 def _alternating_nest(levels, core="id(1)"):

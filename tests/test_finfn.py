@@ -7,7 +7,6 @@ from corelate.finfn import (
     FinMap,
     Partition,
     enumerate_finmaps,
-    enumerate_partitions,
     fn,
     fn_compose,
     fn_identity,
@@ -19,10 +18,11 @@ from corelate.finfn import (
     fn_tensor,
     enumerate_parmaps,
     par,
-    partition,
 )
 from corelate.spancospan import get_ambient
 from oracle_utils import (
+    enumerate_partitions,
+    partition,
     reference_factorize,
     reference_par_compose,
     reference_par_is_injection,

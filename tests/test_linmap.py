@@ -22,14 +22,14 @@ from corelate.linmap import (
     mat_solve_left,
     mat_tensor,
     mat_transpose,
-    mat_vcat,
-    mat_zero,
     rref,
 )
 from corelate.spancospan import Span, get_ambient
 from oracle_utils import (
     det_int,
     invariant_factors,
+    mat_vcat,
+    mat_zero,
     oracles,
     reference_factorize,
     reference_kernel_basis,

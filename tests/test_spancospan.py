@@ -268,8 +268,8 @@ def test_one_kernel_per_ambient():
     gone = {
         linmap: ("rcef", "hnf_col", "field_factorize", "pid_factorize", "_rows_each", "factorize", "kernel_basis")
         + ("mat_solve", "snf", "SmithDecomposition", "_eye", "_least_entry", "det_int", "_snf_engine", "_Smith")
-        + ("_SnfState", "row_basis", "row_basis_meet"),
-        finfn: ("fn_factorize",),
+        + ("_SnfState", "row_basis", "row_basis_meet", "mat_zero", "mat_vcat"),
+        finfn: ("fn_factorize", "partition", "enumerate_partitions"),
     }
     gone.update((cls, ("factorize", "copair", "solve_postcompose")) for cls in ambients)
     assert [(where.__name__, name) for where, names in gone.items() for name in names if hasattr(where, name)] == []

@@ -415,6 +415,37 @@ def test_category_laws_all_ambients():
         assert check_category_laws(amb, 2, entry_bound=2, seed=1, samples=60).verdict == "pass"
 
 
+@pytest.mark.parametrize(
+    "check, pairs", [(check_category_laws, 6), (check_tensor_functorial, 8), (check_pi_functorial, 1)], ids=["laws", "tensor", "pi"]
+)
+def test_sampled_checks_refuse_above_the_sample_budget_before_drawing(monkeypatch, check, pairs):
+    # 10 samples over Q at bound 2 and entry bound 2: each pair of legs costs
+    # 50 units, 5 entry values and 3^4 for the elimination
+    work = 10 * pairs * (50 + 5 + 3**4)
+    monkeypatch.setattr(verify, "SAMPLE_BUDGET", work)
+    verify._require_samplable(Q, 2, 2, 10, pairs, a_legs=check is not check_category_laws)
+    monkeypatch.setattr(verify, "SAMPLE_BUDGET", work - 1)
+
+    def draw(*args):
+        raise AssertionError("drew a leg before the budget check")
+
+    monkeypatch.setattr(Q, "random_morphism", draw)
+    with pytest.raises(CorelateError, match=f"^10 samples of q .* more than {work - 1:,} units of work"):
+        check(Q, 2, 2, 0, 10)
+
+
+def test_split_mono_draws_count_in_the_sample_budget(monkeypatch):
+    # a split mono 2 -> 2 with entries in [-3, 3] is drawn by rejection, in
+    # about sqrt(2!) * 2^2 = 5.7 draws, counted as 6; other legs take one
+    six_draws = 50 + 7 + 6 * 3**4
+    monkeypatch.setattr(verify, "SAMPLE_BUDGET", six_draws)
+    verify._require_samplable(Z_SPLIT, 2, 3, 1, 1, a_legs=True)
+    monkeypatch.setattr(verify, "SAMPLE_BUDGET", six_draws - 1)
+    with pytest.raises(CorelateError, match="units of work"):
+        verify._require_samplable(Z_SPLIT, 2, 3, 1, 1, a_legs=True)
+    verify._require_samplable(Z_SPLIT, 2, 3, 1, 1, a_legs=False)
+
+
 def test_tensor_functorial_counterexamples_replay(monkeypatch):
     # spans with arbitrary partial legs break interchange (see the check's
     # docstring), so drawing them in place of A-spans plants failures
