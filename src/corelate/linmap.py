@@ -2,14 +2,14 @@
 
 A morphism n -> m is stored as an m-by-n matrix; diagrammatic composition
 "first A, then B" is the matrix product B*A.  Every canonical form, rank,
-split-mono test, pullback, pushout and exact solve is one pass of an echelon
-core on a list of rows: reduced row echelon form over a field, row Hermite
-normal form over the integers.  A limit is the canonical basis of the rows
-of one stacked matrix that vanish on a block of columns (``_meet``); the
-left kernels it reads are saturated, so over the integers nothing leaves
-the integers and no Smith form is needed.
+split-mono test, pullback, pushout and exact solve is one pass of the one
+echelon core, ``_echelon``, on a list of rows: the row Hermite normal form,
+which over a field is the reduced row echelon form.  A limit is the
+canonical basis of the rows of one stacked matrix that vanish on a block of
+columns (``_meet``); the left kernels it reads are saturated, so over the
+integers nothing leaves the integers and no Smith form is needed.
 
-The cores work on the stored values themselves, without calling the
+The core works on the stored values themselves, without calling the
 ring's scalar operations: ``int`` residues reduced mod p for GF(p),
 ``Fraction`` for the rationals, ``int`` for the integers.
 """
@@ -21,7 +21,7 @@ from itertools import product
 from typing import NamedTuple, Optional
 
 from .errors import RingMismatch, TypeMismatch
-from .exactnum import ZZ, Ring
+from .exactnum import Ring
 
 
 class ExactMatrix(NamedTuple):
@@ -145,73 +145,37 @@ def mat_hcat(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 
 
 # ---------------------------------------------------------------------------
-# the echelon cores: in place on a list of row lists
+# the echelon core: in place on a list of row lists
 #
-# Both cores take a column k and skip the reduction of a row that has its
-# pivot before column k against any later pivot row: such rows leave the
-# meet with the first k columns (see ``_meet``), and their reduction never
-# feeds back into the rows that stay.  With k = 0 the result is the full
+# One loop serves every ring: the row Hermite form over a Euclidean ring
+# (Cohen, A Course in Computational Algebraic Number Theory, 2.4) is the
+# reduced row echelon form on a field, where every nonzero entry is a unit.
+# The core reads two facts of the ring once per call: its modulus p, for the
+# ``% p`` of a GF(p) row update, and whether it is a field.
+#
+# It takes a column k and skips the reduction of a row that has its pivot
+# before column k against any later pivot row: such rows leave the meet
+# with the first k columns (see ``_meet``), and their reduction never feeds
+# back into the rows that stay.  With k = 0 the result is the full
 # canonical form; with k = ncols it is forward elimination only, enough for
 # a rank or for the pivots themselves.
 
 
-def _rref(rows: list, ncols: int, ring: Ring, k: int = 0) -> list:
-    """Gauss-Jordan elimination over a field, in place; returns the pivot
-    columns.
-
-    Works on the stored values: ``int`` residues reduced mod p for GF(p),
-    ``Fraction`` for the rationals.  Zero entries of the pivot row are
-    skipped, and so are rows with a zero in the pivot column.
-    """
-    p = _modulus(ring)
-    zero = ring.zero
-    m = len(rows)
-    pivots = []
-    r = lo = 0
-    for j in range(ncols):
-        if r == m:
-            break
-        if j <= k:
-            lo = r
-        pivot_row = next((i for i in range(r, m) if rows[i][j]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        prow = rows[r]
-        # rows r.. are zero left of column j, so only the tail can change
-        x = prow[j]
-        if x != 1:
-            if p is None:
-                prow[j:] = [v / x if v else v for v in prow[j:]]
-            else:
-                inv = pow(x, -1, p)
-                prow[j:] = [v * inv % p for v in prow[j:]]
-        support = [(c, w) for c, w in enumerate(prow[j + 1 :], j + 1) if w]
-        for i in range(lo, m):
-            row = rows[i]
-            c = row[j]
-            if c and i != r:
-                row[j] = zero
-                if p is None:
-                    for col, w in support:
-                        row[col] -= c * w
-                else:
-                    for col, w in support:
-                        row[col] = (row[col] - c * w) % p
-        pivots.append(j)
-        r += 1
-    return pivots
-
-
-def _hnf(rows: list, ncols: int, k: int = 0) -> list:
-    """Row Hermite form over the integers, in place; returns the pivot
-    columns.
+def _echelon(ring: Ring, rows: list, ncols: int, k: int = 0) -> list:
+    """Row Hermite form in place; returns the pivot columns.
 
     Pivots are positive, entries above a pivot are reduced into [0, pivot),
     zero rows sink to the bottom.  Each column is cleared below its pivot by
-    repeated floor division by the least nonzero entry; rows r.. are zero
-    left of column j, so only the nonzero tail of the pivot row is read.
+    repeated floor division by the least nonzero entry.  On a field that is
+    the first nonzero entry, made 1 by its inverse, so one step clears the
+    column and the form is the rref; over the integers the pivot is made
+    positive by its sign.  Rows r.. are zero left of column j, so only the
+    nonzero tail of the pivot row is read, and the pivot column is written
+    directly.
     """
+    p = _modulus(ring)
+    field = ring.is_field
+    zero = ring.zero
     m = len(rows)
     pivots = []
     r = lo = 0
@@ -225,8 +189,8 @@ def _hnf(rows: list, ncols: int, k: int = 0) -> list:
             for i in range(r, m):
                 v = rows[i][j]
                 if v:
-                    if v == 1 or v == -1:  # nothing can be smaller
-                        best, least = i, 1
+                    if field or v == 1 or v == -1:  # nothing can be smaller
+                        best = i
                         break
                     v = abs(v)
                     if best < 0 or v < least:
@@ -235,42 +199,58 @@ def _hnf(rows: list, ncols: int, k: int = 0) -> list:
                 break
             prow = rows[best]
             rows[r], rows[best] = prow, rows[r]
-            if prow[j] < 0:
+            x = prow[j]
+            if field:
+                if x != 1:
+                    if p is None:
+                        prow[j:] = [v / x if v else v for v in prow[j:]]
+                    else:
+                        inv = pow(x, -1, p)
+                        prow[j:] = [v * inv % p for v in prow[j:]]
+            elif x < 0:
                 for c in range(j, ncols):
                     prow[c] = -prow[c]
+            pivot = prow[j]
+            unit = field or pivot == 1
             support = None  # built on first use, for this pivot row
             residue = False
             for i in range(r + 1, m):
                 row = rows[i]
-                q = row[j] // least
-                if q:
-                    support = support or [(c, w) for c, w in enumerate(prow[j:], j) if w]
-                    for c, w in support:
-                        row[c] -= q * w
-                if row[j]:
-                    residue = True
+                x = row[j]
+                if x:
+                    q = x if unit else x // pivot
+                    if q:
+                        support = support or [(c, w) for c, w in enumerate(prow[j + 1 :], j + 1) if w]
+                        if p is None:
+                            for c, w in support:
+                                row[c] -= q * w
+                        else:
+                            for c, w in support:
+                                row[c] = (row[c] - q * w) % p
+                        x = row[j] = zero if unit else x - q * pivot
+                    if not unit and x:  # a unit pivot clears its column in one step
+                        residue = True
             if not residue:
                 break
         if best < 0:
             continue
         for i in range(lo, r):
             row = rows[i]
-            q = row[j] // least
-            if q:
-                support = support or [(c, w) for c, w in enumerate(prow[j:], j) if w]
-                for c, w in support:
-                    row[c] -= q * w
+            x = row[j]
+            if x:
+                q = x if unit else x // pivot
+                if q:
+                    support = support or [(c, w) for c, w in enumerate(prow[j + 1 :], j + 1) if w]
+                    if p is None:
+                        for c, w in support:
+                            row[c] -= q * w
+                    else:
+                        for c, w in support:
+                            row[c] = (row[c] - q * w) % p
+                    row[j] = zero if unit else x - q * pivot
         pivots.append(j)
         r += 1
     return pivots
-
-
-def _echelon(ring: Ring, rows: list, ncols: int, k: int = 0) -> list:
-    """The ring's echelon core: rref over a field, row Hermite form over
-    the integers.  Returns the pivot columns."""
-    if ring.is_field:
-        return _rref(rows, ncols, ring, k)
-    return _hnf(rows, ncols, k)
 
 
 def _meet(ring: Ring, rows: list, ncols: int, k: int = 0) -> list:
@@ -291,30 +271,8 @@ def _cut(ring: Ring, basis: list, lo: int, hi: int) -> ExactMatrix:
     return ExactMatrix(ring, len(basis), hi - lo, tuple([tuple(row[lo:hi]) for row in basis]))
 
 
-def _require_integers(a: ExactMatrix, what: str) -> None:
-    if a.ring is not ZZ and a.ring != ZZ:
-        raise RingMismatch(f"{what} needs integer entries")
-
-
 # ---------------------------------------------------------------------------
-# canonical forms, rank and the split-mono test: wrappers of the cores
-
-
-def rref(a: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns, over a field."""
-    if not a.ring.is_field:
-        raise RingMismatch("row reduction needs a field")
-    rows = [list(row) for row in a.entries]
-    pivots = _rref(rows, a.cols, a.ring)
-    return ExactMatrix(a.ring, a.rows, a.cols, tuple(map(tuple, rows))), tuple(pivots)
-
-
-def hnf_row(a: ExactMatrix) -> ExactMatrix:
-    """Canonical row-style Hermite normal form (left unimodular action)."""
-    _require_integers(a, "Hermite normal form")
-    rows = [list(row) for row in a.entries]
-    _hnf(rows, a.cols)
-    return ExactMatrix(ZZ, a.rows, a.cols, tuple(map(tuple, rows)))
+# canonical forms, rank and the split-mono test: wrappers of the core
 
 
 def echelon_rows(left: ExactMatrix, right: ExactMatrix) -> tuple:

@@ -429,16 +429,14 @@ class MatrixAmbient(Ambient):
     def random_morphism(self, rng, dom, cod, entry_bound=None):
         if entry_bound is None:
             entry_bound = 2
-        if hasattr(self.ring, "p"):
-            values = list(range(self.ring.p))
-        else:
-            values = list(range(-entry_bound, entry_bound + 1))
+        # every residue over GF(p), the integer box [-e, e] otherwise
+        lo, hi = (0, self.ring.p) if hasattr(self.ring, "p") else (-entry_bound, entry_bound + 1)
         coerce = self.ring.coerce
         return ExactMatrix(
             self.ring,
             cod,
             dom,
-            tuple(tuple(coerce(rng.choice(values)) for _ in range(dom)) for _ in range(cod)),
+            tuple(tuple(coerce(rng.randrange(lo, hi)) for _ in range(dom)) for _ in range(cod)),
         )
 
     def random_a_morphism(self, rng, dom, cod, entry_bound=None):

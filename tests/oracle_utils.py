@@ -63,7 +63,8 @@ def reference_rref(a):
     """Reduced row echelon form and pivot columns through the ring's scalar
     operations, over a field.
 
-    The reference for ``linmap.rref``, which works on the stored values.
+    The reference for ``linmap``'s echelon core on a field, which works on
+    the stored values.
     """
     ring = a.ring
     rows = [list(r) for r in a.entries]

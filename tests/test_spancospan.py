@@ -268,7 +268,10 @@ def test_one_kernel_per_ambient():
     gone = {
         linmap: ("rcef", "hnf_col", "field_factorize", "pid_factorize", "_rows_each", "factorize", "kernel_basis")
         + ("mat_solve", "snf", "SmithDecomposition", "_eye", "_least_entry", "det_int", "_snf_engine", "_Smith")
-        + ("_SnfState", "row_basis", "row_basis_meet", "mat_zero", "mat_vcat"),
+        + ("_SnfState", "row_basis", "row_basis_meet", "mat_zero", "mat_vcat")
+        # one echelon core for every ring: no field core, no integer core,
+        # and no test-only wrapper of either
+        + ("_rref", "_hnf", "rref", "hnf_row", "_require_integers"),
         finfn: ("fn_factorize", "partition", "enumerate_partitions"),
     }
     gone.update((cls, ("factorize", "copair", "solve_postcompose")) for cls in ambients)
@@ -279,6 +282,10 @@ def test_one_kernel_per_ambient():
     assert not any(hasattr(spancospan.MatrixAmbient, name) for name in ("pair", "split_pair"))
     source = inspect.getsource(linmap.echelon_rows_each)
     assert "is_field" not in source and "_modulus" not in source
+    # the core reads whether the ring is a field; nothing else in linmap
+    # asks, so no caller picks between cores
+    functions = [f for f in vars(linmap).values() if inspect.isfunction(f) and f.__module__ == linmap.__name__]
+    assert [f.__name__ for f in functions if "is_field" in inspect.getsource(f)] == ["_echelon"]
     assert not hasattr(finfn, "UnionFind")
 
 

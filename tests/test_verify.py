@@ -633,8 +633,7 @@ def test_subspace_oracles_share_no_elimination_with_linmap(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the subspace oracles reached linmap's elimination")
 
-    for name in ("_rref", "rref", "_echelon"):
-        monkeypatch.setattr(linmap, name, refuse)
+    monkeypatch.setattr(linmap, "_echelon", refuse)
     assert sum(1 for _ in enumerate_subspaces(3, GF(2))) == 16
     v, w = span_rows([(1, 0)], 2, GF(2)), span_rows([(1, 1)], 2, GF(2))
     assert oracle_subspace_compose(v, w, 1, 1, 1, GF(2)) == ((1, 0),)
