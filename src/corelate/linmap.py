@@ -71,11 +71,20 @@ def _require_same_ring(a: ExactMatrix, b: ExactMatrix) -> None:
         raise RingMismatch(f"{a.ring.name} vs {b.ring.name}")
 
 
-def mat_mul(x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
+def _row_support(y: ExactMatrix) -> list:
+    """The nonzero (column, value) pairs of each row of y."""
+    return [[(c, b) for c, b in enumerate(row) if b] for row in y.entries]
+
+
+def mat_mul(x: ExactMatrix, y: ExactMatrix, y_support: Optional[list] = None) -> ExactMatrix:
     """Raw matrix product x*y.
 
-    Works on the stored values, skipping zero entries of both factors;
-    over GF(p) each entry is reduced once, after its sum.
+    Works on the stored values, skipping zero entries of both factors; an
+    entry of x that is 1 or -1 adds or subtracts the row of y without a
+    product (over GF(p) the stored values are residues, so p - 1 takes the
+    general branch); over GF(p) each entry is reduced once, after its sum.
+    A caller that multiplies many matrices by one y passes y's
+    ``_row_support`` once built.
     """
     _require_same_ring(x, y)
     if x.cols != y.rows:
@@ -83,14 +92,22 @@ def mat_mul(x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
     ring = x.ring
     p = _modulus(ring)
     zero = ring.zero
-    y_support = [[(c, b) for c, b in enumerate(row) if b] for row in y.entries]
+    if y_support is None:
+        y_support = _row_support(y)
     out = []
     for row in x.entries:
         acc = [zero] * y.cols
         for a, support in zip(row, y_support):
             if a:
-                for c, b in support:
-                    acc[c] += a * b
+                if a == 1:
+                    for c, b in support:
+                        acc[c] += b
+                elif a == -1:
+                    for c, b in support:
+                        acc[c] -= b
+                else:
+                    for c, b in support:
+                        acc[c] += a * b
         if p is not None:
             acc = [v % p for v in acc]
         out.append(tuple(acc))
@@ -286,41 +303,57 @@ def echelon_rows(left: ExactMatrix, right: ExactMatrix) -> tuple:
     return tuple(map(tuple, rows))
 
 
-def echelon_rows_each(left: ExactMatrix, rights) -> list:
-    """``[echelon_rows(left, right) for right in rights]``, from one echelon
-    pass over [left | I] instead of one pass per right.
+def echelon_rows_each(lefts, rights):
+    """``([echelon_rows(left, right) for right in rights] for left in
+    lefts)``, one list per left, lazily: one echelon pass over [left | I]
+    per left instead of one pass per pair, and the block of rights is
+    prepared once for all the lefts.
 
     The pass gives the canonical form H of left and an invertible U
     (unimodular over the integers) with U * left = H, so [left | right]
     and [H | U * right] have the same row space (lattice).  When H has no
     zero row, [H | U * right] is canonical already: every pivot lies in the
     H block, which is reduced.  Otherwise a pass over it finishes the rows.
-    The U * right are one product, with the rights side by side.
+    The U * right are one product, by the rights side by side, whose
+    support is built once.  Every matrix is checked before the first list.
     """
-    for right in rights:
-        _require_same_ring(left, right)
-        if right.rows != left.rows:
+    lefts, rights = list(lefts), list(rights)
+    every = lefts + rights
+    for a in every:
+        _require_same_ring(every[0], a)
+        if a.rows != every[0].rows:
             raise TypeMismatch("row counts differ")
-    ring, n, apex = left.ring, left.cols, left.rows
+    return _echelon_rows_each(lefts, rights) if lefts else iter(())
+
+
+def _echelon_rows_each(lefts: list, rights: list):
+    """The lists of :func:`echelon_rows_each`, for checked legs and at
+    least one left."""
+    ring, apex = lefts[0].ring, lefts[0].rows
     one, zero = ring.one, ring.zero
-    rows = [[*row, *(one if j == i else zero for j in range(apex))] for i, row in enumerate(left.entries)]
-    rank = sum(1 for j in _echelon(ring, rows, n + apex) if j < n)
-    h = [tuple(row[:n]) for row in rows]
-    u = ExactMatrix(ring, apex, apex, tuple([tuple(row[n:]) for row in rows]))
+    eye = [[one if j == i else zero for j in range(apex)] for i in range(apex)]
     side_by_side = tuple([tuple([v for right in rights for v in right.entries[i]]) for i in range(apex)])
-    products = mat_mul(u, ExactMatrix(ring, apex, sum(right.cols for right in rights), side_by_side)).entries
-    out = []
-    lo = 0
-    for right in rights:
-        hi = lo + right.cols
-        if rank == apex:
-            out.append(tuple([hrow + prow[lo:hi] for hrow, prow in zip(h, products)]))
-        else:
-            finished = [[*hrow, *prow[lo:hi]] for hrow, prow in zip(h, products)]
-            _echelon(ring, finished, n + hi - lo)
-            out.append(tuple(map(tuple, finished)))
-        lo = hi
-    return out
+    block = ExactMatrix(ring, apex, sum(right.cols for right in rights), side_by_side)
+    support = _row_support(block)
+    for left in lefts:
+        n = left.cols
+        rows = [[*row, *unit] for row, unit in zip(left.entries, eye)]
+        rank = sum(1 for j in _echelon(ring, rows, n + apex) if j < n)
+        h = [tuple(row[:n]) for row in rows]
+        u = ExactMatrix(ring, apex, apex, tuple([tuple(row[n:]) for row in rows]))
+        products = mat_mul(u, block, support).entries
+        out = []
+        lo = 0
+        for right in rights:
+            hi = lo + right.cols
+            if rank == apex:
+                out.append(tuple([hrow + prow[lo:hi] for hrow, prow in zip(h, products)]))
+            else:
+                finished = [[*hrow, *prow[lo:hi]] for hrow, prow in zip(h, products)]
+                _echelon(ring, finished, n + hi - lo)
+                out.append(tuple(map(tuple, finished)))
+            lo = hi
+        yield out
 
 
 def split_rows(ring: Ring, n: int, m: int, rows) -> tuple[ExactMatrix, ExactMatrix]:

@@ -30,14 +30,20 @@ from .linmap import ExactMatrix
 
 
 class Span(NamedTuple):
-    """Two morphisms out of a shared apex: X <- apex -> Y."""
+    """Two morphisms out of a shared apex: X <- apex -> Y.
+
+    A Span equals (and hashes as) the Cospan and the plain tuple with the
+    same legs, so no dict may mix them as keys."""
 
     left: object
     right: object
 
 
 class Cospan(NamedTuple):
-    """Two morphisms into a shared apex: X -> apex <- Y."""
+    """Two morphisms into a shared apex: X -> apex <- Y.
+
+    A Cospan equals (and hashes as) the Span and the plain tuple with the
+    same legs, so no dict may mix them as keys."""
 
     left: object
     right: object
@@ -124,18 +130,21 @@ class Ambient:
     def canonical_span(self, s: Span) -> Span:
         raise NotImplementedError
 
-    def cospan_keys(self, f, gs) -> list:
-        """One hashable key per cospan (f, g), g in gs; two keys are equal
+    def cospan_keys(self, fs, gs):
+        """One list of keys per left leg f in fs, lazily: the key of each
+        cospan (f, g), g in gs (both lists of legs).  Two keys are equal
         exactly when the cospans are isomorphic over the apex.  A matrix
-        ambient gives both feet and the echelon rows that the canonical form
-        is cut from (with apex 0 there are none), all of them from one
-        :func:`linmap.echelon_rows_each` call."""
-        return [self.canonical_cospan(Cospan(f, g)) for g in gs]
+        ambient gives both feet and the echelon rows that the canonical
+        form is cut from (with apex 0 there are none), all of them from one
+        :func:`linmap.echelon_rows_each` call, which prepares the block of
+        right legs once."""
+        return ([self.canonical_cospan(Cospan(f, g)) for g in gs] for f in fs)
 
-    def span_keys(self, f, gs) -> list:
-        """One hashable key per span (f, g), g in gs; two keys are equal
-        exactly when the spans are isomorphic over the apex."""
-        return [self.canonical_span(Span(f, g)) for g in gs]
+    def span_keys(self, fs, gs):
+        """One list of keys per left leg f in fs, lazily: the key of each
+        span (f, g), g in gs.  Two keys are equal exactly when the spans
+        are isomorphic over the apex."""
+        return ([self.canonical_span(Span(f, g)) for g in gs] for f in fs)
 
     # corelations: canonical jointly-epi cospans
     def corelation_cospan(self, c: Cospan) -> Cospan:
@@ -413,13 +422,15 @@ class MatrixAmbient(Ambient):
         """The transposed canonical cospan of the transposed legs."""
         return transpose_legs(self.canonical_cospan(transpose_legs(s, Cospan)), Span)
 
-    def cospan_keys(self, f, gs):
-        return [(f.cols, g.cols, rows) for g, rows in zip(gs, linmap.echelon_rows_each(f, gs))]
+    def cospan_keys(self, fs, gs):
+        for f, each in zip(fs, linmap.echelon_rows_each(fs, gs)):
+            yield [(f.cols, g.cols, rows) for g, rows in zip(gs, each)]
 
-    def span_keys(self, f, gs):
-        """The cospan keys of the transposed legs, which hold both feet."""
+    def span_keys(self, fs, gs):
+        """The cospan keys of the transposed legs, which hold both feet;
+        each leg is transposed once."""
         t = linmap.mat_transpose
-        return self.cospan_keys(t(f), [t(g) for g in gs])
+        return self.cospan_keys([t(f) for f in fs], [t(g) for g in gs])
 
     def enumerate_morphisms(self, dom, cod, entry_bound=None):
         if entry_bound is None:

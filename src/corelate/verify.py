@@ -108,29 +108,77 @@ def square_case(amb: Ambient, f) -> bool:
     )
 
 
-def pi_functorial_case(amb: Ambient, s1: Span, s2: Span, pis: Optional[dict] = None) -> bool:
+def pi_functorial_case(amb: Ambient, s1: Span, s2: Span, memo: Optional[_PiMemo] = None) -> bool:
     """Whether pi(s1 ; s2) equals pi(s1) ; pi(s2).
 
-    ``pis``, a dict kept across the cases of one run, holds the right side
-    once it is computed: it maps each factor span to its pi, and each pair
-    of pis to their composite, keyed by one int made of the pair's two ids.
-    Every corelation it holds is interned (the dict maps each distinct one
-    to its one copy), so equal pis make one key and the dict stays small.
-    The composite span's pi runs on every case: its membership test checks
-    that A is stable under pullback."""
-    lhs = pi(span_compose(s1, s2, amb), amb)
-    if pis is None:
+    ``memo``, kept across the cases of one run, computes each distinct
+    pullback, composite leg, pi and composite of pis once (see
+    :class:`_PiMemo`).  The pi of a composite span, whose membership test
+    checks that A is stable under pullback, then runs once per distinct
+    composite span: pi is deterministic, so that covers every case."""
+    if memo is None:
+        lhs = pi(span_compose(s1, s2, amb), amb)
         return corel_equal(lhs, corel_compose(pi(s1, amb), pi(s2, amb)))
-    for s in (s1, s2):
-        if s not in pis:
-            c = pi(s, amb)
-            pis[s] = pis.setdefault(c, c)
-    a, b = pis[s1], pis[s2]
-    pair = id(a) << 64 | id(b)
-    if pair not in pis:
-        c = corel_compose(a, b)
-        pis[pair] = pis.setdefault(c, c)
-    return corel_equal(lhs, pis[pair])
+    return memo.holds(s1, s2)
+
+
+class _PiMemo:
+    """What the cases of one pi-functorial run share, each computed once;
+    dropped when the run returns.
+
+    Every leg and corelation it holds is interned: ``legs`` and ``corels``
+    map each distinct one to its one copy, so equal values share one object
+    and the memo stays small.  The other dicts are keyed by one int made of
+    the ids of two interned copies, which the memo holds, so an id is never
+    reused while it is a key.  There is one dict per kind of key: the
+    cospan (s1.right, s2.left) that a pullback is taken of and the span
+    with the same two legs have the same key (as Span, Cospan and tuple
+    keys with the same legs would compare equal).
+    """
+
+    def __init__(self, amb: Ambient):
+        self.amb = amb
+        self.legs: dict = {}
+        self.corels: dict = {}
+        self.pullbacks: dict = {}  # cospan (r1, l2) -> the legs of its pullback
+        self.composites: dict = {}  # (p, f) -> the leg p ; f
+        self.pis: dict = {}  # span (l, r) -> its pi
+        self.pairs: dict = {}  # (pi(s1), pi(s2)) -> their composite
+
+    def _pi(self, left, right):
+        key = id(left) << 64 | id(right)
+        c = self.pis.get(key)
+        if c is None:
+            c = pi(Span(left, right), self.amb)
+            c = self.pis[key] = self.corels.setdefault(c, c)
+        return c
+
+    def _compose(self, p, f):
+        key = id(p) << 64 | id(f)
+        h = self.composites.get(key)
+        if h is None:
+            h = self.amb.compose(p, f)
+            h = self.composites[key] = self.legs.setdefault(h, h)
+        return h
+
+    def holds(self, s1: Span, s2: Span) -> bool:
+        """The case (s1, s2), in the order of the case without a memo."""
+        intern = self.legs.setdefault
+        l1, r1 = intern(s1.left, s1.left), intern(s1.right, s1.right)
+        l2, r2 = intern(s2.left, s2.left), intern(s2.right, s2.right)
+        key = id(r1) << 64 | id(l2)
+        pullback = self.pullbacks.get(key)
+        if pullback is None:
+            pullback = self.pullbacks[key] = [intern(p, p) for p in self.amb.pullback(r1, l2)]
+        lhs = self._pi(self._compose(pullback[0], l1), self._compose(pullback[1], r2))
+        a, b = self._pi(l1, r1), self._pi(l2, r2)
+        key = id(a) << 64 | id(b)
+        rhs = self.pairs.get(key)
+        if rhs is None:
+            rhs = corel_compose(a, b)
+            rhs = self.pairs[key] = self.corels.setdefault(rhs, rhs)
+        # both interned: equal exactly when they are one object
+        return lhs is rhs
 
 
 def tensor_functorial_case(
@@ -241,22 +289,22 @@ def _require_samplable(amb: Ambient, bound: int, entry_bound, samples: int, pair
     """Refuse a sampled check whose work, counted by formula before any
     draw, passes ``SAMPLE_BUDGET``.  Each of the ``samples`` draws ``pairs``
     pairs of legs on objects of at most ``bound`` points or wires; with
-    n = bound + 1, a pair costs 50 units, plus the table of values one leg
-    is drawn from (2 * entry bound + 1 entries, p over GF(p)), plus n^2 over
-    functions (a pullback of n-point maps has up to n^2 points) or n^4 over
-    matrices (an elimination on about n rows and columns whose entries
-    grow).  With legs in A = split over the integers (``a_legs``) that last
-    term is paid once per rejected draw too: a square draw is split with
-    probability about one over its root-mean-square determinant,
-    sqrt(bound!) * s^bound, where s^2 = e(e + 1)/3 is the variance of an
-    entry in [-e, e].  A unit took 0.005 to 1 us on a 2-CPU Xeon host with
-    Python 3.11, so an accepted check takes seconds, not hours."""
+    n = bound + 1, a pair costs 50 units plus n^2 over functions (a
+    pullback of n-point maps has up to n^2 points) or n^4 over matrices (an
+    elimination on about n rows and columns whose entries grow).  An entry
+    is drawn from its range without listing it, so neither the entry bound
+    nor p adds to the cost.  With legs in A = split over the integers
+    (``a_legs``) that last term is paid once per rejected draw too: a
+    square draw is split with probability about one over its
+    root-mean-square determinant, sqrt(bound!) * s^bound, where
+    s^2 = e(e + 1)/3 is the variance of an entry in [-e, e].  A unit took
+    0.005 to 1 us on a 2-CPU Xeon host with Python 3.11, so an accepted
+    check takes seconds, not hours."""
     where = f"{amb.name} with A = {amb.a_name} at bound {bound}"
     functions = amb.name in ("f", "pf")
-    values = getattr(getattr(amb, "ring", None), "p", 0)
-    if not (values or functions):
+    if not (functions or hasattr(amb.ring, "p")):
         entry_bound = 2 if entry_bound is None else entry_bound
-        values, where = 2 * entry_bound + 1, f"{where} and entry bound {entry_bound}"
+        where = f"{where} and entry bound {entry_bound}"
     size = (bound + 1) ** (2 if functions else 4)
     draws = 1.0
     if a_legs and amb.a_name == "split":
@@ -265,7 +313,7 @@ def _require_samplable(amb: Ambient, bound: int, entry_bound, samples: int, pair
             draws *= sqrt(k * variance)
             if not draws or draws > SAMPLE_BUDGET:
                 break
-    if samples * pairs * (50 + values + size * ceil(draws)) > SAMPLE_BUDGET:
+    if samples * pairs * (50 + size * ceil(draws)) > SAMPLE_BUDGET:
         raise CorelateError(
             f"{samples:,} sample{'s' * (samples != 1)} of {where} would take more than "
             f"{SAMPLE_BUDGET:,} units of work; lower the bounds or the samples"
@@ -276,8 +324,9 @@ def _pairs(amb: Ambient, bound: int, entry_bound, seed, into_apex: bool):
     """All (or seeded-sampled) pairs of A-legs sharing an apex: into the
     apex (``into_apex``) or out of it.  Yields (f, g, key), where the keys
     of two pairs are equal exactly when the pairs are isomorphic over the
-    apex; the keys of one left leg and one block of right legs come from
-    one call."""
+    apex; the keys of one block, every left leg (n, apex) against every
+    right leg (m, apex), come from one call, which prepares the right legs
+    once."""
     _require_sweepable(amb, bound, entry_bound)
     keys_of = amb.cospan_keys if into_apex else amb.span_keys
     sizes = range(bound + 1)
@@ -287,10 +336,10 @@ def _pairs(amb: Ambient, bound: int, entry_bound, seed, into_apex: bool):
         legs[(size, apex)] = list(amb.enumerate_a_morphisms(dom, cod, entry_bound))
     if sum(sum(len(legs[(n, apex)]) for n in sizes) ** 2 for apex in sizes) <= CASE_BUDGET:
         for apex, n, m in product(sizes, repeat=3):
-            block = legs[(m, apex)]
-            if block:
-                for f in legs[(n, apex)]:
-                    yield from zip(repeat(f), block, keys_of(f, block))
+            lefts, block = legs[(n, apex)], legs[(m, apex)]
+            if lefts and block:
+                for f, keys in zip(lefts, keys_of(lefts, block)):
+                    yield from zip(repeat(f), block, keys)
         return
     # above the budget: one pool of legs per apex, built once
     pools = [[f for n in sizes for f in legs[(n, apex)]] for apex in sizes]
@@ -299,7 +348,7 @@ def _pairs(amb: Ambient, bound: int, entry_bound, seed, into_apex: bool):
         pool = pools[rng.randint(0, bound)]
         if pool:
             f, g = rng.choice(pool), rng.choice(pool)
-            yield f, g, keys_of(f, [g])[0]
+            yield f, g, next(keys_of([f], [g]))[0]
 
 
 def random_span(amb: Ambient, rng, x: int, y: int, apex_bound: int, entry_bound=None) -> Span:
@@ -462,14 +511,15 @@ def check_pi_functorial(
 
     Runs a deterministic exhaustive sweep at tiny sizes first (so the verdict
     cannot depend on sampling luck) and then the seeded random samples.
-    Each distinct span's pi is computed once per run.
+    Each distinct pullback, span pi and composite of pis is computed once
+    per run.
     """
     _require_samplable(amb, bound, entry_bound, samples, 1, a_legs=True)
-    pis = {}
+    memo = _PiMemo(amb)
     failures = (
         (("shape", shape),) + _format_fields(("span1", "span2"), pair)
         for shape, pair in _shape_pairs(amb, bound, entry_bound, seed, samples)
-        if not pi_functorial_case(amb, *pair, pis)
+        if not pi_functorial_case(amb, *pair, memo)
     )
     return _report("pi-functorial", amb.name, amb.a_name, bound, entry_bound, seed, failures)
 

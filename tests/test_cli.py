@@ -385,20 +385,34 @@ def test_sweeps_above_the_case_budget_refused_exit_2(argv):
         ("check", "tensor-functorial", "--C", "q", "--A", "all", "--bound", "400", "--samples", "2"),
         ("check", "laws", "--C", "f", "--A", "inj", "--bound", "2", "--samples", "100000000"),
         ("check", "pi-functorial", "--C", "z", "--A", "split", "--bound", "16"),
-        ("check", "laws", "--C", "q", "--bound", "1", "--samples", "1", "--entry-bound", "1000000000"),
-        ("check", "laws", "--C", "gf1000000007", "--bound", "1", "--samples", "1"),
     ],
-    ids=["laws-q-1000", "tensor-q-400", "laws-f-10^8-samples", "pi-z-split-16", "laws-q-entries-10^9", "laws-gf-10^9"],
+    ids=["laws-q-1000", "tensor-q-400", "laws-f-10^8-samples", "pi-z-split-16"],
 )
 def test_sampled_checks_above_the_sample_budget_refused_exit_2(argv):
-    # the first four printed nothing until a timeout killed them (the split
-    # monos of pi-functorial by rejection); the last two would list every
-    # entry value, 2 * 10^9 of them, to draw from; under a 1.5 GB cap, in a
-    # child process, a check that drew would hang or fail
+    # each printed nothing until a timeout killed it (the split monos of
+    # pi-functorial by rejection); under a 1.5 GB cap, in a child process,
+    # a check that drew would hang or fail
     done = _cli(*argv, timeout=30, address_space=3 << 29)
     assert (done.returncode, done.stdout) == (2, ""), done.stderr
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     assert "would take more than 10,000,000 units of work; lower the bounds or the samples" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "laws", "--C", "q", "--bound", "1", "--samples", "1", "--entry-bound", "1000000000"),
+        ("check", "laws", "--C", "gf1000000007", "--bound", "1", "--samples", "1"),
+    ],
+    ids=["laws-q-entries-10^9", "laws-gf-10^9"],
+)
+def test_sampled_checks_with_wide_entry_ranges_run_exit_0(argv):
+    # an entry is drawn from its range without listing the range, so 2 *
+    # 10^9 + 1 (or 10^9 + 7) entry values cost a draw no more than three;
+    # under the same 1.5 GB cap and timeout as the refusals above
+    done = _cli(*argv, timeout=30, address_space=3 << 29)
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    assert "verdict=pass" in done.stdout
 
 
 def test_eval_long_chain_exit_0():

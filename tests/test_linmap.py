@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -212,6 +213,20 @@ def test_mat_mul_matches_reference():
                 if b.rows != a.cols:
                     b = rand_mat(rng, ring, a.cols, rng.randint(0, 4))
                 assert typed(mat_mul(a, b)) == typed(reference_mat_mul(a, b)), (a, b)
+    # over Q, left entries 1 and -1 next to others, against rights with
+    # non-integer entries: both unit branches add fractions
+    values = (-1, 1, 0, 2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2))
+    units = {1: 0, -1: 0}
+    for _ in range(400):
+        rows, inner, cols = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
+        a = mat(QQ, rows, inner, [[rng.choice(values) for _ in range(inner)] for _ in range(rows)])
+        b = mat(QQ, inner, cols, [[rng.choice(values) for _ in range(cols)] for _ in range(inner)])
+        assert typed(mat_mul(a, b)) == typed(reference_mat_mul(a, b)), (a, b)
+        for row in a.entries:
+            for x, brow in zip(row, b.entries):
+                if x in units and any(v.denominator > 1 for v in brow):
+                    units[x] += 1
+    assert min(units.values()) >= 100, units
 
 
 # --- Smith transforms -----------------------------------------------------------
@@ -329,29 +344,43 @@ def test_hnf_row_matches_reference():
 
 @time_limit(CORE_LIMIT_S)
 def test_echelon_rows_each_equals_one_pass_per_right():
-    # one path on every ring: left legs of full row rank and below it (zero
-    # and repeated rows included), apex 0, empty and one-element batches,
-    # rights of width 0
+    # one path on every ring: batches of left legs that share one block of
+    # rights, each left of full row rank or below it (zero and repeated
+    # rows included), apex 0, empty and one-element blocks, rights of
+    # width 0
     rng = random.Random(17)
-    seen = {"apex 0": 0, "full rank": 0, "rank below apex": 0, "one right": 0}
-    for ring in (ZZ, QQ, GF(2), GF(3), GF(5)):
+    rings = (ZZ, QQ, GF(2), GF(3), GF(5))
+    seen = {"apex 0": 0, "one right": 0, "several lefts": 0, "both ranks in one batch": 0}
+    ranks = {(ring.name, kind): 0 for ring in rings for kind in ("full rank", "rank below apex")}
+    for ring in rings:
         for _ in range(300):
-            apex, n = rng.randint(0, 4), rng.randint(0, 4)
-            left = rand_mat(rng, ring, apex, n, rng.choice((1, 3)))
-            if apex > 1 and rng.random() < 0.3:
-                left = mat(ring, apex, n, left.entries[:-1] + left.entries[:1])
+            apex = rng.randint(0, 4)
+            lefts = []
+            for _ in range(rng.randint(1, 4)):
+                n = rng.randint(0, 4)
+                left = rand_mat(rng, ring, apex, n, rng.choice((1, 3)))
+                if apex > 1 and rng.random() < 0.3:
+                    left = mat(ring, apex, n, left.entries[:-1] + left.entries[:1])
+                lefts.append(left)
             rights = [rand_mat(rng, ring, apex, rng.randint(0, 3), rng.choice((1, 3))) for _ in range(rng.randint(0, 4))]
-            each = echelon_rows_each(left, rights)
+            each = list(echelon_rows_each(lefts, rights))
             # the repr tells an int from a Fraction
-            assert repr(each) == repr([echelon_rows(left, r) for r in rights]), (left, rights)
+            assert repr(each) == repr([[echelon_rows(left, r) for r in rights] for left in lefts]), (lefts, rights)
+            kinds = {"full rank" if mat_rank(left) == apex else "rank below apex" for left in lefts}
+            for kind in kinds if apex else ():
+                ranks[(ring.name, kind)] += 1
             seen["apex 0"] += apex == 0
-            seen["full rank" if mat_rank(left) == apex else "rank below apex"] += apex > 0
             seen["one right"] += len(rights) == 1
+            seen["several lefts"] += len(lefts) > 1
+            seen["both ranks in one batch"] += apex > 0 and len(kinds) == 2
     assert min(seen.values()) >= 50, seen
+    assert min(ranks.values()) >= 50, ranks
+    assert list(echelon_rows_each([], [mat_identity(ZZ, 2)])) == []
+    # every leg is checked before the first list
     with pytest.raises(RingMismatch):
-        echelon_rows_each(mat_identity(QQ, 2), [mat_identity(ZZ, 2)])
+        echelon_rows_each([mat_identity(QQ, 2)], [mat_identity(QQ, 2), mat_identity(ZZ, 2)])
     with pytest.raises(TypeMismatch):
-        echelon_rows_each(mat_identity(ZZ, 2), [mat_identity(ZZ, 1)])
+        echelon_rows_each([mat_identity(ZZ, 2), mat_identity(ZZ, 1)], [mat_identity(ZZ, 2)])
 
 
 def test_hnf_col_transpose_consistency():

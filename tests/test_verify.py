@@ -1,5 +1,7 @@
+import gc
 import inspect
 import random
+import weakref
 from itertools import product
 
 import pytest
@@ -25,6 +27,7 @@ from corelate.spancospan import (
     cospan_identity,
     get_ambient,
     span_canonical,
+    span_compose,
     span_identity,
 )
 from corelate.verify import (
@@ -320,7 +323,12 @@ def test_pi_functorial_records_match_a_case_by_case_reference(amb, bound, entry_
 
 @pytest.mark.parametrize("amb, bound", [(F_INJ, 3), (Z_SPLIT, 1), (G2, 1)], ids=["f", "z", "gf2"])
 def test_pi_functorial_computes_pi_once_per_distinct_span_and_once_per_case(monkeypatch, amb, bound):
+    # one pi per distinct span, the factor spans of the cases and their
+    # composite spans alike: pi is deterministic, so the composite's runs
+    # once per distinct composite, not once per case
     pairs = [pair for _, pair in verify._shape_pairs(amb, bound, 3, 0, 40)]
+    factors = {s for pair in pairs for s in pair}
+    composites = {span_compose(*pair, amb) for pair in pairs}
     calls = []
 
     def counted(s, a):
@@ -329,7 +337,7 @@ def test_pi_functorial_computes_pi_once_per_distinct_span_and_once_per_case(monk
 
     monkeypatch.setattr(verify, "pi", counted)
     check_pi_functorial(amb, bound, 3, 0, 40)
-    assert len(calls) == len({s for pair in pairs for s in pair}) + len(pairs)
+    assert len(calls) == len(set(calls)) == len(factors | composites) < len(factors) + len(pairs)
 
 
 @pytest.mark.parametrize("amb, bound", [(F_INJ, 3), (Z_SPLIT, 2), (G2, 1)], ids=["f", "z", "gf2"])
@@ -346,6 +354,39 @@ def test_pi_functorial_composes_each_distinct_pair_of_pis_once(monkeypatch, amb,
     report = check_pi_functorial(amb, bound, 3, 0, 40)
     assert len(calls) == len(set(calls)) == len(distinct) < len(pairs)
     assert report.verdict == verify.expected_verdict(report)
+
+
+@pytest.mark.parametrize("amb, bound", [(F_INJ, 3), (Z_SPLIT, 2), (G2, 1)], ids=["f", "z", "gf2"])
+def test_pi_functorial_pulls_back_each_distinct_cospan_once(monkeypatch, amb, bound):
+    # the pullback of (s1.right, s2.left) is shared by every case with an
+    # equal cospan, the equal legs of different cases included
+    pairs = [pair for _, pair in verify._shape_pairs(amb, bound, 3, 0, 40)]
+    distinct = {(s1.right, s2.left) for s1, s2 in pairs}
+    calls = []
+
+    def counted(f, g):
+        calls.append((f, g))
+        return type(amb).pullback(amb, f, g)
+
+    monkeypatch.setattr(amb, "pullback", counted)
+    report = check_pi_functorial(amb, bound, 3, 0, 40)
+    assert len(calls) == len(set(calls)) == len(distinct) < len(pairs)
+    assert report.verdict == verify.expected_verdict(report)
+
+
+def test_pi_functorial_memo_is_freed_when_the_check_returns(monkeypatch):
+    memos = []
+
+    class Watched(verify._PiMemo):
+        def __init__(self, amb):
+            super().__init__(amb)
+            memos.append(weakref.ref(self))
+
+    monkeypatch.setattr(verify, "_PiMemo", Watched)
+    check_pi_functorial(Z_SPLIT, 1, 3, 0, 40)
+    check_pi_functorial(F_INJ, 2, 3, 0, 40)
+    gc.collect()
+    assert len(memos) == 2 and all(ref() is None for ref in memos)
 
 
 _CHECK_FNS = {
@@ -420,8 +461,8 @@ def test_category_laws_all_ambients():
 )
 def test_sampled_checks_refuse_above_the_sample_budget_before_drawing(monkeypatch, check, pairs):
     # 10 samples over Q at bound 2 and entry bound 2: each pair of legs costs
-    # 50 units, 5 entry values and 3^4 for the elimination
-    work = 10 * pairs * (50 + 5 + 3**4)
+    # 50 units and 3^4 for the elimination
+    work = 10 * pairs * (50 + 3**4)
     monkeypatch.setattr(verify, "SAMPLE_BUDGET", work)
     verify._require_samplable(Q, 2, 2, 10, pairs, a_legs=check is not check_category_laws)
     monkeypatch.setattr(verify, "SAMPLE_BUDGET", work - 1)
@@ -437,7 +478,7 @@ def test_sampled_checks_refuse_above_the_sample_budget_before_drawing(monkeypatc
 def test_split_mono_draws_count_in_the_sample_budget(monkeypatch):
     # a split mono 2 -> 2 with entries in [-3, 3] is drawn by rejection, in
     # about sqrt(2!) * 2^2 = 5.7 draws, counted as 6; other legs take one
-    six_draws = 50 + 7 + 6 * 3**4
+    six_draws = 50 + 6 * 3**4
     monkeypatch.setattr(verify, "SAMPLE_BUDGET", six_draws)
     verify._require_samplable(Z_SPLIT, 2, 3, 1, 1, a_legs=True)
     monkeypatch.setattr(verify, "SAMPLE_BUDGET", six_draws - 1)
