@@ -38,7 +38,6 @@ from .spancospan import (
     MatrixAmbient,
     Span,
     cospan_identity,
-    embed_fwd_cospan,
     transpose_legs,
 )
 
@@ -147,11 +146,6 @@ def corel_equal(a: Corelation, b: Corelation) -> bool:
     return a.cospan == b.cospan
 
 
-def corel_from_morphism(f, amb: Ambient) -> Corelation:
-    """Corelation named by a morphism of the ambient (graph-style embedding)."""
-    return gamma(embed_fwd_cospan(f, amb), amb)
-
-
 # ---------------------------------------------------------------------------
 # relations (matrix ambients over a field): corelations of the transposed legs
 
@@ -167,50 +161,6 @@ def rel_canonical(s: Span, amb: Ambient) -> Relation:
     canonical corelation of the transposed legs."""
     amb = _require_products(amb)
     return Relation(amb, amb.corelation_cospan(transpose_legs(s, Cospan)))
-
-
-def rel_identity(n: int, amb: Ambient) -> Relation:
-    """(id, id), whose transposed legs are the identity corelation's."""
-    return Relation(_require_products(amb), corel_identity(n, amb).cospan)
-
-
-def rel_symmetry(n: int, m: int, amb: Ambient) -> Relation:
-    """(id, sym(n, m)), whose transposed legs (id, sym(m, n)) are the
-    symmetry corelation's."""
-    return Relation(_require_products(amb), corel_symmetry(n, m, amb).cospan)
-
-
-def rel_from_morphism(f, amb: Ambient) -> Relation:
-    """The graph of a linear map as a relation."""
-    amb = _require_products(amb)
-    return rel_canonical(Span(amb.identity(amb.dom(f)), f), amb)
-
-
-# ---------------------------------------------------------------------------
-# the abelian isomorphism between relations and corelations
-
-
-def rel_to_corel(r: Relation) -> Corelation:
-    """Jointly-epi part of the pushout cospan of the underlying span."""
-    amb = _require_products(r.ambient)
-    q1, q2 = amb.pushout(r.span.left, r.span.right)
-    return gamma(Cospan(q1, q2), amb)
-
-
-def corel_to_rel(c: Corelation) -> Relation:
-    """Jointly-mono part of the pullback span of the underlying cospan."""
-    amb = _require_products(c.ambient)
-    p1, p2 = amb.pullback(c.cospan.left, c.cospan.right)
-    return rel_canonical(Span(p1, p2), amb)
-
-
-def rel_corel_iso(x):
-    """Swap between the two canonical presentations over an abelian ambient."""
-    if isinstance(x, Relation):
-        return rel_to_corel(x)
-    if isinstance(x, Corelation):
-        return corel_to_rel(x)
-    raise TypeError(f"expected a Relation or Corelation, got {type(x).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -239,27 +189,6 @@ def er_from_corelation(c: Corelation) -> Partition:
     return Partition(ground, tuple(blocks))
 
 
-def corelation_from_er(p: Partition, n: int, m: int, amb: Ambient) -> Corelation:
-    """Cospan with one apex point per block, undefined on the basepoint's;
-    inverse of er_from_corelation."""
-    basepoint = n + m if amb.map_type is ParMap else None
-    if p.ground != n + m + (basepoint is not None):
-        raise TypeMismatch(f"partition ground {p.ground} does not fit feet {n}, {m} over {amb.name}")
-    index: dict = {}
-    apex = 0
-    for block in p.blocks:
-        if block[-1] == basepoint:
-            label = None
-        else:
-            label, apex = apex, apex + 1
-        for e in block:
-            index[e] = label
-    make = amb.map_type
-    left = make(n, apex, tuple(index[i] for i in range(n)))
-    right = make(m, apex, tuple(index[n + j] for j in range(m)))
-    return gamma(Cospan(left, right), amb)
-
-
 # ---------------------------------------------------------------------------
 # subspace view of matrix relations
 
@@ -269,16 +198,3 @@ def rel_subspace_rows(r: Relation) -> tuple[tuple, ...]:
     reduced-echelon basis rows: the rows of [L | R] of its stored cospan."""
     _require_products(r.ambient)
     return tuple(left + right for left, right in zip(r.cospan.left.entries, r.cospan.right.entries))
-
-
-def rel_from_subspace_rows(rows, n: int, m: int, amb: Ambient) -> Relation:
-    """Relation n -> m spanned by the given vectors of k^(n+m): the
-    corelation whose copairing [L | R] has those rows."""
-    amb = _require_products(amb)
-    from .linmap import ExactMatrix
-
-    rows = tuple(tuple(amb.ring.coerce(v) for v in row) for row in rows)
-    if any(len(row) != n + m for row in rows):
-        raise TypeMismatch(f"vectors must live in dimension {n + m}")
-    legs = amb.split_copair(ExactMatrix(amb.ring, len(rows), n + m, rows), n, m)
-    return Relation(amb, amb.corelation_cospan(Cospan(*legs)))

@@ -362,13 +362,14 @@ def print_term(t: Term) -> str:
 
 
 class Theory:
-    """A semantic prop plus a generator table.
+    """A semantic prop: its ambient, its value class and its generator table.
 
     ``kind`` is the value class, :class:`~corelate.corelrel.Corelation` or
-    :class:`~corelate.corelrel.Relation`: identities and symmetries are
-    built as that class, and one set of corelation operations composes,
-    tensors and compares both.  Those operations are looked up in
-    ``corelrel`` at call time, so wrappers installed there are seen.
+    :class:`~corelate.corelrel.Relation`, and identities and symmetries are
+    built as that class.  Composition, tensor and equality belong to
+    ``corelrel``, whose one set of operations serves both classes:
+    :func:`eval_term` and :func:`term_equal` look them up there at call
+    time, so wrappers installed on the module are seen.
     """
 
     def __init__(self, name: str, kind: type, ambient, generators: dict):
@@ -391,15 +392,6 @@ class Theory:
 
     def symmetry(self, n: int, m: int):
         return self.kind(self.ambient, corelrel.corel_symmetry(n, m, self.ambient).cospan)
-
-    def compose(self, a, b):
-        return corelrel.corel_compose(a, b)
-
-    def tensor(self, *parts):
-        return corelrel.corel_tensor(*parts)
-
-    def equal(self, a, b) -> bool:
-        return corelrel.corel_equal(a, b)
 
 
 def _no_args(value):
@@ -522,9 +514,9 @@ def eval_term(t: Term, th: Theory):
             if isinstance(item, SeqTerm):
                 value = parts[0]
                 for second in parts[1:]:
-                    value = th.compose(value, second)
+                    value = corelrel.corel_compose(value, second)
             else:
-                value = th.tensor(*parts)
+                value = corelrel.corel_tensor(*parts)
         elif isinstance(item, IdTerm):
             value = th.identity(item.n)
         elif isinstance(item, SymTerm):
@@ -542,4 +534,4 @@ def term_equal(t1: Term, t2: Term, th: Theory) -> bool:
     """Semantic equality: evaluate both sides and compare canonical forms."""
     if (t1.dom, t1.cod) != (t2.dom, t2.cod):
         raise TermTypeError("terms have different types", (t1.dom, t1.cod), (t2.dom, t2.cod))
-    return th.equal(eval_term(t1, th), eval_term(t2, th))
+    return corelrel.corel_equal(eval_term(t1, th), eval_term(t2, th))

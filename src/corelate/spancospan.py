@@ -110,10 +110,6 @@ class Ambient:
     def in_a(self, f) -> bool:
         raise NotImplementedError
 
-    # a map out of the tensor (the coproduct), split into its two halves
-    def split_copair(self, h, n: int, m: int):
-        raise NotImplementedError
-
     # mediators (used by the verification harness)
     def pushout_mediator(self, q1, q2, f, g):
         """Unique u with q1;u = f and q2;u = g, for a cocone (f, g)."""
@@ -228,10 +224,6 @@ class FinFnAmbient(Ambient):
 
     def in_a(self, f):
         return True if self.a_name == "all" else finfn.fn_is_injective(f)
-
-    def split_copair(self, h, n, m):
-        make = self.map_type
-        return make(n, h.cod, h.table[:n]), make(m, h.cod, h.table[n:])
 
     def pushout_mediator(self, q1, q2, f, g):
         table: list = [()] * q1.cod  # () marks an apex point not yet reached
@@ -381,12 +373,6 @@ class MatrixAmbient(Ambient):
         if self.a_name == "all":
             return True
         return linmap.is_split_mono(f)
-
-    def split_copair(self, h, n, m):
-        return (
-            ExactMatrix(h.ring, h.rows, n, tuple(row[:n] for row in h.entries)),
-            ExactMatrix(h.ring, h.rows, m, tuple(row[n:] for row in h.entries)),
-        )
 
     def pushout_mediator(self, q1, q2, f, g):
         sol = linmap.mat_solve_left(linmap.mat_hcat(q1, q2), linmap.mat_hcat(f, g))

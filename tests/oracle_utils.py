@@ -8,11 +8,12 @@ from itertools import product
 from pathlib import Path
 from typing import Optional
 
+from corelate.corelrel import Corelation, Relation, _require_products, gamma, rel_canonical
 from corelate.errors import RingMismatch, TypeMismatch
 from corelate.exactnum import ZZ, Ring
 from corelate.finfn import FinMap, ParMap, Partition
-from corelate.linmap import ExactMatrix, _require_same_ring, mat_solve_left, mat_transpose
-from corelate.spancospan import Cospan, Span
+from corelate.linmap import ExactMatrix, _require_same_ring, mat_solve_left, mat_transpose, split_rows
+from corelate.spancospan import Ambient, Cospan, Span
 
 # the benchmark's oracles, which share no code with corelate
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -142,6 +143,56 @@ def enumerate_partitions(ground: int):
         blocks.pop()
 
     yield from rec(0, [])
+
+
+def corelation_from_er(p: Partition, n: int, m: int, amb: Ambient) -> Corelation:
+    """Cospan with one apex point per block, undefined on the basepoint's;
+    inverse of er_from_corelation."""
+    basepoint = n + m if amb.map_type is ParMap else None
+    if p.ground != n + m + (basepoint is not None):
+        raise TypeMismatch(f"partition ground {p.ground} does not fit feet {n}, {m} over {amb.name}")
+    index: dict = {}
+    apex = 0
+    for block in p.blocks:
+        if block[-1] == basepoint:
+            label = None
+        else:
+            label, apex = apex, apex + 1
+        for e in block:
+            index[e] = label
+    make = amb.map_type
+    left = make(n, apex, tuple(index[i] for i in range(n)))
+    right = make(m, apex, tuple(index[n + j] for j in range(m)))
+    return gamma(Cospan(left, right), amb)
+
+
+# ---------------------------------------------------------------------------
+# relations over a field: built from subspace rows, and the abelian
+# isomorphism between relations and corelations
+
+
+def rel_from_subspace_rows(rows, n: int, m: int, amb: Ambient) -> Relation:
+    """Relation n -> m spanned by the given vectors of k^(n+m): the
+    corelation whose copairing [L | R] has those rows."""
+    amb = _require_products(amb)
+    rows = tuple(tuple(amb.ring.coerce(v) for v in row) for row in rows)
+    if any(len(row) != n + m for row in rows):
+        raise TypeMismatch(f"vectors must live in dimension {n + m}")
+    return Relation(amb, amb.corelation_cospan(Cospan(*split_rows(amb.ring, n, m, rows))))
+
+
+def rel_to_corel(r: Relation) -> Corelation:
+    """Jointly-epi part of the pushout cospan of the underlying span."""
+    amb = _require_products(r.ambient)
+    q1, q2 = amb.pushout(r.span.left, r.span.right)
+    return gamma(Cospan(q1, q2), amb)
+
+
+def corel_to_rel(c: Corelation) -> Relation:
+    """Jointly-mono part of the pullback span of the underlying cospan."""
+    amb = _require_products(c.ambient)
+    p1, p2 = amb.pullback(c.cospan.left, c.cospan.right)
+    return rel_canonical(Span(p1, p2), amb)
 
 
 # ---------------------------------------------------------------------------
@@ -699,6 +750,14 @@ def reference_copair(amb, f, g):
     if not isinstance(f, ExactMatrix):
         return amb.map_type(f.dom + g.dom, f.cod, f.table + g.table)
     return ExactMatrix(f.ring, f.rows, f.cols + g.cols, tuple(x + y for x, y in zip(f.entries, g.entries)))
+
+
+def reference_split_copair(amb, h, n, m):
+    """The halves (f, g) of a map h out of the tensor n + m: the inverse of
+    ``reference_copair``."""
+    if not isinstance(h, ExactMatrix):
+        return amb.map_type(n, h.cod, h.table[:n]), amb.map_type(m, h.cod, h.table[n:])
+    return _reference_cols(h, 0, n), _reference_cols(h, n, n + m)
 
 
 def reference_solve_postcompose(amb, m, f):

@@ -20,14 +20,10 @@ from corelate.corelrel import (
     Corelation,
     corel_compose,
     corel_equal,
-    corelation_from_er,
-    corel_to_rel,
     er_from_corelation,
     gamma,
     pi,
-    rel_from_subspace_rows,
     rel_subspace_rows,
-    rel_to_corel,
 )
 from corelate.spancospan import Cospan, Span, cospan_canonical, get_ambient
 from corelate.verify import (
@@ -41,6 +37,8 @@ from corelate.verify import (
     replay,
 )
 from oracle_utils import (
+    corel_to_rel,
+    corelation_from_er,
     det_int,
     enumerate_partitions,
     enumerate_subspaces,
@@ -49,6 +47,8 @@ from oracle_utils import (
     oracle_per_compose,
     oracle_subspace_compose,
     random_subspace_rows,
+    rel_from_subspace_rows,
+    rel_to_corel,
     snf,
     witness_reachable,
 )

@@ -791,3 +791,47 @@ def test_the_front_end_decides_each_thing_once():
     }
     assert [(m.__name__, name) for m, names in gone.items() for name in names if hasattr(m, name)] == []
     assert "a_only" not in inspect.signature(verify._pairs).parameters
+
+
+# --- reach -------------------------------------------------------------------------
+
+# eval in every theory (one with a sym), equal, the quotient of a cospan and
+# of a span, and one small check
+_SESSION = [
+    ("eval", "--theory", "er", "id(1) @ unit ; sym(1,1) ; mult"),
+    ("eval", "--theory", "per", "comult ; id(1) @ undef"),
+    ("eval", "--theory", "z-corel", "w.mult ; scalar(2)"),
+    ("eval", "--theory", "q-subspace", "scalar(2) ; coscalar(2)"),
+    ("eval", "--theory", "gf2-subspace", "b.comult ; w.mult"),
+    ("equal", "--theory", "er", "comult ; mult", "id(1)"),
+    ("normalize", "--ambient", "f", "--quotient", "cospan { left = fn 1 -> 2 : [1], right = fn 1 -> 2 : [0] }"),
+    ("normalize", "--ambient", "q", "--quotient", "span { left = mat q 1x1 : [[2]], right = mat q 1x1 : [[1]] }"),
+    ("check", "square", "--C", "f", "--A", "inj", "--bound", "1"),
+]
+
+
+def test_a_cli_session_reaches_every_public_corelrel_function(capsys):
+    # corelrel keeps only what the program runs: no public function of it
+    # waits for a test to call it
+    import corelate.corelrel as corelrel
+
+    public = {
+        f.__code__: name
+        for name, f in vars(corelrel).items()
+        if inspect.isfunction(f) and f.__module__ == corelrel.__name__ and not name.startswith("_")
+    }
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        codes = [main(list(argv)) for argv in _SESSION]
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    assert codes == [0] * len(_SESSION)
+    assert sorted(name for code, name in public.items() if code not in called) == []

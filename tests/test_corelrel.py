@@ -15,21 +15,13 @@ from corelate.corelrel import (
     corel_identity,
     corel_symmetry,
     corel_tensor,
-    corelation_from_er,
-    corel_from_morphism,
-    corel_to_rel,
     er_from_corelation,
     gamma,
     pi,
     rel_canonical,
-    rel_from_morphism,
-    rel_from_subspace_rows,
-    rel_identity,
     rel_subspace_rows,
-    rel_symmetry,
-    rel_to_corel,
-    rel_corel_iso,
 )
+from corelate.diagrams import get_theory
 from corelate.spancospan import (
     Cospan,
     Span,
@@ -42,13 +34,24 @@ from corelate.spancospan import (
     span_identity,
     span_tensor,
 )
-from oracle_utils import enumerate_partitions, mat_vcat, reference_copair, reference_factorize
+from oracle_utils import (
+    corel_to_rel,
+    corelation_from_er,
+    enumerate_partitions,
+    mat_vcat,
+    reference_copair,
+    reference_factorize,
+    reference_split_copair,
+    rel_from_subspace_rows,
+    rel_to_corel,
+)
 
 F = get_ambient("f")
 PF = get_ambient("pf")
 G2 = get_ambient("gf2")
 Q = get_ambient("q")
 Z = get_ambient("z")
+QS = get_theory("q-subspace")
 
 
 # --- gamma --------------------------------------------------------------------
@@ -159,10 +162,11 @@ def test_corel_feet_mismatch():
 
 
 def test_rel_identity_and_graph():
-    r = rel_from_morphism(mat(QQ, 1, 1, [[2]]), Q)
+    graph = lambda f: rel_canonical(Span(mat_identity(QQ, 1), f), Q)
+    r = graph(mat(QQ, 1, 1, [[2]]))
     rows = rel_subspace_rows(r)
     assert rows == ((1, 2),)
-    assert corel_equal(rel_identity(1, Q), rel_from_morphism(mat_identity(QQ, 1), Q))
+    assert corel_equal(QS.identity(1), graph(mat_identity(QQ, 1)))
 
 
 def test_rel_compose_subspace_example():
@@ -175,7 +179,7 @@ def test_rel_compose_graph_converse_is_identity():
     two = mat(QQ, 1, 1, [[2]])
     graph = rel_canonical(Span(mat_identity(QQ, 1), two), Q)
     conv = rel_canonical(Span(two, mat_identity(QQ, 1)), Q)
-    assert corel_compose(graph, conv) == rel_identity(1, Q)
+    assert corel_compose(graph, conv) == QS.identity(1)
 
 
 def test_relations_are_corelations_of_transposed_legs():
@@ -191,13 +195,13 @@ def test_relations_are_corelations_of_transposed_legs():
     assert (r.dom, r.cod, r.apex) == (1, 1, 1)
     assert type(corel_compose(r, r)) is Relation and type(corel_tensor(r, r)) is Relation
     c = corel_identity(1, Q)
-    assert rel_identity(1, Q).cospan == c.cospan and rel_identity(1, Q) != c
-    assert rel_symmetry(1, 2, Q).cospan == corel_symmetry(1, 2, Q).cospan
+    assert QS.identity(1).cospan == c.cospan and QS.identity(1) != c
+    assert QS.symmetry(1, 2).cospan == corel_symmetry(1, 2, Q).cospan
     for op in (corel_compose, corel_tensor, corel_equal):
         with pytest.raises(TypeMismatch):
-            op(rel_identity(1, Q), c)
+            op(QS.identity(1), c)
         with pytest.raises(TypeMismatch):
-            op(c, rel_identity(1, Q))
+            op(c, QS.identity(1))
     for name in ("rel_compose", "rel_tensor", "rel_equal"):
         assert not hasattr(corelrel, name)
     for name in ("relation_span", "compose_relations"):
@@ -208,7 +212,7 @@ def test_rel_requires_field_ambient():
     with pytest.raises(NotAbelian):
         rel_canonical(Span(fn(1, 1, [0]), fn(1, 1, [0])), F)
     with pytest.raises(NotAbelian):
-        rel_identity(1, Z)
+        rel_canonical(span_identity(1, Z), Z)
 
 
 def test_same_relation_iff_mono_parts_agree_gf2():
@@ -244,7 +248,7 @@ def test_same_relation_iff_mono_parts_agree_gf2():
 
 
 def test_rel_corel_iso_identity():
-    r = rel_identity(1, G2)
+    r = get_theory("gf2-subspace").identity(1)
     c = rel_to_corel(r)
     assert c == corel_identity(1, G2)
     assert corel_to_rel(c) == r
@@ -254,8 +258,8 @@ def test_rel_corel_iso_example():
     r = rel_canonical(Span(mat_identity(GF(2), 1), mat(GF(2), 1, 1, [[0]])), G2)
     c = rel_to_corel(r)
     assert c.cospan == Cospan(mat(GF(2), 1, 1, [[0]]), mat(GF(2), 1, 1, [[1]]))
-    assert rel_corel_iso(c) == r
-    assert rel_corel_iso(r) == c
+    assert corel_to_rel(c) == r
+    assert rel_to_corel(r) == c
 
 
 def test_rel_corel_iso_zero_subspace():
@@ -334,7 +338,7 @@ def test_corel_tensor_well_defined_on_representatives():
 
 def test_corel_from_morphism_graph_name():
     f = fn(2, 1, [0, 0])
-    c = corel_from_morphism(f, F)
+    c = gamma(embed_fwd_cospan(f, F), F)
     assert er_from_corelation(c) == Partition(3, ((0, 1, 2),))
 
 
@@ -360,7 +364,7 @@ def _reference_corelation_cospan(c, amb):
     pass, with the reference factorisation, which shares no code with it."""
     n, m = amb.dom(c.left), amb.dom(c.right)
     e, _ = reference_factorize(amb, reference_copair(amb, c.left, c.right))
-    left, right = amb.split_copair(e, n, m)
+    left, right = reference_split_copair(amb, e, n, m)
     return amb.canonical_cospan(Cospan(left, right))
 
 
@@ -567,11 +571,12 @@ def test_direct_identity_and_symmetry_are_canonical(amb):
 
 @pytest.mark.parametrize("amb", FIELD_AMBIENTS, ids=lambda a: a.name)
 def test_direct_rel_identity_and_symmetry_are_canonical(amb):
+    th = get_theory(f"{amb.name}-subspace")
     for n in range(5):
-        assert _same(rel_identity(n, amb), rel_canonical(span_identity(n, amb), amb))
+        assert _same(th.identity(n), rel_canonical(span_identity(n, amb), amb))
         for m in range(5):
             via_canonical = rel_canonical(Span(amb.identity(n + m), amb.symmetry(n, m)), amb)
-            assert _same(rel_symmetry(n, m, amb), via_canonical)
+            assert _same(th.symmetry(n, m), via_canonical)
 
 
 # Matrix (co)relations are one echelon pass: gamma keeps the canonical basis

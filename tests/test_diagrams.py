@@ -26,7 +26,7 @@ from corelate.diagrams import (
     print_term,
     term_equal,
 )
-from corelate.corelrel import Relation, corel_identity, gamma, rel_canonical, rel_identity
+from corelate.corelrel import Relation, corel_identity, gamma, rel_canonical
 from corelate.spancospan import cospan_tensor, span_tensor
 
 
@@ -340,7 +340,7 @@ def test_eval_er_special_law():
 
 def test_eval_subspace_scalar_cancel():
     qs = get_theory("q-subspace")
-    assert eval_term(parse_term("scalar(2) ; coscalar(2)"), qs) == rel_identity(1, qs.ambient)
+    assert eval_term(parse_term("scalar(2) ; coscalar(2)"), qs) == qs.identity(1)
 
 
 def test_term_equal_frobenius_er():

@@ -6,7 +6,7 @@ from corelate.errors import TypeMismatch
 from corelate.exactnum import GF, QQ, ZZ
 from corelate.finfn import fn, par
 from corelate.linmap import mat
-from corelate.corelrel import corel_identity, gamma, rel_from_subspace_rows
+from corelate.corelrel import corel_identity, gamma
 from corelate.literals import (
     format_canonical,
     format_corelation,
@@ -18,6 +18,7 @@ from corelate.literals import (
     parse_pair,
 )
 from corelate.spancospan import Cospan, Span, get_ambient
+from oracle_utils import rel_from_subspace_rows
 
 F = get_ambient("f")
 PF = get_ambient("pf")

@@ -322,7 +322,7 @@ def test_pi_functorial_records_match_a_case_by_case_reference(amb, bound, entry_
 
 
 @pytest.mark.parametrize("amb, bound", [(F_INJ, 3), (Z_SPLIT, 1), (G2, 1)], ids=["f", "z", "gf2"])
-def test_pi_functorial_computes_pi_once_per_distinct_span_and_once_per_case(monkeypatch, amb, bound):
+def test_pi_functorial_computes_pi_once_per_distinct_span(monkeypatch, amb, bound):
     # one pi per distinct span, the factor spans of the cases and their
     # composite spans alike: pi is deterministic, so the composite's runs
     # once per distinct composite, not once per case
