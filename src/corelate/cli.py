@@ -32,7 +32,7 @@ from . import verify
 
 def _emit(report: verify.CheckReport, output: str) -> None:
     if output == "records":
-        print(json.dumps(report.to_record(), default=str))
+        print(json.dumps(report.to_record()))
         return
     print(
         f"check={report.name} C={report.c_name} A={report.a_name} "

@@ -8,14 +8,15 @@ independent test oracle in the verification module.
 
 Composition asks the ambient for the canonical composite: one union-find
 pass over finite and partial functions, one echelon pass over matrices.
-The quotient of a cospan is the same pass: over functions, its composite
-with the identity corelation.  ``pi`` is the ambient's pushout, which is
-the composite of the two leg cospans and so already canonical.  Tensors
-need neither a factorisation nor a canonical pass: E is closed under
-tensor, and the ambient assembles the canonical tensor from the parts'
-canonical forms, one relabel pass over functions and a merge of the rows
-by pivot column over matrices.  Identities and symmetries are built
-canonical.
+``pi`` is the ambient's pushout, which is the composite of the two leg
+cospans and so already canonical.  Over functions a corelation is a
+partition of its feet, so one first-occurrence numbering of the points
+the legs reach gives both the quotient of a cospan and the tensor.
+Tensors need neither a factorisation nor a canonical pass: E is closed
+under tensor, and the ambient assembles the canonical tensor from the
+parts' canonical forms, by that numbering over functions and a merge of
+the rows by pivot column over matrices.  Identities and symmetries are
+built canonical.
 
 A relation over a field is stored as the corelation of its transposed
 legs.  Transposing both legs of a span gives a cospan with the same feet,
@@ -51,15 +52,15 @@ class Corelation:
 
     @property
     def dom(self) -> int:
-        return self.ambient.dom(self.cospan.left)
+        return self.cospan.left.dom
 
     @property
     def cod(self) -> int:
-        return self.ambient.dom(self.cospan.right)
+        return self.cospan.right.dom
 
     @property
     def apex(self) -> int:
-        return self.ambient.cod(self.cospan.left)
+        return self.cospan.left.cod
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,13 @@ unit.  ``FinMap`` carries the arrows of the props of all / injective /
 surjective functions, ``ParMap`` those of partial functions.  A partial map
 is a pointed total map: each ordinal gains a basepoint, and a ``ParMap``
 stores the entries that hit it as ``None``.  One set of kernels (composite,
-tensor, pullback, pushout, the E and M tests, and the one-pass composite
-and tensor of corelations, ``glue_compose`` and ``corelation_tensor``)
-serves both kinds of map, and returns maps of the type it was given, or,
-for ``corelation_tensor``, of the type asked for.
+tensor, pullback, pushout, the E and M tests, the one-pass composite of
+cospans ``glue_compose``, and the first-occurrence numbering
+``corelation_tensor``) serves both kinds of map, and returns maps of the
+type it was given, or, for ``corelation_tensor``, of the type asked for.
+A function corelation is a partition of its feet, so the numbering alone
+gives the quotient of a cospan, the tensor of corelations and, keeping
+the apex, the iso-class form of a cospan.
 """
 
 from __future__ import annotations
@@ -24,17 +27,11 @@ class FinMap(NamedTuple):
     cod: int
     table: tuple[int, ...]
 
-    def __call__(self, i: int) -> int:
-        return self.table[i]
-
 
 class ParMap(NamedTuple):
     dom: int
     cod: int
     table: tuple[Optional[int], ...]
-
-    def __call__(self, i: int) -> Optional[int]:
-        return self.table[i]
 
 
 def fn(dom: int, cod: int, table) -> FinMap:
@@ -181,17 +178,18 @@ def glue_compose(left1, right1, left2, right2):
 
 
 def corelation_tensor(cospans, make):
-    """Canonical legs of the tensor of canonical corelations, given as
-    cospans (left, right) of total or partial maps; the legs are built
+    """Canonical legs of the corelation that the tensor of the cospans
+    (left, right) of total or partial maps represents; the legs are built
     with ``make``.
 
     Side by side, each cospan's apex points are shifted by the apexes
-    before it, and numbered by first occurrence, scanning every left leg
-    and then every right leg: the canonical apex order.  A point that only
-    a right leg reaches is numbered after the points of every left leg,
-    those of later cospans included.  Every apex point of a corelation is
-    reached, so the apex is the sum of the cospans' apexes.  ``None``
-    stays undefined.
+    before it, and the points the legs reach are numbered by first
+    occurrence, scanning every left leg and then every right leg: the
+    canonical apex order.  A point that only a right leg reaches is
+    numbered after the points of every left leg, those of later cospans
+    included.  The apex is the number of points reached, which for
+    canonical corelations is the sum of their apexes; on one cospan the
+    legs are its quotient.  ``None`` stays undefined.
     """
     label: dict = {}
     get = label.get
@@ -211,7 +209,7 @@ def corelation_tensor(cospans, make):
             shift += c.left.cod
         legs.append(tuple(out))
     lt, rt = legs
-    return make(len(lt), shift, lt), make(len(rt), shift, rt)
+    return make(len(lt), len(label), lt), make(len(rt), len(label), rt)
 
 
 def enumerate_finmaps(dom: int, cod: int):

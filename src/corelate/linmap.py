@@ -440,9 +440,8 @@ def mat_pushout(a: ExactMatrix, b: ExactMatrix) -> tuple[ExactMatrix, ExactMatri
     _require_same_ring(a, b)
     if a.cols != b.cols:
         raise TypeMismatch(f"span apexes disagree: {a.cols} vs {b.cols}")
-    x = a.rows
     basis = _glued_basis(a.ring, a.entries, b.entries, a.cols)
-    return _cut(a.ring, basis, 0, x), _cut(a.ring, basis, x, x + b.rows)
+    return split_rows(a.ring, a.rows, b.rows, basis)
 
 
 def corelation_composite(l1: ExactMatrix, r1: ExactMatrix, l2: ExactMatrix, r2: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
@@ -453,9 +452,8 @@ def corelation_composite(l1: ExactMatrix, r1: ExactMatrix, l2: ExactMatrix, r2: 
         _require_same_ring(l1, leg)
     if r1.cols != l2.cols:
         raise TypeMismatch(f"feet disagree: {r1.cols} vs {l2.cols}")
-    x = l1.cols
     basis = _glued_basis(l1.ring, r1.entries, l2.entries, r1.cols, l1, r2)
-    return _cut(l1.ring, basis, 0, x), _cut(l1.ring, basis, x, x + r2.cols)
+    return split_rows(l1.ring, l1.cols, r2.cols, basis)
 
 
 def corelation_tensor(pairs) -> tuple[ExactMatrix, ExactMatrix]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 
+from .corelrel import Corelation, Relation, er_from_corelation, rel_subspace_rows
 from .diagrams import MAX_LEAF_WIRES
 from .errors import TypeMismatch
 from .exactnum import ZZ, numeral_int, parse_ring
@@ -131,8 +132,6 @@ def format_partition_blocks(blocks, n: int) -> str:
 
 
 def format_corelation(c) -> str:
-    from .corelrel import er_from_corelation
-
     name = c.ambient.name
     if name in ("f", "pf"):
         # the block of the partial-function basepoint is not printed
@@ -143,8 +142,6 @@ def format_corelation(c) -> str:
 
 
 def format_relation(r) -> str:
-    from .corelrel import rel_subspace_rows
-
     ring = r.ambient.ring
     rows = rel_subspace_rows(r)
     body = ",".join("[" + ",".join(ring.format(v) for v in row) + "]" for row in rows)
@@ -152,8 +149,6 @@ def format_relation(r) -> str:
 
 
 def format_canonical(x) -> str:
-    from .corelrel import Corelation, Relation
-
     if isinstance(x, Relation):  # before Corelation, its base class
         return format_relation(x)
     if isinstance(x, Corelation):

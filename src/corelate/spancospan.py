@@ -74,13 +74,7 @@ class Ambient:
     def __repr__(self):
         return f"Ambient({self.name}, A={self.a_name})"
 
-    # morphism protocol
-    def dom(self, f) -> int:
-        raise NotImplementedError
-
-    def cod(self, f) -> int:
-        raise NotImplementedError
-
+    # morphism protocol; a leg carries its feet, as f.dom and f.cod
     def identity(self, n: int):
         raise NotImplementedError
 
@@ -192,12 +186,6 @@ class FinFnAmbient(Ambient):
             raise UnknownAmbient(f"unknown subcategory {a_name!r} for {self.name}")
         self.a_name = a_name
 
-    def dom(self, f):
-        return f.dom
-
-    def cod(self, f):
-        return f.cod
-
     def identity(self, n):
         return self.map_type(*finfn.fn_identity(n))
 
@@ -246,17 +234,11 @@ class FinFnAmbient(Ambient):
         return self.map_type(f.dom, p1.dom, table)
 
     def canonical_cospan(self, c):
-        lt, rt = c.left.table, c.right.table
-        apex = c.left.cod
-        relabel: dict = {None: None}
-        for v in lt + rt:
-            if v not in relabel:
-                relabel[v] = len(relabel) - 1
-        for v in range(apex):
-            if v not in relabel:
-                relabel[v] = len(relabel) - 1
-        make, get = self.map_type, relabel.__getitem__
-        return Cospan(make(len(lt), apex, tuple(map(get, lt))), make(len(rt), apex, tuple(map(get, rt))))
+        """The legs of the quotient, on the apex of c: the points that no
+        leg reaches stay in the apex, and no table names them."""
+        left, right = finfn.corelation_tensor([c], self.map_type)
+        make, apex = self.map_type, c.left.cod
+        return Cospan(make(left.dom, apex, left.table), make(right.dom, apex, right.table))
 
     def canonical_span(self, s):
         key = lambda p: tuple(-1 if v is None else v for v in p)
@@ -268,10 +250,8 @@ class FinFnAmbient(Ambient):
         )
 
     def corelation_cospan(self, c):
-        """The composite of the identity corelation with c: every apex
-        point that a leg reaches, numbered by first occurrence."""
-        ident = self.identity(c.left.dom)
-        return Cospan(*finfn.glue_compose(ident, ident, c.left, c.right))
+        """Every apex point that a leg reaches, numbered by first occurrence."""
+        return Cospan(*finfn.corelation_tensor([c], self.map_type))
 
     def compose_corelations(self, c1, c2):
         return Cospan(*finfn.glue_compose(c1.left, c1.right, c2.left, c2.right))
@@ -338,12 +318,6 @@ class MatrixAmbient(Ambient):
         if a_name == "split" and ring != ZZ:
             raise UnknownAmbient("split-mono subcategory is specific to the integers")
         self.a_name = a_name
-
-    def dom(self, f):
-        return f.cols
-
-    def cod(self, f):
-        return f.rows
 
     def identity(self, n):
         return linmap.mat_identity(self.ring, n)
@@ -492,14 +466,14 @@ def _require_legs(amb: Ambient, *legs) -> None:
 
 def make_cospan(left, right, amb: Ambient) -> Cospan:
     _require_legs(amb, left, right)
-    if amb.cod(left) != amb.cod(right):
+    if left.cod != right.cod:
         raise TypeMismatch("cospan legs need a common apex")
     return Cospan(left, right)
 
 
 def make_span(left, right, amb: Ambient) -> Span:
     _require_legs(amb, left, right)
-    if amb.dom(left) != amb.dom(right):
+    if left.dom != right.dom:
         raise TypeMismatch("span legs need a common apex")
     return Span(left, right)
 
@@ -515,19 +489,15 @@ def span_identity(n: int, amb: Ambient) -> Span:
 
 
 def cospan_compose(c1: Cospan, c2: Cospan, amb: Ambient) -> Cospan:
-    if amb.dom(c1.right) != amb.dom(c2.left):
-        raise TypeMismatch(
-            f"feet disagree: {amb.dom(c1.right)} vs {amb.dom(c2.left)}"
-        )
+    if c1.right.dom != c2.left.dom:
+        raise TypeMismatch(f"feet disagree: {c1.right.dom} vs {c2.left.dom}")
     q1, q2 = amb.pushout(c1.right, c2.left)
     return Cospan(amb.compose(c1.left, q1), amb.compose(c2.right, q2))
 
 
 def span_compose(s1: Span, s2: Span, amb: Ambient) -> Span:
-    if amb.cod(s1.right) != amb.cod(s2.left):
-        raise TypeMismatch(
-            f"feet disagree: {amb.cod(s1.right)} vs {amb.cod(s2.left)}"
-        )
+    if s1.right.cod != s2.left.cod:
+        raise TypeMismatch(f"feet disagree: {s1.right.cod} vs {s2.left.cod}")
     p1, p2 = amb.pullback(s1.right, s2.left)
     return Span(amb.compose(p1, s1.left), amb.compose(p2, s2.right))
 
@@ -549,16 +519,16 @@ def span_canonical(s: Span, amb: Ambient) -> Span:
 
 
 def embed_fwd_cospan(f, amb: Ambient) -> Cospan:
-    return Cospan(f, amb.identity(amb.cod(f)))
+    return Cospan(f, amb.identity(f.cod))
 
 
 def embed_bwd_cospan(f, amb: Ambient) -> Cospan:
-    return Cospan(amb.identity(amb.cod(f)), f)
+    return Cospan(amb.identity(f.cod), f)
 
 
 def embed_fwd_span(f, amb: Ambient) -> Span:
-    return Span(amb.identity(amb.dom(f)), f)
+    return Span(amb.identity(f.dom), f)
 
 
 def embed_bwd_span(f, amb: Ambient) -> Span:
-    return Span(f, amb.identity(amb.dom(f)))
+    return Span(f, amb.identity(f.dom))

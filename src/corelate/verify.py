@@ -111,15 +111,13 @@ def square_case(amb: Ambient, f) -> bool:
 def pi_functorial_case(amb: Ambient, s1: Span, s2: Span, memo: Optional[_PiMemo] = None) -> bool:
     """Whether pi(s1 ; s2) equals pi(s1) ; pi(s2).
 
-    ``memo``, kept across the cases of one run, computes each distinct
-    pullback, composite leg, pi and composite of pis once (see
-    :class:`_PiMemo`).  The pi of a composite span, whose membership test
-    checks that A is stable under pullback, then runs once per distinct
-    composite span: pi is deterministic, so that covers every case."""
-    if memo is None:
-        lhs = pi(span_compose(s1, s2, amb), amb)
-        return corel_equal(lhs, corel_compose(pi(s1, amb), pi(s2, amb)))
-    return memo.holds(s1, s2)
+    ``memo``, kept across the cases of one run (a fresh one otherwise),
+    computes each distinct pullback, composite leg, pi and composite of
+    pis once (see :class:`_PiMemo`).  The pi of a composite span, whose
+    membership test checks that A is stable under pullback, then runs once
+    per distinct composite span: pi is deterministic, so that covers every
+    case."""
+    return (_PiMemo(amb) if memo is None else memo).holds(s1, s2)
 
 
 class _PiMemo:
@@ -162,7 +160,8 @@ class _PiMemo:
         return h
 
     def holds(self, s1: Span, s2: Span) -> bool:
-        """The case (s1, s2), in the order of the case without a memo."""
+        """The case (s1, s2): the pi of the composite span, then the pis
+        of s1 and s2 and their composite."""
         intern = self.legs.setdefault
         l1, r1 = intern(s1.left, s1.left), intern(s1.right, s1.right)
         l2, r2 = intern(s2.left, s2.left), intern(s2.right, s2.right)
@@ -181,26 +180,30 @@ class _PiMemo:
         return lhs is rhs
 
 
+def _operations(kind):
+    """Composite, identity, tensor, canonical form and feet of spans
+    (``kind`` Span) or of cospans, read from this module at each call, so
+    that a wrapper installed on it sees them."""
+    if kind is Span:
+        return span_compose, span_identity, span_tensor, span_canonical, lambda s: (s.left.cod, s.right.cod)
+    return cospan_compose, cospan_identity, cospan_tensor, cospan_canonical, lambda c: (c.left.dom, c.right.dom)
+
+
 def tensor_functorial_case(
     amb: Ambient, s1: Span, s2: Span, s1p: Span, s2p: Span, c1: Cospan, c2: Cospan, c1p: Cospan, c2p: Cospan
 ):
     """Interchange of the monoidal product with span, cospan and corelation
     composition on one tuple; returns whether each of the three holds."""
-    lhs = span_compose(span_tensor(s1, s1p, amb), span_tensor(s2, s2p, amb), amb)
-    rhs = span_tensor(span_compose(s1, s2, amb), span_compose(s1p, s2p, amb), amb)
-    ok_span = span_canonical(lhs, amb) == span_canonical(rhs, amb)
-
-    clhs = cospan_compose(cospan_tensor(c1, c1p, amb), cospan_tensor(c2, c2p, amb), amb)
-    crhs = cospan_tensor(cospan_compose(c1, c2, amb), cospan_compose(c1p, c2p, amb), amb)
-    ok_cospan = cospan_canonical(clhs, amb) == cospan_canonical(crhs, amb)
-
-    a1, a2 = gamma(c1, amb), gamma(c2, amb)
-    b1, b2 = gamma(c1p, amb), gamma(c2p, amb)
-    ok_corel = corel_equal(
-        corel_compose(corel_tensor(a1, b1), corel_tensor(a2, b2)),
-        corel_tensor(corel_compose(a1, a2), corel_compose(b1, b2)),
-    )
-    return ok_span, ok_cospan, ok_corel
+    holds = []
+    for kind, (x1, x2, x1p, x2p) in ((Span, (s1, s2, s1p, s2p)), (Cospan, (c1, c2, c1p, c2p))):
+        compose, _, tensor, canonical, _ = _operations(kind)
+        lhs = compose(tensor(x1, x1p, amb), tensor(x2, x2p, amb), amb)
+        rhs = tensor(compose(x1, x2, amb), compose(x1p, x2p, amb), amb)
+        holds.append(canonical(lhs, amb) == canonical(rhs, amb))
+    a1, a2, b1, b2 = (gamma(c, amb) for c in (c1, c2, c1p, c2p))
+    lhs = corel_compose(corel_tensor(a1, b1), corel_tensor(a2, b2))
+    holds.append(corel_equal(lhs, corel_tensor(corel_compose(a1, a2), corel_compose(b1, b2))))
+    return tuple(holds)
 
 
 _LAW_FLAGS = ("span_assoc", "span_id", "cospan_assoc", "cospan_id", "corel_assoc")
@@ -209,30 +212,19 @@ _LAW_FLAGS = ("span_assoc", "span_id", "cospan_assoc", "cospan_id", "corel_assoc
 def laws_case(amb: Ambient, s1: Span, s2: Span, s3: Span, c1: Cospan, c2: Cospan, c3: Cospan):
     """Associativity and identity on one tuple of composable spans and
     cospans; returns whether each law in ``_LAW_FLAGS`` holds."""
-    x, y = amb.cod(s1.left), amb.cod(s1.right)
-    assoc_span = span_canonical(
-        span_compose(span_compose(s1, s2, amb), s3, amb), amb
-    ) == span_canonical(span_compose(s1, span_compose(s2, s3, amb), amb), amb)
-    form = span_canonical(s1, amb)
-    ident_span = span_canonical(span_compose(span_identity(x, amb), s1, amb), amb) == form and (
-        span_canonical(span_compose(s1, span_identity(y, amb), amb), amb) == form
-    )
-
-    x, y = amb.dom(c1.left), amb.dom(c1.right)
-    assoc_cospan = cospan_canonical(
-        cospan_compose(cospan_compose(c1, c2, amb), c3, amb), amb
-    ) == cospan_canonical(cospan_compose(c1, cospan_compose(c2, c3, amb), amb), amb)
-    form = cospan_canonical(c1, amb)
-    ident_cospan = cospan_canonical(cospan_compose(cospan_identity(x, amb), c1, amb), amb) == form and (
-        cospan_canonical(cospan_compose(c1, cospan_identity(y, amb), amb), amb) == form
-    )
-
+    holds = []
+    for kind, (x1, x2, x3) in ((Span, (s1, s2, s3)), (Cospan, (c1, c2, c3))):
+        compose, identity, _, canonical, feet = _operations(kind)
+        lhs, rhs = compose(compose(x1, x2, amb), x3, amb), compose(x1, compose(x2, x3, amb), amb)
+        holds.append(canonical(lhs, amb) == canonical(rhs, amb))
+        (x, y), form = feet(x1), canonical(x1, amb)
+        holds.append(
+            canonical(compose(identity(x, amb), x1, amb), amb) == form
+            and canonical(compose(x1, identity(y, amb), amb), amb) == form
+        )
     a1, a2, a3 = gamma(c1, amb), gamma(c2, amb), gamma(c3, amb)
-    assoc_corel = corel_equal(
-        corel_compose(corel_compose(a1, a2), a3),
-        corel_compose(a1, corel_compose(a2, a3)),
-    )
-    return assoc_span, ident_span, assoc_cospan, ident_cospan, assoc_corel
+    holds.append(corel_equal(corel_compose(corel_compose(a1, a2), a3), corel_compose(a1, corel_compose(a2, a3))))
+    return tuple(holds)
 
 
 # ---------------------------------------------------------------------------

@@ -550,7 +550,7 @@ def witness_reachable(c, amb, depth=3, apex_bound=3, entry_bound=2, witness_cach
         return witnesses[(dom, cod)]
 
     def moves(state):
-        apex = amb.cod(state.left)
+        apex = state.left.cod
         for new_apex in range(apex_bound + 1):
             for m in monos(apex, new_apex):
                 yield Cospan(amb.compose(state.left, m), amb.compose(state.right, m))

@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -795,31 +796,45 @@ def test_the_front_end_decides_each_thing_once():
 
 # --- reach -------------------------------------------------------------------------
 
-# eval in every theory (one with a sym), equal, the quotient of a cospan and
-# of a span, and one small check
+# eval in every theory (with a sym and a tensor over the integers), equal,
+# the quotient of a cospan and of a span, a partial-map literal (the
+# theories' own are built once per process), sweeps of assumption 3.1 and 3.3
+# over functions, partial functions and GF(2), square over integer split
+# monos, and sampled checks over functions, partial functions and integers
 _SESSION = [
     ("eval", "--theory", "er", "id(1) @ unit ; sym(1,1) ; mult"),
     ("eval", "--theory", "per", "comult ; id(1) @ undef"),
     ("eval", "--theory", "z-corel", "w.mult ; scalar(2)"),
+    ("eval", "--theory", "z-corel", "(sym(1,1) ; w.mult) @ scalar(2)"),
     ("eval", "--theory", "q-subspace", "scalar(2) ; coscalar(2)"),
     ("eval", "--theory", "gf2-subspace", "b.comult ; w.mult"),
     ("equal", "--theory", "er", "comult ; mult", "id(1)"),
     ("normalize", "--ambient", "f", "--quotient", "cospan { left = fn 1 -> 2 : [1], right = fn 1 -> 2 : [0] }"),
     ("normalize", "--ambient", "q", "--quotient", "span { left = mat q 1x1 : [[2]], right = mat q 1x1 : [[1]] }"),
+    ("normalize", "--ambient", "pf", "cospan { left = par 1 -> 2 : [_], right = par 1 -> 2 : [1] }"),
     ("check", "square", "--C", "f", "--A", "inj", "--bound", "1"),
+    ("check", "assumption31", "--C", "f", "--A", "all", "--bound", "1"),
+    ("check", "assumption33", "--C", "pf", "--A", "all", "--bound", "1"),
+    ("check", "assumption31", "--C", "gf2", "--bound", "1"),
+    ("check", "assumption33", "--C", "gf2", "--bound", "1"),
+    ("check", "square", "--C", "z", "--A", "split", "--bound", "1", "--entry-bound", "1"),
+    ("check", "tensor-functorial", "--C", "pf", "--bound", "1", "--samples", "3"),
+    ("check", "tensor-functorial", "--C", "z", "--bound", "1", "--entry-bound", "1", "--samples", "3"),
+    ("check", "laws", "--C", "f", "--bound", "1", "--samples", "2"),
 ]
 
 
-def test_a_cli_session_reaches_every_public_corelrel_function(capsys):
-    # corelrel keeps only what the program runs: no public function of it
-    # waits for a test to call it
-    import corelate.corelrel as corelrel
-
-    public = {
-        f.__code__: name
-        for name, f in vars(corelrel).items()
-        if inspect.isfunction(f) and f.__module__ == corelrel.__name__ and not name.startswith("_")
+def _public_functions(module) -> dict:
+    """code -> name of each public function that ``module`` defines."""
+    return {
+        f.__code__: f"{module.__name__}.{name}"
+        for name, f in vars(module).items()
+        if inspect.isfunction(f) and f.__module__ == module.__name__ and not name.startswith("_")
     }
+
+
+def _session_calls(capsys) -> set:
+    """The code of every function that one in-process run of ``_SESSION`` calls."""
     called = set()
 
     def profile(frame, event, arg):
@@ -834,4 +849,35 @@ def test_a_cli_session_reaches_every_public_corelrel_function(capsys):
         sys.setprofile(previous)
     capsys.readouterr()
     assert codes == [0] * len(_SESSION)
-    assert sorted(name for code, name in public.items() if code not in called) == []
+    return called
+
+
+def test_a_cli_session_reaches_every_public_corelrel_function(capsys):
+    # corelrel keeps only what the program runs: no public function of it
+    # waits for a test to call it
+    import corelate.corelrel as corelrel
+
+    called = _session_calls(capsys)
+    assert sorted(name for code, name in _public_functions(corelrel).items() if code not in called) == []
+
+
+def test_a_cli_session_reaches_every_kernel(capsys):
+    # finfn, linmap and spancospan keep only what the program runs: every
+    # public function of them, and every public method of an Ambient class
+    # other than the base class's NotImplementedError declarations, is
+    # called by the session, in well under a second
+    import corelate.finfn as finfn
+    import corelate.linmap as linmap
+    import corelate.spancospan as spancospan
+
+    kernels = {**_public_functions(finfn), **_public_functions(linmap), **_public_functions(spancospan)}
+    for cls in vars(spancospan).values():
+        if isinstance(cls, type) and issubclass(cls, spancospan.Ambient):
+            methods = ((name, f) for name, f in vars(cls).items() if inspect.isfunction(f) and not name.startswith("_"))
+            for name, f in methods:
+                if f.__code__.co_names != ("NotImplementedError",):
+                    kernels[f.__code__] = f"{cls.__name__}.{name}"
+    start = time.perf_counter()
+    called = _session_calls(capsys)
+    assert time.perf_counter() - start < 1.0
+    assert sorted(name for code, name in kernels.items() if code not in called) == []

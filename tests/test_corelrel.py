@@ -362,7 +362,7 @@ def _reference_corelation_cospan(c, amb):
     """Factorise the copairing, keep the epi part, canonicalise the apex:
     the slow path that the ambients replace with one echelon or gluing
     pass, with the reference factorisation, which shares no code with it."""
-    n, m = amb.dom(c.left), amb.dom(c.right)
+    n, m = c.left.dom, c.right.dom
     e, _ = reference_factorize(amb, reference_copair(amb, c.left, c.right))
     left, right = reference_split_copair(amb, e, n, m)
     return amb.canonical_cospan(Cospan(left, right))
@@ -606,7 +606,7 @@ def _reference_pi(s, amb):
 
 
 def _reference_relation_span(s, amb):
-    n, m = amb.cod(s.left), amb.cod(s.right)
+    n, m = s.left.cod, s.right.cod
     _, mono = reference_factorize(amb, mat_vcat(s.left, s.right))
     left, right = mono.entries[:n], mono.entries[n:]
     return amb.canonical_span(Span(mat(amb.ring, n, mono.cols, left), mat(amb.ring, m, mono.cols, right)))

@@ -300,12 +300,17 @@ def test_pi_functorial_integer_split_monos_fails_on_shape_iv():
     assert replay(report)
 
 
+def _reference_pi_functorial_case(amb, s1, s2):
+    """pi(s1 ; s2) = pi(s1) ; pi(s2), by the definition: no memo, nothing shared."""
+    return corel_equal(pi(span_compose(s1, s2, amb), amb), corel_compose(pi(s1, amb), pi(s2, amb)))
+
+
 def _reference_pi_functorial(amb, bound, entry_bound, seed, samples):
     """The pi-functorial record of a loop that decides every case by itself."""
     failures = (
         (("shape", shape),) + verify._format_fields(("span1", "span2"), pair)
         for shape, pair in verify._shape_pairs(amb, bound, entry_bound, seed, samples)
-        if not verify.pi_functorial_case(amb, *pair)
+        if not _reference_pi_functorial_case(amb, *pair)
     )
     return verify._report("pi-functorial", amb.name, amb.a_name, bound, entry_bound, seed, failures).to_record()
 
@@ -542,6 +547,85 @@ def test_laws_counterexamples_replay(monkeypatch, amb):
     assert not replay(report)
     one = CheckReport(**{**vars(report), "counterexamples": report.counterexamples[:1]})
     assert not replay(one)
+
+
+def _drop_the_last_apex_point(s):
+    """A planted fault: a span without the last point of its apex."""
+    if isinstance(s.left, ExactMatrix):
+        cut = lambda x: x._replace(cols=x.cols - 1, entries=tuple(row[:-1] for row in x.entries))
+    else:
+        cut = lambda x: x._replace(dom=x.dom - 1, table=x.table[:-1])
+    return s if s.left.dom == 0 else Span(cut(s.left), cut(s.right))
+
+
+def _add_an_unreached_apex_point(c):
+    """A planted fault: a cospan with one more apex point, which no leg reaches."""
+    if isinstance(c.left, ExactMatrix):
+        grow = lambda x: x._replace(rows=x.rows + 1, entries=x.entries + ((x.ring.zero,) * x.cols,))
+    else:
+        grow = lambda x: x._replace(cod=x.cod + 1)
+    return Cospan(grow(c.left), grow(c.right))
+
+
+def _planted(compose, fault, nested: bool):
+    """``compose`` with ``fault`` on every composite or, with ``nested``,
+    only on a composite whose first factor is one of its composites: then
+    the units still hold, and the two bracketings of three factors differ."""
+    made = {}  # id -> composite, held so that no id is reused
+
+    def planted(x1, x2, amb):
+        out = compose(x1, x2, amb)
+        if not nested or id(x1) in made:
+            out = fault(out)
+        made[id(out)] = out
+        return out
+
+    return planted
+
+
+def _false_flags(report) -> set:
+    """The flags that read False in the ``failing`` fields of a report."""
+    items = (item for ce in report.counterexamples for item in dict(ce)["failing"].split())
+    return {item[: -len("=False")] for item in items if item.endswith("=False")}
+
+
+_PLANTED = {
+    "span-unit": ("span_compose", lambda compose: _planted(compose, _drop_the_last_apex_point, False)),
+    "span-assoc": ("span_compose", lambda compose: _planted(compose, _drop_the_last_apex_point, True)),
+    "cospan-unit": ("cospan_compose", lambda compose: _planted(compose, _add_an_unreached_apex_point, False)),
+    "cospan-assoc": ("cospan_compose", lambda compose: _planted(compose, _add_an_unreached_apex_point, True)),
+    "corel": ("corel_compose", lambda compose: _compose_dropping_a_row),
+}
+
+
+# the fault, the ambient, and the flags of the laws and of the
+# tensor-functorial check that read False under it
+_FLAG_CASES = [
+    ("span-unit", F_INJ, {"span_id"}, set()),
+    ("span-unit", G2, {"span_assoc", "span_id"}, {"span"}),
+    ("span-assoc", F_INJ, {"span_assoc"}, set()),
+    ("span-assoc", G2, {"span_assoc"}, set()),
+    ("cospan-unit", F_INJ, {"cospan_id"}, {"cospan"}),
+    ("cospan-unit", G2, {"cospan_id"}, {"cospan"}),
+    ("cospan-assoc", F_INJ, {"cospan_assoc"}, set()),
+    ("cospan-assoc", G2, {"cospan_assoc"}, set()),
+    ("corel", G2, {"corel_assoc"}, {"corel"}),
+]
+
+
+@pytest.mark.parametrize(
+    "fault, amb, laws_false, tensor_false", _FLAG_CASES, ids=[f"{fault}-{amb.name}" for fault, amb, *_ in _FLAG_CASES]
+)
+def test_every_law_flag_reads_false_under_a_planted_fault(monkeypatch, fault, amb, laws_false, tensor_false):
+    # each flag is computed from the planted side's composites alone: a
+    # law statement that compared a form with itself would pass here
+    name, plant = _PLANTED[fault]
+    monkeypatch.setattr(verify, name, plant(getattr(verify, name)))
+    for check, expected in ((check_category_laws, laws_false), (check_tensor_functorial, tensor_false)):
+        report = check(amb, 2, 2, 0, 20)
+        assert _false_flags(report) == expected, check.__name__
+        assert report.verdict == ("fail" if expected else "pass")
+        assert replay(report)
 
 
 # --- frobenius suites -----------------------------------------------------------------
