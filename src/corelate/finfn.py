@@ -8,7 +8,8 @@ stores the entries that hit it as ``None``.  One set of kernels (composite,
 tensor, pullback, pushout, the E and M tests, the one-pass composite of
 cospans ``glue_compose``, and the first-occurrence numbering
 ``corelation_tensor``) serves both kinds of map, and returns maps of the
-type it was given, or, for ``corelation_tensor``, of the type asked for.
+type it was given, or, for ``corelation_tensor``, the leg tables and the
+apex, from which the caller builds each leg once, of the type it needs.
 A function corelation is a partition of its feet, so the numbering alone
 gives the quotient of a cospan, the tensor of corelations and, keeping
 the apex, the iso-class form of a cospan.
@@ -177,10 +178,10 @@ def glue_compose(left1, right1, left2, right2):
     return make(len(lt), apex, lt), make(len(rt), apex, rt)
 
 
-def corelation_tensor(cospans, make):
-    """Canonical legs of the corelation that the tensor of the cospans
-    (left, right) of total or partial maps represents; the legs are built
-    with ``make``.
+def corelation_tensor(cospans) -> tuple[tuple, tuple, int]:
+    """The tables of the canonical legs of the corelation that the tensor
+    of the cospans (left, right) of total or partial maps represents, and
+    its apex.
 
     Side by side, each cospan's apex points are shifted by the apexes
     before it, and the points the legs reach are numbered by first
@@ -208,8 +209,7 @@ def corelation_tensor(cospans, make):
                 out.append(v)
             shift += c.left.cod
         legs.append(tuple(out))
-    lt, rt = legs
-    return make(len(lt), len(label), lt), make(len(rt), len(label), rt)
+    return legs[0], legs[1], len(label)
 
 
 def enumerate_finmaps(dom: int, cod: int):

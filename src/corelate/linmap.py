@@ -2,12 +2,14 @@
 
 A morphism n -> m is stored as an m-by-n matrix; diagrammatic composition
 "first A, then B" is the matrix product B*A.  Every canonical form, rank,
-split-mono test, pullback, pushout and exact solve is one pass of the one
-echelon core, ``_echelon``, on a list of rows: the row Hermite normal form,
-which over a field is the reduced row echelon form.  A limit is the
-canonical basis of the rows of one stacked matrix that vanish on a block of
-columns (``_meet``); the left kernels it reads are saturated, so over the
-integers nothing leaves the integers and no Smith form is needed.
+split-mono test, pullback, pushout, (co)span composite and mediator is one
+pass of the one echelon core, ``_echelon``, on a list of rows: the row
+Hermite normal form, which over a field is the reduced row echelon form.  A
+limit is the canonical basis of the rows of one stacked matrix that vanish
+on a block of columns (``_meet``); the left kernels it reads are saturated,
+so over the integers nothing leaves the integers and no Smith form is
+needed.  The span half reads the legs' columns as its rows and cuts its
+results as columns, with no transpose built.
 
 The core works on the stored values themselves, without calling the
 ring's scalar operations: ``int`` residues reduced mod p for GF(p),
@@ -39,19 +41,22 @@ class ExactMatrix(NamedTuple):
         return self.rows
 
 
+# builds an ExactMatrix from its field tuple without the Python frame of
+# NamedTuple's __new__: _new(ExactMatrix, (ring, rows, cols, entries))
+_new = tuple.__new__
+
+
 def mat(ring: Ring, rows: int, cols: int, entries) -> ExactMatrix:
     """Validated constructor; coerces every entry into the ring."""
     table = tuple(tuple(ring.coerce(v) for v in row) for row in entries)
     if len(table) != rows or any(len(row) != cols for row in table):
         raise TypeMismatch(f"entries do not form a {rows}x{cols} matrix")
-    return ExactMatrix(ring, rows, cols, table)
+    return _new(ExactMatrix, (ring, rows, cols, table))
 
 
 def mat_identity(ring: Ring, n: int) -> ExactMatrix:
     one, zero = ring.one, ring.zero
-    return ExactMatrix(
-        ring, n, n, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-    )
+    return _new(ExactMatrix, (ring, n, n, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))))
 
 
 def _modulus(ring: Ring) -> Optional[int]:
@@ -111,7 +116,7 @@ def mat_mul(x: ExactMatrix, y: ExactMatrix, y_support: Optional[list] = None) ->
         if p is not None:
             acc = [v % p for v in acc]
         out.append(tuple(acc))
-    return ExactMatrix(ring, x.rows, y.cols, tuple(out))
+    return _new(ExactMatrix, (ring, x.rows, y.cols, tuple(out)))
 
 
 def mat_compose(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -135,7 +140,7 @@ def mat_tensor(first: ExactMatrix, *rest: ExactMatrix) -> ExactMatrix:
         pad_left, pad_right = (zero,) * before, (zero,) * (cols - before - b.cols)
         out.extend(pad_left + row + pad_right for row in b.entries)
         before += b.cols
-    return ExactMatrix(ring, len(out), cols, tuple(out))
+    return _new(ExactMatrix, (ring, len(out), cols, tuple(out)))
 
 
 def mat_symmetry(ring: Ring, n: int, m: int) -> ExactMatrix:
@@ -146,19 +151,20 @@ def mat_symmetry(ring: Ring, n: int, m: int) -> ExactMatrix:
         out.append(tuple(one if j == n + i else zero for j in range(n + m)))
     for i in range(n):
         out.append(tuple(one if j == i else zero for j in range(n + m)))
-    return ExactMatrix(ring, m + n, n + m, tuple(out))
+    return _new(ExactMatrix, (ring, m + n, n + m, tuple(out)))
+
+
+def _read(a: ExactMatrix, columns: bool) -> tuple:
+    """The rows of a and their width; with ``columns``, the columns of a
+    and their height, which are the rows of its transpose, read with no
+    transpose built."""
+    if columns:
+        return (list(zip(*a.entries)) if a.rows else [()] * a.cols), a.rows
+    return a.entries, a.cols
 
 
 def mat_transpose(a: ExactMatrix) -> ExactMatrix:
-    return ExactMatrix(a.ring, a.cols, a.rows, tuple(zip(*a.entries)) if a.entries else ((),) * a.cols)
-
-
-def mat_hcat(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    _require_same_ring(a, b)
-    if a.rows != b.rows:
-        raise TypeMismatch("row counts differ")
-    return ExactMatrix(a.ring, a.rows, a.cols + b.cols, tuple(ra + rb for ra, rb in zip(a.entries, b.entries)))
-
+    return _new(ExactMatrix, (a.ring, a.cols, a.rows, tuple(zip(*a.entries)) if a.entries else ((),) * a.cols))
 
 
 # ---------------------------------------------------------------------------
@@ -283,29 +289,60 @@ def _meet(ring: Ring, rows: list, ncols: int, k: int = 0) -> list:
     return [row[k:] for row in rows[lo : len(pivots)]]
 
 
-def _cut(ring: Ring, basis: list, lo: int, hi: int) -> ExactMatrix:
-    """Columns lo..hi of the basis rows, as a matrix."""
-    return ExactMatrix(ring, len(basis), hi - lo, tuple([tuple(row[lo:hi]) for row in basis]))
+def split_rows(ring: Ring, n: int, m: int, rows, columns: bool = False, skip: int = 0) -> tuple[ExactMatrix, ExactMatrix]:
+    """The matrices of the n columns of the rows after the first ``skip``
+    and of the m columns after them; with ``columns``, the matrices whose
+    rows are those columns, which are the transposes, cut with no
+    transpose built."""
+    lo, mid, hi = skip, skip + n, skip + n + m
+    k = len(rows)
+    if columns:
+        cols = list(zip(*rows)) if rows else [()] * hi
+        return _new(ExactMatrix, (ring, n, k, tuple(cols[lo:mid]))), _new(ExactMatrix, (ring, m, k, tuple(cols[mid:hi])))
+    return (
+        _new(ExactMatrix, (ring, k, n, tuple([tuple(row[lo:mid]) for row in rows]))),
+        _new(ExactMatrix, (ring, k, m, tuple([tuple(row[mid:hi]) for row in rows]))),
+    )
 
 
 # ---------------------------------------------------------------------------
 # canonical forms, rank and the split-mono test: wrappers of the core
+#
+# A span is the cospan of its transposed legs.  A function of this section
+# or the next that takes ``columns`` serves the span half with it: it reads
+# the legs' columns as its input rows and cuts its results as columns, so
+# no transpose is built before or after.
 
 
-def echelon_rows(left: ExactMatrix, right: ExactMatrix) -> tuple:
+def _require_apex(legs, columns: bool) -> int:
+    """The common apex of the legs: their rows (with ``columns``, their
+    columns), all over one ring; 0 for no legs."""
+    if not legs:
+        return 0
+    apex = legs[0].cols if columns else legs[0].rows
+    for a in legs:
+        _require_same_ring(legs[0], a)
+        if (a.cols if columns else a.rows) != apex:
+            raise TypeMismatch("the legs' apexes differ")
+    return apex
+
+
+def echelon_rows(left: ExactMatrix, right: ExactMatrix, columns: bool = False) -> tuple:
     """The rows of the canonical echelon form of [left | right], as tuples:
-    a canonical basis of the row space (lattice), then the zero rows."""
-    _require_same_ring(left, right)
-    if left.rows != right.rows:
-        raise TypeMismatch("row counts differ")
-    rows = [[*l, *r] for l, r in zip(left.entries, right.entries)]
-    _echelon(left.ring, rows, left.cols + right.cols)
+    a canonical basis of the row space (lattice), then the zero rows.  With
+    ``columns``, of [left^T | right^T]."""
+    _require_apex((left, right), columns)
+    (lrows, x), (rrows, y) = _read(left, columns), _read(right, columns)
+    rows = [[*l, *r] for l, r in zip(lrows, rrows)]
+    _echelon(left.ring, rows, x + y)
     return tuple(map(tuple, rows))
 
 
-def echelon_rows_each(lefts, rights):
-    """``([echelon_rows(left, right) for right in rights] for left in
-    lefts)``, one list per left, lazily: one echelon pass over [left | I]
+def echelon_rows_each(lefts, rights, columns: bool = False):
+    """For each left, lazily, the canonical form H of left and, for each
+    right, the columns of the right block of ``echelon_rows(left,
+    right)``, whose rows are those of H beside that block; with
+    ``columns``, of the legs' transposes.  One echelon pass over [left | I]
     per left instead of one pass per pair, and the block of rights is
     prepared once for all the lefts.
 
@@ -313,52 +350,49 @@ def echelon_rows_each(lefts, rights):
     (unimodular over the integers) with U * left = H, so [left | right]
     and [H | U * right] have the same row space (lattice).  When H has no
     zero row, [H | U * right] is canonical already: every pivot lies in the
-    H block, which is reduced.  Otherwise a pass over it finishes the rows.
-    The U * right are one product, by the rights side by side, whose
-    support is built once.  Every matrix is checked before the first list.
+    H block, which is reduced.  Otherwise a pass over it finishes the
+    block, and leaves H as it is.  The U * right are one product, by the
+    rights side by side, whose support is built once, and its columns are
+    sliced for each right.  Every matrix is checked before the first
+    result.
     """
     lefts, rights = list(lefts), list(rights)
-    every = lefts + rights
-    for a in every:
-        _require_same_ring(every[0], a)
-        if a.rows != every[0].rows:
-            raise TypeMismatch("row counts differ")
-    return _echelon_rows_each(lefts, rights) if lefts else iter(())
+    apex = _require_apex(lefts + rights, columns)
+    if not lefts:
+        return iter(())
+    read = lambda legs: [_read(a, columns) for a in legs]
+    return _echelon_rows_each(lefts[0].ring, apex, read(lefts), read(rights))
 
 
-def _echelon_rows_each(lefts: list, rights: list):
-    """The lists of :func:`echelon_rows_each`, for checked legs and at
-    least one left."""
-    ring, apex = lefts[0].ring, lefts[0].rows
+def _echelon_rows_each(ring: Ring, apex: int, lefts: list, rights: list):
+    """The results of :func:`echelon_rows_each`, for checked legs given as
+    (rows, width) pairs."""
     one, zero = ring.one, ring.zero
     eye = [[one if j == i else zero for j in range(apex)] for i in range(apex)]
-    side_by_side = tuple([tuple([v for right in rights for v in right.entries[i]]) for i in range(apex)])
-    block = ExactMatrix(ring, apex, sum(right.cols for right in rights), side_by_side)
+    side_by_side = tuple([tuple([v for rows, _ in rights for v in rows[i]]) for i in range(apex)])
+    total = sum(m for _, m in rights)
+    block = _new(ExactMatrix, (ring, apex, total, side_by_side))
     support = _row_support(block)
-    for left in lefts:
-        n = left.cols
-        rows = [[*row, *unit] for row, unit in zip(left.entries, eye)]
+    bounds, lo = [], 0
+    for _, m in rights:
+        bounds.append((lo, lo + m))
+        lo += m
+    for left, n in lefts:
+        rows = [[*row, *unit] for row, unit in zip(left, eye)]
         rank = sum(1 for j in _echelon(ring, rows, n + apex) if j < n)
-        h = [tuple(row[:n]) for row in rows]
-        u = ExactMatrix(ring, apex, apex, tuple([tuple(row[n:]) for row in rows]))
+        h = tuple([tuple(row[:n]) for row in rows])
+        u = _new(ExactMatrix, (ring, apex, apex, tuple([tuple(row[n:]) for row in rows])))
         products = mat_mul(u, block, support).entries
-        out = []
-        lo = 0
-        for right in rights:
-            hi = lo + right.cols
-            if rank == apex:
-                out.append(tuple([hrow + prow[lo:hi] for hrow, prow in zip(h, products)]))
-            else:
-                finished = [[*hrow, *prow[lo:hi]] for hrow, prow in zip(h, products)]
-                _echelon(ring, finished, n + hi - lo)
-                out.append(tuple(map(tuple, finished)))
-            lo = hi
-        yield out
-
-
-def split_rows(ring: Ring, n: int, m: int, rows) -> tuple[ExactMatrix, ExactMatrix]:
-    """The matrices of the first n and the last m columns of the rows."""
-    return _cut(ring, rows, 0, n), _cut(ring, rows, n, n + m)
+        if rank == apex:
+            cols = tuple(zip(*products)) if apex else ((),) * total
+            yield h, [cols[lo:hi] for lo, hi in bounds]
+            continue
+        blocks = []
+        for lo, hi in bounds:
+            finished = [[*hrow, *prow[lo:hi]] for hrow, prow in zip(h, products)]
+            _echelon(ring, finished, n + hi - lo)
+            blocks.append(tuple(zip(*finished))[n:])
+        yield h, blocks
 
 
 def mat_rank(a: ExactMatrix) -> int:
@@ -380,53 +414,64 @@ def is_split_mono(a: ExactMatrix) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# limits and solves: one echelon pass each
+# limits, composites and mediators: one echelon pass each
 #
 # Every one is the meet of one stacked matrix with its first k columns,
-# over every ring: the left kernel of [T; -B] carried through the outer
-# legs, read off the rows of [T | L 0; -B | 0 R] that vanish on [T; -B]
-# (Cohen, A Course in Computational Algebraic Number Theory, 2.4).  A left
-# kernel is saturated, so over the integers no Smith form or free
-# reflection is needed.
+# over every ring: the left kernel of [T; -B], stacked beside unit rows
+# and carried through the outer legs, read off the rows of
+# [T | I 0 L 0; -B | 0 I 0 R] that vanish on [T; -B] (Cohen, A Course in
+# Computational Algebraic Number Theory, 2.4).  A left kernel is
+# saturated, so over the integers no Smith form or free reflection is
+# needed.  With the unit rows the kernel's own columns come first, so its
+# rows are the canonical pushout basis whatever outer legs follow: a
+# (co)span composite is cut from the columns of the outer legs, with no
+# product.
 
 
-def _glued_basis(ring: Ring, top, bottom, k: int, left: Optional[ExactMatrix] = None, right: Optional[ExactMatrix] = None) -> list:
-    """Canonical basis of {(w1 * left, w2 * right) : w1 * top = w2 * bottom},
-    from one echelon pass over [top | left 0; -bottom | 0 right].
+def _glued_basis(ring: Ring, top, bottom, k: int, units: bool = True, left=None, right=None) -> list:
+    """Canonical basis of {(w1, w2, w1 * left, w2 * right) : w1 * top =
+    w2 * bottom}, from one echelon pass over [top | I 0 left 0; -bottom |
+    0 I 0 right].
 
-    ``top`` and ``bottom`` are sequences of rows of width k; an outer leg
-    that is omitted is the identity, stacked as unit rows.
+    ``top`` and ``bottom`` are sequences of rows of width k.  Without
+    ``units`` the (w1, w2) columns are left out.  An outer leg ``left``
+    (``right``) is a pair (rows, width), one row for each row of ``top``
+    (``bottom``); an outer leg that is omitted has width 0.
     """
     zero, one = ring.zero, ring.one
     neg = _negate(ring)
-    x = len(top) if left is None else left.cols
-    y = len(bottom) if right is None else right.cols
+    a = len(top)
+    u = a + len(bottom) if units else 0
+    lrows, x = left or ((), 0)
+    rrows, y = right or ((), 0)
+    width = u + x + y
     rows = []
     for i, row in enumerate(top):
-        if left is None:
-            tail = [zero] * (x + y)
+        tail = [zero] * width
+        if units:
             tail[i] = one
-            rows.append([*row, *tail])
-        else:
-            rows.append([*row, *left.entries[i], *(zero,) * y])
+        if x:
+            tail[u : u + x] = lrows[i]
+        rows.append([*row, *tail])
     for i, row in enumerate(bottom):
-        if right is None:
-            tail = [zero] * (x + y)
-            tail[x + i] = one
-            rows.append([*map(neg, row), *tail])
-        else:
-            rows.append([*map(neg, row), *(zero,) * x, *right.entries[i]])
-    return _meet(ring, rows, k + x + y, k)
+        tail = [zero] * width
+        if units:
+            tail[a + i] = one
+        if y:
+            tail[u + x :] = rrows[i]
+        rows.append([*map(neg, row), *tail])
+    return _meet(ring, rows, k + width, k)
 
 
 def mat_pullback(a: ExactMatrix, b: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
-    """Pullback of the cospan (a, b): the transposed pushout of the
-    transposed legs, i.e. the kernel of the joint map [a | -b]."""
+    """Pullback of the cospan (a, b), the kernel of the joint map
+    [a | -b]: the pushout of the legs' columns, read as rows, with its
+    legs cut as columns."""
     _require_same_ring(a, b)
     if a.rows != b.rows:
         raise TypeMismatch(f"cospan feet disagree: {a.rows} vs {b.rows}")
-    p1, p2 = mat_pushout(mat_transpose(a), mat_transpose(b))
-    return mat_transpose(p1), mat_transpose(p2)
+    basis = _glued_basis(a.ring, _read(a, True)[0], _read(b, True)[0], a.rows)
+    return split_rows(a.ring, a.cols, b.cols, basis, True)
 
 
 def mat_pushout(a: ExactMatrix, b: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
@@ -444,16 +489,65 @@ def mat_pushout(a: ExactMatrix, b: ExactMatrix) -> tuple[ExactMatrix, ExactMatri
     return split_rows(a.ring, a.rows, b.rows, basis)
 
 
+def _glued_composite(l1, r1, l2, r2, units: bool, columns: bool = False) -> tuple[ExactMatrix, ExactMatrix]:
+    """The outer-leg columns of the one pass over [r1 | I 0 l1 0; -l2 | 0
+    I 0 r2], the unit rows kept or left out; with ``columns``, of the
+    legs' columns read as rows, cut as columns."""
+    for leg in (r1, l2, r2):
+        _require_same_ring(l1, leg)
+    (l1_rows, x), (r1_rows, k), (l2_rows, k2), (r2_rows, y) = (_read(leg, columns) for leg in (l1, r1, l2, r2))
+    if k != k2:
+        raise TypeMismatch(f"feet disagree: {k} vs {k2}")
+    if len(l1_rows) != len(r1_rows) or len(l2_rows) != len(r2_rows):
+        raise TypeMismatch("legs need a common apex")
+    basis = _glued_basis(l1.ring, r1_rows, l2_rows, k, units, (l1_rows, x), (r2_rows, y))
+    return split_rows(l1.ring, x, y, basis, columns, len(r1_rows) + len(l2_rows) if units else 0)
+
+
+def composite(l1: ExactMatrix, r1: ExactMatrix, l2: ExactMatrix, r2: ExactMatrix, columns: bool = False) -> tuple[ExactMatrix, ExactMatrix]:
+    """Legs of the composite of the cospans (l1, r1) and (l2, r2) (with
+    ``columns``, of the spans): the canonical pushout (q1, q2) of (r1, l2)
+    (pullback), whose legs are then composed with l1 and r2.
+
+    One pass: the meet's rows are (q1, q2, q1 * l1, q2 * r2), with (q1,
+    q2) a row of the canonical pushout basis, so the composite legs are
+    its last columns, value for value those of the pushout followed by
+    two products.
+    """
+    return _glued_composite(l1, r1, l2, r2, True, columns)
+
+
 def corelation_composite(l1: ExactMatrix, r1: ExactMatrix, l2: ExactMatrix, r2: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
     """Canonical legs of the composite of the corelations (l1, r1) and
     (l2, r2): the left kernel of [r1; -l2] (their pushout) carried through
     diag(l1, r2), which is the image of the composite legs."""
-    for leg in (r1, l2, r2):
-        _require_same_ring(l1, leg)
-    if r1.cols != l2.cols:
-        raise TypeMismatch(f"feet disagree: {r1.cols} vs {l2.cols}")
-    basis = _glued_basis(l1.ring, r1.entries, l2.entries, r1.cols, l1, r2)
-    return split_rows(l1.ring, l1.cols, r2.cols, basis)
+    return _glued_composite(l1, r1, l2, r2, False)
+
+
+def mat_mediator(a1: ExactMatrix, a2: ExactMatrix, b1: ExactMatrix, b2: ExactMatrix, columns: bool = False) -> Optional[ExactMatrix]:
+    """The solution u of u * a1 = b1 and u * a2 = b2 (with ``columns``, of
+    a1 * u = b1 and a2 * u = b2), or None when none exists: the mediator
+    from the pushout (a1, a2) to the cocone (b1, b2), or into the pullback
+    (a1, a2) from the cone (b1, b2).
+
+    One pass over [b | I 0; -a | 0 I], with the rows of a = [a1 | a2] and
+    b = [b1 | b2] (with ``columns``, the columns of [a1; a2] and [b1; b2])
+    read straight from the legs: its meet is {(z, x) : z*b = x*a}, and a
+    solution exists iff the meet's z block has a pivot of 1 in every
+    column; its first rows are then (e_l, x_l).
+    """
+    for leg in (a2, b1, b2):
+        _require_same_ring(a1, leg)
+    (a1_rows, w1), (a2_rows, w2), (b1_rows, v1), (b2_rows, v2) = (_read(leg, columns) for leg in (a1, a2, b1, b2))
+    if len(a1_rows) != len(a2_rows) or len(b1_rows) != len(b2_rows) or (w1, w2) != (v1, v2):
+        raise TypeMismatch("the legs are not a (co)cone of one shape")
+    k = len(b1_rows)
+    b = [r + s for r, s in zip(b1_rows, b2_rows)]
+    a = [r + s for r, s in zip(a1_rows, a2_rows)]
+    basis = _glued_basis(a1.ring, b, a, w1 + w2)
+    if len(basis) < k or any(basis[l][l] != 1 for l in range(k)):
+        return None
+    return split_rows(a1.ring, len(a1_rows), 0, basis[:k], columns, k)[0]
 
 
 def corelation_tensor(pairs) -> tuple[ExactMatrix, ExactMatrix]:
@@ -494,24 +588,7 @@ def corelation_tensor(pairs) -> tuple[ExactMatrix, ExactMatrix]:
         x += left.cols
         y += right.cols
     lrows, rrows = lhead + ltail, rhead + rtail
-    return ExactMatrix(ring, len(lrows), n, tuple(lrows)), ExactMatrix(ring, len(rrows), m, tuple(rrows))
-
-
-def mat_solve_left(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
-    """Exact solution x of x*a = b, or None when none exists.
-
-    One pass over [b | I 0; -a | 0 I]: its meet is {(z, x) : z*b = x*a},
-    and a solution exists iff the meet's z block has a pivot of 1 in every
-    column; its first rows are then (e_l, x_l).
-    """
-    _require_same_ring(a, b)
-    if a.cols != b.cols:
-        raise TypeMismatch("column counts differ")
-    k = b.rows
-    basis = _glued_basis(a.ring, b.entries, a.entries, a.cols)
-    if len(basis) < k or any(basis[l][l] != 1 for l in range(k)):
-        return None
-    return _cut(a.ring, basis[:k], k, k + a.rows)
+    return _new(ExactMatrix, (ring, len(lrows), n, tuple(lrows))), _new(ExactMatrix, (ring, len(rrows), m, tuple(rrows)))
 
 
 def enumerate_matrices(ring: Ring, rows: int, cols: int, entry_bound: int):
@@ -525,4 +602,4 @@ def enumerate_matrices(ring: Ring, rows: int, cols: int, entry_bound: int):
     else:
         values = [ring.coerce(v) for v in range(-entry_bound, entry_bound + 1)]
     for flat in product(values, repeat=rows * cols):
-        yield ExactMatrix(ring, rows, cols, tuple(flat[r * cols : (r + 1) * cols] for r in range(rows)))
+        yield _new(ExactMatrix, (ring, rows, cols, tuple(flat[r * cols : (r + 1) * cols] for r in range(rows))))

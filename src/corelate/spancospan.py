@@ -120,21 +120,40 @@ class Ambient:
     def canonical_span(self, s: Span) -> Span:
         raise NotImplementedError
 
-    def cospan_keys(self, fs, gs):
+    def cospan_keys(self, fs, gs, forms: dict):
         """One list of keys per left leg f in fs, lazily: the key of each
-        cospan (f, g), g in gs (both lists of legs).  Two keys are equal
-        exactly when the cospans are isomorphic over the apex.  A matrix
-        ambient gives both feet and the echelon rows that the canonical
-        form is cut from (with apex 0 there are none), all of them from one
+        cospan (f, g), g in gs (both lists of legs).  Two keys from calls
+        that share ``forms`` are equal exactly when the cospans are
+        isomorphic over the apex.
+
+        ``forms`` is a dict that the caller keeps for one sweep.  A
+        function ambient's key is the canonical form and leaves it unread;
+        a matrix ambient interns each left leg's canonical form H in it, and
+        its key is the id of H with the left leg's feet, then the columns
+        of the finished right block, all from one
         :func:`linmap.echelon_rows_each` call, which prepares the block of
         right legs once."""
         return ([self.canonical_cospan(Cospan(f, g)) for g in gs] for f in fs)
 
-    def span_keys(self, fs, gs):
+    def span_keys(self, fs, gs, forms: dict):
         """One list of keys per left leg f in fs, lazily: the key of each
-        span (f, g), g in gs.  Two keys are equal exactly when the spans
+        span (f, g), g in gs, as :meth:`cospan_keys` makes them.  Two keys
+        from calls that share ``forms`` are equal exactly when the spans
         are isomorphic over the apex."""
         return ([self.canonical_span(Span(f, g)) for g in gs] for f in fs)
+
+    # composites
+    def compose_cospans(self, c1: Cospan, c2: Cospan) -> Cospan:
+        """The composite c1 ; c2 of cospans whose feet agree: the pushout
+        of (c1.right, c2.left), with the outer legs composed through it."""
+        q1, q2 = self.pushout(c1.right, c2.left)
+        return Cospan(self.compose(c1.left, q1), self.compose(c2.right, q2))
+
+    def compose_spans(self, s1: Span, s2: Span) -> Span:
+        """The composite s1 ; s2 of spans whose feet agree: the pullback of
+        (s1.right, s2.left), composed with the outer legs."""
+        p1, p2 = self.pullback(s1.right, s2.left)
+        return Span(self.compose(p1, s1.left), self.compose(p2, s2.right))
 
     # corelations: canonical jointly-epi cospans
     def corelation_cospan(self, c: Cospan) -> Cospan:
@@ -233,12 +252,16 @@ class FinFnAmbient(Ambient):
         table = tuple(index[pair] for pair in zip(f.table, g.table))
         return self.map_type(f.dom, p1.dom, table)
 
+    def _legs(self, left: tuple, right: tuple, apex: int) -> Cospan:
+        """The cospan of the leg tables into the apex."""
+        make = self.map_type
+        return Cospan(make(len(left), apex, left), make(len(right), apex, right))
+
     def canonical_cospan(self, c):
         """The legs of the quotient, on the apex of c: the points that no
         leg reaches stay in the apex, and no table names them."""
-        left, right = finfn.corelation_tensor([c], self.map_type)
-        make, apex = self.map_type, c.left.cod
-        return Cospan(make(left.dom, apex, left.table), make(right.dom, apex, right.table))
+        left, right, _ = finfn.corelation_tensor([c])
+        return self._legs(left, right, c.left.cod)
 
     def canonical_span(self, s):
         key = lambda p: tuple(-1 if v is None else v for v in p)
@@ -251,13 +274,13 @@ class FinFnAmbient(Ambient):
 
     def corelation_cospan(self, c):
         """Every apex point that a leg reaches, numbered by first occurrence."""
-        return Cospan(*finfn.corelation_tensor([c], self.map_type))
+        return self._legs(*finfn.corelation_tensor([c]))
 
     def compose_corelations(self, c1, c2):
         return Cospan(*finfn.glue_compose(c1.left, c1.right, c2.left, c2.right))
 
     def tensor_corelations(self, cospans):
-        return Cospan(*finfn.corelation_tensor(cospans, self.map_type))
+        return self._legs(*finfn.corelation_tensor(cospans))
 
     def enumerate_morphisms(self, dom, cod, entry_bound=None):
         return finfn.enumerate_finmaps(dom, cod)
@@ -301,9 +324,14 @@ class MatrixAmbient(Ambient):
 
     Fields carry the (epi, mono) system; the integers carry (rank-dense
     epis, split monos), with pushouts taken through the free reflection.
-    The span half is the cospan half of the transposed legs: a canonical
-    span, its key, a pullback and its mediator are the transposed
-    canonical cospan, key, pushout and mediator.
+    Each limit, composite, canonical form, key and mediator is one echelon
+    pass of :mod:`linmap`.  The span half is the cospan half of the
+    transposed legs, computed with no transpose: a canonical span, its key,
+    a pullback, a span composite and a pullback mediator read the legs'
+    columns as rows and cut their results as columns.  A (co)span composite
+    is one pass whose rows are the unit rows beside the outer legs, so it
+    is the canonical pushout (pullback) composed with the outer legs, with
+    no product.
     """
 
     leg_types = (ExactMatrix,)
@@ -349,15 +377,16 @@ class MatrixAmbient(Ambient):
         return linmap.is_split_mono(f)
 
     def pushout_mediator(self, q1, q2, f, g):
-        sol = linmap.mat_solve_left(linmap.mat_hcat(q1, q2), linmap.mat_hcat(f, g))
-        if sol is None:
-            raise TypeMismatch("no mediator: the legs are not a (co)cone")
-        return sol
+        return _solved(linmap.mat_mediator(q1, q2, f, g))
 
     def pullback_mediator(self, p1, p2, f, g):
-        """The transposed pushout mediator of the transposed cone."""
-        t = linmap.mat_transpose
-        return t(self.pushout_mediator(t(p1), t(p2), t(f), t(g)))
+        return _solved(linmap.mat_mediator(p1, p2, f, g, columns=True))
+
+    def compose_cospans(self, c1, c2):
+        return Cospan(*linmap.composite(c1.left, c1.right, c2.left, c2.right))
+
+    def compose_spans(self, s1, s2):
+        return Span(*linmap.composite(s1.left, s1.right, s2.left, s2.right, columns=True))
 
     def corelation_cospan(self, c):
         """The corelation is the row space (lattice) of [L | R]: its
@@ -379,18 +408,16 @@ class MatrixAmbient(Ambient):
         return Cospan(*linmap.split_rows(c.left.ring, c.left.cols, c.right.cols, rows))
 
     def canonical_span(self, s):
-        """The transposed canonical cospan of the transposed legs."""
-        return transpose_legs(self.canonical_cospan(transpose_legs(s, Cospan)), Span)
+        """The canonical cospan of the transposed legs, read from the
+        columns and cut as columns."""
+        rows = linmap.echelon_rows(s.left, s.right, columns=True)
+        return Span(*linmap.split_rows(s.left.ring, s.left.rows, s.right.rows, rows, columns=True))
 
-    def cospan_keys(self, fs, gs):
-        for f, each in zip(fs, linmap.echelon_rows_each(fs, gs)):
-            yield [(f.cols, g.cols, rows) for g, rows in zip(gs, each)]
+    def cospan_keys(self, fs, gs, forms):
+        return _matrix_keys(fs, gs, forms, False)
 
-    def span_keys(self, fs, gs):
-        """The cospan keys of the transposed legs, which hold both feet;
-        each leg is transposed once."""
-        t = linmap.mat_transpose
-        return self.cospan_keys([t(f) for f in fs], [t(g) for g in gs])
+    def span_keys(self, fs, gs, forms):
+        return _matrix_keys(fs, gs, forms, True)
 
     def enumerate_morphisms(self, dom, cod, entry_bound=None):
         if entry_bound is None:
@@ -423,6 +450,25 @@ class MatrixAmbient(Ambient):
             f = self.random_morphism(rng, dom, cod, entry_bound)
             if linmap.is_split_mono(f):
                 return f
+
+
+def _solved(mediator):
+    if mediator is None:
+        raise TypeMismatch("no mediator: the legs are not a (co)cone")
+    return mediator
+
+
+def _matrix_keys(fs, gs, forms: dict, columns: bool):
+    """The keys of :meth:`Ambient.cospan_keys` (with ``columns``, of
+    :meth:`Ambient.span_keys`) over a matrix ambient: per left leg f, its
+    form (the id of its canonical form H, interned in ``forms``, and f's
+    feet), then per right leg the columns of the finished right block.
+    [H | block] is the echelon form of the pair, and H has the apex as its
+    row count, so with both feet the key decides the pair's isomorphism
+    class over the apex, and a key is built with no row of it."""
+    for f, (h, blocks) in zip(fs, linmap.echelon_rows_each(fs, gs, columns)):
+        form = (id(forms.setdefault(h, h)), f.dom, f.cod)
+        yield [(form, block) for block in blocks]
 
 
 def transpose_legs(pair, kind):
@@ -491,15 +537,13 @@ def span_identity(n: int, amb: Ambient) -> Span:
 def cospan_compose(c1: Cospan, c2: Cospan, amb: Ambient) -> Cospan:
     if c1.right.dom != c2.left.dom:
         raise TypeMismatch(f"feet disagree: {c1.right.dom} vs {c2.left.dom}")
-    q1, q2 = amb.pushout(c1.right, c2.left)
-    return Cospan(amb.compose(c1.left, q1), amb.compose(c2.right, q2))
+    return amb.compose_cospans(c1, c2)
 
 
 def span_compose(s1: Span, s2: Span, amb: Ambient) -> Span:
     if s1.right.cod != s2.left.cod:
         raise TypeMismatch(f"feet disagree: {s1.right.cod} vs {s2.left.cod}")
-    p1, p2 = amb.pullback(s1.right, s2.left)
-    return Span(amb.compose(p1, s1.left), amb.compose(p2, s2.right))
+    return amb.compose_spans(s1, s2)
 
 
 def cospan_tensor(c1: Cospan, c2: Cospan, amb: Ambient) -> Cospan:

@@ -318,9 +318,11 @@ def _pairs(amb: Ambient, bound: int, entry_bound, seed, into_apex: bool):
     of two pairs are equal exactly when the pairs are isomorphic over the
     apex; the keys of one block, every left leg (n, apex) against every
     right leg (m, apex), come from one call, which prepares the right legs
-    once."""
+    once.  Every call shares one ``forms`` dict, which holds the forms
+    that the keys name for as long as the sweep runs."""
     _require_sweepable(amb, bound, entry_bound)
     keys_of = amb.cospan_keys if into_apex else amb.span_keys
+    forms: dict = {}
     sizes = range(bound + 1)
     legs = {}
     for size, apex in product(sizes, repeat=2):
@@ -330,7 +332,7 @@ def _pairs(amb: Ambient, bound: int, entry_bound, seed, into_apex: bool):
         for apex, n, m in product(sizes, repeat=3):
             lefts, block = legs[(n, apex)], legs[(m, apex)]
             if lefts and block:
-                for f, keys in zip(lefts, keys_of(lefts, block)):
+                for f, keys in zip(lefts, keys_of(lefts, block, forms)):
                     yield from zip(repeat(f), block, keys)
         return
     # above the budget: one pool of legs per apex, built once
@@ -340,7 +342,7 @@ def _pairs(amb: Ambient, bound: int, entry_bound, seed, into_apex: bool):
         pool = pools[rng.randint(0, bound)]
         if pool:
             f, g = rng.choice(pool), rng.choice(pool)
-            yield f, g, next(keys_of([f], [g]))[0]
+            yield f, g, next(keys_of([f], [g], forms))[0]
 
 
 def random_span(amb: Ambient, rng, x: int, y: int, apex_bound: int, entry_bound=None) -> Span:

@@ -12,7 +12,7 @@ from corelate.corelrel import Corelation, Relation, _require_products, gamma, re
 from corelate.errors import RingMismatch, TypeMismatch
 from corelate.exactnum import ZZ, Ring
 from corelate.finfn import FinMap, ParMap, Partition
-from corelate.linmap import ExactMatrix, _require_same_ring, mat_solve_left, mat_transpose, split_rows
+from corelate.linmap import ExactMatrix, _require_same_ring, mat_mediator, mat_transpose, split_rows
 from corelate.spancospan import Ambient, Cospan, Span
 
 # the benchmark's oracles, which share no code with corelate
@@ -108,6 +108,27 @@ def mat_vcat(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     if a.cols != b.cols:
         raise TypeMismatch("column counts differ")
     return ExactMatrix(a.ring, a.rows + b.rows, a.cols, a.entries + b.entries)
+
+
+def mat_hcat(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    _require_same_ring(a, b)
+    if a.rows != b.rows:
+        raise TypeMismatch("row counts differ")
+    return ExactMatrix(a.ring, a.rows, a.cols + b.cols, tuple(ra + rb for ra, rb in zip(a.entries, b.entries)))
+
+
+def rows_beside(h, block) -> tuple:
+    """The rows of [H | block], from the rows of H and the columns of the
+    block, as ``linmap.echelon_rows_each`` and the matrix sweep keys give
+    them."""
+    rows = zip(*block) if block else [()] * len(h)
+    return tuple(hrow + brow for hrow, brow in zip(h, rows))
+
+
+def mat_solve_left(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
+    """Some x with x * a = b, or None: the package's one mediator pass,
+    with second legs of no columns."""
+    return mat_mediator(a, mat_zero(a.ring, a.rows, 0), b, mat_zero(b.ring, b.rows, 0))
 
 
 def partition(ground: int, blocks) -> Partition:

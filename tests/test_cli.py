@@ -800,7 +800,8 @@ def test_the_front_end_decides_each_thing_once():
 # the quotient of a cospan and of a span, a partial-map literal (the
 # theories' own are built once per process), sweeps of assumption 3.1 and 3.3
 # over functions, partial functions and GF(2), square over integer split
-# monos, and sampled checks over functions, partial functions and integers
+# monos, and sampled checks over functions, partial functions, integers and
+# GF(2) (pi-functorial, whose memo composes matrix legs one by one)
 _SESSION = [
     ("eval", "--theory", "er", "id(1) @ unit ; sym(1,1) ; mult"),
     ("eval", "--theory", "per", "comult ; id(1) @ undef"),
@@ -821,6 +822,7 @@ _SESSION = [
     ("check", "tensor-functorial", "--C", "pf", "--bound", "1", "--samples", "3"),
     ("check", "tensor-functorial", "--C", "z", "--bound", "1", "--entry-bound", "1", "--samples", "3"),
     ("check", "laws", "--C", "f", "--bound", "1", "--samples", "2"),
+    ("check", "pi-functorial", "--C", "gf2", "--bound", "1", "--samples", "2"),
 ]
 
 

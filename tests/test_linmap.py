@@ -14,13 +14,11 @@ from corelate.linmap import (
     is_split_mono,
     mat,
     mat_compose,
-    mat_hcat,
     mat_identity,
     mat_mul,
     mat_pullback,
     mat_pushout,
     mat_rank,
-    mat_solve_left,
     mat_tensor,
     mat_transpose,
 )
@@ -28,6 +26,8 @@ from corelate.spancospan import Span, get_ambient
 from oracle_utils import (
     det_int,
     invariant_factors,
+    mat_hcat,
+    mat_solve_left,
     mat_vcat,
     mat_zero,
     oracles,
@@ -38,6 +38,7 @@ from oracle_utils import (
     reference_mat_pushout,
     reference_mat_solve,
     reference_rref,
+    rows_beside,
     snf,
     time_limit,
 )
@@ -347,12 +348,20 @@ def test_echelon_rows_each_equals_one_pass_per_right():
     # one path on every ring: batches of left legs that share one block of
     # rights, each left of full row rank or below it (zero and repeated
     # rows included), apex 0, empty and one-element blocks, rights of
-    # width 0
+    # width 0; read from the legs' rows (cospans) and from the columns of
+    # their transposes (spans), each left's H beside each right's block
+    # columns is its own pair's echelon rows, and the ambient's keys, all
+    # interned in one forms dict per ring and half, are equal exactly when
+    # two pairs of one (apex, n, m) block have equal rows, and never equal
+    # across blocks
     rng = random.Random(17)
     rings = (ZZ, QQ, GF(2), GF(3), GF(5))
     seen = {"apex 0": 0, "one right": 0, "several lefts": 0, "both ranks in one batch": 0}
     ranks = {(ring.name, kind): 0 for ring in rings for kind in ("full rank", "rank below apex")}
     for ring in rings:
+        amb = get_ambient(ring.name, "all")
+        forms = {False: {}, True: {}}
+        pair_of, key_of = {False: {}, True: {}}, {False: {}, True: {}}
         for _ in range(300):
             apex = rng.randint(0, 4)
             lefts = []
@@ -363,9 +372,20 @@ def test_echelon_rows_each_equals_one_pass_per_right():
                     left = mat(ring, apex, n, left.entries[:-1] + left.entries[:1])
                 lefts.append(left)
             rights = [rand_mat(rng, ring, apex, rng.randint(0, 3), rng.choice((1, 3))) for _ in range(rng.randint(0, 4))]
-            each = list(echelon_rows_each(lefts, rights))
-            # the repr tells an int from a Fraction
-            assert repr(each) == repr([[echelon_rows(left, r) for r in rights] for left in lefts]), (lefts, rights)
+            expected = [[echelon_rows(left, r) for r in rights] for left in lefts]
+            for columns in (False, True):
+                read = mat_transpose if columns else (lambda a: a)
+                ls, rs = [read(a) for a in lefts], [read(a) for a in rights]
+                each = list(echelon_rows_each(ls, rs, columns))
+                # the repr tells an int from a Fraction
+                rebuilt = [[rows_beside(h, block) for block in blocks] for h, blocks in each]
+                assert repr(rebuilt) == repr(expected), (lefts, rights, columns)
+                keys_of = amb.span_keys if columns else amb.cospan_keys
+                for left, keys, rows in zip(lefts, keys_of(ls, rs, forms[columns]), expected):
+                    for right, key, pair_rows in zip(rights, keys, rows):
+                        pair = (apex, left.cols, right.cols, pair_rows)
+                        assert pair_of[columns].setdefault(key, pair) == pair
+                        assert key_of[columns].setdefault(pair, key) == key
             kinds = {"full rank" if mat_rank(left) == apex else "rank below apex" for left in lefts}
             for kind in kinds if apex else ():
                 ranks[(ring.name, kind)] += 1
@@ -373,14 +393,20 @@ def test_echelon_rows_each_equals_one_pass_per_right():
             seen["one right"] += len(rights) == 1
             seen["several lefts"] += len(lefts) > 1
             seen["both ranks in one batch"] += apex > 0 and len(kinds) == 2
+        # keys were compared across many blocks, and repeated pairs met
+        # the key they had before
+        for columns in (False, True):
+            assert len({pair[:3] for pair in pair_of[columns].values()}) >= 50
     assert min(seen.values()) >= 50, seen
     assert min(ranks.values()) >= 50, ranks
     assert list(echelon_rows_each([], [mat_identity(ZZ, 2)])) == []
-    # every leg is checked before the first list
+    # every leg is checked before the first result
     with pytest.raises(RingMismatch):
         echelon_rows_each([mat_identity(QQ, 2)], [mat_identity(QQ, 2), mat_identity(ZZ, 2)])
     with pytest.raises(TypeMismatch):
         echelon_rows_each([mat_identity(ZZ, 2), mat_identity(ZZ, 1)], [mat_identity(ZZ, 2)])
+    with pytest.raises(TypeMismatch):
+        echelon_rows_each([mat(ZZ, 1, 2, [[1, 0]])], [mat(ZZ, 2, 1, [[1], [0]])], columns=True)
 
 
 def test_hnf_col_transpose_consistency():

@@ -50,6 +50,7 @@ from oracle_utils import (
     oracle_er_compose,
     oracle_per_compose,
     oracle_subspace_compose,
+    rows_beside,
     span_rows,
     subspace_contains,
     witness_reachable,
@@ -260,23 +261,36 @@ def test_dedup_keys_agree_with_canonical_forms(sweep):
 )
 def test_batch_keys_equal_one_echelon_pass_per_pair(sweep):
     # each key of a left leg's batch is, value for value and type for type
-    # (the repr tells an int from a Fraction), the echelon rows of its own
-    # pair (for f and pf, its canonical form), on every pair the sweep
-    # enumerates
+    # (the repr tells an int from a Fraction), its own pair's echelon rows
+    # (for f and pf, its canonical form), on every pair the sweep
+    # enumerates: a matrix key names its left leg's canonical form H,
+    # interned in the one forms dict of the sweep, with the leg's feet,
+    # and H beside the key's block columns is the pair's echelon rows
     c_name, a_name, bound, entry_bound, into_apex = sweep
     amb = get_ambient(c_name, a_name)
     if c_name in ("f", "pf"):
         pair = Cospan if into_apex else Span
         canonical = amb.canonical_cospan if into_apex else amb.canonical_span
-        alone = lambda f, g: canonical(pair(f, g))
-    elif into_apex:
-        alone = lambda f, g: (f.cols, g.cols, linmap.echelon_rows(f, g))
-    else:
-        t = linmap.mat_transpose
-        alone = lambda f, g: (f.rows, g.rows, linmap.echelon_rows(t(f), t(g)))
-    for f, g, key in verify._pairs(amb, bound, entry_bound, 0, into_apex):
-        expected = alone(f, g)
-        assert key == expected and repr(key) == repr(expected), (f, g)
+        for f, g, key in verify._pairs(amb, bound, entry_bound, 0, into_apex):
+            expected = canonical(pair(f, g))
+            assert key == expected and repr(key) == repr(expected), (f, g)
+        return
+    name = "cospan_keys" if into_apex else "span_keys"
+    keys_of, shared = getattr(amb, name), []
+
+    def keeping_forms(fs, gs, forms):
+        shared.append(forms)
+        return keys_of(fs, gs, forms)
+
+    setattr(amb, name, keeping_forms)
+    triples = list(verify._pairs(amb, bound, entry_bound, 0, into_apex))
+    assert shared and all(forms is shared[0] for forms in shared)
+    by_id = {id(h): h for h in shared[0].values()}
+    for f, g, ((form, dom, cod), block) in triples:
+        expected = linmap.echelon_rows(f, g, columns=not into_apex)
+        rows = rows_beside(by_id[form], block)
+        assert (dom, cod, len(block)) == (f.dom, f.cod, g.dom if into_apex else g.cod), (f, g)
+        assert rows == expected and repr(rows) == repr(expected), (f, g)
 
 
 # --- square and functoriality -------------------------------------------------------
