@@ -31,10 +31,6 @@ class ZeroInverse(CorelateError):
     """Inversion of zero requested."""
 
 
-class NotAUnit(CorelateError):
-    """Inversion of a non-unit ring element requested."""
-
-
 class ZeroDenominator(CorelateError):
     """Rational with denominator zero requested."""
 

@@ -1,17 +1,21 @@
-"""Exact scalar arithmetic over GF(p), the rationals, and the integers.
+"""The coefficient rings GF(p), the rationals and the integers, as data.
 
 Scalars are plain Python values interpreted relative to a ring object:
 ``int`` residues in ``[0, p)`` for ``GF(p)``, ``fractions.Fraction`` for the
-rationals, ``int`` for the integers.  Python integers are unbounded, so no
-operation can overflow.
+rationals, ``int`` for the integers.  A ring is the record the echelon core
+reads: its name, its modulus ``p`` (``None`` outside GF(p)), whether it is a
+field, and its zero and one; it reads scalars into itself, parses and
+formats them, and does no arithmetic of its own.  Python integers are
+unbounded, so no operation can overflow.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import Optional
 
-from .errors import BadScalar, NotAUnit, UnknownRing, ZeroDenominator, ZeroInverse
+from .errors import BadScalar, UnknownRing, ZeroDenominator, ZeroInverse
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Miller-Rabin with the witnesses above is exact for every n below this
@@ -85,12 +89,14 @@ class Ring:
     """Common interface of the three coefficient domains.
 
     Subclass instances are value objects: equality and hashing go by ring
-    name, so distinct ``GF(7)`` handles compare equal.  ``zero`` and ``one``
-    are the ring's constants, stored once.
+    name, so distinct ``GF(7)`` handles compare equal.  ``p`` is the modulus
+    of GF(p) and ``None`` for the integers and the rationals; ``zero`` and
+    ``one`` are the ring's constants, stored once.
     """
 
     name: str
     is_field: bool
+    p: Optional[int] = None
     zero: object
     one: object
 
@@ -103,23 +109,6 @@ class Ring:
     def __repr__(self):
         return f"Ring({self.name})"
 
-    # arithmetic
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def inv(self, a):
-        raise NotImplementedError
-
-    # conversions
     def coerce(self, x):
         raise NotImplementedError
 
@@ -135,22 +124,6 @@ class IntegerRing(Ring):
     is_field = False
     zero = 0
     one = 1
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroInverse("0 has no inverse")
-        if a in (1, -1):
-            return a
-        raise NotAUnit(f"{a} is not a unit in the integers")
 
     def coerce(self, x):
         if isinstance(x, Fraction):
@@ -168,20 +141,6 @@ class RationalRing(Ring):
     is_field = True
     zero = Fraction(0)
     one = Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroInverse("0 has no inverse")
-        return 1 / Fraction(a)
 
     def coerce(self, x):
         return Fraction(x)
@@ -210,26 +169,13 @@ class PrimeField(Ring):
         self.p = p
         self.name = f"gf{p}"
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroInverse(f"0 has no inverse in GF({self.p})")
-        return pow(a, -1, self.p)
-
     def coerce(self, x):
+        p = self.p
         if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
-                raise ZeroInverse(f"{x} has no image in GF({self.p})")
-            return self.mul(x.numerator % self.p, self.inv(x.denominator % self.p))
-        return int(x) % self.p
+            if x.denominator % p == 0:
+                raise ZeroInverse(f"{x} has no image in GF({p})")
+            return x.numerator * pow(x.denominator, -1, p) % p
+        return int(x) % p
 
     def parse(self, text):
         return self.coerce(_parse_int(text, f"an integer residue mod {self.p}"))

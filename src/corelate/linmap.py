@@ -11,14 +11,13 @@ so over the integers nothing leaves the integers and no Smith form is
 needed.  The span half reads the legs' columns as its rows and cuts its
 results as columns, with no transpose built.
 
-The core works on the stored values themselves, without calling the
-ring's scalar operations: ``int`` residues reduced mod p for GF(p),
-``Fraction`` for the rationals, ``int`` for the integers.
+The core works on the stored values themselves, reading the ring only for
+its data: ``int`` residues reduced mod ``ring.p`` for GF(p), ``Fraction``
+for the rationals, ``int`` for the integers.
 """
 
 from __future__ import annotations
 
-import operator
 from itertools import product
 from typing import NamedTuple, Optional
 
@@ -59,18 +58,6 @@ def mat_identity(ring: Ring, n: int) -> ExactMatrix:
     return _new(ExactMatrix, (ring, n, n, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))))
 
 
-def _modulus(ring: Ring) -> Optional[int]:
-    """p for GF(p); None for the rationals and the integers, whose stored
-    values need no reduction."""
-    return getattr(ring, "p", None)
-
-
-def _negate(ring: Ring):
-    """Negation of one stored value, without ring dispatch."""
-    p = _modulus(ring)
-    return operator.neg if p is None else (lambda x: -x % p)
-
-
 def _require_same_ring(a: ExactMatrix, b: ExactMatrix) -> None:
     if a.ring is not b.ring and a.ring != b.ring:
         raise RingMismatch(f"{a.ring.name} vs {b.ring.name}")
@@ -95,7 +82,7 @@ def mat_mul(x: ExactMatrix, y: ExactMatrix, y_support: Optional[list] = None) ->
     if x.cols != y.rows:
         raise TypeMismatch(f"cannot multiply {x.rows}x{x.cols} by {y.rows}x{y.cols}")
     ring = x.ring
-    p = _modulus(ring)
+    p = ring.p
     zero = ring.zero
     if y_support is None:
         y_support = _row_support(y)
@@ -173,8 +160,9 @@ def mat_transpose(a: ExactMatrix) -> ExactMatrix:
 # One loop serves every ring: the row Hermite form over a Euclidean ring
 # (Cohen, A Course in Computational Algebraic Number Theory, 2.4) is the
 # reduced row echelon form on a field, where every nonzero entry is a unit.
-# The core reads two facts of the ring once per call: its modulus p, for the
-# ``% p`` of a GF(p) row update, and whether it is a field.
+# The core reads two facts of the ring once per call: ``ring.p``, the modulus
+# for the ``% p`` of a GF(p) row update (None outside GF(p)), and
+# ``ring.is_field``.
 #
 # It takes a column k and skips the reduction of a row that has its pivot
 # before column k against any later pivot row: such rows leave the meet
@@ -196,7 +184,7 @@ def _echelon(ring: Ring, rows: list, ncols: int, k: int = 0) -> list:
     nonzero tail of the pivot row is read, and the pivot column is written
     directly.
     """
-    p = _modulus(ring)
+    p = ring.p
     field = ring.is_field
     zero = ring.zero
     m = len(rows)
@@ -438,8 +426,7 @@ def _glued_basis(ring: Ring, top, bottom, k: int, units: bool = True, left=None,
     (``right``) is a pair (rows, width), one row for each row of ``top``
     (``bottom``); an outer leg that is omitted has width 0.
     """
-    zero, one = ring.zero, ring.one
-    neg = _negate(ring)
+    zero, one, p = ring.zero, ring.one, ring.p
     a = len(top)
     u = a + len(bottom) if units else 0
     lrows, x = left or ((), 0)
@@ -459,7 +446,7 @@ def _glued_basis(ring: Ring, top, bottom, k: int, units: bool = True, left=None,
             tail[a + i] = one
         if y:
             tail[u + x :] = rrows[i]
-        rows.append([*map(neg, row), *tail])
+        rows.append(([-v for v in row] if p is None else [-v % p for v in row]) + tail)
     return _meet(ring, rows, k + width, k)
 
 
@@ -597,7 +584,7 @@ def enumerate_matrices(ring: Ring, rows: int, cols: int, entry_bound: int):
     GF(p) uses all residues; the integers and rationals use the integer box
     [-entry_bound, entry_bound].
     """
-    if hasattr(ring, "p"):
+    if ring.p is not None:
         values = [ring.coerce(v) for v in range(ring.p)]
     else:
         values = [ring.coerce(v) for v in range(-entry_bound, entry_bound + 1)]

@@ -428,7 +428,7 @@ class MatrixAmbient(Ambient):
         if entry_bound is None:
             entry_bound = 2
         # every residue over GF(p), the integer box [-e, e] otherwise
-        lo, hi = (0, self.ring.p) if hasattr(self.ring, "p") else (-entry_bound, entry_bound + 1)
+        lo, hi = (-entry_bound, entry_bound + 1) if self.ring.p is None else (0, self.ring.p)
         coerce = self.ring.coerce
         return ExactMatrix(
             self.ring,

@@ -261,10 +261,12 @@ def _require_sweepable(amb: Ambient, bound: int, entry_bound) -> None:
     (cod + 1)^dom partial maps, v^(dom * cod) matrices (v = p or 2e + 1).
     ``top`` factors of 2 or more pass the budget, so no product is longer."""
     where = f"{amb.name} with A = {amb.a_name} at bound {bound}"
-    values = getattr(getattr(amb, "ring", None), "p", None)
-    if values is None and amb.name not in ("f", "pf"):
-        entry_bound = 1 if entry_bound is None else entry_bound
-        values, where = 2 * entry_bound + 1, f"{where} and entry bound {entry_bound}"
+    values = None
+    if amb.name not in ("f", "pf"):
+        values = amb.ring.p
+        if values is None:
+            entry_bound = 1 if entry_bound is None else entry_bound
+            values, where = 2 * entry_bound + 1, f"{where} and entry bound {entry_bound}"
     top, total = CASE_BUDGET.bit_length() + 1, 0
     for dom, cod in product(range(bound, -1, -1), repeat=2):
         if amb.a_name == "inj":
@@ -294,7 +296,7 @@ def _require_samplable(amb: Ambient, bound: int, entry_bound, samples: int, pair
     check takes seconds, not hours."""
     where = f"{amb.name} with A = {amb.a_name} at bound {bound}"
     functions = amb.name in ("f", "pf")
-    if not (functions or hasattr(amb.ring, "p")):
+    if not functions and amb.ring.p is None:
         entry_bound = 2 if entry_bound is None else entry_bound
         where = f"{where} and entry bound {entry_bound}"
     size = (bound + 1) ** (2 if functions else 4)
@@ -620,7 +622,7 @@ def _default_scalars(th) -> tuple:
     if th.name == "z-corel":
         return (1, -1, 2)
     ring = th.ambient.ring
-    if hasattr(ring, "p"):
+    if ring.p is not None:
         return tuple(range(1, min(ring.p, 4)))
     return (1, 2, 3, Fraction(1, 2))
 

@@ -1,0 +1,173 @@
+"""Faults planted in the program, each of which named tests must catch.
+
+A mutant is a name, a file under ``src/corelate``, an exact source fragment
+that occurs once in it, the fragment's replacement, and the tests that must
+fail with the replacement in place.
+
+    python tests/mutants.py [name ...]
+
+copies ``src/`` to a temporary directory and runs the tests of the named
+mutants (of all of them, when none is named) against the unmutated copy,
+which must pass them.  Then, for each mutant, it plants the fault in a
+fresh copy and runs the mutant's tests in a child pytest that imports that
+copy.  The mutant is killed when a test fails, or when the run outlives
+``TIMEOUT`` seconds (an elimination that never ends is a fault caught); it
+survived when every test passes.  Each mutant's verdict and time are
+printed; the exit status is 1 if any mutant survived, 2 if the unmutated
+copy fails or a name is unknown.  The checkout is never edited.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 300.0
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/corelate
+    fragment: str
+    replacement: str
+    tests: tuple  # pytest node ids, relative to the repository root
+
+
+MUTANTS = (
+    # the GF(p) row update below a pivot leaves its entries unreduced
+    Mutant(
+        "echelon-gf-update-without-mod",
+        "linmap.py",
+        "row[c] = (row[c] - q * w) % p\n                        x = row[j]",
+        "row[c] = row[c] - q * w\n                        x = row[j]",
+        (
+            "tests/test_linmap.py::test_rref_matches_reference",
+            "tests/test_spancospan.py::test_one_pass_composites_equal_the_limit_then_compose[gf3]",
+        ),
+    ),
+    # the core takes every ring for one without a modulus
+    Mutant(
+        "echelon-reads-no-modulus",
+        "linmap.py",
+        "    p = ring.p\n    field = ring.is_field",
+        "    p = None\n    field = ring.is_field",
+        (
+            "tests/test_linmap.py::test_rref_matches_reference",
+            "tests/test_spancospan.py::test_matrix_mediators_are_the_unique_enumerated_ones[gf2-pushout]",
+        ),
+    ),
+    # the integers eliminate as a field, dividing by their pivots
+    Mutant(
+        "integers-are-a-field",
+        "exactnum.py",
+        'name = "z"\n    is_field = False',
+        'name = "z"\n    is_field = True',
+        ("tests/test_linmap.py::test_hnf_row_matches_reference", "tests/test_linmap.py::test_is_split_mono"),
+    ),
+    # a fraction's image in GF(p) forgets its denominator
+    Mutant(
+        "gf-coerce-without-inverse",
+        "exactnum.py",
+        "return x.numerator * pow(x.denominator, -1, p) % p",
+        "return x.numerator % p",
+        ("tests/test_exactnum.py::test_gf_coerce_fraction",),
+    ),
+    # the bottom rows of a glued pass are negated but not reduced mod p
+    Mutant(
+        "glued-negation-without-mod",
+        "linmap.py",
+        "[-v % p for v in row]",
+        "[-v for v in row]",
+        # an equivalent mutant on every result (the negated columns are
+        # dropped, and each update of them is reduced), so it is caught on
+        # the core's input
+        (
+            "tests/test_linmap.py::test_every_pass_of_the_core_reads_residues[gf2]",
+            "tests/test_linmap.py::test_every_pass_of_the_core_reads_residues[gf3]",
+        ),
+    ),
+    # a left entry -1 adds the row of the right factor instead of
+    # subtracting it
+    Mutant(
+        "mat-mul-adds-row-for-minus-one",
+        "linmap.py",
+        "acc[c] -= b",
+        "acc[c] += b",
+        ("tests/test_linmap.py::test_mat_mul_matches_reference", "tests/test_linmap.py::test_compose_identity"),
+    ),
+)
+
+
+def _copy(tmp: Path, label: str, mutant: Mutant | None = None) -> Path:
+    """A copy of ``src/`` under ``tmp/label``, with the mutant planted."""
+    src = tmp / label / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    if mutant is not None:
+        path = src / "corelate" / mutant.file
+        text = path.read_text()
+        if text.count(mutant.fragment) != 1:
+            raise SystemExit(f"{mutant.name}: the fragment occurs {text.count(mutant.fragment)} times in {mutant.file}")
+        path.write_text(text.replace(mutant.fragment, mutant.replacement))
+    return src
+
+
+def _passes(src: Path, tests, cwd: Path) -> bool | None:
+    """Whether the tests pass against the package in ``src``; None when
+    they run past ``TIMEOUT``.  The child reads no bytecode cache, so a
+    mutant of the same size and time stamp as the source is still
+    compiled."""
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-seed=0"]
+    # pyproject.toml's pythonpath would put the checkout's src first
+    command += ["-o", f"pythonpath={src}", *(str(ROOT / test) for test in tests)]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    child = subprocess.Popen(command, cwd=cwd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True)
+    try:
+        return child.wait(TIMEOUT) == 0
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.wait()
+        return None
+
+
+def run(mutants) -> int:
+    """Run the mutants as the module docstring says; the exit status."""
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="corelate-mutants-") as name:
+        tmp = Path(name)
+        tests = list(dict.fromkeys(test for mutant in mutants for test in mutant.tests))
+        if not _passes(_copy(tmp, "unmutated"), tests, tmp):
+            print("the unmutated copy fails the mutants' tests", flush=True)
+            return 2
+        print(f"{'unmutated copy':<34} passes   {time.perf_counter() - start:7.1f} s", flush=True)
+        survivors = []
+        for mutant in mutants:
+            began = time.perf_counter()
+            passed = _passes(_copy(tmp, mutant.name, mutant), mutant.tests, tmp)
+            verdict = "survived" if passed else "killed"
+            if passed:
+                survivors.append(mutant.name)
+            note = " (timed out)" if passed is None else ""
+            print(f"{mutant.name:<34} {verdict:<8} {time.perf_counter() - began:7.1f} s{note}", flush=True)
+    print(f"{len(mutants) - len(survivors)} of {len(mutants)} killed in {time.perf_counter() - start:.1f} s", flush=True)
+    return 1 if survivors else 0
+
+
+def main(argv) -> int:
+    table = {mutant.name: mutant for mutant in MUTANTS}
+    unknown = [name for name in argv if name not in table]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}; known: {', '.join(table)}", file=sys.stderr)
+        return 2
+    return run([table[name] for name in argv] if argv else list(MUTANTS))
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

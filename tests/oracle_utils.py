@@ -4,12 +4,13 @@ import signal
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 from typing import Optional
 
 from corelate.corelrel import Corelation, Relation, _require_products, gamma, rel_canonical
-from corelate.errors import RingMismatch, TypeMismatch
+from corelate.errors import RingMismatch, TypeMismatch, ZeroInverse
 from corelate.exactnum import ZZ, Ring
 from corelate.finfn import FinMap, ParMap, Partition
 from corelate.linmap import ExactMatrix, _require_same_ring, mat_mediator, mat_transpose, split_rows
@@ -40,29 +41,68 @@ def time_limit(seconds: float):
         signal.signal(signal.SIGALRM, previous)
 
 
+# ---------------------------------------------------------------------------
+# scalar arithmetic for the references, one operation at a time on the
+# stored values of a ring: a result over GF(p) is reduced into [0, p).  The
+# program's echelon core has its own loops and shares none of this.
+
+
+def _reduce(ring, v):
+    return v if ring.p is None else v % ring.p
+
+
+def scalar_add(ring, a, b):
+    return _reduce(ring, a + b)
+
+
+def scalar_neg(ring, a):
+    return _reduce(ring, -a)
+
+
+def scalar_mul(ring, a, b):
+    return _reduce(ring, a * b)
+
+
+def scalar_sub(ring, a, b):
+    return scalar_add(ring, a, scalar_neg(ring, b))
+
+
+def scalar_inv(ring, a):
+    """The inverse of a stored value: ``ZeroInverse`` for 0, and an
+    ``ArithmeticError`` for an integer other than 1 or -1."""
+    if _reduce(ring, a) == 0:
+        raise ZeroInverse(f"0 has no inverse in {ring.name}")
+    if ring.p is not None:
+        return pow(a, -1, ring.p)
+    if ring.is_field:
+        return 1 / Fraction(a)
+    if a in (1, -1):
+        return a
+    raise ArithmeticError(f"{a} is not a unit in the integers")
+
+
 def reference_mat_mul(x, y):
-    """Matrix product x*y through the ring's scalar operations.
+    """Matrix product x*y through the scalar operations above.
 
     The reference for ``linmap.mat_mul``, which works on the stored values.
     """
     ring = x.ring
-    add, mul, zero = ring.add, ring.mul, ring.zero
     ycols = [()] * y.cols if y.rows == 0 else list(zip(*y.entries))
     out = []
     for row in x.entries:
         out_row = []
         for col in ycols:
-            acc = zero
+            acc = ring.zero
             for a, b in zip(row, col):
-                acc = add(acc, mul(a, b))
+                acc = scalar_add(ring, acc, scalar_mul(ring, a, b))
             out_row.append(acc)
         out.append(tuple(out_row))
     return ExactMatrix(ring, x.rows, y.cols, tuple(out))
 
 
 def reference_rref(a):
-    """Reduced row echelon form and pivot columns through the ring's scalar
-    operations, over a field.
+    """Reduced row echelon form and pivot columns through the scalar
+    operations above, over a field.
 
     The reference for ``linmap``'s echelon core on a field, which works on
     the stored values.
@@ -81,12 +121,12 @@ def reference_rref(a):
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ring.inv(rows[r][j])
-        rows[r] = [ring.mul(inv, v) for v in rows[r]]
+        inv = scalar_inv(ring, rows[r][j])
+        rows[r] = [scalar_mul(ring, inv, v) for v in rows[r]]
         for i in range(m):
             if i != r and rows[i][j] != ring.zero:
                 c = rows[i][j]
-                rows[i] = [ring.sub(v, ring.mul(c, w)) for v, w in zip(rows[i], rows[r])]
+                rows[i] = [scalar_sub(ring, v, scalar_mul(ring, c, w)) for v, w in zip(rows[i], rows[r])]
         pivots.append(j)
         r += 1
         if r == m:
@@ -364,7 +404,7 @@ def det_int(a: ExactMatrix) -> int:
 
 def _reference_neg(a):
     ring = a.ring
-    return ExactMatrix(ring, a.rows, a.cols, tuple(tuple(ring.neg(v) for v in row) for row in a.entries))
+    return ExactMatrix(ring, a.rows, a.cols, tuple(tuple(scalar_neg(ring, v) for v in row) for row in a.entries))
 
 
 def _reference_transpose(a):
@@ -386,7 +426,7 @@ def reference_kernel_basis(a):
             vec = [ring.zero] * a.cols
             vec[j] = ring.one
             for i, pj in enumerate(pivots):
-                vec[pj] = ring.neg(red.entries[i][j])
+                vec[pj] = scalar_neg(ring, red.entries[i][j])
             cols.append(vec)
         return ExactMatrix(ring, a.cols, len(cols), tuple(tuple(col[i] for col in cols) for i in range(a.cols)))
     s = snf(a)

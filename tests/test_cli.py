@@ -798,7 +798,8 @@ def test_the_front_end_decides_each_thing_once():
 
 # eval in every theory (with a sym and a tensor over the integers), equal,
 # the quotient of a cospan and of a span, a partial-map literal (the
-# theories' own are built once per process), sweeps of assumption 3.1 and 3.3
+# theories' own are built once per process) and a GF(3) literal, which a
+# ring parses, sweeps of assumption 3.1 and 3.3
 # over functions, partial functions and GF(2), square over integer split
 # monos, and sampled checks over functions, partial functions, integers and
 # GF(2) (pi-functorial, whose memo composes matrix legs one by one)
@@ -813,6 +814,7 @@ _SESSION = [
     ("normalize", "--ambient", "f", "--quotient", "cospan { left = fn 1 -> 2 : [1], right = fn 1 -> 2 : [0] }"),
     ("normalize", "--ambient", "q", "--quotient", "span { left = mat q 1x1 : [[2]], right = mat q 1x1 : [[1]] }"),
     ("normalize", "--ambient", "pf", "cospan { left = par 1 -> 2 : [_], right = par 1 -> 2 : [1] }"),
+    ("normalize", "--ambient", "gf3", "cospan { left = mat gf3 1x1 : [[2]], right = mat gf3 1x1 : [[1]] }"),
     ("check", "square", "--C", "f", "--A", "inj", "--bound", "1"),
     ("check", "assumption31", "--C", "f", "--A", "all", "--bound", "1"),
     ("check", "assumption33", "--C", "pf", "--A", "all", "--bound", "1"),
@@ -863,22 +865,29 @@ def test_a_cli_session_reaches_every_public_corelrel_function(capsys):
     assert sorted(name for code, name in _public_functions(corelrel).items() if code not in called) == []
 
 
-def test_a_cli_session_reaches_every_kernel(capsys):
-    # finfn, linmap and spancospan keep only what the program runs: every
-    # public function of them, and every public method of an Ambient class
-    # other than the base class's NotImplementedError declarations, is
-    # called by the session, in well under a second
+def test_a_cli_session_reaches_every_kernel(capsys, monkeypatch):
+    # exactnum, finfn, linmap and spancospan keep only what the program
+    # runs: every public function of them, every public method of an
+    # Ambient class and every non-dunder method of a Ring class, other than
+    # the base classes' NotImplementedError declarations, is called by the
+    # session, in well under a second
+    import corelate.exactnum as exactnum
     import corelate.finfn as finfn
     import corelate.linmap as linmap
     import corelate.spancospan as spancospan
 
-    kernels = {**_public_functions(finfn), **_public_functions(linmap), **_public_functions(spancospan)}
-    for cls in vars(spancospan).values():
-        if isinstance(cls, type) and issubclass(cls, spancospan.Ambient):
-            methods = ((name, f) for name, f in vars(cls).items() if inspect.isfunction(f) and not name.startswith("_"))
-            for name, f in methods:
-                if f.__code__.co_names != ("NotImplementedError",):
-                    kernels[f.__code__] = f"{cls.__name__}.{name}"
+    kernels = {}
+    for module in (exactnum, finfn, linmap, spancospan):
+        kernels.update(_public_functions(module))
+    for module, base, hidden in ((spancospan, spancospan.Ambient, "_"), (exactnum, exactnum.Ring, "__")):
+        for cls in vars(module).values():
+            if isinstance(cls, type) and issubclass(cls, base):
+                for name, f in vars(cls).items():
+                    if inspect.isfunction(f) and not name.startswith(hidden) and f.__code__.co_names != ("NotImplementedError",):
+                        kernels[f.__code__] = f"{cls.__name__}.{name}"
+    # a prime field is built, and its modulus tested, once per process:
+    # the session starts with none built
+    monkeypatch.setattr(exactnum, "_gf_cache", {})
     start = time.perf_counter()
     called = _session_calls(capsys)
     assert time.perf_counter() - start < 1.0

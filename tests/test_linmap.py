@@ -38,6 +38,7 @@ from oracle_utils import (
     reference_mat_pushout,
     reference_mat_solve,
     reference_rref,
+    scalar_neg,
     rows_beside,
     snf,
     time_limit,
@@ -750,7 +751,7 @@ def columns(a):
 
 
 def negated(ring, rows):
-    return [tuple(ring.neg(v) for v in row) for row in rows]
+    return [tuple(scalar_neg(ring, v) for v in row) for row in rows]
 
 
 def in_column_span(a, b):
@@ -799,6 +800,36 @@ def test_limits_match_oracles(ring):
             assert mat_mul(a, sol) == b, (a, b)
             nonzero_solutions += any(map(any, sol.entries))
     assert nonzero_solutions > 100
+
+
+@pytest.mark.parametrize("ring", [GF(2), GF(3)], ids=lambda r: r.name)
+def test_every_pass_of_the_core_reads_residues(ring, monkeypatch):
+    # the core works on stored values, so over GF(p) each glued pass, whose
+    # bottom rows are negated, hands it entries in [0, p) as well; a
+    # negation left unreduced changes no result, since those columns are
+    # dropped and every update of them is reduced, and only this sees it
+    import corelate.linmap as linmap
+
+    core, passes = linmap._echelon, []
+
+    def reading(ring, rows, ncols, k=0):
+        passes.append(all(0 <= v < ring.p for row in rows for v in row))
+        return core(ring, rows, ncols, k)
+
+    monkeypatch.setattr(linmap, "_echelon", reading)
+    rng = random.Random(7)
+    for _ in range(100):
+        n, m, k = (rng.randint(1, 3) for _ in range(3))
+        a, b = rand_mat(rng, ring, k, n), rand_mat(rng, ring, k, m)
+        at, bt = mat_transpose(a), mat_transpose(b)
+        linmap.mat_pullback(a, b)
+        linmap.mat_pushout(at, bt)
+        linmap.composite(a, b, b, a)
+        linmap.composite(at, bt, bt, at, columns=True)
+        linmap.corelation_composite(a, b, b, a)
+        linmap.mat_mediator(a, b, a, b)
+        linmap.mat_mediator(at, bt, at, bt, columns=True)
+    assert len(passes) == 700 and all(passes)
 
 
 def test_shape_errors():

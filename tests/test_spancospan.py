@@ -251,10 +251,13 @@ def test_partial_ambient_matches_the_case_by_case_references():
 def test_one_kernel_per_ambient():
     # matrix methods leave the ring to the echelon core, pi is the pushout,
     # and the function ambients glue with one union-find
+    import ast
     import inspect
+    from pathlib import Path
 
     import corelate.corelrel as corelrel
     import corelate.diagrams as diagrams
+    import corelate.exactnum as exactnum
     import corelate.finfn as finfn
     import corelate.linmap as linmap
     import corelate.spancospan as spancospan
@@ -301,6 +304,20 @@ def test_one_kernel_per_ambient():
     functions = [f for f in vars(linmap).values() if inspect.isfunction(f) and f.__module__ == linmap.__name__]
     assert [f.__name__ for f in functions if "is_field" in inspect.getsource(f)] == ["_echelon"]
     assert not hasattr(finfn, "UnionFind")
+    # a ring is data: no ring does arithmetic, linmap has no helper that
+    # reads its modulus, and nothing asks a ring whether it has one
+    rings = [cls for cls in vars(exactnum).values() if isinstance(cls, type) and issubclass(cls, exactnum.Ring)]
+    ops = ("add", "neg", "mul", "sub", "inv")
+    assert [(cls.__name__, op) for cls in rings for op in ops if op in vars(cls)] == []
+    assert not any(hasattr(linmap, name) for name in ("_modulus", "_negate"))
+    probes = [
+        (path.name, node.lineno)
+        for path in sorted(Path(linmap.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("hasattr", "getattr")
+        if any(isinstance(arg, ast.Constant) and arg.value == "p" for arg in node.args)
+    ]
+    assert probes == []
 
 
 def _mediator_cases(amb, rng, into_apex: bool):
