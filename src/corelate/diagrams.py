@@ -149,8 +149,20 @@ for _color in ("w", "b"):
 # before tokenizing, so every token is a number, a name or one symbol.
 _TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z_0-9]*|[();@,./-]")
 _BAD = re.compile(r"[^\sA-Za-z_0-9();@,./-]")
+_GLUED = re.compile(r"[0-9][A-Za-z_]")  # a numeral that a name follows unspaced
 _NOT_NAME = frozenset("0123456789();@,./-")  # first characters of the other tokens
 _LEAF_GOES_ON = frozenset(".(")  # tokens that continue a leaf after its name
+
+
+def _tokens(src: str) -> list:
+    """``_TOKEN.findall(src)`` for a src that ``_BAD`` accepts.  Spaced
+    around its symbols, such a src splits at whitespace into its tokens,
+    unless a numeral runs into a name, which only the regex splits."""
+    if _GLUED.search(src):
+        return _TOKEN.findall(src)
+    for c in "();@,./-":
+        src = src.replace(c, f" {c} ")
+    return src.split()
 
 
 def _fail(src: str, k: int, message: str):
@@ -184,19 +196,9 @@ def _too_wide(src: str, k: int, leaf: str, n: int):
     _fail(src, k, f"{leaf} has {n} wires, more than the {MAX_LEAF_WIRES} a leaf may have")
 
 
-def _shared(shared: dict, key: str, cls, *fields) -> Term:
-    """The term ``shared`` holds under ``key``, made from ``cls`` and
-    ``fields`` and stored there the first time."""
-    t = shared.get(key)
-    if t is None:
-        t = shared[key] = cls(*fields)
-    return t
-
-
-def _leaf(src: str, tokens: list, i: int, shared: dict):
+def _leaf(src: str, tokens: list, i: int):
     """The leaf at token i, ``id(n)``, ``sym(n,m)`` or a generator, and the
-    index of the token after it.  Leaves with the same token text are the
-    one term that ``shared`` holds under that text."""
+    index of the token after it."""
     name = tokens[i]
     if not name or name[0] in _NOT_NAME:
         _fail(src, i, f"expected an atom, found {name!r}")
@@ -206,7 +208,7 @@ def _leaf(src: str, tokens: list, i: int, shared: dict):
         _expect(src, tokens, i + 3, ")")
         if n > MAX_LEAF_WIRES:
             _too_wide(src, i, f"id({n})", n)
-        return _shared(shared, "".join(tokens[i : i + 4]), IdTerm, n, n, n), i + 4
+        return IdTerm(n, n, n), i + 4
     if name == "sym":
         _expect(src, tokens, i + 1, "(")
         n = _nat(src, tokens, i + 2)
@@ -215,8 +217,7 @@ def _leaf(src: str, tokens: list, i: int, shared: dict):
         _expect(src, tokens, i + 5, ")")
         if n + m > MAX_LEAF_WIRES:
             _too_wide(src, i, f"sym({n},{m})", n + m)
-        return _shared(shared, "".join(tokens[i : i + 6]), SymTerm, n + m, m + n, n, m), i + 6
-    start = i
+        return SymTerm(n + m, m + n, n, m), i + 6
     i += 1
     if tokens[i] == ".":
         color = tokens[i + 1]
@@ -244,7 +245,7 @@ def _leaf(src: str, tokens: list, i: int, shared: dict):
     if name not in GENERATOR_ARITIES:
         raise UnknownGenerator(f"unknown generator {name!r}")
     dom, cod = GENERATOR_ARITIES[name]
-    return _shared(shared, "".join(tokens[start:i]), GenTerm, dom, cod, name, args), i
+    return GenTerm(dom, cod, name, args), i
 
 
 def parse_term(src: str) -> Term:
@@ -258,16 +259,23 @@ def parse_term(src: str) -> Term:
     SeqTerm has a SeqTerm part and no TensorTerm a TensorTerm part.
 
     Equal subterms of one term are one object: the parse keeps a dict from
-    each finished subterm to that object, a leaf keyed by its token text and
-    a ``;`` chain or ``@`` row by the identities of its parts, and builds no
-    duplicate.  The dict lives for one call, so two parses share no node.
+    each finished subterm to that object, a leaf keyed by its tokens joined
+    with spaces (injective, since no token holds a space) and an ``@`` row
+    or a ``;`` chain by the identities of its parts, and builds no
+    duplicate.  A leaf is read once: its tokens run from its name through
+    an optional ``. colour`` and an optional ``( ... )`` to the first ``)``,
+    and only a key not seen before is handed to ``_leaf``, which raises
+    every error.  The dict lives for one call, so two parses share no node.
     """
     bad = _BAD.search(src)
     if bad:
         raise TermSyntaxError(f"unexpected character {bad.group()!r}", bad.start())
-    tokens = _TOKEN.findall(src) + [""]  # "" ends the input
-    # string keys: tuple keys, all freed at the end of a parse, would stay
-    # on the interpreter's tuple free lists
+    tokens = _tokens(src) + ["", ""]  # "" ends the input, and a leaf scan may read one past it
+    # keys are strings: a leaf's starts with its name, a row's or a chain's
+    # with the "0x" of a hex id, and "@" or ";" tells a row from a chain.
+    # Tuples of ids build faster, but the thousands each parse frees stay on
+    # the interpreter's tuple free lists: 3 MB more peak memory over many
+    # parses.
     shared: dict = {}
     frames = []  # the (seq, row) parts of each enclosing group
     seq: list = []  # the ';' parts of the innermost group so far
@@ -279,11 +287,24 @@ def parse_term(src: str) -> Term:
             seq, row = [], []
             i += 1
             continue
-        t = shared.get(tokens[i])  # a generator named by one token, seen before
-        if t is not None and tokens[i + 1] not in _LEAF_GOES_ON:
-            i += 1
+        j = i + 1
+        if tokens[j] in _LEAF_GOES_ON:
+            if tokens[j] == ".":
+                j += 2
+            if tokens[j] == "(":
+                try:
+                    j = tokens.index(")", j) + 1
+                except ValueError:  # unclosed: a key that no leaf has
+                    j = len(tokens)
+            key = " ".join(tokens[i:j])
         else:
-            t, i = _leaf(src, tokens, i, shared)
+            key = tokens[i]
+        t = shared.get(key)
+        if t is None:
+            t, i = _leaf(src, tokens, i)
+            shared[key] = t
+        else:
+            i = j
         while True:  # t is a finished atom of the innermost group
             if t.__class__ is TensorTerm:
                 row += t.parts

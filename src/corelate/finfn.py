@@ -145,27 +145,29 @@ def glue_compose(left1, right1, left2, right2):
         raise TypeMismatch(f"feet disagree: {right1.dom} vs {left2.dom}")
     shift = left1.cod
     bot = shift + left2.cod
-    parent = list(range(bot + 1))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
+    parent = list(range(bot + 1))  # parent[i] <= i: a root is its class's least point
     for a, b in zip(right1.table, left2.table):
-        ra = find(bot if a is None else a)
-        rb = find(bot if b is None else shift + b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
+        a = bot if a is None else a
+        while parent[a] != a:  # path halving
+            parent[a] = a = parent[parent[a]]
+        b = bot if b is None else shift + b
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    for i, p in enumerate(parent):  # p <= i, so parent[p] is already its root
+        parent[i] = parent[p]
     label: list = [-1] * (bot + 1)
-    label[find(bot)] = None
+    label[parent[bot]] = None
     apex = 0
 
     def leg(table, offset: int) -> tuple:
         nonlocal apex
         out = []
         for v in table:
-            r = find(bot if v is None else offset + v)
+            r = parent[bot if v is None else offset + v]
             x = label[r]
             if x == -1:
                 x = label[r] = apex

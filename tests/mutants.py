@@ -103,6 +103,40 @@ MUTANTS = (
         "acc[c] += b",
         ("tests/test_linmap.py::test_mat_mul_matches_reference", "tests/test_linmap.py::test_compose_identity"),
     ),
+    # a union links the smaller root under the larger, so the one
+    # ascending flattening pass leaves chains unflattened
+    Mutant(
+        "glue-links-larger-root",
+        "finfn.py",
+        "parent[b] = a\n        elif b < a:\n            parent[a] = b",
+        "parent[a] = b\n        elif b < a:\n            parent[b] = a",
+        ("tests/test_finfn.py::test_glue_compose_matches_reference_gluing",),
+    ),
+    # the last foot of a composite glues nothing
+    Mutant(
+        "glue-skips-last-pair",
+        "finfn.py",
+        "zip(right1.table, left2.table)",
+        "zip(right1.table[:-1], left2.table)",
+        ("tests/test_finfn.py::test_glue_compose_matches_reference_gluing", "tests/test_finfn.py::test_pushout_examples"),
+    ),
+    # leaves whose tokens concatenate alike share one key, so id(1 1) is
+    # taken for an id(11) read before
+    Mutant(
+        "leaf-key-without-separator",
+        "diagrams.py",
+        'key = " ".join(tokens[i:j])',
+        'key = "".join(tokens[i:j])',
+        ("tests/test_diagrams.py::test_leaf_spellings_keep_their_outcomes",),
+    ),
+    # the split tokenizer runs on every source, so 12x is one token
+    Mutant(
+        "tokenizer-without-glued-guard",
+        "diagrams.py",
+        "    if _GLUED.search(src):\n        return _TOKEN.findall(src)\n",
+        "",
+        ("tests/test_diagrams.py::test_tokenizer_agrees_with_the_regex", "tests/test_diagrams.py::test_parser_outcomes_pinned"),
+    ),
 )
 
 

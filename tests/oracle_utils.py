@@ -587,6 +587,43 @@ def _glue(blocks1, blocks2, n, z, m):
     return tuple(tuple(g) for g in groups.values())
 
 
+def reference_glue(left1, right1, left2, right2):
+    """The tables and apex of the canonical composite of the cospans
+    (left1, right1) and (left2, right2) of total or partial maps, by a
+    graph search: the points of both apexes and the basepoint ``None`` are
+    nodes, foot j joins right1[j] to left2[j], and the components that
+    left1 or right2 reach are numbered by first occurrence, scanning left1
+    then right2.  The component of ``None`` stays ``None``."""
+    node1 = lambda v: None if v is None else (1, v)
+    node2 = lambda v: None if v is None else (2, v)
+    edges = {}
+    for a, b in zip(right1.table, left2.table):
+        edges.setdefault(node1(a), []).append(node2(b))
+        edges.setdefault(node2(b), []).append(node1(a))
+    component = {}
+    for start in [None, *map(node1, range(left1.cod)), *map(node2, range(left2.cod))]:
+        if start in component:
+            continue
+        component[start] = start
+        stack = [start]
+        while stack:
+            for other in edges.get(stack.pop(), ()):
+                if other not in component:
+                    component[other] = start
+                    stack.append(other)
+    number = {None: None}
+    tables = []
+    for nodes in (map(node1, left1.table), map(node2, right2.table)):
+        table = []
+        for v in nodes:
+            c = component[v]
+            if c not in number:
+                number[c] = len(number) - 1
+            table.append(number[c])
+        tables.append(tuple(table))
+    return tables[0], tables[1], len(number) - 1
+
+
 # ---------------------------------------------------------------------------
 # witness closure: corelation equality by search over M-witness moves
 

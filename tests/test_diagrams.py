@@ -208,6 +208,69 @@ def test_parser_outcomes_pinned():
     assert digest.hexdigest() == "b1c6709e28d460329407543cb289ea2a9c5e8933492c69b5ab23990199bf424f"
 
 
+def test_tokenizer_agrees_with_the_regex():
+    # the split tokenizer is the regex's fast path: on every source the
+    # parser tokenizes (one that _BAD accepts) it returns what findall does,
+    # with numerals that run into names and every kind of whitespace
+    rng = random.Random("tokenizer")
+    glued = ["1x", "12abc", "a1", "_1", "0_", "3id", "x12y"]
+    gaps = ["", " ", "\t", "\n", "\x1c", "\u3000"]
+    sources = [src for src in PIN_SOURCES if not diagrams._BAD.search(src)]
+    assert len(sources) == len(PIN_SOURCES) - 1  # all but "mult ; %"
+    for _ in range(20000):
+        words = [rng.choice(PIN_TOKENS if rng.random() < 0.9 else glued) for _ in range(rng.randint(0, 12))]
+        sources.append("".join(w + rng.choice(gaps) for w in words))
+    for src in sources:
+        assert not diagrams._BAD.search(src)
+        assert diagrams._tokens(src) == diagrams._TOKEN.findall(src), src
+
+
+def test_each_distinct_leaf_is_read_once_per_parse(monkeypatch):
+    reads = []
+    leaf = diagrams._leaf
+    monkeypatch.setattr(diagrams, "_leaf", lambda src, tokens, i: reads.append(tokens[i]) or leaf(src, tokens, i))
+    block = "(id(1) @ sym(1,1) @ scalar(-1/2)) ; (scalar(-1/2) @ id(1) @ sym(1, 1))"
+    t = parse_term(" ; ".join([block] * 10) + " ; (w.mult @ w . mult) ; w.mult")
+    assert (t.dom, t.cod) == (4, 1)
+    assert sorted(reads) == ["id", "scalar", "sym", "w"]
+    leaves = {id(u) for u in _nodes(t) if not isinstance(u, (SeqTerm, TensorTerm))}
+    assert len(leaves) == 4
+    # a second parse reads them again
+    parse_term(block)
+    assert len(reads) == 7
+
+
+# Spellings with equal tokens, or with distinct tokens that concatenate
+# alike, and the outcomes the parser has always given them: a leaf is one
+# object with a leaf of the same tokens only, and one whose tokens differ
+# is read on its own, and raises where it always did.
+LEAF_SPELLINGS = {
+    "id(1) ; i d(1)": ("UnknownGenerator", "unknown generator 'i'", None),
+    "w.mult @ w . mult": (4, 2),
+    "id(1) @ id (1)": (2, 2),
+    "id(1) @ sym(1,1) @ id(1) @ sym(1 , 1)": (6, 6),
+    "scalar(-1/2) ; scalar(-1/ 2)": (1, 1),
+    "id(11) ; id(1 1)": ("TermSyntaxError", "expected ')', found '1' (at position 14)", 14),
+    "scalar(12) ; scalar(1 2)": ("TermSyntaxError", "expected ')', found '2' (at position 22)", 22),
+    "sym(1,12) ; sym(1,1 2)": ("TermSyntaxError", "expected ')', found '2' (at position 20)", 20),
+    "scalar(-12/3) ; scalar(- 1 2/3)": ("TermSyntaxError", "expected ')', found '2' (at position 27)", 27),
+    "scalar(2/12) ; scalar(2/1 2)": ("TermSyntaxError", "expected ')', found '2' (at position 26)", 26),
+}
+
+
+@pytest.mark.parametrize("src", LEAF_SPELLINGS)
+def test_leaf_spellings_keep_their_outcomes(src):
+    try:
+        t = parse_term(src)
+    except (TermSyntaxError, TermTypeError, UnknownGenerator) as err:
+        outcome = (type(err).__name__, str(err), getattr(err, "position", None))
+    else:
+        outcome = (t.dom, t.cod)
+        # equal tokens are one leaf
+        assert len({id(u) for u in t.parts}) == len(set(t.parts))
+    assert outcome == LEAF_SPELLINGS[src]
+
+
 def test_tensor_binds_tighter_than_seq():
     t = parse_term("unit @ unit ; mult")
     assert isinstance(t, SeqTerm)

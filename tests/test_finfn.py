@@ -5,6 +5,7 @@ import pytest
 from corelate.errors import TypeMismatch
 from corelate.finfn import (
     FinMap,
+    ParMap,
     Partition,
     enumerate_finmaps,
     fn,
@@ -17,6 +18,7 @@ from corelate.finfn import (
     fn_symmetry,
     fn_tensor,
     enumerate_parmaps,
+    glue_compose,
     par,
 )
 from corelate.spancospan import get_ambient
@@ -24,6 +26,7 @@ from oracle_utils import (
     enumerate_partitions,
     partition,
     reference_factorize,
+    reference_glue,
     reference_par_compose,
     reference_par_is_injection,
     reference_par_is_surjection,
@@ -330,6 +333,52 @@ def test_kernels_match_the_case_by_case_partial_references():
 
 
 # --- partitions ---------------------------------------------------------------
+
+
+def _random_table(rng, dom, cod, partial):
+    """A table dom -> cod, total unless ``partial``, when about a fifth of
+    its entries are undefined."""
+    if partial:
+        return [None if cod == 0 or rng.random() < 0.2 else rng.randrange(cod) for _ in range(dom)]
+    return [rng.randrange(cod) for _ in range(dom)]
+
+
+def _chain_feet(rng, n):
+    """Feet (a, b), each gluing point a of the first apex to point b of the
+    second: (x, x) and (x - 1, x) for x from n - 1 down, over the points in
+    a random order half the time: in order, each union hangs the last root
+    under the next point, and the class becomes a chain n deep.  Then a few
+    random feet, whose finds halve that chain."""
+    order = list(range(n))
+    if rng.random() < 0.5:
+        rng.shuffle(order)
+    feet = []
+    for k in range(n - 1, -1, -1):
+        feet.append((order[k], order[k]))
+        if k:
+            feet.append((order[k - 1], order[k]))
+    return feet + [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 8))]
+
+
+def test_glue_compose_matches_reference_gluing():
+    rng = random.Random("glue-compose")
+    for case in range(600):
+        partial = case % 2 == 1
+        make = ParMap if partial else FinMap
+        n1, n2 = rng.randint(1, 64), rng.randint(1, 64)
+        if case % 3 == 0:  # long chains
+            n1 = n2 = max(n1, n2)
+            feet = _chain_feet(rng, n1)
+            r1, l2 = [a for a, _ in feet], [b for _, b in feet]
+        else:
+            k = rng.randint(0, 96)
+            r1, l2 = _random_table(rng, k, n1, partial), _random_table(rng, k, n2, partial)
+        d1, d2 = rng.randint(0, 64), rng.randint(0, 64)
+        left1 = make(d1, n1, tuple(_random_table(rng, d1, n1, partial)))
+        right2 = make(d2, n2, tuple(_random_table(rng, d2, n2, partial)))
+        right1, left2 = make(len(r1), n1, tuple(r1)), make(len(l2), n2, tuple(l2))
+        lt, rt, apex = reference_glue(left1, right1, left2, right2)
+        assert glue_compose(left1, right1, left2, right2) == (make(len(lt), apex, lt), make(len(rt), apex, rt))
 
 
 def test_partition_validation():
