@@ -4,9 +4,10 @@ Scalars are plain Python values interpreted relative to a ring object:
 ``int`` residues in ``[0, p)`` for ``GF(p)``, ``fractions.Fraction`` for the
 rationals, ``int`` for the integers.  A ring is the record the echelon core
 reads: its name, its modulus ``p`` (``None`` outside GF(p)), whether it is a
-field, and its zero and one; it reads scalars into itself, parses and
-formats them, and does no arithmetic of its own.  Python integers are
-unbounded, so no operation can overflow.
+field, and its zero and one (the rationals also share their small
+integers); it reads scalars into itself, parses and formats them, and does
+no arithmetic of its own.  Python integers are unbounded, so no operation
+can overflow.
 """
 
 from __future__ import annotations
@@ -137,12 +138,21 @@ class IntegerRing(Ring):
 
 
 class RationalRing(Ring):
+    """The rationals.  ``integers`` maps each integer n with |n| <= 128 to
+    ``Fraction(n)``, built once and shared: ``zero`` and ``one`` are two
+    of them, ``coerce`` returns them for small ``int``s, and linmap, which
+    eliminates Q rows as integer rows, takes every integral entry it
+    writes from them."""
+
     name = "q"
     is_field = True
-    zero = Fraction(0)
-    one = Fraction(1)
+    integers = {n: Fraction(n) for n in range(-128, 129)}
+    zero = integers[0]
+    one = integers[1]
 
     def coerce(self, x):
+        if type(x) is int and x in self.integers:
+            return self.integers[x]
         return Fraction(x)
 
     def parse(self, text):

@@ -12,13 +12,18 @@ needed.  The span half reads the legs' columns as its rows and cuts its
 results as columns, with no transpose built.
 
 The core works on the stored values themselves, reading the ring only for
-its data: ``int`` residues reduced mod ``ring.p`` for GF(p), ``Fraction``
-for the rationals, ``int`` for the integers.
+its data: ``int`` residues reduced mod ``ring.p`` for GF(p), ``int`` for the
+integers.  The rationals are stored as ``Fraction``s, but the core and the
+product hold their rows as integer rows: ``_integer_rows`` reads them in,
+and ``_fractions`` builds the ``Fraction``s of the entries a caller keeps,
+once, at the end.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 from typing import NamedTuple, Optional
 
 from .errors import RingMismatch, TypeMismatch
@@ -63,19 +68,67 @@ def _require_same_ring(a: ExactMatrix, b: ExactMatrix) -> None:
         raise RingMismatch(f"{a.ring.name} vs {b.ring.name}")
 
 
-def _row_support(y: ExactMatrix) -> list:
-    """The nonzero (column, value) pairs of each row of y."""
-    return [[(c, b) for c, b in enumerate(row) if b] for row in y.entries]
+# ---------------------------------------------------------------------------
+# rational rows as integer rows
+#
+# A row of rationals spans what the integer row of its numerators over the
+# lcm of its denominators spans, so the core eliminates Q rows as integer
+# rows (Bareiss, Sylvester's identity and multistep integer-preserving
+# Gaussian elimination, Math. Comp. 1968), and the product multiplies
+# integer rows.  The first helper reads every Q row they take, and the
+# second builds every Fraction they return but the ring's zero and one.
 
 
-def mat_mul(x: ExactMatrix, y: ExactMatrix, y_support: Optional[list] = None) -> ExactMatrix:
+def _integer_rows(ring: Ring, rows) -> Optional[tuple]:
+    """Over Q, the rows as integer rows, each multiplied by the lcm of its
+    denominators, and those lcms; a row of integers is read as it is.  The
+    entries may be ``Fraction``s or ``int``s.  None over any other ring,
+    whose stored values the kernels use as they are."""
+    if ring.p is not None or not ring.is_field:
+        return None
+    zero = ring.zero
+    out, scales = [], []
+    for row in rows:
+        s = lcm(*[1 if v is zero else v.denominator for v in row])
+        if s == 1:
+            out.append([0 if v is zero else v.numerator for v in row])
+        else:
+            out.append([0 if v is zero else v.numerator * (s // v.denominator) for v in row])
+        scales.append(s)
+    return out, scales
+
+
+def _fractions(ring: Ring, values, d: int) -> list:
+    """The rationals v / d for the integers v, with d nonzero: an integral
+    one is taken from the ring's shared ``integers`` when it is there."""
+    ints = ring.integers
+    if d == 1:
+        return [ints[v] if v in ints else Fraction(v) for v in values]
+    return [ints[v // d] if not v % d and v // d in ints else Fraction(v, d) for v in values]
+
+
+def _row_support(y: ExactMatrix) -> tuple:
+    """The nonzero (column, value) pairs of each row of y, and the
+    denominator they are over: None for the stored values; over Q, the
+    integer rows of y brought to one denominator, the lcm of all of y's."""
+    read = _integer_rows(y.ring, y.entries)
+    if read is None:
+        return [[(c, b) for c, b in enumerate(row) if b] for row in y.entries], None
+    rows, scales = read
+    e = lcm(*scales)
+    return [[(c, b * (e // s)) for c, b in enumerate(row) if b] for row, s in zip(rows, scales)], e
+
+
+def mat_mul(x: ExactMatrix, y: ExactMatrix, y_support: Optional[tuple] = None) -> ExactMatrix:
     """Raw matrix product x*y.
 
     Works on the stored values, skipping zero entries of both factors; an
     entry of x that is 1 or -1 adds or subtracts the row of y without a
     product (over GF(p) the stored values are residues, so p - 1 takes the
     general branch); over GF(p) each entry is reduced once, after its sum.
-    A caller that multiplies many matrices by one y passes y's
+    Over Q it multiplies the integer rows of x by those of y over their
+    one denominator, and each entry becomes a ``Fraction`` once, after its
+    sum.  A caller that multiplies many matrices by one y passes y's
     ``_row_support`` once built.
     """
     _require_same_ring(x, y)
@@ -83,11 +136,13 @@ def mat_mul(x: ExactMatrix, y: ExactMatrix, y_support: Optional[list] = None) ->
         raise TypeMismatch(f"cannot multiply {x.rows}x{x.cols} by {y.rows}x{y.cols}")
     ring = x.ring
     p = ring.p
-    zero = ring.zero
-    if y_support is None:
-        y_support = _row_support(y)
+    y_support, e = _row_support(y) if y_support is None else y_support
+    if e is None:
+        rows, zero = x.entries, ring.zero
+    else:
+        (rows, scales), zero = _integer_rows(ring, x.entries), 0
     out = []
-    for row in x.entries:
+    for i, row in enumerate(rows):
         acc = [zero] * y.cols
         for a, support in zip(row, y_support):
             if a:
@@ -102,6 +157,8 @@ def mat_mul(x: ExactMatrix, y: ExactMatrix, y_support: Optional[list] = None) ->
                         acc[c] += a * b
         if p is not None:
             acc = [v % p for v in acc]
+        elif e is not None:
+            acc = _fractions(ring, acc, scales[i] * e)
         out.append(tuple(acc))
     return _new(ExactMatrix, (ring, x.rows, y.cols, tuple(out)))
 
@@ -160,9 +217,10 @@ def mat_transpose(a: ExactMatrix) -> ExactMatrix:
 # One loop serves every ring: the row Hermite form over a Euclidean ring
 # (Cohen, A Course in Computational Algebraic Number Theory, 2.4) is the
 # reduced row echelon form on a field, where every nonzero entry is a unit.
-# The core reads two facts of the ring once per call: ``ring.p``, the modulus
-# for the ``% p`` of a GF(p) row update (None outside GF(p)), and
-# ``ring.is_field``.
+# The core reads three facts of the ring once per call: ``ring.p``, the
+# modulus for the ``% p`` of a GF(p) row update (None outside GF(p)),
+# ``ring.is_field``, and, through ``_integer_rows``, whether its rows are
+# Q rows, which it eliminates as integer rows.
 #
 # It takes a column k and skips the reduction of a row that has its pivot
 # before column k against any later pivot row: such rows leave the meet
@@ -178,15 +236,28 @@ def _echelon(ring: Ring, rows: list, ncols: int, k: int = 0) -> list:
     Pivots are positive, entries above a pivot are reduced into [0, pivot),
     zero rows sink to the bottom.  Each column is cleared below its pivot by
     repeated floor division by the least nonzero entry.  On a field that is
-    the first nonzero entry, made 1 by its inverse, so one step clears the
-    column and the form is the rref; over the integers the pivot is made
-    positive by its sign.  Rows r.. are zero left of column j, so only the
-    nonzero tail of the pivot row is read, and the pivot column is written
-    directly.
+    the first nonzero entry, and one step clears the column, so the form is
+    the rref: over GF(p) the pivot is made 1 by its inverse; over the
+    integers it is made positive by its sign.  Rows r.. are zero left of
+    column j, so only the nonzero tail of the pivot row is read, and the
+    pivot column is written directly.
+
+    Over Q the rows are integer rows: a row with entry x under (or above) a
+    pivot v becomes (v/g)·row − (x/g)·pivot row, g = gcd(v, x), scaled only
+    when v/g is not 1 and only on its nonzero entries, then divided by the
+    gcd of its entries.  At the end the rows and columns a caller keeps
+    (rows with a pivot at column k or later, and the zero rows, from column
+    k on) are divided by their pivots into ``Fraction``s; a row with its
+    pivot before column k keeps its integers, but for its pivot, which
+    becomes 1 as on every field.
     """
     p = ring.p
     field = ring.is_field
     zero = ring.zero
+    read = _integer_rows(ring, rows)
+    rational = read is not None
+    if rational:
+        rows[:], zero = read[0], 0
     m = len(rows)
     pivots = []
     r = lo = 0
@@ -211,14 +282,11 @@ def _echelon(ring: Ring, rows: list, ncols: int, k: int = 0) -> list:
             prow = rows[best]
             rows[r], rows[best] = prow, rows[r]
             x = prow[j]
-            if field:
+            if p is not None:
                 if x != 1:
-                    if p is None:
-                        prow[j:] = [v / x if v else v for v in prow[j:]]
-                    else:
-                        inv = pow(x, -1, p)
-                        prow[j:] = [v * inv % p for v in prow[j:]]
-            elif x < 0:
+                    inv = pow(x, -1, p)
+                    prow[j:] = [v * inv % p for v in prow[j:]]
+            elif not field and x < 0:
                 for c in range(j, ncols):
                     prow[c] = -prow[c]
             pivot = prow[j]
@@ -229,6 +297,19 @@ def _echelon(ring: Ring, rows: list, ncols: int, k: int = 0) -> list:
                 row = rows[i]
                 x = row[j]
                 if x:
+                    if rational:
+                        support = support or [(c, w) for c, w in enumerate(prow[j + 1 :], j + 1) if w]
+                        g = gcd(pivot, x)
+                        a, q = pivot // g, x // g
+                        if a != 1:
+                            row[j + 1 :] = [v * a if v else 0 for v in row[j + 1 :]]
+                        for c, w in support:
+                            row[c] -= q * w
+                        row[j] = 0
+                        g = gcd(*row)
+                        if g > 1:
+                            row[j + 1 :] = [v // g for v in row[j + 1 :]]
+                        continue
                     q = x if unit else x // pivot
                     if q:
                         support = support or [(c, w) for c, w in enumerate(prow[j + 1 :], j + 1) if w]
@@ -249,6 +330,19 @@ def _echelon(ring: Ring, rows: list, ncols: int, k: int = 0) -> list:
             row = rows[i]
             x = row[j]
             if x:
+                if rational:
+                    support = support or [(c, w) for c, w in enumerate(prow[j + 1 :], j + 1) if w]
+                    g = gcd(pivot, x)
+                    a, q = pivot // g, x // g
+                    if a != 1:
+                        row[:] = [v * a if v else 0 for v in row]
+                    for c, w in support:
+                        row[c] -= q * w
+                    row[j] = 0
+                    g = gcd(*row)
+                    if g > 1:
+                        row[:] = [v // g for v in row]
+                    continue
                 q = x if unit else x // pivot
                 if q:
                     support = support or [(c, w) for c, w in enumerate(prow[j + 1 :], j + 1) if w]
@@ -261,6 +355,16 @@ def _echelon(ring: Ring, rows: list, ncols: int, k: int = 0) -> list:
                     row[j] = zero if unit else x - q * pivot
         pivots.append(j)
         r += 1
+    if rational:
+        one, zeros = ring.one, [ring.zero] * (ncols - k)
+        for i, j in enumerate(pivots):
+            row = rows[i]
+            if j < k:
+                row[j] = one
+            else:
+                row[k:] = _fractions(ring, row[k:], row[j])
+        for row in rows[len(pivots) :]:
+            row[k:] = zeros
     return pivots
 
 
@@ -446,7 +550,9 @@ def _glued_basis(ring: Ring, top, bottom, k: int, units: bool = True, left=None,
             tail[a + i] = one
         if y:
             tail[u + x :] = rrows[i]
-        rows.append(([-v for v in row] if p is None else [-v % p for v in row]) + tail)
+        # negated, but for the ring's zero, which is kept: over Q, -0 would
+        # be a new Fraction, which the core reads slower than the shared one
+        rows.append(([v if v is zero else -v for v in row] if p is None else [-v % p for v in row]) + tail)
     return _meet(ring, rows, k + width, k)
 
 

@@ -103,6 +103,39 @@ MUTANTS = (
         "acc[c] += b",
         ("tests/test_linmap.py::test_mat_mul_matches_reference", "tests/test_linmap.py::test_compose_identity"),
     ),
+    # a Q row update subtracts the pivot row's multiple without scaling the
+    # row by the pivot's cofactor, as if every pivot were 1
+    Mutant(
+        "q-update-without-scaling",
+        "linmap.py",
+        "row[j + 1 :] = [v * a if v else 0 for v in row[j + 1 :]]",
+        "pass",
+        ("tests/test_linmap.py::test_q_core_matches_reference", "tests/test_linmap.py::test_rref_matches_reference"),
+    ),
+    # a kept Q row leaves as its integers, not divided by its pivot
+    Mutant(
+        "q-output-without-pivot-division",
+        "linmap.py",
+        "row[k:] = _fractions(ring, row[k:], row[j])",
+        "row[k:] = _fractions(ring, row[k:], 1)",
+        ("tests/test_linmap.py::test_q_core_matches_reference", "tests/test_linmap.py::test_rref_matches_reference"),
+    ),
+    # an integral Q entry is taken from the shared constant of its negative
+    Mutant(
+        "q-shared-integer-wrong-sign",
+        "linmap.py",
+        "[ints[v] if v in ints else Fraction(v) for v in values]",
+        "[ints[-v] if v in ints else Fraction(v) for v in values]",
+        ("tests/test_linmap.py::test_mat_mul_matches_reference", "tests/test_linmap.py::test_q_core_matches_reference"),
+    ),
+    # on a field the core leaves the entries above each pivot unreduced
+    Mutant(
+        "field-echelon-no-back-reduction",
+        "linmap.py",
+        "        for i in range(lo, r):\n",
+        "        for i in range(lo, lo if field else r):\n",
+        ("tests/test_linmap.py::test_rref_matches_reference", "tests/test_linmap.py::test_limits_match_oracles[gf2]"),
+    ),
     # a union links the smaller root under the larger, so the one
     # ascending flattening pass leaves chains unflattened
     Mutant(

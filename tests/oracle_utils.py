@@ -536,6 +536,14 @@ def oracle_subspace_compose(v_rows, w_rows, n, z, m, ring):
     return span_rows({x[:n] + y[z:] for x in vs for y in ws if x[n:] == y[:z]}, n + m, ring)
 
 
+def q_circuit_rows(layers, width: int) -> tuple:
+    """The canonical reduced-echelon basis of a benchmark circuit's relation
+    over Q, width -> width, as rows of Fractions: the benchmark's own
+    Fraction elimination over its constraint systems, which shares no code
+    with linmap."""
+    return tuple(tuple(Fraction(v) for v in row) for row in oracles.field_relation_rows(layers, width, 0))
+
+
 # ---------------------------------------------------------------------------
 # gluing oracles for equivalence relations and partial ones
 

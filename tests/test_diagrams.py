@@ -28,6 +28,7 @@ from corelate.diagrams import (
 )
 from corelate.corelrel import Relation, corel_identity, gamma, rel_canonical
 from corelate.spancospan import cospan_tensor, span_tensor
+from oracle_utils import q_circuit_rows, time_limit
 
 
 # --- parsing -------------------------------------------------------------------
@@ -670,6 +671,28 @@ def test_eval_outputs_pinned():
             lines += [repr(value.span), repr(rel_subspace_rows(value))]
         digest.update(("\n".join(lines) + "\n").encode())
     assert digest.hexdigest() == "39706e9b51f56ed4d75ecd1e285c83e2261fcee0d10065a3406559b76d6eea94"
+
+
+@time_limit(60)
+def test_wide_q_circuits_match_the_fraction_oracle():
+    # no check of the suite goes past 3x3 legs, and the growth of the Q
+    # core's integer rows only shows on wide inputs: q-subspace circuits of
+    # width and depth 24, from the benchmark's linear blocks with scalars
+    # 2, -1, 1/2 and -2/3, against a Fraction elimination apart from linmap;
+    # rows that grow without bound fail the time limit instead of hanging
+    import circuits  # on the path through oracle_utils
+    from corelate.corelrel import rel_subspace_rows
+
+    assert circuits.LINEAR_SCALARS["q-subspace"] == (2, -1, Fraction(1, 2), Fraction(-2, 3))
+    theory = get_theory("q-subspace")
+    non_integral = 0
+    for seed in range(3):
+        layers = circuits.random_circuit(random.Random(f"wide-q:{seed}"), circuits.LINEAR_BLOCKS["q-subspace"], 24, 24)
+        rows = rel_subspace_rows(eval_term(parse_term(circuits.circuit_text(layers)), theory))
+        assert all(type(v) is Fraction for row in rows for v in row)
+        assert rows == q_circuit_rows(layers, 24), seed
+        non_integral += sum(v.denominator > 1 for row in rows for v in row)
+    assert non_integral > 0
 
 
 def test_leaves_up_to_the_wire_limit_parse():

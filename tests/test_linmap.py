@@ -330,6 +330,131 @@ def test_rref_matches_reference():
             assert repr(echelon(a)) == repr(reference_rref(a)), a
 
 
+# over Q the core eliminates integer rows and builds each kept Fraction
+# once: entries with a non-integral one, every k, and long numerators
+Q_CORE_VALUES = (0, 1, -1, 2, Fraction(1, 2))
+
+
+def q_core_inputs(rng, count):
+    """Every Q matrix up to 2x3 over Q_CORE_VALUES, then ``count`` seeded
+    random ones up to 8x12 of mixed density, with numerators up to 2^20
+    and denominators up to 12."""
+    for rows in range(3):
+        for cols in range(4):
+            for flat in product(Q_CORE_VALUES, repeat=rows * cols):
+                yield mat(QQ, rows, cols, [flat[i * cols : (i + 1) * cols] for i in range(rows)])
+    for _ in range(count):
+        rows, cols, density = rng.randint(0, 8), rng.randint(0, 12), rng.random()
+        yield mat(QQ, rows, cols, [
+            [Fraction(rng.randint(-(2**20), 2**20), rng.randint(1, 12)) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(rows)
+        ])
+
+
+def q_core_outputs(a):
+    """The program's Q core on a: for every k in 0..cols the pivots of the
+    pass and the rows ``_meet`` keeps, then ``echelon_rows``,
+    ``mat_rank`` and ``is_split_mono``; the reprs tell an int from a
+    Fraction."""
+    import corelate.linmap as linmap
+
+    passes = [
+        (linmap._echelon(QQ, [list(row) for row in a.entries], a.cols, k), repr(linmap._meet(QQ, [list(row) for row in a.entries], a.cols, k)))
+        for k in range(a.cols + 1)
+    ]
+    return passes, repr(echelon_rows(a, mat_zero(QQ, a.rows, 0))), mat_rank(a), is_split_mono(a)
+
+
+def q_expected_outputs(a, rows, pivots):
+    """The same outputs, read off a's reduced echelon rows and pivots: the
+    meet with the first k columns is spanned by the rows with a pivot at k
+    or later, cut there, and over a field a split mono is a matrix of full
+    column rank."""
+    pivots = list(pivots)
+    passes = [(pivots, repr([list(row[k:]) for row, j in zip(rows, pivots) if j >= k])) for k in range(a.cols + 1)]
+    return passes, repr(tuple(map(tuple, rows))), len(pivots), len(pivots) == a.cols
+
+
+@time_limit(CORE_LIMIT_S)
+def test_q_core_matches_reference():
+    rng = random.Random(29)
+    checked = 0
+    for a in q_core_inputs(rng, 150):
+        reduced, pivots = reference_rref(a)
+        assert q_core_outputs(a) == q_expected_outputs(a, reduced.entries, pivots), a
+        checked += 1
+    assert checked == sum(5 ** (rows * cols) for rows in range(3) for cols in range(4)) + 150
+
+
+@time_limit(CORE_LIMIT_S)
+def test_q_core_matches_sympy():
+    # every seventh exhaustive matrix and every random one against sympy's
+    # own rref, whose Rationals are read back as Fractions
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(29)
+    for i, a in enumerate(q_core_inputs(rng, 150)):
+        if a.rows <= 2 and a.cols <= 3 and i % 7:
+            continue
+        flat = [sympy.Rational(v.numerator, v.denominator) for row in a.entries for v in row]
+        reduced, pivots = sympy.Matrix(a.rows, a.cols, flat).rref()
+        rows = [[Fraction(int(reduced[i, j].p), int(reduced[i, j].q)) for j in range(a.cols)] for i in range(a.rows)]
+        assert q_core_outputs(a) == q_expected_outputs(a, rows, pivots), a
+
+
+def test_every_pass_over_q_returns_fractions():
+    # Fraction(1) == 1, so no value test or record pin would see an int (or
+    # a float from int / int) leave a Q kernel; this reads the type of
+    # every entry that each Q kernel returns, on 300 seeded cases
+    from corelate.linmap import composite, corelation_composite, corelation_tensor, mat_mediator
+    from corelate.spancospan import Cospan
+
+    rng = random.Random(29)
+    values = (0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3))
+    amb = get_ambient("q", "all")
+
+    def draw(rows, cols):
+        return mat(QQ, rows, cols, [[rng.choice(values) for _ in range(cols)] for _ in range(rows)])
+
+    seen = {}
+
+    def keep(kernel, *matrices):
+        entries = seen.setdefault(kernel, [])
+        for m in matrices:
+            entries += [v for row in (m.entries if isinstance(m, ExactMatrix) else m) for v in row]
+
+    for _ in range(300):
+        n, m, k, a_apex, b_apex, z = (rng.randint(0, 3) for _ in range(6))
+        l1, r1, l2, r2 = draw(a_apex, n), draw(a_apex, m), draw(b_apex, m), draw(b_apex, k)
+        t1, t2, t3, t4 = (mat_transpose(leg) for leg in (l1, r1, l2, r2))
+        q1, q2 = mat_pushout(t1, t2)
+        keep("pushout", q1, q2)
+        p1, p2 = mat_pullback(l1, r1)
+        keep("pullback", p1, p2)
+        keep("cospan composite", *composite(l1, r1, l2, r2))
+        keep("span composite", *composite(t1, t2, t3, t4, columns=True))
+        keep("corelation composite", *corelation_composite(l1, r1, l2, r2))
+        h = draw(z, q1.rows)
+        keep("pushout mediator", mat_mediator(q1, q2, mat_mul(h, q1), mat_mul(h, q2)))
+        h = draw(p1.cols, z)
+        keep("pullback mediator", mat_mediator(p1, p2, mat_mul(p1, h), mat_mul(p2, h), columns=True))
+        canonical = amb.canonical_cospan(Cospan(l1, r1))
+        keep("canonical cospan", *canonical)
+        keep("canonical span", *amb.canonical_span(Span(t1, t2)))
+        for columns, legs in ((False, (l1, r1, l2)), (True, (t1, t2, t3))):
+            lefts, rights = (legs[0], legs[0]), (legs[1],)
+            for h_rows, blocks in echelon_rows_each(lefts, rights, columns):
+                keep("sweep keys", h_rows, *blocks)
+        keep("mat_mul", mat_mul(l1, draw(n, z)), mat_mul(draw(z, a_apex), l1))
+        other = amb.canonical_cospan(Cospan(l2, r2))
+        keep("corelation tensor", *corelation_tensor([(canonical.left, canonical.right), (other.left, other.right)]))
+    assert {kernel: {type(v) for v in entries} for kernel, entries in seen.items()} == {kernel: {Fraction} for kernel in seen}
+    assert len(seen) == 12
+    # every kernel returned non-integral entries as well as shared zeros
+    for kernel, entries in seen.items():
+        assert sum(v.denominator > 1 for v in entries) >= 20, kernel
+        assert any(v is QQ.zero for v in entries), kernel
+
+
 @time_limit(CORE_LIMIT_S)
 def test_hnf_row_matches_reference():
     # the same core over the integers: the benchmark's Hermite form, by

@@ -299,10 +299,12 @@ def test_one_kernel_per_ambient():
     assert not any(hasattr(spancospan.MatrixAmbient, name) for name in ("pair", "split_pair"))
     source = inspect.getsource(linmap.echelon_rows_each)
     assert "is_field" not in source and "_modulus" not in source
-    # the core reads whether the ring is a field; nothing else in linmap
-    # asks, so no caller picks between cores
+    # the core reads whether the ring is a field, and the one reader of Q
+    # rows whether the rows are Q rows, which the core and the product hold
+    # as integer rows; nothing else in linmap asks, so no caller picks
+    # between cores, or between Fractions and integer rows
     functions = [f for f in vars(linmap).values() if inspect.isfunction(f) and f.__module__ == linmap.__name__]
-    assert [f.__name__ for f in functions if "is_field" in inspect.getsource(f)] == ["_echelon"]
+    assert [f.__name__ for f in functions if "is_field" in inspect.getsource(f)] == ["_integer_rows", "_echelon"]
     assert not hasattr(finfn, "UnionFind")
     # a ring is data: no ring does arithmetic, linmap has no helper that
     # reads its modulus, and nothing asks a ring whether it has one
