@@ -4,12 +4,14 @@ A morphism n -> m is stored as an m-by-n matrix; diagrammatic composition
 "first A, then B" is the matrix product B*A.  Every canonical form, rank,
 split-mono test, pullback, pushout, (co)span composite and mediator is one
 pass of the one echelon core, ``_echelon``, on a list of rows: the row
-Hermite normal form, which over a field is the reduced row echelon form.  A
-limit is the canonical basis of the rows of one stacked matrix that vanish
-on a block of columns (``_meet``); the left kernels it reads are saturated,
-so over the integers nothing leaves the integers and no Smith form is
-needed.  The span half reads the legs' columns as its rows and cuts its
-results as columns, with no transpose built.
+Hermite normal form, which over a field is the reduced row echelon form,
+by one loop over the rows above and then below each pivot, run once per
+Euclid step over the integers.  A limit is the canonical basis of the rows
+of one stacked matrix that vanish on a block of columns (``_meet``); the
+left kernels it reads are saturated, so over the integers nothing leaves
+the integers and no Smith form is needed.  The span half reads the legs'
+columns as its rows and cuts its results as columns, with no transpose
+built.
 
 The core works on the stored values themselves, reading the ring only for
 its data: ``int`` residues reduced mod ``ring.p`` for GF(p), ``int`` for the
@@ -222,6 +224,11 @@ def mat_transpose(a: ExactMatrix) -> ExactMatrix:
 # ``ring.is_field``, and, through ``_integer_rows``, whether its rows are
 # Q rows, which it eliminates as integer rows.
 #
+# One pass reduces the rows above and then below a pivot row, with one row
+# update per ring.  Over the integers it runs at each Euclid step of a
+# column, so a row above is reduced against every interim pivot; it ends as
+# one reduction would leave it, since the Hermite form is unique.
+#
 # It takes a column k and skips the reduction of a row that has its pivot
 # before column k against any later pivot row: such rows leave the meet
 # with the first k columns (see ``_meet``), and their reduction never feeds
@@ -234,13 +241,14 @@ def _echelon(ring: Ring, rows: list, ncols: int, k: int = 0) -> list:
     """Row Hermite form in place; returns the pivot columns.
 
     Pivots are positive, entries above a pivot are reduced into [0, pivot),
-    zero rows sink to the bottom.  Each column is cleared below its pivot by
-    repeated floor division by the least nonzero entry.  On a field that is
-    the first nonzero entry, and one step clears the column, so the form is
-    the rref: over GF(p) the pivot is made 1 by its inverse; over the
-    integers it is made positive by its sign.  Rows r.. are zero left of
-    column j, so only the nonzero tail of the pivot row is read, and the
-    pivot column is written directly.
+    zero rows sink to the bottom.  The pivot is a column's least nonzero
+    entry from row r down; one pass takes its floor quotient times the pivot
+    row from each row above and below, and repeats with the least residue
+    below as the next pivot (a Euclid step) until none is left.  On a field
+    the pivot is the first nonzero entry and one step clears the column, so
+    the form is the rref: over GF(p) the pivot is made 1 by its inverse;
+    over the integers it is made positive by its sign.  Only the nonzero
+    tail of the pivot row is read, and the pivot column is written directly.
 
     Over Q the rows are integer rows: a row with entry x under (or above) a
     pivot v becomes (v/g)·row − (x/g)·pivot row, g = gcd(v, x), scaled only
@@ -293,24 +301,20 @@ def _echelon(ring: Ring, rows: list, ncols: int, k: int = 0) -> list:
             unit = field or pivot == 1
             support = None  # built on first use, for this pivot row
             residue = False
-            for i in range(r + 1, m):
+            for i in range(lo, m):
+                if i == r:
+                    continue
                 row = rows[i]
                 x = row[j]
                 if x:
                     if rational:
-                        support = support or [(c, w) for c, w in enumerate(prow[j + 1 :], j + 1) if w]
+                        s = 0 if i < r else j + 1  # a row below is zero up to column j
                         g = gcd(pivot, x)
                         a, q = pivot // g, x // g
                         if a != 1:
-                            row[j + 1 :] = [v * a if v else 0 for v in row[j + 1 :]]
-                        for c, w in support:
-                            row[c] -= q * w
-                        row[j] = 0
-                        g = gcd(*row)
-                        if g > 1:
-                            row[j + 1 :] = [v // g for v in row[j + 1 :]]
-                        continue
-                    q = x if unit else x // pivot
+                            row[s:] = [v * a if v else 0 for v in row[s:]]
+                    else:
+                        q = x if unit else x // pivot
                     if q:
                         support = support or [(c, w) for c, w in enumerate(prow[j + 1 :], j + 1) if w]
                         if p is None:
@@ -320,41 +324,17 @@ def _echelon(ring: Ring, rows: list, ncols: int, k: int = 0) -> list:
                             for c, w in support:
                                 row[c] = (row[c] - q * w) % p
                         x = row[j] = zero if unit else x - q * pivot
-                    if not unit and x:  # a unit pivot clears its column in one step
+                    if rational:
+                        g = gcd(*row)
+                        if g > 1:
+                            row[s:] = [v // g for v in row[s:]]
+                    elif x and i > r:  # a residue below; a unit pivot leaves none
                         residue = True
             if not residue:
                 break
-        if best < 0:
-            continue
-        for i in range(lo, r):
-            row = rows[i]
-            x = row[j]
-            if x:
-                if rational:
-                    support = support or [(c, w) for c, w in enumerate(prow[j + 1 :], j + 1) if w]
-                    g = gcd(pivot, x)
-                    a, q = pivot // g, x // g
-                    if a != 1:
-                        row[:] = [v * a if v else 0 for v in row]
-                    for c, w in support:
-                        row[c] -= q * w
-                    row[j] = 0
-                    g = gcd(*row)
-                    if g > 1:
-                        row[:] = [v // g for v in row]
-                    continue
-                q = x if unit else x // pivot
-                if q:
-                    support = support or [(c, w) for c, w in enumerate(prow[j + 1 :], j + 1) if w]
-                    if p is None:
-                        for c, w in support:
-                            row[c] -= q * w
-                    else:
-                        for c, w in support:
-                            row[c] = (row[c] - q * w) % p
-                    row[j] = zero if unit else x - q * pivot
-        pivots.append(j)
-        r += 1
+        if best >= 0:
+            pivots.append(j)
+            r += 1
     if rational:
         one, zeros = ring.one, [ring.zero] * (ncols - k)
         for i, j in enumerate(pivots):

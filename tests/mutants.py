@@ -12,9 +12,13 @@ which must pass them.  Then, for each mutant, it plants the fault in a
 fresh copy and runs the mutant's tests in a child pytest that imports that
 copy.  The mutant is killed when a test fails, or when the run outlives
 ``TIMEOUT`` seconds (an elimination that never ends is a fault caught); it
-survived when every test passes.  Each mutant's verdict and time are
-printed; the exit status is 1 if any mutant survived, 2 if the unmutated
-copy fails or a name is unknown.  The checkout is never edited.
+survived when every test passes.  A mutant is invalid, and its tests are
+not run, when its fragment does not occur exactly once or the planted file
+does not compile (a replacement with the wrong indentation would otherwise
+fail every test on import and count as killed).  Each mutant's verdict and
+time are printed; the exit status is 2 if the unmutated copy fails, a name
+is unknown or a mutant is invalid, else 1 if any mutant survived.  The
+checkout is never edited.
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    # the GF(p) row update below a pivot leaves its entries unreduced
+    # the GF(p) row update, above and below a pivot, leaves its entries
+    # unreduced
     Mutant(
         "echelon-gf-update-without-mod",
         "linmap.py",
@@ -108,7 +113,7 @@ MUTANTS = (
     Mutant(
         "q-update-without-scaling",
         "linmap.py",
-        "row[j + 1 :] = [v * a if v else 0 for v in row[j + 1 :]]",
+        "row[s:] = [v * a if v else 0 for v in row[s:]]",
         "pass",
         ("tests/test_linmap.py::test_q_core_matches_reference", "tests/test_linmap.py::test_rref_matches_reference"),
     ),
@@ -132,9 +137,66 @@ MUTANTS = (
     Mutant(
         "field-echelon-no-back-reduction",
         "linmap.py",
-        "        for i in range(lo, r):\n",
-        "        for i in range(lo, lo if field else r):\n",
+        "for i in range(lo, m):",
+        "for i in range(r if field else lo, m):",
         ("tests/test_linmap.py::test_rref_matches_reference", "tests/test_linmap.py::test_limits_match_oracles[gf2]"),
+    ),
+    # over the integers the core leaves the entries above each pivot
+    # unreduced (no mutant records a Euclid residue above the pivot too:
+    # over Z the core then loops forever, and each hang costs TIMEOUT)
+    Mutant(
+        "z-echelon-no-back-reduction",
+        "linmap.py",
+        "for i in range(lo, m):",
+        "for i in range(lo if field else r, m):",
+        ("tests/test_linmap.py::test_hnf_row_matches_reference", "tests/test_linmap.py::test_limits_match_oracles[z]"),
+    ),
+    # over GF(2) a corelation composite loses its last row
+    Mutant(
+        "gf2-composite-drops-a-row",
+        "linmap.py",
+        "    return _glued_composite(l1, r1, l2, r2, False)\n",
+        "    left, right = _glued_composite(l1, r1, l2, r2, False)\n"
+        "    if l1.ring.p == 2 and left.rows:\n"
+        "        left, right = (leg._replace(rows=leg.rows - 1, entries=leg.entries[:-1]) for leg in (left, right))\n"
+        "    return left, right\n",
+        ("tests/test_acceptance.py::test_criterion_03_subspace_oracle_equivalence",),
+    ),
+    # every integer matrix is taken for a split mono, so the mediators of
+    # the Z counterexamples lie in M
+    Mutant(
+        "z-in-m-always-holds",
+        "spancospan.py",
+        "    def in_m(self, f):\n        return linmap.is_split_mono(f)",
+        "    def in_m(self, f):\n        return self.ring == ZZ or linmap.is_split_mono(f)",
+        (
+            "tests/test_acceptance.py::test_criterion_04_counterexample_reproduction",
+            "tests/test_acceptance.py::test_criterion_06_pi_functoriality",
+        ),
+    ),
+    # pi-functorial pullbacks are memoised by the first span's right leg
+    # alone, so a pullback is reused for another second span
+    Mutant(
+        "pi-memo-keyed-by-one-leg",
+        "verify.py",
+        "key = id(r1) << 64 | id(l2)",
+        "key = id(r1)",
+        (
+            "tests/test_verify.py::test_pi_functorial_records_match_a_case_by_case_reference[z-0]",
+            "tests/test_verify.py::test_pi_functorial_records_match_a_case_by_case_reference[gf2-0]",
+        ),
+    ),
+    # the span and cospan associativity flags compare one bracketing with
+    # itself, so they hold whatever composite is planted
+    Mutant(
+        "laws-compare-one-bracketing",
+        "verify.py",
+        "compose(x1, compose(x2, x3, amb), amb)",
+        "compose(compose(x1, x2, amb), x3, amb)",
+        (
+            "tests/test_verify.py::test_every_law_flag_reads_false_under_a_planted_fault[span-assoc-f]",
+            "tests/test_verify.py::test_every_law_flag_reads_false_under_a_planted_fault[cospan-assoc-gf2]",
+        ),
     ),
     # a union links the smaller root under the larger, so the one
     # ascending flattening pass leaves chains unflattened
@@ -173,16 +235,22 @@ MUTANTS = (
 )
 
 
-def _copy(tmp: Path, label: str, mutant: Mutant | None = None) -> Path:
-    """A copy of ``src/`` under ``tmp/label``, with the mutant planted."""
+def _copy(tmp: Path, label: str, mutant: Mutant | None = None) -> Path | str:
+    """A copy of ``src/`` under ``tmp/label``, with the mutant planted; or
+    why the mutant is invalid."""
     src = tmp / label / "src"
     shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
     if mutant is not None:
         path = src / "corelate" / mutant.file
         text = path.read_text()
         if text.count(mutant.fragment) != 1:
-            raise SystemExit(f"{mutant.name}: the fragment occurs {text.count(mutant.fragment)} times in {mutant.file}")
-        path.write_text(text.replace(mutant.fragment, mutant.replacement))
+            return f"the fragment occurs {text.count(mutant.fragment)} times in {mutant.file}"
+        text = text.replace(mutant.fragment, mutant.replacement)
+        try:
+            compile(text, str(path), "exec")
+        except SyntaxError as error:
+            return f"{mutant.file} does not compile: {error.msg}, line {error.lineno}"
+        path.write_text(text)
     return src
 
 
@@ -214,17 +282,23 @@ def run(mutants) -> int:
             print("the unmutated copy fails the mutants' tests", flush=True)
             return 2
         print(f"{'unmutated copy':<34} passes   {time.perf_counter() - start:7.1f} s", flush=True)
-        survivors = []
+        survivors, invalid = [], []
         for mutant in mutants:
             began = time.perf_counter()
-            passed = _passes(_copy(tmp, mutant.name, mutant), mutant.tests, tmp)
+            src = _copy(tmp, mutant.name, mutant)
+            if isinstance(src, str):
+                invalid.append(mutant.name)
+                print(f"{mutant.name:<34} invalid  ({src})", flush=True)
+                continue
+            passed = _passes(src, mutant.tests, tmp)
             verdict = "survived" if passed else "killed"
             if passed:
                 survivors.append(mutant.name)
             note = " (timed out)" if passed is None else ""
             print(f"{mutant.name:<34} {verdict:<8} {time.perf_counter() - began:7.1f} s{note}", flush=True)
-    print(f"{len(mutants) - len(survivors)} of {len(mutants)} killed in {time.perf_counter() - start:.1f} s", flush=True)
-    return 1 if survivors else 0
+    killed = len(mutants) - len(survivors) - len(invalid)
+    print(f"{killed} of {len(mutants)} killed, {len(invalid)} invalid in {time.perf_counter() - start:.1f} s", flush=True)
+    return 2 if invalid else 1 if survivors else 0
 
 
 def main(argv) -> int:

@@ -459,7 +459,11 @@ def test_every_pass_over_q_returns_fractions():
 def test_hnf_row_matches_reference():
     # the same core over the integers: the benchmark's Hermite form, by
     # whole-row operations that re-scan each column for its least entry,
-    # then the zero rows
+    # then the zero rows; and at every k the meet with the first k columns,
+    # for which the core leaves the rows with a pivot before k unreduced:
+    # the reference's rows with their pivot at k or later, cut at k
+    import corelate.linmap as linmap
+
     rng = random.Random(16)
     for _ in range(5000):
         rows, cols, bound = rng.randint(0, 7), rng.randint(0, 7), rng.choice((1, 2, 5, 1000))
@@ -467,6 +471,10 @@ def test_hnf_row_matches_reference():
         basis = oracles.hnf(a.entries, cols)
         expected = mat(ZZ, rows, cols, basis + ((0,) * cols,) * (rows - len(basis)))
         assert repr(echelon(a)[0]) == repr(expected), a
+        pivots = [next(j for j, v in enumerate(row) if v) for row in basis]
+        for k in range(cols + 1):
+            meet = [row[k:] for row, j in zip(basis, pivots) if j >= k]
+            assert linmap._meet(ZZ, [list(row) for row in a.entries], cols, k) == [list(row) for row in meet], (a, k)
 
 
 @time_limit(CORE_LIMIT_S)

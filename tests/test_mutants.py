@@ -30,3 +30,14 @@ def test_the_runner_kills_a_caught_fault_and_reports_a_harmless_one(capsys):
     assert mutants.run([caught, harmless]) == 1
     verdicts = [line.split()[:2] for line in capsys.readouterr().out.splitlines()]
     assert verdicts[1:3] == [["gf-coerce-without-inverse", "killed"], ["comment", "survived"]]
+
+
+def test_the_runner_reports_a_mutant_that_does_not_compile_as_invalid(capsys):
+    # a replacement with the wrong indentation would fail every test on
+    # import; it is refused before any test runs, and the exit status says
+    # the table is wrong
+    caught = next(m for m in mutants.MUTANTS if m.name == "gf-coerce-without-inverse")
+    broken = caught._replace(name="broken-indentation", replacement=caught.replacement + "\n  pass")
+    assert mutants.run([broken]) == 2
+    verdicts = [line.split()[:2] for line in capsys.readouterr().out.splitlines()]
+    assert verdicts[1] == ["broken-indentation", "invalid"]

@@ -305,6 +305,9 @@ def test_one_kernel_per_ambient():
     # between cores, or between Fractions and integer rows
     functions = [f for f in vars(linmap).values() if inspect.isfunction(f) and f.__module__ == linmap.__name__]
     assert [f.__name__ for f in functions if "is_field" in inspect.getsource(f)] == ["_integer_rows", "_echelon"]
+    # one loop reduces the rows above and below a pivot, with one integer
+    # or Q update and one mod-p update: a second copy of it would add two
+    assert inspect.getsource(linmap._echelon).count("for c, w in support") == 2
     assert not hasattr(finfn, "UnionFind")
     # a ring is data: no ring does arithmetic, linmap has no helper that
     # reads its modulus, and nothing asks a ring whether it has one
