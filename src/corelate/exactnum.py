@@ -140,9 +140,9 @@ class IntegerRing(Ring):
 class RationalRing(Ring):
     """The rationals.  ``integers`` maps each integer n with |n| <= 128 to
     ``Fraction(n)``, built once and shared: ``zero`` and ``one`` are two
-    of them, ``coerce`` returns them for small ``int``s, and linmap, which
-    eliminates Q rows as integer rows, takes every integral entry it
-    writes from them."""
+    of them, ``coerce`` returns them for small ``int``s, and the entries of
+    a linmap Q matrix, built from its integer table when read, take every
+    integral one from them."""
 
     name = "q"
     is_field = True

@@ -15,10 +15,13 @@ built.
 
 The core works on the stored values themselves, reading the ring only for
 its data: ``int`` residues reduced mod ``ring.p`` for GF(p), ``int`` for the
-integers.  The rationals are stored as ``Fraction``s, but the core and the
-product hold their rows as integer rows: ``_integer_rows`` reads them in,
-and ``_fractions`` builds the ``Fraction``s of the entries a caller keeps,
-once, at the end.
+integers.  A matrix over the rationals (a ``QMatrix``) stores one integer
+table over a positive denominator, and every kernel stacks, slices,
+transposes and multiplies those tables, so it neither reads nor builds a
+``Fraction``; two Q matrices compare and hash as their tables in lowest
+terms.  Fractions live only at the edges: a Q matrix built from values
+(``mat``, ``ExactMatrix``) reads them once, and its ``entries``, which its
+repr and the literals show, are built from the table when they are read.
 """
 
 from __future__ import annotations
@@ -32,11 +35,27 @@ from .errors import RingMismatch, TypeMismatch
 from .exactnum import Ring
 
 
-class ExactMatrix(NamedTuple):
+class _Fields(NamedTuple):
     ring: Ring
     rows: int
     cols: int
-    entries: tuple[tuple, ...]  # tuple of row tuples
+    entries: tuple  # the stored values (see ExactMatrix)
+
+
+class ExactMatrix(_Fields):
+    """A matrix over a ring.  Its last field holds its values as stored:
+    over GF(p) and the integers its entries, which equality and hashing
+    compare as fields; over Q (a ``QMatrix``) the pair (table, den) of a
+    tuple of integer rows and a positive denominator, whose quotients are
+    its entries.  Built from values over Q, it reads them into that
+    pair."""
+
+    __slots__ = ()
+
+    def __new__(cls, ring: Ring, rows: int, cols: int, entries):
+        if _rational(ring):
+            return _read_values(ring, rows, cols, entries)
+        return _new(cls, (ring, rows, cols, entries))
 
     @property
     def dom(self) -> int:
@@ -47,57 +66,74 @@ class ExactMatrix(NamedTuple):
         return self.rows
 
 
-# builds an ExactMatrix from its field tuple without the Python frame of
-# NamedTuple's __new__: _new(ExactMatrix, (ring, rows, cols, entries))
+class QMatrix(ExactMatrix):
+    """A matrix over Q.  Its stored table need not be in lowest terms, so
+    it is compared and hashed in them (``_lowest``), as integers; its
+    ``entries`` are ``Fraction``s built from the table when they are read,
+    the integral ones shared from the ring's ``integers``."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not QMatrix:
+            return NotImplemented
+        return self[:3] == other[:3] and (self[3] == other[3] or _lowest(*self[3]) == _lowest(*other[3]))
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self):
+        return hash((self[:3], _lowest(*self[3])))
+
+    @property
+    def entries(self) -> tuple:
+        table, den = self[3]
+        return tuple([tuple(_fractions(self.ring, row, den)) for row in table])
+
+    def __repr__(self) -> str:
+        return f"ExactMatrix(ring={self.ring!r}, rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
+
+
+# builds a matrix from its stored fields without a Python frame:
+# _new(ExactMatrix, (ring, rows, cols, entries)), and over Q
+# _new(QMatrix, (ring, rows, cols, (table, den)))
 _new = tuple.__new__
 
 
-def mat(ring: Ring, rows: int, cols: int, entries) -> ExactMatrix:
-    """Validated constructor; coerces every entry into the ring."""
-    table = tuple(tuple(ring.coerce(v) for v in row) for row in entries)
-    if len(table) != rows or any(len(row) != cols for row in table):
-        raise TypeMismatch(f"entries do not form a {rows}x{cols} matrix")
-    return _new(ExactMatrix, (ring, rows, cols, table))
-
-
-def mat_identity(ring: Ring, n: int) -> ExactMatrix:
-    one, zero = ring.one, ring.zero
-    return _new(ExactMatrix, (ring, n, n, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))))
-
-
-def _require_same_ring(a: ExactMatrix, b: ExactMatrix) -> None:
-    if a.ring is not b.ring and a.ring != b.ring:
-        raise RingMismatch(f"{a.ring.name} vs {b.ring.name}")
+def _rational(ring: Ring) -> bool:
+    """Whether the ring is Q, whose matrices store integer tables over a
+    denominator: the field with no modulus."""
+    return ring.p is None and ring.is_field
 
 
 # ---------------------------------------------------------------------------
-# rational rows as integer rows
+# rational matrices as integer tables
 #
-# A row of rationals spans what the integer row of its numerators over the
-# lcm of its denominators spans, so the core eliminates Q rows as integer
-# rows (Bareiss, Sylvester's identity and multistep integer-preserving
-# Gaussian elimination, Math. Comp. 1968), and the product multiplies
-# integer rows.  The first helper reads every Q row they take, and the
-# second builds every Fraction they return but the ring's zero and one.
+# A table of rationals is its integers over the lcm of its denominators,
+# and a row of rationals spans what any multiple of it spans, so the core
+# eliminates Q rows as integer rows (Bareiss, Sylvester's identity and
+# multistep integer-preserving Gaussian elimination, Math. Comp. 1968), and
+# the product multiplies integer rows.  The tables a kernel reads are
+# brought to one denominator (``_tables``), the rows it leaves are over the
+# denominator their pivots share (``_kept_den``), and ``_matrix`` stores
+# its result as it is, so a Q matrix is built from its integers alone;
+# only a comparison, a hash or a sweep key brings a table to lowest terms
+# (``_lowest``).  ``_read_values`` reads every Fraction the program takes
+# in, and ``_fractions`` builds every Fraction a caller reads but the
+# shared ones.
 
 
-def _integer_rows(ring: Ring, rows) -> Optional[tuple]:
-    """Over Q, the rows as integer rows, each multiplied by the lcm of its
-    denominators, and those lcms; a row of integers is read as it is.  The
-    entries may be ``Fraction``s or ``int``s.  None over any other ring,
-    whose stored values the kernels use as they are."""
-    if ring.p is not None or not ring.is_field:
-        return None
-    zero = ring.zero
-    out, scales = [], []
-    for row in rows:
-        s = lcm(*[1 if v is zero else v.denominator for v in row])
-        if s == 1:
-            out.append([0 if v is zero else v.numerator for v in row])
-        else:
-            out.append([0 if v is zero else v.numerator * (s // v.denominator) for v in row])
-        scales.append(s)
-    return out, scales
+def _read_values(ring: Ring, rows: int, cols: int, values) -> QMatrix:
+    """The Q matrix of the rationals ``values``, row tuples of
+    ``Fraction``s or ``int``s: each value times the lcm of their
+    denominators, over it."""
+    den = lcm(*[v.denominator for row in values for v in row])
+    if den == 1:
+        table = tuple([tuple([v.numerator for v in row]) for row in values])
+    else:
+        table = tuple([tuple([v.numerator * (den // v.denominator) for v in row]) for row in values])
+    return _new(QMatrix, (ring, rows, cols, (table, den)))
 
 
 def _fractions(ring: Ring, values, d: int) -> list:
@@ -109,43 +145,107 @@ def _fractions(ring: Ring, values, d: int) -> list:
     return [ints[v // d] if not v % d and v // d in ints else Fraction(v, d) for v in values]
 
 
-def _row_support(y: ExactMatrix) -> tuple:
-    """The nonzero (column, value) pairs of each row of y, and the
-    denominator they are over: None for the stored values; over Q, the
-    integer rows of y brought to one denominator, the lcm of all of y's."""
-    read = _integer_rows(y.ring, y.entries)
-    if read is None:
-        return [[(c, b) for c, b in enumerate(row) if b] for row in y.entries], None
-    rows, scales = read
-    e = lcm(*scales)
-    return [[(c, b * (e // s)) for c, b in enumerate(row) if b] for row, s in zip(rows, scales)], e
+def _lowest(table: tuple, den: int) -> tuple:
+    """The pair (table, den) of integer rows over den > 0, in lowest terms:
+    both divided by the gcd of den and every entry, which is read row by
+    row until it is 1."""
+    if den == 1:
+        return table, den
+    g = den
+    for row in table:
+        g = gcd(g, *row)
+        if g == 1:
+            return table, den
+    return tuple([tuple([v // g for v in row]) for row in table]), den // g
 
 
-def mat_mul(x: ExactMatrix, y: ExactMatrix, y_support: Optional[tuple] = None) -> ExactMatrix:
-    """Raw matrix product x*y.
+def _matrix(ring: Ring, rows: int, cols: int, table: tuple, den: Optional[int]) -> ExactMatrix:
+    """A kernel's result from its table of row tuples: over Q (``den`` not
+    None) integers over den > 0; the stored values themselves
+    otherwise."""
+    if den is None:
+        return _new(ExactMatrix, (ring, rows, cols, table))
+    return _new(QMatrix, (ring, rows, cols, (table, den)))
 
-    Works on the stored values, skipping zero entries of both factors; an
-    entry of x that is 1 or -1 adds or subtracts the row of y without a
-    product (over GF(p) the stored values are residues, so p - 1 takes the
-    general branch); over GF(p) each entry is reduced once, after its sum.
-    Over Q it multiplies the integer rows of x by those of y over their
-    one denominator, and each entry becomes a ``Fraction`` once, after its
-    sum.  A caller that multiplies many matrices by one y passes y's
-    ``_row_support`` once built.
-    """
-    _require_same_ring(x, y)
-    if x.cols != y.rows:
-        raise TypeMismatch(f"cannot multiply {x.rows}x{x.cols} by {y.rows}x{y.cols}")
-    ring = x.ring
-    p = ring.p
-    y_support, e = _row_support(y) if y_support is None else y_support
-    if e is None:
-        rows, zero = x.entries, ring.zero
-    else:
-        (rows, scales), zero = _integer_rows(ring, x.entries), 0
+
+def _stored(a: ExactMatrix) -> tuple:
+    """a's stored table of row tuples and its denominator: its entries and
+    None, or over Q its integers and their denominator."""
+    return a[3] if type(a) is QMatrix else (a[3], None)
+
+
+def _common_den(ring: Ring, legs) -> Optional[int]:
+    """Over Q, the lcm of the legs' denominators, the one denominator a
+    kernel brings their tables to (1 for no legs, the denominator of a
+    table of integers); None outside Q, where no denominator is stored."""
+    return lcm(*[a[3][1] for a in legs]) if _rational(ring) else None
+
+
+def _scaled(a: ExactMatrix, den: int) -> tuple:
+    """The rows of a's integer table brought to the denominator ``den``, a
+    multiple of its own."""
+    table, d = a[3]
+    if d == den:
+        return table
+    s = den // d
+    return tuple([tuple([v * s for v in row]) for row in table])
+
+
+def _tables(ring: Ring, legs, columns: bool = False) -> tuple:
+    """The legs' stored tables, each as (rows, width), with ``columns`` as
+    (columns, height), the rows of its transpose, read with no transpose
+    built; then the one denominator all of them are over: over Q their
+    ``_common_den``, to which each table is ``_scaled``; None outside Q,
+    where the tables are as stored."""
+    den = _common_den(ring, legs)
     out = []
-    for i, row in enumerate(rows):
-        acc = [zero] * y.cols
+    for a in legs:
+        table = a[3] if den is None else _scaled(a, den)
+        if columns:
+            out.append(((list(zip(*table)) if a.rows else [()] * a.cols), a.rows))
+        else:
+            out.append((table, a.cols))
+    return out, den
+
+
+def _kept_den(rows) -> int:
+    """The denominator of the rows the Q core keeps: the pivot they share,
+    the first nonzero entry of the first row (1 when there is none)."""
+    for v in rows[0] if rows else ():
+        if v:
+            return v
+    return 1
+
+
+def mat(ring: Ring, rows: int, cols: int, entries) -> ExactMatrix:
+    """Validated constructor; coerces every entry into the ring."""
+    table = tuple(tuple(ring.coerce(v) for v in row) for row in entries)
+    if len(table) != rows or any(len(row) != cols for row in table):
+        raise TypeMismatch(f"entries do not form a {rows}x{cols} matrix")
+    return ExactMatrix(ring, rows, cols, table)
+
+
+def mat_identity(ring: Ring, n: int) -> ExactMatrix:
+    return _matrix(ring, n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), _common_den(ring, ()))
+
+
+def _require_same_ring(a: ExactMatrix, b: ExactMatrix) -> None:
+    if a.ring is not b.ring and a.ring != b.ring:
+        raise RingMismatch(f"{a.ring.name} vs {b.ring.name}")
+
+
+def _row_support(table) -> list:
+    """The nonzero (column, value) pairs of each row of a table."""
+    return [[(c, b) for c, b in enumerate(row) if b] for row in table]
+
+
+def _product(rows, y_support, cols: int, p: Optional[int]) -> tuple:
+    """The rows of the product of the table ``rows`` by the table whose
+    ``_row_support`` is ``y_support``, ``cols`` wide, each entry reduced
+    mod p after its sum when p is not None."""
+    out = []
+    for row in rows:
+        acc = [0] * cols
         for a, support in zip(row, y_support):
             if a:
                 if a == 1:
@@ -159,10 +259,26 @@ def mat_mul(x: ExactMatrix, y: ExactMatrix, y_support: Optional[tuple] = None) -
                         acc[c] += a * b
         if p is not None:
             acc = [v % p for v in acc]
-        elif e is not None:
-            acc = _fractions(ring, acc, scales[i] * e)
         out.append(tuple(acc))
-    return _new(ExactMatrix, (ring, x.rows, y.cols, tuple(out)))
+    return tuple(out)
+
+
+def mat_mul(x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
+    """Raw matrix product x*y.
+
+    Works on the stored values, skipping zero entries of both factors; an
+    entry of x that is 1 or -1 adds or subtracts the row of y without a
+    product (over GF(p) the stored values are residues, so p - 1 takes the
+    general branch); over GF(p) each entry is reduced once, after its sum.
+    Over Q it multiplies the integer tables, and the product is over the
+    product of their denominators.
+    """
+    _require_same_ring(x, y)
+    if x.cols != y.rows:
+        raise TypeMismatch(f"cannot multiply {x.rows}x{x.cols} by {y.rows}x{y.cols}")
+    (rows, d), (table, e) = _stored(x), _stored(y)
+    product = _product(rows, _row_support(table), y.cols, x.ring.p)
+    return _matrix(x.ring, x.rows, y.cols, product, None if d is None else d * e)
 
 
 def mat_compose(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -178,39 +294,30 @@ def mat_tensor(first: ExactMatrix, *rest: ExactMatrix) -> ExactMatrix:
     for b in rest:
         _require_same_ring(first, b)
     blocks = (first,) + rest
-    ring, zero = first.ring, first.ring.zero
+    den = _common_den(first.ring, blocks)
     cols = sum(b.cols for b in blocks)
     out = []
     before = 0
     for b in blocks:
-        pad_left, pad_right = (zero,) * before, (zero,) * (cols - before - b.cols)
-        out.extend(pad_left + row + pad_right for row in b.entries)
+        pad_left, pad_right = (0,) * before, (0,) * (cols - before - b.cols)
+        out.extend(pad_left + row + pad_right for row in (b[3] if den is None else _scaled(b, den)))
         before += b.cols
-    return _new(ExactMatrix, (ring, len(out), cols, tuple(out)))
+    return _matrix(first.ring, len(out), cols, tuple(out), den)
 
 
 def mat_symmetry(ring: Ring, n: int, m: int) -> ExactMatrix:
     """Block swap n + m -> m + n."""
-    one, zero = ring.one, ring.zero
     out = []
     for i in range(m):
-        out.append(tuple(one if j == n + i else zero for j in range(n + m)))
+        out.append(tuple(1 if j == n + i else 0 for j in range(n + m)))
     for i in range(n):
-        out.append(tuple(one if j == i else zero for j in range(n + m)))
-    return _new(ExactMatrix, (ring, m + n, n + m, tuple(out)))
-
-
-def _read(a: ExactMatrix, columns: bool) -> tuple:
-    """The rows of a and their width; with ``columns``, the columns of a
-    and their height, which are the rows of its transpose, read with no
-    transpose built."""
-    if columns:
-        return (list(zip(*a.entries)) if a.rows else [()] * a.cols), a.rows
-    return a.entries, a.cols
+        out.append(tuple(1 if j == i else 0 for j in range(n + m)))
+    return _matrix(ring, m + n, n + m, tuple(out), _common_den(ring, ()))
 
 
 def mat_transpose(a: ExactMatrix) -> ExactMatrix:
-    return _new(ExactMatrix, (a.ring, a.cols, a.rows, tuple(zip(*a.entries)) if a.entries else ((),) * a.cols))
+    table, den = _stored(a)
+    return _matrix(a.ring, a.cols, a.rows, tuple(zip(*table)) if table else ((),) * a.cols, den)
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +328,8 @@ def mat_transpose(a: ExactMatrix) -> ExactMatrix:
 # reduced row echelon form on a field, where every nonzero entry is a unit.
 # The core reads three facts of the ring once per call: ``ring.p``, the
 # modulus for the ``% p`` of a GF(p) row update (None outside GF(p)),
-# ``ring.is_field``, and, through ``_integer_rows``, whether its rows are
-# Q rows, which it eliminates as integer rows.
+# ``ring.is_field``, and from the two whether its rows are Q rows: integer
+# rows that stand for rows of rationals.
 #
 # One pass reduces the rows above and then below a pivot row, with one row
 # update per ring.  Over the integers it runs at each Euclid step of a
@@ -247,25 +354,23 @@ def _echelon(ring: Ring, rows: list, ncols: int, k: int = 0) -> list:
     below as the next pivot (a Euclid step) until none is left.  On a field
     the pivot is the first nonzero entry and one step clears the column, so
     the form is the rref: over GF(p) the pivot is made 1 by its inverse;
-    over the integers it is made positive by its sign.  Only the nonzero
-    tail of the pivot row is read, and the pivot column is written directly.
+    over the integers, and over Q, it is made positive by its sign.  Only
+    the nonzero tail of the pivot row is read, and the pivot column is
+    written directly.
 
     Over Q the rows are integer rows: a row with entry x under (or above) a
     pivot v becomes (v/g)·row − (x/g)·pivot row, g = gcd(v, x), scaled only
     when v/g is not 1 and only on its nonzero entries, then divided by the
-    gcd of its entries.  At the end the rows and columns a caller keeps
-    (rows with a pivot at column k or later, and the zero rows, from column
-    k on) are divided by their pivots into ``Fraction``s; a row with its
-    pivot before column k keeps its integers, but for its pivot, which
-    becomes 1 as on every field.
+    gcd of its entries.  At the end the rows a caller keeps (rows with a
+    pivot at column k or later) are brought to one denominator, the lcm of
+    their pivots, which each of their pivots becomes: divided by it, they
+    are the rref rows.  A row with its pivot before column k keeps its
+    integers, but for its pivot, which becomes 1 as on every field; the
+    zero rows are zero already.
     """
     p = ring.p
     field = ring.is_field
-    zero = ring.zero
-    read = _integer_rows(ring, rows)
-    rational = read is not None
-    if rational:
-        rows[:], zero = read[0], 0
+    rational = p is None and field
     m = len(rows)
     pivots = []
     r = lo = 0
@@ -294,7 +399,7 @@ def _echelon(ring: Ring, rows: list, ncols: int, k: int = 0) -> list:
                 if x != 1:
                     inv = pow(x, -1, p)
                     prow[j:] = [v * inv % p for v in prow[j:]]
-            elif not field and x < 0:
+            elif x < 0:  # the integers, and Q's integer rows
                 for c in range(j, ncols):
                     prow[c] = -prow[c]
             pivot = prow[j]
@@ -323,7 +428,7 @@ def _echelon(ring: Ring, rows: list, ncols: int, k: int = 0) -> list:
                         else:
                             for c, w in support:
                                 row[c] = (row[c] - q * w) % p
-                        x = row[j] = zero if unit else x - q * pivot
+                        x = row[j] = 0 if unit else x - q * pivot
                     if rational:
                         g = gcd(*row)
                         if g > 1:
@@ -336,15 +441,18 @@ def _echelon(ring: Ring, rows: list, ncols: int, k: int = 0) -> list:
             pivots.append(j)
             r += 1
     if rational:
-        one, zeros = ring.one, [ring.zero] * (ncols - k)
+        den = 1
         for i, j in enumerate(pivots):
-            row = rows[i]
             if j < k:
-                row[j] = one
-            else:
-                row[k:] = _fractions(ring, row[k:], row[j])
-        for row in rows[len(pivots) :]:
-            row[k:] = zeros
+                rows[i][j] = 1
+            elif rows[i][j] != 1:
+                den = lcm(den, rows[i][j])
+        if den != 1:
+            for i, j in enumerate(pivots):
+                row = rows[i]
+                if j >= k and row[j] != den:
+                    s = den // row[j]
+                    row[k:] = [v * s for v in row[k:]]
     return pivots
 
 
@@ -361,19 +469,19 @@ def _meet(ring: Ring, rows: list, ncols: int, k: int = 0) -> list:
     return [row[k:] for row in rows[lo : len(pivots)]]
 
 
-def split_rows(ring: Ring, n: int, m: int, rows, columns: bool = False, skip: int = 0) -> tuple[ExactMatrix, ExactMatrix]:
+def split_rows(ring: Ring, n: int, m: int, rows, den: Optional[int], columns: bool = False, skip: int = 0) -> tuple[ExactMatrix, ExactMatrix]:
     """The matrices of the n columns of the rows after the first ``skip``
-    and of the m columns after them; with ``columns``, the matrices whose
-    rows are those columns, which are the transposes, cut with no
-    transpose built."""
+    and of the m columns after them, over ``den`` (over Q; None outside
+    it); with ``columns``, the matrices whose rows are those columns,
+    which are the transposes, cut with no transpose built."""
     lo, mid, hi = skip, skip + n, skip + n + m
     k = len(rows)
     if columns:
         cols = list(zip(*rows)) if rows else [()] * hi
-        return _new(ExactMatrix, (ring, n, k, tuple(cols[lo:mid]))), _new(ExactMatrix, (ring, m, k, tuple(cols[mid:hi])))
+        return _matrix(ring, n, k, tuple(cols[lo:mid]), den), _matrix(ring, m, k, tuple(cols[mid:hi]), den)
     return (
-        _new(ExactMatrix, (ring, k, n, tuple([tuple(row[lo:mid]) for row in rows]))),
-        _new(ExactMatrix, (ring, k, m, tuple([tuple(row[mid:hi]) for row in rows]))),
+        _matrix(ring, k, n, tuple([tuple(row[lo:mid]) for row in rows]), den),
+        _matrix(ring, k, m, tuple([tuple(row[mid:hi]) for row in rows]), den),
     )
 
 
@@ -400,23 +508,27 @@ def _require_apex(legs, columns: bool) -> int:
 
 
 def echelon_rows(left: ExactMatrix, right: ExactMatrix, columns: bool = False) -> tuple:
-    """The rows of the canonical echelon form of [left | right], as tuples:
-    a canonical basis of the row space (lattice), then the zero rows.  With
-    ``columns``, of [left^T | right^T]."""
+    """The rows of the canonical echelon form of [left | right], as tuples
+    of stored values, and the denominator they are over (over Q; None
+    outside it): a canonical basis of the row space (lattice), then the
+    zero rows.  With ``columns``, of [left^T | right^T]."""
     _require_apex((left, right), columns)
-    (lrows, x), (rrows, y) = _read(left, columns), _read(right, columns)
+    ((lrows, x), (rrows, y)), den = _tables(left.ring, (left, right), columns)
     rows = [[*l, *r] for l, r in zip(lrows, rrows)]
     _echelon(left.ring, rows, x + y)
-    return tuple(map(tuple, rows))
+    return tuple(map(tuple, rows)), None if den is None else _kept_den(rows)
 
 
 def echelon_rows_each(lefts, rights, columns: bool = False):
     """For each left, lazily, the canonical form H of left and, for each
     right, the columns of the right block of ``echelon_rows(left,
     right)``, whose rows are those of H beside that block; with
-    ``columns``, of the legs' transposes.  One echelon pass over [left | I]
-    per left instead of one pass per pair, and the block of rights is
-    prepared once for all the lefts.
+    ``columns``, of the legs' transposes.  Each is given as the stored
+    values of its matrix: a tuple of rows, over Q the pair of a tuple of
+    integer rows and a denominator, in lowest terms, so that two are equal
+    exactly when the matrices are.  One echelon pass over [left | I] per
+    left instead of one pass per pair, and the block of rights is prepared
+    once for all the lefts.
 
     The pass gives the canonical form H of left and an invertible U
     (unimodular over the integers) with U * left = H, so [left | right]
@@ -432,45 +544,60 @@ def echelon_rows_each(lefts, rights, columns: bool = False):
     apex = _require_apex(lefts + rights, columns)
     if not lefts:
         return iter(())
-    read = lambda legs: [_read(a, columns) for a in legs]
-    return _echelon_rows_each(lefts[0].ring, apex, read(lefts), read(rights))
+    ring = lefts[0].ring
+    return _echelon_rows_each(ring, apex, [_tables(ring, (a,), columns) for a in lefts], _tables(ring, rights, columns))
 
 
-def _echelon_rows_each(ring: Ring, apex: int, lefts: list, rights: list):
-    """The results of :func:`echelon_rows_each`, for checked legs given as
-    (rows, width) pairs."""
-    one, zero = ring.one, ring.zero
-    eye = [[one if j == i else zero for j in range(apex)] for i in range(apex)]
+def _echelon_rows_each(ring: Ring, apex: int, lefts: list, rights: tuple):
+    """The results of :func:`echelon_rows_each`, for checked legs: each
+    left as its ``_tables``, and the rights as theirs, over one
+    denominator."""
+    p = ring.p
+    rights, e = rights
+    eye = [[1 if j == i else 0 for j in range(apex)] for i in range(apex)]
     side_by_side = tuple([tuple([v for rows, _ in rights for v in rows[i]]) for i in range(apex)])
     total = sum(m for _, m in rights)
-    block = _new(ExactMatrix, (ring, apex, total, side_by_side))
-    support = _row_support(block)
+    support = _row_support(side_by_side)
     bounds, lo = [], 0
     for _, m in rights:
         bounds.append((lo, lo + m))
         lo += m
-    for left, n in lefts:
-        rows = [[*row, *unit] for row, unit in zip(left, eye)]
+    for ((left, n),), d in lefts:
+        # over Q a unit row of [left | I] is d times a unit vector
+        units = eye if d is None or d == 1 else [[v * d for v in row] for row in eye]
+        rows = [[*row, *unit] for row, unit in zip(left, units)]
         rank = sum(1 for j in _echelon(ring, rows, n + apex) if j < n)
-        h = tuple([tuple(row[:n]) for row in rows])
-        u = _new(ExactMatrix, (ring, apex, apex, tuple([tuple(row[n:]) for row in rows])))
-        products = mat_mul(u, block, support).entries
+        hrows = [row[:n] for row in rows]
+        products = _product([row[n:] for row in rows], support, total, p)
+        # over Q, H and U are over the pivot den, and U * right over den * e
+        h = tuple(map(tuple, hrows))
+        den = None
+        if d is not None:
+            den = _kept_den(rows)
+            h = _lowest(h, den)
+            den *= e
         if rank == apex:
             cols = tuple(zip(*products)) if apex else ((),) * total
-            yield h, [cols[lo:hi] for lo, hi in bounds]
+            if den is None:
+                yield h, [cols[lo:hi] for lo, hi in bounds]
+            else:
+                yield h, [_lowest(cols[lo:hi], den) for lo, hi in bounds]
             continue
+        if den is not None and e != 1:
+            hrows = [[v * e for v in row] for row in hrows]
         blocks = []
         for lo, hi in bounds:
-            finished = [[*hrow, *prow[lo:hi]] for hrow, prow in zip(h, products)]
+            finished = [[*hrow, *prow[lo:hi]] for hrow, prow in zip(hrows, products)]
             _echelon(ring, finished, n + hi - lo)
-            blocks.append(tuple(zip(*finished))[n:])
+            cols = tuple(zip(*finished))[n:]
+            blocks.append(cols if den is None else _lowest(cols, _kept_den(finished)))
         yield h, blocks
 
 
 def mat_rank(a: ExactMatrix) -> int:
     """Rank; for integer matrices this is the rank over the rationals,
     the number of Hermite pivots."""
-    return len(_echelon(a.ring, [list(row) for row in a.entries], a.cols, a.cols))
+    return len(_echelon(a.ring, [list(row) for row in _stored(a)[0]], a.cols, a.cols))
 
 
 def is_split_mono(a: ExactMatrix) -> bool:
@@ -480,7 +607,7 @@ def is_split_mono(a: ExactMatrix) -> bool:
     fixes the pivots; over a field they are 1, so this is full column rank."""
     if a.rows < a.cols:
         return False
-    rows = [list(row) for row in a.entries]
+    rows = [list(row) for row in _stored(a)[0]]
     pivots = _echelon(a.ring, rows, a.cols, a.cols)
     return len(pivots) == a.cols and all(rows[i][i] == 1 for i in range(a.cols))
 
@@ -500,17 +627,19 @@ def is_split_mono(a: ExactMatrix) -> bool:
 # product.
 
 
-def _glued_basis(ring: Ring, top, bottom, k: int, units: bool = True, left=None, right=None) -> list:
+def _glued_basis(ring: Ring, top, bottom, k: int, den: Optional[int], units: bool = True, left=None, right=None) -> tuple:
     """Canonical basis of {(w1, w2, w1 * left, w2 * right) : w1 * top =
     w2 * bottom}, from one echelon pass over [top | I 0 left 0; -bottom |
-    0 I 0 right].
+    0 I 0 right], and the denominator it is over (over Q; None outside it).
 
     ``top`` and ``bottom`` are sequences of rows of width k.  Without
     ``units`` the (w1, w2) columns are left out.  An outer leg ``left``
     (``right``) is a pair (rows, width), one row for each row of ``top``
-    (``bottom``); an outer leg that is omitted has width 0.
+    (``bottom``); an outer leg that is omitted has width 0.  Over Q every
+    row given is over ``den``, so a unit row is den times a unit vector.
     """
-    zero, one, p = ring.zero, ring.one, ring.p
+    p = ring.p
+    one = 1 if den is None else den
     a = len(top)
     u = a + len(bottom) if units else 0
     lrows, x = left or ((), 0)
@@ -518,22 +647,21 @@ def _glued_basis(ring: Ring, top, bottom, k: int, units: bool = True, left=None,
     width = u + x + y
     rows = []
     for i, row in enumerate(top):
-        tail = [zero] * width
+        tail = [0] * width
         if units:
             tail[i] = one
         if x:
             tail[u : u + x] = lrows[i]
         rows.append([*row, *tail])
     for i, row in enumerate(bottom):
-        tail = [zero] * width
+        tail = [0] * width
         if units:
             tail[a + i] = one
         if y:
             tail[u + x :] = rrows[i]
-        # negated, but for the ring's zero, which is kept: over Q, -0 would
-        # be a new Fraction, which the core reads slower than the shared one
-        rows.append(([v if v is zero else -v for v in row] if p is None else [-v % p for v in row]) + tail)
-    return _meet(ring, rows, k + width, k)
+        rows.append(([-v for v in row] if p is None else [-v % p for v in row]) + tail)
+    basis = _meet(ring, rows, k + width, k)
+    return basis, None if den is None else _kept_den(basis)
 
 
 def mat_pullback(a: ExactMatrix, b: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
@@ -543,8 +671,9 @@ def mat_pullback(a: ExactMatrix, b: ExactMatrix) -> tuple[ExactMatrix, ExactMatr
     _require_same_ring(a, b)
     if a.rows != b.rows:
         raise TypeMismatch(f"cospan feet disagree: {a.rows} vs {b.rows}")
-    basis = _glued_basis(a.ring, _read(a, True)[0], _read(b, True)[0], a.rows)
-    return split_rows(a.ring, a.cols, b.cols, basis, True)
+    ((top, _), (bottom, _)), den = _tables(a.ring, (a, b), True)
+    basis, den = _glued_basis(a.ring, top, bottom, a.rows, den)
+    return split_rows(a.ring, a.cols, b.cols, basis, den, True)
 
 
 def mat_pushout(a: ExactMatrix, b: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
@@ -558,8 +687,9 @@ def mat_pushout(a: ExactMatrix, b: ExactMatrix) -> tuple[ExactMatrix, ExactMatri
     _require_same_ring(a, b)
     if a.cols != b.cols:
         raise TypeMismatch(f"span apexes disagree: {a.cols} vs {b.cols}")
-    basis = _glued_basis(a.ring, a.entries, b.entries, a.cols)
-    return split_rows(a.ring, a.rows, b.rows, basis)
+    ((top, _), (bottom, _)), den = _tables(a.ring, (a, b))
+    basis, den = _glued_basis(a.ring, top, bottom, a.cols, den)
+    return split_rows(a.ring, a.rows, b.rows, basis, den)
 
 
 def _glued_composite(l1, r1, l2, r2, units: bool, columns: bool = False) -> tuple[ExactMatrix, ExactMatrix]:
@@ -568,13 +698,13 @@ def _glued_composite(l1, r1, l2, r2, units: bool, columns: bool = False) -> tupl
     legs' columns read as rows, cut as columns."""
     for leg in (r1, l2, r2):
         _require_same_ring(l1, leg)
-    (l1_rows, x), (r1_rows, k), (l2_rows, k2), (r2_rows, y) = (_read(leg, columns) for leg in (l1, r1, l2, r2))
+    ((l1_rows, x), (r1_rows, k), (l2_rows, k2), (r2_rows, y)), den = _tables(l1.ring, (l1, r1, l2, r2), columns)
     if k != k2:
         raise TypeMismatch(f"feet disagree: {k} vs {k2}")
     if len(l1_rows) != len(r1_rows) or len(l2_rows) != len(r2_rows):
         raise TypeMismatch("legs need a common apex")
-    basis = _glued_basis(l1.ring, r1_rows, l2_rows, k, units, (l1_rows, x), (r2_rows, y))
-    return split_rows(l1.ring, x, y, basis, columns, len(r1_rows) + len(l2_rows) if units else 0)
+    basis, den = _glued_basis(l1.ring, r1_rows, l2_rows, k, den, units, (l1_rows, x), (r2_rows, y))
+    return split_rows(l1.ring, x, y, basis, den, columns, len(r1_rows) + len(l2_rows) if units else 0)
 
 
 def composite(l1: ExactMatrix, r1: ExactMatrix, l2: ExactMatrix, r2: ExactMatrix, columns: bool = False) -> tuple[ExactMatrix, ExactMatrix]:
@@ -607,20 +737,22 @@ def mat_mediator(a1: ExactMatrix, a2: ExactMatrix, b1: ExactMatrix, b2: ExactMat
     b = [b1 | b2] (with ``columns``, the columns of [a1; a2] and [b1; b2])
     read straight from the legs: its meet is {(z, x) : z*b = x*a}, and a
     solution exists iff the meet's z block has a pivot of 1 in every
-    column; its first rows are then (e_l, x_l).
+    column (over Q, of its denominator); its first rows are then
+    (e_l, x_l).
     """
     for leg in (a2, b1, b2):
         _require_same_ring(a1, leg)
-    (a1_rows, w1), (a2_rows, w2), (b1_rows, v1), (b2_rows, v2) = (_read(leg, columns) for leg in (a1, a2, b1, b2))
+    ((a1_rows, w1), (a2_rows, w2), (b1_rows, v1), (b2_rows, v2)), den = _tables(a1.ring, (a1, a2, b1, b2), columns)
     if len(a1_rows) != len(a2_rows) or len(b1_rows) != len(b2_rows) or (w1, w2) != (v1, v2):
         raise TypeMismatch("the legs are not a (co)cone of one shape")
     k = len(b1_rows)
     b = [r + s for r, s in zip(b1_rows, b2_rows)]
     a = [r + s for r, s in zip(a1_rows, a2_rows)]
-    basis = _glued_basis(a1.ring, b, a, w1 + w2)
-    if len(basis) < k or any(basis[l][l] != 1 for l in range(k)):
+    basis, den = _glued_basis(a1.ring, b, a, w1 + w2, den)
+    one = 1 if den is None else den
+    if len(basis) < k or any(basis[l][l] != one for l in range(k)):
         return None
-    return split_rows(a1.ring, len(a1_rows), 0, basis[:k], columns, k)[0]
+    return split_rows(a1.ring, len(a1_rows), 0, basis[:k], den, columns, k)[0]
 
 
 def corelation_tensor(pairs) -> tuple[ExactMatrix, ExactMatrix]:
@@ -638,30 +770,31 @@ def corelation_tensor(pairs) -> tuple[ExactMatrix, ExactMatrix]:
     the entries above them in [0, pivot).
     """
     ring = pairs[0][0].ring
-    zero = ring.zero
+    den = _common_den(ring, [leg for pair in pairs for leg in pair])
     n = sum(left.cols for left, _ in pairs)
     m = sum(right.cols for _, right in pairs)
     # per leg, the rows with a pivot in the left feet, then the others
     lhead, ltail, rhead, rtail = [], [], [], []
     x = y = 0
     for left, right in pairs:
+        lrows, rrows = (left[3], right[3]) if den is None else (_scaled(left, den), _scaled(right, den))
         k = 0
-        for row in left.entries:
+        for row in lrows:
             if not any(row):
                 break
             k += 1
-        a, b = (zero,) * x, (zero,) * (n - x - left.cols)
-        rows = [a + row + b for row in left.entries]
+        a, b = (0,) * x, (0,) * (n - x - left.cols)
+        rows = [a + row + b for row in lrows]
         lhead += rows[:k]
         ltail += rows[k:]
-        a, b = (zero,) * y, (zero,) * (m - y - right.cols)
-        rows = [a + row + b for row in right.entries]
+        a, b = (0,) * y, (0,) * (m - y - right.cols)
+        rows = [a + row + b for row in rrows]
         rhead += rows[:k]
         rtail += rows[k:]
         x += left.cols
         y += right.cols
     lrows, rrows = lhead + ltail, rhead + rtail
-    return _new(ExactMatrix, (ring, len(lrows), n, tuple(lrows))), _new(ExactMatrix, (ring, len(rrows), m, tuple(rrows)))
+    return _matrix(ring, len(lrows), n, tuple(lrows), den), _matrix(ring, len(rrows), m, tuple(rrows), den)
 
 
 def enumerate_matrices(ring: Ring, rows: int, cols: int, entry_bound: int):
@@ -670,9 +803,7 @@ def enumerate_matrices(ring: Ring, rows: int, cols: int, entry_bound: int):
     GF(p) uses all residues; the integers and rationals use the integer box
     [-entry_bound, entry_bound].
     """
-    if ring.p is not None:
-        values = [ring.coerce(v) for v in range(ring.p)]
-    else:
-        values = [ring.coerce(v) for v in range(-entry_bound, entry_bound + 1)]
+    values = range(ring.p) if ring.p is not None else range(-entry_bound, entry_bound + 1)
+    den = _common_den(ring, ())
     for flat in product(values, repeat=rows * cols):
-        yield _new(ExactMatrix, (ring, rows, cols, tuple(flat[r * cols : (r + 1) * cols] for r in range(rows))))
+        yield _matrix(ring, rows, cols, tuple(flat[r * cols : (r + 1) * cols] for r in range(rows)), den)

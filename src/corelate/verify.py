@@ -77,6 +77,22 @@ class CheckReport:
             record["details"] = {label: holds for label, holds in self.details}
         return record
 
+    @classmethod
+    def from_record(cls, record: dict) -> CheckReport:
+        """The report that :meth:`to_record` made ``record`` of, from the
+        record or from its JSON line read back."""
+        return cls(
+            name=record["check"],
+            c_name=record["C"],
+            a_name=record["A"],
+            bound=record["bound"],
+            verdict=record["verdict"],
+            entry_bound=record["entry_bound"],
+            seed=record["seed"],
+            counterexamples=tuple(tuple(c.items()) for c in record["counterexamples"]),
+            details=tuple(record.get("details", {}).items()),
+        )
+
 
 # ---------------------------------------------------------------------------
 # single-case checkers (shared by sweeps and replay)

@@ -117,13 +117,35 @@ MUTANTS = (
         "pass",
         ("tests/test_linmap.py::test_q_core_matches_reference", "tests/test_linmap.py::test_rref_matches_reference"),
     ),
-    # a kept Q row leaves as its integers, not divided by its pivot
+    # a kept Q row leaves as its integers over the kept rows' denominator,
+    # not brought to it from its own pivot
     Mutant(
         "q-output-without-pivot-division",
         "linmap.py",
-        "row[k:] = _fractions(ring, row[k:], row[j])",
-        "row[k:] = _fractions(ring, row[k:], 1)",
+        "                    s = den // row[j]\n",
+        "                    s = 1\n",
         ("tests/test_linmap.py::test_q_core_matches_reference", "tests/test_linmap.py::test_rref_matches_reference"),
+    ),
+    # every table a kernel stacks is the first leg's integer form, read
+    # from the wrong matrix
+    Mutant(
+        "q-form-from-wrong-matrix",
+        "linmap.py",
+        "        table = a[3] if den is None else _scaled(a, den)\n",
+        "        table = a[3] if den is None else _scaled(legs[0], den)\n",
+        (
+            "tests/test_diagrams.py::test_wide_q_circuits_match_the_fraction_oracle",
+            "tests/test_linmap.py::test_every_pass_over_q_returns_fractions",
+        ),
+    ),
+    # the rows the Q core keeps are read as integers, their denominator
+    # dropped
+    Mutant(
+        "q-form-drops-denominator",
+        "linmap.py",
+        "        if v:\n            return v\n",
+        "        if v:\n            return 1\n",
+        ("tests/test_linmap.py::test_q_core_matches_reference", "tests/test_linmap.py::test_q_core_matches_sympy"),
     ),
     # an integral Q entry is taken from the shared constant of its negative
     Mutant(

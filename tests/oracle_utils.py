@@ -13,7 +13,7 @@ from corelate.corelrel import Corelation, Relation, _require_products, gamma, re
 from corelate.errors import RingMismatch, TypeMismatch, ZeroInverse
 from corelate.exactnum import ZZ, Ring
 from corelate.finfn import FinMap, ParMap, Partition
-from corelate.linmap import ExactMatrix, _require_same_ring, mat_mediator, mat_transpose, split_rows
+from corelate.linmap import ExactMatrix, _require_same_ring, echelon_rows, mat_mediator, mat_transpose, split_rows
 from corelate.spancospan import Ambient, Cospan, Span
 
 # the benchmark's oracles, which share no code with corelate
@@ -157,12 +157,26 @@ def mat_hcat(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(a.ring, a.rows, a.cols + b.cols, tuple(ra + rb for ra, rb in zip(a.entries, b.entries)))
 
 
-def rows_beside(h, block) -> tuple:
+def rows_beside(ring: Ring, h, block) -> tuple:
     """The rows of [H | block], from the rows of H and the columns of the
     block, as ``linmap.echelon_rows_each`` and the matrix sweep keys give
-    them."""
+    them; over Q each is integers over a denominator, read here as the
+    Fractions they stand for."""
+    if ring.p is None and ring.is_field:
+        (h, hden), (block, bden) = h, block
+        h = tuple(tuple(Fraction(v, hden) for v in row) for row in h)
+        block = tuple(tuple(Fraction(v, bden) for v in col) for col in block)
     rows = zip(*block) if block else [()] * len(h)
     return tuple(hrow + brow for hrow, brow in zip(h, rows))
+
+
+def echelon_values(left: ExactMatrix, right: ExactMatrix, columns: bool = False) -> tuple:
+    """The rows of the canonical echelon form of [left | right] (with
+    ``columns``, of their transposes) that ``linmap.echelon_rows`` gives,
+    as the entries they stand for."""
+    rows, den = echelon_rows(left, right, columns)
+    width = left.rows + right.rows if columns else left.cols + right.cols
+    return split_rows(left.ring, width, 0, rows, den)[0].entries
 
 
 def mat_solve_left(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
@@ -239,7 +253,9 @@ def rel_from_subspace_rows(rows, n: int, m: int, amb: Ambient) -> Relation:
     rows = tuple(tuple(amb.ring.coerce(v) for v in row) for row in rows)
     if any(len(row) != n + m for row in rows):
         raise TypeMismatch(f"vectors must live in dimension {n + m}")
-    return Relation(amb, amb.corelation_cospan(Cospan(*split_rows(amb.ring, n, m, rows))))
+    left = ExactMatrix(amb.ring, len(rows), n, tuple(row[:n] for row in rows))
+    right = ExactMatrix(amb.ring, len(rows), m, tuple(row[n:] for row in rows))
+    return Relation(amb, amb.corelation_cospan(Cospan(left, right)))
 
 
 def rel_to_corel(r: Relation) -> Corelation:

@@ -730,10 +730,24 @@ REPORT_PINS = {
 }
 
 
+def assert_records_replay(out: str) -> None:
+    """Every record of a pinned run is read back into the report it was
+    written from, and every failing one's counterexamples still fail."""
+    from corelate.verify import CheckReport, replay
+
+    for line in out.splitlines():
+        record = json.loads(line)
+        report = CheckReport.from_record(record)
+        assert report.to_record() == record
+        if report.verdict == "fail":
+            assert report.counterexamples and replay(report), record
+
+
 def test_report_suite_expected_verdicts(capsys):
     code, out, _ = run(capsys, "report", "--samples", "40", "--format", "records")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_PINS[("--samples", "40")]
+    assert_records_replay(out)
     lines = [json.loads(line) for line in out.strip().splitlines()]
     verdicts = {(r["check"], r["C"], r["A"]): r["verdict"] for r in lines}
     assert verdicts[("assumption31", "f", "inj")] == "pass"
@@ -751,6 +765,7 @@ def test_report_records_match_their_pin(capsys, argv):
     code, out, _ = run(capsys, "report", *argv, "--format", "records")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_PINS[argv]
+    assert_records_replay(out)
 
 
 def test_report_user_error_exit_2(capsys):

@@ -74,7 +74,7 @@ def mutated(draw, text):
 # the leg kinds each ambient holds; an unknown ambient is given any kind
 LEG_KINDS = {"f": ("fn",), "pf": ("fn", "par"), "gf2": ("gf2",), "gf3": ("gf3",), "q": ("q",), "z": ("z",)}
 ANY_KIND = ("fn", "par", "gf2", "gf3", "q", "z")
-ENTRIES = {"gf2": ("0", "1"), "gf3": ("0", "1", "2"), "q": ("0", "1", "-1", "1/2"), "z": ("0", "1", "-1", "2")}
+ENTRIES = {"gf2": ("0", "1"), "gf3": ("0", "1", "2"), "q": ("0", "1", "-1", "1/2", "-2/3"), "z": ("0", "1", "-1", "2")}
 
 
 @st.composite

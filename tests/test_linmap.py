@@ -7,7 +7,6 @@ import pytest
 from corelate.errors import RingMismatch, TypeMismatch
 from corelate.exactnum import GF, QQ, ZZ
 from corelate.linmap import (
-    ExactMatrix,
     enumerate_matrices,
     echelon_rows,
     echelon_rows_each,
@@ -21,10 +20,12 @@ from corelate.linmap import (
     mat_rank,
     mat_tensor,
     mat_transpose,
+    split_rows,
 )
 from corelate.spancospan import Span, get_ambient
 from oracle_utils import (
     det_int,
+    echelon_values,
     invariant_factors,
     mat_hcat,
     mat_solve_left,
@@ -179,9 +180,9 @@ FIELDS = (GF(2), GF(3), GF(5), QQ)
 def echelon(a):
     """The canonical echelon form of a and its pivot columns, through the
     program's ``echelon_rows`` with an empty right block."""
-    rows = echelon_rows(a, mat_zero(a.ring, a.rows, 0))
+    rows, den = echelon_rows(a, mat_zero(a.ring, a.rows, 0))
     pivots = tuple(next(j for j, v in enumerate(row) if v) for row in rows if any(row))
-    return ExactMatrix(a.ring, a.rows, a.cols, rows), pivots
+    return split_rows(a.ring, a.cols, 0, rows, den)[0], pivots
 
 
 def typed(a):
@@ -352,17 +353,20 @@ def q_core_inputs(rng, count):
 
 
 def q_core_outputs(a):
-    """The program's Q core on a: for every k in 0..cols the pivots of the
-    pass and the rows ``_meet`` keeps, then ``echelon_rows``,
-    ``mat_rank`` and ``is_split_mono``; the reprs tell an int from a
-    Fraction."""
+    """The program's Q core on a's integer table: for every k in 0..cols
+    the pivots of the pass and the rows ``_meet`` keeps, read as the
+    matrix ``split_rows`` builds of them over their pivot, then
+    ``echelon_rows``, ``mat_rank`` and ``is_split_mono``; the reprs tell
+    an int from a Fraction."""
     import corelate.linmap as linmap
 
-    passes = [
-        (linmap._echelon(QQ, [list(row) for row in a.entries], a.cols, k), repr(linmap._meet(QQ, [list(row) for row in a.entries], a.cols, k)))
-        for k in range(a.cols + 1)
-    ]
-    return passes, repr(echelon_rows(a, mat_zero(QQ, a.rows, 0))), mat_rank(a), is_split_mono(a)
+    table = linmap._stored(a)[0]
+    passes = []
+    for k in range(a.cols + 1):
+        kept = linmap._meet(QQ, [list(row) for row in table], a.cols, k)
+        kept = split_rows(QQ, a.cols - k, 0, kept, linmap._kept_den(kept))[0]
+        passes.append((linmap._echelon(QQ, [list(row) for row in table], a.cols, k), repr([list(row) for row in kept.entries])))
+    return passes, repr(echelon(a)[0].entries), mat_rank(a), is_split_mono(a)
 
 
 def q_expected_outputs(a, rows, pivots):
@@ -404,7 +408,13 @@ def test_q_core_matches_sympy():
 def test_every_pass_over_q_returns_fractions():
     # Fraction(1) == 1, so no value test or record pin would see an int (or
     # a float from int / int) leave a Q kernel; this reads the type of
-    # every entry that each Q kernel returns, on 300 seeded cases
+    # every entry that each Q kernel returns, on 300 seeded cases.  A Q
+    # result is stored as integers over a denominator and compared and
+    # hashed in lowest terms: each must equal, and hash as, the matrix read
+    # from its own entries, and its integers over its denominator must be
+    # its entries; a sweep key, compared and hashed as stored, must be in
+    # lowest terms already
+    import corelate.linmap as linmap
     from corelate.linmap import composite, corelation_composite, corelation_tensor, mat_mediator
     from corelate.spancospan import Cospan
 
@@ -420,7 +430,15 @@ def test_every_pass_over_q_returns_fractions():
     def keep(kernel, *matrices):
         entries = seen.setdefault(kernel, [])
         for m in matrices:
-            entries += [v for row in (m.entries if isinstance(m, ExactMatrix) else m) for v in row]
+            read = mat(QQ, m.rows, m.cols, m.entries)
+            assert m == read and hash(m) == hash(read), (kernel, m)
+            table, den = linmap._stored(m)
+            assert [[Fraction(v, den) for v in row] for row in table] == [list(row) for row in m.entries], (kernel, m)
+            entries += [v for row in m.entries for v in row]
+
+    def stored(rows, cols, values):
+        # a sweep key's values: the stored values of a matrix
+        return linmap._new(linmap.QMatrix, (QQ, rows, cols, values))
 
     for _ in range(300):
         n, m, k, a_apex, b_apex, z = (rng.randint(0, 3) for _ in range(6))
@@ -442,8 +460,10 @@ def test_every_pass_over_q_returns_fractions():
         keep("canonical span", *amb.canonical_span(Span(t1, t2)))
         for columns, legs in ((False, (l1, r1, l2)), (True, (t1, t2, t3))):
             lefts, rights = (legs[0], legs[0]), (legs[1],)
+            left, right = (mat_transpose(leg) if columns else leg for leg in legs[:2])
             for h_rows, blocks in echelon_rows_each(lefts, rights, columns):
-                keep("sweep keys", h_rows, *blocks)
+                assert all(linmap._lowest(*key) == key for key in (h_rows, *blocks))
+                keep("sweep keys", stored(left.rows, left.cols, h_rows), *[stored(right.cols, right.rows, b) for b in blocks])
         keep("mat_mul", mat_mul(l1, draw(n, z)), mat_mul(draw(z, a_apex), l1))
         other = amb.canonical_cospan(Cospan(l2, r2))
         keep("corelation tensor", *corelation_tensor([(canonical.left, canonical.right), (other.left, other.right)]))
@@ -506,13 +526,13 @@ def test_echelon_rows_each_equals_one_pass_per_right():
                     left = mat(ring, apex, n, left.entries[:-1] + left.entries[:1])
                 lefts.append(left)
             rights = [rand_mat(rng, ring, apex, rng.randint(0, 3), rng.choice((1, 3))) for _ in range(rng.randint(0, 4))]
-            expected = [[echelon_rows(left, r) for r in rights] for left in lefts]
+            expected = [[echelon_values(left, r) for r in rights] for left in lefts]
             for columns in (False, True):
                 read = mat_transpose if columns else (lambda a: a)
                 ls, rs = [read(a) for a in lefts], [read(a) for a in rights]
                 each = list(echelon_rows_each(ls, rs, columns))
                 # the repr tells an int from a Fraction
-                rebuilt = [[rows_beside(h, block) for block in blocks] for h, blocks in each]
+                rebuilt = [[rows_beside(ring, h, block) for block in blocks] for h, blocks in each]
                 assert repr(rebuilt) == repr(expected), (lefts, rights, columns)
                 keys_of = amb.span_keys if columns else amb.cospan_keys
                 for left, keys, rows in zip(lefts, keys_of(ls, rs, forms[columns]), expected):

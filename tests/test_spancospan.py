@@ -299,12 +299,12 @@ def test_one_kernel_per_ambient():
     assert not any(hasattr(spancospan.MatrixAmbient, name) for name in ("pair", "split_pair"))
     source = inspect.getsource(linmap.echelon_rows_each)
     assert "is_field" not in source and "_modulus" not in source
-    # the core reads whether the ring is a field, and the one reader of Q
-    # rows whether the rows are Q rows, which the core and the product hold
-    # as integer rows; nothing else in linmap asks, so no caller picks
-    # between cores, or between Fractions and integer rows
+    # the core reads whether the ring is a field, and one predicate whether
+    # it is Q, whose matrices every kernel holds as integer tables; nothing
+    # else in linmap asks, so no caller picks between cores, or between
+    # Fractions and integer rows
     functions = [f for f in vars(linmap).values() if inspect.isfunction(f) and f.__module__ == linmap.__name__]
-    assert [f.__name__ for f in functions if "is_field" in inspect.getsource(f)] == ["_integer_rows", "_echelon"]
+    assert [f.__name__ for f in functions if "is_field" in inspect.getsource(f)] == ["_rational", "_echelon"]
     # one loop reduces the rows above and below a pivot, with one integer
     # or Q update and one mod-p update: a second copy of it would add two
     assert inspect.getsource(linmap._echelon).count("for c, w in support") == 2

@@ -45,6 +45,7 @@ from corelate.verify import (
 )
 from oracle_utils import (
     PERFBENCH,
+    echelon_values,
     enumerate_subspaces,
     invariant_factors,
     oracle_er_compose,
@@ -218,6 +219,38 @@ def test_mediator_sweeps_pin_pairs_and_cases(monkeypatch, sweep):
     assert report.verdict == verify.expected_verdict(report)
 
 
+def test_q_sweep_hashes_no_fraction(monkeypatch):
+    # a Q key holds integers over a denominator, so the report's Q mediator
+    # sweep hashes no Fraction for its dedup, and still enumerates the pairs
+    # and runs the cases that the pins above hold
+    from fractions import Fraction
+
+    (c_name, a_name, bound, entry_bound, _), pairs, cases = _SUITE_SWEEPS["a33-q"]
+    enumerate_pairs, case = verify._pairs, verify.assumption33_case
+    counts = {"pairs": 0, "cases": 0, "hashes": 0}
+    fraction_hash = Fraction.__hash__
+
+    def counted_pairs(*args):
+        for pair in enumerate_pairs(*args):
+            counts["pairs"] += 1
+            yield pair
+
+    def counted_case(*args):
+        counts["cases"] += 1
+        return case(*args)
+
+    def counted_hash(self):
+        counts["hashes"] += 1
+        return fraction_hash(self)
+
+    monkeypatch.setattr(verify, "_pairs", counted_pairs)
+    monkeypatch.setattr(verify, "assumption33_case", counted_case)
+    monkeypatch.setattr(Fraction, "__hash__", counted_hash)
+    report = check_assumption33(get_ambient(c_name, a_name), bound, entry_bound)
+    assert counts == {"pairs": pairs, "cases": cases, "hashes": 0}
+    assert report.verdict == "pass"
+
+
 def _first_occurrences(items, key) -> list:
     """The items whose key no item before them has."""
     firsts = {}
@@ -261,7 +294,9 @@ def test_dedup_keys_agree_with_canonical_forms(sweep):
 )
 def test_batch_keys_equal_one_echelon_pass_per_pair(sweep):
     # each key of a left leg's batch is, value for value and type for type
-    # (the repr tells an int from a Fraction), its own pair's echelon rows
+    # (the repr tells an int from a Fraction; a Q key holds integers over a
+    # denominator, read as the Fractions they stand for), its own pair's
+    # echelon rows
     # (for f and pf, its canonical form), on every pair the sweep
     # enumerates: a matrix key names its left leg's canonical form H,
     # interned in the one forms dict of the sweep, with the leg's feet,
@@ -287,9 +322,10 @@ def test_batch_keys_equal_one_echelon_pass_per_pair(sweep):
     assert shared and all(forms is shared[0] for forms in shared)
     by_id = {id(h): h for h in shared[0].values()}
     for f, g, ((form, dom, cod), block) in triples:
-        expected = linmap.echelon_rows(f, g, columns=not into_apex)
-        rows = rows_beside(by_id[form], block)
-        assert (dom, cod, len(block)) == (f.dom, f.cod, g.dom if into_apex else g.cod), (f, g)
+        expected = echelon_values(f, g, columns=not into_apex)
+        rows = rows_beside(amb.ring, by_id[form], block)
+        columns = block[0] if c_name == "q" else block  # over Q, integers over a denominator
+        assert (dom, cod, len(columns)) == (f.dom, f.cod, g.dom if into_apex else g.cod), (f, g)
         assert rows == expected and repr(rows) == repr(expected), (f, g)
 
 
