@@ -86,6 +86,10 @@ class QMatrix(ExactMatrix):
     def __hash__(self):
         return hash((self[:3], _lowest(*self[3])))
 
+    def __getnewargs__(self):
+        # copy and pickle rebuild the matrix through ExactMatrix, from values
+        return self.ring, self.rows, self.cols, self.entries
+
     @property
     def entries(self) -> tuple:
         table, den = self[3]

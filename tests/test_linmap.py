@@ -475,6 +475,19 @@ def test_every_pass_over_q_returns_fractions():
         assert any(v is QQ.zero for v in entries), kernel
 
 
+def test_matrices_copy_and_pickle_over_every_ring():
+    # a Q matrix stores integers over a denominator, and copy and pickle
+    # rebuild it from its entries, as they rebuild every other matrix
+    import copy
+    import pickle
+
+    for ring, values in ((QQ, (Fraction(1, 2), -3, Fraction(-2, 3))), (ZZ, (1, -3, 2)), (GF(3), (1, 0, 2))):
+        a = mat(ring, 2, 3, [values, values[::-1]])
+        for read in (copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))):
+            b = read(a)
+            assert type(b) is type(a) and b == a and repr(b) == repr(a), (ring, read)
+
+
 @time_limit(CORE_LIMIT_S)
 def test_hnf_row_matches_reference():
     # the same core over the integers: the benchmark's Hermite form, by
