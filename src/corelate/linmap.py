@@ -27,7 +27,7 @@ repr and the literals show, are built from the table when they are read.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import gcd, lcm
 from typing import NamedTuple, Optional
 
@@ -774,7 +774,7 @@ def corelation_tensor(pairs) -> tuple[ExactMatrix, ExactMatrix]:
     the entries above them in [0, pivot).
     """
     ring = pairs[0][0].ring
-    den = _common_den(ring, [leg for pair in pairs for leg in pair])
+    den = _common_den(ring, chain.from_iterable(pairs))
     n = sum(left.cols for left, _ in pairs)
     m = sum(right.cols for _, right in pairs)
     # per leg, the rows with a pivot in the left feet, then the others
