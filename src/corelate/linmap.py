@@ -13,21 +13,24 @@ the integers and no Smith form is needed.  The span half reads the legs'
 columns as its rows and cuts its results as columns, with no transpose
 built.
 
-The core works on the stored values themselves, reading the ring only for
-its data: ``int`` residues reduced mod ``ring.p`` for GF(p), ``int`` for the
-integers.  A matrix over the rationals (a ``QMatrix``) stores one integer
-table over a positive denominator, and every kernel stacks, slices,
-transposes and multiplies those tables, so it neither reads nor builds a
-``Fraction``; two Q matrices compare and hash as their tables in lowest
-terms.  Fractions live only at the edges: a Q matrix built from values
-(``mat``, ``ExactMatrix``) reads them once, and its ``entries``, which its
-repr and the literals show, are built from the table when they are read.
+Every matrix is stored in one format, whatever its ring: a table of
+integer rows over a positive denominator.  Q is the field of fractions of
+the integers, so a Q matrix (a ``QMatrix``) is its integers over any
+common denominator of its entries; over GF(p) and the integers the
+denominator is 1 and the table holds the entries themselves, ``int``
+residues reduced mod ``ring.p`` for GF(p).  Every kernel stacks, slices,
+transposes and multiplies tables, reading the ring only for its data, so
+it neither reads nor builds a ``Fraction``; two Q matrices compare and
+hash as their tables in lowest terms.  Fractions live only at the edges: a
+Q matrix built from values (``mat``, ``ExactMatrix``) reads them once, and
+its ``entries``, which its repr and the literals show, are built from the
+table when they are read.  No other module reads the format.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 from math import gcd, lcm
 from typing import NamedTuple, Optional
 
@@ -39,23 +42,34 @@ class _Fields(NamedTuple):
     ring: Ring
     rows: int
     cols: int
-    entries: tuple  # the stored values (see ExactMatrix)
+    table: tuple  # integer rows over den (see ExactMatrix)
+    den: int
 
 
 class ExactMatrix(_Fields):
-    """A matrix over a ring.  Its last field holds its values as stored:
-    over GF(p) and the integers its entries, which equality and hashing
-    compare as fields; over Q (a ``QMatrix``) the pair (table, den) of a
-    tuple of integer rows and a positive denominator, whose quotients are
-    its entries.  Built from values over Q, it reads them into that
-    pair."""
+    """A matrix over a ring, stored as ``table``, a tuple of integer rows,
+    over ``den``, a positive denominator: its entries are their quotients.
+    Over GF(p) and the integers ``den`` is 1 and the table holds the
+    entries themselves, so equality and hashing compare the fields; over Q
+    (a ``QMatrix``) any common denominator may be stored.  Built from
+    values, ``ExactMatrix(ring, rows, cols, entries)``, it reads them into
+    a table; copy, pickle and its repr go through its entries."""
 
     __slots__ = ()
 
     def __new__(cls, ring: Ring, rows: int, cols: int, entries):
-        if _rational(ring):
+        if _kind(ring) is QMatrix:
             return _read_values(ring, rows, cols, entries)
-        return _new(cls, (ring, rows, cols, entries))
+        return _new(ExactMatrix, (ring, rows, cols, entries, 1))
+
+    def __getnewargs__(self):
+        return self.ring, self.rows, self.cols, self.entries
+
+    def __repr__(self) -> str:
+        return f"ExactMatrix(ring={self.ring!r}, rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
+
+    # over den 1 the entries are the table itself
+    entries = _Fields.table
 
     @property
     def dom(self) -> int:
@@ -67,64 +81,61 @@ class ExactMatrix(_Fields):
 
 
 class QMatrix(ExactMatrix):
-    """A matrix over Q.  Its stored table need not be in lowest terms, so
-    it is compared and hashed in them (``_lowest``), as integers; its
-    ``entries`` are ``Fraction``s built from the table when they are read,
-    the integral ones shared from the ring's ``integers``."""
+    """A matrix over Q.  Its table need not be in lowest terms with its
+    denominator, so it is compared and hashed in them (``_lowest``), as
+    integers; its ``entries`` are ``Fraction``s built from the table when
+    they are read, the integral ones shared from the ring's ``integers``."""
 
     __slots__ = ()
 
     def __eq__(self, other):
         if type(other) is not QMatrix:
             return NotImplemented
-        return self[:3] == other[:3] and (self[3] == other[3] or _lowest(*self[3]) == _lowest(*other[3]))
+        if self[:3] != other[:3]:
+            return False
+        return (self.den == other.den and self.table == other.table) or _lowest(self.table, self.den) == _lowest(other.table, other.den)
 
     def __ne__(self, other):
         equal = self.__eq__(other)
         return equal if equal is NotImplemented else not equal
 
     def __hash__(self):
-        return hash((self[:3], _lowest(*self[3])))
-
-    def __getnewargs__(self):
-        # copy and pickle rebuild the matrix through ExactMatrix, from values
-        return self.ring, self.rows, self.cols, self.entries
+        return hash((self[:3], _lowest(self.table, self.den)))
 
     @property
     def entries(self) -> tuple:
-        table, den = self[3]
-        return tuple([tuple(_fractions(self.ring, row, den)) for row in table])
-
-    def __repr__(self) -> str:
-        return f"ExactMatrix(ring={self.ring!r}, rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
+        den = self.den
+        return tuple([tuple(_fractions(self.ring, row, den)) for row in self.table])
 
 
-# builds a matrix from its stored fields without a Python frame:
-# _new(ExactMatrix, (ring, rows, cols, entries)), and over Q
-# _new(QMatrix, (ring, rows, cols, (table, den)))
+# builds a matrix from its fields without a Python frame:
+# _new(_kind(ring), (ring, rows, cols, table, den))
 _new = tuple.__new__
 
 
-def _rational(ring: Ring) -> bool:
-    """Whether the ring is Q, whose matrices store integer tables over a
-    denominator: the field with no modulus."""
-    return ring.p is None and ring.is_field
+def _kind(ring: Ring) -> type:
+    """The class of the matrices over the ring: ``QMatrix`` over Q, the
+    field with no modulus, whose entries are ``Fraction``s;
+    ``ExactMatrix`` otherwise.  A kernel that builds a matrix and has no
+    leg to take the class from asks once per call."""
+    return QMatrix if ring.p is None and ring.is_field else ExactMatrix
 
 
 # ---------------------------------------------------------------------------
-# rational matrices as integer tables
+# integer tables over a denominator
 #
 # A table of rationals is its integers over the lcm of its denominators,
 # and a row of rationals spans what any multiple of it spans, so the core
 # eliminates Q rows as integer rows (Bareiss, Sylvester's identity and
 # multistep integer-preserving Gaussian elimination, Math. Comp. 1968), and
-# the product multiplies integer rows.  The tables a kernel reads are
-# brought to one denominator (``_tables``), the rows it leaves are over the
-# denominator their pivots share (``_kept_den``), and ``_matrix`` stores
-# its result as it is, so a Q matrix is built from its integers alone;
-# only a comparison, a hash or a sweep key brings a table to lowest terms
-# (``_lowest``).  ``_read_values`` reads every Fraction the program takes
-# in, and ``_fractions`` builds every Fraction a caller reads but the
+# the product multiplies integer rows.  Over the integers and GF(p) every
+# denominator is 1 and nothing is scaled.  The tables a kernel reads are
+# brought to one denominator, the lcm of theirs (``_tables``), the rows it
+# keeps are over the denominator the core returns with its pivots, and it
+# stores its result as it is, so a Q matrix is built from its integers
+# alone; only a comparison, a hash or a sweep key brings a table to lowest
+# terms (``_lowest``).  ``_read_values`` reads every Fraction the program
+# takes in, and ``_fractions`` builds every Fraction a caller reads but the
 # shared ones.
 
 
@@ -137,7 +148,7 @@ def _read_values(ring: Ring, rows: int, cols: int, values) -> QMatrix:
         table = tuple([tuple([v.numerator for v in row]) for row in values])
     else:
         table = tuple([tuple([v.numerator * (den // v.denominator) for v in row]) for row in values])
-    return _new(QMatrix, (ring, rows, cols, (table, den)))
+    return _new(QMatrix, (ring, rows, cols, table, den))
 
 
 def _fractions(ring: Ring, values, d: int) -> list:
@@ -163,62 +174,40 @@ def _lowest(table: tuple, den: int) -> tuple:
     return tuple([tuple([v // g for v in row]) for row in table]), den // g
 
 
-def _matrix(ring: Ring, rows: int, cols: int, table: tuple, den: Optional[int]) -> ExactMatrix:
-    """A kernel's result from its table of row tuples: over Q (``den`` not
-    None) integers over den > 0; the stored values themselves
-    otherwise."""
-    if den is None:
-        return _new(ExactMatrix, (ring, rows, cols, table))
-    return _new(QMatrix, (ring, rows, cols, (table, den)))
-
-
-def _stored(a: ExactMatrix) -> tuple:
-    """a's stored table of row tuples and its denominator: its entries and
-    None, or over Q its integers and their denominator."""
-    return a[3] if type(a) is QMatrix else (a[3], None)
-
-
-def _common_den(ring: Ring, legs) -> Optional[int]:
-    """Over Q, the lcm of the legs' denominators, the one denominator a
-    kernel brings their tables to (1 for no legs, the denominator of a
-    table of integers); None outside Q, where no denominator is stored."""
-    return lcm(*[a[3][1] for a in legs]) if _rational(ring) else None
+def _key(table: tuple, den: int):
+    """The sweep key of a table over den: in lowest terms, the table itself
+    when the denominator is 1, else the pair (table, den).  A table's items
+    are rows, never an int, so no table equals a pair, and the key decides
+    equality of the matrices; over the integers and GF(p) it is the
+    table."""
+    table, den = _lowest(table, den)
+    return table if den == 1 else (table, den)
 
 
 def _scaled(a: ExactMatrix, den: int) -> tuple:
-    """The rows of a's integer table brought to the denominator ``den``, a
-    multiple of its own."""
-    table, d = a[3]
-    if d == den:
-        return table
-    s = den // d
-    return tuple([tuple([v * s for v in row]) for row in table])
+    """The rows of a's table brought to the denominator ``den``, a multiple
+    of its own."""
+    s = den // a.den
+    return tuple([tuple([v * s for v in row]) for row in a.table])
 
 
-def _tables(ring: Ring, legs, columns: bool = False) -> tuple:
-    """The legs' stored tables, each as (rows, width), with ``columns`` as
+def _tables(legs, columns: bool = False) -> tuple:
+    """The legs' tables, each as (rows, width), with ``columns`` as
     (columns, height), the rows of its transpose, read with no transpose
-    built; then the one denominator all of them are over: over Q their
-    ``_common_den``, to which each table is ``_scaled``; None outside Q,
-    where the tables are as stored."""
-    den = _common_den(ring, legs)
+    built; then the one denominator all of them are over, the lcm of the
+    legs' (1 for no legs), to which a table over another is ``_scaled``."""
+    den = 1
+    for a in legs:
+        if a.den != den:
+            den = lcm(den, a.den)
     out = []
     for a in legs:
-        table = a[3] if den is None else _scaled(a, den)
+        table = a.table if a.den == den else _scaled(a, den)
         if columns:
             out.append(((list(zip(*table)) if a.rows else [()] * a.cols), a.rows))
         else:
             out.append((table, a.cols))
     return out, den
-
-
-def _kept_den(rows) -> int:
-    """The denominator of the rows the Q core keeps: the pivot they share,
-    the first nonzero entry of the first row (1 when there is none)."""
-    for v in rows[0] if rows else ():
-        if v:
-            return v
-    return 1
 
 
 def mat(ring: Ring, rows: int, cols: int, entries) -> ExactMatrix:
@@ -230,7 +219,7 @@ def mat(ring: Ring, rows: int, cols: int, entries) -> ExactMatrix:
 
 
 def mat_identity(ring: Ring, n: int) -> ExactMatrix:
-    return _matrix(ring, n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), _common_den(ring, ()))
+    return _new(_kind(ring), (ring, n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), 1))
 
 
 def _require_same_ring(a: ExactMatrix, b: ExactMatrix) -> None:
@@ -274,15 +263,14 @@ def mat_mul(x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
     entry of x that is 1 or -1 adds or subtracts the row of y without a
     product (over GF(p) the stored values are residues, so p - 1 takes the
     general branch); over GF(p) each entry is reduced once, after its sum.
-    Over Q it multiplies the integer tables, and the product is over the
-    product of their denominators.
+    It multiplies the tables, and the product is over the product of their
+    denominators.
     """
     _require_same_ring(x, y)
     if x.cols != y.rows:
         raise TypeMismatch(f"cannot multiply {x.rows}x{x.cols} by {y.rows}x{y.cols}")
-    (rows, d), (table, e) = _stored(x), _stored(y)
-    product = _product(rows, _row_support(table), y.cols, x.ring.p)
-    return _matrix(x.ring, x.rows, y.cols, product, None if d is None else d * e)
+    product = _product(x.table, _row_support(y.table), y.cols, x.ring.p)
+    return _new(type(x), (x.ring, x.rows, y.cols, product, x.den * y.den))
 
 
 def mat_compose(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -297,16 +285,15 @@ def mat_tensor(first: ExactMatrix, *rest: ExactMatrix) -> ExactMatrix:
     """Direct sum diag(first, *rest) of one or more matrices."""
     for b in rest:
         _require_same_ring(first, b)
-    blocks = (first,) + rest
-    den = _common_den(first.ring, blocks)
-    cols = sum(b.cols for b in blocks)
+    tables, den = _tables((first,) + rest)
+    cols = sum(width for _, width in tables)
     out = []
     before = 0
-    for b in blocks:
-        pad_left, pad_right = (0,) * before, (0,) * (cols - before - b.cols)
-        out.extend(pad_left + row + pad_right for row in (b[3] if den is None else _scaled(b, den)))
-        before += b.cols
-    return _matrix(first.ring, len(out), cols, tuple(out), den)
+    for table, width in tables:
+        pad_left, pad_right = (0,) * before, (0,) * (cols - before - width)
+        out.extend(pad_left + row + pad_right for row in table)
+        before += width
+    return _new(type(first), (first.ring, len(out), cols, tuple(out), den))
 
 
 def mat_symmetry(ring: Ring, n: int, m: int) -> ExactMatrix:
@@ -316,12 +303,12 @@ def mat_symmetry(ring: Ring, n: int, m: int) -> ExactMatrix:
         out.append(tuple(1 if j == n + i else 0 for j in range(n + m)))
     for i in range(n):
         out.append(tuple(1 if j == i else 0 for j in range(n + m)))
-    return _matrix(ring, m + n, n + m, tuple(out), _common_den(ring, ()))
+    return _new(_kind(ring), (ring, m + n, n + m, tuple(out), 1))
 
 
 def mat_transpose(a: ExactMatrix) -> ExactMatrix:
-    table, den = _stored(a)
-    return _matrix(a.ring, a.cols, a.rows, tuple(zip(*table)) if table else ((),) * a.cols, den)
+    table = a.table
+    return _new(type(a), (a.ring, a.cols, a.rows, tuple(zip(*table)) if table else ((),) * a.cols, a.den))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +320,8 @@ def mat_transpose(a: ExactMatrix) -> ExactMatrix:
 # The core reads three facts of the ring once per call: ``ring.p``, the
 # modulus for the ``% p`` of a GF(p) row update (None outside GF(p)),
 # ``ring.is_field``, and from the two whether its rows are Q rows: integer
-# rows that stand for rows of rationals.
+# rows that stand for rows of rationals over a denominator, which the core
+# returns with its pivots (1 on every other ring).
 #
 # One pass reduces the rows above and then below a pivot row, with one row
 # update per ring.  Over the integers it runs at each Euclid step of a
@@ -348,8 +336,9 @@ def mat_transpose(a: ExactMatrix) -> ExactMatrix:
 # a rank or for the pivots themselves.
 
 
-def _echelon(ring: Ring, rows: list, ncols: int, k: int = 0) -> list:
-    """Row Hermite form in place; returns the pivot columns.
+def _echelon(ring: Ring, rows: list, ncols: int, k: int = 0) -> tuple:
+    """Row Hermite form in place; returns the pivot columns and the
+    denominator the rows a caller keeps are over (1 outside Q).
 
     Pivots are positive, entries above a pivot are reduced into [0, pivot),
     zero rows sink to the bottom.  The pivot is a column's least nonzero
@@ -367,10 +356,10 @@ def _echelon(ring: Ring, rows: list, ncols: int, k: int = 0) -> list:
     when v/g is not 1 and only on its nonzero entries, then divided by the
     gcd of its entries.  At the end the rows a caller keeps (rows with a
     pivot at column k or later) are brought to one denominator, the lcm of
-    their pivots, which each of their pivots becomes: divided by it, they
-    are the rref rows.  A row with its pivot before column k keeps its
-    integers, but for its pivot, which becomes 1 as on every field; the
-    zero rows are zero already.
+    their pivots, which each of their pivots becomes and which is
+    returned: divided by it, they are the rref rows.  A row with its pivot
+    before column k keeps its integers, but for its pivot, which becomes 1
+    as on every field; the zero rows are zero already.
     """
     p = ring.p
     field = ring.is_field
@@ -444,8 +433,8 @@ def _echelon(ring: Ring, rows: list, ncols: int, k: int = 0) -> list:
         if best >= 0:
             pivots.append(j)
             r += 1
+    den = 1
     if rational:
-        den = 1
         for i, j in enumerate(pivots):
             if j < k:
                 rows[i][j] = 1
@@ -457,35 +446,37 @@ def _echelon(ring: Ring, rows: list, ncols: int, k: int = 0) -> list:
                 if j >= k and row[j] != den:
                     s = den // row[j]
                     row[k:] = [v * s for v in row[k:]]
-    return pivots
+    return pivots, den
 
 
-def _meet(ring: Ring, rows: list, ncols: int, k: int = 0) -> list:
+def _meet(ring: Ring, rows: list, ncols: int, k: int = 0) -> tuple:
     """Canonical basis of the vectors of the row space (lattice) of the row
-    lists that vanish on the first k columns, with those columns dropped.
+    lists that vanish on the first k columns, with those columns dropped,
+    and the denominator it is over.
 
     An echelon basis spans such vectors by its rows that vanish there (the
     rows with a pivot at column k or later), and those rows, cut down, are
     again in canonical form.
     """
-    pivots = _echelon(ring, rows, ncols, k)
+    pivots, den = _echelon(ring, rows, ncols, k)
     lo = sum(1 for j in pivots if j < k)
-    return [row[k:] for row in rows[lo : len(pivots)]]
+    return [row[k:] for row in rows[lo : len(pivots)]], den
 
 
-def split_rows(ring: Ring, n: int, m: int, rows, den: Optional[int], columns: bool = False, skip: int = 0) -> tuple[ExactMatrix, ExactMatrix]:
-    """The matrices of the n columns of the rows after the first ``skip``
-    and of the m columns after them, over ``den`` (over Q; None outside
-    it); with ``columns``, the matrices whose rows are those columns,
-    which are the transposes, cut with no transpose built."""
+def split_rows(ring: Ring, n: int, m: int, rows, den: int, columns: bool = False, skip: int = 0) -> tuple[ExactMatrix, ExactMatrix]:
+    """The matrices over ``den`` of the n columns of the rows after the
+    first ``skip`` and of the m columns after them; with ``columns``, the
+    matrices whose rows are those columns, which are the transposes, cut
+    with no transpose built."""
+    cls = _kind(ring)
     lo, mid, hi = skip, skip + n, skip + n + m
     k = len(rows)
     if columns:
         cols = list(zip(*rows)) if rows else [()] * hi
-        return _matrix(ring, n, k, tuple(cols[lo:mid]), den), _matrix(ring, m, k, tuple(cols[mid:hi]), den)
+        return _new(cls, (ring, n, k, tuple(cols[lo:mid]), den)), _new(cls, (ring, m, k, tuple(cols[mid:hi]), den))
     return (
-        _matrix(ring, k, n, tuple([tuple(row[lo:mid]) for row in rows]), den),
-        _matrix(ring, k, m, tuple([tuple(row[mid:hi]) for row in rows]), den),
+        _new(cls, (ring, k, n, tuple([tuple(row[lo:mid]) for row in rows]), den)),
+        _new(cls, (ring, k, m, tuple([tuple(row[mid:hi]) for row in rows]), den)),
     )
 
 
@@ -511,28 +502,42 @@ def _require_apex(legs, columns: bool) -> int:
     return apex
 
 
-def echelon_rows(left: ExactMatrix, right: ExactMatrix, columns: bool = False) -> tuple:
-    """The rows of the canonical echelon form of [left | right], as tuples
-    of stored values, and the denominator they are over (over Q; None
-    outside it): a canonical basis of the row space (lattice), then the
-    zero rows.  With ``columns``, of [left^T | right^T]."""
+def _echelon_legs(left: ExactMatrix, right: ExactMatrix, columns: bool, zeros: bool) -> tuple[ExactMatrix, ExactMatrix]:
+    """The legs of the canonical echelon form of [left | right], its zero
+    rows kept or left out; with ``columns``, of [left^T | right^T], cut as
+    columns."""
     _require_apex((left, right), columns)
-    ((lrows, x), (rrows, y)), den = _tables(left.ring, (left, right), columns)
+    ((lrows, x), (rrows, y)), den = _tables((left, right), columns)
     rows = [[*l, *r] for l, r in zip(lrows, rrows)]
-    _echelon(left.ring, rows, x + y)
-    return tuple(map(tuple, rows)), None if den is None else _kept_den(rows)
+    pivots, den = _echelon(left.ring, rows, x + y)
+    return split_rows(left.ring, x, y, rows if zeros else rows[: len(pivots)], den, columns)
+
+
+def echelon_legs(left: ExactMatrix, right: ExactMatrix, columns: bool = False) -> tuple[ExactMatrix, ExactMatrix]:
+    """The legs of the canonical echelon form of [left | right], a
+    canonical basis of its row space (lattice) and then the zero rows, cut
+    after left's columns: the canonical cospan of (left, right).  With
+    ``columns``, of [left^T | right^T], cut as columns: the canonical span."""
+    return _echelon_legs(left, right, columns, True)
+
+
+def corelation_legs(left: ExactMatrix, right: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
+    """The legs of the canonical basis of the row space (lattice) of [left
+    | right], the nonzero rows of its echelon form: the canonical cospan
+    of the corelation that (left, right) represents."""
+    return _echelon_legs(left, right, False, False)
 
 
 def echelon_rows_each(lefts, rights, columns: bool = False):
     """For each left, lazily, the canonical form H of left and, for each
-    right, the columns of the right block of ``echelon_rows(left,
+    right, the columns of the right block of ``echelon_legs(left,
     right)``, whose rows are those of H beside that block; with
-    ``columns``, of the legs' transposes.  Each is given as the stored
-    values of its matrix: a tuple of rows, over Q the pair of a tuple of
-    integer rows and a denominator, in lowest terms, so that two are equal
-    exactly when the matrices are.  One echelon pass over [left | I] per
-    left instead of one pass per pair, and the block of rights is prepared
-    once for all the lefts.
+    ``columns``, of the legs' transposes.  Each is given as its ``_key``:
+    its integer table in lowest terms, paired with its denominator only
+    when that is not 1 (so over the integers and GF(p) its table), and two
+    are equal exactly when the matrices are.  One echelon pass over
+    [left | I] per left instead of one pass per pair, and the block of
+    rights is prepared once for all the lefts.
 
     The pass gives the canonical form H of left and an invertible U
     (unimodular over the integers) with U * left = H, so [left | right]
@@ -548,8 +553,7 @@ def echelon_rows_each(lefts, rights, columns: bool = False):
     apex = _require_apex(lefts + rights, columns)
     if not lefts:
         return iter(())
-    ring = lefts[0].ring
-    return _echelon_rows_each(ring, apex, [_tables(ring, (a,), columns) for a in lefts], _tables(ring, rights, columns))
+    return _echelon_rows_each(lefts[0].ring, apex, [_tables((a,), columns) for a in lefts], _tables(rights, columns))
 
 
 def _echelon_rows_each(ring: Ring, apex: int, lefts: list, rights: tuple):
@@ -567,41 +571,37 @@ def _echelon_rows_each(ring: Ring, apex: int, lefts: list, rights: tuple):
         bounds.append((lo, lo + m))
         lo += m
     for ((left, n),), d in lefts:
-        # over Q a unit row of [left | I] is d times a unit vector
-        units = eye if d is None or d == 1 else [[v * d for v in row] for row in eye]
+        # a unit row of [left | I] is d times a unit vector
+        units = eye if d == 1 else [[v * d for v in row] for row in eye]
         rows = [[*row, *unit] for row, unit in zip(left, units)]
-        rank = sum(1 for j in _echelon(ring, rows, n + apex) if j < n)
+        pivots, den = _echelon(ring, rows, n + apex)
+        rank = sum(1 for j in pivots if j < n)
         hrows = [row[:n] for row in rows]
         products = _product([row[n:] for row in rows], support, total, p)
-        # over Q, H and U are over the pivot den, and U * right over den * e
+        # H and U are over the pivots' den, and U * right over den * e
         h = tuple(map(tuple, hrows))
-        den = None
-        if d is not None:
-            den = _kept_den(rows)
-            h = _lowest(h, den)
-            den *= e
+        if den != 1:
+            h = _key(h, den)
+        den *= e
         if rank == apex:
             cols = tuple(zip(*products)) if apex else ((),) * total
-            if den is None:
-                yield h, [cols[lo:hi] for lo, hi in bounds]
-            else:
-                yield h, [_lowest(cols[lo:hi], den) for lo, hi in bounds]
+            yield h, [cols[lo:hi] for lo, hi in bounds] if den == 1 else [_key(cols[lo:hi], den) for lo, hi in bounds]
             continue
-        if den is not None and e != 1:
+        if e != 1:
             hrows = [[v * e for v in row] for row in hrows]
         blocks = []
         for lo, hi in bounds:
             finished = [[*hrow, *prow[lo:hi]] for hrow, prow in zip(hrows, products)]
-            _echelon(ring, finished, n + hi - lo)
+            _, den = _echelon(ring, finished, n + hi - lo)
             cols = tuple(zip(*finished))[n:]
-            blocks.append(cols if den is None else _lowest(cols, _kept_den(finished)))
+            blocks.append(cols if den == 1 else _key(cols, den))
         yield h, blocks
 
 
 def mat_rank(a: ExactMatrix) -> int:
     """Rank; for integer matrices this is the rank over the rationals,
     the number of Hermite pivots."""
-    return len(_echelon(a.ring, [list(row) for row in _stored(a)[0]], a.cols, a.cols))
+    return len(_echelon(a.ring, [list(row) for row in a.table], a.cols, a.cols)[0])
 
 
 def is_split_mono(a: ExactMatrix) -> bool:
@@ -611,8 +611,8 @@ def is_split_mono(a: ExactMatrix) -> bool:
     fixes the pivots; over a field they are 1, so this is full column rank."""
     if a.rows < a.cols:
         return False
-    rows = [list(row) for row in _stored(a)[0]]
-    pivots = _echelon(a.ring, rows, a.cols, a.cols)
+    rows = [list(row) for row in a.table]
+    pivots, _ = _echelon(a.ring, rows, a.cols, a.cols)
     return len(pivots) == a.cols and all(rows[i][i] == 1 for i in range(a.cols))
 
 
@@ -631,19 +631,18 @@ def is_split_mono(a: ExactMatrix) -> bool:
 # product.
 
 
-def _glued_basis(ring: Ring, top, bottom, k: int, den: Optional[int], units: bool = True, left=None, right=None) -> tuple:
+def _glued_basis(ring: Ring, top, bottom, k: int, den: int, units: bool = True, left=None, right=None) -> tuple:
     """Canonical basis of {(w1, w2, w1 * left, w2 * right) : w1 * top =
     w2 * bottom}, from one echelon pass over [top | I 0 left 0; -bottom |
-    0 I 0 right], and the denominator it is over (over Q; None outside it).
+    0 I 0 right], and the denominator it is over.
 
     ``top`` and ``bottom`` are sequences of rows of width k.  Without
     ``units`` the (w1, w2) columns are left out.  An outer leg ``left``
     (``right``) is a pair (rows, width), one row for each row of ``top``
-    (``bottom``); an outer leg that is omitted has width 0.  Over Q every
-    row given is over ``den``, so a unit row is den times a unit vector.
+    (``bottom``); an outer leg that is omitted has width 0.  Every row
+    given is over ``den``, so a unit row is den times a unit vector.
     """
     p = ring.p
-    one = 1 if den is None else den
     a = len(top)
     u = a + len(bottom) if units else 0
     lrows, x = left or ((), 0)
@@ -653,19 +652,18 @@ def _glued_basis(ring: Ring, top, bottom, k: int, den: Optional[int], units: boo
     for i, row in enumerate(top):
         tail = [0] * width
         if units:
-            tail[i] = one
+            tail[i] = den
         if x:
             tail[u : u + x] = lrows[i]
         rows.append([*row, *tail])
     for i, row in enumerate(bottom):
         tail = [0] * width
         if units:
-            tail[a + i] = one
+            tail[a + i] = den
         if y:
             tail[u + x :] = rrows[i]
         rows.append(([-v for v in row] if p is None else [-v % p for v in row]) + tail)
-    basis = _meet(ring, rows, k + width, k)
-    return basis, None if den is None else _kept_den(basis)
+    return _meet(ring, rows, k + width, k)
 
 
 def mat_pullback(a: ExactMatrix, b: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
@@ -675,7 +673,7 @@ def mat_pullback(a: ExactMatrix, b: ExactMatrix) -> tuple[ExactMatrix, ExactMatr
     _require_same_ring(a, b)
     if a.rows != b.rows:
         raise TypeMismatch(f"cospan feet disagree: {a.rows} vs {b.rows}")
-    ((top, _), (bottom, _)), den = _tables(a.ring, (a, b), True)
+    ((top, _), (bottom, _)), den = _tables((a, b), True)
     basis, den = _glued_basis(a.ring, top, bottom, a.rows, den)
     return split_rows(a.ring, a.cols, b.cols, basis, den, True)
 
@@ -691,7 +689,7 @@ def mat_pushout(a: ExactMatrix, b: ExactMatrix) -> tuple[ExactMatrix, ExactMatri
     _require_same_ring(a, b)
     if a.cols != b.cols:
         raise TypeMismatch(f"span apexes disagree: {a.cols} vs {b.cols}")
-    ((top, _), (bottom, _)), den = _tables(a.ring, (a, b))
+    ((top, _), (bottom, _)), den = _tables((a, b))
     basis, den = _glued_basis(a.ring, top, bottom, a.cols, den)
     return split_rows(a.ring, a.rows, b.rows, basis, den)
 
@@ -702,7 +700,7 @@ def _glued_composite(l1, r1, l2, r2, units: bool, columns: bool = False) -> tupl
     legs' columns read as rows, cut as columns."""
     for leg in (r1, l2, r2):
         _require_same_ring(l1, leg)
-    ((l1_rows, x), (r1_rows, k), (l2_rows, k2), (r2_rows, y)), den = _tables(l1.ring, (l1, r1, l2, r2), columns)
+    ((l1_rows, x), (r1_rows, k), (l2_rows, k2), (r2_rows, y)), den = _tables((l1, r1, l2, r2), columns)
     if k != k2:
         raise TypeMismatch(f"feet disagree: {k} vs {k2}")
     if len(l1_rows) != len(r1_rows) or len(l2_rows) != len(r2_rows):
@@ -741,20 +739,19 @@ def mat_mediator(a1: ExactMatrix, a2: ExactMatrix, b1: ExactMatrix, b2: ExactMat
     b = [b1 | b2] (with ``columns``, the columns of [a1; a2] and [b1; b2])
     read straight from the legs: its meet is {(z, x) : z*b = x*a}, and a
     solution exists iff the meet's z block has a pivot of 1 in every
-    column (over Q, of its denominator); its first rows are then
-    (e_l, x_l).
+    column (a pivot equal to the meet's denominator); its first rows are
+    then (e_l, x_l).
     """
     for leg in (a2, b1, b2):
         _require_same_ring(a1, leg)
-    ((a1_rows, w1), (a2_rows, w2), (b1_rows, v1), (b2_rows, v2)), den = _tables(a1.ring, (a1, a2, b1, b2), columns)
+    ((a1_rows, w1), (a2_rows, w2), (b1_rows, v1), (b2_rows, v2)), den = _tables((a1, a2, b1, b2), columns)
     if len(a1_rows) != len(a2_rows) or len(b1_rows) != len(b2_rows) or (w1, w2) != (v1, v2):
         raise TypeMismatch("the legs are not a (co)cone of one shape")
     k = len(b1_rows)
     b = [r + s for r, s in zip(b1_rows, b2_rows)]
     a = [r + s for r, s in zip(a1_rows, a2_rows)]
     basis, den = _glued_basis(a1.ring, b, a, w1 + w2, den)
-    one = 1 if den is None else den
-    if len(basis) < k or any(basis[l][l] != one for l in range(k)):
+    if len(basis) < k or any(basis[l][l] != den for l in range(k)):
         return None
     return split_rows(a1.ring, len(a1_rows), 0, basis[:k], den, columns, k)[0]
 
@@ -773,32 +770,32 @@ def corelation_tensor(pairs) -> tuple[ExactMatrix, ExactMatrix]:
     reduced over a field, and over the integers keep positive pivots with
     the entries above them in [0, pivot).
     """
-    ring = pairs[0][0].ring
-    den = _common_den(ring, chain.from_iterable(pairs))
-    n = sum(left.cols for left, _ in pairs)
-    m = sum(right.cols for _, right in pairs)
+    tables, den = _tables([leg for pair in pairs for leg in pair])
+    lefts, rights = tables[::2], tables[1::2]
+    n = sum(width for _, width in lefts)
+    m = sum(width for _, width in rights)
     # per leg, the rows with a pivot in the left feet, then the others
     lhead, ltail, rhead, rtail = [], [], [], []
     x = y = 0
-    for left, right in pairs:
-        lrows, rrows = (left[3], right[3]) if den is None else (_scaled(left, den), _scaled(right, den))
+    for (lrows, lcols), (rrows, rcols) in zip(lefts, rights):
         k = 0
         for row in lrows:
             if not any(row):
                 break
             k += 1
-        a, b = (0,) * x, (0,) * (n - x - left.cols)
+        a, b = (0,) * x, (0,) * (n - x - lcols)
         rows = [a + row + b for row in lrows]
         lhead += rows[:k]
         ltail += rows[k:]
-        a, b = (0,) * y, (0,) * (m - y - right.cols)
+        a, b = (0,) * y, (0,) * (m - y - rcols)
         rows = [a + row + b for row in rrows]
         rhead += rows[:k]
         rtail += rows[k:]
-        x += left.cols
-        y += right.cols
+        x += lcols
+        y += rcols
     lrows, rrows = lhead + ltail, rhead + rtail
-    return _matrix(ring, len(lrows), n, tuple(lrows), den), _matrix(ring, len(rrows), m, tuple(rrows), den)
+    cls, ring = type(pairs[0][0]), pairs[0][0].ring
+    return _new(cls, (ring, len(lrows), n, tuple(lrows), den)), _new(cls, (ring, len(rrows), m, tuple(rrows), den))
 
 
 def enumerate_matrices(ring: Ring, rows: int, cols: int, entry_bound: int):
@@ -808,6 +805,6 @@ def enumerate_matrices(ring: Ring, rows: int, cols: int, entry_bound: int):
     [-entry_bound, entry_bound].
     """
     values = range(ring.p) if ring.p is not None else range(-entry_bound, entry_bound + 1)
-    den = _common_den(ring, ())
+    cls = _kind(ring)
     for flat in product(values, repeat=rows * cols):
-        yield _matrix(ring, rows, cols, tuple(flat[r * cols : (r + 1) * cols] for r in range(rows)), den)
+        yield _new(cls, (ring, rows, cols, tuple(flat[r * cols : (r + 1) * cols] for r in range(rows)), 1))

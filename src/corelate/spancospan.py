@@ -129,10 +129,10 @@ class Ambient:
         ``forms`` is a dict that the caller keeps for one sweep.  A
         function ambient's key is the canonical form and leaves it unread;
         a matrix ambient interns each left leg's canonical form H in it, and
-        its key is the id of H with the left leg's feet, then the columns
-        of the finished right block (over Q, integers over a denominator),
-        all from one :func:`linmap.echelon_rows_each` call, which prepares
-        the block of right legs once."""
+        its key is the id of H with the left leg's feet, then the key of
+        the columns of the finished right block, all from one
+        :func:`linmap.echelon_rows_each` call, which prepares the block of
+        right legs once."""
         return ([self.canonical_cospan(Cospan(f, g)) for g in gs] for f in fs)
 
     def span_keys(self, fs, gs, forms: dict):
@@ -391,9 +391,7 @@ class MatrixAmbient(Ambient):
     def corelation_cospan(self, c):
         """The corelation is the row space (lattice) of [L | R]: its
         canonical cospan is the canonical basis of it, split back."""
-        rows, den = linmap.echelon_rows(c.left, c.right)
-        basis = [row for row in rows if any(row)]
-        return Cospan(*linmap.split_rows(c.left.ring, c.left.cols, c.right.cols, basis, den))
+        return Cospan(*linmap.corelation_legs(c.left, c.right))
 
     def compose_corelations(self, c1, c2):
         """One echelon pass over [C | diag(L1, R2)] with C = [R1; -L2]: the
@@ -405,14 +403,12 @@ class MatrixAmbient(Ambient):
         return Cospan(*linmap.corelation_tensor(cospans))
 
     def canonical_cospan(self, c):
-        rows, den = linmap.echelon_rows(c.left, c.right)
-        return Cospan(*linmap.split_rows(c.left.ring, c.left.cols, c.right.cols, rows, den))
+        return Cospan(*linmap.echelon_legs(c.left, c.right))
 
     def canonical_span(self, s):
         """The canonical cospan of the transposed legs, read from the
         columns and cut as columns."""
-        rows, den = linmap.echelon_rows(s.left, s.right, columns=True)
-        return Span(*linmap.split_rows(s.left.ring, s.left.rows, s.right.rows, rows, den, columns=True))
+        return Span(*linmap.echelon_legs(s.left, s.right, columns=True))
 
     def cospan_keys(self, fs, gs, forms):
         return _matrix_keys(fs, gs, forms, False)
@@ -457,12 +453,11 @@ def _matrix_keys(fs, gs, forms: dict, columns: bool):
     """The keys of :meth:`Ambient.cospan_keys` (with ``columns``, of
     :meth:`Ambient.span_keys`) over a matrix ambient: per left leg f, its
     form (the id of its canonical form H, interned in ``forms``, and f's
-    feet), then per right leg the columns of the finished right block, as
-    stored (over Q, integers over a denominator in lowest terms, so keys
-    hash integers).  [H | block] is the echelon form of the pair, and H has
-    the apex as its row count, so with both feet the key decides the
-    pair's isomorphism class over the apex, and a key is built with no row
-    of it."""
+    feet), then per right leg the key of the columns of the finished right
+    block, which hashes integers on every ring.  [H | block] is the echelon
+    form of the pair, and H has the apex as its row count, so with both
+    feet the key decides the pair's isomorphism class over the apex, and a
+    key is built with no row of it."""
     for f, (h, blocks) in zip(fs, linmap.echelon_rows_each(fs, gs, columns)):
         form = (id(forms.setdefault(h, h)), f.dom, f.cod)
         yield [(form, block) for block in blocks]

@@ -131,8 +131,8 @@ MUTANTS = (
     Mutant(
         "q-form-from-wrong-matrix",
         "linmap.py",
-        "        table = a[3] if den is None else _scaled(a, den)\n",
-        "        table = a[3] if den is None else _scaled(legs[0], den)\n",
+        "        table = a.table if a.den == den else _scaled(a, den)\n",
+        "        table = a.table if a.den == den else _scaled(legs[0], den)\n",
         (
             "tests/test_diagrams.py::test_wide_q_circuits_match_the_fraction_oracle",
             "tests/test_linmap.py::test_every_pass_over_q_returns_fractions",
@@ -143,9 +143,18 @@ MUTANTS = (
     Mutant(
         "q-form-drops-denominator",
         "linmap.py",
-        "        if v:\n            return v\n",
-        "        if v:\n            return 1\n",
+        "    return pivots, den\n",
+        "    return pivots, 1\n",
         ("tests/test_linmap.py::test_q_core_matches_reference", "tests/test_linmap.py::test_q_core_matches_sympy"),
+    ),
+    # a Q sweep key is emitted as its table over the denominator the pass
+    # left, not in lowest terms, so equal matrices may have unequal keys
+    Mutant(
+        "q-key-not-in-lowest-terms",
+        "linmap.py",
+        "    table, den = _lowest(table, den)\n    return table if den == 1",
+        "    return table if den == 1",
+        ("tests/test_linmap.py::test_every_pass_over_q_returns_fractions",),
     ),
     # an integral Q entry is taken from the shared constant of its negative
     Mutant(
@@ -180,7 +189,7 @@ MUTANTS = (
         "    return _glued_composite(l1, r1, l2, r2, False)\n",
         "    left, right = _glued_composite(l1, r1, l2, r2, False)\n"
         "    if l1.ring.p == 2 and left.rows:\n"
-        "        left, right = (leg._replace(rows=leg.rows - 1, entries=leg.entries[:-1]) for leg in (left, right))\n"
+        "        left, right = (leg._replace(rows=leg.rows - 1, table=leg.table[:-1]) for leg in (left, right))\n"
         "    return left, right\n",
         ("tests/test_acceptance.py::test_criterion_03_subspace_oracle_equivalence",),
     ),

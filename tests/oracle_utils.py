@@ -13,7 +13,7 @@ from corelate.corelrel import Corelation, Relation, _require_products, gamma, re
 from corelate.errors import RingMismatch, TypeMismatch, ZeroInverse
 from corelate.exactnum import ZZ, Ring
 from corelate.finfn import FinMap, ParMap, Partition
-from corelate.linmap import ExactMatrix, _require_same_ring, echelon_rows, mat_mediator, mat_transpose, split_rows
+from corelate.linmap import ExactMatrix, _require_same_ring, echelon_legs, mat_mediator, mat_transpose
 from corelate.spancospan import Ambient, Cospan, Span
 
 # the benchmark's oracles, which share no code with corelate
@@ -157,13 +157,20 @@ def mat_hcat(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(a.ring, a.rows, a.cols + b.cols, tuple(ra + rb for ra, rb in zip(a.entries, b.entries)))
 
 
+def key_table(key) -> tuple:
+    """The integer table and the denominator of a key that
+    ``linmap.echelon_rows_each`` gives: the key itself when it is a pair
+    (table, den), whose last item is an int, never a row; else the key,
+    a table, over 1."""
+    return key if key and type(key[-1]) is int else (key, 1)
+
+
 def rows_beside(ring: Ring, h, block) -> tuple:
-    """The rows of [H | block], from the rows of H and the columns of the
-    block, as ``linmap.echelon_rows_each`` and the matrix sweep keys give
-    them; over Q each is integers over a denominator, read here as the
-    Fractions they stand for."""
+    """The rows of [H | block], from the keys of H and of the block's
+    columns, as ``linmap.echelon_rows_each`` and the matrix sweep keys give
+    them; over Q a key is read as the Fractions it stands for."""
+    (h, hden), (block, bden) = key_table(h), key_table(block)
     if ring.p is None and ring.is_field:
-        (h, hden), (block, bden) = h, block
         h = tuple(tuple(Fraction(v, hden) for v in row) for row in h)
         block = tuple(tuple(Fraction(v, bden) for v in col) for col in block)
     rows = zip(*block) if block else [()] * len(h)
@@ -172,11 +179,11 @@ def rows_beside(ring: Ring, h, block) -> tuple:
 
 def echelon_values(left: ExactMatrix, right: ExactMatrix, columns: bool = False) -> tuple:
     """The rows of the canonical echelon form of [left | right] (with
-    ``columns``, of their transposes) that ``linmap.echelon_rows`` gives,
-    as the entries they stand for."""
-    rows, den = echelon_rows(left, right, columns)
-    width = left.rows + right.rows if columns else left.cols + right.cols
-    return split_rows(left.ring, width, 0, rows, den)[0].entries
+    ``columns``, of their transposes) whose legs ``linmap.echelon_legs``
+    gives, as the entries they stand for."""
+    legs = echelon_legs(left, right, columns)
+    lrows, rrows = (mat_transpose(leg).entries if columns else leg.entries for leg in legs)
+    return tuple(l + r for l, r in zip(lrows, rrows))
 
 
 def mat_solve_left(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:

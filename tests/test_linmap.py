@@ -7,9 +7,9 @@ import pytest
 from corelate.errors import RingMismatch, TypeMismatch
 from corelate.exactnum import GF, QQ, ZZ
 from corelate.linmap import (
-    enumerate_matrices,
-    echelon_rows,
+    echelon_legs,
     echelon_rows_each,
+    enumerate_matrices,
     is_split_mono,
     mat,
     mat_compose,
@@ -27,6 +27,7 @@ from oracle_utils import (
     det_int,
     echelon_values,
     invariant_factors,
+    key_table,
     mat_hcat,
     mat_solve_left,
     mat_vcat,
@@ -179,10 +180,10 @@ FIELDS = (GF(2), GF(3), GF(5), QQ)
 
 def echelon(a):
     """The canonical echelon form of a and its pivot columns, through the
-    program's ``echelon_rows`` with an empty right block."""
-    rows, den = echelon_rows(a, mat_zero(a.ring, a.rows, 0))
-    pivots = tuple(next(j for j, v in enumerate(row) if v) for row in rows if any(row))
-    return split_rows(a.ring, a.cols, 0, rows, den)[0], pivots
+    program's ``echelon_legs`` with an empty right block."""
+    reduced = echelon_legs(a, mat_zero(a.ring, a.rows, 0))[0]
+    pivots = tuple(next(j for j, v in enumerate(row) if v) for row in reduced.entries if any(row))
+    return reduced, pivots
 
 
 def typed(a):
@@ -355,17 +356,16 @@ def q_core_inputs(rng, count):
 def q_core_outputs(a):
     """The program's Q core on a's integer table: for every k in 0..cols
     the pivots of the pass and the rows ``_meet`` keeps, read as the
-    matrix ``split_rows`` builds of them over their pivot, then
-    ``echelon_rows``, ``mat_rank`` and ``is_split_mono``; the reprs tell
-    an int from a Fraction."""
+    matrix ``split_rows`` builds of them over the denominator the pass
+    returns, then ``echelon_legs``, ``mat_rank`` and ``is_split_mono``;
+    the reprs tell an int from a Fraction."""
     import corelate.linmap as linmap
 
-    table = linmap._stored(a)[0]
     passes = []
     for k in range(a.cols + 1):
-        kept = linmap._meet(QQ, [list(row) for row in table], a.cols, k)
-        kept = split_rows(QQ, a.cols - k, 0, kept, linmap._kept_den(kept))[0]
-        passes.append((linmap._echelon(QQ, [list(row) for row in table], a.cols, k), repr([list(row) for row in kept.entries])))
+        kept = split_rows(QQ, a.cols - k, 0, *linmap._meet(QQ, [list(row) for row in a.table], a.cols, k))[0]
+        pivots, _ = linmap._echelon(QQ, [list(row) for row in a.table], a.cols, k)
+        passes.append((pivots, repr([list(row) for row in kept.entries])))
     return passes, repr(echelon(a)[0].entries), mat_rank(a), is_split_mono(a)
 
 
@@ -412,8 +412,9 @@ def test_every_pass_over_q_returns_fractions():
     # result is stored as integers over a denominator and compared and
     # hashed in lowest terms: each must equal, and hash as, the matrix read
     # from its own entries, and its integers over its denominator must be
-    # its entries; a sweep key, compared and hashed as stored, must be in
-    # lowest terms already
+    # its entries; a sweep key, compared and hashed as it is, must be in
+    # lowest terms already, and paired with its denominator only when that
+    # is not 1
     import corelate.linmap as linmap
     from corelate.linmap import composite, corelation_composite, corelation_tensor, mat_mediator
     from corelate.spancospan import Cospan
@@ -432,13 +433,12 @@ def test_every_pass_over_q_returns_fractions():
         for m in matrices:
             read = mat(QQ, m.rows, m.cols, m.entries)
             assert m == read and hash(m) == hash(read), (kernel, m)
-            table, den = linmap._stored(m)
-            assert [[Fraction(v, den) for v in row] for row in table] == [list(row) for row in m.entries], (kernel, m)
+            assert [[Fraction(v, m.den) for v in row] for row in m.table] == [list(row) for row in m.entries], (kernel, m)
             entries += [v for row in m.entries for v in row]
 
-    def stored(rows, cols, values):
-        # a sweep key's values: the stored values of a matrix
-        return linmap._new(linmap.QMatrix, (QQ, rows, cols, values))
+    def stored(rows, cols, key):
+        # the matrix a sweep key stands for
+        return linmap._new(linmap.QMatrix, (QQ, rows, cols, *key_table(key)))
 
     for _ in range(300):
         n, m, k, a_apex, b_apex, z = (rng.randint(0, 3) for _ in range(6))
@@ -462,7 +462,9 @@ def test_every_pass_over_q_returns_fractions():
             lefts, rights = (legs[0], legs[0]), (legs[1],)
             left, right = (mat_transpose(leg) if columns else leg for leg in legs[:2])
             for h_rows, blocks in echelon_rows_each(lefts, rights, columns):
-                assert all(linmap._lowest(*key) == key for key in (h_rows, *blocks))
+                for key in (h_rows, *blocks):
+                    table, den = key_table(key)
+                    assert linmap._lowest(table, den) == (table, den) and (den == 1) == (key is table), key
                 keep("sweep keys", stored(left.rows, left.cols, h_rows), *[stored(right.cols, right.rows, b) for b in blocks])
         keep("mat_mul", mat_mul(l1, draw(n, z)), mat_mul(draw(z, a_apex), l1))
         other = amb.canonical_cospan(Cospan(l2, r2))
@@ -473,6 +475,21 @@ def test_every_pass_over_q_returns_fractions():
     for kernel, entries in seen.items():
         assert sum(v.denominator > 1 for v in entries) >= 20, kernel
         assert any(v is QQ.zero for v in entries), kernel
+
+
+def test_replaced_fields_read_as_their_entries_over_every_ring():
+    # every matrix stores an integer table over a denominator, so a
+    # _replace of its table is a matrix of the same kind, equal to and
+    # hashing as the matrix read from its own entries; its entries are no
+    # field, and replacing them is refused on every ring
+    for ring, values in ((QQ, (Fraction(1, 2), -3, Fraction(-2, 3))), (ZZ, (1, -3, 2)), (GF(3), (1, 0, 2))):
+        a = mat(ring, 2, 3, [values, values[::-1]])
+        b = a._replace(rows=3, table=a.table + a.table[:1])
+        read = mat(ring, 3, 3, b.entries)
+        assert type(b) is type(a) and b == read and hash(b) == hash(read), ring
+        assert b.entries == a.entries + a.entries[:1], ring
+        with pytest.raises(ValueError):
+            a._replace(rows=3, entries=a.entries + a.entries[:1])
 
 
 def test_matrices_copy_and_pickle_over_every_ring():
@@ -507,7 +524,7 @@ def test_hnf_row_matches_reference():
         pivots = [next(j for j, v in enumerate(row) if v) for row in basis]
         for k in range(cols + 1):
             meet = [row[k:] for row, j in zip(basis, pivots) if j >= k]
-            assert linmap._meet(ZZ, [list(row) for row in a.entries], cols, k) == [list(row) for row in meet], (a, k)
+            assert linmap._meet(ZZ, [list(row) for row in a.entries], cols, k) == ([list(row) for row in meet], 1), (a, k)
 
 
 @time_limit(CORE_LIMIT_S)

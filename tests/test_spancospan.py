@@ -299,12 +299,23 @@ def test_one_kernel_per_ambient():
     assert not any(hasattr(spancospan.MatrixAmbient, name) for name in ("pair", "split_pair"))
     source = inspect.getsource(linmap.echelon_rows_each)
     assert "is_field" not in source and "_modulus" not in source
-    # the core reads whether the ring is a field, and one predicate whether
-    # it is Q, whose matrices every kernel holds as integer tables; nothing
-    # else in linmap asks, so no caller picks between cores, or between
+    # the core reads whether the ring is a field, and one function whether
+    # it is Q, whose matrices read their entries as Fractions; nothing else
+    # in linmap asks, so no caller picks between cores, or between
     # Fractions and integer rows
     functions = [f for f in vars(linmap).values() if inspect.isfunction(f) and f.__module__ == linmap.__name__]
-    assert [f.__name__ for f in functions if "is_field" in inspect.getsource(f)] == ["_rational", "_echelon"]
+    assert [f.__name__ for f in functions if "is_field" in inspect.getsource(f)] == ["_kind", "_echelon"]
+    # one matrix format on every ring, an integer table over a denominator
+    # that is 1 outside Q: no kernel asks whether a matrix has one, and no
+    # module but linmap reads or passes it
+    assert [name for name in ("_stored", "_kept_den", "_rational", "echelon_rows") if hasattr(linmap, name)] == []
+    assert not any(phrase in inspect.getsource(linmap) for phrase in ("den is None", "d is None", "den: Optional"))
+    called = {
+        node.attr
+        for node in ast.walk(ast.parse(inspect.getsource(spancospan)))
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "linmap"
+    }
+    assert "echelon_rows_each" in called and called & {"split_rows", "echelon_rows"} == set()
     # one loop reduces the rows above and below a pivot, with one integer
     # or Q update and one mod-p update: a second copy of it would add two
     assert inspect.getsource(linmap._echelon).count("for c, w in support") == 2
