@@ -37,24 +37,23 @@ class ParMap(NamedTuple):
 
 def fn(dom: int, cod: int, table) -> FinMap:
     """Validated FinMap constructor."""
-    table = tuple(table)
-    if len(table) != dom:
-        raise TypeMismatch(f"table length {len(table)} != dom {dom}")
-    for v in table:
-        if not 0 <= v < cod:
-            raise TypeMismatch(f"entry {v} outside codomain {cod}")
-    return FinMap(dom, cod, table)
+    return _validated(FinMap, dom, cod, table)
 
 
 def par(dom: int, cod: int, table) -> ParMap:
     """Validated ParMap constructor; ``None`` entries mean undefined."""
+    return _validated(ParMap, dom, cod, table)
+
+
+def _validated(kind, dom: int, cod: int, table):
+    """The ``kind`` map of ``table``, checked; a ParMap's ``None`` entries are undefined."""
     table = tuple(table)
     if len(table) != dom:
         raise TypeMismatch(f"table length {len(table)} != dom {dom}")
     for v in table:
-        if v is not None and not 0 <= v < cod:
+        if not (v is None and kind is ParMap or 0 <= v < cod):
             raise TypeMismatch(f"entry {v} outside codomain {cod}")
-    return ParMap(dom, cod, table)
+    return kind(dom, cod, table)
 
 
 # ---------------------------------------------------------------------------

@@ -120,26 +120,18 @@ class Ambient:
     def canonical_span(self, s: Span) -> Span:
         raise NotImplementedError
 
-    def cospan_keys(self, fs, gs, forms: dict):
+    def cospan_keys(self, fs, gs):
         """One list of keys per left leg f in fs, lazily: the key of each
-        cospan (f, g), g in gs (both lists of legs).  Two keys from calls
-        that share ``forms`` are equal exactly when the cospans are
-        isomorphic over the apex.
-
-        ``forms`` is a dict that the caller keeps for one sweep.  A
-        function ambient's key is the canonical form and leaves it unread;
-        a matrix ambient interns each left leg's canonical form H in it, and
-        its key is the id of H with the left leg's feet, then the key of
-        the columns of the finished right block, all from one
-        :func:`linmap.echelon_rows_each` call, which prepares the block of
-        right legs once."""
+        cospan (f, g), g in gs (both lists of legs), a hashable value equal
+        to another key exactly when the cospans are isomorphic over the
+        apex.  A function ambient's key is the canonical form; for matrices
+        see :func:`_matrix_keys`."""
         return ([self.canonical_cospan(Cospan(f, g)) for g in gs] for f in fs)
 
-    def span_keys(self, fs, gs, forms: dict):
+    def span_keys(self, fs, gs):
         """One list of keys per left leg f in fs, lazily: the key of each
-        span (f, g), g in gs, as :meth:`cospan_keys` makes them.  Two keys
-        from calls that share ``forms`` are equal exactly when the spans
-        are isomorphic over the apex."""
+        span (f, g), g in gs, as :meth:`cospan_keys` makes them, equal
+        exactly when the spans are isomorphic over the apex."""
         return ([self.canonical_span(Span(f, g)) for g in gs] for f in fs)
 
     # composites
@@ -410,11 +402,11 @@ class MatrixAmbient(Ambient):
         columns and cut as columns."""
         return Span(*linmap.echelon_legs(s.left, s.right, columns=True))
 
-    def cospan_keys(self, fs, gs, forms):
-        return _matrix_keys(fs, gs, forms, False)
+    def cospan_keys(self, fs, gs):
+        return _matrix_keys(fs, gs, False)
 
-    def span_keys(self, fs, gs, forms):
-        return _matrix_keys(fs, gs, forms, True)
+    def span_keys(self, fs, gs):
+        return _matrix_keys(fs, gs, True)
 
     def enumerate_morphisms(self, dom, cod, entry_bound=None):
         if entry_bound is None:
@@ -449,17 +441,17 @@ def _solved(mediator):
     return mediator
 
 
-def _matrix_keys(fs, gs, forms: dict, columns: bool):
+def _matrix_keys(fs, gs, columns: bool):
     """The keys of :meth:`Ambient.cospan_keys` (with ``columns``, of
-    :meth:`Ambient.span_keys`) over a matrix ambient: per left leg f, its
-    form (the id of its canonical form H, interned in ``forms``, and f's
-    feet), then per right leg the key of the columns of the finished right
-    block, which hashes integers on every ring.  [H | block] is the echelon
-    form of the pair, and H has the apex as its row count, so with both
-    feet the key decides the pair's isomorphism class over the apex, and a
-    key is built with no row of it."""
+    :meth:`Ambient.span_keys`) over a matrix ambient, from one
+    :func:`linmap.echelon_rows_each` call, which prepares the right legs
+    once: per left leg f, its form (the key of its canonical form H, which
+    hashes integers on every ring, and f's feet), then per right leg the
+    key of the columns of the finished right block.  [H | block] is the
+    echelon form of the pair, so with both feet (with apex 0, H is empty
+    for every n) the key decides the pair's class, and no row is built."""
     for f, (h, blocks) in zip(fs, linmap.echelon_rows_each(fs, gs, columns)):
-        form = (id(forms.setdefault(h, h)), f.dom, f.cod)
+        form = (h, f.dom, f.cod)
         yield [(form, block) for block in blocks]
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import islice, product, repeat
 from math import ceil, perm, sqrt
 from typing import Optional
@@ -207,50 +208,43 @@ def _operations(kind):
 
 def tensor_functorial_case(
     amb: Ambient, s1: Span, s2: Span, s1p: Span, s2p: Span, c1: Cospan, c2: Cospan, c1p: Cospan, c2p: Cospan
-):
+) -> dict:
     """Interchange of the monoidal product with span, cospan and corelation
-    composition on one tuple; returns whether each of the three holds."""
-    holds = []
+    composition on one tuple; returns whether each holds, by name."""
+    holds = {}
     for kind, (x1, x2, x1p, x2p) in ((Span, (s1, s2, s1p, s2p)), (Cospan, (c1, c2, c1p, c2p))):
         compose, _, tensor, canonical, _ = _operations(kind)
         lhs = compose(tensor(x1, x1p, amb), tensor(x2, x2p, amb), amb)
         rhs = tensor(compose(x1, x2, amb), compose(x1p, x2p, amb), amb)
-        holds.append(canonical(lhs, amb) == canonical(rhs, amb))
+        holds[kind.__name__.lower()] = canonical(lhs, amb) == canonical(rhs, amb)
     a1, a2, b1, b2 = (gamma(c, amb) for c in (c1, c2, c1p, c2p))
     lhs = corel_compose(corel_tensor(a1, b1), corel_tensor(a2, b2))
-    holds.append(corel_equal(lhs, corel_tensor(corel_compose(a1, a2), corel_compose(b1, b2))))
-    return tuple(holds)
+    holds["corel"] = corel_equal(lhs, corel_tensor(corel_compose(a1, a2), corel_compose(b1, b2)))
+    return holds
 
 
-_LAW_FLAGS = ("span_assoc", "span_id", "cospan_assoc", "cospan_id", "corel_assoc")
-
-
-def laws_case(amb: Ambient, s1: Span, s2: Span, s3: Span, c1: Cospan, c2: Cospan, c3: Cospan):
+def laws_case(amb: Ambient, s1: Span, s2: Span, s3: Span, c1: Cospan, c2: Cospan, c3: Cospan) -> dict:
     """Associativity and identity on one tuple of composable spans and
-    cospans; returns whether each law in ``_LAW_FLAGS`` holds."""
-    holds = []
+    cospans; returns whether each law holds, by name."""
+    holds = {}
     for kind, (x1, x2, x3) in ((Span, (s1, s2, s3)), (Cospan, (c1, c2, c3))):
         compose, identity, _, canonical, feet = _operations(kind)
+        name = kind.__name__.lower()
         lhs, rhs = compose(compose(x1, x2, amb), x3, amb), compose(x1, compose(x2, x3, amb), amb)
-        holds.append(canonical(lhs, amb) == canonical(rhs, amb))
+        holds[f"{name}_assoc"] = canonical(lhs, amb) == canonical(rhs, amb)
         (x, y), form = feet(x1), canonical(x1, amb)
-        holds.append(
+        holds[f"{name}_id"] = (
             canonical(compose(identity(x, amb), x1, amb), amb) == form
             and canonical(compose(x1, identity(y, amb), amb), amb) == form
         )
     a1, a2, a3 = gamma(c1, amb), gamma(c2, amb), gamma(c3, amb)
-    holds.append(corel_equal(corel_compose(corel_compose(a1, a2), a3), corel_compose(a1, corel_compose(a2, a3))))
-    return tuple(holds)
+    holds["corel_assoc"] = corel_equal(corel_compose(corel_compose(a1, a2), a3), corel_compose(a1, corel_compose(a2, a3)))
+    return holds
 
 
 # ---------------------------------------------------------------------------
 # record fields: a span, cospan or morphism is recorded as its literal;
 # replay parses a span or cospan field as the type that its key names
-
-
-_TENSOR_SPANS = ("span1", "span2", "span1p", "span2p")
-_TENSOR_COSPANS = ("cospan1", "cospan2", "cospan1p", "cospan2p")
-_LAWS_SPANS, _LAWS_COSPANS = ("span1", "span2", "span3"), ("cospan1", "cospan2", "cospan3")
 
 
 def _format_fields(keys, values) -> tuple:
@@ -336,11 +330,9 @@ def _pairs(amb: Ambient, bound: int, entry_bound, seed, into_apex: bool):
     of two pairs are equal exactly when the pairs are isomorphic over the
     apex; the keys of one block, every left leg (n, apex) against every
     right leg (m, apex), come from one call, which prepares the right legs
-    once.  Every call shares one ``forms`` dict, which holds the forms
-    that the keys name for as long as the sweep runs."""
+    once."""
     _require_sweepable(amb, bound, entry_bound)
     keys_of = amb.cospan_keys if into_apex else amb.span_keys
-    forms: dict = {}
     sizes = range(bound + 1)
     legs = {}
     for size, apex in product(sizes, repeat=2):
@@ -350,7 +342,7 @@ def _pairs(amb: Ambient, bound: int, entry_bound, seed, into_apex: bool):
         for apex, n, m in product(sizes, repeat=3):
             lefts, block = legs[(n, apex)], legs[(m, apex)]
             if lefts and block:
-                for f, keys in zip(lefts, keys_of(lefts, block, forms)):
+                for f, keys in zip(lefts, keys_of(lefts, block)):
                     yield from zip(repeat(f), block, keys)
         return
     # above the budget: one pool of legs per apex, built once
@@ -360,7 +352,7 @@ def _pairs(amb: Ambient, bound: int, entry_bound, seed, into_apex: bool):
         pool = pools[rng.randint(0, bound)]
         if pool:
             f, g = rng.choice(pool), rng.choice(pool)
-            yield f, g, next(keys_of([f], [g], forms))[0]
+            yield f, g, next(keys_of([f], [g]))[0]
 
 
 def random_span(amb: Ambient, rng, x: int, y: int, apex_bound: int, entry_bound=None) -> Span:
@@ -536,6 +528,57 @@ def check_pi_functorial(
     return _report("pi-functorial", amb.name, amb.a_name, bound, entry_bound, seed, failures)
 
 
+# The sampled checks: per check, its case (named, and looked up on this
+# module per call, so that a wrapper installed on it sees the call), the
+# lengths of its chains of composable (co)spans, and whether span legs are in A.
+_SAMPLED = {
+    "tensor-functorial": ("tensor_functorial_case", (2, 2), True),
+    "laws": ("laws_case", (3,), False),
+}
+
+
+def _chain_keys(kind, chains) -> tuple:
+    """The record keys of the spans (``kind`` Span) or cospans of a sampled
+    case: span1, span2, ... along each chain, primed once per chain before it."""
+    name = kind.__name__.lower()
+    return tuple(f"{name}{i}{'p' * c}" for c, steps in enumerate(chains) for i in range(1, steps + 1))
+
+
+def _sampled(name: str, amb: Ambient, bound: int, entry_bound, seed, samples: int) -> CheckReport:
+    """The report of the sampled check ``name`` that ``_SAMPLED`` declares:
+    each of ``samples`` seeded draws takes the points of the chains, one
+    draw each, then a span and a cospan on each step, for its case; a
+    failing case records them, under ``_chain_keys``, and its flags."""
+    case, chains, a_legs = _SAMPLED[name]
+    _require_samplable(amb, bound, entry_bound, samples, 2 * sum(chains), a_legs)
+    keys = _chain_keys(Span, chains) + _chain_keys(Cospan, chains)
+
+    def failures():
+        rng = random.Random(seed)
+        draw_span = random_a_span if a_legs else random_span
+        for _ in range(samples):
+            feet = []
+            for steps in chains:
+                points = [rng.randint(0, bound) for _ in range(steps + 1)]
+                feet += zip(points, points[1:])
+            spans = [draw_span(amb, rng, *xy, bound, entry_bound) for xy in feet]
+            cospans = [random_cospan(amb, rng, *xy, bound, entry_bound) for xy in feet]
+            holds = globals()[case](amb, *spans, *cospans)
+            if not all(holds.values()):
+                failing = " ".join(f"{flag}={h}" for flag, h in holds.items())
+                yield _format_fields(keys, spans + cospans) + (("failing", failing),)
+
+    return _report(name, amb.name, amb.a_name, bound, entry_bound, seed, failures())
+
+
+def _sampled_holds(name: str, amb: Ambient, ce: dict) -> bool:
+    """Whether the case of the sampled check ``name`` holds on the spans
+    and cospans that the record fields ``ce`` hold."""
+    case, chains, _ = _SAMPLED[name]
+    spans, cospans = (_parse_fields(ce, amb, _chain_keys(kind, chains), kind) for kind in (Span, Cospan))
+    return all(globals()[case](amb, *spans, *cospans).values())
+
+
 def check_tensor_functorial(
     amb: Ambient, bound: int, entry_bound: int = 2, seed: int = 0, samples: int = 200
 ) -> CheckReport:
@@ -546,43 +589,14 @@ def check_tensor_functorial(
     product is only required to preserve pullbacks there, and indeed the
     pointed tensor of partial functions fails interchange on arbitrary legs.
     """
-    _require_samplable(amb, bound, entry_bound, samples, 8, a_legs=True)
-
-    def failures():
-        rng = random.Random(seed)
-        for _ in range(samples):
-            x, y, z = (rng.randint(0, bound) for _ in range(3))
-            x2, y2, z2 = (rng.randint(0, bound) for _ in range(3))
-            feet = ((x, y), (y, z), (x2, y2), (y2, z2))
-            spans = [random_a_span(amb, rng, *xy, bound, entry_bound) for xy in feet]
-            cospans = [random_cospan(amb, rng, *xy, bound, entry_bound) for xy in feet]
-            ok_span, ok_cospan, ok_corel = tensor_functorial_case(amb, *spans, *cospans)
-            if not (ok_span and ok_cospan and ok_corel):
-                failing = f"span={ok_span} cospan={ok_cospan} corel={ok_corel}"
-                yield _format_fields(_TENSOR_SPANS + _TENSOR_COSPANS, spans + cospans) + (("failing", failing),)
-
-    return _report("tensor-functorial", amb.name, amb.a_name, bound, entry_bound, seed, failures())
+    return _sampled("tensor-functorial", amb, bound, entry_bound, seed, samples)
 
 
 def check_category_laws(
     amb: Ambient, bound: int, entry_bound: int = 2, seed: int = 0, samples: int = 500
 ) -> CheckReport:
     """Associativity and identity in the span, cospan, and corelation props."""
-    _require_samplable(amb, bound, entry_bound, samples, 6, a_legs=False)
-
-    def failures():
-        rng = random.Random(seed)
-        for _ in range(samples):
-            x, y, z, u = (rng.randint(0, bound) for _ in range(4))
-            feet = ((x, y), (y, z), (z, u))
-            spans = [random_span(amb, rng, *xy, bound, entry_bound) for xy in feet]
-            cospans = [random_cospan(amb, rng, *xy, bound, entry_bound) for xy in feet]
-            holds = laws_case(amb, *spans, *cospans)
-            if not all(holds):
-                failing = " ".join(f"{flag}={h}" for flag, h in zip(_LAW_FLAGS, holds))
-                yield _format_fields(_LAWS_SPANS + _LAWS_COSPANS, spans + cospans) + (("failing", failing),)
-
-    return _report("laws", amb.name, amb.a_name, bound, entry_bound, seed, failures())
+    return _sampled("laws", amb, bound, entry_bound, seed, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -719,14 +733,7 @@ _HOLDS = {
     "assumption33": lambda amb, ce: assumption33_case(amb, *_parse_fields(ce, amb, ("left", "right")))[0],
     "square": lambda amb, ce: square_case(amb, *_parse_fields(ce, amb, ("morphism",))),
     "pi-functorial": lambda amb, ce: pi_functorial_case(amb, *_parse_fields(ce, amb, ("span1", "span2"), Span)),
-    "tensor-functorial": lambda amb, ce: all(
-        tensor_functorial_case(
-            amb, *_parse_fields(ce, amb, _TENSOR_SPANS, Span), *_parse_fields(ce, amb, _TENSOR_COSPANS, Cospan)
-        )
-    ),
-    "laws": lambda amb, ce: all(
-        laws_case(amb, *_parse_fields(ce, amb, _LAWS_SPANS, Span), *_parse_fields(ce, amb, _LAWS_COSPANS, Cospan))
-    ),
+    **{name: partial(_sampled_holds, name) for name in _SAMPLED},
     "frobenius": lambda th, ce: term_equal(parse_term(ce["lhs"]), parse_term(ce["rhs"]), th),
 }
 

@@ -229,6 +229,31 @@ MUTANTS = (
             "tests/test_verify.py::test_every_law_flag_reads_false_under_a_planted_fault[cospan-assoc-gf2]",
         ),
     ),
+    # a matrix sweep key forgets its left leg's feet, so pairs whose left
+    # legs share a canonical form but not their feet (with apex 0, H is
+    # empty for every n) share one key
+    Mutant(
+        "sweep-key-drops-feet",
+        "spancospan.py",
+        "form = (h, f.dom, f.cod)",
+        "form = h",
+        (
+            "tests/test_verify.py::test_dedup_keys_agree_with_canonical_forms[a33-gf2]",
+            "tests/test_verify.py::test_dedup_keys_agree_with_canonical_forms[a33-q]",
+        ),
+    ),
+    # a sampled check's budget counts one pair of legs per step of its
+    # chains, not one per span and one per cospan
+    Mutant(
+        "sampled-budget-counts-half-the-legs",
+        "verify.py",
+        "2 * sum(chains)",
+        "sum(chains)",
+        (
+            "tests/test_verify.py::test_sampled_checks_refuse_above_the_sample_budget_before_drawing[laws]",
+            "tests/test_verify.py::test_sampled_checks_refuse_above_the_sample_budget_before_drawing[tensor]",
+        ),
+    ),
     # a union links the smaller root under the larger, so the one
     # ascending flattening pass leaves chains unflattened
     Mutant(
@@ -312,21 +337,21 @@ def run(mutants) -> int:
         if not _passes(_copy(tmp, "unmutated"), tests, tmp):
             print("the unmutated copy fails the mutants' tests", flush=True)
             return 2
-        print(f"{'unmutated copy':<34} passes   {time.perf_counter() - start:7.1f} s", flush=True)
+        print(f"{'unmutated copy':<36} passes   {time.perf_counter() - start:7.1f} s", flush=True)
         survivors, invalid = [], []
         for mutant in mutants:
             began = time.perf_counter()
             src = _copy(tmp, mutant.name, mutant)
             if isinstance(src, str):
                 invalid.append(mutant.name)
-                print(f"{mutant.name:<34} invalid  ({src})", flush=True)
+                print(f"{mutant.name:<36} invalid  ({src})", flush=True)
                 continue
             passed = _passes(src, mutant.tests, tmp)
             verdict = "survived" if passed else "killed"
             if passed:
                 survivors.append(mutant.name)
             note = " (timed out)" if passed is None else ""
-            print(f"{mutant.name:<34} {verdict:<8} {time.perf_counter() - began:7.1f} s{note}", flush=True)
+            print(f"{mutant.name:<36} {verdict:<8} {time.perf_counter() - began:7.1f} s{note}", flush=True)
     killed = len(mutants) - len(survivors) - len(invalid)
     print(f"{killed} of {len(mutants)} killed, {len(invalid)} invalid in {time.perf_counter() - start:.1f} s", flush=True)
     return 2 if invalid else 1 if survivors else 0

@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -780,7 +781,7 @@ def test_report_user_error_exit_2(capsys):
 
 
 def test_the_front_end_decides_each_thing_once():
-    from corelate import cli, diagrams, literals, verify
+    from corelate import cli, diagrams, literals, spancospan, verify
 
     assert inspect.getsource(cli).count("except CorelateError") == 1
     assert set(cli._CHECKS) == set(verify._HOLDS)
@@ -802,11 +803,30 @@ def test_the_front_end_decides_each_thing_once():
             "enumerate_vectors",
             "oracle_subspace_compose",
             "enumerate_subspaces",
+            "_TENSOR_SPANS",
+            "_TENSOR_COSPANS",
+            "_LAWS_SPANS",
+            "_LAWS_COSPANS",
+            "_LAW_FLAGS",
         ),
         diagrams: ("_format_scalar",),
     }
     assert [(m.__name__, name) for m, names in gone.items() for name in names if hasattr(m, name)] == []
     assert "a_only" not in inspect.signature(verify._pairs).parameters
+    # a sweep key is a value: no ambient takes a dict of forms that the
+    # keys name by id, and the (co)span layer keys nothing by id
+    ambients = [cls for cls in vars(spancospan).values() if isinstance(cls, type) and issubclass(cls, spancospan.Ambient)]
+    signatures = {
+        (cls.__name__, name): list(inspect.signature(getattr(cls, name)).parameters)
+        for cls in ambients
+        for name in ("cospan_keys", "span_keys")
+    }
+    assert len(signatures) == 8 and all(names == ["self", "fs", "gs"] for names in signatures.values()), signatures
+    assert not re.search(r"\bid\(", inspect.getsource(spancospan))
+    # one sampled-check driver, besides pi-functorial, counts the budget
+    functions = [(name, fn) for name, fn in vars(verify).items() if inspect.isfunction(fn)]
+    budgeted = {name for name, fn in functions if "_require_samplable" in fn.__code__.co_names}
+    assert budgeted == {"check_pi_functorial", "_sampled"}
 
 
 # --- reach -------------------------------------------------------------------------

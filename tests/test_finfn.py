@@ -58,6 +58,16 @@ def test_compose_pointwise():
 def test_compose_arity_check():
     with pytest.raises(TypeMismatch):
         fn_compose(fn(1, 2, [0]), fn(3, 2, [0, 1, 1]))
+    # both constructors refuse a table of the wrong length or an entry
+    # outside the codomain, with one message each
+    for make in (fn, par):
+        with pytest.raises(TypeMismatch, match=r"^table length 2 != dom 3$"):
+            make(3, 2, [0, 1])
+        with pytest.raises(TypeMismatch, match=r"^entry 2 outside codomain 2$"):
+            make(2, 2, [0, 2])
+        with pytest.raises(TypeMismatch, match=r"^entry -1 outside codomain 2$"):
+            make(1, 2, [-1])
+    assert par(2, 2, [None, 1]) == ParMap(2, 2, (None, 1))
 
 
 def test_tensor():

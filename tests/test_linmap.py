@@ -534,17 +534,15 @@ def test_echelon_rows_each_equals_one_pass_per_right():
     # rows included), apex 0, empty and one-element blocks, rights of
     # width 0; read from the legs' rows (cospans) and from the columns of
     # their transposes (spans), each left's H beside each right's block
-    # columns is its own pair's echelon rows, and the ambient's keys, all
-    # interned in one forms dict per ring and half, are equal exactly when
-    # two pairs of one (apex, n, m) block have equal rows, and never equal
-    # across blocks
+    # columns is its own pair's echelon rows, and the ambient's keys, per
+    # ring and half, are equal exactly when two pairs of one (apex, n, m)
+    # block have equal rows, and never equal across blocks
     rng = random.Random(17)
     rings = (ZZ, QQ, GF(2), GF(3), GF(5))
     seen = {"apex 0": 0, "one right": 0, "several lefts": 0, "both ranks in one batch": 0}
     ranks = {(ring.name, kind): 0 for ring in rings for kind in ("full rank", "rank below apex")}
     for ring in rings:
         amb = get_ambient(ring.name, "all")
-        forms = {False: {}, True: {}}
         pair_of, key_of = {False: {}, True: {}}, {False: {}, True: {}}
         for _ in range(300):
             apex = rng.randint(0, 4)
@@ -565,7 +563,7 @@ def test_echelon_rows_each_equals_one_pass_per_right():
                 rebuilt = [[rows_beside(ring, h, block) for block in blocks] for h, blocks in each]
                 assert repr(rebuilt) == repr(expected), (lefts, rights, columns)
                 keys_of = amb.span_keys if columns else amb.cospan_keys
-                for left, keys, rows in zip(lefts, keys_of(ls, rs, forms[columns]), expected):
+                for left, keys, rows in zip(lefts, keys_of(ls, rs), expected):
                     for right, key, pair_rows in zip(rights, keys, rows):
                         pair = (apex, left.cols, right.cols, pair_rows)
                         assert pair_of[columns].setdefault(key, pair) == pair

@@ -474,4 +474,4 @@ def test_span_half_builds_no_transpose(monkeypatch):
             p1, p2 = amb.pullback(r1, l2)
             amb.pullback_mediator(p1, p2, p1, p2)
             span_compose(Span(l1, r1), Span(l2, r2), amb)
-            list(amb.span_keys([l1], [r1], {}))
+            list(amb.span_keys([l1], [r1]))

@@ -299,9 +299,9 @@ def test_batch_keys_equal_one_echelon_pass_per_pair(sweep):
     # denominator, read as the Fractions they stand for), its own pair's
     # echelon rows
     # (for f and pf, its canonical form), on every pair the sweep
-    # enumerates: a matrix key names its left leg's canonical form H,
-    # interned in the one forms dict of the sweep, with the leg's feet,
-    # and H beside the key's block columns is the pair's echelon rows
+    # enumerates: a matrix key holds its left leg's canonical form H, as
+    # a value, with the leg's feet, and H beside the key's block columns
+    # is the pair's echelon rows
     c_name, a_name, bound, entry_bound, into_apex = sweep
     amb = get_ambient(c_name, a_name)
     if c_name in ("f", "pf"):
@@ -311,20 +311,9 @@ def test_batch_keys_equal_one_echelon_pass_per_pair(sweep):
             expected = canonical(pair(f, g))
             assert key == expected and repr(key) == repr(expected), (f, g)
         return
-    name = "cospan_keys" if into_apex else "span_keys"
-    keys_of, shared = getattr(amb, name), []
-
-    def keeping_forms(fs, gs, forms):
-        shared.append(forms)
-        return keys_of(fs, gs, forms)
-
-    setattr(amb, name, keeping_forms)
-    triples = list(verify._pairs(amb, bound, entry_bound, 0, into_apex))
-    assert shared and all(forms is shared[0] for forms in shared)
-    by_id = {id(h): h for h in shared[0].values()}
-    for f, g, ((form, dom, cod), block) in triples:
+    for f, g, ((h, dom, cod), block) in verify._pairs(amb, bound, entry_bound, 0, into_apex):
         expected = echelon_values(f, g, columns=not into_apex)
-        rows = rows_beside(amb.ring, by_id[form], block)
+        rows = rows_beside(amb.ring, h, block)
         columns = key_table(block)[0]
         assert (dom, cod, len(columns)) == (f.dom, f.cod, g.dom if into_apex else g.cod), (f, g)
         assert rows == expected and repr(rows) == repr(expected), (f, g)
