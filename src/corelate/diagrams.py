@@ -7,10 +7,14 @@ parallel composition ``@``.  As in a prop, both are strictly associative: a
 chain ``a ; b ; c`` is one :class:`SeqTerm` and a row ``a @ b @ c`` one
 :class:`TensorTerm`, each with n-ary ``parts``, and brackets around the same
 operator only regroup, so ``(a ; b) ; c`` and ``a ; (b ; c)`` parse to the
-same tree.  Term ``==`` is structural up to that regrouping; semantic
-equality (:func:`term_equal`) evaluates both sides to canonical
+same tree.  Terms compare and hash by their class, type and printed form;
+semantic equality (:func:`term_equal`) evaluates both sides to canonical
 (co)relations and compares them.  A parsed term is a DAG: equal subterms of
 one term are one object, which :func:`eval_term` evaluates once.
+
+A theory is its ``legs`` table: each generator is a morphism of the ambient
+sent in by one of its two embeddings, and each colour is one monoid's
+multiplication and unit sent in both ways.
 """
 
 from __future__ import annotations
@@ -29,28 +33,17 @@ from .errors import (
 from .exactnum import QQ, numeral_int
 from .linmap import mat
 from .finfn import fn, par
-from .spancospan import Cospan, embed_bwd_cospan, embed_fwd_cospan, get_ambient
+from .spancospan import embed_bwd_cospan, embed_fwd_cospan, get_ambient
 from . import corelrel
-from .corelrel import Corelation, Relation, gamma
-
-
-class _Hashed:
-    """Stands for a subterm inside a tuple, hashing to the subterm's hash."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int):
-        self.value = value
-
-    def __hash__(self):
-        return self.value
+from .corelrel import Corelation, Relation
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Term:
-    """A typed term.  Equality and hashing are structural, as a frozen
-    dataclass's would be, but walk the tree with an explicit stack, and
-    the repr is the printed term, so a deep term costs no recursion."""
+    """A typed term.  Two terms are equal when they have one class, one type
+    and one printed form, which reparses to an identical tree; the hash is
+    that of the same key, and the repr is the printed term, so a deep term
+    costs no recursion."""
 
     dom: int
     cod: int
@@ -58,45 +51,16 @@ class Term:
     def __repr__(self):
         return f"{type(self).__name__}({self.dom} -> {self.cod}: {print_term(self)})"
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__dataclass_fields__)
+    def _key(self) -> tuple:
+        return (self.__class__, self.dom, self.cod, print_term(self))
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
+        if not isinstance(other, Term):
             return NotImplemented
-        todo = [(self, other)]
-        while todo:
-            a, b = todo.pop()
-            if a is b:
-                continue
-            if a.__class__ is not b.__class__:
-                return False
-            if isinstance(a, (SeqTerm, TensorTerm)):
-                if a.dom != b.dom or a.cod != b.cod or len(a.parts) != len(b.parts):
-                    return False
-                todo += zip(a.parts, b.parts)
-            elif a._fields() != b._fields():
-                return False
-        return True
+        return self is other or self._key() == other._key()
 
     def __hash__(self):
-        # the hash of the tuple of the fields, parts before the terms that
-        # hold them
-        hashes: dict = {}
-        todo = [self]
-        while todo:
-            t = todo[-1]
-            if isinstance(t, (SeqTerm, TensorTerm)):
-                pending = [u for u in t.parts if id(u) not in hashes]
-                if pending:
-                    todo += pending
-                    continue
-                fields = (t.dom, t.cod, tuple(_Hashed(hashes[id(u)]) for u in t.parts))
-            else:
-                fields = t._fields()
-            todo.pop()
-            hashes[id(t)] = hash(fields)
-        return hashes[id(self)]
+        return hash(self._key())
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -391,22 +355,46 @@ class Theory:
     ``corelrel``, whose one set of operations serves both classes:
     :func:`eval_term` and :func:`term_equal` look them up there at call
     time, so wrappers installed on the module are seen.
+
+    ``legs`` maps each generator name to ``(way, f)``, a morphism f of the
+    ambient and the way it is sent in: ``"f"`` as the cospan (f, id), of
+    type f.dom -> f.cod, and ``"b"`` as (id, f), of type f.cod -> f.dom.
+    ``scalar_ways`` maps ``scalar`` and ``coscalar``, where the theory has
+    them, to the way their argument's 1x1 matrix is sent in.  Each leg's
+    value is built once, with the theory.
     """
 
-    def __init__(self, name: str, kind: type, ambient, generators: dict):
+    def __init__(self, name: str, kind: type, ambient, legs: dict, scalar_ways: dict):
         self.name = name
         self.kind = kind
         self.ambient = ambient
-        self._generators = generators
+        self.legs = legs
+        self.scalar_ways = scalar_ways
+        self._values = {gen: self._embed(way, f) for gen, (way, f) in legs.items()}
 
     def __repr__(self):
         return f"Theory({self.name})"
 
+    def _embed(self, way: str, f):
+        embed = embed_fwd_cospan if way == "f" else embed_bwd_cospan
+        return self.kind(self.ambient, self.ambient.corelation_cospan(embed(f, self.ambient)))
+
     def generator(self, name: str, args: tuple):
-        binder = self._generators.get(name)
-        if binder is None:
+        value = self._values.get(name)
+        if value is not None:
+            if args:
+                raise UnknownGenerator("generator takes no scalar argument")
+            return value
+        way = self.scalar_ways.get(name)
+        if way is None:
             raise UnknownGenerator(f"theory {self.name!r} does not bind {name!r}")
-        return binder(args)
+        if len(args) != 1:
+            raise UnknownGenerator("scalar generators take exactly one argument")
+        ring = self.ambient.ring
+        r = Fraction(args[0])
+        if not ring.is_field and r.denominator != 1:
+            raise UnknownGenerator(f"integer theory cannot interpret scalar {r}")
+        return self._embed(way, mat(ring, 1, 1, [[ring.coerce(r)]]))
 
     def identity(self, n: int):
         return self.kind(self.ambient, corelrel.corel_identity(n, self.ambient).cospan)
@@ -415,73 +403,48 @@ class Theory:
         return self.kind(self.ambient, corelrel.corel_symmetry(n, m, self.ambient).cospan)
 
 
-def _no_args(value):
-    def binder(args):
-        if args:
-            raise UnknownGenerator("generator takes no scalar argument")
-        return value
-
-    return binder
+def _colour(prefix: str, ways: str, m, u) -> dict:
+    """The legs of one colour: a monoid's multiplication m and unit u sent
+    in the first way, as mult and unit, and the second way, as comult and
+    counit."""
+    return {
+        f"{prefix}mult": (ways[0], m),
+        f"{prefix}unit": (ways[0], u),
+        f"{prefix}comult": (ways[1], m),
+        f"{prefix}counit": (ways[1], u),
+    }
 
 
 def _er_like_theory(name: str, ambient_name: str) -> Theory:
-    amb = get_ambient(ambient_name)
-    total = ambient_name == "f"
-    mk = fn if total else par
-    cs = lambda l, r: gamma(Cospan(l, r), amb)
-    gens = {
-        "unit": _no_args(cs(mk(0, 1, []), mk(1, 1, [0]))),
-        "counit": _no_args(cs(mk(1, 1, [0]), mk(0, 1, []))),
-        "mult": _no_args(cs(mk(2, 1, [0, 0]), mk(1, 1, [0]))),
-        "comult": _no_args(cs(mk(1, 1, [0]), mk(2, 1, [0, 0]))),
-    }
-    if not total:
-        gens["undef"] = _no_args(cs(par(1, 0, [None]), par(0, 0, [])))
-    return Theory(name, Corelation, amb, gens)
+    """One colour: merge 2 -> 1 and 0 -> 1; ``per`` adds undef, the empty partial map 1 -> 0."""
+    mk = fn if ambient_name == "f" else par
+    legs = _colour("", "fb", mk(2, 1, [0, 0]), mk(0, 1, []))
+    if ambient_name == "pf":
+        legs["undef"] = ("f", par(1, 0, [None]))
+    return Theory(name, Corelation, get_ambient(ambient_name), legs, {})
 
 
 def _linear_theory(name: str, ring_tag: str) -> Theory:
     """Signal-flow generators over a ring: corelations over the integers
     (``z-corel``), relations over a field (``<ring>-subspace``).
 
-    A relation is stored as the corelation of its transposed legs, and
-    transposing turns add into copy and a map into its converse: so each
-    relation generator is the corelation generator of the other colour,
-    with scalar and coscalar swapped.
+    White is add 2 -> 1 with 0 -> 1 and black is copy 1 -> 2 with 1 -> 0,
+    each sent in both ways.  A relation is stored as the corelation of its
+    transposed legs, and transposing turns add into copy and a map into its
+    converse: so each relation generator is the corelation generator of the
+    other colour, with scalar and coscalar swapped.
     """
     amb = get_ambient(ring_tag)
     ring = amb.ring
-    kind = Relation if ring.is_field else Corelation
     add = mat(ring, 1, 2, [[1, 1]])
     copy = mat(ring, 2, 1, [[1], [1]])
     into = mat(ring, 1, 0, [[]])  # 0 -> 1
     onto = mat(ring, 0, 1, [])  # 1 -> 0
-
-    fwd = lambda f: kind(amb, amb.corelation_cospan(embed_fwd_cospan(f, amb)))
-    bwd = lambda f: kind(amb, amb.corelation_cospan(embed_bwd_cospan(f, amb)))
-
-    def scalar_matrix(args):
-        if len(args) != 1:
-            raise UnknownGenerator("scalar generators take exactly one argument")
-        r = Fraction(args[0])
-        if not ring.is_field and r.denominator != 1:
-            raise UnknownGenerator(f"integer theory cannot interpret scalar {r}")
-        return mat(ring, 1, 1, [[ring.coerce(r)]])
-
-    w, b, scalar, coscalar = ("w", "b", "scalar", "coscalar") if kind is Corelation else ("b", "w", "coscalar", "scalar")
-    gens = {
-        f"{w}.mult": _no_args(fwd(add)),
-        f"{w}.unit": _no_args(fwd(into)),
-        f"{w}.comult": _no_args(bwd(add)),
-        f"{w}.counit": _no_args(bwd(into)),
-        f"{b}.comult": _no_args(fwd(copy)),
-        f"{b}.counit": _no_args(fwd(onto)),
-        f"{b}.mult": _no_args(bwd(copy)),
-        f"{b}.unit": _no_args(bwd(onto)),
-        scalar: lambda args: fwd(scalar_matrix(args)),
-        coscalar: lambda args: bwd(scalar_matrix(args)),
-    }
-    return Theory(name, kind, amb, gens)
+    if ring.is_field:
+        legs = {**_colour("b.", "fb", add, into), **_colour("w.", "bf", copy, onto)}
+        return Theory(name, Relation, amb, legs, {"scalar": "b", "coscalar": "f"})
+    legs = {**_colour("w.", "fb", add, into), **_colour("b.", "bf", copy, onto)}
+    return Theory(name, Corelation, amb, legs, {"scalar": "f", "coscalar": "b"})
 
 
 _SUBSPACE = re.compile(r"^(gf[0-9]+|q)-subspace$")

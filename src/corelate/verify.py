@@ -417,9 +417,10 @@ def _mediator_failures(amb: Ambient, bound: int, entry_bound, seed, into_apex: b
     case = assumption31_case if into_apex else assumption33_case
     seen = set()
     for f, g, key in _pairs(amb, bound, entry_bound, seed, into_apex):
-        if key in seen:
-            continue
+        n = len(seen)  # a key is hashed once: a set that did not grow held it
         seen.add(key)
+        if len(seen) == n:
+            continue
         holds, mediator = case(amb, f, g)
         if not holds:
             yield _format_fields(("left", "right", "mediator"), (f, g, mediator))
@@ -619,9 +620,9 @@ _ONE_COLOR_LAWS = (
 )
 
 
-def _law_suite(theory_name: str, scalars) -> list[tuple[str, str, str]]:
-    single_color = theory_name in ("er", "per")
-    prefixes = ("",) if single_color else ("w.", "b.")
+def _law_suite(th, scalars) -> list[tuple[str, str, str]]:
+    # the theory's colours, white before black, as the records list them
+    prefixes = [prefix for prefix in ("", "w.", "b.") if f"{prefix}mult" in th.legs]
     laws = []
     for prefix in prefixes:
         names = {
@@ -647,11 +648,11 @@ def _law_suite(theory_name: str, scalars) -> list[tuple[str, str, str]]:
 
 
 def _default_scalars(th) -> tuple:
-    if th.name in ("er", "per"):
+    if not th.scalar_ways:
         return ()
-    if th.name == "z-corel":
-        return (1, -1, 2)
     ring = th.ambient.ring
+    if not ring.is_field:
+        return (1, -1, 2)
     if ring.p is not None:
         return tuple(range(1, min(ring.p, 4)))
     return (1, 2, 3, Fraction(1, 2))
@@ -669,7 +670,7 @@ def check_frobenius(theory_name: str, scalars=None) -> CheckReport:
         scalars = _default_scalars(th)
     laws = [
         (label, lhs, rhs, term_equal(parse_term(lhs), parse_term(rhs), th))
-        for label, lhs, rhs in _law_suite(th.name, scalars)
+        for label, lhs, rhs in _law_suite(th, scalars)
     ]
     failures = ((("law", label), ("lhs", lhs), ("rhs", rhs)) for label, lhs, rhs, holds in laws if not holds)
     details = [(label, holds) for label, _, _, holds in laws]

@@ -288,6 +288,24 @@ MUTANTS = (
         "",
         ("tests/test_diagrams.py::test_tokenizer_agrees_with_the_regex", "tests/test_diagrams.py::test_parser_outcomes_pinned"),
     ),
+    # z-corel's black colour is sent in the white colour's ways, so its
+    # mult is copy sent in forwards, a value 1 -> 2 for a generator 2 -> 1
+    Mutant(
+        "theory-black-colour-embedded-forward",
+        "diagrams.py",
+        '**_colour("b.", "bf", copy, onto)',
+        '**_colour("b.", "fb", copy, onto)',
+        ("tests/test_diagrams.py::test_eval_outputs_pinned",),
+    ),
+    # terms compare by their printed form alone, so mult typed 1 -> 1
+    # equals mult typed 2 -> 1
+    Mutant(
+        "term-key-ignores-type",
+        "diagrams.py",
+        "return (self.__class__, self.dom, self.cod, print_term(self))",
+        "return (self.__class__, print_term(self))",
+        ("tests/test_diagrams.py::test_term_equality_and_hash_are_structural",),
+    ),
 )
 
 

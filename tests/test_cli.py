@@ -809,7 +809,7 @@ def test_the_front_end_decides_each_thing_once():
             "_LAWS_COSPANS",
             "_LAW_FLAGS",
         ),
-        diagrams: ("_format_scalar",),
+        diagrams: ("_format_scalar", "_Hashed", "_no_args"),
     }
     assert [(m.__name__, name) for m, names in gone.items() for name in names if hasattr(m, name)] == []
     assert "a_only" not in inspect.signature(verify._pairs).parameters

@@ -14,6 +14,7 @@ from corelate.errors import (
 from corelate import corelrel, diagrams
 from corelate.cli import main
 from corelate.diagrams import (
+    GENERATOR_ARITIES,
     MAX_LEAF_WIRES,
     GenTerm,
     IdTerm,
@@ -357,13 +358,10 @@ def test_print_term_deep_chain_without_recursion():
 
 def test_term_equality_and_hash_are_structural():
     """On shallow terms, == agrees with the printed form (which reparses to
-    an identical tree) and the hash is that of the tuple of the fields, as
-    a frozen dataclass's would be."""
+    an identical tree), and equal terms hash equal."""
     rng = random.Random(7)
     terms = [random_term(rng) for _ in range(150)] + [parse_term(src) for src in ROUND_TRIP_SOURCES]
     for t in terms:
-        fields = tuple(getattr(t, name) for name in t.__dataclass_fields__)
-        assert hash(t) == hash(fields)
         for u in terms[:40]:
             same = type(t) is type(u) and (t.dom, t.cod) == (u.dom, u.cod) and print_term(t) == print_term(u)
             assert (t == u) == same
@@ -371,6 +369,9 @@ def test_term_equality_and_hash_are_structural():
                 assert hash(t) == hash(u)
     assert IdTerm(1, 1, 1) != GenTerm(1, 1, "scalar", (Fraction(1),))
     assert GenTerm(1, 1, "scalar", (Fraction(1, 2),)) != GenTerm(1, 1, "scalar", (Fraction(2),))
+    # one printed form, two types
+    assert print_term(GenTerm(1, 1, "mult", ())) == print_term(GenTerm(2, 1, "mult", ()))
+    assert GenTerm(1, 1, "mult", ()) != GenTerm(2, 1, "mult", ())
 
 
 def test_term_equality_and_hash_of_deep_chain_without_recursion():
@@ -432,6 +433,17 @@ def test_term_equal_type_mismatch():
     er = get_theory("er")
     with pytest.raises(TermTypeError):
         term_equal(parse_term("unit"), parse_term("counit"), er)
+
+
+@pytest.mark.parametrize("theory", ["er", "per", "z-corel", "gf2-subspace", "gf3-subspace", "q-subspace"])
+def test_theory_legs_have_the_generator_arities(theory):
+    # a forward leg f: n -> m is a generator n -> m, a backward one m -> n
+    th = get_theory(theory)
+    for name, (way, f) in th.legs.items():
+        assert way in ("f", "b"), name
+        assert GENERATOR_ARITIES[name] == ((f.dom, f.cod) if way == "f" else (f.cod, f.dom)), name
+        value = eval_term(parse_term(name), th)
+        assert (value.dom, value.cod) == GENERATOR_ARITIES[name], name
 
 
 def test_get_theory_builds_each_theory_once(capsys):
@@ -519,7 +531,7 @@ def _unshared(t):
     while todo:
         u, parts_built = todo.pop()
         if not isinstance(u, (SeqTerm, TensorTerm)):
-            built.append(type(u)(*u._fields()))
+            built.append(type(u)(*(getattr(u, name) for name in u.__dataclass_fields__)))
         elif parts_built:
             parts = tuple(built[-len(u.parts) :])
             del built[-len(u.parts) :]
