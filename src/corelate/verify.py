@@ -417,10 +417,9 @@ def _mediator_failures(amb: Ambient, bound: int, entry_bound, seed, into_apex: b
     case = assumption31_case if into_apex else assumption33_case
     seen = set()
     for f, g, key in _pairs(amb, bound, entry_bound, seed, into_apex):
-        n = len(seen)  # a key is hashed once: a set that did not grow held it
-        seen.add(key)
-        if len(seen) == n:
+        if key in seen:
             continue
+        seen.add(key)
         holds, mediator = case(amb, f, g)
         if not holds:
             yield _format_fields(("left", "right", "mediator"), (f, g, mediator))
