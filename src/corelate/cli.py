@@ -90,19 +90,6 @@ def cmd_normalize(args) -> int:
     return 0
 
 
-# check name -> (its verify function, looked up per call so that a wrapper
-# installed on the module sees the call; the flags it takes, in the order of
-# the function's arguments, where C and A name the ambient)
-_CHECKS = {
-    "assumption31": ("check_assumption31", ("C", "A", "bound", "entry_bound", "seed")),
-    "assumption33": ("check_assumption33", ("C", "A", "bound", "entry_bound", "seed")),
-    "square": ("check_square_commutes", ("C", "A", "bound", "entry_bound")),
-    "pi-functorial": ("check_pi_functorial", ("C", "A", "bound", "entry_bound", "seed", "samples")),
-    "tensor-functorial": ("check_tensor_functorial", ("C", "A", "bound", "entry_bound", "seed", "samples")),
-    "laws": ("check_category_laws", ("C", "A", "bound", "entry_bound", "seed", "samples")),
-    "frobenius": ("check_frobenius", ("theory", "scalars")),
-}
-
 # each flag of `check` that some checks take -> its value when not given
 _CHECK_DEFAULTS = {
     "C": "f",
@@ -124,17 +111,16 @@ def _scalars(text):
 
 
 def cmd_check(args) -> int:
-    name, flags = _CHECKS[args.check]
+    name, flags, _ = verify.CHECKS[args.check]
     given = {flag: getattr(args, flag) for flag in _CHECK_DEFAULTS if getattr(args, flag) is not None}
     refused = [f"--{flag.replace('_', '-')}" for flag in given if flag not in flags]
     if refused:
         raise CorelateError(f"check {args.check} does not take {', '.join(refused)}")
+    if "scalars" in given:
+        given["scalars"] = _scalars(given["scalars"])
     values = [given.get(flag, _CHECK_DEFAULTS[flag]) for flag in flags]
-    if args.check == "frobenius":
-        theory, scalars = values
-        values = [theory, _scalars(scalars)]
-    else:
-        values = [get_ambient(*values[:2]), *values[2:]]
+    if "C" in flags:
+        values[:2] = [get_ambient(*values[:2])]
     report = getattr(verify, name)(*values)
     _emit(report, args.format)
     expected = args.expect or verify.expected_verdict(report)
@@ -240,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run one verification check")
     # defaults are in _CHECK_DEFAULTS, so that a flag the check does not take
     # reads None when it was not given
-    p_check.add_argument("check", choices=_CHECKS)
+    p_check.add_argument("check", choices=verify.CHECKS)
     p_check.add_argument("--C")
     p_check.add_argument("--A")
     p_check.add_argument("--theory")

@@ -4,7 +4,7 @@ A corelation n -> m is an equivalence class of cospans; its canonical
 representative is the jointly-epi cospan obtained by factorising the
 copairing and renaming the apex.  Equality is decided on canonical forms,
 not by searching the witness closure; the closure is kept as an
-independent test oracle in the verification module.
+independent oracle in the test suite (``tests/oracle_utils.py``).
 
 Composition asks the ambient for the canonical composite: one union-find
 pass over finite and partial functions, one echelon pass over matrices.

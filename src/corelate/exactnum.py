@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import BadScalar, UnknownRing, ZeroDenominator, ZeroInverse
 
@@ -86,26 +86,22 @@ def rational_normalize(n: int, d: int) -> Fraction:
     return Fraction(n, d)
 
 
-class Ring:
+class _Fields(NamedTuple):
+    name: str
+    p: Optional[int]
+    is_field: bool
+
+
+class Ring(_Fields):
     """Common interface of the three coefficient domains.
 
-    Subclass instances are value objects: equality and hashing go by ring
-    name, so distinct ``GF(7)`` handles compare equal.  ``p`` is the modulus
-    of GF(p) and ``None`` for the integers and the rationals; ``zero`` and
-    ``one`` are the ring's constants, stored once.
+    A ring is the record ``(name, p, is_field)`` and compares and hashes as
+    it, so distinct ``GF(7)`` handles compare equal.  ``p`` is the modulus
+    of GF(p) and ``None`` for the integers and the rationals; each subclass
+    stores its ``zero`` and ``one`` once.
     """
 
-    name: str
-    is_field: bool
-    p: Optional[int] = None
-    zero: object
-    one: object
-
-    def __eq__(self, other):
-        return isinstance(other, Ring) and self.name == other.name
-
-    def __hash__(self):
-        return hash(self.name)
+    __slots__ = ()
 
     def __repr__(self):
         return f"Ring({self.name})"
@@ -121,8 +117,7 @@ class Ring:
 
 
 class IntegerRing(Ring):
-    name = "z"
-    is_field = False
+    __slots__ = ()
     zero = 0
     one = 1
 
@@ -144,8 +139,7 @@ class RationalRing(Ring):
     a linmap Q matrix, built from its integer table when read, take every
     integral one from them."""
 
-    name = "q"
-    is_field = True
+    __slots__ = ()
     integers = {n: Fraction(n) for n in range(-128, 129)}
     zero = integers[0]
     one = integers[1]
@@ -169,15 +163,9 @@ class RationalRing(Ring):
 
 
 class PrimeField(Ring):
-    is_field = True
+    __slots__ = ()
     zero = 0
     one = 1
-
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise UnknownRing(f"GF({p}): {p} is not prime")
-        self.p = p
-        self.name = f"gf{p}"
 
     def coerce(self, x):
         p = self.p
@@ -191,15 +179,17 @@ class PrimeField(Ring):
         return self.coerce(_parse_int(text, f"an integer residue mod {self.p}"))
 
 
-ZZ = IntegerRing()
-QQ = RationalRing()
+ZZ = IntegerRing("z", None, False)
+QQ = RationalRing("q", None, True)
 
 _gf_cache: dict[int, PrimeField] = {}
 
 
 def GF(p: int) -> PrimeField:
     if p not in _gf_cache:
-        _gf_cache[p] = PrimeField(p)
+        if not is_prime(p):
+            raise UnknownRing(f"GF({p}): {p} is not prime")
+        _gf_cache[p] = PrimeField(f"gf{p}", p, True)
     return _gf_cache[p]
 
 

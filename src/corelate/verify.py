@@ -49,6 +49,19 @@ CASE_BUDGET = 10**6  # exhaustive below this many cases, seeded sampling above
 SAMPLE_BUDGET = 10**7  # units of work a sampled check may take (see _require_samplable)
 
 
+# record key -> the CheckReport field it holds, in record key order; a
+# record ends with its counterexamples, then its details when there are any
+_RECORD = {
+    "check": "name",
+    "C": "c_name",
+    "A": "a_name",
+    "bound": "bound",
+    "entry_bound": "entry_bound",
+    "seed": "seed",
+    "verdict": "verdict",
+}
+
+
 @dataclass
 class CheckReport:
     """Outcome of one check; failing reports carry replayable literals."""
@@ -64,18 +77,10 @@ class CheckReport:
     details: tuple = ()  # ((label, holds), ...) for per-law checks
 
     def to_record(self) -> dict:
-        record = {
-            "check": self.name,
-            "C": self.c_name,
-            "A": self.a_name,
-            "bound": self.bound,
-            "entry_bound": self.entry_bound,
-            "seed": self.seed,
-            "verdict": self.verdict,
-            "counterexamples": [dict(c) for c in self.counterexamples],
-        }
+        record = {key: getattr(self, field) for key, field in _RECORD.items()}
+        record["counterexamples"] = [dict(c) for c in self.counterexamples]
         if self.details:
-            record["details"] = {label: holds for label, holds in self.details}
+            record["details"] = dict(self.details)
         return record
 
     @classmethod
@@ -83,13 +88,7 @@ class CheckReport:
         """The report that :meth:`to_record` made ``record`` of, from the
         record or from its JSON line read back."""
         return cls(
-            name=record["check"],
-            c_name=record["C"],
-            a_name=record["A"],
-            bound=record["bound"],
-            verdict=record["verdict"],
-            entry_bound=record["entry_bound"],
-            seed=record["seed"],
+            **{field: record[key] for key, field in _RECORD.items()},
             counterexamples=tuple(tuple(c.items()) for c in record["counterexamples"]),
             details=tuple(record.get("details", {}).items()),
         )
@@ -724,26 +723,35 @@ def expected_verdict(report: CheckReport) -> str:
 
 
 # ---------------------------------------------------------------------------
-# replay
+# the checks by name, and replay
 
-# check name -> whether the case a recorded counterexample names holds when
-# re-run in the report's ambient (its theory, for frobenius)
-_HOLDS = {
-    "assumption31": lambda amb, ce: assumption31_case(amb, *_parse_fields(ce, amb, ("left", "right")))[0],
-    "assumption33": lambda amb, ce: assumption33_case(amb, *_parse_fields(ce, amb, ("left", "right")))[0],
-    "square": lambda amb, ce: square_case(amb, *_parse_fields(ce, amb, ("morphism",))),
-    "pi-functorial": lambda amb, ce: pi_functorial_case(amb, *_parse_fields(ce, amb, ("span1", "span2"), Span)),
-    **{name: partial(_sampled_holds, name) for name in _SAMPLED},
-    "frobenius": lambda th, ce: term_equal(parse_term(ce["lhs"]), parse_term(ce["rhs"]), th),
+# check name -> (its check_* function, by name, looked up on this module per
+# call so that a wrapper installed on it sees the call; the `corelate check`
+# flags it takes, in its argument order: C and A name the ambient, theory the
+# theory; whether the case a counterexample records holds when re-run there)
+CHECKS = {
+    "assumption31": ("check_assumption31", ("C", "A", "bound", "entry_bound", "seed"),
+                     lambda amb, ce: assumption31_case(amb, *_parse_fields(ce, amb, ("left", "right")))[0]),
+    "assumption33": ("check_assumption33", ("C", "A", "bound", "entry_bound", "seed"),
+                     lambda amb, ce: assumption33_case(amb, *_parse_fields(ce, amb, ("left", "right")))[0]),
+    "square": ("check_square_commutes", ("C", "A", "bound", "entry_bound"),
+               lambda amb, ce: square_case(amb, *_parse_fields(ce, amb, ("morphism",)))),
+    "pi-functorial": ("check_pi_functorial", ("C", "A", "bound", "entry_bound", "seed", "samples"),
+                      lambda amb, ce: pi_functorial_case(amb, *_parse_fields(ce, amb, ("span1", "span2"), Span))),
+    "tensor-functorial": ("check_tensor_functorial", ("C", "A", "bound", "entry_bound", "seed", "samples"),
+                          partial(_sampled_holds, "tensor-functorial")),
+    "laws": ("check_category_laws", ("C", "A", "bound", "entry_bound", "seed", "samples"), partial(_sampled_holds, "laws")),
+    "frobenius": ("check_frobenius", ("theory", "scalars"),
+                  lambda th, ce: term_equal(parse_term(ce["lhs"]), parse_term(ce["rhs"]), th)),
 }
 
 
 def replay(report: CheckReport) -> bool:
     """Re-run every recorded counterexample; True iff each still fails."""
+    if report.name not in CHECKS:
+        raise CorelateError(f"no check is named {report.name!r}")
+    _, flags, holds = CHECKS[report.name]
     if not report.counterexamples:
         return True
-    if report.name == "frobenius":
-        where = get_theory(report.c_name)
-    else:
-        where = get_ambient(report.c_name, report.a_name)
-    return not any(_HOLDS[report.name](where, dict(ce)) for ce in report.counterexamples)
+    where = get_ambient(report.c_name, report.a_name) if "C" in flags else get_theory(report.c_name)
+    return not any(holds(where, dict(ce)) for ce in report.counterexamples)

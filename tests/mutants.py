@@ -73,9 +73,17 @@ MUTANTS = (
     Mutant(
         "integers-are-a-field",
         "exactnum.py",
-        'name = "z"\n    is_field = False',
-        'name = "z"\n    is_field = True',
+        'ZZ = IntegerRing("z", None, False)',
+        'ZZ = IntegerRing("z", None, True)',
         ("tests/test_linmap.py::test_hnf_row_matches_reference", "tests/test_linmap.py::test_is_split_mono"),
+    ),
+    # GF(p) is built for any modulus, prime or not
+    Mutant(
+        "gf-skips-primality-test",
+        "exactnum.py",
+        '        if not is_prime(p):\n            raise UnknownRing(f"GF({p}): {p} is not prime")\n',
+        "",
+        ("tests/test_exactnum.py::test_gf_requires_prime", "tests/test_exactnum.py::test_bad_ring_tags_raise_unknown_ring"),
     ),
     # a fraction's image in GF(p) forgets its denominator
     Mutant(
@@ -204,6 +212,15 @@ MUTANTS = (
             "tests/test_acceptance.py::test_criterion_04_counterexample_reproduction",
             "tests/test_acceptance.py::test_criterion_06_pi_functoriality",
         ),
+    ),
+    # `corelate check pi-functorial` passes its seed as the sample count
+    # and its sample count as the seed
+    Mutant(
+        "check-row-swaps-seed-and-samples",
+        "verify.py",
+        '"check_pi_functorial", ("C", "A", "bound", "entry_bound", "seed", "samples")',
+        '"check_pi_functorial", ("C", "A", "bound", "entry_bound", "samples", "seed")',
+        ("tests/test_verify.py::test_each_check_row_names_its_functions_parameters_in_order",),
     ),
     # pi-functorial pullbacks are memoised by the first span's right leg
     # alone, so a pullback is reused for another second span

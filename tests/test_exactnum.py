@@ -1,8 +1,11 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from corelate import exactnum
 from corelate.errors import BadScalar, CorelateError, UnknownRing, ZeroDenominator, ZeroInverse
 from corelate.exactnum import (
     GF,
@@ -89,6 +92,21 @@ def test_bad_ring_tags_raise_unknown_ring():
             parse_ring(tag)
     with pytest.raises(UnknownRing):
         GF(9)
+
+
+def test_a_ring_is_its_record(monkeypatch):
+    # two GF(7) built apart are one value, through a copy or a pickle too;
+    # equality and hashing are the record's, not the class's own
+    built = GF(7)
+    monkeypatch.setattr(exactnum, "_gf_cache", {})
+    again = GF(7)
+    assert built is not again and built == again and hash(built) == hash(again)
+    for ring in (ZZ, QQ, again):
+        assert pickle.loads(pickle.dumps(ring)) == ring and copy.deepcopy(ring) == ring
+        assert type(copy.deepcopy(ring)) is type(ring)
+    assert ZZ != QQ and GF(2) != GF(3)
+    assert (ZZ.name, ZZ.p, ZZ.is_field) == ("z", None, False) and (GF(7).p, GF(7).is_field) == (7, True)
+    assert "__eq__" not in vars(exactnum.Ring) and "__hash__" not in vars(exactnum.Ring)
 
 
 def test_ring_constants_are_stored_values():

@@ -553,6 +553,34 @@ def test_tensor_functorial_counterexamples_replay(monkeypatch):
     assert not replay(CheckReport(**{**vars(report), "counterexamples": swapped}))
 
 
+def test_each_check_row_names_its_functions_parameters_in_order():
+    # `corelate check` passes a row's flags, in order, as its function's
+    # arguments: C and A as the ambient they name, theory as the theory's
+    # name; and every check function has a row
+    for name, (function, flags, _) in verify.CHECKS.items():
+        if flags[:2] == ("C", "A"):
+            flags = ("amb",) + flags[2:]
+        parameters = ["theory_name" if flag == "theory" else flag for flag in flags]
+        assert parameters == list(inspect.signature(getattr(verify, function)).parameters), name
+    functions = {name for name, fn in vars(verify).items() if name.startswith("check_") and inspect.isfunction(fn)}
+    assert sorted(function for function, _, _ in verify.CHECKS.values()) == sorted(functions)
+
+
+def test_replay_refuses_a_check_it_does_not_know():
+    # a record read back names its check; one that no row names is a user
+    # error, which the command line reports with exit 2
+    for report in (check_assumption31(F_ALL, 2), check_square_commutes(F_INJ, 1)):
+        unknown = CheckReport.from_record({**report.to_record(), "check": "squares"})
+        with pytest.raises(CorelateError, match="'squares'"):
+            replay(unknown)
+
+
+def test_record_keys_are_the_record_table_then_the_cases():
+    assert list(check_square_commutes(F_INJ, 1).to_record()) == [*verify._RECORD, "counterexamples"]
+    assert list(check_frobenius("er").to_record()) == [*verify._RECORD, "counterexamples", "details"]
+    assert list(verify._RECORD) == ["check", "C", "A", "bound", "entry_bound", "seed", "verdict"]
+
+
 def test_traced_names_are_verify_functions(monkeypatch):
     # perfbench/tracing.py wraps these by name: a renamed one would
     # silently zero its per-check metrics
